@@ -50,6 +50,16 @@ def _env_default(name: str, fallback=None):
     return os.environ.get(f"HFSENSE_{name}", fallback)
 
 
+def _env_int(name: str, fallback: int | None = None) -> int | None:
+    raw = _env_default(name)
+    if not raw:
+        return fallback
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConfigError(f"HFSENSE_{name}={raw!r} is not an integer") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="hfsense",
@@ -58,12 +68,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="scenario file (or HFSENSE_CONFIG)")
     ap.add_argument("--out", default=_env_default("OUT", "out"),
                     help="output directory (or HFSENSE_OUT)")
-    ap.add_argument("--workers", type=int,
-                    default=int(_env_default("WORKERS", "1")),
+    ap.add_argument("--workers", type=int, default=_env_int("WORKERS", 1),
                     help="parallel sweep workers (or HFSENSE_WORKERS)")
-    ap.add_argument("--seed", type=int,
-                    default=(int(_env_default("SEED")) if _env_default("SEED")
-                             else None),
+    ap.add_argument("--seed", type=int, default=_env_int("SEED"),
                     help="override the scenario RNG seed (or HFSENSE_SEED)")
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -289,10 +296,9 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    outdir = Path(args.out)
     try:
-        return _COMMANDS[args.command](args, outdir)
+        args = build_parser().parse_args(argv)
+        return _COMMANDS[args.command](args, Path(args.out))
     except (ConfigError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -7,9 +7,6 @@ typo in a scenario file cannot silently fall back to a default.
 
 from __future__ import annotations
 
-import math
-from dataclasses import fields as dc_fields
-
 from .controller import ControllerConfig
 from .motor import MotorParams
 from .signal_ops import InjectionConfig

@@ -9,7 +9,7 @@ a misaligned frame the exact Ld/Lq split is not well defined anyway).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .motor import MotorParams
 from .signal_ops import InjectionConfig, LowPass1, injection_voltage

@@ -33,6 +33,7 @@ from .signal_ops import (
     InjectionConfig,
     LowPass1,
     MovingAverage,
+    carrier_steps,
     probe_signal,
 )
 
@@ -183,6 +184,10 @@ class ConventionalEstimator:
         self.params = params
         self.cfg = cfg
         self.chain = chain
+        self.Ts = Ts
+        # demodulation carrier per phase j = k mod N
+        self._demod = [math.sin(cfg.omega_h * j * Ts + cfg.phi)
+                       for j in range(carrier_steps(cfg, Ts))]
         self._hpf_a = HighPass2(chain.lambda_h, Ts)
         self._hpf_b = HighPass2(chain.lambda_h, Ts)
         self._scale = 2.0 * cfg.omega_h * params.det_L / cfg.V_h
@@ -200,7 +205,7 @@ class ConventionalEstimator:
         """Advance one sample; returns the branch-tracked angle estimate."""
         yha = self._hpf_a.step(i_alpha)
         yhb = self._hpf_b.step(i_beta)
-        demod = math.sin(self.cfg.omega_h * t + self.cfg.phi)
+        demod = self._demod[round(t / self.Ts) % len(self._demod)]
         Ya = self._scale * self._lpf_a.step(yha * demod)
         Yb = self._scale * self._lpf_b.step(yhb * demod)
         self.Y_alpha = Ya
@@ -220,7 +225,10 @@ class BlockFormEstimator:
 
     High pass = delay minus hold, demodulation phase 3*pi/2, low pass =
     0.5*(V_h/2pi)^2 times the LTV flow dz/dt = -gamma*S^2*z + gamma*u.
-    State advanced by the same 4th-order rule as the gradient flow.
+    State advanced by the same 4th-order rule as the gradient flow; that step
+    is linear in (z, yf_prev, yf), so its coefficients are tabulated per
+    carrier phase from this flow's own rate (not shared with GradientFlow, so
+    the equivalence check still compares two derivations).
     """
 
     def __init__(self, params: MotorParams, cfg: InjectionConfig, Ts: float,
@@ -235,6 +243,7 @@ class BlockFormEstimator:
         self._delay_b = DelayLine(d, Ts)
         self._hold_a = MovingAverage(2.0 * d, Ts)
         self._hold_b = MovingAverage(2.0 * d, Ts)
+        self._tables = [self._phase_table(g) for g in self.gamma]
         # same seeding convention as the operator form: z = (2*pi/V_h) * x
         y10, y20 = virtual_output(params, theta0)
         self.z = [TWO_PI * d * y10 / cfg.V_h, TWO_PI * d * y20 / cfg.V_h]
@@ -244,28 +253,36 @@ class BlockFormEstimator:
         self.yv1 = y10
         self.yv2 = y20
 
-    def _advance(self, axis: int, t: float, yf: float) -> float:
+    def _phase_table(self, gamma: float) -> list[tuple[float, float, float]]:
+        """(a, b, c) per phase j with z+ = a*z + b*yf_prev + c*yf."""
         # regressor input interpolated between samples, same as GradientFlow
-        gamma = self.gamma[axis]
         cfg = self.cfg
         Ts = self.Ts
         phi = 1.5 * math.pi
-        yf0 = yf if self._yf_prev[axis] is None else self._yf_prev[axis]
-        self._yf_prev[axis] = yf
-        yfm = 0.5 * (yf0 + yf)
 
         def rate(tau, z, y):
             S = probe_signal(cfg, tau)
             u = y * math.sin(cfg.omega_h * tau + phi)
             return gamma * u - gamma * S * S * z
 
-        t0 = t - Ts
-        z = self.z[axis]
-        k1 = rate(t0, z, yf0)
-        k2 = rate(t0 + 0.5 * Ts, z + 0.5 * Ts * k1, yfm)
-        k3 = rate(t0 + 0.5 * Ts, z + 0.5 * Ts * k2, yfm)
-        k4 = rate(t, z + Ts * k3, yf)
-        z = z + Ts / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        def advance(t, z, yf0, yf):
+            yfm = 0.5 * (yf0 + yf)
+            t0 = t - Ts
+            k1 = rate(t0, z, yf0)
+            k2 = rate(t0 + 0.5 * Ts, z + 0.5 * Ts * k1, yfm)
+            k3 = rate(t0 + 0.5 * Ts, z + 0.5 * Ts * k2, yfm)
+            k4 = rate(t, z + Ts * k3, yf)
+            return z + Ts / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+        return [(advance(j * Ts, 1.0, 0.0, 0.0), advance(j * Ts, 0.0, 1.0, 0.0),
+                 advance(j * Ts, 0.0, 0.0, 1.0))
+                for j in range(carrier_steps(cfg, Ts))]
+
+    def _advance(self, axis: int, j: int, yf: float) -> float:
+        a, b, c = self._tables[axis][j]
+        yf0 = yf if self._yf_prev[axis] is None else self._yf_prev[axis]
+        self._yf_prev[axis] = yf
+        z = a * self.z[axis] + b * yf0 + c * yf
         self.z[axis] = z
         return self._lpf_gain * z
 
@@ -276,8 +293,9 @@ class BlockFormEstimator:
         zb = self._hold_b.step(i_beta)
         if da is None or za is None:
             return None
-        ya = self._advance(0, t, da - za)
-        yb = self._advance(1, t, db - zb)
+        j = round(t / self.Ts) % len(self._tables[0])
+        ya = self._advance(0, j, da - za)
+        yb = self._advance(1, j, db - zb)
         scale = 2.0 * self.cfg.omega_h * self.params.det_L / self.cfg.V_h
         Ya = scale * ya
         Yb = scale * yb
@@ -398,7 +416,8 @@ def synthesize_injection_current(params: MotorParams, cfg: InjectionConfig,
     amp = -ripple_scale * cfg.V_h / TWO_PI
     out = np.empty((len(t), 2))
     eps = cfg.epsilon
-    for k, tk in enumerate(t):
+    # iterate Python floats; numpy scalars slow every sample down
+    for k, tk in enumerate(memoryview(np.asarray(t, dtype=float))):
         y1, y2 = virtual_output(params, theta_fn(tk))
         S = amp * math.cos(cfg.omega_h * tk + phase_err)
         out[k, 0] = i_bar[0] + eps * y1 * S

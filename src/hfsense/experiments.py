@@ -186,9 +186,13 @@ def equivalence_deviation(params: MotorParams, inj: InjectionConfig,
     scale = abs(params.L1) / params.det_L  # natural size of the yv signal
     worst_yv = 0.0
     worst_theta = 0.0
+    # memoryviews index to Python floats without a copy; numpy scalars make
+    # every estimator step slower
+    tv, cv = memoryview(t), memoryview(cur)
     for k in range(n + 1):
-        ra = est_a.step(t[k], cur[k, 0], cur[k, 1])
-        rb = est_b.step(t[k], cur[k, 0], cur[k, 1])
+        tk, ia, ib = tv[k], cv[k, 0], cv[k, 1]
+        ra = est_a.step(tk, ia, ib)
+        rb = est_b.step(tk, ia, ib)
         if ra is None or rb is None:
             continue
         worst_yv = max(worst_yv,
@@ -221,6 +225,7 @@ def calibrate(cfg: ScenarioConfig, phase_err: float = 0.0,
     cur = synthesize_injection_current(params, inj, theta_fn, t,
                                        phase_err=phase_err,
                                        ripple_scale=ripple_scale)
+    tv, cv = memoryview(t), memoryview(cur)  # Python floats, no copy
 
     def run_estimator(ell):
         est = ProposedEstimator(params, inj, Ts, cfg.gamma_alpha,
@@ -230,7 +235,7 @@ def calibrate(cfg: ScenarioConfig, phase_err: float = 0.0,
         y1 = np.empty(m)
         y2 = np.empty(m)
         for k in range(m):
-            est.step(t[k], cur[k, 0], cur[k, 1])
+            est.step(tv[k], cv[k, 0], cv[k, 1])
             th[k] = est.theta_hat
             y1[k] = est.yv1
             y2[k] = est.yv2

@@ -9,10 +9,8 @@ Operators that have not yet absorbed a full window return None (not yet valid).
 
 from __future__ import annotations
 
-import cmath
 import math
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,23 +60,37 @@ def _steps_for(window: float, Ts: float, what: str) -> int:
     return n
 
 
+def carrier_steps(cfg: InjectionConfig, Ts: float) -> int:
+    """Samples per probe period, N = epsilon/Ts; Ts must divide epsilon.
+
+    Every carrier quantity sampled at t = k*Ts (or half a step later) then
+    repeats with period N in k, so the kernels tabulate it once per phase
+    j = k mod N instead of evaluating sin/cos per sample.
+    """
+    return _steps_for(cfg.epsilon, Ts, "epsilon")
+
+
 class DelayLine:
-    """Pure transport delay by an integer number of samples."""
+    """Pure transport delay by an integer number of samples (ring buffer)."""
 
     def __init__(self, d: float, Ts: float):
         self.d = d
         self.Ts = Ts
         self.n = _steps_for(d, Ts, "delay")
-        self._buf = deque(maxlen=self.n)
-
-    @property
-    def warm(self) -> bool:
-        return len(self._buf) == self.n
+        self._buf = [0.0] * self.n
+        self._i = 0
+        self.warm = False
 
     def step(self, u: float):
         """Absorb one sample; once warm, return the input from d seconds ago."""
-        out = self._buf[0] if self.warm else None
-        self._buf.append(u)
+        i = self._i
+        out = self._buf[i] if self.warm else None
+        self._buf[i] = u
+        i += 1
+        if i == self.n:
+            i = 0
+            self.warm = True
+        self._i = i
         return out
 
 
@@ -86,9 +98,9 @@ class MovingAverage:
     """Weighted zero-order hold: trailing mean over a window w.
 
     Output is (chi(t) - chi(t-w))/w with chi the trapezoidal integral of the
-    input.  The running sum is kept over per-step increments (difference form)
-    so the accumulator cannot grow on long runs; a periodic rebuild bounds
-    floating-point drift.
+    input.  The running sum is kept over per-step increments (difference form,
+    held in a ring buffer) so the accumulator cannot grow on long runs; a
+    periodic rebuild bounds floating-point drift.
     """
 
     _REBASE_EVERY = 1 << 16
@@ -97,14 +109,12 @@ class MovingAverage:
         self.w = w
         self.Ts = Ts
         self.n = _steps_for(w, Ts, "window")
-        self._inc = deque(maxlen=self.n)
+        self._inc = [0.0] * self.n
+        self._i = 0
         self._sum = 0.0
         self._prev = None
         self._count = 0
-
-    @property
-    def warm(self) -> bool:
-        return len(self._inc) == self.n
+        self.warm = False
 
     def step(self, u: float):
         if self._prev is None:
@@ -112,12 +122,19 @@ class MovingAverage:
             return None
         inc = 0.5 * (self._prev + u)  # trapezoid, Ts factored out
         self._prev = u
+        i = self._i
         if self.warm:
-            self._sum -= self._inc[0]
-        self._inc.append(inc)
+            self._sum -= self._inc[i]
+        self._inc[i] = inc
         self._sum += inc
+        i += 1
+        if i == self.n:
+            i = 0
+            self.warm = True
+        self._i = i
         self._count += 1
         if self._count % self._REBASE_EVERY == 0:
+            # slots not yet written hold exact zeros
             self._sum = math.fsum(self._inc)
         if not self.warm:
             return None
@@ -132,6 +149,11 @@ class GradientFlow:
     the demodulation by half a sample of carrier phase) and S evaluated at
     the substep times.  Under persistent excitation of S the state contracts
     exponentially toward the regressor coefficient.
+
+    The step is linear in (x, u_prev, u) and, with Ts dividing epsilon, its
+    coefficients depend only on the carrier phase j = round(t/Ts) mod N.  They
+    are tabulated once per Ts by applying the 4th-order rule to the three unit
+    vectors, so a sample costs x+ = a_j*x + b_j*u_prev + c_j*u.
     """
 
     def __init__(self, gamma: float, cfg: InjectionConfig, x0: float = 0.0):
@@ -141,23 +163,41 @@ class GradientFlow:
         self.cfg = cfg
         self.x = x0
         self._u_prev = None
+        self._Ts = None
+        self._table = ()
 
-    def _rate(self, tau: float, x: float, u: float) -> float:
-        S = probe_signal(self.cfg, tau)
+    def _rate(self, S: float, x: float, u: float) -> float:
         return self.gamma * S * (u - S * x)
+
+    def _rk4(self, S0: float, Sm: float, S1: float, x: float, u0: float,
+             u: float, Ts: float) -> float:
+        """One step over [t - Ts, t]; S0, Sm, S1 are S at t - Ts, t - Ts/2, t."""
+        um = 0.5 * (u0 + u)
+        k1 = self._rate(S0, x, u0)
+        k2 = self._rate(Sm, x + 0.5 * Ts * k1, um)
+        k3 = self._rate(Sm, x + 0.5 * Ts * k2, um)
+        k4 = self._rate(S1, x + Ts * k3, u)
+        return x + Ts / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    def _phase_table(self, Ts: float) -> list[tuple[float, float, float]]:
+        units = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+        table = []
+        for j in range(carrier_steps(self.cfg, Ts)):
+            S = [probe_signal(self.cfg, (j - back) * Ts)
+                 for back in (1.0, 0.5, 0.0)]
+            table.append(tuple(self._rk4(*S, *e, Ts) for e in units))
+        return table
 
     def step(self, t: float, u: float, Ts: float) -> float:
         """Advance over [t - Ts, t] toward input u; return x/epsilon."""
+        if Ts != self._Ts:
+            self._table = self._phase_table(Ts)
+            self._Ts = Ts
+        table = self._table
+        a, b, c = table[round(t / Ts) % len(table)]
         u0 = u if self._u_prev is None else self._u_prev
         self._u_prev = u
-        um = 0.5 * (u0 + u)
-        t0 = t - Ts
-        x = self.x
-        k1 = self._rate(t0, x, u0)
-        k2 = self._rate(t0 + 0.5 * Ts, x + 0.5 * Ts * k1, um)
-        k3 = self._rate(t0 + 0.5 * Ts, x + 0.5 * Ts * k2, um)
-        k4 = self._rate(t, x + Ts * k3, u)
-        self.x = x + Ts / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        self.x = a * self.x + b * u0 + c * u
         return self.x / self.cfg.epsilon
 
 

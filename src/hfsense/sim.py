@@ -11,14 +11,15 @@ Two modes:
 Controller and estimators advance once per integration step (single cadence,
 no PWM).  The probe voltage is evaluated analytically at the RK4 substep
 times; holding it constant over a step would alias a fixed fraction of the
-ripple and mask the second-order averaging remainder.
+ripple and mask the second-order averaging remainder.  Since Ts divides the
+probe period, those values are tabulated once per carrier phase k mod N.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -31,7 +32,7 @@ from .estimators import (
     ProposedEstimator,
 )
 from .motor import MotorParams, virtual_output
-from .signal_ops import InjectionConfig, probe_signal
+from .signal_ops import InjectionConfig, carrier_steps, probe_signal
 
 TRACE_COLUMNS = [
     "t", "theta", "theta_wrapped", "omega",
@@ -63,6 +64,8 @@ class LoadProfile:
             raise ValueError(f"unknown load kind {self.kind!r}")
         if self.kind == "piecewise" and len(self.values) != len(self.times) + 1:
             raise ValueError("piecewise load needs len(values) == len(times) + 1")
+        if any(b <= a for a, b in zip(self.times, self.times[1:])):
+            raise ValueError("piecewise load times must be strictly increasing")
 
     def torque(self, t: float) -> float:
         if self.kind == "constant":
@@ -250,6 +253,17 @@ def _build_estimators(cfg: ScenarioConfig):
     return prop, conv
 
 
+def _probe_tables(cfg: ScenarioConfig):
+    """Probe voltage per carrier phase j at t = j*Ts and at the half step."""
+    inj = cfg.injection
+    Vh = inj.V_h if cfg.injection_enabled else 0.0
+    Ts = cfg.Ts
+    n = carrier_steps(inj, Ts)
+    wh = inj.omega_h
+    return ([Vh * math.sin(wh * j * Ts) for j in range(n)],
+            [Vh * math.sin(wh * (j + 0.5) * Ts) for j in range(n)])
+
+
 def _noise(cfg: ScenarioConfig, n: int):
     if cfg.noise_std == 0.0:
         return None
@@ -277,9 +291,8 @@ def run_closed_loop(cfg: ScenarioConfig, columns=None) -> Trace:
     # hot-loop locals
     np_, Rs, L0, L1 = mp.n_p, mp.R_s, mp.L0, mp.L1
     detL, Phi, J, fr = mp.det_L, mp.Phi, mp.J, mp.f
-    Vh = inj.V_h if cfg.injection_enabled else 0.0
-    wh = inj.omega_h
-    sin, cos = math.sin, math.cos
+    v_probe, v_probe_mid = _probe_tables(cfg)
+    n_car = len(v_probe)
     lim = cfg.divergence_limit
 
     ia, ib = cfg.i_alpha0, cfg.i_beta0
@@ -292,6 +305,7 @@ def run_closed_loop(cfg: ScenarioConfig, columns=None) -> Trace:
 
     for k in range(n_steps + 1):
         t = k * Ts
+        vpa = v_probe[k % n_car]
         if noise is None:
             ia_m, ib_m = ia, ib
         else:
@@ -322,7 +336,7 @@ def run_closed_loop(cfg: ScenarioConfig, columns=None) -> Trace:
             row = {
                 "t": t, "theta": th, "theta_wrapped": th % (2.0 * math.pi),
                 "omega": om, "i_alpha": ia, "i_beta": ib,
-                "v_alpha": vca + Vh * sin(wh * t), "v_beta": vcb,
+                "v_alpha": vca + vpa, "v_beta": vcb,
             }
             if prop is not None:
                 row.update(prop_theta_hat=prop.theta_hat,
@@ -346,9 +360,8 @@ def run_closed_loop(cfg: ScenarioConfig, columns=None) -> Trace:
         TL = torque(t)
         h = Ts
         d1 = _em_deriv(np_, Rs, L0, L1, detL, Phi, J, fr,
-                       ia, ib, th, om, vca + Vh * sin(wh * t), vcb, TL)
-        tm = t + 0.5 * h
-        vam = vca + Vh * sin(wh * tm)
+                       ia, ib, th, om, vca + vpa, vcb, TL)
+        vam = vca + v_probe_mid[k % n_car]
         d2 = _em_deriv(np_, Rs, L0, L1, detL, Phi, J, fr,
                        ia + 0.5 * h * d1[0], ib + 0.5 * h * d1[1],
                        th + 0.5 * h * d1[2], om + 0.5 * h * d1[3],
@@ -361,7 +374,7 @@ def run_closed_loop(cfg: ScenarioConfig, columns=None) -> Trace:
         d4 = _em_deriv(np_, Rs, L0, L1, detL, Phi, J, fr,
                        ia + h * d3[0], ib + h * d3[1],
                        th + h * d3[2], om + h * d3[3],
-                       vca + Vh * sin(wh * te), vcb, TL)
+                       vca + v_probe[(k + 1) % n_car], vcb, TL)
         ia += h / 6.0 * (d1[0] + 2.0 * d2[0] + 2.0 * d3[0] + d4[0])
         ib += h / 6.0 * (d1[1] + 2.0 * d2[1] + 2.0 * d3[1] + d4[1])
         th += h / 6.0 * (d1[2] + 2.0 * d2[2] + 2.0 * d3[2] + d4[2])
@@ -427,9 +440,8 @@ def run_driven_speed(cfg: ScenarioConfig, columns=None) -> Trace:
 
     np_, Rs, L0, L1 = mp.n_p, mp.R_s, mp.L0, mp.L1
     detL, Phi = mp.det_L, mp.Phi
-    Vh = inj.V_h if cfg.injection_enabled else 0.0
-    wh = inj.omega_h
-    sin = math.sin
+    v_probe, v_probe_mid = _probe_tables(cfg)
+    n_car = len(v_probe)
     lim = cfg.divergence_limit
     th0 = cfg.theta0
 
@@ -447,6 +459,7 @@ def run_driven_speed(cfg: ScenarioConfig, columns=None) -> Trace:
         t = k * Ts
         th = theta_at(t)
         om = drive.omega_at(t)
+        vpa = v_probe[k % n_car]
         if noise is None:
             ia_m, ib_m = ia, ib
         else:
@@ -470,7 +483,7 @@ def run_driven_speed(cfg: ScenarioConfig, columns=None) -> Trace:
             row = {
                 "t": t, "theta": th, "theta_wrapped": th % (2.0 * math.pi),
                 "omega": om, "i_alpha": ia, "i_beta": ib,
-                "v_alpha": vca + Vh * sin(wh * t), "v_beta": vcb,
+                "v_alpha": vca + vpa, "v_beta": vcb,
             }
             if prop is not None:
                 row.update(prop_theta_hat=prop.theta_hat,
@@ -492,11 +505,11 @@ def run_driven_speed(cfg: ScenarioConfig, columns=None) -> Trace:
 
         h = Ts
         d1 = _el_deriv(np_, Rs, L0, L1, detL, Phi, ia, ib, th, om,
-                       vca + Vh * sin(wh * t), vcb)
+                       vca + vpa, vcb)
         tm = t + 0.5 * h
         thm = theta_at(tm)
         omm = drive.omega_at(tm)
-        vam = vca + Vh * sin(wh * tm)
+        vam = vca + v_probe_mid[k % n_car]
         d2 = _el_deriv(np_, Rs, L0, L1, detL, Phi,
                        ia + 0.5 * h * d1[0], ib + 0.5 * h * d1[1],
                        thm, omm, vam, vcb)
@@ -507,7 +520,7 @@ def run_driven_speed(cfg: ScenarioConfig, columns=None) -> Trace:
         d4 = _el_deriv(np_, Rs, L0, L1, detL, Phi,
                        ia + h * d3[0], ib + h * d3[1],
                        theta_at(te), drive.omega_at(te),
-                       vca + Vh * sin(wh * te), vcb)
+                       vca + v_probe[(k + 1) % n_car], vcb)
         ia += h / 6.0 * (d1[0] + 2.0 * d2[0] + 2.0 * d3[0] + d4[0])
         ib += h / 6.0 * (d1[1] + 2.0 * d2[1] + 2.0 * d3[1] + d4[1])
         if not (-lim < ia < lim and -lim < ib < lim):

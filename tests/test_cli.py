@@ -80,6 +80,16 @@ def test_parser_env_overrides(monkeypatch):
     assert args.seed == 7
 
 
+@pytest.mark.parametrize("name", ["WORKERS", "SEED"])
+def test_non_integer_env_is_config_error(name, fast_scenario, tmp_path,
+                                         monkeypatch, capsys):
+    monkeypatch.setenv(f"HFSENSE_{name}", "abc")
+    rc = main(["--config", str(fast_scenario), "--out", str(tmp_path), "run"])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.strip() == f"config error: HFSENSE_{name}='abc' is not an integer"
+
+
 def test_band_argument_rejects_inverted():
     with pytest.raises(SystemExit):
         build_parser().parse_args(

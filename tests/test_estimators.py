@@ -122,6 +122,17 @@ def test_proposed_warmup_returns_none(sim_motor, inj, Ts):
     assert est.step(n_warm * Ts, 0.0, 0.0) is not None
 
 
+def test_estimators_reject_ts_not_dividing_epsilon(sim_motor, inj):
+    Ts = inj.epsilon / 50.5
+    chain = LtiChainConfig.from_injection(inj, omega_star=0.5)
+    with pytest.raises(ValueError):
+        ConventionalEstimator(sim_motor, inj, Ts, chain)
+    with pytest.raises(ValueError):
+        ProposedEstimator(sim_motor, inj, Ts)
+    with pytest.raises(ValueError):
+        BlockFormEstimator(sim_motor, inj, Ts)
+
+
 def test_ell_validation(sim_motor, inj, Ts):
     with pytest.raises(ValueError):
         ProposedEstimator(sim_motor, inj, Ts, ell=(0.0, 0.0, 1.0))

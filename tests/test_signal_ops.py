@@ -2,6 +2,8 @@
 
 import cmath
 import math
+import random
+from collections import deque
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from hfsense.signal_ops import (
     LowPass1,
     MovingAverage,
     bode_table,
+    carrier_steps,
     gd_frequency_response,
     hpf_frequency_response,
     injection_voltage,
@@ -130,6 +133,107 @@ def test_gradient_flow_seeded_start(inj):
     assert g.x == 0.5
     with pytest.raises(ValueError):
         GradientFlow(0.0, inj)
+
+
+def _reference_flow(gamma, cfg, x0, ks, us, Ts):
+    """Per-sample 4th-order step with S evaluated at the substep times."""
+    def rate(tau, x, u):
+        S = probe_signal(cfg, tau)
+        return gamma * S * (u - S * x)
+
+    x = x0
+    u_prev = None
+    xs = []
+    for k, u in zip(ks, us):
+        t = k * Ts
+        u0 = u if u_prev is None else u_prev
+        u_prev = u
+        um = 0.5 * (u0 + u)
+        t0 = t - Ts
+        k1 = rate(t0, x, u0)
+        k2 = rate(t0 + 0.5 * Ts, x + 0.5 * Ts * k1, um)
+        k3 = rate(t0 + 0.5 * Ts, x + 0.5 * Ts * k2, um)
+        k4 = rate(t, x + Ts * k3, u)
+        x = x + Ts / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        xs.append(x)
+    return xs
+
+
+def test_gradient_flow_phase_table_matches_rk4():
+    """The tabulated step equals the per-sample rule for any starting phase."""
+    cfg = InjectionConfig(V_h=1.5, epsilon=1e-3, phi_p=0.7)
+    Ts = cfg.epsilon / 50
+    n = carrier_steps(cfg, Ts)
+    assert n == 50
+    ks = range(37, 37 + 4 * n)
+    us = [2e-3 * probe_signal(cfg, k * Ts) + 1e-4 * math.sin(0.3 * k)
+          for k in ks]
+    ref = _reference_flow(2e4, cfg, 3e-3, ks, us, Ts)
+    g = GradientFlow(2e4, cfg, x0=3e-3)
+    for k, u, x_ref in zip(ks, us, ref):
+        y = g.step(k * Ts, u, Ts)
+        assert abs(g.x - x_ref) <= 1e-12 * abs(x_ref)
+        assert y == g.x / cfg.epsilon
+
+
+def test_carrier_kernels_reject_misaligned_ts(inj):
+    with pytest.raises(ValueError):
+        carrier_steps(inj, inj.epsilon / 50.5)
+    with pytest.raises(ValueError):
+        GradientFlow(1e4, inj).step(0.0, 0.0, inj.epsilon / 50.5)
+
+
+class _DequeDelay:
+    def __init__(self, n):
+        self.n = n
+        self.buf = deque(maxlen=n)
+
+    def step(self, u):
+        out = self.buf[0] if len(self.buf) == self.n else None
+        self.buf.append(u)
+        return out
+
+
+class _DequeHold:
+    def __init__(self, n, rebase_every):
+        self.n = n
+        self.rebase_every = rebase_every
+        self.inc = deque(maxlen=n)
+        self.sum = 0.0
+        self.prev = None
+        self.count = 0
+
+    def step(self, u):
+        if self.prev is None:
+            self.prev = u
+            return None
+        inc = 0.5 * (self.prev + u)
+        self.prev = u
+        if len(self.inc) == self.n:
+            self.sum -= self.inc[0]
+        self.inc.append(inc)
+        self.sum += inc
+        self.count += 1
+        if self.count % self.rebase_every == 0:
+            self.sum = math.fsum(self.inc)
+        if len(self.inc) < self.n:
+            return None
+        return self.sum / self.n
+
+
+def test_ring_buffers_match_deque_reference(Ts):
+    """Sample for sample, bit for bit, across a running-sum rebuild."""
+    rng = random.Random(5)
+    d = DelayLine(7 * Ts, Ts)
+    z = MovingAverage(13 * Ts, Ts)
+    d_ref = _DequeDelay(7)
+    z_ref = _DequeHold(13, MovingAverage._REBASE_EVERY)
+    for _ in range(MovingAverage._REBASE_EVERY + 100):
+        u = rng.uniform(-3.0, 3.0) + 1e3
+        assert d.step(u) == d_ref.step(u)
+        assert z.step(u) == z_ref.step(u)
+    assert z_ref.count > MovingAverage._REBASE_EVERY
+    assert d.warm and z.warm
 
 
 def test_lowpass_dc_gain(Ts):

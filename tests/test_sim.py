@@ -54,6 +54,11 @@ def test_load_profiles():
         LoadProfile("ramp")
     with pytest.raises(ValueError):
         LoadProfile("piecewise", times=(1.0,), values=(0.0,))
+    # unsorted breakpoints would pick the wrong level through bisection
+    with pytest.raises(ValueError):
+        LoadProfile("piecewise", times=(2.0, 1.0), values=(0.0, 1.0, 2.0))
+    with pytest.raises(ValueError):
+        LoadProfile("piecewise", times=(1.0, 1.0), values=(0.0, 1.0, 2.0))
 
 
 @given(t=st.floats(0.0, 12.0))
