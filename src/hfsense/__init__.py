@@ -28,14 +28,9 @@ from .estimators import (
 from .motor import (
     BENCH_MOTOR,
     SIM_MOTOR,
-    MotorInputs,
     MotorParams,
-    MotorState,
-    electromagnetic_torque,
     inductance_matrix,
-    inverse_inductance,
     saliency_matrix,
-    state_derivative,
     virtual_output,
 )
 from .signal_ops import (
@@ -48,7 +43,6 @@ from .signal_ops import (
     bode_table,
     gd_frequency_response,
     hpf_frequency_response,
-    injection_voltage,
     lpf_frequency_response,
     probe_signal,
 )
@@ -59,10 +53,7 @@ from .sim import (
     SimulationDiverged,
     Trace,
     averaging_residual,
-    rk4_step,
     run,
-    run_closed_loop,
-    run_driven_speed,
 )
 from .config import ConfigError, load_scenario
 
@@ -73,15 +64,12 @@ __all__ = [
     "ConfigError", "ControllerConfig", "ConventionalEstimator",
     "DegenerateSignalError", "DelayLine", "DriveProfile", "BlockFormEstimator",
     "GradientFlow", "HighPass2", "InjectionConfig", "LoadProfile",
-    "LowPass1", "LtiChainConfig", "MotorInputs", "MotorParams", "MotorState",
-    "MovingAverage", "Pi", "Pll", "ProposedEstimator", "ScenarioConfig",
-    "SensorlessController", "SimulationDiverged", "Trace",
-    "averaging_residual", "bode_table", "electromagnetic_torque",
+    "LowPass1", "LtiChainConfig", "MotorParams", "MovingAverage", "Pi", "Pll",
+    "ProposedEstimator", "ScenarioConfig", "SensorlessController",
+    "SimulationDiverged", "Trace", "averaging_residual", "bode_table",
     "fit_compensation", "frame_rotate", "gd_frequency_response",
-    "hpf_frequency_response", "inductance_matrix", "injection_voltage",
-    "inverse_inductance", "load_scenario", "lpf_frequency_response",
-    "ltp_lowpass_check", "probe_signal", "rk4_step", "rmsd", "run",
-    "run_closed_loop", "run_driven_speed", "saliency_matrix",
-    "state_derivative", "synthesize_injection_current", "track_branch",
+    "hpf_frequency_response", "inductance_matrix", "load_scenario",
+    "lpf_frequency_response", "ltp_lowpass_check", "probe_signal", "rmsd",
+    "run", "saliency_matrix", "synthesize_injection_current", "track_branch",
     "virtual_output", "virtual_output_to_angle", "wrap_mod_pi",
 ]

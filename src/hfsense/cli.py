@@ -22,6 +22,7 @@ import numpy as np
 
 from . import experiments
 from .config import ConfigError, load_scenario
+from .estimators import LtiChainConfig
 from .signal_ops import (
     bode_table,
     gd_frequency_response,
@@ -205,9 +206,13 @@ def cmd_compare_rmsd(args, outdir: Path) -> int:
 
 def cmd_sweep_frequency(args, outdir: Path) -> int:
     cfg = _load(args)
-    res = experiments.frequency_sweep(cfg, args.frequencies, args.t1, args.t2,
-                                      gamma_scale=args.gamma_scale,
-                                      workers=args.workers, metric=args.metric)
+    try:
+        res = experiments.frequency_sweep(
+            cfg, args.frequencies, args.t1, args.t2,
+            gamma_scale=args.gamma_scale, workers=args.workers,
+            metric=args.metric)
+    except ValueError as exc:
+        raise ConfigError(f"sweep-frequency: {exc}") from None
     outdir.mkdir(parents=True, exist_ok=True)
     np.savetxt(outdir / "sweep.csv",
                np.column_stack([res["freqs_hz"], res["epsilons"], res["errors"]]),
@@ -237,13 +242,20 @@ def cmd_residual_order(args, outdir: Path) -> int:
 
 
 def cmd_bode(args, outdir: Path) -> int:
+    if not 0.0 < args.omega_min < args.omega_max < math.inf:
+        raise ConfigError("bode needs 0 < --omega-min < --omega-max")
+    if args.points < 2:
+        raise ConfigError("bode needs --points >= 2")
     cfg = _load(args)
     omega = np.logspace(math.log10(args.omega_min), math.log10(args.omega_max),
                         args.points)
     inj = cfg.injection
-    lam_h = cfg.lambda_h if cfg.lambda_h is not None else inj.omega_h
-    lam_l = cfg.lambda_ell if cfg.lambda_ell is not None else max(
-        math.sqrt(inj.omega_h * cfg.omega_star), 1.0)
+    try:
+        chain = LtiChainConfig.from_injection(inj, cfg.omega_star,
+                                              cfg.lambda_h, cfg.lambda_ell)
+    except ValueError as exc:
+        raise ConfigError(f"bode: {exc}") from None
+    lam_h, lam_l = chain.lambda_h, chain.lambda_ell
     outdir.mkdir(parents=True, exist_ok=True)
     header = "omega_rad_s,mag_db,phase_deg_unwrapped"
     for name, resp in [
@@ -273,9 +285,12 @@ def cmd_calibrate(args, outdir: Path) -> int:
 
 def cmd_equivalence(args, outdir: Path) -> int:
     cfg = _load(args)
-    res = experiments.equivalence_deviation(
-        cfg.motor, cfg.injection, cfg.steps_per_period, args.duration,
-        gamma=cfg.gamma_alpha)
+    try:
+        res = experiments.equivalence_deviation(
+            cfg.motor, cfg.injection, cfg.steps_per_period, args.duration,
+            gamma=cfg.gamma_alpha)
+    except ValueError as exc:
+        raise ConfigError(f"equivalence: {exc}") from None
     passed = bool(res["max_rel_yv_deviation"] <= args.tolerance)
     print(f"max relative deviation {res['max_rel_yv_deviation']:.3e} "
           f"(tolerance {args.tolerance:.1e}): {'pass' if passed else 'FAIL'}")
@@ -299,7 +314,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return _COMMANDS[args.command](args, Path(args.out))
-    except (ConfigError, FileNotFoundError) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SimulationDiverged as exc:

@@ -7,6 +7,8 @@ typo in a scenario file cannot silently fall back to a default.
 
 from __future__ import annotations
 
+import math
+
 from .controller import ControllerConfig
 from .motor import MotorParams
 from .signal_ops import InjectionConfig
@@ -17,20 +19,50 @@ class ConfigError(ValueError):
     pass
 
 
+def _float(v: str) -> float:
+    x = float(v)
+    if not math.isfinite(x):
+        raise ValueError(f"not a finite number: {v!r}")
+    return x
+
+
+def _floats(v: str) -> tuple[float, ...]:
+    return tuple(_float(x) for x in v.split(",") if x.strip())
+
+
+def _bool(v: str) -> bool:
+    s = v.lower()
+    if s in ("true", "yes", "on", "1"):
+        return True
+    if s in ("false", "no", "off", "0"):
+        return False
+    raise ValueError(f"not a boolean: {v!r}")
+
+
+# section -> key -> converter; a key left out of a file keeps the default of
+# the dataclass field it feeds
+_F = _float
 _SCHEMA = {
-    "motor": {"n_p", "R_s", "L_d", "L_q", "Phi", "J", "f"},
-    "injection": {"V_h", "epsilon", "phi", "phi_p", "enabled"},
-    "estimator": {"kind", "gamma_alpha", "gamma_beta", "ell1", "ell2", "ell3",
-                  "lambda_h", "lambda_ell", "omega_star", "pll_kp", "pll_ki",
-                  "theta0_est"},
-    "controller": {"speed_kp", "speed_ki", "current_kp", "current_ki",
-                   "omega_ref", "i_d_ref", "i_q_limit", "v_limit",
-                   "meas_lpf_cutoff", "sensor_mode"},
-    "simulation": {"mode", "Ts", "steps_per_period", "duration", "decimation",
-                   "noise_std", "seed", "theta0", "omega0", "i_alpha0",
-                   "i_beta0", "divergence_limit"},
-    "load": {"kind", "value", "amplitude", "frequency", "times", "values"},
-    "drive": {"profile", "omega", "omega_end", "t_ramp_start", "t_ramp_end"},
+    "motor": {"n_p": int, "R_s": _F, "L_d": _F, "L_q": _F, "Phi": _F, "J": _F,
+              "f": _F},
+    "injection": {"V_h": _F, "epsilon": _F, "phi": _F, "phi_p": _F,
+                  "enabled": _bool},
+    "estimator": {"kind": str, "gamma_alpha": _F, "gamma_beta": _F,
+                  "ell1": _F, "ell2": _F, "ell3": _F, "lambda_h": _F,
+                  "lambda_ell": _F, "omega_star": _F, "pll_kp": _F,
+                  "pll_ki": _F, "theta0_est": _F},
+    "controller": {"speed_kp": _F, "speed_ki": _F, "current_kp": _F,
+                   "current_ki": _F, "omega_ref": _F, "i_d_ref": _F,
+                   "i_q_limit": _F, "v_limit": _F, "meas_lpf_cutoff": _F,
+                   "sensor_mode": _bool},
+    "simulation": {"mode": str, "Ts": _F, "steps_per_period": int,
+                   "duration": _F, "decimation": int, "noise_std": _F,
+                   "seed": int, "theta0": _F, "omega0": _F, "i_alpha0": _F,
+                   "i_beta0": _F, "divergence_limit": _F},
+    "load": {"kind": str, "value": _F, "amplitude": _F, "frequency": _F,
+             "times": _floats, "values": _floats},
+    "drive": {"profile": str, "omega": _F, "omega_end": _F,
+              "t_ramp_start": _F, "t_ramp_end": _F},
 }
 
 _REQUIRED_MOTOR = ("n_p", "R_s", "L_d", "L_q", "Phi", "J")
@@ -65,157 +97,63 @@ def parse_kv_file(path) -> dict[str, dict[str, tuple[str, int]]]:
     return out
 
 
-def _get(sec: dict, key: str, conv, default=None, path="", required=False):
-    if key not in sec:
-        if required:
-            raise ConfigError(f"{path}: missing required key {key!r}")
-        return default
-    val, lineno = sec[key]
+def _section(raw: dict, name: str, path: str) -> dict:
+    """Converted values of the keys given in [name], by key."""
+    out = {}
+    for key, (val, lineno) in raw.get(name, {}).items():
+        try:
+            out[key] = _SCHEMA[name][key](val)
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(
+                f"{path}:{lineno}: bad value for {key!r}: {exc}") from None
+    return out
+
+
+def _build(path: str, section: str, cls, **kw):
+    """cls(**kw), with its invariant violations reported as ConfigError."""
     try:
-        return conv(val)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from None
-
-
-def _bool(v: str) -> bool:
-    s = v.lower()
-    if s in ("true", "yes", "on", "1"):
-        return True
-    if s in ("false", "no", "off", "0"):
-        return False
-    raise ValueError(f"not a boolean: {v!r}")
-
-
-def _floats(v: str) -> tuple[float, ...]:
-    return tuple(float(x) for x in v.split(",") if x.strip())
+        return cls(**kw)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {section}{exc}") from None
 
 
 def load_scenario(path) -> ScenarioConfig:
     """Parse and validate a scenario file into a ScenarioConfig."""
     raw = parse_kv_file(path)
     p = str(path)
+    motor, inj, est, ctl, sim, load, drive = (
+        _section(raw, name, p) for name in
+        ("motor", "injection", "estimator", "controller", "simulation",
+         "load", "drive"))
 
-    msec = raw.get("motor", {})
     for k in _REQUIRED_MOTOR:
-        if k not in msec:
+        if k not in motor:
             raise ConfigError(f"{p}: [motor] missing required key {k!r}")
-    try:
-        motor = MotorParams(
-            n_p=_get(msec, "n_p", int, path=p, required=True),
-            R_s=_get(msec, "R_s", float, path=p, required=True),
-            L_d=_get(msec, "L_d", float, path=p, required=True),
-            L_q=_get(msec, "L_q", float, path=p, required=True),
-            Phi=_get(msec, "Phi", float, path=p, required=True),
-            J=_get(msec, "J", float, path=p, required=True),
-            f=_get(msec, "f", float, default=1e-3, path=p),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{p}: [motor] {exc}") from None
-
-    isec = raw.get("injection", {})
-    try:
-        injection = InjectionConfig(
-            V_h=_get(isec, "V_h", float, default=1.0, path=p),
-            epsilon=_get(isec, "epsilon", float, default=1e-3, path=p),
-            phi=_get(isec, "phi", float, default=0.0, path=p),
-            phi_p=_get(isec, "phi_p", float, default=0.0, path=p),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{p}: [injection] {exc}") from None
-    injection_enabled = _get(isec, "enabled", _bool, default=True, path=p)
-
-    csec = raw.get("controller", {})
-    try:
-        controller = ControllerConfig(
-            speed_kp=_get(csec, "speed_kp", float, default=1.0, path=p),
-            speed_ki=_get(csec, "speed_ki", float, default=5.0, path=p),
-            current_kp=_get(csec, "current_kp", float, default=5.0, path=p),
-            current_ki=_get(csec, "current_ki", float, default=5.0, path=p),
-            omega_ref=_get(csec, "omega_ref", float, default=0.5, path=p),
-            i_d_ref=_get(csec, "i_d_ref", float, default=0.0, path=p),
-            i_q_limit=_get(csec, "i_q_limit", float, default=20.0, path=p),
-            v_limit=_get(csec, "v_limit", float, default=400.0, path=p),
-            meas_lpf_cutoff=_get(csec, "meas_lpf_cutoff", float, path=p),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{p}: [controller] {exc}") from None
-    sensor_mode = _get(csec, "sensor_mode", _bool, default=False, path=p)
-
-    lsec = raw.get("load", {})
-    try:
-        load = LoadProfile(
-            kind=_get(lsec, "kind", str, default="constant", path=p),
-            value=_get(lsec, "value", float, default=0.0, path=p),
-            amplitude=_get(lsec, "amplitude", float, default=0.0, path=p),
-            frequency=_get(lsec, "frequency", float, default=0.0, path=p),
-            times=_get(lsec, "times", _floats, default=(), path=p),
-            values=_get(lsec, "values", _floats, default=(), path=p),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{p}: [load] {exc}") from None
-
-    drive = None
+    top = {"motor": _build(p, "[motor] ", MotorParams, **motor)}
+    top["injection_enabled"] = inj.pop("enabled", True)
+    top["injection"] = _build(p, "[injection] ", InjectionConfig, **inj)
+    top["sensor_mode"] = ctl.pop("sensor_mode", False)
+    top["controller"] = _build(p, "[controller] ", ControllerConfig, **ctl)
+    top["load"] = _build(p, "[load] ", LoadProfile, **load)
     if "drive" in raw:
-        dsec = raw["drive"]
-        try:
-            drive = DriveProfile(
-                kind=_get(dsec, "profile", str, default="constant", path=p),
-                omega=_get(dsec, "omega", float, default=0.0, path=p),
-                omega_end=_get(dsec, "omega_end", float, default=0.0, path=p),
-                t_ramp_start=_get(dsec, "t_ramp_start", float, default=0.0, path=p),
-                t_ramp_end=_get(dsec, "t_ramp_end", float, default=0.0, path=p),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"{p}: [drive] {exc}") from None
+        if "profile" in drive:
+            drive["kind"] = drive.pop("profile")
+        top["drive"] = _build(p, "[drive] ", DriveProfile, **drive)
 
-    esec = raw.get("estimator", {})
-    ssec = raw.get("simulation", {})
-    steps_per_period = _get(ssec, "steps_per_period", int, default=50, path=p)
-    Ts = _get(ssec, "Ts", float, path=p)
+    if "kind" in est:
+        est["estimator"] = est.pop("kind")
+    ell = [est.pop(k, d) for k, d in zip(("ell1", "ell2", "ell3"),
+                                         ScenarioConfig.ell)]
+    Ts = sim.pop("Ts", None)
     if Ts is not None:
-        ratio = injection.epsilon / Ts
+        if Ts <= 0.0:
+            raise ConfigError(f"{p}:{raw['simulation']['Ts'][1]}: "
+                              "Ts must be positive")
+        eps = top["injection"].epsilon
+        ratio = eps / Ts
         n = round(ratio)
         if n < 2 or abs(n - ratio) > 1e-9 * ratio:
-            raise ConfigError(
-                f"{p}: Ts={Ts} does not divide the probe period "
-                f"epsilon={injection.epsilon}")
-        steps_per_period = n
-    try:
-        cfg = ScenarioConfig(
-            motor=motor,
-            injection=injection,
-            controller=controller,
-            load=load,
-            drive=drive,
-            mode=_get(ssec, "mode", str, default="closed_loop", path=p),
-            estimator=_get(esec, "kind", str, default="both", path=p),
-            gamma_alpha=_get(esec, "gamma_alpha", float, default=1e4, path=p),
-            gamma_beta=_get(esec, "gamma_beta", float, default=1e4, path=p),
-            ell=(
-                _get(esec, "ell1", float, default=1.0, path=p),
-                _get(esec, "ell2", float, default=0.0, path=p),
-                _get(esec, "ell3", float, default=1.0, path=p),
-            ),
-            lambda_h=_get(esec, "lambda_h", float, path=p),
-            lambda_ell=_get(esec, "lambda_ell", float, path=p),
-            omega_star=_get(esec, "omega_star", float, default=0.5, path=p),
-            pll_kp=_get(esec, "pll_kp", float, default=5.0, path=p),
-            pll_ki=_get(esec, "pll_ki", float, default=0.01, path=p),
-            theta0_est=_get(esec, "theta0_est", float, default=0.0, path=p),
-            steps_per_period=steps_per_period,
-            duration=_get(ssec, "duration", float, default=10.0, path=p),
-            decimation=_get(ssec, "decimation", int, default=10, path=p),
-            noise_std=_get(ssec, "noise_std", float, default=0.0, path=p),
-            seed=_get(ssec, "seed", int, default=0, path=p),
-            theta0=_get(ssec, "theta0", float, default=0.0, path=p),
-            omega0=_get(ssec, "omega0", float, default=0.0, path=p),
-            i_alpha0=_get(ssec, "i_alpha0", float, default=0.0, path=p),
-            i_beta0=_get(ssec, "i_beta0", float, default=0.0, path=p),
-            sensor_mode=sensor_mode,
-            injection_enabled=injection_enabled,
-            divergence_limit=_get(ssec, "divergence_limit", float,
-                                  default=500.0, path=p),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{p}: {exc}") from None
-    return cfg
+            raise ConfigError(f"{p}: Ts={Ts} does not divide the probe period "
+                              f"epsilon={eps}")
+        sim["steps_per_period"] = n
+    return _build(p, "", ScenarioConfig, ell=tuple(ell), **top, **est, **sim)

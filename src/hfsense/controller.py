@@ -1,9 +1,10 @@
 """Sensorless field-oriented controller: frame rotations, PI loops with
-decoupling, current-measurement low passes, and probe superposition.
+decoupling and current-measurement low passes.
 
 The controller works in the estimated rotor frame; with a perfect angle this
-is classical FOC.  The decoupling inductance is the average L0 by default (in
-a misaligned frame the exact Ld/Lq split is not well defined anyway).
+is classical FOC.  The decoupling inductance is the average L0 (in a
+misaligned frame the exact Ld/Lq split is not well defined anyway).  It
+outputs the low-frequency voltage only; the simulator adds the probe.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .motor import MotorParams
-from .signal_ops import InjectionConfig, LowPass1, injection_voltage
+from .signal_ops import LowPass1
 
 
 def frame_rotate(theta: float, x1: float, x2: float,
@@ -62,7 +63,6 @@ class ControllerConfig:
     i_q_limit: float = 20.0
     v_limit: float = 400.0          # below the 521 V bus
     meas_lpf_cutoff: float | None = None  # default 100 rad/s
-    L_decouple: float | None = None       # default L0
 
     def __post_init__(self):
         for g in (self.speed_kp, self.speed_ki, self.current_kp, self.current_ki):
@@ -71,15 +71,11 @@ class ControllerConfig:
 
 
 class SensorlessController:
-    """One control step per sample: rotate, filter, regulate, rotate back, inject."""
+    """One control step per sample: rotate, filter, regulate, rotate back."""
 
-    def __init__(self, params: MotorParams, cfg: ControllerConfig,
-                 injection: InjectionConfig, Ts: float,
-                 injection_enabled: bool = True):
+    def __init__(self, params: MotorParams, cfg: ControllerConfig, Ts: float):
         self.params = params
         self.cfg = cfg
-        self.injection = injection
-        self.injection_enabled = injection_enabled
         self.Ts = Ts
         # the corner must sit far below omega_h: probe ripple surviving the
         # feedback path re-enters the voltage as a parasitic injection that
@@ -92,7 +88,7 @@ class SensorlessController:
         self._speed_pi = Pi(cfg.speed_kp, cfg.speed_ki, cfg.i_q_limit)
         self._pi_d = Pi(cfg.current_kp, cfg.current_ki, cfg.v_limit)
         self._pi_q = Pi(cfg.current_kp, cfg.current_ki, cfg.v_limit)
-        self._L = cfg.L_decouple if cfg.L_decouple is not None else params.L0
+        self._L = params.L0
         self._held = (0.0, 0.0)  # last valid control voltage (alpha-beta)
 
     def control_voltage(self, i_alpha: float, i_beta: float,
@@ -122,12 +118,3 @@ class SensorlessController:
         if theta_hat is None or omega_hat is None:
             return self._held
         return self.control_voltage(i_alpha, i_beta, theta_hat, omega_hat)
-
-    def step(self, t: float, i_alpha: float, i_beta: float,
-             theta_hat: float | None, omega_hat: float | None) -> tuple[float, float]:
-        """Full output incl. probe; holds the last voltage while estimates are invalid."""
-        va, vb = self.low_frequency_voltage(i_alpha, i_beta, theta_hat, omega_hat)
-        if self.injection_enabled:
-            ja, jb = injection_voltage(self.injection, t)
-            return va + ja, vb + jb
-        return va, vb

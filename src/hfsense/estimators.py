@@ -404,22 +404,23 @@ def ltp_lowpass_check(omega_h: float, Ts: float | None = None,
 
 
 def synthesize_injection_current(params: MotorParams, cfg: InjectionConfig,
-                                 theta_fn, t: np.ndarray,
-                                 i_bar=(0.0, 0.0), phase_err: float = 0.0,
+                                 theta, t, i_bar=(0.0, 0.0),
+                                 phase_err: float = 0.0,
                                  ripple_scale: float = 1.0) -> np.ndarray:
     """Currents built directly from the averaged decomposition (no ODE).
 
-    i(t) = i_bar + epsilon * y_v(theta(t)) * S_dist(t) where S_dist may carry
-    an artificial phase shift or amplitude scale, mimicking the losses seen on
-    hardware.  Returns an (n, 2) array.
+    i(t) = i_bar + epsilon * y_v(theta(t)) * S_dist(t), with `theta` the
+    electrical angle at each sample of `t` and y_v as in `virtual_output`.
+    S_dist may carry an artificial phase shift or amplitude scale, mimicking
+    the losses seen on hardware.  Returns an (n, 2) array.
     """
-    amp = -ripple_scale * cfg.V_h / TWO_PI
-    out = np.empty((len(t), 2))
+    t = np.asarray(t, dtype=float)
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape != t.shape:
+        raise ValueError(f"theta has {theta.size} angles for {t.size} samples")
+    d = params.det_L
+    y1 = (params.L0 - params.L1 * np.cos(2.0 * theta)) / d
+    y2 = (-params.L1 * np.sin(2.0 * theta)) / d
+    S = (-ripple_scale * cfg.V_h / TWO_PI) * np.cos(cfg.omega_h * t + phase_err)
     eps = cfg.epsilon
-    # iterate Python floats; numpy scalars slow every sample down
-    for k, tk in enumerate(memoryview(np.asarray(t, dtype=float))):
-        y1, y2 = virtual_output(params, theta_fn(tk))
-        S = amp * math.cos(cfg.omega_h * tk + phase_err)
-        out[k, 0] = i_bar[0] + eps * y1 * S
-        out[k, 1] = i_bar[1] + eps * y2 * S
-    return out
+    return np.column_stack([i_bar[0] + eps * y1 * S, i_bar[1] + eps * y2 * S])

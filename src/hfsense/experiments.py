@@ -130,6 +130,10 @@ def frequency_sweep(cfg: ScenarioConfig, freqs_hz, t1: float, t2: float,
     """
     if metric not in ("rms", "ripple"):
         raise ValueError(f"unknown sweep metric {metric!r}")
+    if not all(0.0 < f < math.inf for f in freqs_hz):
+        raise ValueError("frequencies must be positive and finite")
+    if len(set(freqs_hz)) < 2:
+        raise ValueError("the order fit needs at least 2 distinct frequencies")
     prefix = "conv" if cfg.estimator == "conventional" else "prop"
     jobs = [(cfg, f, gamma_scale, prefix, t1, t2, metric) for f in freqs_hz]
     if workers > 1:
@@ -137,6 +141,9 @@ def frequency_sweep(cfg: ScenarioConfig, freqs_hz, t1: float, t2: float,
             errors = list(ex.map(_sweep_point, jobs))
     else:
         errors = [_sweep_point(j) for j in jobs]
+    for f, e in zip(freqs_hz, errors):
+        if not e > 0.0:
+            raise ValueError(f"steady error {e} at {f} Hz has no logarithm")
     eps = np.array([1.0 / f for f in freqs_hz])
     slope = float(np.polyfit(np.log(eps), np.log(errors), 1)[0])
     return {
@@ -175,12 +182,14 @@ def equivalence_deviation(params: MotorParams, inj: InjectionConfig,
     HPF/demod/LPF block form, and reports the worst relative deviation of the
     virtual-output estimates and the worst angle deviation.
     """
+    if not 2.0 * inj.epsilon < duration < math.inf:
+        raise ValueError(f"duration {duration} s must be finite and exceed "
+                         f"the {2.0 * inj.epsilon} s operator warm-up")
     Ts = inj.epsilon / steps_per_period
     n = int(round(duration / Ts))
     t = np.arange(n + 1) * Ts
-    cur = synthesize_injection_current(
-        params, inj, lambda tk: theta0 + omega_e * tk, t,
-        i_bar=(0.5, -0.2))
+    cur = synthesize_injection_current(params, inj, theta0 + omega_e * t, t,
+                                       i_bar=(0.5, -0.2))
     est_a = ProposedEstimator(params, inj, Ts, gamma, gamma, theta0=theta0)
     est_b = BlockFormEstimator(params, inj, Ts, gamma, gamma, theta0=theta0)
     scale = abs(params.L1) / params.det_L  # natural size of the yv signal
@@ -218,11 +227,8 @@ def calibrate(cfg: ScenarioConfig, phase_err: float = 0.0,
     omega_e = params.n_p * cfg.drive.omega
     n = cfg.n_steps
     t = np.arange(n + 1) * Ts
-
-    def theta_fn(tk):
-        return cfg.theta0 + omega_e * tk
-
-    cur = synthesize_injection_current(params, inj, theta_fn, t,
+    theta_true = cfg.theta0 + omega_e * t
+    cur = synthesize_injection_current(params, inj, theta_true, t,
                                        phase_err=phase_err,
                                        ripple_scale=ripple_scale)
     tv, cv = memoryview(t), memoryview(cur)  # Python floats, no copy
@@ -245,7 +251,6 @@ def calibrate(cfg: ScenarioConfig, phase_err: float = 0.0,
     th_raw, y1, y2 = run_estimator((1.0, 0.0, 1.0))
     ell = fit_compensation(t, y1, y2, params, omega_e, t_start=t_settle)
     th_fit, _, _ = run_estimator(ell)
-    theta_true = np.array([theta_fn(tk) for tk in t])
     m = t >= t_settle
 
     def err(th_hat):

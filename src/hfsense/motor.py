@@ -1,8 +1,11 @@
 """Continuous-time IPMSM dynamics in the stationary (alpha-beta) frame.
 
 The machine is salient (L_d != L_q), so the inductance matrix depends on the
-electrical rotor angle.  All functions here are pure; the hot simulation loop
-uses the scalar `derivative_scalars` variant to avoid per-step allocation.
+electrical rotor angle.  All functions here are pure.  `derivative_scalars`
+is the one definition of the stator equation (with the mechanics); it works
+on plain floats because the simulator calls it four times per step.  The
+matrix form (`inductance_matrix`, `saliency_matrix`) is kept as the
+independent oracle it is checked against.
 """
 
 from __future__ import annotations
@@ -63,31 +66,6 @@ BENCH_MOTOR = MotorParams(n_p=3, R_s=0.47, L_d=3.38e-3, L_q=5.07e-3,
                           Phi=0.39, J=0.01)
 
 
-@dataclass
-class MotorState:
-    """Electrical currents plus mechanical angle/speed.
-
-    `theta` is the electrical rotor angle, kept unwrapped; use
-    `theta_wrapped` for reporting.
-    """
-
-    i_alpha: float = 0.0
-    i_beta: float = 0.0
-    theta: float = 0.0
-    omega: float = 0.0
-
-    @property
-    def theta_wrapped(self) -> float:
-        return self.theta % (2.0 * math.pi)
-
-
-@dataclass
-class MotorInputs:
-    v_alpha: float = 0.0
-    v_beta: float = 0.0
-    T_L: float = 0.0
-
-
 def saliency_matrix(theta: float) -> np.ndarray:
     """Angle-dependent part of the inductance: [[cos2t, sin2t], [sin2t, -cos2t]]."""
     c2 = math.cos(2.0 * theta)
@@ -98,16 +76,6 @@ def saliency_matrix(theta: float) -> np.ndarray:
 def inductance_matrix(params: MotorParams, theta: float) -> np.ndarray:
     """L(theta) = L0*I + L1*Q(theta); symmetric positive definite, det = L_d*L_q."""
     return params.L0 * np.eye(2) + params.L1 * saliency_matrix(theta)
-
-
-def inverse_inductance(params: MotorParams, theta: float) -> np.ndarray:
-    """Closed-form adjugate inverse of the 2x2 inductance matrix."""
-    return (params.L0 * np.eye(2) - params.L1 * saliency_matrix(theta)) / params.det_L
-
-
-def electromagnetic_torque(params: MotorParams, state: MotorState) -> float:
-    return params.n_p * params.Phi * (
-        state.i_beta * math.cos(state.theta) - state.i_alpha * math.sin(state.theta))
 
 
 def virtual_output(params: MotorParams, theta: float) -> tuple[float, float]:
@@ -142,18 +110,3 @@ def derivative_scalars(n_p, R_s, L0, L1, detL, Phi, J, f,
     dth = n_p * om
     dom = (n_p * Phi * (ib * c - ia * s) - f * om - TL) / J
     return dia, dib, dth, dom
-
-
-def state_derivative(params: MotorParams, state: MotorState,
-                     inputs: MotorInputs) -> MotorState:
-    """Derivative of the full state; rejects non-finite inputs."""
-    vals = (state.i_alpha, state.i_beta, state.theta, state.omega,
-            inputs.v_alpha, inputs.v_beta, inputs.T_L)
-    if not all(math.isfinite(v) for v in vals):
-        raise ValueError("non-finite state or input")
-    dia, dib, dth, dom = derivative_scalars(
-        params.n_p, params.R_s, params.L0, params.L1, params.det_L,
-        params.Phi, params.J, params.f,
-        state.i_alpha, state.i_beta, state.theta, state.omega,
-        inputs.v_alpha, inputs.v_beta, inputs.T_L)
-    return MotorState(dia, dib, dth, dom)

@@ -48,11 +48,6 @@ def probe_signal(cfg: InjectionConfig, t: float) -> float:
     return -(cfg.V_h / TWO_PI) * math.cos(cfg.omega_h * t + cfg.phi_p)
 
 
-def injection_voltage(cfg: InjectionConfig, t: float) -> tuple[float, float]:
-    """Probe voltage added on the alpha axis: (V_h sin(omega_h t), 0)."""
-    return cfg.V_h * math.sin(cfg.omega_h * t), 0.0
-
-
 def _steps_for(window: float, Ts: float, what: str) -> int:
     n = round(window / Ts)
     if n < 1 or abs(n * Ts - window) > 1e-9 * window:

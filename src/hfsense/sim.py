@@ -1,12 +1,16 @@
 """Fixed-step simulation of the motor coupled to controller, probe injection
 and estimators.
 
-Two modes:
+One step loop, `run`, serves both mechanics modes:
 
 * closed loop - the sensorless FOC drives the machine from the estimates
-  (or from the true state in sensor mode, which isolates estimator error);
-* driven speed - the mechanical coordinates follow a prescribed profile and
-  only the electrical equation is integrated, mirroring a dyno bench.
+  (or from the true state in sensor mode, which isolates estimator error),
+  and RK4 integrates currents, angle and speed;
+* driven - the angle and speed follow a prescribed profile, as on a dyno
+  bench; RK4 integrates the currents and takes the mechanics from the
+  profile at each substep time.
+
+Every RK4 stage calls `motor.derivative_scalars`, the only stator equation.
 
 Controller and estimators advance once per integration step (single cadence,
 no PWM).  The probe voltage is evaluated analytically at the RK4 substep
@@ -31,8 +35,8 @@ from .estimators import (
     Pll,
     ProposedEstimator,
 )
-from .motor import MotorParams, virtual_output
-from .signal_ops import InjectionConfig, carrier_steps, probe_signal
+from .motor import MotorParams, derivative_scalars, virtual_output
+from .signal_ops import TWO_PI, InjectionConfig, carrier_steps, probe_signal
 
 TRACE_COLUMNS = [
     "t", "theta", "theta_wrapped", "omega",
@@ -42,6 +46,9 @@ TRACE_COLUMNS = [
 ]
 
 ESTIMATOR_KINDS = ("proposed", "conventional", "both", "block_form", "none")
+
+# trace values of an absent estimator: theta_hat, omega_hat, yv1, yv2, valid
+_NO_ESTIMATE = (0.0,) * 5
 
 
 class SimulationDiverged(RuntimeError):
@@ -222,20 +229,6 @@ class Trace:
         return cls({c: arr[:, k] for k, c in enumerate(header)}, header)
 
 
-def rk4_step(f, y, t: float, Ts: float):
-    """Classical explicit 4th-order step for dy/dt = f(t, y), y a numpy array."""
-    if Ts <= 0.0:
-        raise ValueError("Ts must be positive")
-    y = np.asarray(y, dtype=float)
-    k1 = np.asarray(f(t, y))
-    k2 = np.asarray(f(t + 0.5 * Ts, y + 0.5 * Ts * k1))
-    k3 = np.asarray(f(t + 0.5 * Ts, y + 0.5 * Ts * k2))
-    k4 = np.asarray(f(t + Ts, y + Ts * k3))
-    if not np.all(np.isfinite(k4)):
-        raise SimulationDiverged(f"non-finite derivative at t={t}")
-    return y + Ts / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 def _build_estimators(cfg: ScenarioConfig):
     prop = conv = None
     if cfg.estimator in ("proposed", "both"):
@@ -271,40 +264,59 @@ def _noise(cfg: ScenarioConfig, n: int):
     return rng.normal(0.0, cfg.noise_std, size=(n + 1, 2))
 
 
-def run_closed_loop(cfg: ScenarioConfig, columns=None) -> Trace:
-    """Simulate the full sensorless loop; one record per `decimation` steps."""
-    if cfg.mode != "closed_loop":
-        raise ValueError("config is not a closed-loop scenario")
+def run(cfg: ScenarioConfig, columns=None) -> Trace:
+    """Simulate one scenario; one record per `decimation` steps.
+
+    `columns` selects trace columns (default: all of TRACE_COLUMNS); an
+    unknown name raises ValueError.  Closed-loop mode integrates the
+    mechanics; driven mode takes them from the drive profile at t, t+Ts/2
+    and t+Ts.  The controller regulates in the true frame in sensor mode and
+    in driven mode (as on a dyno bench), else in the estimated frame;
+    estimators only ever see the measured currents.
+    """
+    cols = list(columns) if columns is not None else list(TRACE_COLUMNS)
+    for c in cols:
+        if c not in TRACE_COLUMNS:
+            raise ValueError(f"unknown trace column {c!r}")
     mp = cfg.motor
-    inj = cfg.injection
     Ts = cfg.Ts
     n_steps = cfg.n_steps
     prop, conv = _build_estimators(cfg)
     pll_p = Pll(cfg.pll_kp, cfg.pll_ki, mp.n_p, cfg.theta0_est) if prop else None
     pll_c = Pll(cfg.pll_kp, cfg.pll_ki, mp.n_p, cfg.theta0_est) if conv else None
-    ctrl = SensorlessController(mp, cfg.controller, inj, Ts,
-                                cfg.injection_enabled)
+    ctrl = SensorlessController(mp, cfg.controller, Ts)
     noise = _noise(cfg, n_steps)
     torque = cfg.load.torque
-    drives_with = "conventional" if cfg.estimator == "conventional" else "proposed"
+    driven = cfg.mode == "driven"
+    true_frame = driven or cfg.sensor_mode
+    drives_with_conv = cfg.estimator == "conventional"
+    if driven:
+        angle, omega_at = cfg.drive.angle_integral, cfg.drive.omega_at
 
-    # hot-loop locals
+    # hot-loop locals, passed to derivative_scalars by position
     np_, Rs, L0, L1 = mp.n_p, mp.R_s, mp.L0, mp.L1
     detL, Phi, J, fr = mp.det_L, mp.Phi, mp.J, mp.f
+    deriv = derivative_scalars
     v_probe, v_probe_mid = _probe_tables(cfg)
     n_car = len(v_probe)
     lim = cfg.divergence_limit
+    dec = cfg.decimation
 
     ia, ib = cfg.i_alpha0, cfg.i_beta0
-    th, om = cfg.theta0, cfg.omega0
+    th0 = th = cfg.theta0
+    om = cfg.omega0
+    TL = 0.0  # stays 0 in driven mode, where the mechanics are prescribed
 
-    cols = list(columns) if columns is not None else list(TRACE_COLUMNS)
-    n_rec = n_steps // cfg.decimation + 1
+    n_rec = n_steps // dec + 1
     rec = {c: np.zeros(n_rec) for c in cols}
+    writes = [(rec[c], TRACE_COLUMNS.index(c)) for c in rec]
     ri = 0
 
     for k in range(n_steps + 1):
         t = k * Ts
+        if driven:
+            th = th0 + np_ * angle(t)
+            om = omega_at(t)
         vpa = v_probe[k % n_car]
         if noise is None:
             ia_m, ib_m = ia, ib
@@ -312,19 +324,18 @@ def run_closed_loop(cfg: ScenarioConfig, columns=None) -> Trace:
             ia_m = ia + noise[k, 0]
             ib_m = ib + noise[k, 1]
 
-        p_valid = c_valid = False
+        p_valid = False
         if prop is not None:
             p_valid = prop.step(t, ia_m, ib_m) is not None
             if p_valid:
                 pll_p.step(prop.theta_hat, Ts)
         if conv is not None:
             conv.step(t, ia_m, ib_m)
-            c_valid = True
             pll_c.step(conv.theta_hat, Ts)
 
-        if cfg.sensor_mode:
+        if true_frame:
             th_c, om_c = th, om
-        elif drives_with == "conventional":
+        elif drives_with_conv:
             th_c, om_c = conv.theta_hat, pll_c.omega_hat
         elif p_valid:
             th_c, om_c = prop.theta_hat, pll_p.omega_hat
@@ -332,207 +343,62 @@ def run_closed_loop(cfg: ScenarioConfig, columns=None) -> Trace:
             th_c = om_c = None
         vca, vcb = ctrl.low_frequency_voltage(ia_m, ib_m, th_c, om_c)
 
-        if k % cfg.decimation == 0:
-            row = {
-                "t": t, "theta": th, "theta_wrapped": th % (2.0 * math.pi),
-                "omega": om, "i_alpha": ia, "i_beta": ib,
-                "v_alpha": vca + vpa, "v_beta": vcb,
-            }
-            if prop is not None:
-                row.update(prop_theta_hat=prop.theta_hat,
-                           prop_omega_hat=pll_p.omega_hat,
-                           prop_yv1=prop.yv1, prop_yv2=prop.yv2,
-                           prop_valid=float(p_valid))
-            if conv is not None:
+        if k % dec == 0:
+            row = (t, th, th % TWO_PI, om, ia, ib, vca + vpa, vcb)
+            if prop is None:
+                row += _NO_ESTIMATE
+            else:
+                row += (prop.theta_hat, pll_p.omega_hat, prop.yv1, prop.yv2,
+                        float(p_valid))
+            if conv is None:
+                row += _NO_ESTIMATE
+            else:
                 yv = conv.yv
-                row.update(conv_theta_hat=conv.theta_hat,
-                           conv_omega_hat=pll_c.omega_hat,
-                           conv_yv1=yv[0], conv_yv2=yv[1],
-                           conv_valid=float(c_valid))
-            for c in cols:
-                rec[c][ri] = row.get(c, 0.0)
+                row += (conv.theta_hat, pll_c.omega_hat, yv[0], yv[1], 1.0)
+            for arr, j in writes:
+                arr[ri] = row[j]
             ri += 1
 
         if k == n_steps:
             break
 
         # RK4 over [t, t+Ts]; control voltage held, probe continuous
-        TL = torque(t)
         h = Ts
-        d1 = _em_deriv(np_, Rs, L0, L1, detL, Phi, J, fr,
-                       ia, ib, th, om, vca + vpa, vcb, TL)
-        vam = vca + v_probe_mid[k % n_car]
-        d2 = _em_deriv(np_, Rs, L0, L1, detL, Phi, J, fr,
-                       ia + 0.5 * h * d1[0], ib + 0.5 * h * d1[1],
-                       th + 0.5 * h * d1[2], om + 0.5 * h * d1[3],
-                       vam, vcb, TL)
-        d3 = _em_deriv(np_, Rs, L0, L1, detL, Phi, J, fr,
-                       ia + 0.5 * h * d2[0], ib + 0.5 * h * d2[1],
-                       th + 0.5 * h * d2[2], om + 0.5 * h * d2[3],
-                       vam, vcb, TL)
         te = t + h
-        d4 = _em_deriv(np_, Rs, L0, L1, detL, Phi, J, fr,
-                       ia + h * d3[0], ib + h * d3[1],
-                       th + h * d3[2], om + h * d3[3],
-                       vca + v_probe[(k + 1) % n_car], vcb, TL)
+        if driven:
+            tm = t + 0.5 * h
+            thm, omm = th0 + np_ * angle(tm), omega_at(tm)
+            the, ome = th0 + np_ * angle(te), omega_at(te)
+        else:
+            TL = torque(t)
+        d1 = deriv(np_, Rs, L0, L1, detL, Phi, J, fr,
+                   ia, ib, th, om, vca + vpa, vcb, TL)
+        vam = vca + v_probe_mid[k % n_car]
+        if not driven:
+            thm, omm = th + 0.5 * h * d1[2], om + 0.5 * h * d1[3]
+        d2 = deriv(np_, Rs, L0, L1, detL, Phi, J, fr,
+                   ia + 0.5 * h * d1[0], ib + 0.5 * h * d1[1], thm, omm,
+                   vam, vcb, TL)
+        if not driven:
+            thm, omm = th + 0.5 * h * d2[2], om + 0.5 * h * d2[3]
+        d3 = deriv(np_, Rs, L0, L1, detL, Phi, J, fr,
+                   ia + 0.5 * h * d2[0], ib + 0.5 * h * d2[1], thm, omm,
+                   vam, vcb, TL)
+        if not driven:
+            the, ome = th + h * d3[2], om + h * d3[3]
+        d4 = deriv(np_, Rs, L0, L1, detL, Phi, J, fr,
+                   ia + h * d3[0], ib + h * d3[1], the, ome,
+                   vca + v_probe[(k + 1) % n_car], vcb, TL)
         ia += h / 6.0 * (d1[0] + 2.0 * d2[0] + 2.0 * d3[0] + d4[0])
         ib += h / 6.0 * (d1[1] + 2.0 * d2[1] + 2.0 * d3[1] + d4[1])
-        th += h / 6.0 * (d1[2] + 2.0 * d2[2] + 2.0 * d3[2] + d4[2])
-        om += h / 6.0 * (d1[3] + 2.0 * d2[3] + 2.0 * d3[3] + d4[3])
+        if not driven:
+            th += h / 6.0 * (d1[2] + 2.0 * d2[2] + 2.0 * d3[2] + d4[2])
+            om += h / 6.0 * (d1[3] + 2.0 * d2[3] + 2.0 * d3[3] + d4[3])
         if not (-lim < ia < lim and -lim < ib < lim) or not math.isfinite(th):
             raise SimulationDiverged(
                 f"state out of bounds at t={te:.6f}: i=({ia:.3g},{ib:.3g})")
 
     return Trace(rec, cols)
-
-
-def _em_deriv(np_, Rs, L0, L1, detL, Phi, J, fr, ia, ib, th, om, va, vb, TL):
-    # inlined copy of motor.derivative_scalars (kept flat for the hot loop)
-    c = math.cos(th)
-    s = math.sin(th)
-    c2 = c * c - s * s
-    s2 = 2.0 * s * c
-    w2 = 2.0 * np_ * om * L1
-    F1 = w2 * (s2 * ia - c2 * ib) - Rs * ia + np_ * om * Phi * s
-    F2 = w2 * (-c2 * ia - s2 * ib) - Rs * ib - np_ * om * Phi * c
-    u1 = F1 + va
-    u2 = F2 + vb
-    return ((L0 - L1 * c2) * u1 - L1 * s2 * u2) / detL, \
-        (-L1 * s2 * u1 + (L0 + L1 * c2) * u2) / detL, \
-        np_ * om, \
-        (np_ * Phi * (ib * c - ia * s) - fr * om - TL) / J
-
-
-def _el_deriv(np_, Rs, L0, L1, detL, Phi, ia, ib, th, om, va, vb):
-    c = math.cos(th)
-    s = math.sin(th)
-    c2 = c * c - s * s
-    s2 = 2.0 * s * c
-    w2 = 2.0 * np_ * om * L1
-    F1 = w2 * (s2 * ia - c2 * ib) - Rs * ia + np_ * om * Phi * s
-    F2 = w2 * (-c2 * ia - s2 * ib) - Rs * ib - np_ * om * Phi * c
-    u1 = F1 + va
-    u2 = F2 + vb
-    return ((L0 - L1 * c2) * u1 - L1 * s2 * u2) / detL, \
-        (-L1 * s2 * u1 + (L0 + L1 * c2) * u2) / detL
-
-
-def run_driven_speed(cfg: ScenarioConfig, columns=None) -> Trace:
-    """Open-loop estimation run: mechanics follow the drive profile exactly.
-
-    The control voltage regulates the dq currents to the configured
-    references in the *true* frame (as on a dyno bench); estimators only see
-    the measured currents.
-    """
-    if cfg.mode != "driven":
-        raise ValueError("config is not a driven-speed scenario")
-    mp = cfg.motor
-    inj = cfg.injection
-    Ts = cfg.Ts
-    n_steps = cfg.n_steps
-    drive = cfg.drive
-    prop, conv = _build_estimators(cfg)
-    pll_p = Pll(cfg.pll_kp, cfg.pll_ki, mp.n_p, cfg.theta0_est) if prop else None
-    pll_c = Pll(cfg.pll_kp, cfg.pll_ki, mp.n_p, cfg.theta0_est) if conv else None
-    ctrl = SensorlessController(mp, cfg.controller, inj, Ts,
-                                cfg.injection_enabled)
-    noise = _noise(cfg, n_steps)
-
-    np_, Rs, L0, L1 = mp.n_p, mp.R_s, mp.L0, mp.L1
-    detL, Phi = mp.det_L, mp.Phi
-    v_probe, v_probe_mid = _probe_tables(cfg)
-    n_car = len(v_probe)
-    lim = cfg.divergence_limit
-    th0 = cfg.theta0
-
-    def theta_at(tau):
-        return th0 + np_ * drive.angle_integral(tau)
-
-    ia, ib = cfg.i_alpha0, cfg.i_beta0
-
-    cols = list(columns) if columns is not None else list(TRACE_COLUMNS)
-    n_rec = n_steps // cfg.decimation + 1
-    rec = {c: np.zeros(n_rec) for c in cols}
-    ri = 0
-
-    for k in range(n_steps + 1):
-        t = k * Ts
-        th = theta_at(t)
-        om = drive.omega_at(t)
-        vpa = v_probe[k % n_car]
-        if noise is None:
-            ia_m, ib_m = ia, ib
-        else:
-            ia_m = ia + noise[k, 0]
-            ib_m = ib + noise[k, 1]
-
-        p_valid = c_valid = False
-        if prop is not None:
-            p_valid = prop.step(t, ia_m, ib_m) is not None
-            if p_valid:
-                pll_p.step(prop.theta_hat, Ts)
-        if conv is not None:
-            conv.step(t, ia_m, ib_m)
-            c_valid = True
-            pll_c.step(conv.theta_hat, Ts)
-
-        # current regulation in the true frame, as on the bench
-        vca, vcb = ctrl.low_frequency_voltage(ia_m, ib_m, th, om)
-
-        if k % cfg.decimation == 0:
-            row = {
-                "t": t, "theta": th, "theta_wrapped": th % (2.0 * math.pi),
-                "omega": om, "i_alpha": ia, "i_beta": ib,
-                "v_alpha": vca + vpa, "v_beta": vcb,
-            }
-            if prop is not None:
-                row.update(prop_theta_hat=prop.theta_hat,
-                           prop_omega_hat=pll_p.omega_hat,
-                           prop_yv1=prop.yv1, prop_yv2=prop.yv2,
-                           prop_valid=float(p_valid))
-            if conv is not None:
-                yv = conv.yv
-                row.update(conv_theta_hat=conv.theta_hat,
-                           conv_omega_hat=pll_c.omega_hat,
-                           conv_yv1=yv[0], conv_yv2=yv[1],
-                           conv_valid=float(c_valid))
-            for c in cols:
-                rec[c][ri] = row.get(c, 0.0)
-            ri += 1
-
-        if k == n_steps:
-            break
-
-        h = Ts
-        d1 = _el_deriv(np_, Rs, L0, L1, detL, Phi, ia, ib, th, om,
-                       vca + vpa, vcb)
-        tm = t + 0.5 * h
-        thm = theta_at(tm)
-        omm = drive.omega_at(tm)
-        vam = vca + v_probe_mid[k % n_car]
-        d2 = _el_deriv(np_, Rs, L0, L1, detL, Phi,
-                       ia + 0.5 * h * d1[0], ib + 0.5 * h * d1[1],
-                       thm, omm, vam, vcb)
-        d3 = _el_deriv(np_, Rs, L0, L1, detL, Phi,
-                       ia + 0.5 * h * d2[0], ib + 0.5 * h * d2[1],
-                       thm, omm, vam, vcb)
-        te = t + h
-        d4 = _el_deriv(np_, Rs, L0, L1, detL, Phi,
-                       ia + h * d3[0], ib + h * d3[1],
-                       theta_at(te), drive.omega_at(te),
-                       vca + v_probe[(k + 1) % n_car], vcb)
-        ia += h / 6.0 * (d1[0] + 2.0 * d2[0] + 2.0 * d3[0] + d4[0])
-        ib += h / 6.0 * (d1[1] + 2.0 * d2[1] + 2.0 * d3[1] + d4[1])
-        if not (-lim < ia < lim and -lim < ib < lim):
-            raise SimulationDiverged(f"current out of bounds at t={te:.6f}")
-
-    return Trace(rec, cols)
-
-
-def run(cfg: ScenarioConfig, columns=None) -> Trace:
-    if cfg.mode == "driven":
-        return run_driven_speed(cfg, columns)
-    return run_closed_loop(cfg, columns)
 
 
 def averaging_residual(cfg: ScenarioConfig, t1: float, t2: float):

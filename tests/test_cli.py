@@ -106,6 +106,35 @@ def test_unreadable_config_is_config_error(tmp_path):
                  "--out", str(tmp_path), "run"]) == EXIT_CONFIG
 
 
+def test_directory_as_config_is_config_error(tmp_path, capsys):
+    rc = main(["--config", str(tmp_path), "--out", str(tmp_path / "o"), "run"])
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["bode", "--omega-min", "0"],
+    ["bode", "--omega-min", "10", "--omega-max", "10"],
+    ["bode", "--omega-max", "inf"],
+    ["bode", "--points", "1"],
+    ["equivalence", "--duration", "-1"],
+    ["equivalence", "--duration", "0.002"],
+    ["sweep-frequency", "--frequencies", "1000", "--t1", "0.1", "--t2", "0.2"],
+    ["sweep-frequency", "--frequencies", "1000,1000", "--t1", "0.1",
+     "--t2", "0.2"],
+    ["sweep-frequency", "--frequencies", "0,1000", "--t1", "0.1",
+     "--t2", "0.2"],
+])
+def test_bad_verb_arguments_are_config_errors(argv, fast_scenario, tmp_path,
+                                              capsys):
+    out = tmp_path / "out"
+    rc = main(["--config", str(fast_scenario), "--out", str(out)] + argv)
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert not (out / "summary.json").exists()
+
+
 def test_invalid_config_is_config_error(tmp_path):
     p = tmp_path / "bad.scenario"
     p.write_text("[motor]\nn_p = 6\n")

@@ -102,6 +102,23 @@ def test_ts_must_divide_probe_period(tmp_path):
         load_scenario(p)
 
 
+@pytest.mark.parametrize("line,key", [
+    ("[simulation]\nTs = 0", "Ts"),
+    ("[simulation]\nTs = -2e-5", "Ts"),
+    ("[simulation]\nTs = nan", "Ts"),
+    ("[simulation]\nduration = nan", "duration"),
+    ("[simulation]\nduration = inf", "duration"),
+    ("[simulation]\nnoise_std = nan", "noise_std"),
+    ("[injection]\nV_h = -inf", "V_h"),
+    ("[load]\nkind = piecewise\ntimes = 1, nan\nvalues = 0, 1, 2", "times"),
+])
+def test_non_finite_or_non_positive_float_is_config_error(tmp_path, line, key):
+    p = _write(tmp_path, MINIMAL + line + "\n")
+    with pytest.raises(ConfigError, match=key) as info:
+        load_scenario(p)
+    assert "\n" not in str(info.value)
+
+
 def test_explicit_ts_sets_step_count(tmp_path):
     p = _write(tmp_path, MINIMAL + "[simulation]\nTs = 2e-5\n")
     assert load_scenario(p).steps_per_period == 50

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -13,6 +14,7 @@ from hfsense.controller import (
 )
 from hfsense.motor import SIM_MOTOR
 from hfsense.signal_ops import InjectionConfig
+from hfsense.sim import DriveProfile, ScenarioConfig, run
 
 finite = st.floats(-1e3, 1e3, allow_nan=False)
 
@@ -56,9 +58,7 @@ def test_controller_config_validation():
 
 
 def _controller(**kw):
-    cfg = ControllerConfig(**kw)
-    inj = InjectionConfig(V_h=1.0, epsilon=1e-3)
-    return SensorlessController(SIM_MOTOR, cfg, inj, Ts=2e-5)
+    return SensorlessController(SIM_MOTOR, ControllerConfig(**kw), Ts=2e-5)
 
 
 def test_back_emf_feedforward():
@@ -84,21 +84,30 @@ def test_hold_while_estimates_invalid():
     assert held == v1
 
 
+def _applied_voltage(injection_enabled):
+    """Trace of the voltage the simulator applies when the controller's own
+    output is exactly zero (all gains zero, rotor held at rest)."""
+    zero = ControllerConfig(speed_kp=0.0, speed_ki=0.0, current_kp=0.0,
+                            current_ki=0.0, omega_ref=0.0)
+    cfg = ScenarioConfig(motor=SIM_MOTOR, controller=zero, mode="driven",
+                         drive=DriveProfile("constant", omega=0.0),
+                         injection=InjectionConfig(V_h=1.0, epsilon=1e-3),
+                         injection_enabled=injection_enabled,
+                         estimator="none", steps_per_period=20,
+                         duration=0.01, decimation=1)
+    return run(cfg, ["t", "v_alpha", "v_beta"])
+
+
 def test_step_adds_probe():
-    ctrl = _controller()
-    quarter = 0.25e-3  # quarter probe period: sin = 1
-    va_off = ctrl.low_frequency_voltage(0.0, 0.0, 0.0, 0.0)[0]
-    ctrl2 = _controller()
-    va_on, vb_on = ctrl2.step(quarter, 0.0, 0.0, 0.0, 0.0)
-    assert va_on - va_off == pytest.approx(1.0, abs=1e-9)
+    """Each simulation step adds the probe V_h sin(omega_h t) to v_alpha."""
+    tr = _applied_voltage(True)
+    assert tr.v_alpha == pytest.approx(np.sin(2000.0 * math.pi * tr.t),
+                                       abs=1e-12)
+    assert tr.v_alpha[5] == pytest.approx(1.0)  # quarter period: sin = 1
+    assert np.all(tr.v_beta == 0.0)
 
 
 def test_probe_can_be_disabled():
-    cfg = ControllerConfig()
-    inj = InjectionConfig(V_h=1.0, epsilon=1e-3)
-    ctrl = SensorlessController(SIM_MOTOR, cfg, inj, Ts=2e-5,
-                                injection_enabled=False)
-    twin = SensorlessController(SIM_MOTOR, cfg, inj, Ts=2e-5)
-    ref = twin.low_frequency_voltage(0.0, 0.0, 0.0, 0.0)
-    va, vb = ctrl.step(0.25e-3, 0.0, 0.0, 0.0, 0.0)
-    assert (va, vb) == ref
+    tr = _applied_voltage(False)
+    assert np.all(tr.v_alpha == 0.0)
+    assert np.all(tr.v_beta == 0.0)

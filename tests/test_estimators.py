@@ -23,6 +23,7 @@ from hfsense.estimators import (
     wrap_mod_pi,
 )
 from hfsense.motor import virtual_output
+from hfsense.signal_ops import TWO_PI
 
 angles = st.floats(-30.0, 30.0, allow_nan=False)
 
@@ -74,10 +75,10 @@ def test_rmsd_basics():
         rmsd(t, th, th, 0.2, 2.0)
 
 
-def _run_on_synthetic(est, sim_motor, inj, Ts, theta_fn, duration):
+def _run_on_synthetic(est, sim_motor, inj, Ts, theta0, omega_e, duration):
     n = int(round(duration / Ts))
     t = np.arange(n + 1) * Ts
-    cur = synthesize_injection_current(sim_motor, inj, theta_fn, t)
+    cur = synthesize_injection_current(sim_motor, inj, theta0 + omega_e * t, t)
     for k in range(n + 1):
         est.step(t[k], cur[k, 0], cur[k, 1])
     return t
@@ -86,8 +87,7 @@ def _run_on_synthetic(est, sim_motor, inj, Ts, theta_fn, duration):
 def test_proposed_estimator_tracks_synthetic(sim_motor, inj, Ts):
     omega_e = 3.0
     est = ProposedEstimator(sim_motor, inj, Ts, theta0=0.4)
-    t = _run_on_synthetic(est, sim_motor, inj, Ts,
-                          lambda tk: 0.4 + omega_e * tk, 0.5)
+    t = _run_on_synthetic(est, sim_motor, inj, Ts, 0.4, omega_e, 0.5)
     final_err = float(wrap_mod_pi(est.theta_hat - (0.4 + omega_e * t[-1])))
     # steady lag ~ omega_e/(gamma*<S^2>) ~ 0.024 rad at these gains
     assert abs(final_err) < 0.05
@@ -98,11 +98,28 @@ def test_conventional_estimator_tracks_synthetic(sim_motor, inj, Ts):
     omega_e = 3.0
     chain = LtiChainConfig.from_injection(inj, omega_star=0.5)
     est = ConventionalEstimator(sim_motor, inj, Ts, chain, theta0=0.4)
-    t = _run_on_synthetic(est, sim_motor, inj, Ts,
-                          lambda tk: 0.4 + omega_e * tk, 0.5)
+    t = _run_on_synthetic(est, sim_motor, inj, Ts, 0.4, omega_e, 0.5)
     final_err = float(wrap_mod_pi(est.theta_hat - (0.4 + omega_e * t[-1])))
     # steady lag ~ atan(2*omega_e/lambda_ell)/2 ~ 0.053 rad
     assert abs(final_err) < 0.12
+
+
+def test_synthesized_current_follows_virtual_output(sim_motor, inj, Ts):
+    """i = i_bar + epsilon * y_v(theta) * S, sample by sample."""
+    t = np.arange(200) * Ts
+    theta = np.linspace(-3.0, 5.0, t.size)
+    cur = synthesize_injection_current(sim_motor, inj, theta, t,
+                                       i_bar=(0.3, -0.1), phase_err=0.2,
+                                       ripple_scale=0.8)
+    for k in range(t.size):
+        y1, y2 = virtual_output(sim_motor, theta[k])
+        S = -0.8 * inj.V_h / TWO_PI * math.cos(inj.omega_h * t[k] + 0.2)
+        assert cur[k, 0] == pytest.approx(0.3 + inj.epsilon * y1 * S,
+                                          rel=1e-14, abs=1e-15)
+        assert cur[k, 1] == pytest.approx(-0.1 + inj.epsilon * y2 * S,
+                                          rel=1e-14, abs=1e-15)
+    with pytest.raises(ValueError):
+        synthesize_injection_current(sim_motor, inj, theta[:-1], t)
 
 
 def test_estimator_seeding(sim_motor, inj, Ts):
@@ -146,8 +163,7 @@ def test_block_form_matches_operator_form(sim_motor, inj, Ts):
     b = BlockFormEstimator(sim_motor, inj, Ts, theta0=0.2)
     n = int(round(0.2 / Ts))
     t = np.arange(n + 1) * Ts
-    cur = synthesize_injection_current(sim_motor, inj,
-                                       lambda tk: 0.2 + omega_e * tk, t,
+    cur = synthesize_injection_current(sim_motor, inj, 0.2 + omega_e * t, t,
                                        i_bar=(0.3, -0.1))
     scale = abs(sim_motor.L1) / sim_motor.det_L
     for k in range(n + 1):
@@ -187,8 +203,7 @@ def _calibration_trace(sim_motor, inj, omega_e, duration, **kw):
     Ts = inj.epsilon / 50.0
     n = int(round(duration / Ts))
     t = np.arange(n + 1) * Ts
-    cur = synthesize_injection_current(sim_motor, inj,
-                                       lambda tk: omega_e * tk, t, **kw)
+    cur = synthesize_injection_current(sim_motor, inj, omega_e * t, t, **kw)
     est = ProposedEstimator(sim_motor, inj, Ts)
     y1 = np.empty(n + 1)
     y2 = np.empty(n + 1)

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from hfsense import experiments
 from hfsense.estimators import wrap_mod_pi
 from hfsense.experiments import (
     _config_for_frequency,
@@ -101,6 +102,16 @@ def test_config_for_frequency_scaling():
 def test_frequency_sweep_rejects_bad_metric():
     with pytest.raises(ValueError):
         frequency_sweep(_cfg(), [500.0], 0.1, 0.2, metric="median")
+
+
+def test_frequency_sweep_rejects_degenerate_fits(monkeypatch):
+    for freqs in ([1000.0], [1000.0, 1000.0], [0.0, 1000.0]):
+        with pytest.raises(ValueError):
+            frequency_sweep(_cfg(), freqs, 0.1, 0.2)
+    # a zero steady error has no logarithm for the order fit
+    monkeypatch.setattr(experiments, "_sweep_point", lambda job: 0.0)
+    with pytest.raises(ValueError, match="no logarithm"):
+        frequency_sweep(_cfg(), [500.0, 1000.0], 0.1, 0.2)
 
 
 def test_frequency_sweep_shape():

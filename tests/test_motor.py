@@ -9,15 +9,10 @@ from hypothesis import given, strategies as st
 from hfsense.motor import (
     BENCH_MOTOR,
     SIM_MOTOR,
-    MotorInputs,
     MotorParams,
-    MotorState,
     derivative_scalars,
-    electromagnetic_torque,
     inductance_matrix,
-    inverse_inductance,
     saliency_matrix,
-    state_derivative,
     virtual_output,
 )
 
@@ -41,11 +36,19 @@ def test_inductance_eigenvalues_are_axis_inductances(theta):
     assert np.linalg.det(L) == pytest.approx(SIM_MOTOR.det_L, rel=1e-12)
 
 
-@given(theta=angles)
-def test_inverse_inductance(theta):
-    L = inductance_matrix(BENCH_MOTOR, theta)
-    Li = inverse_inductance(BENCH_MOTOR, theta)
-    assert np.allclose(L @ Li, np.eye(2), atol=1e-12)
+def _deriv(m, ia, ib, th, om, va, vb, TL):
+    return derivative_scalars(m.n_p, m.R_s, m.L0, m.L1, m.det_L, m.Phi, m.J,
+                              m.f, ia, ib, th, om, va, vb, TL)
+
+
+@given(theta=angles, va=st.floats(-100.0, 100.0), vb=st.floats(-100.0, 100.0))
+def test_inverse_inductance(theta, va, vb):
+    """At zero current and speed the stator equation is di/dt = L^-1 v, so
+    its adjugate inverse must match a numerical inverse of L(theta)."""
+    got = _deriv(BENCH_MOTOR, 0.0, 0.0, theta, 0.0, va, vb, 0.0)[:2]
+    expect = np.linalg.inv(inductance_matrix(BENCH_MOTOR, theta)) @ [va, vb]
+    scale = max(abs(va), abs(vb), 1.0) / BENCH_MOTOR.L_d
+    assert np.allclose(got, expect, rtol=0.0, atol=1e-12 * scale)
 
 
 @given(theta=angles)
@@ -61,7 +64,7 @@ def test_saliency_matrix_involution(theta):
 def test_virtual_output_is_inverse_inductance_column(theta):
     """y_v equals L(theta)^-1 applied to the alpha-axis unit vector."""
     y = np.array(virtual_output(SIM_MOTOR, theta))
-    expect = inverse_inductance(SIM_MOTOR, theta) @ np.array([1.0, 0.0])
+    expect = np.linalg.inv(inductance_matrix(SIM_MOTOR, theta))[:, 0]
     assert np.allclose(y, expect, atol=1e-12)
 
 
@@ -87,26 +90,10 @@ def test_derivative_against_matrix_form():
     assert got[3] == pytest.approx(dom, rel=1e-12)
 
 
-def test_state_derivative_matches_scalar_form():
-    st_ = MotorState(0.7, -0.3, 1.1, 4.0)
-    inp = MotorInputs(5.0, 2.0, 0.1)
-    d = state_derivative(BENCH_MOTOR, st_, inp)
-    m = BENCH_MOTOR
-    ref = derivative_scalars(m.n_p, m.R_s, m.L0, m.L1, m.det_L, m.Phi, m.J,
-                             m.f, st_.i_alpha, st_.i_beta, st_.theta,
-                             st_.omega, inp.v_alpha, inp.v_beta, inp.T_L)
-    assert (d.i_alpha, d.i_beta, d.theta, d.omega) == pytest.approx(ref)
-
-
-def test_state_derivative_rejects_non_finite():
-    with pytest.raises(ValueError):
-        state_derivative(SIM_MOTOR, MotorState(math.nan, 0, 0, 0), MotorInputs())
-
-
 def test_torque_sign_convention():
-    # positive q-axis current gives positive torque at theta = 0
-    s = MotorState(i_alpha=0.0, i_beta=1.0, theta=0.0, omega=0.0)
-    assert electromagnetic_torque(SIM_MOTOR, s) > 0.0
+    # positive q-axis current accelerates the rotor at theta = 0
+    assert _deriv(SIM_MOTOR, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0)[3] > 0.0
+    assert _deriv(SIM_MOTOR, 0.0, -1.0, 0.0, 0.0, 0.0, 0.0, 0.0)[3] < 0.0
 
 
 def test_parameter_validation():
@@ -120,7 +107,17 @@ def test_parameter_validation():
         MotorParams(n_p=3, R_s=0.1, L_d=1e-3, L_q=2e-3, Phi=0.1, J=0.0)
 
 
+
 def test_theta_wrapped():
-    s = MotorState(theta=7.0)
-    assert 0.0 <= s.theta_wrapped < 2.0 * math.pi
-    assert s.theta_wrapped == pytest.approx(7.0 - 2.0 * math.pi)
+    """The trace's wrapped electrical angle lies in [0, 2 pi) and equals the
+    unwrapped rotor angle modulo 2 pi (theta = 7 wraps to 7 - 2 pi)."""
+    from hfsense.signal_ops import InjectionConfig
+    from hfsense.sim import DriveProfile, ScenarioConfig, run
+
+    cfg = ScenarioConfig(motor=SIM_MOTOR, injection=InjectionConfig(V_h=1.0, epsilon=1e-3),
+                         mode="driven", drive=DriveProfile("constant", omega=0.0),
+                         estimator="none", theta0=7.0, duration=0.01,
+                         decimation=5)
+    tr = run(cfg)
+    assert np.all((0.0 <= tr.theta_wrapped) & (tr.theta_wrapped < 2.0 * math.pi))
+    assert tr.theta_wrapped[0] == pytest.approx(7.0 - 2.0 * math.pi)

@@ -4,11 +4,13 @@ import cmath
 import math
 import random
 from collections import deque
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hfsense.motor import SIM_MOTOR
 from hfsense.signal_ops import (
     TWO_PI,
     DelayLine,
@@ -21,11 +23,11 @@ from hfsense.signal_ops import (
     carrier_steps,
     gd_frequency_response,
     hpf_frequency_response,
-    injection_voltage,
     lpf_frequency_response,
     probe_signal,
     unwrapped_phase_at,
 )
+from hfsense.sim import ScenarioConfig, _probe_tables
 
 finite = st.floats(-1e6, 1e6, allow_nan=False)
 
@@ -42,12 +44,18 @@ def test_injection_config_basics():
 
 
 def test_probe_and_injection_values(inj):
-    # S(0) = -V_h/(2 pi); the injected voltage is a pure alpha-axis sine
+    # S(0) = -V_h/(2 pi); the simulator injects V_h sin(omega_h t) per
+    # carrier phase, at the step (j*Ts) and at the half step
     assert probe_signal(inj, 0.0) == pytest.approx(-1.0 / TWO_PI)
-    assert injection_voltage(inj, 0.0) == (0.0, 0.0)
-    va, vb = injection_voltage(inj, 0.25e-3)  # quarter period
-    assert va == pytest.approx(1.0)
-    assert vb == 0.0
+    cfg = ScenarioConfig(motor=SIM_MOTOR, injection=inj, steps_per_period=50)
+    at_step, at_mid = _probe_tables(cfg)
+    assert len(at_step) == len(at_mid) == 50
+    assert at_step[0] == 0.0
+    assert at_mid[12] == pytest.approx(1.0)  # 12.5 Ts: quarter period
+    assert at_step[25] == pytest.approx(0.0, abs=1e-12)
+    assert at_step[10] == pytest.approx(math.sin(0.4 * math.pi))
+    off = _probe_tables(replace(cfg, injection_enabled=False))
+    assert off == ([0.0] * 50, [0.0] * 50)
 
 
 def test_delay_line_exact(Ts):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hfsense.controller import ControllerConfig
 from hfsense.estimators import rmsd
 from hfsense.motor import SIM_MOTOR
 from hfsense.signal_ops import InjectionConfig
@@ -16,10 +17,7 @@ from hfsense.sim import (
     SimulationDiverged,
     Trace,
     averaging_residual,
-    rk4_step,
     run,
-    run_closed_loop,
-    run_driven_speed,
 )
 
 
@@ -31,17 +29,40 @@ def _cfg(**kw):
 
 
 def test_rk4_order_on_exponential():
-    # one step of y' = -y from 1: error vs exp(-Ts) scales like Ts^5 per step
-    for Ts, tol in ((1e-2, 1e-11), (1e-3, 1e-15)):
-        y = rk4_step(lambda t, y: -y, np.array([1.0]), 0.0, Ts)
-        assert abs(y[0] - math.exp(-Ts)) < tol
-    with pytest.raises(ValueError):
-        rk4_step(lambda t, y: -y, np.array([1.0]), 0.0, 0.0)
+    """With the probe off, zero controller gains and the rotor held at
+    theta = 0, the loop integrates di_alpha/dt = -(R_s/L_d) i_alpha; its
+    global error against the exponential must shrink 16x per halved step."""
+    m = SIM_MOTOR
+    zero = ControllerConfig(speed_kp=0.0, speed_ki=0.0, current_kp=0.0,
+                            current_ki=0.0, omega_ref=0.0)
+    errs = []
+    for n in (10, 20, 40):
+        cfg = _cfg(mode="driven", drive=DriveProfile("constant", omega=0.0),
+                   estimator="none", controller=zero, injection_enabled=False,
+                   injection=InjectionConfig(V_h=1.0, epsilon=1e-2),
+                   steps_per_period=n, i_alpha0=1.0, decimation=1)
+        tr = run(cfg)
+        assert np.all(tr.v_alpha == 0.0) and np.all(tr.i_beta == 0.0)
+        exact = np.exp(-m.R_s / m.L_d * tr.t)
+        errs.append(np.max(np.abs(tr.i_alpha - exact)))
+    assert errs[2] < 1e-9
+    for coarse, fine in zip(errs, errs[1:]):
+        assert 14.0 < coarse / fine < 17.0
 
 
 def test_rk4_rejects_non_finite():
-    with pytest.raises(SimulationDiverged):
-        rk4_step(lambda t, y: y * math.inf, np.array([1.0]), 0.0, 1e-3)
+    for mode in ("closed_loop", "driven"):
+        for i0 in (math.nan, math.inf):
+            cfg = _cfg(mode=mode, drive=DriveProfile("constant", omega=2.0),
+                       estimator="none", sensor_mode=True, duration=0.01,
+                       i_alpha0=i0)
+            with pytest.raises(SimulationDiverged):
+                run(cfg)
+
+
+def test_run_rejects_unknown_column():
+    with pytest.raises(ValueError, match="unknown trace column .i_gamma."):
+        run(_cfg(duration=0.01), ["t", "i_gamma"])
 
 
 def test_load_profiles():
@@ -123,7 +144,7 @@ def test_trace_requires_all_columns():
 def test_closed_loop_runs_and_tracks(sim_motor):
     cfg = _cfg(estimator="both", duration=1.0,
                load=LoadProfile("constant", value=0.1))
-    tr = run_closed_loop(cfg)
+    tr = run(cfg)
     assert np.all(np.isfinite(tr.i_alpha))
     # the loop pulls the speed toward the 0.5 rad/s reference
     assert tr.omega[-1] > 0.2
@@ -142,9 +163,11 @@ def test_sensor_mode_isolates_estimator():
 def test_driven_speed_follows_profile():
     cfg = _cfg(mode="driven", estimator="proposed", duration=0.3,
                drive=DriveProfile("constant", omega=2.0), theta0=0.7)
-    tr = run_driven_speed(cfg)
+    tr = run(cfg)
     expect = 0.7 + SIM_MOTOR.n_p * 2.0 * tr.t
     assert np.allclose(tr.theta, expect, atol=1e-12)
+    assert np.array_equal(tr.theta_wrapped, tr.theta % (2.0 * math.pi))
+    assert np.all((0.0 <= tr.theta_wrapped) & (tr.theta_wrapped < 2.0 * math.pi))
     assert np.all(tr.omega == 2.0)
 
 
