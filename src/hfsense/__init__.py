@@ -34,12 +34,11 @@ from .motor import (
     virtual_output,
 )
 from .signal_ops import (
-    DelayLine,
     GradientFlow,
     HighPass2,
     InjectionConfig,
     LowPass1,
-    MovingAverage,
+    Regressor,
     bode_table,
     gd_frequency_response,
     hpf_frequency_response,
@@ -62,10 +61,10 @@ __version__ = "0.1.0"
 __all__ = [
     "BENCH_MOTOR", "SIM_MOTOR",
     "ConfigError", "ControllerConfig", "ConventionalEstimator",
-    "DegenerateSignalError", "DelayLine", "DriveProfile", "BlockFormEstimator",
+    "DegenerateSignalError", "DriveProfile", "BlockFormEstimator",
     "GradientFlow", "HighPass2", "InjectionConfig", "LoadProfile",
-    "LowPass1", "LtiChainConfig", "MotorParams", "MovingAverage", "Pi", "Pll",
-    "ProposedEstimator", "ScenarioConfig", "SensorlessController",
+    "LowPass1", "LtiChainConfig", "MotorParams", "Pi", "Pll",
+    "ProposedEstimator", "Regressor", "ScenarioConfig", "SensorlessController",
     "SimulationDiverged", "Trace", "averaging_residual", "bode_table",
     "fit_compensation", "frame_rotate", "gd_frequency_response",
     "hpf_frequency_response", "inductance_matrix", "load_scenario",

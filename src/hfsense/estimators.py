@@ -27,12 +27,11 @@ import numpy as np
 from .motor import MotorParams, virtual_output
 from .signal_ops import (
     TWO_PI,
-    DelayLine,
     GradientFlow,
     HighPass2,
     InjectionConfig,
     LowPass1,
-    MovingAverage,
+    Regressor,
     carrier_steps,
     probe_signal,
 )
@@ -105,10 +104,7 @@ class ProposedEstimator:
         self.Ts = Ts
         self.ell = ell
         d = cfg.epsilon
-        self._delay_a = DelayLine(d, Ts)
-        self._delay_b = DelayLine(d, Ts)
-        self._hold_a = MovingAverage(2.0 * d, Ts)
-        self._hold_b = MovingAverage(2.0 * d, Ts)
+        self._regressor = Regressor(d, Ts)
         # seed the demodulators at the assumed initial angle so the loop
         # does not open on a transient pointing nowhere
         y10, y20 = virtual_output(params, theta0)
@@ -123,15 +119,11 @@ class ProposedEstimator:
 
     def step(self, t: float, i_alpha: float, i_beta: float):
         """Advance one sample; return (theta_hat, yv1, yv2) or None until warm."""
-        da = self._delay_a.step(i_alpha)
-        db = self._delay_b.step(i_beta)
-        za = self._hold_a.step(i_alpha)
-        zb = self._hold_b.step(i_beta)
-        if da is None or za is None:
+        yf = self._regressor.step(i_alpha, i_beta)
+        if yf is None:
             return None
-        yfa = da - za
-        yfb = db - zb
-        self.Yf = (yfa, yfb)
+        self.Yf = yf
+        yfa, yfb = yf
         y1 = self._grad_a.step(t, yfa, self.Ts)
         y2 = self._grad_b.step(t, yfb, self.Ts)
         ell1, ell2, ell3 = self.ell
@@ -239,16 +231,15 @@ class BlockFormEstimator:
         self.Ts = Ts
         self.gamma = (gamma_alpha, gamma_beta)
         d = cfg.epsilon
-        self._delay_a = DelayLine(d, Ts)
-        self._delay_b = DelayLine(d, Ts)
-        self._hold_a = MovingAverage(2.0 * d, Ts)
-        self._hold_b = MovingAverage(2.0 * d, Ts)
-        self._tables = [self._phase_table(g) for g in self.gamma]
+        self._regressor = Regressor(d, Ts)
+        # per phase j: ((a, b, c) of the alpha flow, (a, b, c) of the beta flow)
+        self._table = list(zip(*(self._phase_table(g) for g in self.gamma)))
         # same seeding convention as the operator form: z = (2*pi/V_h) * x
         y10, y20 = virtual_output(params, theta0)
-        self.z = [TWO_PI * d * y10 / cfg.V_h, TWO_PI * d * y20 / cfg.V_h]
-        self._yf_prev = [None, None]
+        self.z = (TWO_PI * d * y10 / cfg.V_h, TWO_PI * d * y20 / cfg.V_h)
+        self._yf_prev = None
         self._lpf_gain = 0.5 * (cfg.V_h / TWO_PI) ** 2
+        self._scale = 2.0 * cfg.omega_h * params.det_L / cfg.V_h
         self.theta_hat = theta0
         self.yv1 = y10
         self.yv2 = y20
@@ -278,27 +269,23 @@ class BlockFormEstimator:
                  advance(j * Ts, 0.0, 0.0, 1.0))
                 for j in range(carrier_steps(cfg, Ts))]
 
-    def _advance(self, axis: int, j: int, yf: float) -> float:
-        a, b, c = self._tables[axis][j]
-        yf0 = yf if self._yf_prev[axis] is None else self._yf_prev[axis]
-        self._yf_prev[axis] = yf
-        z = a * self.z[axis] + b * yf0 + c * yf
-        self.z[axis] = z
-        return self._lpf_gain * z
-
     def step(self, t: float, i_alpha: float, i_beta: float):
-        da = self._delay_a.step(i_alpha)
-        db = self._delay_b.step(i_beta)
-        za = self._hold_a.step(i_alpha)
-        zb = self._hold_b.step(i_beta)
-        if da is None or za is None:
+        """Advance one sample; return (theta_hat, yv1, yv2) or None until warm."""
+        yf = self._regressor.step(i_alpha, i_beta)
+        if yf is None:
             return None
-        j = round(t / self.Ts) % len(self._tables[0])
-        ya = self._advance(0, j, da - za)
-        yb = self._advance(1, j, db - zb)
-        scale = 2.0 * self.cfg.omega_h * self.params.det_L / self.cfg.V_h
-        Ya = scale * ya
-        Yb = scale * yb
+        yfa, yfb = yf
+        pa, pb = yf if self._yf_prev is None else self._yf_prev
+        self._yf_prev = yf
+        (aa, ba, ca), (ab, bb, cb) = self._table[
+            round(t / self.Ts) % len(self._table)]
+        za, zb = self.z
+        za = aa * za + ba * pa + ca * yfa
+        zb = ab * zb + bb * pb + cb * yfb
+        self.z = (za, zb)
+        g = self._lpf_gain
+        Ya = self._scale * (g * za)
+        Yb = self._scale * (g * zb)
         d = self.params.det_L
         self.yv1 = Ya / d
         self.yv2 = Yb / d

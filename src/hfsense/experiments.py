@@ -8,7 +8,6 @@ use all share one code path.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -137,6 +136,8 @@ def frequency_sweep(cfg: ScenarioConfig, freqs_hz, t1: float, t2: float,
     prefix = "conv" if cfg.estimator == "conventional" else "prop"
     jobs = [(cfg, f, gamma_scale, prefix, t1, t2, metric) for f in freqs_hz]
     if workers > 1:
+        # imported here, so importing this module loads no multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as ex:
             errors = list(ex.map(_sweep_point, jobs))
     else:
@@ -192,7 +193,7 @@ def equivalence_deviation(params: MotorParams, inj: InjectionConfig,
                                        i_bar=(0.5, -0.2))
     est_a = ProposedEstimator(params, inj, Ts, gamma, gamma, theta0=theta0)
     est_b = BlockFormEstimator(params, inj, Ts, gamma, gamma, theta0=theta0)
-    scale = abs(params.L1) / params.det_L  # natural size of the yv signal
+    step_a, step_b = est_a.step, est_b.step
     worst_yv = 0.0
     worst_theta = 0.0
     # memoryviews index to Python floats without a copy; numpy scalars make
@@ -200,15 +201,18 @@ def equivalence_deviation(params: MotorParams, inj: InjectionConfig,
     tv, cv = memoryview(t), memoryview(cur)
     for k in range(n + 1):
         tk, ia, ib = tv[k], cv[k, 0], cv[k, 1]
-        ra = est_a.step(tk, ia, ib)
-        rb = est_b.step(tk, ia, ib)
+        ra = step_a(tk, ia, ib)
+        rb = step_b(tk, ia, ib)
         if ra is None or rb is None:
             continue
-        worst_yv = max(worst_yv,
-                       abs(est_a.yv1 - est_b.yv1) / scale,
-                       abs(est_a.yv2 - est_b.yv2) / scale)
-        worst_theta = max(worst_theta, abs(est_a.theta_hat - est_b.theta_hat))
-    return {"max_rel_yv_deviation": float(worst_yv),
+        th_a, y1_a, y2_a = ra
+        th_b, y1_b, y2_b = rb
+        worst_yv = max(worst_yv, abs(y1_a - y1_b), abs(y2_a - y2_b))
+        worst_theta = max(worst_theta, abs(th_a - th_b))
+    # relative to the natural size of the yv signal; dividing by a positive
+    # constant is monotonic, so the max may be taken first
+    scale = abs(params.L1) / params.det_L
+    return {"max_rel_yv_deviation": float(worst_yv / scale),
             "max_theta_deviation": float(worst_theta)}
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -43,15 +44,16 @@ class MotorParams:
         if self.J <= 0.0:
             raise ValueError("J must be positive")
 
-    @property
+    # computed once per instance: the estimators read them every sample
+    @cached_property
     def L0(self) -> float:
         return 0.5 * (self.L_d + self.L_q)
 
-    @property
+    @cached_property
     def L1(self) -> float:
         return 0.5 * (self.L_d - self.L_q)
 
-    @property
+    @cached_property
     def det_L(self) -> float:
         # L0^2 - L1^2 == L_d * L_q identically
         return self.L_d * self.L_q

@@ -1,10 +1,11 @@
-"""Discrete-time signal operators: probe, delay, weighted zero-order hold,
-gradient LTV flow, and the LTI HPF/LPF pair, plus frequency-response utilities.
+"""Discrete-time signal operators: probe, the delay/hold regressor, gradient
+LTV flow, and the LTI HPF/LPF pair, plus frequency-response utilities.
 
-All operators run at a fixed sample period Ts.  Delay and hold windows must be
-exact integer multiples of Ts (the constructor rejects misaligned values);
-sample alignment keeps the delay exact, which the equivalence checks rely on.
-Operators that have not yet absorbed a full window return None (not yet valid).
+All operators run at a fixed sample period Ts.  The regressor's delay d must
+be an exact integer multiple of Ts (the constructor rejects misaligned
+values); sample alignment keeps the delay exact, which the equivalence checks
+rely on.  The regressor returns None until it has absorbed its full 2d hold
+window (not yet valid).
 """
 
 from __future__ import annotations
@@ -65,75 +66,67 @@ def carrier_steps(cfg: InjectionConfig, Ts: float) -> int:
     return _steps_for(cfg.epsilon, Ts, "epsilon")
 
 
-class DelayLine:
-    """Pure transport delay by an integer number of samples (ring buffer)."""
+class Regressor:
+    """Delay minus weighted hold on both current axes: the high pass G_d.
 
-    def __init__(self, d: float, Ts: float):
-        self.d = d
-        self.Ts = Ts
-        self.n = _steps_for(d, Ts, "delay")
-        self._buf = [0.0] * self.n
-        self._i = 0
-        self.warm = False
-
-    def step(self, u: float):
-        """Absorb one sample; once warm, return the input from d seconds ago."""
-        i = self._i
-        out = self._buf[i] if self.warm else None
-        self._buf[i] = u
-        i += 1
-        if i == self.n:
-            i = 0
-            self.warm = True
-        self._i = i
-        return out
-
-
-class MovingAverage:
-    """Weighted zero-order hold: trailing mean over a window w.
-
-    Output is (chi(t) - chi(t-w))/w with chi the trapezoidal integral of the
-    input.  The running sum is kept over per-step increments (difference form,
-    held in a ring buffer) so the accumulator cannot grow on long runs; a
-    periodic rebuild bounds floating-point drift.
+    yf(t) = u(t - d) - (chi(t) - chi(t - 2d))/(2d), with chi the trapezoidal
+    integral of the input u = (i_alpha, i_beta).  Both axes share one ring
+    index over the last 2d/Ts samples: the delayed input sits d/Ts slots
+    back, and the hold keeps a running sum of per-step increments (difference
+    form: subtract the increment leaving the window, then add the new one) so
+    the accumulator cannot grow on long runs; a periodic exact rebuild bounds
+    floating-point drift.  The first output comes at sample 2d/Ts.
     """
 
     _REBASE_EVERY = 1 << 16
 
-    def __init__(self, w: float, Ts: float):
-        self.w = w
-        self.Ts = Ts
-        self.n = _steps_for(w, Ts, "window")
-        self._inc = [0.0] * self.n
+    def __init__(self, d: float, Ts: float):
+        self.n = n = _steps_for(d, Ts, "delay")
+        self._m = m = 2 * n  # hold window in samples
+        self._u = ([0.0] * m, [0.0] * m)
+        # unwritten slots hold zeros: subtracting them changes no sum
+        self._inc = ([0.0] * m, [0.0] * m)
+        self._sa = self._sb = 0.0
         self._i = 0
-        self._sum = 0.0
-        self._prev = None
-        self._count = 0
-        self.warm = False
+        self._cold = m + 1  # samples until the first output
+        self._rebase_in = self._REBASE_EVERY
 
-    def step(self, u: float):
-        if self._prev is None:
-            self._prev = u
-            return None
-        inc = 0.5 * (self._prev + u)  # trapezoid, Ts factored out
-        self._prev = u
+    def step(self, i_alpha: float, i_beta: float):
+        """Absorb one sample per axis; once warm, return (yf_alpha, yf_beta)."""
         i = self._i
-        if self.warm:
-            self._sum -= self._inc[i]
-        self._inc[i] = inc
-        self._sum += inc
+        ua, ub = self._u
+        m = self._m
+        if self._cold:
+            self._cold -= 1
+            if self._cold == m:  # first sample: no increment yet
+                ua[0] = i_alpha
+                ub[0] = i_beta
+                self._i = 1
+                return None
+        ja = 0.5 * (ua[i - 1] + i_alpha)  # trapezoid, Ts factored out
+        jb = 0.5 * (ub[i - 1] + i_beta)
+        ca, cb = self._inc
+        sa = self._sa - ca[i] + ja
+        sb = self._sb - cb[i] + jb
+        ca[i] = ja
+        cb[i] = jb
+        n = self.n
+        da = ua[i - n]  # negative indices wrap: the input from d ago
+        db = ub[i - n]
+        ua[i] = i_alpha
+        ub[i] = i_beta
         i += 1
-        if i == self.n:
-            i = 0
-            self.warm = True
-        self._i = i
-        self._count += 1
-        if self._count % self._REBASE_EVERY == 0:
-            # slots not yet written hold exact zeros
-            self._sum = math.fsum(self._inc)
-        if not self.warm:
+        self._i = 0 if i == m else i
+        self._rebase_in -= 1
+        if not self._rebase_in:
+            self._rebase_in = self._REBASE_EVERY
+            sa = math.fsum(ca)
+            sb = math.fsum(cb)
+        self._sa = sa
+        self._sb = sb
+        if self._cold:
             return None
-        return self._sum / self.n
+        return da - sa / m, db - sb / m
 
 
 class GradientFlow:

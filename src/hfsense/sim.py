@@ -258,10 +258,15 @@ def _probe_tables(cfg: ScenarioConfig):
 
 
 def _noise(cfg: ScenarioConfig, n: int):
+    """Seeded sensor noise per step and axis, or None without noise.
+
+    A memoryview indexes to Python floats; numpy scalars would make every
+    estimator and controller operation downstream slower.
+    """
     if cfg.noise_std == 0.0:
         return None
     rng = np.random.default_rng(cfg.seed)
-    return rng.normal(0.0, cfg.noise_std, size=(n + 1, 2))
+    return memoryview(rng.normal(0.0, cfg.noise_std, size=(n + 1, 2)))
 
 
 def run(cfg: ScenarioConfig, columns=None) -> Trace:
@@ -371,29 +376,34 @@ def run(cfg: ScenarioConfig, columns=None) -> Trace:
             the, ome = th0 + np_ * angle(te), omega_at(te)
         else:
             TL = torque(t)
-        d1 = deriv(np_, Rs, L0, L1, detL, Phi, J, fr,
-                   ia, ib, th, om, vca + vpa, vcb, TL)
-        vam = vca + v_probe_mid[k % n_car]
-        if not driven:
-            thm, omm = th + 0.5 * h * d1[2], om + 0.5 * h * d1[3]
-        d2 = deriv(np_, Rs, L0, L1, detL, Phi, J, fr,
-                   ia + 0.5 * h * d1[0], ib + 0.5 * h * d1[1], thm, omm,
-                   vam, vcb, TL)
-        if not driven:
-            thm, omm = th + 0.5 * h * d2[2], om + 0.5 * h * d2[3]
-        d3 = deriv(np_, Rs, L0, L1, detL, Phi, J, fr,
-                   ia + 0.5 * h * d2[0], ib + 0.5 * h * d2[1], thm, omm,
-                   vam, vcb, TL)
-        if not driven:
-            the, ome = th + h * d3[2], om + h * d3[3]
-        d4 = deriv(np_, Rs, L0, L1, detL, Phi, J, fr,
-                   ia + h * d3[0], ib + h * d3[1], the, ome,
-                   vca + v_probe[(k + 1) % n_car], vcb, TL)
-        ia += h / 6.0 * (d1[0] + 2.0 * d2[0] + 2.0 * d3[0] + d4[0])
-        ib += h / 6.0 * (d1[1] + 2.0 * d2[1] + 2.0 * d3[1] + d4[1])
-        if not driven:
-            th += h / 6.0 * (d1[2] + 2.0 * d2[2] + 2.0 * d3[2] + d4[2])
-            om += h / 6.0 * (d1[3] + 2.0 * d2[3] + 2.0 * d3[3] + d4[3])
+        try:
+            d1 = deriv(np_, Rs, L0, L1, detL, Phi, J, fr,
+                       ia, ib, th, om, vca + vpa, vcb, TL)
+            vam = vca + v_probe_mid[k % n_car]
+            if not driven:
+                thm, omm = th + 0.5 * h * d1[2], om + 0.5 * h * d1[3]
+            d2 = deriv(np_, Rs, L0, L1, detL, Phi, J, fr,
+                       ia + 0.5 * h * d1[0], ib + 0.5 * h * d1[1], thm, omm,
+                       vam, vcb, TL)
+            if not driven:
+                thm, omm = th + 0.5 * h * d2[2], om + 0.5 * h * d2[3]
+            d3 = deriv(np_, Rs, L0, L1, detL, Phi, J, fr,
+                       ia + 0.5 * h * d2[0], ib + 0.5 * h * d2[1], thm, omm,
+                       vam, vcb, TL)
+            if not driven:
+                the, ome = th + h * d3[2], om + h * d3[3]
+            d4 = deriv(np_, Rs, L0, L1, detL, Phi, J, fr,
+                       ia + h * d3[0], ib + h * d3[1], the, ome,
+                       vca + v_probe[(k + 1) % n_car], vcb, TL)
+            ia += h / 6.0 * (d1[0] + 2.0 * d2[0] + 2.0 * d3[0] + d4[0])
+            ib += h / 6.0 * (d1[1] + 2.0 * d2[1] + 2.0 * d3[1] + d4[1])
+            if not driven:
+                th += h / 6.0 * (d1[2] + 2.0 * d2[2] + 2.0 * d3[2] + d4[2])
+                om += h / 6.0 * (d1[3] + 2.0 * d2[3] + 2.0 * d3[3] + d4[3])
+        except (ValueError, OverflowError) as exc:
+            # a non-finite state reached math.cos or overflowed a stage
+            raise SimulationDiverged(
+                f"state not finite in the step from t={t:.6f}: {exc}") from exc
         if not (-lim < ia < lim and -lim < ib < lim) or not math.isfinite(th):
             raise SimulationDiverged(
                 f"state out of bounds at t={te:.6f}: i=({ia:.3g},{ib:.3g})")

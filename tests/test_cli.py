@@ -141,6 +141,17 @@ def test_invalid_config_is_config_error(tmp_path):
     assert main(["--config", str(p), "--out", str(tmp_path), "run"]) == EXIT_CONFIG
 
 
+def test_divergence_inside_a_step_is_one_line(tmp_path, capsys):
+    p = tmp_path / "tiny_inertia.scenario"
+    p.write_text(FAST.replace("J = 0.01", "J = 1e-320")
+                 .replace("duration = 0.3", "duration = 0.05"))
+    rc = main(["--config", str(p), "--out", str(tmp_path / "o"), "run"])
+    assert rc == EXIT_FAIL
+    err = capsys.readouterr().err
+    assert err.startswith("simulation aborted: ") and err.count("\n") == 1
+    assert "t=" in err
+
+
 def test_run_writes_trace_and_summary(fast_scenario, tmp_path):
     out = tmp_path / "out"
     rc = main(["--config", str(fast_scenario), "--out", str(out), "run"])

@@ -1,6 +1,8 @@
 """Experiment-procedure tests on short, fast configurations."""
 
 import math
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -21,6 +23,15 @@ from hfsense.experiments import (
 from hfsense.motor import SIM_MOTOR
 from hfsense.signal_ops import InjectionConfig, lpf_frequency_response
 from hfsense.sim import DriveProfile, ScenarioConfig, Trace, TRACE_COLUMNS
+
+
+def test_import_leaves_process_pool_out():
+    # the pool is imported only by a sweep with workers > 1
+    code = ("import sys, hfsense.experiments; "
+            "print('concurrent.futures.process' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def _cfg(**kw):

@@ -1,4 +1,4 @@
-"""Operator tests: probe, delay, hold, gradient flow, filters, responses."""
+"""Operator tests: probe, regressor, gradient flow, filters, responses."""
 
 import cmath
 import math
@@ -13,12 +13,11 @@ from hypothesis import given, settings, strategies as st
 from hfsense.motor import SIM_MOTOR
 from hfsense.signal_ops import (
     TWO_PI,
-    DelayLine,
     GradientFlow,
     HighPass2,
     InjectionConfig,
     LowPass1,
-    MovingAverage,
+    Regressor,
     bode_table,
     carrier_steps,
     gd_frequency_response,
@@ -59,43 +58,58 @@ def test_probe_and_injection_values(inj):
 
 
 def test_delay_line_exact(Ts):
-    d = DelayLine(10 * Ts, Ts)
-    seq = [float(k) for k in range(25)]
-    out = [d.step(u) for u in seq]
-    assert out[:10] == [None] * 10
-    assert out[10:] == seq[:15]
+    """Impulse response: the unit sample comes out exactly d later, minus
+    the hold's box of height 1/(2d) over the two increments it touches."""
+    n = 10
+    reg = Regressor(n * Ts, Ts)
+    m_a, m_b = 25, 31  # impulse samples, alpha and beta
+    out = [reg.step(float(k == m_a), float(k == m_b)) for k in range(80)]
+    assert out[:2 * n] == [None] * (2 * n)
+
+    def expected(k, m):
+        # increments 0.5*(u[j-1] + u[j]) at j = m and m + 1 are 0.5 each
+        held = 0.5 * (k - 2 * n < m <= k) + 0.5 * (k - 2 * n < m + 1 <= k)
+        return float(k - n == m) - held / (2 * n)
+
+    for k in range(2 * n, 80):
+        assert out[k] == (expected(k, m_a), expected(k, m_b)), k
+    assert out[m_a + n][0] == 1.0 - 1.0 / (2 * n)
 
 
 def test_delay_rejects_misaligned(Ts):
     with pytest.raises(ValueError):
-        DelayLine(10.5 * Ts, Ts)
+        Regressor(10.5 * Ts, Ts)
     with pytest.raises(ValueError):
-        MovingAverage(0.0, Ts)
+        Regressor(0.0, Ts)
 
 
 @given(c=finite)
 def test_hold_reproduces_constants(c):
+    # the delayed sample is c exactly, so the output is c minus the hold
     Ts = 1e-3
-    z = MovingAverage(20 * Ts, Ts)
+    reg = Regressor(10 * Ts, Ts)  # hold window 20 Ts
     out = None
     for _ in range(40):
-        out = z.step(c)
-    assert out == pytest.approx(c, rel=1e-12, abs=1e-9)
+        out = reg.step(c, -c)
+    tol = max(1e-12 * abs(c), 1e-9)
+    assert abs(out[0]) <= tol and abs(out[1]) <= tol
 
 
 def test_hold_of_linear_ramp_is_midpoint_mean(Ts):
     # trapezoidal mean of u(t) = t over a trailing window w ending at t
-    # equals t - w/2 exactly (the rule is exact on polynomials of degree 1)
+    # equals t - w/2 exactly (the rule is exact on polynomials of degree 1),
+    # which is the sample delayed by d = w/2: the output vanishes
     w = 40 * Ts
-    z = MovingAverage(w, Ts)
-    out = 0.0
+    reg = Regressor(0.5 * w, Ts)
+    out = None
     n = 100
     for k in range(n + 1):
-        r = z.step(k * Ts)
+        r = reg.step(k * Ts, 2.0 * k * Ts)
         if r is not None:
             out = r
     t_end = n * Ts
-    assert out == pytest.approx(t_end - 0.5 * w, rel=1e-12)
+    assert out[0] == pytest.approx(0.0, abs=1e-12 * (t_end - 0.5 * w))
+    assert out[1] == pytest.approx(0.0, abs=2e-12 * (t_end - 0.5 * w))
 
 
 @given(c=finite)
@@ -107,19 +121,32 @@ def test_delay_minus_hold_annihilates_constants(c, inj):
     the last bit for dyadic constants; bounded by a few ulps otherwise).
     """
     Ts = inj.epsilon / 20.0
-    d = DelayLine(inj.epsilon, Ts)
-    z = MovingAverage(2.0 * inj.epsilon, Ts)
+    reg = Regressor(inj.epsilon, Ts)
     for _ in range(60):
-        a = d.step(c)
-        b = z.step(c)
-    assert abs(a - b) <= 1e-13 * max(1.0, abs(c))
+        yf = reg.step(c, -c)
+    a, b = yf
+    assert abs(a) <= 1e-13 * max(1.0, abs(c))
+    assert abs(b) <= 1e-13 * max(1.0, abs(c))
     # dyadic constants accumulate without rounding: exact zero
-    d2 = DelayLine(inj.epsilon, Ts)
-    z2 = MovingAverage(2.0 * inj.epsilon, Ts)
+    reg2 = Regressor(inj.epsilon, Ts)
     for _ in range(60):
-        a2 = d2.step(0.375)
-        b2 = z2.step(0.375)
-    assert a2 - b2 == 0.0
+        yf = reg2.step(0.375, -0.375)
+    assert yf == (0.0, 0.0)
+
+
+def test_delay_minus_hold_annihilates_ramps():
+    """G_d has a double zero at DC: affine inputs give exactly zero.
+
+    With a dyadic Ts every increment, running sum and mean of u = a + b*k*Ts
+    is exact, before and after the running-sum rebuild."""
+    Ts = 2.0 ** -12
+    reg = Regressor(10 * Ts, Ts)
+    outs = set()
+    for k in range(Regressor._REBASE_EVERY + 500):
+        yf = reg.step(k * Ts, 0.75 - 3.0 * k * Ts)
+        if k >= 20:
+            outs.add(yf)
+    assert outs == {(0.0, 0.0)}
 
 
 def test_gradient_flow_convergence(inj):
@@ -230,18 +257,22 @@ class _DequeHold:
 
 
 def test_ring_buffers_match_deque_reference(Ts):
-    """Sample for sample, bit for bit, across a running-sum rebuild."""
+    """Deque delay minus deque hold on each axis: sample for sample, bit for
+    bit, across a running-sum rebuild."""
     rng = random.Random(5)
-    d = DelayLine(7 * Ts, Ts)
-    z = MovingAverage(13 * Ts, Ts)
-    d_ref = _DequeDelay(7)
-    z_ref = _DequeHold(13, MovingAverage._REBASE_EVERY)
-    for _ in range(MovingAverage._REBASE_EVERY + 100):
-        u = rng.uniform(-3.0, 3.0) + 1e3
-        assert d.step(u) == d_ref.step(u)
-        assert z.step(u) == z_ref.step(u)
-    assert z_ref.count > MovingAverage._REBASE_EVERY
-    assert d.warm and z.warm
+    reg = Regressor(7 * Ts, Ts)
+    refs = [(_DequeDelay(7), _DequeHold(14, Regressor._REBASE_EVERY))
+            for _ in range(2)]
+    yf = None
+    for _ in range(Regressor._REBASE_EVERY + 100):
+        u = (rng.uniform(-3.0, 3.0) + 1e3, rng.uniform(-1.0, 1.0))
+        ref = [(d.step(x), z.step(x)) for (d, z), x in zip(refs, u)]
+        expected = None if None in ref[0] + ref[1] else \
+            tuple(a - b for a, b in ref)
+        yf = reg.step(*u)
+        assert yf == expected
+    assert refs[0][1].count > Regressor._REBASE_EVERY
+    assert yf is not None
 
 
 def test_lowpass_dc_gain(Ts):

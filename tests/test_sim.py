@@ -1,13 +1,14 @@
 """Simulation tests: integrator accuracy, profiles, traces, determinism."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hfsense.controller import ControllerConfig
-from hfsense.estimators import rmsd
+from hfsense.estimators import ProposedEstimator, rmsd
 from hfsense.motor import SIM_MOTOR
 from hfsense.signal_ops import InjectionConfig
 from hfsense.sim import (
@@ -58,6 +59,28 @@ def test_rk4_rejects_non_finite():
                        i_alpha0=i0)
             with pytest.raises(SimulationDiverged):
                 run(cfg)
+
+
+def test_divergence_inside_a_step_is_reported():
+    # a vanishing inertia blows the speed up within one RK4 step, so the
+    # angle reaches math.cos as a non-finite value before the state check
+    cfg = _cfg(motor=replace(SIM_MOTOR, J=1e-320), duration=0.05)
+    with pytest.raises(SimulationDiverged,
+                       match=r"from t=\d+\.\d{6}: math domain error"):
+        run(cfg)
+
+
+def test_noisy_run_passes_python_floats(monkeypatch):
+    seen = set()
+    step = ProposedEstimator.step
+
+    def recording_step(self, t, i_alpha, i_beta):
+        seen.add(type(i_alpha))
+        return step(self, t, i_alpha, i_beta)
+
+    monkeypatch.setattr(ProposedEstimator, "step", recording_step)
+    run(_cfg(noise_std=1e-3, duration=0.01))
+    assert seen == {float}
 
 
 def test_run_rejects_unknown_column():
