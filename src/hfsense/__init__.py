@@ -18,7 +18,6 @@ from .estimators import (
     Pll,
     ProposedEstimator,
     fit_compensation,
-    ltp_lowpass_check,
     rmsd,
     synthesize_injection_current,
     track_branch,
@@ -34,7 +33,6 @@ from .motor import (
     virtual_output,
 )
 from .signal_ops import (
-    GradientFlow,
     HighPass2,
     InjectionConfig,
     LowPass1,
@@ -62,13 +60,13 @@ __all__ = [
     "BENCH_MOTOR", "SIM_MOTOR",
     "ConfigError", "ControllerConfig", "ConventionalEstimator",
     "DegenerateSignalError", "DriveProfile", "BlockFormEstimator",
-    "GradientFlow", "HighPass2", "InjectionConfig", "LoadProfile",
-    "LowPass1", "LtiChainConfig", "MotorParams", "Pi", "Pll",
+    "HighPass2", "InjectionConfig", "LoadProfile", "LowPass1",
+    "LtiChainConfig", "MotorParams", "Pi", "Pll",
     "ProposedEstimator", "Regressor", "ScenarioConfig", "SensorlessController",
     "SimulationDiverged", "Trace", "averaging_residual", "bode_table",
     "fit_compensation", "frame_rotate", "gd_frequency_response",
     "hpf_frequency_response", "inductance_matrix", "load_scenario",
-    "lpf_frequency_response", "ltp_lowpass_check", "probe_signal", "rmsd",
-    "run", "saliency_matrix", "synthesize_injection_current", "track_branch",
+    "lpf_frequency_response", "probe_signal", "rmsd", "run",
+    "saliency_matrix", "synthesize_injection_current", "track_branch",
     "virtual_output", "virtual_output_to_angle", "wrap_mod_pi",
 ]

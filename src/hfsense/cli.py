@@ -250,11 +250,8 @@ def cmd_bode(args, outdir: Path) -> int:
     omega = np.logspace(math.log10(args.omega_min), math.log10(args.omega_max),
                         args.points)
     inj = cfg.injection
-    try:
-        chain = LtiChainConfig.from_injection(inj, cfg.omega_star,
-                                              cfg.lambda_h, cfg.lambda_ell)
-    except ValueError as exc:
-        raise ConfigError(f"bode: {exc}") from None
+    chain = LtiChainConfig.from_injection(inj, cfg.omega_star,
+                                          cfg.lambda_h, cfg.lambda_ell)
     lam_h, lam_l = chain.lambda_h, chain.lambda_ell
     outdir.mkdir(parents=True, exist_ok=True)
     header = "omega_rad_s,mag_db,phase_deg_unwrapped"

@@ -62,12 +62,18 @@ class ControllerConfig:
     i_d_ref: float = 0.0
     i_q_limit: float = 20.0
     v_limit: float = 400.0          # below the 521 V bus
-    meas_lpf_cutoff: float | None = None  # default 100 rad/s
+    # the corner must sit far below omega_h: probe ripple surviving the
+    # feedback path re-enters the voltage as a parasitic injection that
+    # distorts the demodulated saliency locus
+    meas_lpf_cutoff: float = 100.0  # [rad/s]
 
     def __post_init__(self):
         for g in (self.speed_kp, self.speed_ki, self.current_kp, self.current_ki):
             if g < 0.0:
                 raise ValueError("gains must be non-negative")
+        for key in ("i_q_limit", "v_limit", "meas_lpf_cutoff"):
+            if getattr(self, key) <= 0.0:
+                raise ValueError(f"{key} must be positive")
 
 
 class SensorlessController:
@@ -77,23 +83,23 @@ class SensorlessController:
         self.params = params
         self.cfg = cfg
         self.Ts = Ts
-        # the corner must sit far below omega_h: probe ripple surviving the
-        # feedback path re-enters the voltage as a parasitic injection that
-        # distorts the demodulated saliency locus
-        cutoff = cfg.meas_lpf_cutoff
-        if cutoff is None:
-            cutoff = 100.0
-        self._lpf_d = LowPass1(cutoff, Ts)
-        self._lpf_q = LowPass1(cutoff, Ts)
+        self._lpf_d = LowPass1(cfg.meas_lpf_cutoff, Ts)
+        self._lpf_q = LowPass1(cfg.meas_lpf_cutoff, Ts)
         self._speed_pi = Pi(cfg.speed_kp, cfg.speed_ki, cfg.i_q_limit)
         self._pi_d = Pi(cfg.current_kp, cfg.current_ki, cfg.v_limit)
         self._pi_q = Pi(cfg.current_kp, cfg.current_ki, cfg.v_limit)
         self._L = params.L0
         self._held = (0.0, 0.0)  # last valid control voltage (alpha-beta)
 
-    def control_voltage(self, i_alpha: float, i_beta: float,
-                        theta_hat: float, omega_hat: float) -> tuple[float, float]:
-        """Low-frequency control voltage in the stationary frame (no probe)."""
+    def low_frequency_voltage(self, i_alpha: float, i_beta: float,
+                              theta_hat: float | None,
+                              omega_hat: float | None) -> tuple[float, float]:
+        """Low-frequency control voltage in the stationary frame (no probe).
+
+        Holds the last output while either estimate is invalid (None).
+        """
+        if theta_hat is None or omega_hat is None:
+            return self._held
         cfg = self.cfg
         Ts = self.Ts
         i_d, i_q = frame_rotate(theta_hat, i_alpha, i_beta, to_dq=True)
@@ -110,11 +116,3 @@ class SensorlessController:
         va, vb = frame_rotate(theta_hat, v_d, v_q, to_dq=False)
         self._held = (va, vb)
         return va, vb
-
-    def low_frequency_voltage(self, i_alpha: float, i_beta: float,
-                              theta_hat: float | None,
-                              omega_hat: float | None) -> tuple[float, float]:
-        """As `control_voltage`, but holds the last output while estimates are invalid."""
-        if theta_hat is None or omega_hat is None:
-            return self._held
-        return self.control_voltage(i_alpha, i_beta, theta_hat, omega_hat)

@@ -4,13 +4,17 @@ Two pipelines extract the rotor angle from the injection ripple in the
 measured currents:
 
 * `ProposedEstimator` - delay minus weighted hold (a high-pass by
-  construction) followed by a gradient LTV demodulator per axis.
+  construction) followed by a gradient LTV demodulator per axis.  The
+  demodulator's 4th-order step is linear, so a sample costs one regressor
+  step plus one update per axis with coefficients tabulated per carrier
+  phase (`ProposedEstimator._phase_table`).
 * `ConventionalEstimator` - LTI high-pass, demodulation by sin(omega_h t +
   phi), LTI low-pass, then rescaling.
 
 `BlockFormEstimator` re-expresses the proposed pipeline in the conventional
 HPF/demod/LPF block layout (demod phase 3*pi/2, LPF replaced by the scaled
-LTV flow); it exists to verify numerically that the two forms coincide.
+LTV flow, tabulated from its own derivation); it exists to verify
+numerically that the two forms coincide.
 
 Both pipelines produce the angle modulo pi; `track_branch` resolves the
 branch by continuity with the previous estimate.  Magnetic-polarity
@@ -27,7 +31,6 @@ import numpy as np
 from .motor import MotorParams, virtual_output
 from .signal_ops import (
     TWO_PI,
-    GradientFlow,
     HighPass2,
     InjectionConfig,
     LowPass1,
@@ -88,9 +91,12 @@ class ProposedEstimator:
     """Delay/hold regressor plus per-axis gradient flows (the new pipeline).
 
     The delay is exactly one probe period (d = epsilon) and the hold window is
-    2d.  Per-axis adaptation gains may differ.  Compensation gains
-    (ell1, ell2, ell3) rescale the raw virtual-output estimate before the
-    angle recovery; (1, 0, 1) is the identity.
+    2d.  Each axis demodulates its regressor output yf with the scalar LTV
+    flow dx/dt = -gamma*S^2(t)*x + gamma*S(t)*yf and reads x/epsilon; under
+    persistent excitation of S the state contracts exponentially toward the
+    coefficient of S in yf.  Per-axis adaptation gains may differ.
+    Compensation gains (ell1, ell2, ell3) rescale the raw virtual-output
+    estimate before the angle recovery; (1, 0, 1) is the identity.
     """
 
     def __init__(self, params: MotorParams, cfg: InjectionConfig, Ts: float,
@@ -99,36 +105,78 @@ class ProposedEstimator:
                  theta0: float = 0.0):
         if ell[0] == 0.0 or ell[2] == 0.0:
             raise ValueError("ell1 and ell3 must be nonzero")
+        if gamma_alpha <= 0.0 or gamma_beta <= 0.0:
+            raise ValueError("gamma must be positive")
         self.params = params
         self.cfg = cfg
         self.Ts = Ts
         self.ell = ell
         d = cfg.epsilon
         self._regressor = Regressor(d, Ts)
+        # per phase j: ((a, b, c) of the alpha flow, (a, b, c) of the beta flow)
+        self._table = list(zip(self._phase_table(gamma_alpha),
+                               self._phase_table(gamma_beta)))
         # seed the demodulators at the assumed initial angle so the loop
         # does not open on a transient pointing nowhere
         y10, y20 = virtual_output(params, theta0)
-        self._grad_a = GradientFlow(gamma_alpha, cfg, x0=d * y10)
-        self._grad_b = GradientFlow(gamma_beta, cfg, x0=d * y20)
+        self.x = (d * y10, d * y20)
+        self._yf_prev = None
         self.theta_hat = theta0
         self.yv1 = y10
         self.yv2 = y20
-        self.Yf = (0.0, 0.0)
         self.low_confidence = True
         self._min_radius = 0.1 * abs(params.L1) / params.det_L
+
+    def _phase_table(self, gamma: float) -> list[tuple[float, float, float]]:
+        """(a, b, c) per phase j with x+ = a*x + b*yf_prev + c*yf.
+
+        One explicit 4th-order step over [t - Ts, t] with yf interpolated
+        linearly between the previous and current sample (holding it would
+        bias the demodulation by half a sample of carrier phase) and S taken
+        at t - Ts, t - Ts/2 and t.  The step is linear in (x, yf_prev, yf)
+        and, with Ts dividing epsilon, depends on t only through the carrier
+        phase j = round(t/Ts) mod N, so applying it to the three unit vectors
+        tabulates it.
+        """
+        cfg = self.cfg
+        Ts = self.Ts
+
+        def rate(S, x, u):
+            return gamma * S * (u - S * x)
+
+        def advance(S0, Sm, S1, x, u0, u):
+            um = 0.5 * (u0 + u)
+            k1 = rate(S0, x, u0)
+            k2 = rate(Sm, x + 0.5 * Ts * k1, um)
+            k3 = rate(Sm, x + 0.5 * Ts * k2, um)
+            k4 = rate(S1, x + Ts * k3, u)
+            return x + Ts / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+        units = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+        table = []
+        for j in range(carrier_steps(cfg, Ts)):
+            S = [probe_signal(cfg, (j - back) * Ts) for back in (1.0, 0.5, 0.0)]
+            table.append(tuple(advance(*S, *e) for e in units))
+        return table
 
     def step(self, t: float, i_alpha: float, i_beta: float):
         """Advance one sample; return (theta_hat, yv1, yv2) or None until warm."""
         yf = self._regressor.step(i_alpha, i_beta)
         if yf is None:
             return None
-        self.Yf = yf
         yfa, yfb = yf
-        y1 = self._grad_a.step(t, yfa, self.Ts)
-        y2 = self._grad_b.step(t, yfb, self.Ts)
+        pa, pb = yf if self._yf_prev is None else self._yf_prev
+        self._yf_prev = yf
+        (aa, ba, ca), (ab, bb, cb) = self._table[
+            round(t / self.Ts) % len(self._table)]
+        xa, xb = self.x
+        xa = aa * xa + ba * pa + ca * yfa
+        xb = ab * xb + bb * pb + cb * yfb
+        self.x = (xa, xb)
+        eps = self.cfg.epsilon
         ell1, ell2, ell3 = self.ell
-        y1 = ell1 * y1 + ell2
-        y2 = ell3 * y2
+        y1 = ell1 * (xa / eps) + ell2
+        y2 = ell3 * (xb / eps)
         self.yv1 = y1
         self.yv2 = y2
         try:
@@ -219,8 +267,9 @@ class BlockFormEstimator:
     0.5*(V_h/2pi)^2 times the LTV flow dz/dt = -gamma*S^2*z + gamma*u.
     State advanced by the same 4th-order rule as the gradient flow; that step
     is linear in (z, yf_prev, yf), so its coefficients are tabulated per
-    carrier phase from this flow's own rate (not shared with GradientFlow, so
-    the equivalence check still compares two derivations).
+    carrier phase from this flow's own rate (not shared with
+    ProposedEstimator's table, so the equivalence check still compares two
+    derivations).
     """
 
     def __init__(self, params: MotorParams, cfg: InjectionConfig, Ts: float,
@@ -246,7 +295,7 @@ class BlockFormEstimator:
 
     def _phase_table(self, gamma: float) -> list[tuple[float, float, float]]:
         """(a, b, c) per phase j with z+ = a*z + b*yf_prev + c*yf."""
-        # regressor input interpolated between samples, same as GradientFlow
+        # regressor input interpolated between samples, as in ProposedEstimator
         cfg = self.cfg
         Ts = self.Ts
         phi = 1.5 * math.pi
@@ -343,51 +392,6 @@ def fit_compensation(t, yv1, yv2, params: MotorParams, omega_e: float,
     ell3 = amp_target / a2
     ell2 = mean_target - ell1 * 0.5 * (y1.max() + y1.min())
     return ell1, ell2, ell3
-
-
-def ltp_lowpass_check(omega_h: float, Ts: float | None = None,
-                      settle: float = 30.0) -> dict:
-    """Characterize dy/dt = -cos^2(omega_h t) y + u as a low-pass filter.
-
-    Returns the step-settled DC gain (nominal 2, the averaged pole sits at
-    -1/2), the gain at the carrier frequency, their ratio in dB, and the
-    maximum deviation of the periodic scaling P(t) = exp(-sin(2 omega_h t) /
-    (4 omega_h)) from unity.
-    """
-    if omega_h < 100.0:
-        raise ValueError("omega_h must be >= 100 rad/s")
-    if Ts is None:
-        Ts = TWO_PI / omega_h / 50.0
-
-    def run(u_fn, T):
-        n = int(round(T / Ts))
-        y = 0.0
-        out = np.empty(n)
-        for k in range(n):
-            t = k * Ts
-            def f(tau, yy):
-                c = math.cos(omega_h * tau)
-                return -c * c * yy + u_fn(tau)
-            k1 = f(t, y)
-            k2 = f(t + 0.5 * Ts, y + 0.5 * Ts * k1)
-            k3 = f(t + 0.5 * Ts, y + 0.5 * Ts * k2)
-            k4 = f(t + Ts, y + Ts * k3)
-            y += Ts / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            out[k] = y
-        return out
-
-    step_resp = run(lambda tau: 1.0, settle)
-    dc_gain = float(np.mean(step_resp[-int(1.0 / Ts):]))
-    carrier = run(lambda tau: math.sin(omega_h * tau), settle)
-    tail = carrier[-int(round(TWO_PI / omega_h / Ts)) * 4:]
-    carrier_gain = float(0.5 * (tail.max() - tail.min()))
-    pbar_dev = math.exp(1.0 / (4.0 * omega_h)) - 1.0
-    return {
-        "dc_gain": dc_gain,
-        "carrier_gain": carrier_gain,
-        "ratio_db": 20.0 * math.log10(dc_gain / carrier_gain),
-        "pbar_max_dev": pbar_dev,
-    }
 
 
 def synthesize_injection_current(params: MotorParams, cfg: InjectionConfig,

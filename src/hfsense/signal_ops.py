@@ -1,5 +1,7 @@
-"""Discrete-time signal operators: probe, the delay/hold regressor, gradient
-LTV flow, and the LTI HPF/LPF pair, plus frequency-response utilities.
+"""Discrete-time signal operators: probe, the delay/hold regressor and the
+LTI HPF/LPF pair, plus frequency-response utilities.  The gradient LTV
+demodulator that follows the regressor lives in `estimators`, tabulated per
+carrier phase inside `ProposedEstimator`.
 
 All operators run at a fixed sample period Ts.  The regressor's delay d must
 be an exact integer multiple of Ts (the constructor rejects misaligned
@@ -127,66 +129,6 @@ class Regressor:
         if self._cold:
             return None
         return da - sa / m, db - sb / m
-
-
-class GradientFlow:
-    """Scalar LTV demodulator: dx/dt = -gamma*S^2(t)*x + gamma*S(t)*u, out x/eps.
-
-    Advanced by one explicit 4th-order step per sample with u interpolated
-    linearly between the previous and current sample (holding it would bias
-    the demodulation by half a sample of carrier phase) and S evaluated at
-    the substep times.  Under persistent excitation of S the state contracts
-    exponentially toward the regressor coefficient.
-
-    The step is linear in (x, u_prev, u) and, with Ts dividing epsilon, its
-    coefficients depend only on the carrier phase j = round(t/Ts) mod N.  They
-    are tabulated once per Ts by applying the 4th-order rule to the three unit
-    vectors, so a sample costs x+ = a_j*x + b_j*u_prev + c_j*u.
-    """
-
-    def __init__(self, gamma: float, cfg: InjectionConfig, x0: float = 0.0):
-        if gamma <= 0.0:
-            raise ValueError("gamma must be positive")
-        self.gamma = gamma
-        self.cfg = cfg
-        self.x = x0
-        self._u_prev = None
-        self._Ts = None
-        self._table = ()
-
-    def _rate(self, S: float, x: float, u: float) -> float:
-        return self.gamma * S * (u - S * x)
-
-    def _rk4(self, S0: float, Sm: float, S1: float, x: float, u0: float,
-             u: float, Ts: float) -> float:
-        """One step over [t - Ts, t]; S0, Sm, S1 are S at t - Ts, t - Ts/2, t."""
-        um = 0.5 * (u0 + u)
-        k1 = self._rate(S0, x, u0)
-        k2 = self._rate(Sm, x + 0.5 * Ts * k1, um)
-        k3 = self._rate(Sm, x + 0.5 * Ts * k2, um)
-        k4 = self._rate(S1, x + Ts * k3, u)
-        return x + Ts / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-    def _phase_table(self, Ts: float) -> list[tuple[float, float, float]]:
-        units = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
-        table = []
-        for j in range(carrier_steps(self.cfg, Ts)):
-            S = [probe_signal(self.cfg, (j - back) * Ts)
-                 for back in (1.0, 0.5, 0.0)]
-            table.append(tuple(self._rk4(*S, *e, Ts) for e in units))
-        return table
-
-    def step(self, t: float, u: float, Ts: float) -> float:
-        """Advance over [t - Ts, t] toward input u; return x/epsilon."""
-        if Ts != self._Ts:
-            self._table = self._phase_table(Ts)
-            self._Ts = Ts
-        table = self._table
-        a, b, c = table[round(t / Ts) % len(table)]
-        u0 = u if self._u_prev is None else self._u_prev
-        self._u_prev = u
-        self.x = a * self.x + b * u0 + c * u
-        return self.x / self.cfg.epsilon
 
 
 class LowPass1:

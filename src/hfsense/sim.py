@@ -180,6 +180,16 @@ class ScenarioConfig:
             raise ValueError("closed loop without estimator requires sensor mode")
         if self.duration <= self.warmup:
             raise ValueError("duration must exceed the operator warm-up")
+        for key in ("gamma_alpha", "gamma_beta", "pll_kp", "pll_ki"):
+            if getattr(self, key) <= 0.0:
+                raise ValueError(f"{key} must be positive")
+        if self.ell[0] == 0.0 or self.ell[2] == 0.0:
+            raise ValueError("ell1 and ell3 must be nonzero")
+        if self.omega_star < 0.0:
+            raise ValueError("omega_star must be >= 0")
+        # rejects the corners the conventional chain would be built with
+        LtiChainConfig.from_injection(self.injection, self.omega_star,
+                                      self.lambda_h, self.lambda_ell)
 
     @property
     def Ts(self) -> float:

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from hfsense.config import load_scenario
-from hfsense.estimators import rmsd, wrap_mod_pi
+from hfsense.estimators import ProposedEstimator, rmsd, wrap_mod_pi
 from hfsense.experiments import (
     equivalence_deviation,
     frequency_sweep,
@@ -24,10 +24,9 @@ from hfsense.experiments import (
     steady_angle_ripple,
     steady_lag_limits,
 )
-from hfsense.motor import virtual_output
+from hfsense.motor import SIM_MOTOR, virtual_output
 from hfsense.signal_ops import (
     TWO_PI,
-    GradientFlow,
     HighPass2,
     InjectionConfig,
     LowPass1,
@@ -200,14 +199,17 @@ def test_criterion_5_operator_properties():
     checks.append(("constant annihilation", yf == (0.0, 0.0),
                    f"residual {yf}"))
 
-    # gradient flow under persistent excitation converges within 2%
-    gflow = GradientFlow(1e4, inj)
-    coef = 2.5e-3
+    # the proposed estimator's gradient flows under persistent excitation
+    # converge to the ripple coefficients within 2%
+    est = ProposedEstimator(SIM_MOTOR, inj, Ts)
+    coef = (120.0, -45.0)
     n = int(round(0.2 / Ts))
-    for k in range(1, n + 1):
+    for k in range(n + 1):
         t = k * Ts
-        gflow.step(t, coef * probe_signal(inj, t), Ts)
-    rel = abs(gflow.x - coef) / coef
+        S = inj.epsilon * probe_signal(inj, t)
+        est.step(t, coef[0] * S, coef[1] * S)
+    rel = max(abs(est.yv1 - coef[0]) / abs(coef[0]),
+              abs(est.yv2 - coef[1]) / abs(coef[1]))
     checks.append(("gradient-flow PE convergence", rel < 0.02,
                    f"relative error {rel:.2e}"))
 

@@ -141,6 +141,16 @@ def test_invalid_config_is_config_error(tmp_path):
     assert main(["--config", str(p), "--out", str(tmp_path), "run"]) == EXIT_CONFIG
 
 
+def test_invalid_scenario_value_is_one_line(tmp_path, capsys):
+    p = tmp_path / "bad_gain.scenario"
+    p.write_text(FAST + "\n[estimator]\nomega_star = -1\n")
+    rc = main(["--config", str(p), "--out", str(tmp_path / "o"), "run"])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert "omega_star" in err
+
+
 def test_divergence_inside_a_step_is_one_line(tmp_path, capsys):
     p = tmp_path / "tiny_inertia.scenario"
     p.write_text(FAST.replace("J = 0.01", "J = 1e-320")

@@ -111,6 +111,18 @@ def test_ts_must_divide_probe_period(tmp_path):
     ("[simulation]\nnoise_std = nan", "noise_std"),
     ("[injection]\nV_h = -inf", "V_h"),
     ("[load]\nkind = piecewise\ntimes = 1, nan\nvalues = 0, 1, 2", "times"),
+    ("[estimator]\ngamma_alpha = 0", "gamma_alpha"),
+    ("[estimator]\ngamma_beta = -1e4", "gamma_beta"),
+    ("[estimator]\npll_kp = 0", "pll_kp"),
+    ("[estimator]\npll_ki = -0.01", "pll_ki"),
+    ("[estimator]\nell1 = 0", "ell1"),
+    ("[estimator]\nell3 = 0", "ell3"),
+    ("[estimator]\nlambda_h = -1", "lambda_h"),
+    ("[estimator]\nlambda_ell = 0.5", "lambda_ell"),
+    ("[estimator]\nomega_star = -1", "omega_star"),
+    ("[controller]\nmeas_lpf_cutoff = 0", "meas_lpf_cutoff"),
+    ("[controller]\nv_limit = -5", "v_limit"),
+    ("[controller]\ni_q_limit = 0", "i_q_limit"),
 ])
 def test_non_finite_or_non_positive_float_is_config_error(tmp_path, line, key):
     p = _write(tmp_path, MINIMAL + line + "\n")

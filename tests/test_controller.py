@@ -65,7 +65,8 @@ def test_back_emf_feedforward():
     """With zero currents and no regulation error the q voltage is the
     back-EMF term n_p * omega * Phi."""
     ctrl = _controller(omega_ref=10.0)
-    va, vb = ctrl.control_voltage(0.0, 0.0, theta_hat=0.0, omega_hat=10.0)
+    va, vb = ctrl.low_frequency_voltage(0.0, 0.0, theta_hat=0.0,
+                                       omega_hat=10.0)
     expect_q = SIM_MOTOR.n_p * 10.0 * SIM_MOTOR.Phi  # 6.6 V
     assert vb == pytest.approx(expect_q, rel=1e-9)
     assert va == pytest.approx(0.0, abs=1e-9)
@@ -73,7 +74,7 @@ def test_back_emf_feedforward():
 
 def test_voltage_limit():
     ctrl = _controller(omega_ref=0.0, v_limit=10.0)
-    va, vb = ctrl.control_voltage(100.0, 100.0, 0.3, 0.0)
+    va, vb = ctrl.low_frequency_voltage(100.0, 100.0, 0.3, 0.0)
     assert math.hypot(va, vb) <= 10.0 * math.sqrt(2.0) + 1e-9
 
 

@@ -15,7 +15,6 @@ from hfsense.estimators import (
     Pll,
     ProposedEstimator,
     fit_compensation,
-    ltp_lowpass_check,
     rmsd,
     synthesize_injection_current,
     track_branch,
@@ -153,6 +152,9 @@ def test_estimators_reject_ts_not_dividing_epsilon(sim_motor, inj):
 def test_ell_validation(sim_motor, inj, Ts):
     with pytest.raises(ValueError):
         ProposedEstimator(sim_motor, inj, Ts, ell=(0.0, 0.0, 1.0))
+    for gammas in ((0.0, 1e4), (1e4, -1.0)):
+        with pytest.raises(ValueError, match="gamma"):
+            ProposedEstimator(sim_motor, inj, Ts, *gammas)
 
 
 def test_block_form_matches_operator_form(sim_motor, inj, Ts):
@@ -238,11 +240,3 @@ def test_fit_compensation_needs_two_revolutions(sim_motor, inj):
     with pytest.raises(ValueError):
         fit_compensation(t, np.sin(t), np.cos(t), sim_motor, omega_e=12.0)
 
-
-def test_ltp_lowpass_characterization():
-    res = ltp_lowpass_check(2000.0, settle=10.0)
-    assert res["dc_gain"] == pytest.approx(2.0, rel=0.01)
-    assert res["ratio_db"] > 60.0           # strong carrier attenuation
-    assert res["pbar_max_dev"] < 1e-3       # periodic scaling ~ identity
-    with pytest.raises(ValueError):
-        ltp_lowpass_check(10.0)

@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hfsense.motor import SIM_MOTOR
+from hfsense.estimators import ProposedEstimator
+from hfsense.motor import SIM_MOTOR, virtual_output
 from hfsense.signal_ops import (
     TWO_PI,
-    GradientFlow,
     HighPass2,
     InjectionConfig,
     LowPass1,
@@ -150,24 +150,19 @@ def test_delay_minus_hold_annihilates_ramps():
 
 
 def test_gradient_flow_convergence(inj):
-    """Under the persistently exciting probe, x converges to the coefficient
-    of S in the input within 2%."""
-    gamma = 1e4
-    coef = 3.7e-3
-    g = GradientFlow(gamma, inj)
+    """Under the persistently exciting probe, each axis of the proposed
+    estimator converges to the coefficient of S in its input ripple
+    epsilon*c*S(t) within 2%."""
+    coef = (120.0, -45.0)
     Ts = inj.epsilon / 50.0
+    est = ProposedEstimator(SIM_MOTOR, inj, Ts)
     n = int(round(0.2 / Ts))
-    for k in range(1, n + 1):
+    for k in range(n + 1):
         t = k * Ts
-        g.step(t, coef * probe_signal(inj, t), Ts)
-    assert g.x == pytest.approx(coef, rel=0.02)
-
-
-def test_gradient_flow_seeded_start(inj):
-    g = GradientFlow(1e4, inj, x0=0.5)
-    assert g.x == 0.5
-    with pytest.raises(ValueError):
-        GradientFlow(0.0, inj)
+        S = probe_signal(inj, t)
+        est.step(t, inj.epsilon * coef[0] * S, inj.epsilon * coef[1] * S)
+    assert est.yv1 == pytest.approx(coef[0], rel=0.02)
+    assert est.yv2 == pytest.approx(coef[1], rel=0.02)
 
 
 def _reference_flow(gamma, cfg, x0, ks, us, Ts):
@@ -195,27 +190,42 @@ def _reference_flow(gamma, cfg, x0, ks, us, Ts):
 
 
 def test_gradient_flow_phase_table_matches_rk4():
-    """The tabulated step equals the per-sample rule for any starting phase."""
+    """The proposed estimator's tabulated step equals the per-sample rule on
+    both axes (unequal gains) for any starting phase."""
     cfg = InjectionConfig(V_h=1.5, epsilon=1e-3, phi_p=0.7)
     Ts = cfg.epsilon / 50
     n = carrier_steps(cfg, Ts)
     assert n == 50
-    ks = range(37, 37 + 4 * n)
-    us = [2e-3 * probe_signal(cfg, k * Ts) + 1e-4 * math.sin(0.3 * k)
-          for k in ks]
-    ref = _reference_flow(2e4, cfg, 3e-3, ks, us, Ts)
-    g = GradientFlow(2e4, cfg, x0=3e-3)
-    for k, u, x_ref in zip(ks, us, ref):
-        y = g.step(k * Ts, u, Ts)
-        assert abs(g.x - x_ref) <= 1e-12 * abs(x_ref)
-        assert y == g.x / cfg.epsilon
+    gammas = (2e4, 7e3)
+    theta0 = 0.3
+    est = ProposedEstimator(SIM_MOTOR, cfg, Ts, *gammas, theta0=theta0)
+    reg = Regressor(cfg.epsilon, Ts)
+    ks = range(37, 37 + 6 * n)
+    cur = [(2e-3 * probe_signal(cfg, k * Ts) + 1e-4 * math.sin(0.3 * k),
+            -1e-3 * probe_signal(cfg, k * Ts) + 2e-4 * math.cos(0.2 * k))
+           for k in ks]
+    yf = [reg.step(*i) for i in cur]
+    warm = [(k, u) for k, u in zip(ks, yf) if u is not None]
+    assert len(warm) == 4 * n
+    x0 = [cfg.epsilon * y for y in virtual_output(SIM_MOTOR, theta0)]
+    ref = [_reference_flow(g, cfg, x, [k for k, _ in warm],
+                           [u[axis] for _, u in warm], Ts)
+           for axis, (g, x) in enumerate(zip(gammas, x0))]
+    xs = []
+    for k, i in zip(ks, cur):
+        if est.step(k * Ts, *i) is not None:
+            xs.append(est.x)
+            assert (est.yv1, est.yv2) == (est.x[0] / cfg.epsilon,
+                                          est.x[1] / cfg.epsilon)
+    assert len(xs) == len(warm)
+    for axis in (0, 1):
+        for x, x_ref in zip(xs, ref[axis]):
+            assert abs(x[axis] - x_ref) <= 1e-12 * abs(x_ref)
 
 
 def test_carrier_kernels_reject_misaligned_ts(inj):
     with pytest.raises(ValueError):
         carrier_steps(inj, inj.epsilon / 50.5)
-    with pytest.raises(ValueError):
-        GradientFlow(1e4, inj).step(0.0, 0.0, inj.epsilon / 50.5)
 
 
 class _DequeDelay:
