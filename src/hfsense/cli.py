@@ -22,7 +22,6 @@ import numpy as np
 
 from . import experiments
 from .config import ConfigError, load_scenario
-from .estimators import LtiChainConfig
 from .signal_ops import (
     bode_table,
     gd_frequency_response,
@@ -250,9 +249,7 @@ def cmd_bode(args, outdir: Path) -> int:
     omega = np.logspace(math.log10(args.omega_min), math.log10(args.omega_max),
                         args.points)
     inj = cfg.injection
-    chain = LtiChainConfig.from_injection(inj, cfg.omega_star,
-                                          cfg.lambda_h, cfg.lambda_ell)
-    lam_h, lam_l = chain.lambda_h, chain.lambda_ell
+    lam_h, lam_l = cfg.chain.lambda_h, cfg.chain.lambda_ell
     outdir.mkdir(parents=True, exist_ok=True)
     header = "omega_rad_s,mag_db,phase_deg_unwrapped"
     for name, resp in [

@@ -11,7 +11,7 @@ import math
 
 from .controller import ControllerConfig
 from .motor import MotorParams
-from .signal_ops import InjectionConfig
+from .signal_ops import InjectionConfig, carrier_steps
 from .sim import DriveProfile, LoadProfile, ScenarioConfig
 
 
@@ -149,11 +149,12 @@ def load_scenario(path) -> ScenarioConfig:
         if Ts <= 0.0:
             raise ConfigError(f"{p}:{raw['simulation']['Ts'][1]}: "
                               "Ts must be positive")
-        eps = top["injection"].epsilon
-        ratio = eps / Ts
-        n = round(ratio)
-        if n < 2 or abs(n - ratio) > 1e-9 * ratio:
+        try:
+            n = carrier_steps(top["injection"], Ts)
+        except ValueError:
+            n = 0
+        if n < 2:
             raise ConfigError(f"{p}: Ts={Ts} does not divide the probe period "
-                              f"epsilon={eps}")
+                              f"epsilon={top['injection'].epsilon}")
         sim["steps_per_period"] = n
     return _build(p, "", ScenarioConfig, ell=tuple(ell), **top, **est, **sim)

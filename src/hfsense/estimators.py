@@ -5,9 +5,10 @@ measured currents:
 
 * `ProposedEstimator` - delay minus weighted hold (a high-pass by
   construction) followed by a gradient LTV demodulator per axis.  The
-  demodulator's 4th-order step is linear, so a sample costs one regressor
-  step plus one update per axis with coefficients tabulated per carrier
-  phase (`ProposedEstimator._phase_table`).
+  demodulator takes one sampled gradient step per sample, linear in its
+  state and input, so a sample costs one regressor step plus one update
+  x+ = a_j*x + c_j*yf per axis with (a_j, c_j) tabulated per carrier phase
+  (`ProposedEstimator._phase_table`).
 * `ConventionalEstimator` - LTI high-pass, demodulation by sin(omega_h t +
   phi), LTI low-pass, then rescaling.
 
@@ -16,9 +17,10 @@ HPF/demod/LPF block layout (demod phase 3*pi/2, LPF replaced by the scaled
 LTV flow, tabulated from its own derivation); it exists to verify
 numerically that the two forms coincide.
 
-Both pipelines produce the angle modulo pi; `track_branch` resolves the
-branch by continuity with the previous estimate.  Magnetic-polarity
-disambiguation is out of scope.
+All three estimators produce the angle modulo pi from the centred saliency
+locus through `_locus_angle`; `track_branch` resolves the branch by
+continuity with the previous estimate.  Magnetic-polarity disambiguation is
+out of scope.
 """
 
 from __future__ import annotations
@@ -54,21 +56,29 @@ def wrap_mod_pi(err):
     return -((-np.asarray(err) + 0.5 * math.pi) % math.pi - 0.5 * math.pi)
 
 
+def _locus_angle(dx: float, dy: float, L1: float, prev_theta: float) -> float:
+    """Angle from a point (dx, dy) of the saliency locus, relative to its centre.
+
+    The centred locus is -L1*(cos 2theta, sin 2theta) up to a positive scale,
+    so the point is negated when L1 > 0 (L_d > L_q); 0.5*atan2 then gives
+    the angle modulo pi, and the branch nearest prev_theta is returned.
+    """
+    if L1 > 0.0:
+        dx, dy = -dx, -dy
+    return track_branch(0.5 * math.atan2(dy, dx), prev_theta)
+
+
 def virtual_output_to_angle(y1: float, y2: float, params: MotorParams,
                             prev_theta: float, min_radius: float = 0.0) -> float:
     """Recover the unwrapped angle from a virtual-output estimate.
 
-    raw = 0.5*atan2(y2, y1 - L0/(Ld Lq)) identifies the angle modulo pi; the
-    returned value is the branch nearest prev_theta.
+    The locus is centred at (L0/(Ld Lq), 0); a point within min_radius of
+    the centre carries no angle and raises DegenerateSignalError.
     """
-    c = params.L0 / params.det_L
-    dx = y1 - c
+    dx = y1 - params.L0 / params.det_L
     if math.hypot(dx, y2) <= min_radius:
         raise DegenerateSignalError("virtual output too close to the circle center")
-    # y_v - center = -(L1/(Ld Lq)) (cos2theta, sin2theta) and L1 < 0 for Ld < Lq
-    sign = -1.0 if params.L1 > 0.0 else 1.0
-    raw = 0.5 * math.atan2(sign * y2, sign * dx)
-    return track_branch(raw, prev_theta)
+    return _locus_angle(dx, y2, params.L1, prev_theta)
 
 
 def rmsd(t, theta_true, theta_hat, t1: float, t2: float) -> float:
@@ -91,10 +101,11 @@ class ProposedEstimator:
     """Delay/hold regressor plus per-axis gradient flows (the new pipeline).
 
     The delay is exactly one probe period (d = epsilon) and the hold window is
-    2d.  Each axis demodulates its regressor output yf with the scalar LTV
-    flow dx/dt = -gamma*S^2(t)*x + gamma*S(t)*yf and reads x/epsilon; under
-    persistent excitation of S the state contracts exponentially toward the
-    coefficient of S in yf.  Per-axis adaptation gains may differ.
+    2d.  Each axis demodulates its regressor output yf with a sampled
+    gradient step of the scalar LTV flow dx/dt = -gamma*S^2(t)*x +
+    gamma*S(t)*yf and reads x/epsilon; under persistent excitation of S the
+    state contracts exponentially toward the coefficient of S in yf.
+    Per-axis adaptation gains may differ.
     Compensation gains (ell1, ell2, ell3) rescale the raw virtual-output
     estimate before the angle recovery; (1, 0, 1) is the identity.
     """
@@ -113,51 +124,32 @@ class ProposedEstimator:
         self.ell = ell
         d = cfg.epsilon
         self._regressor = Regressor(d, Ts)
-        # per phase j: ((a, b, c) of the alpha flow, (a, b, c) of the beta flow)
+        # per phase j: ((a, c) of the alpha flow, (a, c) of the beta flow)
         self._table = list(zip(self._phase_table(gamma_alpha),
                                self._phase_table(gamma_beta)))
         # seed the demodulators at the assumed initial angle so the loop
         # does not open on a transient pointing nowhere
         y10, y20 = virtual_output(params, theta0)
         self.x = (d * y10, d * y20)
-        self._yf_prev = None
         self.theta_hat = theta0
         self.yv1 = y10
         self.yv2 = y20
         self.low_confidence = True
         self._min_radius = 0.1 * abs(params.L1) / params.det_L
 
-    def _phase_table(self, gamma: float) -> list[tuple[float, float, float]]:
-        """(a, b, c) per phase j with x+ = a*x + b*yf_prev + c*yf.
+    def _phase_table(self, gamma: float) -> list[tuple[float, float]]:
+        """(a, c) per phase j with x+ = a*x + c*yf.
 
-        One explicit 4th-order step over [t - Ts, t] with yf interpolated
-        linearly between the previous and current sample (holding it would
-        bias the demodulation by half a sample of carrier phase) and S taken
-        at t - Ts, t - Ts/2 and t.  The step is linear in (x, yf_prev, yf)
-        and, with Ts dividing epsilon, depends on t only through the carrier
-        phase j = round(t/Ts) mod N, so applying it to the three unit vectors
-        tabulates it.
+        The sampled gradient step x+ = x + Ts*gamma*S_j*(yf - S_j*x), with
+        S_j = S(j*Ts) the probe reference at the sample.  With Ts dividing
+        epsilon it depends on t only through the carrier phase
+        j = round(t/Ts) mod N, so a = 1 - Ts*gamma*S_j^2 and c = Ts*gamma*S_j
+        are tabulated once.
         """
-        cfg = self.cfg
-        Ts = self.Ts
-
-        def rate(S, x, u):
-            return gamma * S * (u - S * x)
-
-        def advance(S0, Sm, S1, x, u0, u):
-            um = 0.5 * (u0 + u)
-            k1 = rate(S0, x, u0)
-            k2 = rate(Sm, x + 0.5 * Ts * k1, um)
-            k3 = rate(Sm, x + 0.5 * Ts * k2, um)
-            k4 = rate(S1, x + Ts * k3, u)
-            return x + Ts / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-        units = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
-        table = []
-        for j in range(carrier_steps(cfg, Ts)):
-            S = [probe_signal(cfg, (j - back) * Ts) for back in (1.0, 0.5, 0.0)]
-            table.append(tuple(advance(*S, *e) for e in units))
-        return table
+        g = self.Ts * gamma
+        S = [probe_signal(self.cfg, j * self.Ts)
+             for j in range(carrier_steps(self.cfg, self.Ts))]
+        return [(1.0 - g * s * s, g * s) for s in S]
 
     def step(self, t: float, i_alpha: float, i_beta: float):
         """Advance one sample; return (theta_hat, yv1, yv2) or None until warm."""
@@ -165,13 +157,10 @@ class ProposedEstimator:
         if yf is None:
             return None
         yfa, yfb = yf
-        pa, pb = yf if self._yf_prev is None else self._yf_prev
-        self._yf_prev = yf
-        (aa, ba, ca), (ab, bb, cb) = self._table[
-            round(t / self.Ts) % len(self._table)]
+        (aa, ca), (ab, cb) = self._table[round(t / self.Ts) % len(self._table)]
         xa, xb = self.x
-        xa = aa * xa + ba * pa + ca * yfa
-        xb = ab * xb + bb * pb + cb * yfb
+        xa = aa * xa + ca * yfa
+        xb = ab * xb + cb * yfb
         self.x = (xa, xb)
         eps = self.cfg.epsilon
         ell1, ell2, ell3 = self.ell
@@ -238,26 +227,21 @@ class ConventionalEstimator:
         self._lpf_b = LowPass1(chain.lambda_ell, Ts,
                                y0=y20 * params.det_L / self._scale)
         self.theta_hat = theta0
-        self.Y_alpha = y10 * params.det_L
-        self.Y_beta = y20 * params.det_L
+        self.yv1 = y10
+        self.yv2 = y20
 
-    def step(self, t: float, i_alpha: float, i_beta: float) -> float:
-        """Advance one sample; returns the branch-tracked angle estimate."""
+    def step(self, t: float, i_alpha: float, i_beta: float):
+        """Advance one sample; return (theta_hat, yv1, yv2)."""
         yha = self._hpf_a.step(i_alpha)
         yhb = self._hpf_b.step(i_beta)
         demod = self._demod[round(t / self.Ts) % len(self._demod)]
         Ya = self._scale * self._lpf_a.step(yha * demod)
         Yb = self._scale * self._lpf_b.step(yhb * demod)
-        self.Y_alpha = Ya
-        self.Y_beta = Yb
-        raw = 0.5 * math.atan2(Yb, Ya - self.params.L0)
-        self.theta_hat = track_branch(raw, self.theta_hat)
-        return self.theta_hat
-
-    @property
-    def yv(self) -> tuple[float, float]:
-        d = self.params.det_L
-        return self.Y_alpha / d, self.Y_beta / d
+        p = self.params
+        self.yv1 = Ya / p.det_L
+        self.yv2 = Yb / p.det_L
+        self.theta_hat = _locus_angle(Ya - p.L0, Yb, p.L1, self.theta_hat)
+        return self.theta_hat, self.yv1, self.yv2
 
 
 class BlockFormEstimator:
@@ -265,9 +249,9 @@ class BlockFormEstimator:
 
     High pass = delay minus hold, demodulation phase 3*pi/2, low pass =
     0.5*(V_h/2pi)^2 times the LTV flow dz/dt = -gamma*S^2*z + gamma*u.
-    State advanced by the same 4th-order rule as the gradient flow; that step
-    is linear in (z, yf_prev, yf), so its coefficients are tabulated per
-    carrier phase from this flow's own rate (not shared with
+    The state takes one sampled step of that flow per sample; the step is
+    linear in (z, yf), so its coefficients are tabulated per carrier phase
+    from this flow's own demodulation and low pass (not shared with
     ProposedEstimator's table, so the equivalence check still compares two
     derivations).
     """
@@ -281,42 +265,31 @@ class BlockFormEstimator:
         self.gamma = (gamma_alpha, gamma_beta)
         d = cfg.epsilon
         self._regressor = Regressor(d, Ts)
-        # per phase j: ((a, b, c) of the alpha flow, (a, b, c) of the beta flow)
+        # per phase j: ((a, c) of the alpha flow, (a, c) of the beta flow)
         self._table = list(zip(*(self._phase_table(g) for g in self.gamma)))
         # same seeding convention as the operator form: z = (2*pi/V_h) * x
         y10, y20 = virtual_output(params, theta0)
         self.z = (TWO_PI * d * y10 / cfg.V_h, TWO_PI * d * y20 / cfg.V_h)
-        self._yf_prev = None
         self._lpf_gain = 0.5 * (cfg.V_h / TWO_PI) ** 2
         self._scale = 2.0 * cfg.omega_h * params.det_L / cfg.V_h
         self.theta_hat = theta0
         self.yv1 = y10
         self.yv2 = y20
 
-    def _phase_table(self, gamma: float) -> list[tuple[float, float, float]]:
-        """(a, b, c) per phase j with z+ = a*z + b*yf_prev + c*yf."""
-        # regressor input interpolated between samples, as in ProposedEstimator
-        cfg = self.cfg
-        Ts = self.Ts
-        phi = 1.5 * math.pi
+    def _phase_table(self, gamma: float) -> list[tuple[float, float]]:
+        """(a, c) per phase j with z+ = a*z + c*yf.
 
-        def rate(tau, z, y):
-            S = probe_signal(cfg, tau)
-            u = y * math.sin(cfg.omega_h * tau + phi)
-            return gamma * u - gamma * S * S * z
-
-        def advance(t, z, yf0, yf):
-            yfm = 0.5 * (yf0 + yf)
-            t0 = t - Ts
-            k1 = rate(t0, z, yf0)
-            k2 = rate(t0 + 0.5 * Ts, z + 0.5 * Ts * k1, yfm)
-            k3 = rate(t0 + 0.5 * Ts, z + 0.5 * Ts * k2, yfm)
-            k4 = rate(t, z + Ts * k3, yf)
-            return z + Ts / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-        return [(advance(j * Ts, 1.0, 0.0, 0.0), advance(j * Ts, 0.0, 1.0, 0.0),
-                 advance(j * Ts, 0.0, 0.0, 1.0))
-                for j in range(carrier_steps(cfg, Ts))]
+        z+ = z + Ts*(gamma*yf*sin(omega_h*j*Ts + 3*pi/2) - gamma*S_j^2*z):
+        the demodulated input u = yf*sin(...) and the flow's own decay, both
+        sampled at t = j*Ts.
+        """
+        cfg, Ts = self.cfg, self.Ts
+        table = []
+        for j in range(carrier_steps(cfg, Ts)):
+            S = probe_signal(cfg, j * Ts)
+            demod = math.sin(cfg.omega_h * j * Ts + 1.5 * math.pi)
+            table.append((1.0 - Ts * gamma * S * S, Ts * gamma * demod))
+        return table
 
     def step(self, t: float, i_alpha: float, i_beta: float):
         """Advance one sample; return (theta_hat, yv1, yv2) or None until warm."""
@@ -324,22 +297,18 @@ class BlockFormEstimator:
         if yf is None:
             return None
         yfa, yfb = yf
-        pa, pb = yf if self._yf_prev is None else self._yf_prev
-        self._yf_prev = yf
-        (aa, ba, ca), (ab, bb, cb) = self._table[
-            round(t / self.Ts) % len(self._table)]
+        (aa, ca), (ab, cb) = self._table[round(t / self.Ts) % len(self._table)]
         za, zb = self.z
-        za = aa * za + ba * pa + ca * yfa
-        zb = ab * zb + bb * pb + cb * yfb
+        za = aa * za + ca * yfa
+        zb = ab * zb + cb * yfb
         self.z = (za, zb)
         g = self._lpf_gain
         Ya = self._scale * (g * za)
         Yb = self._scale * (g * zb)
-        d = self.params.det_L
-        self.yv1 = Ya / d
-        self.yv2 = Yb / d
-        raw = 0.5 * math.atan2(Yb, Ya - self.params.L0)
-        self.theta_hat = track_branch(raw, self.theta_hat)
+        p = self.params
+        self.yv1 = Ya / p.det_L
+        self.yv2 = Yb / p.det_L
+        self.theta_hat = _locus_angle(Ya - p.L0, Yb, p.L1, self.theta_hat)
         return self.theta_hat, self.yv1, self.yv2
 
 

@@ -14,7 +14,6 @@ import numpy as np
 
 from .estimators import (
     BlockFormEstimator,
-    LtiChainConfig,
     ProposedEstimator,
     fit_compensation,
     rmsd,
@@ -74,11 +73,9 @@ def steady_lag_limits(cfg: ScenarioConfig) -> dict:
     inj = cfg.injection
     two_omega_e = 2.0 * abs(cfg.motor.n_p * cfg.controller.omega_ref)
     mean_s2 = 0.5 * (inj.V_h / TWO_PI) ** 2
-    chain = LtiChainConfig.from_injection(inj, cfg.omega_star, cfg.lambda_h,
-                                          cfg.lambda_ell)
     return {
         "proposed": 0.5 * math.atan(two_omega_e / (cfg.gamma_alpha * mean_s2)),
-        "conventional": 0.5 * math.atan(two_omega_e / chain.lambda_ell),
+        "conventional": 0.5 * math.atan(two_omega_e / cfg.chain.lambda_ell),
     }
 
 

@@ -24,19 +24,23 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from .controller import ControllerConfig, SensorlessController
 from .estimators import (
     ConventionalEstimator,
-    BlockFormEstimator,
     LtiChainConfig,
     Pll,
     ProposedEstimator,
+    synthesize_injection_current,
 )
-from .motor import MotorParams, derivative_scalars, virtual_output
-from .signal_ops import TWO_PI, InjectionConfig, carrier_steps, probe_signal
+from .motor import MotorParams, derivative_scalars
+from .signal_ops import TWO_PI, InjectionConfig, carrier_steps
+# not called here; it stays importable from this module, where
+# bench/run.py's tracer wraps it by name
+from .signal_ops import probe_signal  # noqa: F401
 
 TRACE_COLUMNS = [
     "t", "theta", "theta_wrapped", "omega",
@@ -45,7 +49,7 @@ TRACE_COLUMNS = [
     "conv_theta_hat", "conv_omega_hat", "conv_yv1", "conv_yv2", "conv_valid",
 ]
 
-ESTIMATOR_KINDS = ("proposed", "conventional", "both", "block_form", "none")
+ESTIMATOR_KINDS = ("proposed", "conventional", "both", "none")
 
 # trace values of an absent estimator: theta_hat, omega_hat, yv1, yv2, valid
 _NO_ESTIMATE = (0.0,) * 5
@@ -187,9 +191,18 @@ class ScenarioConfig:
             raise ValueError("ell1 and ell3 must be nonzero")
         if self.omega_star < 0.0:
             raise ValueError("omega_star must be >= 0")
-        # rejects the corners the conventional chain would be built with
-        LtiChainConfig.from_injection(self.injection, self.omega_star,
-                                      self.lambda_h, self.lambda_ell)
+        chain = self.chain  # rejects invalid corners
+        if self.estimator in ("conventional", "both") \
+                and chain.lambda_h * self.Ts >= math.pi:
+            raise ValueError(f"lambda_h = {chain.lambda_h:g} rad/s is not below "
+                             f"the Nyquist rate pi/Ts = {math.pi / self.Ts:g} "
+                             "rad/s")
+
+    @cached_property
+    def chain(self) -> LtiChainConfig:
+        """Corners of the LTI chain, defaults resolved."""
+        return LtiChainConfig.from_injection(self.injection, self.omega_star,
+                                             self.lambda_h, self.lambda_ell)
 
     @property
     def Ts(self) -> float:
@@ -245,14 +258,9 @@ def _build_estimators(cfg: ScenarioConfig):
         prop = ProposedEstimator(cfg.motor, cfg.injection, cfg.Ts,
                                  cfg.gamma_alpha, cfg.gamma_beta,
                                  cfg.ell, cfg.theta0_est)
-    elif cfg.estimator == "block_form":
-        prop = BlockFormEstimator(cfg.motor, cfg.injection, cfg.Ts,
-                             cfg.gamma_alpha, cfg.gamma_beta, cfg.theta0_est)
     if cfg.estimator in ("conventional", "both"):
-        chain = LtiChainConfig.from_injection(cfg.injection, cfg.omega_star,
-                                              cfg.lambda_h, cfg.lambda_ell)
         conv = ConventionalEstimator(cfg.motor, cfg.injection, cfg.Ts,
-                                     chain, cfg.theta0_est)
+                                     cfg.chain, cfg.theta0_est)
     return prop, conv
 
 
@@ -368,8 +376,8 @@ def run(cfg: ScenarioConfig, columns=None) -> Trace:
             if conv is None:
                 row += _NO_ESTIMATE
             else:
-                yv = conv.yv
-                row += (conv.theta_hat, pll_c.omega_hat, yv[0], yv[1], 1.0)
+                row += (conv.theta_hat, pll_c.omega_hat, conv.yv1, conv.yv2,
+                        1.0)
             for arr, j in writes:
                 arr[ri] = row[j]
             ri += 1
@@ -425,9 +433,10 @@ def averaging_residual(cfg: ScenarioConfig, t1: float, t2: float):
     """Remainder of the averaged current decomposition over [t1, t2].
 
     Runs the scenario twice with identical inputs, probe on and off, and
-    forms r(t) = i_on - i_off - epsilon*y_v(theta)*S(t).  Returns (t, r)
-    restricted to the window plus the max norm; r is O(epsilon^2) when the
-    averaging identity holds.
+    forms r(t) = i_on - i_off - epsilon*y_v(theta)*S(t), with the ripple
+    model of `synthesize_injection_current` (the plant's probe, without the
+    estimator-side phase phi_p).  Returns (t, r) restricted to the window
+    plus the max norm; r is O(epsilon^2) when the averaging identity holds.
     """
     base = replace(cfg, estimator="none", decimation=1)
     if base.mode == "closed_loop" and not base.sensor_mode:
@@ -440,10 +449,8 @@ def averaging_residual(cfg: ScenarioConfig, t1: float, t2: float):
         raise ValueError("paired runs disagree on cadence")
     m = (t >= t1) & (t <= t2)
     tw = t[m]
-    eps = cfg.injection.epsilon
-    y1, y2 = np.vectorize(lambda th: virtual_output(cfg.motor, th))(tr_on.theta[m])
-    S = np.array([probe_signal(cfg.injection, tk) for tk in tw])
-    r1 = tr_on.i_alpha[m] - tr_off.i_alpha[m] - eps * y1 * S
-    r2 = tr_on.i_beta[m] - tr_off.i_beta[m] - eps * y2 * S
-    r = np.column_stack([r1, r2])
+    ripple = synthesize_injection_current(cfg.motor, cfg.injection,
+                                          tr_on.theta[m], tw)
+    r = np.column_stack([tr_on.i_alpha[m] - tr_off.i_alpha[m],
+                         tr_on.i_beta[m] - tr_off.i_beta[m]]) - ripple
     return tw, r, float(np.max(np.abs(r)))

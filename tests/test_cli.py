@@ -151,6 +151,22 @@ def test_invalid_scenario_value_is_one_line(tmp_path, capsys):
     assert "omega_star" in err
 
 
+@pytest.mark.parametrize("kind,rc", [("both", EXIT_CONFIG),
+                                     ("proposed", EXIT_PASS)])
+def test_lti_corner_above_nyquist(tmp_path, capsys, kind, rc):
+    """lambda_h*Ts >= pi breaks the LTI high pass's prewarp; that is a config
+    error only where the LTI chain is built."""
+    p = tmp_path / "nyquist.scenario"
+    p.write_text(FAST.replace("duration = 0.3", "duration = 0.05")
+                 + "Ts = 2e-5\n\n[controller]\nsensor_mode = true\n"
+                 f"\n[estimator]\nkind = {kind}\nlambda_h = 200000\n")
+    assert main(["--config", str(p), "--out", str(tmp_path / "o"), "run"]) == rc
+    if rc == EXIT_CONFIG:
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert "lambda_h" in err
+
+
 def test_divergence_inside_a_step_is_one_line(tmp_path, capsys):
     p = tmp_path / "tiny_inertia.scenario"
     p.write_text(FAST.replace("J = 0.01", "J = 1e-320")

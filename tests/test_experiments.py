@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from hfsense import experiments
+from hfsense.config import load_scenario
 from hfsense.estimators import wrap_mod_pi
 from hfsense.experiments import (
     _config_for_frequency,
@@ -16,6 +17,7 @@ from hfsense.experiments import (
     compare_rmsd,
     equivalence_deviation,
     frequency_sweep,
+    residual_order,
     steady_angle_error,
     steady_angle_ripple,
     steady_lag_limits,
@@ -23,6 +25,8 @@ from hfsense.experiments import (
 from hfsense.motor import SIM_MOTOR
 from hfsense.signal_ops import InjectionConfig, lpf_frequency_response
 from hfsense.sim import DriveProfile, ScenarioConfig, Trace, TRACE_COLUMNS
+
+from conftest import SCENARIO_DIR
 
 
 def test_import_leaves_process_pool_out():
@@ -97,6 +101,29 @@ def test_compare_rmsd_short_window():
     assert not res["low_confidence"]
     assert 0.0 <= res["proposed"] < 1.0
     assert 0.0 <= res["conventional"] < 1.0
+
+
+@pytest.mark.parametrize("steps_per_period", [5, 10])
+def test_proposed_accuracy_at_coarse_sampling(steps_per_period):
+    """At 5 and 10 samples per probe period (5 and 10 kHz sampling of the
+    1 kHz probe) the closed loop on the new pipeline still sits in its
+    [L, 2L] steady-lag band and beats the LTI chain."""
+    cfg = replace(load_scenario(SCENARIO_DIR / "lowspeed.scenario"),
+                  steps_per_period=steps_per_period, duration=3.0)
+    floor = steady_lag_limits(cfg)["proposed"]
+    res = compare_rmsd(cfg, 2.0, 3.0)
+    assert not res["low_confidence"]
+    assert floor <= res["proposed"] <= 2.0 * floor, res
+    assert res["proposed"] < res["conventional"], res
+
+
+def test_residual_order_ignores_estimator_phase():
+    """phi_p only shifts the estimator's reference; the plant never sees it,
+    so the averaging remainder must not depend on it."""
+    cfg = _cfg(mode="driven", drive=DriveProfile(kind="constant", omega=0.5),
+               estimator="none", duration=0.2)
+    shifted = replace(cfg, injection=replace(cfg.injection, phi_p=0.7))
+    assert residual_order(shifted, 0.1, 0.2) == residual_order(cfg, 0.1, 0.2)
 
 
 def test_config_for_frequency_scaling():
