@@ -1,11 +1,18 @@
 """Command-line front end.
 
 Verbs: run, compare-rmsd, sweep-frequency, residual-order, bode, calibrate,
-equivalence.  Every verb reads a scenario file (--config), writes CSV
-artifacts plus a machine-readable summary.json into --out, and exits 0 on
-pass, 1 on a failed acceptance band, 2 on configuration errors.  Environment
-variables HFSENSE_CONFIG / HFSENSE_OUT / HFSENSE_WORKERS / HFSENSE_SEED
-provide defaults for the matching flags.
+equivalence.  Every verb reads a scenario file (--config) and may write CSV
+artifacts into --out.  `main` alone turns a verb's outcome into output:
+
+* the verb finishes: summary.json holds {"command", "passed", ...} and the
+  exit code is 0 on pass, 1 on a failed acceptance band;
+* the simulation diverges: one stderr line, summary.json with
+  "passed": false and the "reason", exit 1;
+* the input is rejected (scenario, flag, environment variable or an
+  unwritable --out): one "config error:" line, no summary.json, exit 2.
+
+Environment variables HFSENSE_CONFIG / HFSENSE_OUT / HFSENSE_WORKERS /
+HFSENSE_SEED provide defaults for the matching flags.
 """
 
 from __future__ import annotations
@@ -127,7 +134,14 @@ def _write_summary(outdir: Path, payload: dict):
     outdir.mkdir(parents=True, exist_ok=True)
     with open(outdir / "summary.json", "w") as fh:
         json.dump(payload, fh, indent=2)
-    return payload
+
+
+def _write_csv(path: Path, header, table):
+    """One artifact table: named-column header, commas, %.17g (round-trips
+    doubles exactly)."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    np.savetxt(path, table, delimiter=",", header=",".join(header),
+               comments="", fmt="%.17g")
 
 
 def _load(args):
@@ -143,11 +157,10 @@ def _in_band(x, band) -> bool:
     return band[0] <= x <= band[1]
 
 
-def cmd_run(args, outdir: Path) -> int:
-    cfg = _load(args)
+def cmd_run(cfg, args, outdir: Path):
     trace = run(cfg)
-    outdir.mkdir(parents=True, exist_ok=True)
-    trace.to_csv(outdir / "trace.csv")
+    _write_csv(outdir / "trace.csv", trace.columns,
+               np.column_stack([trace.data[c] for c in trace.columns]))
     final = {
         "t_end": float(trace.t[-1]),
         "omega_end": float(trace.omega[-1]),
@@ -155,8 +168,7 @@ def cmd_run(args, outdir: Path) -> int:
     }
     print(f"trace written to {outdir / 'trace.csv'} ({len(trace)} records)")
     print(f"final speed {final['omega_end']:.4f} rad/s at t={final['t_end']:.3f} s")
-    _write_summary(outdir, {"command": "run", "passed": True, **final})
-    return EXIT_PASS
+    return True, final
 
 
 def _rmsd_bands(args, cfg) -> dict:
@@ -179,17 +191,14 @@ def _rmsd_bands(args, cfg) -> dict:
     return bands
 
 
-def cmd_compare_rmsd(args, outdir: Path) -> int:
-    cfg = _load(args)
+def cmd_compare_rmsd(cfg, args, outdir: Path):
     bands = _rmsd_bands(args, cfg)
-    band_info = {f"band_{k}": list(v) for k, v in bands.items()}
     res = experiments.compare_rmsd(cfg, args.t1, args.t2)
+    payload = {**res, **{f"band_{k}": list(v) for k, v in bands.items()}}
     if res["proposed"] is None or res.get("low_confidence"):
         print("low-confidence window (probe off or estimator not settled); "
               "no RMSD claimed")
-        _write_summary(outdir, {"command": "compare-rmsd", "passed": False,
-                                **res, **band_info})
-        return EXIT_FAIL
+        return False, payload
     ok = {k: _in_band(res[k], band) for k, band in bands.items()}
     ok_order = res["proposed"] < res["conventional"]
     print(f"{'estimator':<14}{'rmsd [rad]':>12}{'band':>20}{'ok':>7}")
@@ -197,100 +206,71 @@ def cmd_compare_rmsd(args, outdir: Path) -> int:
         band_s = f"[{band[0]:.4f}, {band[1]:.4f}]"
         print(f"{k:<14}{res[k]:>12.4f}{band_s:>20}{str(ok[k]):>7}")
     print(f"ordering proposed < conventional: {ok_order}")
-    passed = all(ok.values()) and ok_order
-    _write_summary(outdir, {"command": "compare-rmsd", "passed": passed,
-                            **res, **band_info})
-    return EXIT_PASS if passed else EXIT_FAIL
+    return all(ok.values()) and ok_order, payload
 
 
-def cmd_sweep_frequency(args, outdir: Path) -> int:
-    cfg = _load(args)
-    try:
-        res = experiments.frequency_sweep(
-            cfg, args.frequencies, args.t1, args.t2,
-            gamma_scale=args.gamma_scale, workers=args.workers,
-            metric=args.metric)
-    except ValueError as exc:
-        raise ConfigError(f"sweep-frequency: {exc}") from None
-    outdir.mkdir(parents=True, exist_ok=True)
-    np.savetxt(outdir / "sweep.csv",
-               np.column_stack([res["freqs_hz"], res["epsilons"], res["errors"]]),
-               delimiter=",", header="freq_hz,epsilon,rms_error_rad",
-               comments="", fmt="%.17g")
+def cmd_sweep_frequency(cfg, args, outdir: Path):
+    res = experiments.frequency_sweep(
+        cfg, args.frequencies, args.t1, args.t2,
+        gamma_scale=args.gamma_scale, workers=args.workers, metric=args.metric)
+    _write_csv(outdir / "sweep.csv", ("freq_hz", "epsilon", "rms_error_rad"),
+               np.column_stack([res["freqs_hz"], res["epsilons"], res["errors"]]))
     for f, e in zip(res["freqs_hz"], res["errors"]):
         print(f"f={f:8.1f} Hz   steady error {e:.6f} rad")
     passed = _in_band(res["slope"], args.slope_band)
     print(f"fitted order {res['slope']:.3f}, band {args.slope_band}: "
           f"{'pass' if passed else 'FAIL'}")
-    _write_summary(outdir, {"command": "sweep-frequency", "passed": passed,
-                            "slope_band": list(args.slope_band), **res})
-    return EXIT_PASS if passed else EXIT_FAIL
+    return passed, {"slope_band": list(args.slope_band), **res}
 
 
-def cmd_residual_order(args, outdir: Path) -> int:
-    cfg = _load(args)
+def cmd_residual_order(cfg, args, outdir: Path):
     res = experiments.residual_order(cfg, args.t1, args.t2)
     print(f"|r|_inf at eps={res['epsilon']:.2e}:   {res['norm_eps']:.3e} A")
     print(f"|r|_inf at eps/2:          {res['norm_eps_half']:.3e} A")
     passed = _in_band(res["ratio"], args.ratio_band)
     print(f"ratio {res['ratio']:.2f}, band {args.ratio_band}: "
           f"{'pass' if passed else 'FAIL'}")
-    _write_summary(outdir, {"command": "residual-order", "passed": passed,
-                            "ratio_band": list(args.ratio_band), **res})
-    return EXIT_PASS if passed else EXIT_FAIL
+    return passed, {"ratio_band": list(args.ratio_band), **res}
 
 
-def cmd_bode(args, outdir: Path) -> int:
+def cmd_bode(cfg, args, outdir: Path):
     if not 0.0 < args.omega_min < args.omega_max < math.inf:
         raise ConfigError("bode needs 0 < --omega-min < --omega-max")
     if args.points < 2:
         raise ConfigError("bode needs --points >= 2")
-    cfg = _load(args)
     omega = np.logspace(math.log10(args.omega_min), math.log10(args.omega_max),
                         args.points)
-    inj = cfg.injection
     lam_h, lam_l = cfg.chain.lambda_h, cfg.chain.lambda_ell
-    outdir.mkdir(parents=True, exist_ok=True)
-    header = "omega_rad_s,mag_db,phase_deg_unwrapped"
     for name, resp in [
-        ("gd", gd_frequency_response(inj.epsilon, omega)),
+        ("gd", gd_frequency_response(cfg.injection.epsilon, omega)),
         ("hpf", hpf_frequency_response(lam_h, omega)),
         ("lpf", lpf_frequency_response(lam_l, omega)),
     ]:
-        np.savetxt(outdir / f"bode_{name}.csv", bode_table(resp, omega),
-                   delimiter=",", header=header, comments="", fmt="%.17g")
-        print(f"wrote {outdir / f'bode_{name}.csv'}")
-    _write_summary(outdir, {"command": "bode", "passed": True,
-                            "lambda_h": lam_h, "lambda_ell": lam_l})
-    return EXIT_PASS
+        path = outdir / f"bode_{name}.csv"
+        _write_csv(path, ("omega_rad_s", "mag_db", "phase_deg_unwrapped"),
+                   bode_table(resp, omega))
+        print(f"wrote {path}")
+    return True, {"lambda_h": lam_h, "lambda_ell": lam_l}
 
 
-def cmd_calibrate(args, outdir: Path) -> int:
-    cfg = _load(args)
+def cmd_calibrate(cfg, args, outdir: Path):
     res = experiments.calibrate(cfg, phase_err=args.phase_err,
                                 ripple_scale=args.ripple_scale)
     print(f"ell1={res['ell1']:.5f}  ell2={res['ell2']:.5f}  "
           f"ell3={res['ell3']:.5f}")
     print(f"angle RMS before {res['rmsd_raw']:.5f} rad, "
           f"after {res['rmsd_compensated']:.5f} rad")
-    _write_summary(outdir, {"command": "calibrate", "passed": True, **res})
-    return EXIT_PASS
+    return True, res
 
 
-def cmd_equivalence(args, outdir: Path) -> int:
-    cfg = _load(args)
-    try:
-        res = experiments.equivalence_deviation(
-            cfg.motor, cfg.injection, cfg.steps_per_period, args.duration,
-            gamma=cfg.gamma_alpha)
-    except ValueError as exc:
-        raise ConfigError(f"equivalence: {exc}") from None
+def cmd_equivalence(cfg, args, outdir: Path):
+    res = experiments.equivalence_deviation(
+        cfg.motor, cfg.injection, cfg.steps_per_period, args.duration,
+        gamma=cfg.gamma_alpha)
     passed = bool(res["max_rel_yv_deviation"] <= args.tolerance)
     print(f"max relative deviation {res['max_rel_yv_deviation']:.3e} "
           f"(tolerance {args.tolerance:.1e}): {'pass' if passed else 'FAIL'}")
-    _write_summary(outdir, {"command": "equivalence", "passed": passed,
-                            "tolerance": args.tolerance, **res})
-    return EXIT_PASS if passed else EXIT_FAIL
+    return passed, {"tolerance": args.tolerance, **res}
 
 
 _COMMANDS = {
@@ -307,13 +287,23 @@ _COMMANDS = {
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return _COMMANDS[args.command](args, Path(args.out))
-    except (ConfigError, OSError) as exc:
+        outdir = Path(args.out)
+        cfg = _load(args)
+        try:
+            passed, payload = _COMMANDS[args.command](cfg, args, outdir)
+        except SimulationDiverged as exc:
+            reason = f"simulation aborted: {exc}"
+            print(reason, file=sys.stderr)
+            passed, payload = False, {"reason": reason}
+        _write_summary(outdir, {"command": args.command, "passed": passed,
+                                **payload})
+        return EXIT_PASS if passed else EXIT_FAIL
+    except (ValueError, OSError) as exc:
+        # The library raises ValueError only to reject a value (ConfigError
+        # is one); sim.run turns a numeric failure inside a step into
+        # SimulationDiverged.  So a ValueError here is always rejected input.
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except SimulationDiverged as exc:
-        print(f"simulation aborted: {exc}", file=sys.stderr)
-        return EXIT_FAIL
 
 
 if __name__ == "__main__":

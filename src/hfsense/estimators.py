@@ -13,8 +13,8 @@ measured currents:
   phi), LTI low-pass, then rescaling.
 
 `BlockFormEstimator` re-expresses the proposed pipeline in the conventional
-HPF/demod/LPF block layout (demod phase 3*pi/2, LPF replaced by the scaled
-LTV flow, tabulated from its own derivation); it exists to verify
+HPF/demod/LPF block layout (demod phase phi_p + 3*pi/2, LPF replaced by the
+scaled LTV flow, tabulated from its own derivation); it exists to verify
 numerically that the two forms coincide.
 
 All three estimators produce the angle modulo pi from the centred saliency
@@ -93,6 +93,8 @@ def rmsd(t, theta_true, theta_hat, t1: float, t2: float) -> float:
     if t1 < t[0] - 1e-12 or t2 > t[-1] + 1e-12:
         raise ValueError("window outside the trace")
     m = (t >= t1) & (t <= t2)
+    if np.count_nonzero(m) < 2:
+        raise ValueError(f"window [{t1:g}, {t2:g}] holds fewer than 2 samples")
     e = wrap_mod_pi(np.asarray(theta_hat)[m] - np.asarray(theta_true)[m])
     return float(math.sqrt(np.trapezoid(e * e, t[m]) / (t[m][-1] - t[m][0])))
 
@@ -247,8 +249,8 @@ class ConventionalEstimator:
 class BlockFormEstimator:
     """Proposed pipeline in conventional block layout (for the equivalence check).
 
-    High pass = delay minus hold, demodulation phase 3*pi/2, low pass =
-    0.5*(V_h/2pi)^2 times the LTV flow dz/dt = -gamma*S^2*z + gamma*u.
+    High pass = delay minus hold, demodulation phase phi_p + 3*pi/2, low
+    pass = 0.5*(V_h/2pi)^2 times the LTV flow dz/dt = -gamma*S^2*z + gamma*u.
     The state takes one sampled step of that flow per sample; the step is
     linear in (z, yf), so its coefficients are tabulated per carrier phase
     from this flow's own demodulation and low pass (not shared with
@@ -279,15 +281,16 @@ class BlockFormEstimator:
     def _phase_table(self, gamma: float) -> list[tuple[float, float]]:
         """(a, c) per phase j with z+ = a*z + c*yf.
 
-        z+ = z + Ts*(gamma*yf*sin(omega_h*j*Ts + 3*pi/2) - gamma*S_j^2*z):
-        the demodulated input u = yf*sin(...) and the flow's own decay, both
-        sampled at t = j*Ts.
+        z+ = z + Ts*(gamma*u - gamma*S_j^2*z), with the demodulated input
+        u = yf*sin(omega_h*j*Ts + phi_p + 3*pi/2) and the flow's own decay
+        both sampled at t = j*Ts.  The demodulation phase follows phi_p, as
+        the operator form's reference S(t) does.
         """
         cfg, Ts = self.cfg, self.Ts
         table = []
         for j in range(carrier_steps(cfg, Ts)):
             S = probe_signal(cfg, j * Ts)
-            demod = math.sin(cfg.omega_h * j * Ts + 1.5 * math.pi)
+            demod = math.sin(cfg.omega_h * j * Ts + cfg.phi_p + 1.5 * math.pi)
             table.append((1.0 - Ts * gamma * S * S, Ts * gamma * demod))
         return table
 

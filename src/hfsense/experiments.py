@@ -22,7 +22,7 @@ from .estimators import (
 )
 from .motor import MotorParams
 from .signal_ops import InjectionConfig
-from .sim import ScenarioConfig, Trace, averaging_residual, run
+from .sim import ScenarioConfig, Trace, averaging_residual, check_window, run
 
 TWO_PI = 2.0 * math.pi
 
@@ -81,6 +81,7 @@ def steady_lag_limits(cfg: ScenarioConfig) -> dict:
 
 def compare_rmsd(cfg: ScenarioConfig, t1: float = 5.0, t2: float = 10.0) -> dict:
     """Run both estimators on one closed-loop trace and report their RMSDs."""
+    check_window(cfg, t1, t2)
     cfg = replace(cfg, estimator="both")
     trace = run(cfg)
     out = {"t1": t1, "t2": t2}
@@ -130,6 +131,7 @@ def frequency_sweep(cfg: ScenarioConfig, freqs_hz, t1: float, t2: float,
         raise ValueError("frequencies must be positive and finite")
     if len(set(freqs_hz)) < 2:
         raise ValueError("the order fit needs at least 2 distinct frequencies")
+    check_window(cfg, t1, t2)
     prefix = "conv" if cfg.estimator == "conventional" else "prop"
     jobs = [(cfg, f, gamma_scale, prefix, t1, t2, metric) for f in freqs_hz]
     if workers > 1:

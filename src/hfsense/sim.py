@@ -239,17 +239,12 @@ class Trace:
     def __len__(self):
         return len(self.data[self.columns[0]])
 
-    def to_csv(self, path):
-        arr = np.column_stack([self.data[c] for c in self.columns])
-        np.savetxt(path, arr, delimiter=",", fmt="%.17g",
-                   header=",".join(self.columns), comments="")
 
-    @classmethod
-    def from_csv(cls, path) -> "Trace":
-        with open(path) as fh:
-            header = fh.readline().strip().split(",")
-        arr = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        return cls({c: arr[:, k] for k, c in enumerate(header)}, header)
+def check_window(cfg: ScenarioConfig, t1: float, t2: float):
+    """Reject a window [t1, t2] that is empty or leaves [0, duration]."""
+    if not 0.0 <= t1 < t2 <= cfg.duration:
+        raise ValueError(f"window [{t1:g}, {t2:g}] s must satisfy "
+                         f"0 <= t1 < t2 <= duration = {cfg.duration:g} s")
 
 
 def _build_estimators(cfg: ScenarioConfig):
@@ -438,6 +433,7 @@ def averaging_residual(cfg: ScenarioConfig, t1: float, t2: float):
     estimator-side phase phi_p).  Returns (t, r) restricted to the window
     plus the max norm; r is O(epsilon^2) when the averaging identity holds.
     """
+    check_window(cfg, t1, t2)
     base = replace(cfg, estimator="none", decimation=1)
     if base.mode == "closed_loop" and not base.sensor_mode:
         raise ValueError("paired runs need sensor mode (identical control law)")

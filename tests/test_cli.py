@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from hfsense.cli import EXIT_CONFIG, EXIT_FAIL, EXIT_PASS, build_parser, main
-from hfsense.sim import Trace
+from hfsense.sim import TRACE_COLUMNS
 
 FAST = """\
 [motor]
@@ -22,6 +22,8 @@ J = 0.01
 duration = 0.3
 decimation = 5
 """
+
+SENSOR = FAST + "\n[controller]\nsensor_mode = true\n"
 
 DRIVEN = """\
 [motor]
@@ -60,6 +62,11 @@ def driven_scenario(tmp_path):
 def _summary(outdir):
     with open(outdir / "summary.json") as fh:
         return json.load(fh)
+
+
+def _trace(outdir):
+    return np.loadtxt(outdir / "trace.csv", delimiter=",", skiprows=1,
+                      ndmin=2)
 
 
 def test_parser_defaults(monkeypatch):
@@ -112,27 +119,61 @@ def test_directory_as_config_is_config_error(tmp_path, capsys):
     assert capsys.readouterr().err.count("\n") == 1
 
 
-@pytest.mark.parametrize("argv", [
-    ["bode", "--omega-min", "0"],
-    ["bode", "--omega-min", "10", "--omega-max", "10"],
-    ["bode", "--omega-max", "inf"],
-    ["bode", "--points", "1"],
-    ["equivalence", "--duration", "-1"],
-    ["equivalence", "--duration", "0.002"],
-    ["sweep-frequency", "--frequencies", "1000", "--t1", "0.1", "--t2", "0.2"],
-    ["sweep-frequency", "--frequencies", "1000,1000", "--t1", "0.1",
-     "--t2", "0.2"],
-    ["sweep-frequency", "--frequencies", "0,1000", "--t1", "0.1",
-     "--t2", "0.2"],
-])
-def test_bad_verb_arguments_are_config_errors(argv, fast_scenario, tmp_path,
+BANDS = ["--band-proposed", "0:1", "--band-conventional", "0:1"]
+
+_BAD_VERB_ARGUMENTS = [
+    (FAST, ["bode", "--omega-min", "0"]),
+    (FAST, ["bode", "--omega-min", "10", "--omega-max", "10"]),
+    (FAST, ["bode", "--omega-max", "inf"]),
+    (FAST, ["bode", "--points", "1"]),
+    (FAST, ["equivalence", "--duration", "-1"]),
+    (FAST, ["equivalence", "--duration", "0.002"]),
+    (FAST, ["sweep-frequency", "--frequencies", "1000", "--t1", "0.1",
+            "--t2", "0.2"]),
+    (FAST, ["sweep-frequency", "--frequencies", "1000,1000", "--t1", "0.1",
+            "--t2", "0.2"]),
+    (FAST, ["sweep-frequency", "--frequencies", "0,1000", "--t1", "0.1",
+            "--t2", "0.2"]),
+    (FAST, ["compare-rmsd", "--t1", "0.2", "--t2", "0.1"] + BANDS),
+    # one trace record (every 1e-4 s) inside the window: no RMSD to take
+    (FAST, ["compare-rmsd", "--t1", "0.10005", "--t2", "0.10015"] + BANDS),
+    # closed loop outside sensor mode: the paired runs differ in control law
+    (FAST, ["residual-order", "--t1", "0.1", "--t2", "0.3"]),
+    (SENSOR, ["residual-order", "--t1", "0.3", "--t2", "0.1"]),
+    # no drive profile to calibrate against
+    (FAST, ["calibrate"]),
+]
+
+
+# ids as pytest numbered the cases when argv was the only parameter
+@pytest.mark.parametrize(
+    "scenario,argv", _BAD_VERB_ARGUMENTS,
+    ids=[f"argv{i}" for i in range(len(_BAD_VERB_ARGUMENTS))])
+def test_bad_verb_arguments_are_config_errors(scenario, argv, tmp_path,
                                               capsys):
+    p = tmp_path / "case.scenario"
+    p.write_text(scenario)
     out = tmp_path / "out"
-    rc = main(["--config", str(fast_scenario), "--out", str(out)] + argv)
+    rc = main(["--config", str(p), "--out", str(out)] + argv)
     assert rc == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert not (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize("verb", [["equivalence", "--duration", "0.01"],
+                                  ["calibrate"]])
+def test_out_naming_a_file_is_config_error(verb, driven_scenario, tmp_path,
+                                           capsys):
+    """A verb that writes only summary.json still maps the failed write to
+    one config error line."""
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n")
+    rc = main(["--config", str(driven_scenario), "--out", str(out)] + verb)
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert str(out) in err
 
 
 def test_invalid_config_is_config_error(tmp_path):
@@ -178,12 +219,31 @@ def test_divergence_inside_a_step_is_one_line(tmp_path, capsys):
     assert "t=" in err
 
 
+def test_diverged_run_leaves_failed_summary(tmp_path, capsys):
+    """A diverged run replaces the passing summary of an earlier run in the
+    same --out with passed: false and the reason."""
+    out = tmp_path / "o"
+    good = tmp_path / "good.scenario"
+    good.write_text(FAST.replace("duration = 0.3", "duration = 0.05"))
+    assert main(["--config", str(good), "--out", str(out), "run"]) == EXIT_PASS
+    assert _summary(out)["passed"]
+    bad = tmp_path / "tiny_inertia.scenario"
+    bad.write_text(good.read_text().replace("J = 0.01", "J = 1e-320"))
+    capsys.readouterr()
+    assert main(["--config", str(bad), "--out", str(out), "run"]) == EXIT_FAIL
+    assert capsys.readouterr().err.count("\n") == 1
+    s = _summary(out)
+    assert s["command"] == "run" and s["passed"] is False
+    assert "t=" in s["reason"]
+
+
 def test_run_writes_trace_and_summary(fast_scenario, tmp_path):
     out = tmp_path / "out"
     rc = main(["--config", str(fast_scenario), "--out", str(out), "run"])
     assert rc == EXIT_PASS
-    tr = Trace.from_csv(out / "trace.csv")
-    assert len(tr) > 0
+    with open(out / "trace.csv") as fh:
+        assert fh.readline().strip() == ",".join(TRACE_COLUMNS)
+    assert _trace(out).shape[0] > 0
     s = _summary(out)
     assert s["command"] == "run" and s["passed"]
     assert s["t_end"] == pytest.approx(0.3)
@@ -229,7 +289,7 @@ def test_sweep_frequency_artifacts(driven_scenario, tmp_path):
 def test_residual_order_fast(fast_scenario, tmp_path):
     out = tmp_path / "out"
     p = tmp_path / "sensor.scenario"
-    p.write_text(FAST + "\n[controller]\nsensor_mode = true\n")
+    p.write_text(SENSOR)
     rc = main(["--config", str(p), "--out", str(out), "residual-order",
                "--t1", "0.1", "--t2", "0.3", "--ratio-band", "2:8"])
     assert rc == EXIT_PASS
@@ -273,6 +333,6 @@ def test_seed_override(fast_scenario, tmp_path):
                  "run"]) == EXIT_PASS
     assert main(["--config", str(p), "--out", str(out_b), "--seed", "9",
                  "run"]) == EXIT_PASS
-    a = Trace.from_csv(out_a / "trace.csv")
-    b = Trace.from_csv(out_b / "trace.csv")
-    assert not np.array_equal(a.i_alpha, b.i_alpha)
+    i_alpha = TRACE_COLUMNS.index("i_alpha")
+    assert not np.array_equal(_trace(out_a)[:, i_alpha],
+                              _trace(out_b)[:, i_alpha])

@@ -75,6 +75,15 @@ def test_rmsd_basics():
         rmsd(t, th, th, 0.2, 2.0)
 
 
+def test_rmsd_rejects_window_below_two_samples():
+    """One sample spans no time; the trapezoid mean over it would be NaN."""
+    t = np.linspace(0.0, 1.0, 11)
+    with pytest.raises(ValueError, match="fewer than 2 samples"):
+        rmsd(t, t, t, 0.45, 0.55)
+    with pytest.raises(ValueError, match="fewer than 2 samples"):
+        rmsd(t, t, t, 0.41, 0.49)
+
+
 def _run_on_synthetic(est, sim_motor, inj, Ts, theta0, omega_e, duration):
     n = int(round(duration / Ts))
     t = np.arange(n + 1) * Ts

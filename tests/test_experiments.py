@@ -103,6 +103,17 @@ def test_compare_rmsd_short_window():
     assert 0.0 <= res["conventional"] < 1.0
 
 
+@pytest.mark.parametrize("t1,t2", [(0.2, 0.1), (0.1, 0.1), (-0.1, 0.2),
+                                   (0.1, 0.6)])
+def test_compare_rmsd_checks_window_before_running(t1, t2, monkeypatch):
+    def no_run(cfg):
+        raise AssertionError("simulated before checking the window")
+
+    monkeypatch.setattr(experiments, "run", no_run)
+    with pytest.raises(ValueError, match="window"):
+        compare_rmsd(_cfg(duration=0.5), t1, t2)
+
+
 @pytest.mark.parametrize("steps_per_period", [5, 10])
 def test_proposed_accuracy_at_coarse_sampling(steps_per_period):
     """At 5 and 10 samples per probe period (5 and 10 kHz sampling of the
@@ -150,6 +161,9 @@ def test_frequency_sweep_rejects_degenerate_fits(monkeypatch):
     monkeypatch.setattr(experiments, "_sweep_point", lambda job: 0.0)
     with pytest.raises(ValueError, match="no logarithm"):
         frequency_sweep(_cfg(), [500.0, 1000.0], 0.1, 0.2)
+    # a reversed window is rejected before any sweep point runs
+    with pytest.raises(ValueError, match="window"):
+        frequency_sweep(_cfg(), [500.0, 1000.0], 0.2, 0.1)
 
 
 def test_frequency_sweep_shape():
@@ -167,6 +181,13 @@ def test_equivalence_short():
                                 duration=0.5)
     assert res["max_rel_yv_deviation"] < 1e-9
     assert res["max_theta_deviation"] < 1e-9
+
+
+def test_equivalence_follows_estimator_phase():
+    """Both forms demodulate against the same phi_p-shifted reference."""
+    inj = InjectionConfig(V_h=1.0, epsilon=1e-3, phi_p=0.7)
+    res = equivalence_deviation(SIM_MOTOR, inj, duration=0.1)
+    assert res["max_rel_yv_deviation"] <= 1e-9
 
 
 def test_calibrate_requires_constant_drive():

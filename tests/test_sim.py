@@ -7,6 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hfsense import sim
+from hfsense.cli import main
+from hfsense.config import load_scenario
 from hfsense.controller import ControllerConfig
 from hfsense.estimators import ProposedEstimator, rmsd
 from hfsense.motor import SIM_MOTOR
@@ -15,11 +18,14 @@ from hfsense.sim import (
     DriveProfile,
     LoadProfile,
     ScenarioConfig,
+    TRACE_COLUMNS,
     SimulationDiverged,
     Trace,
     averaging_residual,
     run,
 )
+
+from conftest import SCENARIO_DIR
 
 
 def _cfg(**kw):
@@ -148,15 +154,20 @@ def test_scenario_derived_quantities():
 
 
 def test_trace_csv_round_trip(tmp_path):
-    cfg = _cfg(estimator="both", duration=0.05)
-    tr = run(cfg)
-    path = tmp_path / "trace.csv"
-    tr.to_csv(path)
-    back = Trace.from_csv(path)
-    assert back.columns == tr.columns
-    for c in tr.columns:
-        # %.17g formatting round-trips doubles exactly
-        assert np.array_equal(back.data[c], tr.data[c]), c
+    """`hfsense run` writes the full schema, and every value reads back
+    bit-equal to an in-process run of the same scenario."""
+    scenario = tmp_path / "short.scenario"
+    scenario.write_text((SCENARIO_DIR / "lowspeed.scenario").read_text()
+                        .replace("duration = 10.0", "duration = 0.05"))
+    out = tmp_path / "out"
+    assert main(["--config", str(scenario), "--out", str(out), "run"]) == 0
+    path = out / "trace.csv"
+    with open(path) as fh:
+        assert fh.readline().strip().split(",") == TRACE_COLUMNS
+    back = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    tr = run(load_scenario(scenario))
+    for k, c in enumerate(TRACE_COLUMNS):
+        assert np.array_equal(back[:, k], tr.data[c]), c
 
 
 def test_trace_requires_all_columns():
@@ -217,6 +228,17 @@ def test_divergence_detection():
 def test_averaging_residual_requires_sensor_mode():
     with pytest.raises(ValueError):
         averaging_residual(_cfg(duration=0.05), 0.01, 0.05)
+
+
+@pytest.mark.parametrize("t1,t2", [(0.04, 0.02), (0.01, 0.06)])
+def test_averaging_residual_checks_window_before_running(t1, t2, monkeypatch):
+    def no_run(cfg, columns=None):
+        raise AssertionError("simulated before checking the window")
+
+    monkeypatch.setattr(sim, "run", no_run)
+    cfg = _cfg(estimator="none", sensor_mode=True, duration=0.05)
+    with pytest.raises(ValueError, match="window"):
+        averaging_residual(cfg, t1, t2)
 
 
 def test_averaging_residual_is_small():
