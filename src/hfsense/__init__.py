@@ -20,7 +20,6 @@ from .estimators import (
     fit_compensation,
     rmsd,
     synthesize_injection_current,
-    track_branch,
     virtual_output_to_angle,
     wrap_mod_pi,
 )
@@ -67,6 +66,6 @@ __all__ = [
     "fit_compensation", "frame_rotate", "gd_frequency_response",
     "hpf_frequency_response", "inductance_matrix", "load_scenario",
     "lpf_frequency_response", "probe_signal", "rmsd", "run",
-    "saliency_matrix", "synthesize_injection_current", "track_branch",
-    "virtual_output", "virtual_output_to_angle", "wrap_mod_pi",
+    "saliency_matrix", "synthesize_injection_current", "virtual_output",
+    "virtual_output_to_angle", "wrap_mod_pi",
 ]

@@ -18,9 +18,15 @@ scaled LTV flow, tabulated from its own derivation); it exists to verify
 numerically that the two forms coincide.
 
 All three estimators produce the angle modulo pi from the centred saliency
-locus through `_locus_angle`; `track_branch` resolves the branch by
-continuity with the previous estimate.  Magnetic-polarity disambiguation is
-out of scope.
+locus through `_locus_angle`, which also resolves the branch by continuity
+with the previous estimate; each calls it once per sample.  Magnetic-polarity
+disambiguation is out of scope.
+
+The per-sample steps of `ProposedEstimator` and `ConventionalEstimator` are
+fused kernels: filters, centre and radius check run inline on float state,
+with the arithmetic and operation order of the standalone operators
+(`HighPass2`, `LowPass1`, `virtual_output_to_angle`), which stay the
+oracles the kernels are tested against bit for bit.
 """
 
 from __future__ import annotations
@@ -46,11 +52,6 @@ class DegenerateSignalError(ValueError):
     """Raised when the virtual-output vector carries no saliency information."""
 
 
-def track_branch(raw: float, prev: float) -> float:
-    """Shift raw (known modulo pi) by the multiple of pi nearest prev."""
-    return raw + math.pi * round((prev - raw) / math.pi)
-
-
 def wrap_mod_pi(err):
     """Wrap an angle difference into (-pi/2, pi/2] (mod-pi identification)."""
     return -((-np.asarray(err) + 0.5 * math.pi) % math.pi - 0.5 * math.pi)
@@ -61,11 +62,13 @@ def _locus_angle(dx: float, dy: float, L1: float, prev_theta: float) -> float:
 
     The centred locus is -L1*(cos 2theta, sin 2theta) up to a positive scale,
     so the point is negated when L1 > 0 (L_d > L_q); 0.5*atan2 then gives
-    the angle modulo pi, and the branch nearest prev_theta is returned.
+    the angle modulo pi, and the branch nearest prev_theta (the raw angle
+    shifted by the nearest multiple of pi) is returned.
     """
     if L1 > 0.0:
         dx, dy = -dx, -dy
-    return track_branch(0.5 * math.atan2(dy, dx), prev_theta)
+    raw = 0.5 * math.atan2(dy, dx)
+    return raw + math.pi * round((prev_theta - raw) / math.pi)
 
 
 def virtual_output_to_angle(y1: float, y2: float, params: MotorParams,
@@ -137,7 +140,10 @@ class ProposedEstimator:
         self.yv1 = y10
         self.yv2 = y20
         self.low_confidence = True
-        self._min_radius = 0.1 * abs(params.L1) / params.det_L
+        # constants of one step, unpacked at once in the kernel; the locus
+        # centre and radius are those of virtual_output_to_angle's check
+        self._k = (Ts, len(self._table), d, *ell, params.L0 / params.det_L,
+                   0.1 * abs(params.L1) / params.det_L, params.L1)
 
     def _phase_table(self, gamma: float) -> list[tuple[float, float]]:
         """(a, c) per phase j with x+ = a*x + c*yf.
@@ -159,23 +165,20 @@ class ProposedEstimator:
         if yf is None:
             return None
         yfa, yfb = yf
-        (aa, ca), (ab, cb) = self._table[round(t / self.Ts) % len(self._table)]
+        Ts, N, eps, ell1, ell2, ell3, centre, r_min, L1 = self._k
+        (aa, ca), (ab, cb) = self._table[round(t / Ts) % N]
         xa, xb = self.x
         xa = aa * xa + ca * yfa
         xb = ab * xb + cb * yfb
         self.x = (xa, xb)
-        eps = self.cfg.epsilon
-        ell1, ell2, ell3 = self.ell
-        y1 = ell1 * (xa / eps) + ell2
-        y2 = ell3 * (xb / eps)
-        self.yv1 = y1
-        self.yv2 = y2
-        try:
-            self.theta_hat = virtual_output_to_angle(
-                y1, y2, self.params, self.theta_hat, self._min_radius)
-            self.low_confidence = False
-        except DegenerateSignalError:
+        y1 = self.yv1 = ell1 * (xa / eps) + ell2
+        y2 = self.yv2 = ell3 * (xb / eps)
+        dx = y1 - centre
+        if math.hypot(dx, y2) <= r_min:
             self.low_confidence = True  # hold the previous angle
+        else:
+            self.theta_hat = _locus_angle(dx, y2, L1, self.theta_hat)
+            self.low_confidence = False
         return self.theta_hat, y1, y2
 
 
@@ -208,7 +211,11 @@ class LtiChainConfig:
 
 
 class ConventionalEstimator:
-    """LTI high-pass / demodulate / low-pass chain (the textbook pipeline)."""
+    """LTI high-pass / demodulate / low-pass chain (the textbook pipeline).
+
+    The step keeps the operation order of `HighPass2.step` and
+    `LowPass1.step`, so its output is bit-identical to their composition.
+    """
 
     def __init__(self, params: MotorParams, cfg: InjectionConfig, Ts: float,
                  chain: LtiChainConfig, theta0: float = 0.0):
@@ -219,31 +226,49 @@ class ConventionalEstimator:
         # demodulation carrier per phase j = k mod N
         self._demod = [math.sin(cfg.omega_h * j * Ts + cfg.phi)
                        for j in range(carrier_steps(cfg, Ts))]
-        self._hpf_a = HighPass2(chain.lambda_h, Ts)
-        self._hpf_b = HighPass2(chain.lambda_h, Ts)
-        self._scale = 2.0 * cfg.omega_h * params.det_L / cfg.V_h
-        # low passes start at the output matching the assumed initial angle
+        hpf = HighPass2(chain.lambda_h, Ts)
+        lpf = LowPass1(chain.lambda_ell, Ts)
+        scale = 2.0 * cfg.omega_h * params.det_L / cfg.V_h
+        # constants of one step, unpacked at once in the kernel
+        self._k = (Ts, len(self._demod), hpf.b0, hpf.b1, hpf.b2, hpf.a1,
+                   hpf.a2, lpf.a1, lpf.b, scale, params.det_L, params.L0,
+                   params.L1)
+        # biquad state (z1, z2) and low-pass state (output, previous input)
+        # per axis; the low passes start at the output matching the assumed
+        # initial angle
         y10, y20 = virtual_output(params, theta0)
-        self._lpf_a = LowPass1(chain.lambda_ell, Ts,
-                               y0=y10 * params.det_L / self._scale)
-        self._lpf_b = LowPass1(chain.lambda_ell, Ts,
-                               y0=y20 * params.det_L / self._scale)
+        ya = y10 * params.det_L / scale
+        yb = y20 * params.det_L / scale
+        self._s = (0.0, 0.0, 0.0, 0.0, ya, ya, yb, yb)
         self.theta_hat = theta0
         self.yv1 = y10
         self.yv2 = y20
 
     def step(self, t: float, i_alpha: float, i_beta: float):
         """Advance one sample; return (theta_hat, yv1, yv2)."""
-        yha = self._hpf_a.step(i_alpha)
-        yhb = self._hpf_b.step(i_beta)
-        demod = self._demod[round(t / self.Ts) % len(self._demod)]
-        Ya = self._scale * self._lpf_a.step(yha * demod)
-        Yb = self._scale * self._lpf_b.step(yhb * demod)
-        p = self.params
-        self.yv1 = Ya / p.det_L
-        self.yv2 = Yb / p.det_L
-        self.theta_hat = _locus_angle(Ya - p.L0, Yb, p.L1, self.theta_hat)
-        return self.theta_hat, self.yv1, self.yv2
+        (Ts, N, b0, b1, b2, a1, a2, la, lb, scale, det_L, L0,
+         L1) = self._k
+        za1, za2, zb1, zb2, ya, ua, yb, ub = self._s
+        # high pass, direct form II transposed
+        yha = b0 * i_alpha + za1
+        za1 = b1 * i_alpha - a1 * yha + za2
+        za2 = b2 * i_alpha - a2 * yha
+        yhb = b0 * i_beta + zb1
+        zb1 = b1 * i_beta - a1 * yhb + zb2
+        zb2 = b2 * i_beta - a2 * yhb
+        demod = self._demod[round(t / Ts) % N]
+        # demodulate and low-pass
+        da = yha * demod
+        db = yhb * demod
+        ya = la * ya + lb * (da + ua)
+        yb = la * yb + lb * (db + ub)
+        self._s = (za1, za2, zb1, zb2, ya, da, yb, db)
+        Ya = scale * ya
+        Yb = scale * yb
+        y1 = self.yv1 = Ya / det_L
+        y2 = self.yv2 = Yb / det_L
+        theta = self.theta_hat = _locus_angle(Ya - L0, Yb, L1, self.theta_hat)
+        return theta, y1, y2
 
 
 class BlockFormEstimator:

@@ -139,13 +139,13 @@ class LowPass1:
             raise ValueError("corner must be positive")
         self.lam = lam
         a = lam * Ts
-        self._b = a / (2.0 + a)
-        self._a1 = (2.0 - a) / (2.0 + a)
+        self.b = a / (2.0 + a)
+        self.a1 = (2.0 - a) / (2.0 + a)
         self._y = y0
         self._u = y0
 
     def step(self, u: float) -> float:
-        self._y = self._a1 * self._y + self._b * (u + self._u)
+        self._y = self.a1 * self._y + self.b * (u + self._u)
         self._u = u
         return self._y
 

@@ -286,7 +286,7 @@ def run(cfg: ScenarioConfig, columns=None) -> Trace:
     """Simulate one scenario; one record per `decimation` steps.
 
     `columns` selects trace columns (default: all of TRACE_COLUMNS); an
-    unknown name raises ValueError.  Closed-loop mode integrates the
+    unknown name, a repeated one or an empty selection raises ValueError.  Closed-loop mode integrates the
     mechanics; driven mode takes them from the drive profile at t, t+Ts/2
     and t+Ts.  The controller regulates in the true frame in sensor mode and
     in driven mode (as on a dyno bench), else in the estimated frame;
@@ -296,6 +296,8 @@ def run(cfg: ScenarioConfig, columns=None) -> Trace:
     for c in cols:
         if c not in TRACE_COLUMNS:
             raise ValueError(f"unknown trace column {c!r}")
+    if not cols or len(set(cols)) != len(cols):
+        raise ValueError(f"trace columns {cols} must be non-empty and distinct")
     mp = cfg.motor
     Ts = cfg.Ts
     n_steps = cfg.n_steps
@@ -319,6 +321,9 @@ def run(cfg: ScenarioConfig, columns=None) -> Trace:
     n_car = len(v_probe)
     lim = cfg.divergence_limit
     dec = cfg.decimation
+    h = Ts
+    hh = 0.5 * h   # 0.5 * h * x evaluates as (0.5 * h) * x
+    h6 = h / 6.0
 
     ia, ib = cfg.i_alpha0, cfg.i_beta0
     th0 = th = cfg.theta0
@@ -381,38 +386,37 @@ def run(cfg: ScenarioConfig, columns=None) -> Trace:
             break
 
         # RK4 over [t, t+Ts]; control voltage held, probe continuous
-        h = Ts
         te = t + h
         if driven:
-            tm = t + 0.5 * h
+            tm = t + hh
             thm, omm = th0 + np_ * angle(tm), omega_at(tm)
             the, ome = th0 + np_ * angle(te), omega_at(te)
         else:
             TL = torque(t)
         try:
-            d1 = deriv(np_, Rs, L0, L1, detL, Phi, J, fr,
-                       ia, ib, th, om, vca + vpa, vcb, TL)
+            a1, b1, t1, o1 = deriv(np_, Rs, L0, L1, detL, Phi, J, fr,
+                                   ia, ib, th, om, vca + vpa, vcb, TL)
             vam = vca + v_probe_mid[k % n_car]
             if not driven:
-                thm, omm = th + 0.5 * h * d1[2], om + 0.5 * h * d1[3]
-            d2 = deriv(np_, Rs, L0, L1, detL, Phi, J, fr,
-                       ia + 0.5 * h * d1[0], ib + 0.5 * h * d1[1], thm, omm,
-                       vam, vcb, TL)
+                thm, omm = th + hh * t1, om + hh * o1
+            a2, b2, t2, o2 = deriv(np_, Rs, L0, L1, detL, Phi, J, fr,
+                                   ia + hh * a1, ib + hh * b1, thm, omm,
+                                   vam, vcb, TL)
             if not driven:
-                thm, omm = th + 0.5 * h * d2[2], om + 0.5 * h * d2[3]
-            d3 = deriv(np_, Rs, L0, L1, detL, Phi, J, fr,
-                       ia + 0.5 * h * d2[0], ib + 0.5 * h * d2[1], thm, omm,
-                       vam, vcb, TL)
+                thm, omm = th + hh * t2, om + hh * o2
+            a3, b3, t3, o3 = deriv(np_, Rs, L0, L1, detL, Phi, J, fr,
+                                   ia + hh * a2, ib + hh * b2, thm, omm,
+                                   vam, vcb, TL)
             if not driven:
-                the, ome = th + h * d3[2], om + h * d3[3]
-            d4 = deriv(np_, Rs, L0, L1, detL, Phi, J, fr,
-                       ia + h * d3[0], ib + h * d3[1], the, ome,
-                       vca + v_probe[(k + 1) % n_car], vcb, TL)
-            ia += h / 6.0 * (d1[0] + 2.0 * d2[0] + 2.0 * d3[0] + d4[0])
-            ib += h / 6.0 * (d1[1] + 2.0 * d2[1] + 2.0 * d3[1] + d4[1])
+                the, ome = th + h * t3, om + h * o3
+            a4, b4, t4, o4 = deriv(np_, Rs, L0, L1, detL, Phi, J, fr,
+                                   ia + h * a3, ib + h * b3, the, ome,
+                                   vca + v_probe[(k + 1) % n_car], vcb, TL)
+            ia += h6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+            ib += h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
             if not driven:
-                th += h / 6.0 * (d1[2] + 2.0 * d2[2] + 2.0 * d3[2] + d4[2])
-                om += h / 6.0 * (d1[3] + 2.0 * d2[3] + 2.0 * d3[3] + d4[3])
+                th += h6 * (t1 + 2.0 * t2 + 2.0 * t3 + t4)
+                om += h6 * (o1 + 2.0 * o2 + 2.0 * o3 + o4)
         except (ValueError, OverflowError) as exc:
             # a non-finite state reached math.cos or overflowed a stage
             raise SimulationDiverged(

@@ -1,6 +1,8 @@
-"""Controller tests: frame rotations, PI behaviour, voltage assembly."""
+"""Controller tests: frame rotations, PI behaviour, voltage assembly, and
+the fused controller step against the standalone operators."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from hfsense.controller import (
     frame_rotate,
 )
 from hfsense.motor import SIM_MOTOR
-from hfsense.signal_ops import InjectionConfig
+from hfsense.signal_ops import InjectionConfig, LowPass1
 from hfsense.sim import DriveProfile, ScenarioConfig, run
 
 finite = st.floats(-1e3, 1e3, allow_nan=False)
@@ -83,6 +85,84 @@ def test_hold_while_estimates_invalid():
     v1 = ctrl.low_frequency_voltage(1.0, 0.5, 0.2, 0.1)
     held = ctrl.low_frequency_voltage(9.9, 9.9, None, None)
     assert held == v1
+
+
+class _ComposedController:
+    """The controller step composed from the standalone operators:
+    frame_rotate -> LowPass1 x2 -> Pi x3 -> clamp -> frame_rotate."""
+
+    def __init__(self, params, cfg, Ts):
+        self.params, self.cfg, self.Ts = params, cfg, Ts
+        self.lpf_d = LowPass1(cfg.meas_lpf_cutoff, Ts)
+        self.lpf_q = LowPass1(cfg.meas_lpf_cutoff, Ts)
+        self.speed_pi = Pi(cfg.speed_kp, cfg.speed_ki, cfg.i_q_limit)
+        self.pi_d = Pi(cfg.current_kp, cfg.current_ki, cfg.v_limit)
+        self.pi_q = Pi(cfg.current_kp, cfg.current_ki, cfg.v_limit)
+        self.held = (0.0, 0.0)
+        self.clamped = 0  # samples with a clamped voltage
+
+    def step(self, i_alpha, i_beta, theta, omega):
+        if theta is None or omega is None:
+            return self.held
+        p, cfg, Ts = self.params, self.cfg, self.Ts
+        i_d, i_q = frame_rotate(theta, i_alpha, i_beta, to_dq=True)
+        i_d_f = self.lpf_d.step(i_d)
+        i_q_f = self.lpf_q.step(i_q)
+        i_q_ref = self.speed_pi.step(cfg.omega_ref - omega, Ts)
+        np_w = p.n_p * omega
+        v_d = self.pi_d.step(cfg.i_d_ref - i_d_f, Ts) - p.L0 * np_w * i_q_f
+        v_q = self.pi_q.step(i_q_ref - i_q_f, Ts) + p.L0 * np_w * i_d_f \
+            + np_w * p.Phi
+        lim = cfg.v_limit
+        if max(abs(v_d), abs(v_q)) > lim:
+            self.clamped += 1
+        v_d = min(max(v_d, -lim), lim)
+        v_q = min(max(v_q, -lim), lim)
+        self.held = frame_rotate(theta, v_d, v_q, to_dq=False)
+        return self.held
+
+
+@pytest.mark.parametrize("swap", [False, True], ids=["ld_below_lq", "ld_above_lq"])
+def test_fused_step_matches_composed_operators(swap):
+    """Bit for bit over 3000 seeded samples that saturate the speed and
+    current integrators and the voltage clamp and hold on invalid estimates."""
+    motor = replace(SIM_MOTOR, L_d=SIM_MOTOR.L_q, L_q=SIM_MOTOR.L_d) \
+        if swap else SIM_MOTOR
+    assert (motor.L_d > motor.L_q) == swap
+    cfg = ControllerConfig(speed_kp=1.0, speed_ki=2e3, current_kp=0.5,
+                           current_ki=2e4, omega_ref=0.5, i_d_ref=0.1,
+                           i_q_limit=2.0, v_limit=8.0)
+    Ts = 2e-5
+    rng = np.random.default_rng(11)
+    n = 3000
+    # speed estimates far below, far above and near the reference
+    omega = np.repeat([-20.0, 0.5, 20.0, 0.5, -4.0, 0.5], n // 6) \
+        + rng.normal(0.0, 0.5, n)
+    # a rotating frame, so the filtered d and q currents swing both ways
+    theta = 2.0 * math.pi * np.arange(n) / 1000.0 + rng.normal(0.0, 0.3, n)
+    cur = np.array([4.0, 0.0]) + rng.normal(0.0, 2.0, (n, 2))
+    held = rng.random(n) < 0.05
+    fused = SensorlessController(motor, cfg, Ts)
+    ref = _ComposedController(motor, cfg, Ts)
+    bounds = {"speed": set(), "d": set(), "q": set()}
+    mismatches = []
+    for k in range(n):
+        th = None if held[k] and k % 2 else float(theta[k])
+        om = None if held[k] and not k % 2 else float(omega[k])
+        args = (float(cur[k, 0]), float(cur[k, 1]), th, om)
+        got = fused.low_frequency_voltage(*args)
+        want = ref.step(*args)
+        if got != want:
+            mismatches.append((k, got, want))
+        for key, pi in (("speed", ref.speed_pi), ("d", ref.pi_d),
+                        ("q", ref.pi_q)):
+            if abs(pi.integ) == pi.limit:
+                bounds[key].add(math.copysign(1.0, pi.integ))
+    assert not mismatches, mismatches[:3]
+    # the inputs reach every branch of the step
+    assert bounds == {"speed": {-1.0, 1.0}, "d": {-1.0, 1.0}, "q": {-1.0, 1.0}}
+    assert 0.1 * n < ref.clamped < 0.9 * n
+    assert held.sum() > 0.02 * n
 
 
 def _applied_voltage(injection_enabled):

@@ -1,5 +1,6 @@
 """Estimator tests: angle recovery, branch tracking, both pipelines on
-synthetic ripple currents, PLL, compensation fitting."""
+synthetic ripple currents, the fused steps against the standalone operators,
+PLL, compensation fitting."""
 
 import math
 from dataclasses import replace
@@ -15,22 +16,34 @@ from hfsense.estimators import (
     LtiChainConfig,
     Pll,
     ProposedEstimator,
+    _locus_angle,
     fit_compensation,
     rmsd,
     synthesize_injection_current,
-    track_branch,
     virtual_output_to_angle,
     wrap_mod_pi,
 )
-from hfsense.motor import virtual_output
-from hfsense.signal_ops import TWO_PI
+from hfsense.motor import SIM_MOTOR, virtual_output
+from hfsense.signal_ops import (
+    TWO_PI,
+    HighPass2,
+    InjectionConfig,
+    LowPass1,
+    carrier_steps,
+    probe_signal,
+)
 
 angles = st.floats(-30.0, 30.0, allow_nan=False)
 
 
-@given(raw=st.floats(-math.pi / 2, math.pi / 2), prev=angles)
-def test_track_branch_properties(raw, prev):
-    out = track_branch(raw, prev)
+@given(phi=st.floats(-math.pi, math.pi), prev=angles,
+       L1=st.sampled_from([-1e-3, 1e-3]))
+def test_locus_angle_branch_properties(phi, prev, L1):
+    """The angle of the locus point (cos phi, sin phi), resolved by branch."""
+    dx, dy = math.cos(phi), math.sin(phi)
+    raw = 0.5 * math.atan2(dy, dx)
+    sign = 1.0 if L1 < 0.0 else -1.0  # the point is negated for L_d > L_q
+    out = _locus_angle(sign * dx, sign * dy, L1, prev)
     # same angle modulo pi, and on the branch nearest prev
     assert math.isclose((out - raw) / math.pi, round((out - raw) / math.pi),
                         abs_tol=1e-9)
@@ -212,6 +225,86 @@ def test_block_form_matches_operator_form(sim_motor, inj, Ts):
             continue
         assert abs(a.yv1 - b.yv1) / scale < 1e-10
         assert abs(a.yv2 - b.yv2) / scale < 1e-10
+
+
+SALIENCY = pytest.mark.parametrize(
+    "motor", [SIM_MOTOR, replace(SIM_MOTOR, L_d=SIM_MOTOR.L_q, L_q=SIM_MOTOR.L_d)],
+    ids=["ld_below_lq", "ld_above_lq"])
+
+
+@SALIENCY
+def test_fused_conventional_step_matches_composed_operators(motor):
+    """Bit for bit against HighPass2 -> carrier -> LowPass1 -> _locus_angle
+    over 3000 seeded samples of ripple plus noise."""
+    inj = InjectionConfig(V_h=1.5, epsilon=1e-3, phi=0.3)
+    Ts = inj.epsilon / 50.0
+    chain = LtiChainConfig(lambda_h=inj.omega_h, lambda_ell=80.0)
+    n = 3000
+    t = np.arange(n) * Ts
+    rng = np.random.default_rng(5)
+    cur = synthesize_injection_current(motor, inj, 0.7 + 40.0 * t, t,
+                                       i_bar=(0.5, -0.2)) \
+        + rng.normal(0.0, 1e-3, (n, 2))
+    est = ConventionalEstimator(motor, inj, Ts, chain, theta0=0.7)
+    # the same chain composed from the standalone operators
+    scale = 2.0 * inj.omega_h * motor.det_L / inj.V_h
+    y10, y20 = virtual_output(motor, 0.7)
+    hpf = [HighPass2(chain.lambda_h, Ts) for _ in range(2)]
+    lpf = [LowPass1(chain.lambda_ell, Ts, y0=y * motor.det_L / scale)
+           for y in (y10, y20)]
+    N = carrier_steps(inj, Ts)
+    theta = 0.7
+    mismatches = []
+    for k in range(n):
+        ia, ib = float(cur[k, 0]), float(cur[k, 1])
+        demod = math.sin(inj.omega_h * (k % N) * Ts + inj.phi)
+        Ya = scale * lpf[0].step(hpf[0].step(ia) * demod)
+        Yb = scale * lpf[1].step(hpf[1].step(ib) * demod)
+        theta = _locus_angle(Ya - motor.L0, Yb, motor.L1, theta)
+        want = (theta, Ya / motor.det_L, Yb / motor.det_L)
+        got = est.step(t[k], ia, ib)
+        if got != want:
+            mismatches.append((k, got, want))
+    assert not mismatches, mismatches[:3]
+
+
+@SALIENCY
+def test_fused_proposed_angle_matches_virtual_output_to_angle(motor, inj, Ts):
+    """Bit for bit against virtual_output_to_angle on the estimator's own
+    virtual output, over 4000 samples whose locus point passes through the
+    degenerate radius, where the previous angle is held."""
+    n = 4000
+    t = np.arange(n) * Ts
+    centre = motor.L0 / motor.det_L
+    r_min = 0.1 * abs(motor.L1) / motor.det_L
+    rng = np.random.default_rng(3)
+    # a locus point whose distance to the centre dips to zero and back
+    rho = 2.0 * r_min * np.abs(np.sin(2.0 * math.pi * t / 0.04))
+    phi = 0.4 + 30.0 * t
+    S = np.array([probe_signal(inj, tk) for tk in t])
+    cur = inj.epsilon * S[:, None] * np.column_stack(
+        [centre + rho * np.cos(phi), rho * np.sin(phi)]) \
+        + rng.normal(0.0, 1e-5, (n, 2))
+    est = ProposedEstimator(motor, inj, Ts, theta0=0.2)
+    prev = est.theta_hat
+    held = valid = 0
+    mismatches = []
+    for k in range(n):
+        if est.step(t[k], float(cur[k, 0]), float(cur[k, 1])) is None:
+            continue
+        try:
+            want = virtual_output_to_angle(est.yv1, est.yv2, motor, prev,
+                                           min_radius=r_min)
+            degenerate = False
+            valid += 1
+        except DegenerateSignalError:
+            want, degenerate = prev, True
+            held += 1
+        if (est.theta_hat, est.low_confidence) != (want, degenerate):
+            mismatches.append((k, est.theta_hat, want))
+        prev = est.theta_hat
+    assert not mismatches, mismatches[:3]
+    assert held > 0.1 * n and valid > 0.1 * n
 
 
 def test_chain_config_defaults(inj):

@@ -92,6 +92,10 @@ def test_noisy_run_passes_python_floats(monkeypatch):
 def test_run_rejects_unknown_column():
     with pytest.raises(ValueError, match="unknown trace column .i_gamma."):
         run(_cfg(duration=0.01), ["t", "i_gamma"])
+    # an empty or repeated selection is rejected before any step
+    for cols in ([], ["t", "t"]):
+        with pytest.raises(ValueError, match="non-empty and distinct"):
+            run(_cfg(duration=0.01), cols)
 
 
 def test_load_profiles():
