@@ -44,7 +44,6 @@ from .signal_ops import (
 )
 from .sim import (
     DriveProfile,
-    LoadProfile,
     ScenarioConfig,
     SimulationDiverged,
     Trace,
@@ -59,7 +58,7 @@ __all__ = [
     "BENCH_MOTOR", "SIM_MOTOR",
     "ConfigError", "ControllerConfig", "ConventionalEstimator",
     "DegenerateSignalError", "DriveProfile", "BlockFormEstimator",
-    "HighPass2", "InjectionConfig", "LoadProfile", "LowPass1",
+    "HighPass2", "InjectionConfig", "LowPass1",
     "LtiChainConfig", "MotorParams", "Pi", "Pll",
     "ProposedEstimator", "Regressor", "ScenarioConfig", "SensorlessController",
     "SimulationDiverged", "Trace", "averaging_residual", "bode_table",

@@ -11,8 +11,8 @@ import math
 
 from .controller import ControllerConfig
 from .motor import MotorParams
-from .signal_ops import InjectionConfig, carrier_steps
-from .sim import DriveProfile, LoadProfile, ScenarioConfig
+from .signal_ops import InjectionConfig
+from .sim import DriveProfile, ScenarioConfig
 
 
 class ConfigError(ValueError):
@@ -24,10 +24,6 @@ def _float(v: str) -> float:
     if not math.isfinite(x):
         raise ValueError(f"not a finite number: {v!r}")
     return x
-
-
-def _floats(v: str) -> tuple[float, ...]:
-    return tuple(_float(x) for x in v.split(",") if x.strip())
 
 
 def _bool(v: str) -> bool:
@@ -55,12 +51,10 @@ _SCHEMA = {
                    "current_ki": _F, "omega_ref": _F, "i_d_ref": _F,
                    "i_q_limit": _F, "v_limit": _F, "meas_lpf_cutoff": _F,
                    "sensor_mode": _bool},
-    "simulation": {"mode": str, "Ts": _F, "steps_per_period": int,
-                   "duration": _F, "decimation": int, "noise_std": _F,
-                   "seed": int, "theta0": _F, "omega0": _F, "i_alpha0": _F,
-                   "i_beta0": _F, "divergence_limit": _F},
-    "load": {"kind": str, "value": _F, "amplitude": _F, "frequency": _F,
-             "times": _floats, "values": _floats},
+    "simulation": {"mode": str, "steps_per_period": int, "duration": _F,
+                   "decimation": int, "noise_std": _F, "seed": int,
+                   "theta0": _F, "omega0": _F, "i_alpha0": _F, "i_beta0": _F,
+                   "divergence_limit": _F, "load_torque": _F},
     "drive": {"profile": str, "omega": _F, "omega_end": _F,
               "t_ramp_start": _F, "t_ramp_end": _F},
 }
@@ -121,10 +115,10 @@ def load_scenario(path) -> ScenarioConfig:
     """Parse and validate a scenario file into a ScenarioConfig."""
     raw = parse_kv_file(path)
     p = str(path)
-    motor, inj, est, ctl, sim, load, drive = (
+    motor, inj, est, ctl, sim, drive = (
         _section(raw, name, p) for name in
         ("motor", "injection", "estimator", "controller", "simulation",
-         "load", "drive"))
+         "drive"))
 
     for k in _REQUIRED_MOTOR:
         if k not in motor:
@@ -134,7 +128,6 @@ def load_scenario(path) -> ScenarioConfig:
     top["injection"] = _build(p, "[injection] ", InjectionConfig, **inj)
     top["sensor_mode"] = ctl.pop("sensor_mode", False)
     top["controller"] = _build(p, "[controller] ", ControllerConfig, **ctl)
-    top["load"] = _build(p, "[load] ", LoadProfile, **load)
     if "drive" in raw:
         if "profile" in drive:
             drive["kind"] = drive.pop("profile")
@@ -144,17 +137,4 @@ def load_scenario(path) -> ScenarioConfig:
         est["estimator"] = est.pop("kind")
     ell = [est.pop(k, d) for k, d in zip(("ell1", "ell2", "ell3"),
                                          ScenarioConfig.ell)]
-    Ts = sim.pop("Ts", None)
-    if Ts is not None:
-        if Ts <= 0.0:
-            raise ConfigError(f"{p}:{raw['simulation']['Ts'][1]}: "
-                              "Ts must be positive")
-        try:
-            n = carrier_steps(top["injection"], Ts)
-        except ValueError:
-            n = 0
-        if n < 2:
-            raise ConfigError(f"{p}: Ts={Ts} does not divide the probe period "
-                              f"epsilon={top['injection'].epsilon}")
-        sim["steps_per_period"] = n
     return _build(p, "", ScenarioConfig, ell=tuple(ell), **top, **est, **sim)

@@ -89,9 +89,6 @@ class SensorlessController:
     """
 
     def __init__(self, params: MotorParams, cfg: ControllerConfig, Ts: float):
-        self.params = params
-        self.cfg = cfg
-        self.Ts = Ts
         lpf = LowPass1(cfg.meas_lpf_cutoff, Ts)  # coefficients only
         # constants of one step, unpacked at once in the kernel
         self._k = (Ts, cfg.omega_ref, cfg.i_d_ref, params.n_p, params.L0,

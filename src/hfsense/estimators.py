@@ -123,10 +123,8 @@ class ProposedEstimator:
             raise ValueError("ell1 and ell3 must be nonzero")
         if gamma_alpha <= 0.0 or gamma_beta <= 0.0:
             raise ValueError("gamma must be positive")
-        self.params = params
         self.cfg = cfg
         self.Ts = Ts
-        self.ell = ell
         d = cfg.epsilon
         self._regressor = Regressor(d, Ts)
         # per phase j: ((a, c) of the alpha flow, (a, c) of the beta flow)
@@ -219,10 +217,6 @@ class ConventionalEstimator:
 
     def __init__(self, params: MotorParams, cfg: InjectionConfig, Ts: float,
                  chain: LtiChainConfig, theta0: float = 0.0):
-        self.params = params
-        self.cfg = cfg
-        self.chain = chain
-        self.Ts = Ts
         # demodulation carrier per phase j = k mod N
         self._demod = [math.sin(cfg.omega_h * j * Ts + cfg.phi)
                        for j in range(carrier_steps(cfg, Ts))]
@@ -351,15 +345,14 @@ class Pll:
         self.n_p = n_p
         self.eta1 = theta0
         self.eta2 = 0.0
-        self.omega_hat_p = 0.0
         self.omega_hat = 0.0
 
     def step(self, theta_hat: float, Ts: float) -> float:
         e = theta_hat - self.eta1
-        self.omega_hat_p = self.K_p * e + self.K_i * self.eta2
-        self.eta1 += Ts * self.omega_hat_p
+        omega_hat_p = self.K_p * e + self.K_i * self.eta2
+        self.eta1 += Ts * omega_hat_p
         self.eta2 += Ts * e
-        self.omega_hat = self.omega_hat_p / self.n_p
+        self.omega_hat = omega_hat_p / self.n_p
         return self.omega_hat
 
 

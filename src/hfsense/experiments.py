@@ -21,10 +21,8 @@ from .estimators import (
     wrap_mod_pi,
 )
 from .motor import MotorParams
-from .signal_ops import InjectionConfig
+from .signal_ops import TWO_PI, InjectionConfig
 from .sim import ScenarioConfig, Trace, averaging_residual, check_window, run
-
-TWO_PI = 2.0 * math.pi
 
 
 def steady_angle_error(trace: Trace, prefix: str, t1: float, t2: float) -> float:
@@ -131,13 +129,17 @@ def frequency_sweep(cfg: ScenarioConfig, freqs_hz, t1: float, t2: float,
         raise ValueError("frequencies must be positive and finite")
     if len(set(freqs_hz)) < 2:
         raise ValueError("the order fit needs at least 2 distinct frequencies")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     check_window(cfg, t1, t2)
     prefix = "conv" if cfg.estimator == "conventional" else "prop"
     jobs = [(cfg, f, gamma_scale, prefix, t1, t2, metric) for f in freqs_hz]
     if workers > 1:
         # imported here, so importing this module loads no multiprocessing
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as ex:
+        # one process per sweep point at most: the pool forks all of its
+        # workers when it starts
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as ex:
             errors = list(ex.map(_sweep_point, jobs))
     else:
         errors = [_sweep_point(j) for j in jobs]

@@ -22,7 +22,6 @@ probe period, those values are tabulated once per carrier phase k mod N.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -57,34 +56,6 @@ _NO_ESTIMATE = (0.0,) * 5
 
 class SimulationDiverged(RuntimeError):
     pass
-
-
-@dataclass(frozen=True)
-class LoadProfile:
-    """Load torque as a function of time: constant, piecewise or sinusoidal."""
-
-    kind: str = "constant"
-    value: float = 0.0
-    amplitude: float = 0.0
-    frequency: float = 0.0           # [Hz], sinusoidal only
-    times: tuple = ()                # piecewise breakpoints
-    values: tuple = ()               # piecewise levels (len(times) + 1)
-
-    def __post_init__(self):
-        if self.kind not in ("constant", "piecewise", "sinusoidal"):
-            raise ValueError(f"unknown load kind {self.kind!r}")
-        if self.kind == "piecewise" and len(self.values) != len(self.times) + 1:
-            raise ValueError("piecewise load needs len(values) == len(times) + 1")
-        if any(b <= a for a, b in zip(self.times, self.times[1:])):
-            raise ValueError("piecewise load times must be strictly increasing")
-
-    def torque(self, t: float) -> float:
-        if self.kind == "constant":
-            return self.value
-        if self.kind == "sinusoidal":
-            return self.value + self.amplitude * math.sin(
-                2.0 * math.pi * self.frequency * t)
-        return self.values[bisect_right(self.times, t)]
 
 
 @dataclass(frozen=True)
@@ -140,7 +111,7 @@ class ScenarioConfig:
     motor: MotorParams
     injection: InjectionConfig = InjectionConfig()
     controller: ControllerConfig = ControllerConfig()
-    load: LoadProfile = LoadProfile()
+    load_torque: float = 0.0         # [N m], closed-loop mode only
     drive: DriveProfile | None = None
     mode: str = "closed_loop"        # closed_loop | driven
     estimator: str = "both"
@@ -286,11 +257,12 @@ def run(cfg: ScenarioConfig, columns=None) -> Trace:
     """Simulate one scenario; one record per `decimation` steps.
 
     `columns` selects trace columns (default: all of TRACE_COLUMNS); an
-    unknown name, a repeated one or an empty selection raises ValueError.  Closed-loop mode integrates the
-    mechanics; driven mode takes them from the drive profile at t, t+Ts/2
-    and t+Ts.  The controller regulates in the true frame in sensor mode and
-    in driven mode (as on a dyno bench), else in the estimated frame;
-    estimators only ever see the measured currents.
+    unknown name, a repeated one or an empty selection raises ValueError.
+    Closed-loop mode integrates the mechanics under the constant load
+    torque `load_torque`; driven mode takes them from the drive profile at
+    t, t+Ts/2 and t+Ts.  The controller regulates in the true frame in
+    sensor mode and in driven mode (as on a dyno bench), else in the
+    estimated frame; estimators only ever see the measured currents.
     """
     cols = list(columns) if columns is not None else list(TRACE_COLUMNS)
     for c in cols:
@@ -306,7 +278,6 @@ def run(cfg: ScenarioConfig, columns=None) -> Trace:
     pll_c = Pll(cfg.pll_kp, cfg.pll_ki, mp.n_p, cfg.theta0_est) if conv else None
     ctrl = SensorlessController(mp, cfg.controller, Ts)
     noise = _noise(cfg, n_steps)
-    torque = cfg.load.torque
     driven = cfg.mode == "driven"
     true_frame = driven or cfg.sensor_mode
     drives_with_conv = cfg.estimator == "conventional"
@@ -328,7 +299,8 @@ def run(cfg: ScenarioConfig, columns=None) -> Trace:
     ia, ib = cfg.i_alpha0, cfg.i_beta0
     th0 = th = cfg.theta0
     om = cfg.omega0
-    TL = 0.0  # stays 0 in driven mode, where the mechanics are prescribed
+    # driven mode prescribes the mechanics, so no load acts there
+    TL = 0.0 if driven else cfg.load_torque
 
     n_rec = n_steps // dec + 1
     rec = {c: np.zeros(n_rec) for c in cols}
@@ -391,8 +363,6 @@ def run(cfg: ScenarioConfig, columns=None) -> Trace:
             tm = t + hh
             thm, omm = th0 + np_ * angle(tm), omega_at(tm)
             the, ome = th0 + np_ * angle(te), omega_at(te)
-        else:
-            TL = torque(t)
         try:
             a1, b1, t1, o1 = deriv(np_, Rs, L0, L1, detL, Phi, J, fr,
                                    ia, ib, th, om, vca + vpa, vcb, TL)

@@ -142,6 +142,8 @@ _BAD_VERB_ARGUMENTS = [
     (SENSOR, ["residual-order", "--t1", "0.3", "--t2", "0.1"]),
     # no drive profile to calibrate against
     (FAST, ["calibrate"]),
+    (FAST, ["--workers", "0", "sweep-frequency", "--frequencies", "500,1000",
+            "--t1", "0.1", "--t2", "0.2"]),
 ]
 
 
@@ -199,7 +201,7 @@ def test_lti_corner_above_nyquist(tmp_path, capsys, kind, rc):
     error only where the LTI chain is built."""
     p = tmp_path / "nyquist.scenario"
     p.write_text(FAST.replace("duration = 0.3", "duration = 0.05")
-                 + "Ts = 2e-5\n\n[controller]\nsensor_mode = true\n"
+                 + "\n[controller]\nsensor_mode = true\n"
                  f"\n[estimator]\nkind = {kind}\nlambda_h = 200000\n")
     assert main(["--config", str(p), "--out", str(tmp_path / "o"), "run"]) == rc
     if rc == EXIT_CONFIG:

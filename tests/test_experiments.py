@@ -166,6 +166,38 @@ def test_frequency_sweep_rejects_degenerate_fits(monkeypatch):
         frequency_sweep(_cfg(), [500.0, 1000.0], 0.2, 0.1)
 
 
+def test_frequency_sweep_caps_pool_at_sweep_points(monkeypatch):
+    """The pool forks all of its workers when it starts, so it gets one per
+    sweep point at most; a fake pool records the request and maps serially,
+    so no process is started."""
+    import concurrent.futures
+
+    requested = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(experiments, "_sweep_point", lambda job: 1.0 / job[1])
+    res = frequency_sweep(_cfg(), [500.0, 1000.0], 0.1, 0.2, workers=10**6)
+    assert requested == [2]
+    assert res["slope"] == pytest.approx(1.0)
+    for workers in (0, -3):
+        with pytest.raises(ValueError, match="workers"):
+            frequency_sweep(_cfg(), [500.0, 1000.0], 0.1, 0.2, workers=workers)
+    assert requested == [2]
+
+
 def test_frequency_sweep_shape():
     cfg = _cfg(mode="driven", estimator="proposed", duration=0.3,
                drive=DriveProfile("constant", omega=0.5), theta0=0.3)

@@ -16,7 +16,6 @@ from hfsense.motor import SIM_MOTOR
 from hfsense.signal_ops import InjectionConfig
 from hfsense.sim import (
     DriveProfile,
-    LoadProfile,
     ScenarioConfig,
     TRACE_COLUMNS,
     SimulationDiverged,
@@ -98,21 +97,20 @@ def test_run_rejects_unknown_column():
             run(_cfg(duration=0.01), cols)
 
 
-def test_load_profiles():
-    assert LoadProfile("constant", value=2.0).torque(5.0) == 2.0
-    lp = LoadProfile("piecewise", times=(1.0, 2.0), values=(0.0, 1.0, 3.0))
-    assert [lp.torque(t) for t in (0.5, 1.5, 2.5)] == [0.0, 1.0, 3.0]
-    s = LoadProfile("sinusoidal", value=1.0, amplitude=0.5, frequency=2.0)
-    assert s.torque(0.125) == pytest.approx(1.5)
-    with pytest.raises(ValueError):
-        LoadProfile("ramp")
-    with pytest.raises(ValueError):
-        LoadProfile("piecewise", times=(1.0,), values=(0.0,))
-    # unsorted breakpoints would pick the wrong level through bisection
-    with pytest.raises(ValueError):
-        LoadProfile("piecewise", times=(2.0, 1.0), values=(0.0, 1.0, 2.0))
-    with pytest.raises(ValueError):
-        LoadProfile("piecewise", times=(1.0, 1.0), values=(0.0, 1.0, 2.0))
+@pytest.mark.parametrize("load", [0.5, -0.3])
+def test_load_torque_reaches_mechanics(load):
+    """With the probe off and every controller gain zero, only the
+    back-EMF feed-forward acts, the currents stay near zero, and the load
+    alone drives J*domega/dt = -T_L - f*omega from rest."""
+    m = SIM_MOTOR
+    zero = ControllerConfig(speed_kp=0.0, speed_ki=0.0, current_kp=0.0,
+                            current_ki=0.0, omega_ref=0.0)
+    tr = run(_cfg(estimator="none", sensor_mode=True, injection_enabled=False,
+                  controller=zero, load_torque=load, decimation=1),
+             ["t", "omega"])
+    exact = -(load / m.f) * (1.0 - np.exp(-m.f * tr.t / m.J))
+    err = np.max(np.abs(tr.omega - exact)) / np.max(np.abs(exact))
+    assert err < 1e-2
 
 
 @given(t=st.floats(0.0, 12.0))
@@ -180,8 +178,7 @@ def test_trace_requires_all_columns():
 
 
 def test_closed_loop_runs_and_tracks(sim_motor):
-    cfg = _cfg(estimator="both", duration=1.0,
-               load=LoadProfile("constant", value=0.1))
+    cfg = _cfg(estimator="both", duration=1.0, load_torque=0.1)
     tr = run(cfg)
     assert np.all(np.isfinite(tr.i_alpha))
     # the loop pulls the speed toward the 0.5 rad/s reference
