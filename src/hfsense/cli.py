@@ -42,8 +42,20 @@ EXIT_FAIL = 1
 EXIT_CONFIG = 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with a rejected flag reported as one config error line.
+
+    It still exits with SystemExit, as argparse does, now with code 2.
+    """
+
+    def error(self, message):
+        self.exit(EXIT_CONFIG, f"config error: {self.prog}: {message}\n")
+
+
 def _band(spec: str) -> tuple[float, float]:
     lo, hi = (float(x) for x in spec.split(":"))
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise argparse.ArgumentTypeError(f"band {spec!r} has a non-finite end")
     if hi <= lo:
         raise argparse.ArgumentTypeError("band must be lo:hi with hi > lo")
     return lo, hi
@@ -68,7 +80,7 @@ def _env_int(name: str, fallback: int | None = None) -> int | None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="hfsense",
         description="Sensorless IPMSM position-estimation experiments")
     ap.add_argument("--config", default=_env_default("CONFIG"),
@@ -264,6 +276,9 @@ def cmd_calibrate(cfg, args, outdir: Path):
 
 
 def cmd_equivalence(cfg, args, outdir: Path):
+    if not 0.0 <= args.tolerance < math.inf:
+        raise ConfigError(f"equivalence needs a finite --tolerance >= 0, "
+                          f"got {args.tolerance}")
     res = experiments.equivalence_deviation(
         cfg.motor, cfg.injection, cfg.steps_per_period, args.duration,
         gamma=cfg.gamma_alpha)

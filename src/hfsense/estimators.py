@@ -6,9 +6,9 @@ measured currents:
 * `ProposedEstimator` - delay minus weighted hold (a high-pass by
   construction) followed by a gradient LTV demodulator per axis.  The
   demodulator takes one sampled gradient step per sample, linear in its
-  state and input, so a sample costs one regressor step plus one update
-  x+ = a_j*x + c_j*yf per axis with (a_j, c_j) tabulated per carrier phase
-  (`ProposedEstimator._phase_table`).
+  state and input, so a sample costs one inline regressor step plus one
+  update x+ = a_j*x + c_j*yf per axis with (a_j, c_j) tabulated per carrier
+  phase (`ProposedEstimator._phase_table`).
 * `ConventionalEstimator` - LTI high-pass, demodulation by sin(omega_h t +
   phi), LTI low-pass, then rescaling.
 
@@ -22,11 +22,11 @@ locus through `_locus_angle`, which also resolves the branch by continuity
 with the previous estimate; each calls it once per sample.  Magnetic-polarity
 disambiguation is out of scope.
 
-The per-sample steps of `ProposedEstimator` and `ConventionalEstimator` are
-fused kernels: filters, centre and radius check run inline on float state,
-with the arithmetic and operation order of the standalone operators
-(`HighPass2`, `LowPass1`, `virtual_output_to_angle`), which stay the
-oracles the kernels are tested against bit for bit.
+The per-sample steps of all three estimators are fused kernels: the
+delay/hold regressor, filters, centre and radius check run inline on float
+state, with the arithmetic and operation order of the standalone operators
+(`Regressor`, `HighPass2`, `LowPass1`, `virtual_output_to_angle`), which
+stay the oracles the kernels are tested against bit for bit.
 """
 
 from __future__ import annotations
@@ -69,6 +69,19 @@ def _locus_angle(dx: float, dy: float, L1: float, prev_theta: float) -> float:
         dx, dy = -dx, -dy
     raw = 0.5 * math.atan2(dy, dx)
     return raw + math.pi * round((prev_theta - raw) / math.pi)
+
+
+def _regressor_parts(d: float, Ts: float):
+    """Constants and initial state of `Regressor(d, Ts)` for an inline copy.
+
+    Returns (n, m, rebase period, ua, ub, inc_a, inc_b), whose ring lists the
+    kernel updates in place, and the scalar state (i, sa, sb, cold,
+    rebase_in).  Building the Regressor keeps its misaligned-delay check the
+    one check.
+    """
+    reg = Regressor(d, Ts)
+    return ((reg.n, reg._m, reg._REBASE_EVERY, *reg._u, *reg._inc),
+            (reg._i, reg._sa, reg._sb, reg._cold, reg._rebase_in))
 
 
 def virtual_output_to_angle(y1: float, y2: float, params: MotorParams,
@@ -126,22 +139,29 @@ class ProposedEstimator:
         self.cfg = cfg
         self.Ts = Ts
         d = cfg.epsilon
-        self._regressor = Regressor(d, Ts)
+        reg_k, reg_s = _regressor_parts(d, Ts)
         # per phase j: ((a, c) of the alpha flow, (a, c) of the beta flow)
         self._table = list(zip(self._phase_table(gamma_alpha),
                                self._phase_table(gamma_beta)))
         # seed the demodulators at the assumed initial angle so the loop
         # does not open on a transient pointing nowhere
         y10, y20 = virtual_output(params, theta0)
-        self.x = (d * y10, d * y20)
         self.theta_hat = theta0
         self.yv1 = y10
         self.yv2 = y20
         self.low_confidence = True
         # constants of one step, unpacked at once in the kernel; the locus
         # centre and radius are those of virtual_output_to_angle's check
-        self._k = (Ts, len(self._table), d, *ell, params.L0 / params.det_L,
+        self._k = (Ts, len(self._table), *reg_k, d, *ell,
+                   params.L0 / params.det_L,
                    0.1 * abs(params.L1) / params.det_L, params.L1)
+        # regressor state, then the demodulator state (x_alpha, x_beta)
+        self._s = (*reg_s, d * y10, d * y20)
+
+    @property
+    def x(self) -> tuple[float, float]:
+        """Demodulator state (x_alpha, x_beta); yv is ell applied to x/epsilon."""
+        return self._s[5:]
 
     def _phase_table(self, gamma: float) -> list[tuple[float, float]]:
         """(a, c) per phase j with x+ = a*x + c*yf.
@@ -159,16 +179,44 @@ class ProposedEstimator:
 
     def step(self, t: float, i_alpha: float, i_beta: float):
         """Advance one sample; return (theta_hat, yv1, yv2) or None until warm."""
-        yf = self._regressor.step(i_alpha, i_beta)
-        if yf is None:
+        (Ts, N, n, m, rebase, ua, ub, inc_a, inc_b, eps, ell1, ell2, ell3,
+         centre, r_min, L1) = self._k
+        i, sa, sb, cold, rebase_in, xa, xb = self._s
+        # delay minus hold: Regressor.step inline, in its operation order
+        if cold:
+            cold -= 1
+            if cold == m:  # first sample: no increment yet
+                ua[0] = i_alpha
+                ub[0] = i_beta
+                self._s = (1, sa, sb, cold, rebase_in, xa, xb)
+                return None
+        ja = 0.5 * (ua[i - 1] + i_alpha)  # trapezoid, Ts factored out
+        jb = 0.5 * (ub[i - 1] + i_beta)
+        sa = sa - inc_a[i] + ja
+        sb = sb - inc_b[i] + jb
+        inc_a[i] = ja
+        inc_b[i] = jb
+        da = ua[i - n]  # negative indices wrap: the input from d ago
+        db = ub[i - n]
+        ua[i] = i_alpha
+        ub[i] = i_beta
+        i += 1
+        if i == m:
+            i = 0
+        rebase_in -= 1
+        if not rebase_in:
+            rebase_in = rebase
+            sa = math.fsum(inc_a)
+            sb = math.fsum(inc_b)
+        if cold:
+            self._s = (i, sa, sb, cold, rebase_in, xa, xb)
             return None
-        yfa, yfb = yf
-        Ts, N, eps, ell1, ell2, ell3, centre, r_min, L1 = self._k
+        yfa = da - sa / m
+        yfb = db - sb / m
         (aa, ca), (ab, cb) = self._table[round(t / Ts) % N]
-        xa, xb = self.x
         xa = aa * xa + ca * yfa
         xb = ab * xb + cb * yfb
-        self.x = (xa, xb)
+        self._s = (i, sa, sb, cold, rebase_in, xa, xb)
         y1 = self.yv1 = ell1 * (xa / eps) + ell2
         y2 = self.yv2 = ell3 * (xb / eps)
         dx = y1 - centre
@@ -280,22 +328,27 @@ class BlockFormEstimator:
     def __init__(self, params: MotorParams, cfg: InjectionConfig, Ts: float,
                  gamma_alpha: float = 1e4, gamma_beta: float = 1e4,
                  theta0: float = 0.0):
-        self.params = params
         self.cfg = cfg
         self.Ts = Ts
-        self.gamma = (gamma_alpha, gamma_beta)
         d = cfg.epsilon
-        self._regressor = Regressor(d, Ts)
+        reg_k, reg_s = _regressor_parts(d, Ts)
         # per phase j: ((a, c) of the alpha flow, (a, c) of the beta flow)
-        self._table = list(zip(*(self._phase_table(g) for g in self.gamma)))
+        self._table = list(zip(self._phase_table(gamma_alpha),
+                               self._phase_table(gamma_beta)))
         # same seeding convention as the operator form: z = (2*pi/V_h) * x
         y10, y20 = virtual_output(params, theta0)
-        self.z = (TWO_PI * d * y10 / cfg.V_h, TWO_PI * d * y20 / cfg.V_h)
-        self._lpf_gain = 0.5 * (cfg.V_h / TWO_PI) ** 2
-        self._scale = 2.0 * cfg.omega_h * params.det_L / cfg.V_h
         self.theta_hat = theta0
         self.yv1 = y10
         self.yv2 = y20
+        # constants of one step, unpacked at once in the kernel: the low
+        # pass gain 0.5*(V_h/2pi)^2 and the conventional rescaling
+        self._k = (Ts, len(self._table), *reg_k,
+                   0.5 * (cfg.V_h / TWO_PI) ** 2,
+                   2.0 * cfg.omega_h * params.det_L / cfg.V_h,
+                   params.det_L, params.L0, params.L1)
+        # regressor state, then the low-pass state (z_alpha, z_beta)
+        self._s = (*reg_s, TWO_PI * d * y10 / cfg.V_h,
+                   TWO_PI * d * y20 / cfg.V_h)
 
     def _phase_table(self, gamma: float) -> list[tuple[float, float]]:
         """(a, c) per phase j with z+ = a*z + c*yf.
@@ -315,23 +368,50 @@ class BlockFormEstimator:
 
     def step(self, t: float, i_alpha: float, i_beta: float):
         """Advance one sample; return (theta_hat, yv1, yv2) or None until warm."""
-        yf = self._regressor.step(i_alpha, i_beta)
-        if yf is None:
+        (Ts, N, n, m, rebase, ua, ub, inc_a, inc_b, g, scale, det_L, L0,
+         L1) = self._k
+        i, sa, sb, cold, rebase_in, za, zb = self._s
+        # delay minus hold: Regressor.step inline, in its operation order
+        if cold:
+            cold -= 1
+            if cold == m:  # first sample: no increment yet
+                ua[0] = i_alpha
+                ub[0] = i_beta
+                self._s = (1, sa, sb, cold, rebase_in, za, zb)
+                return None
+        ja = 0.5 * (ua[i - 1] + i_alpha)  # trapezoid, Ts factored out
+        jb = 0.5 * (ub[i - 1] + i_beta)
+        sa = sa - inc_a[i] + ja
+        sb = sb - inc_b[i] + jb
+        inc_a[i] = ja
+        inc_b[i] = jb
+        da = ua[i - n]  # negative indices wrap: the input from d ago
+        db = ub[i - n]
+        ua[i] = i_alpha
+        ub[i] = i_beta
+        i += 1
+        if i == m:
+            i = 0
+        rebase_in -= 1
+        if not rebase_in:
+            rebase_in = rebase
+            sa = math.fsum(inc_a)
+            sb = math.fsum(inc_b)
+        if cold:
+            self._s = (i, sa, sb, cold, rebase_in, za, zb)
             return None
-        yfa, yfb = yf
-        (aa, ca), (ab, cb) = self._table[round(t / self.Ts) % len(self._table)]
-        za, zb = self.z
+        yfa = da - sa / m
+        yfb = db - sb / m
+        (aa, ca), (ab, cb) = self._table[round(t / Ts) % N]
         za = aa * za + ca * yfa
         zb = ab * zb + cb * yfb
-        self.z = (za, zb)
-        g = self._lpf_gain
-        Ya = self._scale * (g * za)
-        Yb = self._scale * (g * zb)
-        p = self.params
-        self.yv1 = Ya / p.det_L
-        self.yv2 = Yb / p.det_L
-        self.theta_hat = _locus_angle(Ya - p.L0, Yb, p.L1, self.theta_hat)
-        return self.theta_hat, self.yv1, self.yv2
+        self._s = (i, sa, sb, cold, rebase_in, za, zb)
+        Ya = scale * (g * za)
+        Yb = scale * (g * zb)
+        y1 = self.yv1 = Ya / det_L
+        y2 = self.yv2 = Yb / det_L
+        theta = self.theta_hat = _locus_angle(Ya - L0, Yb, L1, self.theta_hat)
+        return theta, y1, y2
 
 
 class Pll:

@@ -208,8 +208,16 @@ def equivalence_deviation(params: MotorParams, inj: InjectionConfig,
             continue
         th_a, y1_a, y2_a = ra
         th_b, y1_b, y2_b = rb
-        worst_yv = max(worst_yv, abs(y1_a - y1_b), abs(y2_a - y2_b))
-        worst_theta = max(worst_theta, abs(th_a - th_b))
+        # the comparisons max() makes, in its order (a NaN never replaces)
+        e = abs(y1_a - y1_b)
+        if e > worst_yv:
+            worst_yv = e
+        e = abs(y2_a - y2_b)
+        if e > worst_yv:
+            worst_yv = e
+        e = abs(th_a - th_b)
+        if e > worst_theta:
+            worst_theta = e
     # relative to the natural size of the yv signal; dividing by a positive
     # constant is monotonic, so the max may be taken first
     scale = abs(params.L1) / params.det_L
@@ -226,6 +234,11 @@ def calibrate(cfg: ScenarioConfig, phase_err: float = 0.0,
     loss mechanisms seen on hardware).  Returns the fitted gains and the
     steady angle error before/after applying them.
     """
+    if not math.isfinite(phase_err):
+        raise ValueError(f"phase_err must be finite, got {phase_err}")
+    if not 0.0 < ripple_scale < math.inf:
+        raise ValueError(f"ripple_scale must be positive and finite, "
+                         f"got {ripple_scale}")
     if cfg.drive is None or cfg.drive.kind != "constant" or cfg.drive.omega == 0.0:
         raise ValueError("calibration needs a constant nonzero drive speed")
     params, inj, Ts = cfg.motor, cfg.injection, cfg.Ts

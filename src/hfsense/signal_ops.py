@@ -8,6 +8,10 @@ be an exact integer multiple of Ts (the constructor rejects misaligned
 values); sample alignment keeps the delay exact, which the equivalence checks
 rely on.  The regressor returns None until it has absorbed its full 2d hold
 window (not yet valid).
+
+The estimators run these operators' steps inline in fused kernels;
+`Regressor`, `HighPass2` and `LowPass1` stay as the oracles those kernels
+must match bit for bit.
 """
 
 from __future__ import annotations

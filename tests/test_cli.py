@@ -103,6 +103,23 @@ def test_band_argument_rejects_inverted():
             ["compare-rmsd", "--band-proposed", "2:1"])
 
 
+@pytest.mark.parametrize("band", ["nan:5", "1:nan", "0:inf", "1:-inf"])
+def test_band_argument_rejects_non_finite(band, fast_scenario, tmp_path,
+                                          capsys):
+    """A NaN end used to pass the hi > lo check, so every ratio failed the
+    band; a rejected flag is one config error line, exit 2."""
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(fast_scenario), "--out", str(out),
+              "residual-order", "--t1", "0.1", "--t2", "0.2",
+              "--ratio-band", band])
+    assert exc.value.code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert band in err
+    assert not (out / "summary.json").exists()
+
+
 def test_missing_config_is_config_error(tmp_path, monkeypatch):
     monkeypatch.delenv("HFSENSE_CONFIG", raising=False)
     assert main(["--out", str(tmp_path), "run"]) == EXIT_CONFIG
@@ -144,6 +161,13 @@ _BAD_VERB_ARGUMENTS = [
     (FAST, ["calibrate"]),
     (FAST, ["--workers", "0", "sweep-frequency", "--frequencies", "500,1000",
             "--t1", "0.1", "--t2", "0.2"]),
+    # a NaN or negative tolerance used to run and print FAIL
+    (FAST, ["equivalence", "--tolerance", "nan"]),
+    (FAST, ["equivalence", "--tolerance", "-1"]),
+    # NaN ripple scale used to fail inside round(); -1 gave a nonsense fit
+    (DRIVEN, ["calibrate", "--ripple-scale", "nan"]),
+    (DRIVEN, ["calibrate", "--ripple-scale", "-1"]),
+    (DRIVEN, ["calibrate", "--phase-err", "inf"]),
 ]
 
 

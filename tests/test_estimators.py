@@ -29,6 +29,7 @@ from hfsense.signal_ops import (
     HighPass2,
     InjectionConfig,
     LowPass1,
+    Regressor,
     carrier_steps,
     probe_signal,
 )
@@ -305,6 +306,64 @@ def test_fused_proposed_angle_matches_virtual_output_to_angle(motor, inj, Ts):
         prev = est.theta_hat
     assert not mismatches, mismatches[:3]
     assert held > 0.1 * n and valid > 0.1 * n
+
+
+@SALIENCY
+def test_fused_new_pipeline_steps_match_regressor_oracle(motor):
+    """Both new-pipeline kernels bit for bit against Regressor.step, then
+    the per-phase step and _locus_angle: seeded ripple plus noise from
+    carrier phase 37, unequal gains, past the regressor's periodic rebase."""
+    inj = InjectionConfig(V_h=1.5, epsilon=1e-3, phi_p=0.4)
+    Ts = inj.epsilon / 20.0
+    N = carrier_steps(inj, Ts)
+    gammas = (1.2e4, 8e3)
+    ell = (1.05, 0.02, 0.95)
+    k0, n = 37, Regressor._REBASE_EVERY + 300
+    t = (k0 + np.arange(n)) * Ts
+    rng = np.random.default_rng(11)
+    cur = synthesize_injection_current(motor, inj, 0.7 + 25.0 * t, t,
+                                       i_bar=(0.5, -0.2)) \
+        + rng.normal(0.0, 1e-3, (n, 2))
+    prop = ProposedEstimator(motor, inj, Ts, *gammas, ell, theta0=0.7)
+    block = BlockFormEstimator(motor, inj, Ts, *gammas, theta0=0.7)
+    reg = Regressor(inj.epsilon, Ts)
+    # per-phase steps of each form; states seeded as the constructors do
+    tables = [list(zip(*(est._phase_table(gm) for gm in gammas)))
+              for est in (prop, block)]
+    y10, y20 = virtual_output(motor, 0.7)
+    d = inj.epsilon
+    x = (d * y10, d * y20)
+    z = (TWO_PI * d * y10 / inj.V_h, TWO_PI * d * y20 / inj.V_h)
+    th_x = th_z = 0.7
+    centre = motor.L0 / motor.det_L
+    g = 0.5 * (inj.V_h / TWO_PI) ** 2
+    scale = 2.0 * inj.omega_h * motor.det_L / inj.V_h
+    cold, mismatches = [], []
+    for k in range(n):
+        ia, ib = float(cur[k, 0]), float(cur[k, 1])
+        got = (prop.step(float(t[k]), ia, ib), block.step(float(t[k]), ia, ib))
+        yf = reg.step(ia, ib)
+        if yf is None:
+            cold.append(k)
+            want = (None, None)
+        else:
+            j = (k0 + k) % N
+            (aa, ca), (ab, cb) = tables[0][j]
+            x = (aa * x[0] + ca * yf[0], ab * x[1] + cb * yf[1])
+            y1 = ell[0] * (x[0] / d) + ell[1]
+            y2 = ell[2] * (x[1] / d)
+            th_x = _locus_angle(y1 - centre, y2, motor.L1, th_x)
+            (aa, ca), (ab, cb) = tables[1][j]
+            z = (aa * z[0] + ca * yf[0], ab * z[1] + cb * yf[1])
+            Ya, Yb = scale * (g * z[0]), scale * (g * z[1])
+            th_z = _locus_angle(Ya - motor.L0, Yb, motor.L1, th_z)
+            want = ((th_x, y1, y2),
+                    (th_z, Ya / motor.det_L, Yb / motor.det_L))
+        # the ripple keeps the locus point off the degenerate radius
+        if got != want or (want[0] is not None and prop.low_confidence):
+            mismatches.append((k, got, want))
+    assert cold == list(range(round(2.0 * inj.epsilon / Ts)))
+    assert not mismatches, mismatches[:3]
 
 
 def test_chain_config_defaults(inj):

@@ -229,6 +229,21 @@ def test_calibrate_requires_constant_drive():
         calibrate(_cfg(mode="driven", drive=DriveProfile("constant", omega=0.0)))
 
 
+@pytest.mark.parametrize("kw,match", [
+    ({"phase_err": math.nan}, "phase_err must be finite, got nan"),
+    ({"phase_err": -math.inf}, "phase_err must be finite, got -inf"),
+    ({"ripple_scale": math.nan}, "ripple_scale .* got nan"),
+    ({"ripple_scale": -1.0}, "ripple_scale .* got -1.0"),
+    ({"ripple_scale": 0.0}, "ripple_scale .* got 0.0"),
+    ({"ripple_scale": math.inf}, "ripple_scale .* got inf"),
+])
+def test_calibrate_rejects_bad_distortion(kw, match):
+    """Each bad value is named before any estimator runs."""
+    cfg = _cfg(mode="driven", drive=DriveProfile("constant", omega=2.0))
+    with pytest.raises(ValueError, match=match):
+        calibrate(cfg, **kw)
+
+
 def test_calibrate_phase_error_recovery():
     """A demodulation phase shift drifts the raw estimate; the fitted gains
     restore the accuracy to within 2x of the undistorted run."""
