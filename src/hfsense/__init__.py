@@ -27,8 +27,6 @@ from .motor import (
     BENCH_MOTOR,
     SIM_MOTOR,
     MotorParams,
-    inductance_matrix,
-    saliency_matrix,
     virtual_output,
 )
 from .signal_ops import (
@@ -63,8 +61,8 @@ __all__ = [
     "ProposedEstimator", "Regressor", "ScenarioConfig", "SensorlessController",
     "SimulationDiverged", "Trace", "averaging_residual", "bode_table",
     "fit_compensation", "frame_rotate", "gd_frequency_response",
-    "hpf_frequency_response", "inductance_matrix", "load_scenario",
+    "hpf_frequency_response", "load_scenario",
     "lpf_frequency_response", "probe_signal", "rmsd", "run",
-    "saliency_matrix", "synthesize_injection_current", "virtual_output",
+    "synthesize_injection_current", "virtual_output",
     "virtual_output_to_angle", "wrap_mod_pi",
 ]

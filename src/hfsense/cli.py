@@ -42,14 +42,29 @@ EXIT_FAIL = 1
 EXIT_CONFIG = 2
 
 
+# flags whose value is a band lo:hi, which starts with "-" when lo < 0
+_BAND_FLAGS = frozenset({"--band-proposed", "--band-conventional",
+                         "--slope-band", "--ratio-band"})
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse with a rejected flag reported as one config error line.
 
     It still exits with SystemExit, as argparse does, now with code 2.
+    argparse reads a value such as "-1:2" as a flag, so a band flag and the
+    word after it are joined into "--flag=value": both spellings parse.
     """
 
     def error(self, message):
         self.exit(EXIT_CONFIG, f"config error: {self.prog}: {message}\n")
+
+    def parse_known_args(self, args=None, namespace=None):
+        words = iter(sys.argv[1:] if args is None else args)
+        joined = []
+        for w in words:
+            value = next(words, None) if w in _BAND_FLAGS else None
+            joined.append(w if value is None else f"{w}={value}")
+        return super().parse_known_args(joined, namespace)
 
 
 def _band(spec: str) -> tuple[float, float]:

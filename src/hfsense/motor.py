@@ -1,20 +1,20 @@
 """Continuous-time IPMSM dynamics in the stationary (alpha-beta) frame.
 
 The machine is salient (L_d != L_q), so the inductance matrix depends on the
-electrical rotor angle.  All functions here are pure.  `derivative_scalars`
-is the one definition of the stator equation (with the mechanics); it works
-on plain floats because the simulator calls it four times per step.  The
-matrix form (`inductance_matrix`, `saliency_matrix`) is kept as the
-independent oracle it is checked against.
+electrical rotor angle.  All functions here are pure.  `rk4_step` is the one
+plant step: one RK4 step of the stator equation (with the mechanics, or
+under a prescribed drive), its four stages written inline on plain floats
+because the simulator calls it once per integration step.  Its oracles live
+in tests/oracles.py: the stator equation as one function, which `rk4_step`
+matches bit for bit when four calls of it are composed as RK4, and the
+matrix form of the inductance that function is checked against.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
-
-import numpy as np
+from math import cos, sin
 
 
 @dataclass(frozen=True)
@@ -68,47 +68,132 @@ BENCH_MOTOR = MotorParams(n_p=3, R_s=0.47, L_d=3.38e-3, L_q=5.07e-3,
                           Phi=0.39, J=0.01)
 
 
-def saliency_matrix(theta: float) -> np.ndarray:
-    """Angle-dependent part of the inductance: [[cos2t, sin2t], [sin2t, -cos2t]]."""
-    c2 = math.cos(2.0 * theta)
-    s2 = math.sin(2.0 * theta)
-    return np.array([[c2, s2], [s2, -c2]])
-
-
-def inductance_matrix(params: MotorParams, theta: float) -> np.ndarray:
-    """L(theta) = L0*I + L1*Q(theta); symmetric positive definite, det = L_d*L_q."""
-    return params.L0 * np.eye(2) + params.L1 * saliency_matrix(theta)
-
-
 def virtual_output(params: MotorParams, theta: float) -> tuple[float, float]:
     """Exact position-bearing vector multiplying the probe in the averaged current.
 
     y_v = (1/(L_d L_q)) * (L0 - L1*cos2theta, -L1*sin2theta).
     """
     d = params.det_L
-    return ((params.L0 - params.L1 * math.cos(2.0 * theta)) / d,
-            (-params.L1 * math.sin(2.0 * theta)) / d)
+    return ((params.L0 - params.L1 * cos(2.0 * theta)) / d,
+            (-params.L1 * sin(2.0 * theta)) / d)
 
 
-def derivative_scalars(n_p, R_s, L0, L1, detL, Phi, J, f,
-                       ia, ib, th, om, va, vb, TL):
-    """State derivative as plain floats: (dia, dib, dtheta, domega).
+def rk4_constants(params: MotorParams, h: float) -> tuple:
+    """Constants of `rk4_step` for the step h, built once per run.
 
-    di/dt = L(theta)^-1 [F(i, theta, omega) + v] with the adjugate inverse;
-    dtheta/dt = n_p*omega; J*domega/dt = torque - f*omega - T_L.
+    n_p is a float here: the product n_p*x is the same as with the int, and
+    float by float is the interpreter's fast path.
     """
-    c = math.cos(th)
-    s = math.sin(th)
+    n_p = float(params.n_p)
+    return (n_p, params.R_s, params.L0, params.L1, params.det_L, params.Phi,
+            params.J, params.f, n_p * params.Phi, h, 0.5 * h, h / 6.0)
+
+
+def rk4_step(kc, ia, ib, th, om, va, va_mid, va_end, vb, TL, drive=None):
+    """One classical RK4 step of the plant: (ia, ib, theta, omega) at t+h.
+
+    `kc` comes from `rk4_constants`.  The alpha voltage is va at t, va_mid
+    at t+h/2 (stages 2 and 3) and va_end at t+h; vb is held over the step.
+    With drive None the mechanics are integrated under the load torque TL.
+    Otherwise drive = (theta, omega) at t+h/2 followed by (theta, omega) at
+    t+h, prescribed, the mechanics rates are not formed and theta, omega
+    come back unchanged.
+
+    Each stage is the stator equation
+      di/dt = L(theta)^-1 [F(i, theta, omega) + v]   (adjugate inverse),
+      F = (2 n_p omega L1 Q(theta) J - R_s I) i + n_p omega Phi (sin, -cos),
+    with dtheta/dt = n_p*omega and
+      J domega/dt = n_p Phi (ib cos - ia sin) - f omega - TL.
+    It shares only subexpressions whose sharing is exact, so the step
+    equals, bit for bit, four calls of the one-function stator equation in
+    tests/oracles.py composed as RK4.
+    """
+    n_p, R_s, L0, L1, det_L, Phi, J, f, npPhi, h, hh, h6 = kc
+
+    # stage 1 at t
+    c = cos(th)
+    s = sin(th)
     c2 = c * c - s * s
     s2 = 2.0 * s * c
-    w2 = 2.0 * n_p * om * L1
-    # F = (2 n_p w L1 Q(theta) J - R_s I) i + n_p w Phi (sin, -cos)
-    F1 = w2 * (s2 * ia - c2 * ib) - R_s * ia + n_p * om * Phi * s
-    F2 = w2 * (-c2 * ia - s2 * ib) - R_s * ib - n_p * om * Phi * c
-    u1 = F1 + va
-    u2 = F2 + vb
-    dia = ((L0 - L1 * c2) * u1 - L1 * s2 * u2) / detL
-    dib = (-L1 * s2 * u1 + (L0 + L1 * c2) * u2) / detL
-    dth = n_p * om
-    dom = (n_p * Phi * (ib * c - ia * s) - f * om - TL) / J
-    return dia, dib, dth, dom
+    lc2 = L1 * c2
+    ls2 = L1 * s2
+    w1 = n_p * om
+    g = 2.0 * w1 * L1
+    e = w1 * Phi
+    u1 = g * (s2 * ia - c2 * ib) - R_s * ia + e * s + va
+    u2 = g * (-c2 * ia - s2 * ib) - R_s * ib - e * c + vb
+    a1 = ((L0 - lc2) * u1 - ls2 * u2) / det_L
+    b1 = (-ls2 * u1 + (L0 + lc2) * u2) / det_L
+    if drive is None:
+        o1 = (npPhi * (ib * c - ia * s) - f * om - TL) / J
+        thm = th + hh * w1
+        omm = om + hh * o1
+    else:
+        thm, omm, the, ome = drive
+
+    # stage 2 at t+h/2
+    ja = ia + hh * a1
+    jb = ib + hh * b1
+    c = cos(thm)
+    s = sin(thm)
+    c2 = c * c - s * s
+    s2 = 2.0 * s * c
+    lc2 = L1 * c2
+    ls2 = L1 * s2
+    w2 = n_p * omm
+    g = 2.0 * w2 * L1
+    e = w2 * Phi
+    u1 = g * (s2 * ja - c2 * jb) - R_s * ja + e * s + va_mid
+    u2 = g * (-c2 * ja - s2 * jb) - R_s * jb - e * c + vb
+    a2 = ((L0 - lc2) * u1 - ls2 * u2) / det_L
+    b2 = (-ls2 * u1 + (L0 + lc2) * u2) / det_L
+    if drive is None:
+        o2 = (npPhi * (jb * c - ja * s) - f * omm - TL) / J
+        thm = th + hh * w2
+        omm = om + hh * o2
+
+    # stage 3 at t+h/2
+    ja = ia + hh * a2
+    jb = ib + hh * b2
+    c = cos(thm)
+    s = sin(thm)
+    c2 = c * c - s * s
+    s2 = 2.0 * s * c
+    lc2 = L1 * c2
+    ls2 = L1 * s2
+    w3 = n_p * omm
+    g = 2.0 * w3 * L1
+    e = w3 * Phi
+    u1 = g * (s2 * ja - c2 * jb) - R_s * ja + e * s + va_mid
+    u2 = g * (-c2 * ja - s2 * jb) - R_s * jb - e * c + vb
+    a3 = ((L0 - lc2) * u1 - ls2 * u2) / det_L
+    b3 = (-ls2 * u1 + (L0 + lc2) * u2) / det_L
+    if drive is None:
+        o3 = (npPhi * (jb * c - ja * s) - f * omm - TL) / J
+        the = th + h * w3
+        ome = om + h * o3
+
+    # stage 4 at t+h
+    ja = ia + h * a3
+    jb = ib + h * b3
+    c = cos(the)
+    s = sin(the)
+    c2 = c * c - s * s
+    s2 = 2.0 * s * c
+    lc2 = L1 * c2
+    ls2 = L1 * s2
+    w4 = n_p * ome
+    g = 2.0 * w4 * L1
+    e = w4 * Phi
+    u1 = g * (s2 * ja - c2 * jb) - R_s * ja + e * s + va_end
+    u2 = g * (-c2 * ja - s2 * jb) - R_s * jb - e * c + vb
+    a4 = ((L0 - lc2) * u1 - ls2 * u2) / det_L
+    b4 = (-ls2 * u1 + (L0 + lc2) * u2) / det_L
+
+    ia += h6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+    ib += h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+    if drive is None:
+        o4 = (npPhi * (jb * c - ja * s) - f * ome - TL) / J
+        th += h6 * (w1 + 2.0 * w2 + 2.0 * w3 + w4)
+        om += h6 * (o1 + 2.0 * o2 + 2.0 * o3 + o4)
+    return ia, ib, th, om

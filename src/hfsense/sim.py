@@ -10,7 +10,8 @@ One step loop, `run`, serves both mechanics modes:
   bench; RK4 integrates the currents and takes the mechanics from the
   profile at each substep time.
 
-Every RK4 stage calls `motor.derivative_scalars`, the only stator equation.
+Each step makes one call to `motor.rk4_step`, the one plant step; its
+oracle is in tests/oracles.py.
 
 Controller and estimators advance once per integration step (single cadence,
 no PWM).  The probe voltage is evaluated analytically at the RK4 substep
@@ -35,7 +36,7 @@ from .estimators import (
     ProposedEstimator,
     synthesize_injection_current,
 )
-from .motor import MotorParams, derivative_scalars
+from .motor import MotorParams, rk4_constants, rk4_step
 from .signal_ops import TWO_PI, InjectionConfig, carrier_steps
 # not called here; it stays importable from this module, where
 # bench/run.py's tracer wraps it by name
@@ -284,23 +285,19 @@ def run(cfg: ScenarioConfig, columns=None) -> Trace:
     if driven:
         angle, omega_at = cfg.drive.angle_integral, cfg.drive.omega_at
 
-    # hot-loop locals, passed to derivative_scalars by position
-    np_, Rs, L0, L1 = mp.n_p, mp.R_s, mp.L0, mp.L1
-    detL, Phi, J, fr = mp.det_L, mp.Phi, mp.J, mp.f
-    deriv = derivative_scalars
+    kc = rk4_constants(mp, Ts)
+    np_ = mp.n_p
     v_probe, v_probe_mid = _probe_tables(cfg)
     n_car = len(v_probe)
     lim = cfg.divergence_limit
     dec = cfg.decimation
-    h = Ts
-    hh = 0.5 * h   # 0.5 * h * x evaluates as (0.5 * h) * x
-    h6 = h / 6.0
 
     ia, ib = cfg.i_alpha0, cfg.i_beta0
     th0 = th = cfg.theta0
     om = cfg.omega0
     # driven mode prescribes the mechanics, so no load acts there
     TL = 0.0 if driven else cfg.load_torque
+    drive = None
 
     n_rec = n_steps // dec + 1
     rec = {c: np.zeros(n_rec) for c in cols}
@@ -312,7 +309,6 @@ def run(cfg: ScenarioConfig, columns=None) -> Trace:
         if driven:
             th = th0 + np_ * angle(t)
             om = omega_at(t)
-        vpa = v_probe[k % n_car]
         if noise is None:
             ia_m, ib_m = ia, ib
         else:
@@ -337,9 +333,10 @@ def run(cfg: ScenarioConfig, columns=None) -> Trace:
         else:
             th_c = om_c = None
         vca, vcb = ctrl.low_frequency_voltage(ia_m, ib_m, th_c, om_c)
+        va = vca + v_probe[k % n_car]
 
         if k % dec == 0:
-            row = (t, th, th % TWO_PI, om, ia, ib, vca + vpa, vcb)
+            row = (t, th, th % TWO_PI, om, ia, ib, va, vcb)
             if prop is None:
                 row += _NO_ESTIMATE
             else:
@@ -358,35 +355,15 @@ def run(cfg: ScenarioConfig, columns=None) -> Trace:
             break
 
         # RK4 over [t, t+Ts]; control voltage held, probe continuous
-        te = t + h
+        te = t + Ts
         if driven:
-            tm = t + hh
-            thm, omm = th0 + np_ * angle(tm), omega_at(tm)
-            the, ome = th0 + np_ * angle(te), omega_at(te)
+            tm = t + 0.5 * Ts
+            drive = (th0 + np_ * angle(tm), omega_at(tm),
+                     th0 + np_ * angle(te), omega_at(te))
         try:
-            a1, b1, t1, o1 = deriv(np_, Rs, L0, L1, detL, Phi, J, fr,
-                                   ia, ib, th, om, vca + vpa, vcb, TL)
-            vam = vca + v_probe_mid[k % n_car]
-            if not driven:
-                thm, omm = th + hh * t1, om + hh * o1
-            a2, b2, t2, o2 = deriv(np_, Rs, L0, L1, detL, Phi, J, fr,
-                                   ia + hh * a1, ib + hh * b1, thm, omm,
-                                   vam, vcb, TL)
-            if not driven:
-                thm, omm = th + hh * t2, om + hh * o2
-            a3, b3, t3, o3 = deriv(np_, Rs, L0, L1, detL, Phi, J, fr,
-                                   ia + hh * a2, ib + hh * b2, thm, omm,
-                                   vam, vcb, TL)
-            if not driven:
-                the, ome = th + h * t3, om + h * o3
-            a4, b4, t4, o4 = deriv(np_, Rs, L0, L1, detL, Phi, J, fr,
-                                   ia + h * a3, ib + h * b3, the, ome,
-                                   vca + v_probe[(k + 1) % n_car], vcb, TL)
-            ia += h6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-            ib += h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-            if not driven:
-                th += h6 * (t1 + 2.0 * t2 + 2.0 * t3 + t4)
-                om += h6 * (o1 + 2.0 * o2 + 2.0 * o3 + o4)
+            ia, ib, th, om = rk4_step(
+                kc, ia, ib, th, om, va, vca + v_probe_mid[k % n_car],
+                vca + v_probe[(k + 1) % n_car], vcb, TL, drive)
         except (ValueError, OverflowError) as exc:
             # a non-finite state reached math.cos or overflowed a stage
             raise SimulationDiverged(

@@ -120,6 +120,47 @@ def test_band_argument_rejects_non_finite(band, fast_scenario, tmp_path,
     assert not (out / "summary.json").exists()
 
 
+@pytest.mark.parametrize("flag,verb", [
+    ("--band-proposed", ["compare-rmsd"]),
+    ("--band-conventional", ["compare-rmsd"]),
+    ("--slope-band", ["sweep-frequency", "--t1", "1", "--t2", "2"]),
+    ("--ratio-band", ["residual-order", "--t1", "1", "--t2", "2"]),
+])
+@pytest.mark.parametrize("joined", [False, True], ids=["separate", "equals"])
+def test_band_with_negative_lower_end_parses(flag, verb, joined):
+    """A band whose lower end is negative looks like a flag to argparse;
+    "--flag -1:2" and "--flag=-1:2" must give the same band."""
+    words = [f"{flag}=-1:2"] if joined else [flag, "-1:2"]
+    args = build_parser().parse_args(verb + words)
+    assert getattr(args, flag[2:].replace("-", "_")) == (-1.0, 2.0)
+
+
+@pytest.mark.parametrize("flag,verb", [
+    ("--band-proposed", ["compare-rmsd"]),
+    ("--slope-band", ["sweep-frequency", "--t1", "1", "--t2", "2"]),
+])
+@pytest.mark.parametrize("value", ["-1:-2", "-nan:2", "-1", "-x:2"])
+def test_bad_negative_band_is_one_config_error(flag, verb, value, tmp_path,
+                                               capsys):
+    """A band that starts with "-" but is invalid still ends in one config
+    error line and exit 2, in both spellings."""
+    for words in ([flag, value], [f"{flag}={value}"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(tmp_path / "unread.scenario"),
+                  "--out", str(tmp_path / "o"), *verb, *words])
+        assert exc.value.code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert flag in err
+
+
+def test_band_flag_without_value_is_config_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["compare-rmsd", "--band-proposed"])
+    assert exc.value.code == EXIT_CONFIG
+    assert capsys.readouterr().err.count("\n") == 1
+
+
 def test_missing_config_is_config_error(tmp_path, monkeypatch):
     monkeypatch.delenv("HFSENSE_CONFIG", raising=False)
     assert main(["--out", str(tmp_path), "run"]) == EXIT_CONFIG

@@ -1,6 +1,9 @@
-"""Machine-model tests: inductance algebra, derivative oracle, virtual output."""
+"""Machine-model tests: inductance algebra, derivative oracle, fused RK4
+step, virtual output."""
 
 import math
+import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,10 +13,15 @@ from hfsense.motor import (
     BENCH_MOTOR,
     SIM_MOTOR,
     MotorParams,
+    rk4_constants,
+    rk4_step,
+    virtual_output,
+)
+from oracles import (
     derivative_scalars,
     inductance_matrix,
+    rk4_reference,
     saliency_matrix,
-    virtual_output,
 )
 
 angles = st.floats(-50.0, 50.0, allow_nan=False)
@@ -88,6 +96,56 @@ def test_derivative_against_matrix_form():
     assert got[1] == pytest.approx(di[1], rel=1e-12)
     assert got[2] == pytest.approx(m.n_p * om)
     assert got[3] == pytest.approx(dom, rel=1e-12)
+
+
+# a machine with L_d > L_q: L1 > 0 flips the sign of every saliency term
+SALIENT_DQ = replace(SIM_MOTOR, L_d=SIM_MOTOR.L_q, L_q=SIM_MOTOR.L_d)
+
+
+def _random_step_args(rng):
+    """State, voltages and load of one step, over magnitudes from tiny to
+    far beyond the shipped scenarios' (angles of many turns, kA, krad/s)."""
+    def val(scale):
+        return rng.choice((-1.0, 1.0)) * scale * 10.0 ** rng.uniform(-6.0, 0.0)
+
+    return (val(1e3), val(1e3), rng.uniform(-200.0, 200.0), val(1e3),
+            val(600.0), val(600.0), val(600.0), val(600.0), val(50.0))
+
+
+@pytest.mark.parametrize("motor", [SIM_MOTOR, BENCH_MOTOR, SALIENT_DQ],
+                         ids=["sim", "bench", "ld_gt_lq"])
+@pytest.mark.parametrize("driven", [False, True], ids=["mechanics", "drive"])
+def test_rk4_step_matches_derivative_oracle(motor, driven):
+    """The fused plant step equals four `derivative_scalars` calls composed
+    as RK4, with ==: on seeded random states, voltages and loads, and along
+    a trajectory that feeds each step's result into the next."""
+    rng = random.Random(20260 + 2 * motor.n_p + driven)
+    for h in (2e-5, 1e-4, 1.3e-3):
+        kc = rk4_constants(motor, h)
+        for _ in range(1500):
+            ia, ib, th, om, va, vam, vae, vb, TL = _random_step_args(rng)
+            drive = None
+            if driven:
+                drive = (rng.uniform(-200.0, 200.0), om * rng.uniform(0.5, 2.0),
+                         rng.uniform(-200.0, 200.0), om * rng.uniform(0.5, 2.0))
+            got = rk4_step(kc, ia, ib, th, om, va, vam, vae, vb, TL, drive)
+            want = rk4_reference(motor, h, ia, ib, th, om, va, vam, vae, vb,
+                                 TL, drive)
+            assert got == want, (h, ia, ib, th, om, va, vam, vae, vb, TL, drive)
+    h = 2e-5
+    kc = rk4_constants(motor, h)
+    got = want = (0.3, -0.2, 1.0, 0.5)
+    for k in range(3000):
+        t = k * h
+        va, vam, vae = (30.0 * math.sin(6283.185307179586 * x)
+                        for x in (t, t + 0.5 * h, t + h))
+        vb = 5.0 * math.cos(3.0 * t)
+        drive = None
+        if driven:
+            drive = (1.0 + 9.0 * (t + 0.5 * h), 1.5, 1.0 + 9.0 * (t + h), 1.5)
+        got = rk4_step(kc, *got, va, vam, vae, vb, 0.5, drive)
+        want = rk4_reference(motor, h, *want, va, vam, vae, vb, 0.5, drive)
+        assert got == want, k
 
 
 def test_torque_sign_convention():
