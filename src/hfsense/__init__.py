@@ -12,7 +12,6 @@ scenario files and a CLI for the standard experiments.
 from .controller import ControllerConfig, Pi, SensorlessController, frame_rotate
 from .estimators import (
     ConventionalEstimator,
-    DegenerateSignalError,
     BlockFormEstimator,
     LtiChainConfig,
     Pll,
@@ -20,7 +19,6 @@ from .estimators import (
     fit_compensation,
     rmsd,
     synthesize_injection_current,
-    virtual_output_to_angle,
     wrap_mod_pi,
 )
 from .motor import (
@@ -55,7 +53,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BENCH_MOTOR", "SIM_MOTOR",
     "ConfigError", "ControllerConfig", "ConventionalEstimator",
-    "DegenerateSignalError", "DriveProfile", "BlockFormEstimator",
+    "DriveProfile", "BlockFormEstimator",
     "HighPass2", "InjectionConfig", "LowPass1",
     "LtiChainConfig", "MotorParams", "Pi", "Pll",
     "ProposedEstimator", "Regressor", "ScenarioConfig", "SensorlessController",
@@ -63,6 +61,5 @@ __all__ = [
     "fit_compensation", "frame_rotate", "gd_frequency_response",
     "hpf_frequency_response", "load_scenario",
     "lpf_frequency_response", "probe_signal", "rmsd", "run",
-    "synthesize_injection_current", "virtual_output",
-    "virtual_output_to_angle", "wrap_mod_pi",
+    "synthesize_injection_current", "virtual_output", "wrap_mod_pi",
 ]

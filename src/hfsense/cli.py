@@ -53,7 +53,12 @@ class _Parser(argparse.ArgumentParser):
     It still exits with SystemExit, as argparse does, now with code 2.
     argparse reads a value such as "-1:2" as a flag, so a band flag and the
     word after it are joined into "--flag=value": both spellings parse.
+    Abbreviated flags are rejected (here and in every subparser, which
+    argparse builds from this class), so each flag has one spelling.
     """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         self.exit(EXIT_CONFIG, f"config error: {self.prog}: {message}\n")

@@ -22,11 +22,16 @@ locus through `_locus_angle`, which also resolves the branch by continuity
 with the previous estimate; each calls it once per sample.  Magnetic-polarity
 disambiguation is out of scope.
 
+Each estimator steps by the integer sample index k (the sample time is
+k*Ts): `step(k, i_alpha, i_beta)` looks up its per-phase constants at
+carrier phase k mod N, with N = epsilon/Ts samples per probe period.
+
 The per-sample steps of all three estimators are fused kernels: the
 delay/hold regressor, filters, centre and radius check run inline on float
 state, with the arithmetic and operation order of the standalone operators
-(`Regressor`, `HighPass2`, `LowPass1`, `virtual_output_to_angle`), which
-stay the oracles the kernels are tested against bit for bit.
+(`Regressor`, `HighPass2`, `LowPass1`, and `virtual_output_to_angle` in
+tests/oracles.py), which stay the oracles the kernels are tested against
+bit for bit.
 """
 
 from __future__ import annotations
@@ -46,10 +51,6 @@ from .signal_ops import (
     carrier_steps,
     probe_signal,
 )
-
-
-class DegenerateSignalError(ValueError):
-    """Raised when the virtual-output vector carries no saliency information."""
 
 
 def wrap_mod_pi(err):
@@ -82,19 +83,6 @@ def _regressor_parts(d: float, Ts: float):
     reg = Regressor(d, Ts)
     return ((reg.n, reg._m, reg._REBASE_EVERY, *reg._u, *reg._inc),
             (reg._i, reg._sa, reg._sb, reg._cold, reg._rebase_in))
-
-
-def virtual_output_to_angle(y1: float, y2: float, params: MotorParams,
-                            prev_theta: float, min_radius: float = 0.0) -> float:
-    """Recover the unwrapped angle from a virtual-output estimate.
-
-    The locus is centred at (L0/(Ld Lq), 0); a point within min_radius of
-    the centre carries no angle and raises DegenerateSignalError.
-    """
-    dx = y1 - params.L0 / params.det_L
-    if math.hypot(dx, y2) <= min_radius:
-        raise DegenerateSignalError("virtual output too close to the circle center")
-    return _locus_angle(dx, y2, params.L1, prev_theta)
 
 
 def rmsd(t, theta_true, theta_hat, t1: float, t2: float) -> float:
@@ -150,9 +138,10 @@ class ProposedEstimator:
         self.yv1 = y10
         self.yv2 = y20
         self.low_confidence = True
-        # constants of one step, unpacked at once in the kernel; the locus
-        # centre and radius are those of virtual_output_to_angle's check
-        self._k = (Ts, len(self._table), *reg_k, d, *ell,
+        # constants of one step, unpacked at once in the kernel: the locus
+        # centre (L0/(Ld Lq), 0) and the radius within which a point carries
+        # no angle
+        self._k = (len(self._table), *reg_k, d, *ell,
                    params.L0 / params.det_L,
                    0.1 * abs(params.L1) / params.det_L, params.L1)
         # regressor state, then the demodulator state (x_alpha, x_beta)
@@ -168,8 +157,8 @@ class ProposedEstimator:
 
         The sampled gradient step x+ = x + Ts*gamma*S_j*(yf - S_j*x), with
         S_j = S(j*Ts) the probe reference at the sample.  With Ts dividing
-        epsilon it depends on t only through the carrier phase
-        j = round(t/Ts) mod N, so a = 1 - Ts*gamma*S_j^2 and c = Ts*gamma*S_j
+        epsilon it depends on the sample index k only through the carrier
+        phase j = k mod N, so a = 1 - Ts*gamma*S_j^2 and c = Ts*gamma*S_j
         are tabulated once.
         """
         g = self.Ts * gamma
@@ -177,11 +166,14 @@ class ProposedEstimator:
              for j in range(carrier_steps(self.cfg, self.Ts))]
         return [(1.0 - g * s * s, g * s) for s in S]
 
-    def step(self, t: float, i_alpha: float, i_beta: float):
-        """Advance one sample; return (theta_hat, yv1, yv2) or None until warm."""
-        (Ts, N, n, m, rebase, ua, ub, inc_a, inc_b, eps, ell1, ell2, ell3,
+    def step(self, k: int, i_alpha: float, i_beta: float):
+        """Advance to sample k; return (theta_hat, yv1, yv2) or None until warm."""
+        (N, n, m, rebase, ua, ub, inc_a, inc_b, eps, ell1, ell2, ell3,
          centre, r_min, L1) = self._k
         i, sa, sb, cold, rebase_in, xa, xb = self._s
+        # this sample's phase constants; read first, so that a k that is not
+        # an integer raises TypeError before any state changes
+        (aa, ca), (ab, cb) = self._table[k % N]
         # delay minus hold: Regressor.step inline, in its operation order
         if cold:
             cold -= 1
@@ -213,7 +205,6 @@ class ProposedEstimator:
             return None
         yfa = da - sa / m
         yfb = db - sb / m
-        (aa, ca), (ab, cb) = self._table[round(t / Ts) % N]
         xa = aa * xa + ca * yfa
         xb = ab * xb + cb * yfb
         self._s = (i, sa, sb, cold, rebase_in, xa, xb)
@@ -272,7 +263,7 @@ class ConventionalEstimator:
         lpf = LowPass1(chain.lambda_ell, Ts)
         scale = 2.0 * cfg.omega_h * params.det_L / cfg.V_h
         # constants of one step, unpacked at once in the kernel
-        self._k = (Ts, len(self._demod), hpf.b0, hpf.b1, hpf.b2, hpf.a1,
+        self._k = (len(self._demod), hpf.b0, hpf.b1, hpf.b2, hpf.a1,
                    hpf.a2, lpf.a1, lpf.b, scale, params.det_L, params.L0,
                    params.L1)
         # biquad state (z1, z2) and low-pass state (output, previous input)
@@ -286,10 +277,9 @@ class ConventionalEstimator:
         self.yv1 = y10
         self.yv2 = y20
 
-    def step(self, t: float, i_alpha: float, i_beta: float):
-        """Advance one sample; return (theta_hat, yv1, yv2)."""
-        (Ts, N, b0, b1, b2, a1, a2, la, lb, scale, det_L, L0,
-         L1) = self._k
+    def step(self, k: int, i_alpha: float, i_beta: float):
+        """Advance to sample k; return (theta_hat, yv1, yv2)."""
+        (N, b0, b1, b2, a1, a2, la, lb, scale, det_L, L0, L1) = self._k
         za1, za2, zb1, zb2, ya, ua, yb, ub = self._s
         # high pass, direct form II transposed
         yha = b0 * i_alpha + za1
@@ -298,7 +288,7 @@ class ConventionalEstimator:
         yhb = b0 * i_beta + zb1
         zb1 = b1 * i_beta - a1 * yhb + zb2
         zb2 = b2 * i_beta - a2 * yhb
-        demod = self._demod[round(t / Ts) % N]
+        demod = self._demod[k % N]
         # demodulate and low-pass
         da = yha * demod
         db = yhb * demod
@@ -342,7 +332,7 @@ class BlockFormEstimator:
         self.yv2 = y20
         # constants of one step, unpacked at once in the kernel: the low
         # pass gain 0.5*(V_h/2pi)^2 and the conventional rescaling
-        self._k = (Ts, len(self._table), *reg_k,
+        self._k = (len(self._table), *reg_k,
                    0.5 * (cfg.V_h / TWO_PI) ** 2,
                    2.0 * cfg.omega_h * params.det_L / cfg.V_h,
                    params.det_L, params.L0, params.L1)
@@ -366,11 +356,14 @@ class BlockFormEstimator:
             table.append((1.0 - Ts * gamma * S * S, Ts * gamma * demod))
         return table
 
-    def step(self, t: float, i_alpha: float, i_beta: float):
-        """Advance one sample; return (theta_hat, yv1, yv2) or None until warm."""
-        (Ts, N, n, m, rebase, ua, ub, inc_a, inc_b, g, scale, det_L, L0,
+    def step(self, k: int, i_alpha: float, i_beta: float):
+        """Advance to sample k; return (theta_hat, yv1, yv2) or None until warm."""
+        (N, n, m, rebase, ua, ub, inc_a, inc_b, g, scale, det_L, L0,
          L1) = self._k
         i, sa, sb, cold, rebase_in, za, zb = self._s
+        # this sample's phase constants; read first, so that a k that is not
+        # an integer raises TypeError before any state changes
+        (aa, ca), (ab, cb) = self._table[k % N]
         # delay minus hold: Regressor.step inline, in its operation order
         if cold:
             cold -= 1
@@ -402,7 +395,6 @@ class BlockFormEstimator:
             return None
         yfa = da - sa / m
         yfb = db - sb / m
-        (aa, ca), (ab, cb) = self._table[round(t / Ts) % N]
         za = aa * za + ca * yfa
         zb = ab * zb + cb * yfb
         self._s = (i, sa, sb, cold, rebase_in, za, zb)

@@ -197,13 +197,12 @@ def equivalence_deviation(params: MotorParams, inj: InjectionConfig,
     step_a, step_b = est_a.step, est_b.step
     worst_yv = 0.0
     worst_theta = 0.0
-    # memoryviews index to Python floats without a copy; numpy scalars make
-    # every estimator step slower
-    tv, cv = memoryview(t), memoryview(cur)
-    for k in range(n + 1):
-        tk, ia, ib = tv[k], cv[k, 0], cv[k, 1]
-        ra = step_a(tk, ia, ib)
-        rb = step_b(tk, ia, ib)
+    # 1-D memoryviews of the columns yield Python floats without a copy;
+    # numpy scalars make every estimator step slower
+    ca, cb = memoryview(cur[:, 0]), memoryview(cur[:, 1])
+    for k, (ia, ib) in enumerate(zip(ca, cb)):
+        ra = step_a(k, ia, ib)
+        rb = step_b(k, ia, ib)
         if ra is None or rb is None:
             continue
         th_a, y1_a, y2_a = ra
@@ -249,7 +248,8 @@ def calibrate(cfg: ScenarioConfig, phase_err: float = 0.0,
     cur = synthesize_injection_current(params, inj, theta_true, t,
                                        phase_err=phase_err,
                                        ripple_scale=ripple_scale)
-    tv, cv = memoryview(t), memoryview(cur)  # Python floats, no copy
+    # column views: Python floats, no copy
+    ca, cb = memoryview(cur[:, 0]), memoryview(cur[:, 1])
 
     def run_estimator(ell):
         est = ProposedEstimator(params, inj, Ts, cfg.gamma_alpha,
@@ -258,8 +258,8 @@ def calibrate(cfg: ScenarioConfig, phase_err: float = 0.0,
         th = np.empty(m)
         y1 = np.empty(m)
         y2 = np.empty(m)
-        for k in range(m):
-            est.step(tv[k], cv[k, 0], cv[k, 1])
+        for k, (ia, ib) in enumerate(zip(ca, cb)):
+            est.step(k, ia, ib)
             th[k] = est.theta_hat
             y1[k] = est.yv1
             y2[k] = est.yv2

@@ -243,15 +243,17 @@ def _probe_tables(cfg: ScenarioConfig):
 
 
 def _noise(cfg: ScenarioConfig, n: int):
-    """Seeded sensor noise per step and axis, or None without noise.
+    """Seeded sensor noise per step, one view per axis, or None without noise.
 
-    A memoryview indexes to Python floats; numpy scalars would make every
-    estimator and controller operation downstream slower.
+    The (n+1, 2) draw is read through two 1-D memoryviews of its columns:
+    they index to Python floats without a copy, where numpy scalars would
+    make every estimator and controller operation downstream slower.
     """
     if cfg.noise_std == 0.0:
         return None
     rng = np.random.default_rng(cfg.seed)
-    return memoryview(rng.normal(0.0, cfg.noise_std, size=(n + 1, 2)))
+    draw = rng.normal(0.0, cfg.noise_std, size=(n + 1, 2))
+    return memoryview(draw[:, 0]), memoryview(draw[:, 1])
 
 
 def run(cfg: ScenarioConfig, columns=None) -> Trace:
@@ -279,6 +281,8 @@ def run(cfg: ScenarioConfig, columns=None) -> Trace:
     pll_c = Pll(cfg.pll_kp, cfg.pll_ki, mp.n_p, cfg.theta0_est) if conv else None
     ctrl = SensorlessController(mp, cfg.controller, Ts)
     noise = _noise(cfg, n_steps)
+    if noise is not None:
+        noise_a, noise_b = noise
     driven = cfg.mode == "driven"
     true_frame = driven or cfg.sensor_mode
     drives_with_conv = cfg.estimator == "conventional"
@@ -312,16 +316,16 @@ def run(cfg: ScenarioConfig, columns=None) -> Trace:
         if noise is None:
             ia_m, ib_m = ia, ib
         else:
-            ia_m = ia + noise[k, 0]
-            ib_m = ib + noise[k, 1]
+            ia_m = ia + noise_a[k]
+            ib_m = ib + noise_b[k]
 
         p_valid = False
         if prop is not None:
-            p_valid = prop.step(t, ia_m, ib_m) is not None
+            p_valid = prop.step(k, ia_m, ib_m) is not None
             if p_valid:
                 pll_p.step(prop.theta_hat, Ts)
         if conv is not None:
-            conv.step(t, ia_m, ib_m)
+            conv.step(k, ia_m, ib_m)
             pll_c.step(conv.theta_hat, Ts)
 
         if true_frame:

@@ -1,17 +1,39 @@
-"""Oracles of the fused plant step, kept as tests only.
+"""Oracles of the fused plant and estimator steps, kept as tests only.
 
 `derivative_scalars` is the stator equation (with the mechanics) as one
 function on plain floats.  Four calls of it, composed as classical RK4,
 are the reference `hfsense.motor.rk4_step` must equal bit for bit.  The
 matrix form (`saliency_matrix`, `inductance_matrix`) is the independent
 check of `derivative_scalars` itself.
+
+`virtual_output_to_angle` is the angle recovery with its degenerate-radius
+check as one function: the reference for the centre, radius check and
+branch resolution inlined in `ProposedEstimator.step`.
 """
 
 import math
 
 import numpy as np
 
+from hfsense.estimators import _locus_angle
 from hfsense.motor import MotorParams
+
+
+class DegenerateSignalError(ValueError):
+    """Raised when the virtual-output vector carries no saliency information."""
+
+
+def virtual_output_to_angle(y1: float, y2: float, params: MotorParams,
+                            prev_theta: float, min_radius: float = 0.0) -> float:
+    """Recover the unwrapped angle from a virtual-output estimate.
+
+    The locus is centred at (L0/(Ld Lq), 0); a point within min_radius of
+    the centre carries no angle and raises DegenerateSignalError.
+    """
+    dx = y1 - params.L0 / params.det_L
+    if math.hypot(dx, y2) <= min_radius:
+        raise DegenerateSignalError("virtual output too close to the circle center")
+    return _locus_angle(dx, y2, params.L1, prev_theta)
 
 
 def saliency_matrix(theta: float) -> np.ndarray:

