@@ -9,7 +9,7 @@ sensorless field-oriented controller, a fixed-step simulation engine,
 scenario files and a CLI for the standard experiments.
 """
 
-from .controller import ControllerConfig, Pi, SensorlessController, frame_rotate
+from .controller import ControllerConfig, SensorlessController
 from .estimators import (
     ConventionalEstimator,
     BlockFormEstimator,
@@ -55,10 +55,10 @@ __all__ = [
     "ConfigError", "ControllerConfig", "ConventionalEstimator",
     "DriveProfile", "BlockFormEstimator",
     "HighPass2", "InjectionConfig", "LowPass1",
-    "LtiChainConfig", "MotorParams", "Pi", "Pll",
+    "LtiChainConfig", "MotorParams", "Pll",
     "ProposedEstimator", "Regressor", "ScenarioConfig", "SensorlessController",
     "SimulationDiverged", "Trace", "averaging_residual", "bode_table",
-    "fit_compensation", "frame_rotate", "gd_frequency_response",
+    "fit_compensation", "gd_frequency_response",
     "hpf_frequency_response", "load_scenario",
     "lpf_frequency_response", "probe_signal", "rmsd", "run",
     "synthesize_injection_current", "virtual_output", "wrap_mod_pi",

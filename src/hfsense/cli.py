@@ -299,6 +299,10 @@ def cmd_equivalence(cfg, args, outdir: Path):
     if not 0.0 <= args.tolerance < math.inf:
         raise ConfigError(f"equivalence needs a finite --tolerance >= 0, "
                           f"got {args.tolerance}")
+    # equivalence_deviation runs both axes at one gain
+    if cfg.gamma_alpha != cfg.gamma_beta:
+        raise ConfigError(f"equivalence needs gamma_alpha == gamma_beta, got "
+                          f"{cfg.gamma_alpha:g} and {cfg.gamma_beta:g}")
     res = experiments.equivalence_deviation(
         cfg.motor, cfg.injection, cfg.steps_per_period, args.duration,
         gamma=cfg.gamma_alpha)

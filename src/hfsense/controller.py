@@ -8,8 +8,9 @@ outputs the low-frequency voltage only; the simulator adds the probe.
 
 `SensorlessController.low_frequency_voltage` is a fused kernel on plain
 floats: one cos/sin pair for both rotations, the measurement low passes and
-PI loops inline.  `frame_rotate`, `LowPass1` and `Pi` keep the reference
-arithmetic; they are the oracle the kernel is tested against bit for bit.
+PI loops inline.  `LowPass1` and, in tests/oracles.py, `frame_rotate` and
+`Pi` keep the reference arithmetic; they are the oracle the kernel is
+tested against bit for bit.
 """
 
 from __future__ import annotations
@@ -19,42 +20,6 @@ from dataclasses import dataclass
 
 from .motor import MotorParams
 from .signal_ops import LowPass1
-
-
-def frame_rotate(theta: float, x1: float, x2: float,
-                 to_dq: bool = True) -> tuple[float, float]:
-    """Planar rotation between stationary and (estimated) rotor frames.
-
-    to_dq applies exp(-J*theta); the inverse direction applies exp(+J*theta).
-    """
-    c = math.cos(theta)
-    s = math.sin(theta)
-    if to_dq:
-        return c * x1 + s * x2, -s * x1 + c * x2
-    return c * x1 - s * x2, s * x1 + c * x2
-
-
-class Pi:
-    """Discrete PI with backward-Euler integral and clamping anti-windup."""
-
-    def __init__(self, K_p: float, K_i: float, limit: float):
-        self.K_p = K_p
-        self.K_i = K_i
-        self.limit = limit
-        self.integ = 0.0
-
-    def step(self, err: float, Ts: float) -> float:
-        self.integ += self.K_i * err * Ts
-        if self.integ > self.limit:
-            self.integ = self.limit
-        elif self.integ < -self.limit:
-            self.integ = -self.limit
-        out = self.K_p * err + self.integ
-        if out > self.limit:
-            return self.limit
-        if out < -self.limit:
-            return -self.limit
-        return out
 
 
 @dataclass(frozen=True)
@@ -84,8 +49,9 @@ class ControllerConfig:
 class SensorlessController:
     """One control step per sample: rotate, filter, regulate, rotate back.
 
-    The step keeps the operation order of `frame_rotate`, `LowPass1.step`
-    and `Pi.step`, so its output is bit-identical to their composition.
+    The step keeps the operation order of `LowPass1.step` and of
+    `frame_rotate` and `Pi.step` (tests/oracles.py), so its output is
+    bit-identical to their composition.
     """
 
     def __init__(self, params: MotorParams, cfg: ControllerConfig, Ts: float):

@@ -14,8 +14,10 @@ measured currents:
 
 `BlockFormEstimator` re-expresses the proposed pipeline in the conventional
 HPF/demod/LPF block layout (demod phase phi_p + 3*pi/2, LPF replaced by the
-scaled LTV flow, tabulated from its own derivation); it exists to verify
-numerically that the two forms coincide.
+scaled LTV flow); it exists to verify numerically that the two forms
+coincide.  It derives only its own per-phase table and its own read-out
+constant (state per unit of virtual output) and runs `ProposedEstimator`'s
+step, so the new pipeline has one kernel.
 
 All three estimators produce the angle modulo pi from the centred saliency
 locus through `_locus_angle`, which also resolves the branch by continuity
@@ -26,17 +28,18 @@ Each estimator steps by the integer sample index k (the sample time is
 k*Ts): `step(k, i_alpha, i_beta)` looks up its per-phase constants at
 carrier phase k mod N, with N = epsilon/Ts samples per probe period.
 
-The per-sample steps of all three estimators are fused kernels: the
-delay/hold regressor, filters, centre and radius check run inline on float
-state, with the arithmetic and operation order of the standalone operators
-(`Regressor`, `HighPass2`, `LowPass1`, and `virtual_output_to_angle` in
-tests/oracles.py), which stay the oracles the kernels are tested against
-bit for bit.
+The per-sample steps of both kernels (the new pipeline's and the LTI
+chain's) are fused: the delay/hold regressor, filters, centre and radius
+check run inline on float state, with the arithmetic and operation order of
+the standalone operators (`Regressor`, `HighPass2`, `LowPass1`, and
+`virtual_output_to_angle` in tests/oracles.py), which stay the oracles the
+kernels are tested against bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+import types
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,19 +73,6 @@ def _locus_angle(dx: float, dy: float, L1: float, prev_theta: float) -> float:
         dx, dy = -dx, -dy
     raw = 0.5 * math.atan2(dy, dx)
     return raw + math.pi * round((prev_theta - raw) / math.pi)
-
-
-def _regressor_parts(d: float, Ts: float):
-    """Constants and initial state of `Regressor(d, Ts)` for an inline copy.
-
-    Returns (n, m, rebase period, ua, ub, inc_a, inc_b), whose ring lists the
-    kernel updates in place, and the scalar state (i, sa, sb, cold,
-    rebase_in).  Building the Regressor keeps its misaligned-delay check the
-    one check.
-    """
-    reg = Regressor(d, Ts)
-    return ((reg.n, reg._m, reg._REBASE_EVERY, *reg._u, *reg._inc),
-            (reg._i, reg._sa, reg._sb, reg._cold, reg._rebase_in))
 
 
 def rmsd(t, theta_true, theta_hat, t1: float, t2: float) -> float:
@@ -126,11 +116,13 @@ class ProposedEstimator:
             raise ValueError("gamma must be positive")
         self.cfg = cfg
         self.Ts = Ts
-        d = cfg.epsilon
-        reg_k, reg_s = _regressor_parts(d, Ts)
+        # the kernel runs this regressor's step inline on its ring lists;
+        # building it keeps its misaligned-delay check the one check
+        reg = Regressor(cfg.epsilon, Ts)
         # per phase j: ((a, c) of the alpha flow, (a, c) of the beta flow)
         self._table = list(zip(self._phase_table(gamma_alpha),
                                self._phase_table(gamma_beta)))
+        unit = self._state_per_output(params)
         # seed the demodulators at the assumed initial angle so the loop
         # does not open on a transient pointing nowhere
         y10, y20 = virtual_output(params, theta0)
@@ -141,16 +133,23 @@ class ProposedEstimator:
         # constants of one step, unpacked at once in the kernel: the locus
         # centre (L0/(Ld Lq), 0) and the radius within which a point carries
         # no angle
-        self._k = (len(self._table), *reg_k, d, *ell,
+        self._k = (len(self._table), reg.n, reg._m, reg._REBASE_EVERY,
+                   *reg._u, *reg._inc, unit, *ell,
                    params.L0 / params.det_L,
                    0.1 * abs(params.L1) / params.det_L, params.L1)
         # regressor state, then the demodulator state (x_alpha, x_beta)
-        self._s = (*reg_s, d * y10, d * y20)
+        self._s = (reg._i, reg._sa, reg._sb, reg._cold, reg._rebase_in,
+                   unit * y10, unit * y20)
 
     @property
     def x(self) -> tuple[float, float]:
-        """Demodulator state (x_alpha, x_beta); yv is ell applied to x/epsilon."""
+        """Demodulator state (x_alpha, x_beta); yv is ell applied to x
+        divided by `_state_per_output` (epsilon)."""
         return self._s[5:]
+
+    def _state_per_output(self, params: MotorParams) -> float:
+        """Demodulator state per unit of virtual output: x/epsilon reads yv."""
+        return self.cfg.epsilon
 
     def _phase_table(self, gamma: float) -> list[tuple[float, float]]:
         """(a, c) per phase j with x+ = a*x + c*yf.
@@ -168,7 +167,7 @@ class ProposedEstimator:
 
     def step(self, k: int, i_alpha: float, i_beta: float):
         """Advance to sample k; return (theta_hat, yv1, yv2) or None until warm."""
-        (N, n, m, rebase, ua, ub, inc_a, inc_b, eps, ell1, ell2, ell3,
+        (N, n, m, rebase, ua, ub, inc_a, inc_b, unit, ell1, ell2, ell3,
          centre, r_min, L1) = self._k
         i, sa, sb, cold, rebase_in, xa, xb = self._s
         # this sample's phase constants; read first, so that a k that is not
@@ -208,8 +207,8 @@ class ProposedEstimator:
         xa = aa * xa + ca * yfa
         xb = ab * xb + cb * yfb
         self._s = (i, sa, sb, cold, rebase_in, xa, xb)
-        y1 = self.yv1 = ell1 * (xa / eps) + ell2
-        y2 = self.yv2 = ell3 * (xb / eps)
+        y1 = self.yv1 = ell1 * (xa / unit) + ell2
+        y2 = self.yv2 = ell3 * (xb / unit)
         dx = y1 - centre
         if math.hypot(dx, y2) <= r_min:
             self.low_confidence = True  # hold the previous angle
@@ -303,42 +302,31 @@ class ConventionalEstimator:
         return theta, y1, y2
 
 
-class BlockFormEstimator:
+class BlockFormEstimator(ProposedEstimator):
     """Proposed pipeline in conventional block layout (for the equivalence check).
 
     High pass = delay minus hold, demodulation phase phi_p + 3*pi/2, low
-    pass = 0.5*(V_h/2pi)^2 times the LTV flow dz/dt = -gamma*S^2*z + gamma*u.
-    The state takes one sampled step of that flow per sample; the step is
-    linear in (z, yf), so its coefficients are tabulated per carrier phase
-    from this flow's own demodulation and low pass (not shared with
-    ProposedEstimator's table, so the equivalence check still compares two
-    derivations).
+    pass = 0.5*(V_h/2pi)^2 times the LTV flow dz/dt = -gamma*S^2*z + gamma*u,
+    then the conventional rescaling 2*omega_h*det_L/V_h.  Only the per-phase
+    table and the read-out constant are this layout's, each from its own
+    derivation (not shared with ProposedEstimator, so the equivalence check
+    still compares two derivations); the regressor, the per-phase update,
+    the degenerate-radius hold and the angle recovery are
+    `ProposedEstimator.step`'s.
     """
 
     def __init__(self, params: MotorParams, cfg: InjectionConfig, Ts: float,
                  gamma_alpha: float = 1e4, gamma_beta: float = 1e4,
                  theta0: float = 0.0):
-        self.cfg = cfg
-        self.Ts = Ts
-        d = cfg.epsilon
-        reg_k, reg_s = _regressor_parts(d, Ts)
-        # per phase j: ((a, c) of the alpha flow, (a, c) of the beta flow)
-        self._table = list(zip(self._phase_table(gamma_alpha),
-                               self._phase_table(gamma_beta)))
-        # same seeding convention as the operator form: z = (2*pi/V_h) * x
-        y10, y20 = virtual_output(params, theta0)
-        self.theta_hat = theta0
-        self.yv1 = y10
-        self.yv2 = y20
-        # constants of one step, unpacked at once in the kernel: the low
-        # pass gain 0.5*(V_h/2pi)^2 and the conventional rescaling
-        self._k = (len(self._table), *reg_k,
-                   0.5 * (cfg.V_h / TWO_PI) ** 2,
-                   2.0 * cfg.omega_h * params.det_L / cfg.V_h,
-                   params.det_L, params.L0, params.L1)
-        # regressor state, then the low-pass state (z_alpha, z_beta)
-        self._s = (*reg_s, TWO_PI * d * y10 / cfg.V_h,
-                   TWO_PI * d * y20 / cfg.V_h)
+        super().__init__(params, cfg, Ts, gamma_alpha, gamma_beta,
+                         theta0=theta0)
+
+    def _state_per_output(self, params: MotorParams) -> float:
+        """Low-pass state per unit of virtual output: yv = scale*(g*z)/det_L
+        with the low-pass gain g and the conventional rescaling scale."""
+        cfg = self.cfg
+        scale = 2.0 * cfg.omega_h * params.det_L / cfg.V_h
+        return params.det_L / (scale * (0.5 * (cfg.V_h / TWO_PI) ** 2))
 
     def _phase_table(self, gamma: float) -> list[tuple[float, float]]:
         """(a, c) per phase j with z+ = a*z + c*yf.
@@ -356,54 +344,13 @@ class BlockFormEstimator:
             table.append((1.0 - Ts * gamma * S * S, Ts * gamma * demod))
         return table
 
-    def step(self, k: int, i_alpha: float, i_beta: float):
-        """Advance to sample k; return (theta_hat, yv1, yv2) or None until warm."""
-        (N, n, m, rebase, ua, ub, inc_a, inc_b, g, scale, det_L, L0,
-         L1) = self._k
-        i, sa, sb, cold, rebase_in, za, zb = self._s
-        # this sample's phase constants; read first, so that a k that is not
-        # an integer raises TypeError before any state changes
-        (aa, ca), (ab, cb) = self._table[k % N]
-        # delay minus hold: Regressor.step inline, in its operation order
-        if cold:
-            cold -= 1
-            if cold == m:  # first sample: no increment yet
-                ua[0] = i_alpha
-                ub[0] = i_beta
-                self._s = (1, sa, sb, cold, rebase_in, za, zb)
-                return None
-        ja = 0.5 * (ua[i - 1] + i_alpha)  # trapezoid, Ts factored out
-        jb = 0.5 * (ub[i - 1] + i_beta)
-        sa = sa - inc_a[i] + ja
-        sb = sb - inc_b[i] + jb
-        inc_a[i] = ja
-        inc_b[i] = jb
-        da = ua[i - n]  # negative indices wrap: the input from d ago
-        db = ub[i - n]
-        ua[i] = i_alpha
-        ub[i] = i_beta
-        i += 1
-        if i == m:
-            i = 0
-        rebase_in -= 1
-        if not rebase_in:
-            rebase_in = rebase
-            sa = math.fsum(inc_a)
-            sb = math.fsum(inc_b)
-        if cold:
-            self._s = (i, sa, sb, cold, rebase_in, za, zb)
-            return None
-        yfa = da - sa / m
-        yfb = db - sb / m
-        za = aa * za + ca * yfa
-        zb = ab * zb + cb * yfb
-        self._s = (i, sa, sb, cold, rebase_in, za, zb)
-        Ya = scale * (g * za)
-        Yb = scale * (g * zb)
-        y1 = self.yv1 = Ya / det_L
-        y2 = self.yv2 = Yb / det_L
-        theta = self.theta_hat = _locus_angle(Ya - L0, Yb, L1, self.theta_hat)
-        return theta, y1, y2
+    # The same kernel on its own copy of the code object: CPython 3.11
+    # specializes attribute access per code object, so one code object
+    # serving both classes, alternated every sample as in
+    # equivalence_deviation, misses every specialized lookup (-13% steps/s
+    # on the estimator_replay benchmark).
+    step = types.FunctionType(ProposedEstimator.step.__code__.replace(),
+                              globals(), "step")
 
 
 class Pll:

@@ -9,9 +9,12 @@ values); sample alignment keeps the delay exact, which the equivalence checks
 rely on.  The regressor returns None until it has absorbed its full 2d hold
 window (not yet valid).
 
-The estimators run these operators' steps inline in fused kernels;
-`Regressor`, `HighPass2` and `LowPass1` stay as the oracles those kernels
-must match bit for bit.
+The estimators run these operators' steps inline in fused kernels: the
+regressor in `ProposedEstimator.step`, the one kernel both forms of the new
+pipeline run, and the filters in `ConventionalEstimator.step` and the
+controller.  `Regressor`, `HighPass2` and `LowPass1` stay as the oracles
+those kernels must match bit for bit; the kernels also take their constants
+and initial state from instances of them.
 """
 
 from __future__ import annotations
@@ -220,10 +223,3 @@ def bode_table(response: np.ndarray, omega: np.ndarray) -> np.ndarray:
         mag = 20.0 * np.log10(np.abs(response))
     phase = np.degrees(np.unwrap(np.angle(response)))
     return np.column_stack([omega, mag, phase])
-
-
-def unwrapped_phase_at(d: float, omega_target: float, n_grid: int = 4000) -> float:
-    """Phase of G_d at omega_target, unwrapped from omega -> 0 [rad]."""
-    omega = np.linspace(omega_target / n_grid, omega_target, n_grid)
-    resp = gd_frequency_response(d, omega)
-    return float(np.unwrap(np.angle(resp))[-1])

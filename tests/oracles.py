@@ -9,6 +9,11 @@ check of `derivative_scalars` itself.
 `virtual_output_to_angle` is the angle recovery with its degenerate-radius
 check as one function: the reference for the centre, radius check and
 branch resolution inlined in `ProposedEstimator.step`.
+
+`frame_rotate` and `Pi` are the frame rotation and the PI loop that
+`SensorlessController.low_frequency_voltage` runs inline, operation for
+operation.  `unwrapped_phase_at` unwraps the phase of G_d from omega -> 0; the
+criterion-5 check and its unit test read it at the probe frequency.
 """
 
 import math
@@ -17,6 +22,7 @@ import numpy as np
 
 from hfsense.estimators import _locus_angle
 from hfsense.motor import MotorParams
+from hfsense.signal_ops import gd_frequency_response
 
 
 class DegenerateSignalError(ValueError):
@@ -105,3 +111,46 @@ def rk4_reference(params: MotorParams, h, ia, ib, th, om, va, va_mid, va_end,
         th += h6 * (t1 + 2.0 * t2 + 2.0 * t3 + t4)
         om += h6 * (o1 + 2.0 * o2 + 2.0 * o3 + o4)
     return ia, ib, th, om
+
+
+def frame_rotate(theta: float, x1: float, x2: float,
+                 to_dq: bool = True) -> tuple[float, float]:
+    """Planar rotation between stationary and (estimated) rotor frames.
+
+    to_dq applies exp(-J*theta); the inverse direction applies exp(+J*theta).
+    """
+    c = math.cos(theta)
+    s = math.sin(theta)
+    if to_dq:
+        return c * x1 + s * x2, -s * x1 + c * x2
+    return c * x1 - s * x2, s * x1 + c * x2
+
+
+class Pi:
+    """Discrete PI with backward-Euler integral and clamping anti-windup."""
+
+    def __init__(self, K_p: float, K_i: float, limit: float):
+        self.K_p = K_p
+        self.K_i = K_i
+        self.limit = limit
+        self.integ = 0.0
+
+    def step(self, err: float, Ts: float) -> float:
+        self.integ += self.K_i * err * Ts
+        if self.integ > self.limit:
+            self.integ = self.limit
+        elif self.integ < -self.limit:
+            self.integ = -self.limit
+        out = self.K_p * err + self.integ
+        if out > self.limit:
+            return self.limit
+        if out < -self.limit:
+            return -self.limit
+        return out
+
+
+def unwrapped_phase_at(d: float, omega_target: float, n_grid: int = 4000) -> float:
+    """Phase of G_d at omega_target, unwrapped from omega -> 0 [rad]."""
+    omega = np.linspace(omega_target / n_grid, omega_target, n_grid)
+    resp = gd_frequency_response(d, omega)
+    return float(np.unwrap(np.angle(resp))[-1])

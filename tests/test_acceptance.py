@@ -35,11 +35,11 @@ from hfsense.signal_ops import (
     hpf_frequency_response,
     lpf_frequency_response,
     probe_signal,
-    unwrapped_phase_at,
 )
 from hfsense.sim import DriveProfile, run
 
 from conftest import SCENARIO_DIR
+from oracles import unwrapped_phase_at
 
 SWEEP_FREQS = [500.0, 1000.0, 2000.0]
 

@@ -227,6 +227,10 @@ _BAD_VERB_ARGUMENTS = [
     (DRIVEN, ["calibrate", "--ripple-scale", "nan"]),
     (DRIVEN, ["calibrate", "--ripple-scale", "-1"]),
     (DRIVEN, ["calibrate", "--phase-err", "inf"]),
+    # the check runs both axes at one gain; unequal gains used to be
+    # replaced by gamma_alpha without a word
+    (FAST + "\n[estimator]\ngamma_alpha = 1.25e4\ngamma_beta = 2.5e4\n",
+     ["equivalence", "--duration", "0.01"]),
 ]
 
 

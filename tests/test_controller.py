@@ -8,15 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from hfsense.controller import (
-    ControllerConfig,
-    Pi,
-    SensorlessController,
-    frame_rotate,
-)
+from hfsense.controller import ControllerConfig, SensorlessController
 from hfsense.motor import SIM_MOTOR
 from hfsense.signal_ops import InjectionConfig, LowPass1
 from hfsense.sim import DriveProfile, ScenarioConfig, run
+from oracles import Pi, frame_rotate
 
 finite = st.floats(-1e3, 1e3, allow_nan=False)
 

@@ -330,6 +330,55 @@ def test_fused_proposed_angle_matches_virtual_output_to_angle(motor, inj, Ts):
     assert held > 0.1 * n and valid > 0.1 * n
 
 
+def _state_reading(a: float, unit: float, target: float) -> float:
+    """A state x that reads target after decaying by a: (a*x)/unit ==
+    target bit for bit, searched an ulp at a time."""
+    x = target * unit / a
+    for _ in range(64):
+        y = (a * x) / unit
+        if y == target:
+            return x
+        x = math.nextafter(x, math.inf if y < target else -math.inf)
+    raise AssertionError(f"no state reads {target!r}")
+
+
+@pytest.mark.parametrize("form", [ProposedEstimator, BlockFormEstimator])
+def test_locus_point_on_the_degenerate_radius_is_held(form, sim_motor, inj,
+                                                      Ts):
+    """A locus point exactly on the radius carries no angle, so the previous
+    angle is held (the check is <=, not <); one ulp outside it the sample
+    is valid.  Zero current makes the regressor output exactly 0, so the
+    demodulator state only decays by this sample's a_j; it is set so that
+    the decayed state reads y1 == centre and y2 == r_min bit for bit."""
+    centre = sim_motor.L0 / sim_motor.det_L
+    r_min = 0.1 * abs(sim_motor.L1) / sim_motor.det_L
+    n_warm = round(2.0 * inj.epsilon / Ts)
+    for y2, held in ((r_min, True), (math.nextafter(r_min, math.inf), False)):
+        est = form(sim_motor, inj, Ts, theta0=0.3)
+        for k in range(n_warm):
+            assert est.step(k, 0.0, 0.0) is None
+        unit = est._state_per_output(sim_motor)
+        (aa, _), (ab, _) = est._table[n_warm % carrier_steps(inj, Ts)]
+        est._s = (*est._s[:5], _state_reading(aa, unit, centre),
+                  _state_reading(ab, unit, y2))
+        _, y1_got, y2_got = est.step(n_warm, 0.0, 0.0)
+        assert (y1_got, y2_got) == (centre, y2)
+        assert est.low_confidence is held
+        assert (est.theta_hat == 0.3) is held
+
+
+def test_block_form_runs_its_own_copy_of_the_kernel():
+    """BlockFormEstimator runs ProposedEstimator's step through its own code
+    object, with the same bytecode.  CPython 3.11 specializes attribute
+    access per code object: one code object shared by both classes, which
+    equivalence_deviation alternates every sample, misses every specialized
+    lookup, and the estimator_replay benchmark ran 13% fewer steps/s."""
+    own = BlockFormEstimator.__dict__["step"].__code__
+    shared = ProposedEstimator.step.__code__
+    assert own is not shared
+    assert own.co_code == shared.co_code
+
+
 @SALIENCY
 def test_fused_new_pipeline_steps_match_regressor_oracle(motor):
     """Both new-pipeline kernels bit for bit against Regressor.step, then
@@ -352,14 +401,18 @@ def test_fused_new_pipeline_steps_match_regressor_oracle(motor):
     # per-phase steps of each form; states seeded as the constructors do
     tables = [list(zip(*(est._phase_table(gm) for gm in gammas)))
               for est in (prop, block)]
+    # the block form reads yv = scale*(g*z)/det_L as one division of z by
+    # the state per unit of virtual output, from its low-pass gain g and
+    # the conventional rescaling
+    g = 0.5 * (inj.V_h / TWO_PI) ** 2
+    scale = 2.0 * inj.omega_h * motor.det_L / inj.V_h
+    unit_z = motor.det_L / (scale * g)
     y10, y20 = virtual_output(motor, 0.7)
     d = inj.epsilon
     x = (d * y10, d * y20)
-    z = (TWO_PI * d * y10 / inj.V_h, TWO_PI * d * y20 / inj.V_h)
+    z = (unit_z * y10, unit_z * y20)
     th_x = th_z = 0.7
     centre = motor.L0 / motor.det_L
-    g = 0.5 * (inj.V_h / TWO_PI) ** 2
-    scale = 2.0 * inj.omega_h * motor.det_L / inj.V_h
     cold, mismatches = [], []
     for k in range(n):
         ia, ib = float(cur[k, 0]), float(cur[k, 1])
@@ -377,12 +430,12 @@ def test_fused_new_pipeline_steps_match_regressor_oracle(motor):
             th_x = _locus_angle(y1 - centre, y2, motor.L1, th_x)
             (aa, ca), (ab, cb) = tables[1][j]
             z = (aa * z[0] + ca * yf[0], ab * z[1] + cb * yf[1])
-            Ya, Yb = scale * (g * z[0]), scale * (g * z[1])
-            th_z = _locus_angle(Ya - motor.L0, Yb, motor.L1, th_z)
-            want = ((th_x, y1, y2),
-                    (th_z, Ya / motor.det_L, Yb / motor.det_L))
+            w1, w2 = z[0] / unit_z, z[1] / unit_z
+            th_z = _locus_angle(w1 - centre, w2, motor.L1, th_z)
+            want = ((th_x, y1, y2), (th_z, w1, w2))
         # the ripple keeps the locus point off the degenerate radius
-        if got != want or (want[0] is not None and prop.low_confidence):
+        if got != want or (want[0] is not None
+                           and (prop.low_confidence or block.low_confidence)):
             mismatches.append((k, got, want))
     assert cold == list(range(round(2.0 * inj.epsilon / Ts)))
     assert not mismatches, mismatches[:3]

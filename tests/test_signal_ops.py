@@ -24,9 +24,9 @@ from hfsense.signal_ops import (
     hpf_frequency_response,
     lpf_frequency_response,
     probe_signal,
-    unwrapped_phase_at,
 )
 from hfsense.sim import ScenarioConfig, _probe_tables
+from oracles import unwrapped_phase_at
 
 finite = st.floats(-1e6, 1e6, allow_nan=False)
 
