@@ -7,8 +7,8 @@ One step loop, `run`, serves both mechanics modes:
   (or from the true state in sensor mode, which isolates estimator error),
   and RK4 integrates currents, angle and speed;
 * driven - the angle and speed follow a prescribed profile, as on a dyno
-  bench; RK4 integrates the currents and takes the mechanics from the
-  profile at each substep time.
+  bench; RK4 integrates the currents and reads the mechanics at t, t+Ts/2
+  and t+Ts from tables of the profile, built one block of steps at a time.
 
 Each step makes one call to `motor.rk4_step`, the one plant step; its
 oracle is in tests/oracles.py.
@@ -65,7 +65,10 @@ class DriveProfile:
 
     constant: omega(t) = omega; reversal: omega until t_ramp_start, linear
     ramp to omega_end by t_ramp_end, then omega_end.  Angle comes from the
-    exact integral of the profile.
+    exact integral of the profile.  A constant profile takes no ramp keys.
+    Both methods take an array of times and work elementwise, so `run`
+    tabulates a block of steps per call; their scalar forms are the `==`
+    oracles in tests/oracles.py.
     """
 
     kind: str = "constant"
@@ -77,32 +80,36 @@ class DriveProfile:
     def __post_init__(self):
         if self.kind not in ("constant", "reversal"):
             raise ValueError(f"unknown drive profile {self.kind!r}")
-        if self.kind == "reversal" and self.t_ramp_end <= self.t_ramp_start:
+        if self.kind == "constant":
+            for key in ("omega_end", "t_ramp_start", "t_ramp_end"):
+                if getattr(self, key) != 0.0:
+                    raise ValueError(f"a constant profile takes no {key} "
+                                     f"(got {getattr(self, key):g})")
+        elif self.t_ramp_end <= self.t_ramp_start:
             raise ValueError("reversal needs t_ramp_end > t_ramp_start")
 
-    def omega_at(self, t: float) -> float:
+    def omega_at(self, t) -> np.ndarray:
+        """Speed at each of the times t (mechanical rad/s)."""
+        t = np.asarray(t, dtype=float)
         if self.kind == "constant":
-            return self.omega
-        if t <= self.t_ramp_start:
-            return self.omega
-        if t >= self.t_ramp_end:
-            return self.omega_end
-        frac = (t - self.t_ramp_start) / (self.t_ramp_end - self.t_ramp_start)
-        return self.omega + frac * (self.omega_end - self.omega)
+            return np.full(t.shape, self.omega, dtype=float)
+        t0, t1 = self.t_ramp_start, self.t_ramp_end
+        frac = (t - t0) / (t1 - t0)
+        return np.where(t <= t0, self.omega, np.where(
+            t >= t1, self.omega_end,
+            self.omega + frac * (self.omega_end - self.omega)))
 
-    def angle_integral(self, t: float) -> float:
-        """Integral of omega from 0 to t (mechanical radians)."""
+    def angle_integral(self, t) -> np.ndarray:
+        """Integral of omega from 0 to each of the times t (mechanical rad)."""
+        t = np.asarray(t, dtype=float)
         if self.kind == "constant":
             return self.omega * t
         t0, t1 = self.t_ramp_start, self.t_ramp_end
-        if t <= t0:
-            return self.omega * t
         acc = self.omega * t0
-        if t >= t1:
-            acc += 0.5 * (self.omega + self.omega_end) * (t1 - t0)
-            return acc + self.omega_end * (t - t1)
-        w = self.omega_at(t)
-        return acc + 0.5 * (self.omega + w) * (t - t0)
+        after = acc + 0.5 * (self.omega + self.omega_end) * (t1 - t0)
+        return np.where(t <= t0, self.omega * t, np.where(
+            t >= t1, after + self.omega_end * (t - t1),
+            acc + 0.5 * (self.omega + self.omega_at(t)) * (t - t0)))
 
 
 @dataclass(frozen=True)
@@ -256,16 +263,36 @@ def _noise(cfg: ScenarioConfig, n: int):
     return memoryview(draw[:, 0]), memoryview(draw[:, 1])
 
 
+# steps per block of driven-mode drive tables: a whole-run table of a 10 s
+# run would hold 24 MB, and per-block numpy calls are negligible at this size
+_BLOCK = 1024
+
+
+def _drive_block(drive: DriveProfile, th0, n_p, Ts, k0: int, k1: int):
+    """Prescribed angle and speed of steps k0 <= k < k1 as six memoryviews.
+
+    They are (theta, omega) at t = k*Ts, at t + 0.5*Ts and at t + Ts, with
+    theta = th0 + n_p*angle, each element computed as the per-step
+    expression would be; indexed, the views give Python floats.
+    """
+    t = np.arange(k0, k1) * Ts
+    tables = []
+    for tg in (t, t + 0.5 * Ts, t + Ts):
+        tables += (th0 + n_p * drive.angle_integral(tg), drive.omega_at(tg))
+    return [memoryview(x) for x in tables]
+
+
 def run(cfg: ScenarioConfig, columns=None) -> Trace:
     """Simulate one scenario; one record per `decimation` steps.
 
     `columns` selects trace columns (default: all of TRACE_COLUMNS); an
     unknown name, a repeated one or an empty selection raises ValueError.
     Closed-loop mode integrates the mechanics under the constant load
-    torque `load_torque`; driven mode takes them from the drive profile at
-    t, t+Ts/2 and t+Ts.  The controller regulates in the true frame in
-    sensor mode and in driven mode (as on a dyno bench), else in the
-    estimated frame; estimators only ever see the measured currents.
+    torque `load_torque`; driven mode reads them at t, t+Ts/2 and t+Ts
+    from tables of the drive profile, built per block of `_BLOCK` steps.
+    The controller regulates in the true frame in sensor mode and in
+    driven mode (as on a dyno bench), else in the estimated frame;
+    estimators only ever see the measured currents.
     """
     cols = list(columns) if columns is not None else list(TRACE_COLUMNS)
     for c in cols:
@@ -286,8 +313,6 @@ def run(cfg: ScenarioConfig, columns=None) -> Trace:
     driven = cfg.mode == "driven"
     true_frame = driven or cfg.sensor_mode
     drives_with_conv = cfg.estimator == "conventional"
-    if driven:
-        angle, omega_at = cfg.drive.angle_integral, cfg.drive.omega_at
 
     kc = rk4_constants(mp, Ts)
     np_ = mp.n_p
@@ -305,76 +330,83 @@ def run(cfg: ScenarioConfig, columns=None) -> Trace:
 
     n_rec = n_steps // dec + 1
     rec = {c: np.zeros(n_rec) for c in cols}
-    writes = [(rec[c], TRACE_COLUMNS.index(c)) for c in rec]
+    # memoryviews store each Python float without numpy's __setitem__
+    writes = [(memoryview(rec[c]), TRACE_COLUMNS.index(c)) for c in rec]
     ri = 0
 
-    for k in range(n_steps + 1):
-        t = k * Ts
+    for k0 in range(0, n_steps + 1, _BLOCK):
+        k1 = min(k0 + _BLOCK, n_steps + 1)
         if driven:
-            th = th0 + np_ * angle(t)
-            om = omega_at(t)
-        if noise is None:
-            ia_m, ib_m = ia, ib
-        else:
-            ia_m = ia + noise_a[k]
-            ib_m = ib + noise_b[k]
-
-        p_valid = False
-        if prop is not None:
-            p_valid = prop.step(k, ia_m, ib_m) is not None
-            if p_valid:
-                pll_p.step(prop.theta_hat, Ts)
-        if conv is not None:
-            conv.step(k, ia_m, ib_m)
-            pll_c.step(conv.theta_hat, Ts)
-
-        if true_frame:
-            th_c, om_c = th, om
-        elif drives_with_conv:
-            th_c, om_c = conv.theta_hat, pll_c.omega_hat
-        elif p_valid:
-            th_c, om_c = prop.theta_hat, pll_p.omega_hat
-        else:
-            th_c = om_c = None
-        vca, vcb = ctrl.low_frequency_voltage(ia_m, ib_m, th_c, om_c)
-        va = vca + v_probe[k % n_car]
-
-        if k % dec == 0:
-            row = (t, th, th % TWO_PI, om, ia, ib, va, vcb)
-            if prop is None:
-                row += _NO_ESTIMATE
+            th_t, om_t, th_m, om_m, th_e, om_e = _drive_block(
+                cfg.drive, th0, np_, Ts, k0, k1)
+        for k in range(k0, k1):
+            t = k * Ts
+            if driven:
+                kb = k - k0
+                th = th_t[kb]
+                om = om_t[kb]
+            if noise is None:
+                ia_m, ib_m = ia, ib
             else:
-                row += (prop.theta_hat, pll_p.omega_hat, prop.yv1, prop.yv2,
-                        float(p_valid))
-            if conv is None:
-                row += _NO_ESTIMATE
+                ia_m = ia + noise_a[k]
+                ib_m = ib + noise_b[k]
+
+            p_valid = False
+            if prop is not None:
+                p_valid = prop.step(k, ia_m, ib_m) is not None
+                if p_valid:
+                    pll_p.step(prop.theta_hat, Ts)
+            if conv is not None:
+                conv.step(k, ia_m, ib_m)
+                pll_c.step(conv.theta_hat, Ts)
+
+            if true_frame:
+                th_c, om_c = th, om
+            elif drives_with_conv:
+                th_c, om_c = conv.theta_hat, pll_c.omega_hat
+            elif p_valid:
+                th_c, om_c = prop.theta_hat, pll_p.omega_hat
             else:
-                row += (conv.theta_hat, pll_c.omega_hat, conv.yv1, conv.yv2,
-                        1.0)
-            for arr, j in writes:
-                arr[ri] = row[j]
-            ri += 1
+                th_c = om_c = None
+            vca, vcb = ctrl.low_frequency_voltage(ia_m, ib_m, th_c, om_c)
+            va = vca + v_probe[k % n_car]
 
-        if k == n_steps:
-            break
+            if k % dec == 0:
+                row = (t, th, th % TWO_PI, om, ia, ib, va, vcb)
+                if prop is None:
+                    row += _NO_ESTIMATE
+                else:
+                    row += (prop.theta_hat, pll_p.omega_hat, prop.yv1,
+                            prop.yv2, float(p_valid))
+                if conv is None:
+                    row += _NO_ESTIMATE
+                else:
+                    row += (conv.theta_hat, pll_c.omega_hat, conv.yv1,
+                            conv.yv2, 1.0)
+                for arr, j in writes:
+                    arr[ri] = row[j]
+                ri += 1
 
-        # RK4 over [t, t+Ts]; control voltage held, probe continuous
-        te = t + Ts
-        if driven:
-            tm = t + 0.5 * Ts
-            drive = (th0 + np_ * angle(tm), omega_at(tm),
-                     th0 + np_ * angle(te), omega_at(te))
-        try:
-            ia, ib, th, om = rk4_step(
-                kc, ia, ib, th, om, va, vca + v_probe_mid[k % n_car],
-                vca + v_probe[(k + 1) % n_car], vcb, TL, drive)
-        except (ValueError, OverflowError) as exc:
-            # a non-finite state reached math.cos or overflowed a stage
-            raise SimulationDiverged(
-                f"state not finite in the step from t={t:.6f}: {exc}") from exc
-        if not (-lim < ia < lim and -lim < ib < lim) or not math.isfinite(th):
-            raise SimulationDiverged(
-                f"state out of bounds at t={te:.6f}: i=({ia:.3g},{ib:.3g})")
+            if k == n_steps:
+                break
+
+            # RK4 over [t, t+Ts]; control voltage held, probe continuous
+            if driven:
+                drive = (th_m[kb], om_m[kb], th_e[kb], om_e[kb])
+            try:
+                ia, ib, th, om = rk4_step(
+                    kc, ia, ib, th, om, va, vca + v_probe_mid[k % n_car],
+                    vca + v_probe[(k + 1) % n_car], vcb, TL, drive)
+            except (ValueError, OverflowError) as exc:
+                # a non-finite state reached math.cos or overflowed a stage
+                raise SimulationDiverged(
+                    f"state not finite in the step from t={t:.6f}: {exc}"
+                ) from exc
+            if not (-lim < ia < lim and -lim < ib < lim) \
+                    or not math.isfinite(th):
+                raise SimulationDiverged(
+                    f"state out of bounds at t={t + Ts:.6f}: "
+                    f"i=({ia:.3g},{ib:.3g})")
 
     return Trace(rec, cols)
 

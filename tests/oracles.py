@@ -14,6 +14,11 @@ branch resolution inlined in `ProposedEstimator.step`.
 `SensorlessController.low_frequency_voltage` runs inline, operation for
 operation.  `unwrapped_phase_at` unwraps the phase of G_d from omega -> 0; the
 criterion-5 check and its unit test read it at the probe frequency.
+
+`drive_omega_at` and `drive_angle_integral` are the drive profile's speed
+and angle at one time, the reference for the tables `hfsense.sim.run`
+builds per block of steps from `DriveProfile.omega_at` and
+`DriveProfile.angle_integral`.
 """
 
 import math
@@ -154,3 +159,31 @@ def unwrapped_phase_at(d: float, omega_target: float, n_grid: int = 4000) -> flo
     omega = np.linspace(omega_target / n_grid, omega_target, n_grid)
     resp = gd_frequency_response(d, omega)
     return float(np.unwrap(np.angle(resp))[-1])
+
+
+def drive_omega_at(d, t: float) -> float:
+    """Speed of the drive profile d at time t (mechanical rad/s)."""
+    if d.kind == "constant":
+        return d.omega
+    if t <= d.t_ramp_start:
+        return d.omega
+    if t >= d.t_ramp_end:
+        return d.omega_end
+    frac = (t - d.t_ramp_start) / (d.t_ramp_end - d.t_ramp_start)
+    return d.omega + frac * (d.omega_end - d.omega)
+
+
+def drive_angle_integral(d, t: float) -> float:
+    """Integral of the speed of the drive profile d from 0 to t (mechanical
+    radians)."""
+    if d.kind == "constant":
+        return d.omega * t
+    t0, t1 = d.t_ramp_start, d.t_ramp_end
+    if t <= t0:
+        return d.omega * t
+    acc = d.omega * t0
+    if t >= t1:
+        acc += 0.5 * (d.omega + d.omega_end) * (t1 - t0)
+        return acc + d.omega_end * (t - t1)
+    w = drive_omega_at(d, t)
+    return acc + 0.5 * (d.omega + w) * (t - t0)

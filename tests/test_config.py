@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from hfsense.cli import EXIT_CONFIG, main
 from hfsense.config import ConfigError, load_scenario, parse_kv_file
 
 
@@ -126,6 +127,22 @@ def test_non_finite_or_non_positive_float_is_config_error(tmp_path, line, key):
     with pytest.raises(ConfigError, match=key) as info:
         load_scenario(p)
     assert "\n" not in str(info.value)
+
+
+@pytest.mark.parametrize("key", ["omega_end", "t_ramp_start", "t_ramp_end"])
+def test_ramp_key_on_constant_profile_is_config_error(tmp_path, capsys, key):
+    drive = "[drive]\nprofile = constant\nomega = 0.5\n"
+    driven = "[simulation]\nmode = driven\nduration = 0.01\n"
+    p = _write(tmp_path, MINIMAL + drive + f"{key} = 1.0\n" + driven)
+    with pytest.raises(ConfigError, match=rf"\[drive\] .*takes no {key}"):
+        load_scenario(p)
+    rc = main(["--config", str(p), "--out", str(tmp_path / "o"), "run"])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert not (tmp_path / "o" / "summary.json").exists()
+    # an explicit zero is the unset value
+    load_scenario(_write(tmp_path, MINIMAL + drive + f"{key} = 0\n" + driven))
 
 
 def test_invariant_violation_is_config_error(tmp_path):

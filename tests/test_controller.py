@@ -188,3 +188,37 @@ def test_probe_can_be_disabled():
     tr = _applied_voltage(False)
     assert np.all(tr.v_alpha == 0.0)
     assert np.all(tr.v_beta == 0.0)
+
+
+def test_fused_speed_integral_matches_composed_operators():
+    """Bit for bit over 3000 seeded samples that keep every integrator and
+    the voltage clamp inside their limits, so each rounding of the speed
+    loop's ki_w*err*Ts reaches the output; on these inputs the product
+    rounds differently from ki_w*(err*Ts) on many samples."""
+    cfg = ControllerConfig(speed_kp=0.2, speed_ki=50.0, current_kp=0.5,
+                           current_ki=200.0, omega_ref=0.5, i_q_limit=20.0,
+                           v_limit=400.0)
+    Ts = 2e-5
+    rng = np.random.default_rng(7)
+    n = 3000
+    omega = cfg.omega_ref + rng.normal(0.0, 2.0, n)
+    theta = 2.0 * math.pi * np.arange(n) / 1000.0 + rng.normal(0.0, 0.3, n)
+    cur = rng.normal(0.0, 2.0, (n, 2))
+    fused = SensorlessController(SIM_MOTOR, cfg, Ts)
+    ref = _ComposedController(SIM_MOTOR, cfg, Ts)
+    regrouped = 0
+    mismatches = []
+    for k in range(n):
+        args = (float(cur[k, 0]), float(cur[k, 1]), float(theta[k]),
+                float(omega[k]))
+        err = cfg.omega_ref - args[3]
+        regrouped += cfg.speed_ki * err * Ts != cfg.speed_ki * (err * Ts)
+        got = fused.low_frequency_voltage(*args)
+        want = ref.step(*args)
+        if got != want:
+            mismatches.append((k, got, want))
+        for pi in (ref.speed_pi, ref.pi_d, ref.pi_q):
+            assert abs(pi.integ) < 0.5 * pi.limit, k
+    assert not mismatches, mismatches[:3]
+    assert ref.clamped == 0
+    assert regrouped > 0.1 * n

@@ -25,6 +25,7 @@ from hfsense.sim import (
 )
 
 from conftest import SCENARIO_DIR
+from oracles import drive_angle_integral, drive_omega_at
 
 
 def _cfg(**kw):
@@ -131,6 +132,106 @@ def test_drive_validation():
         DriveProfile("spline")
     with pytest.raises(ValueError):
         DriveProfile("reversal", t_ramp_start=2.0, t_ramp_end=1.0)
+    # a constant profile takes no ramp; zero is the unset value
+    for key in ("omega_end", "t_ramp_start", "t_ramp_end"):
+        with pytest.raises(ValueError, match=f"takes no {key}"):
+            DriveProfile("constant", omega=0.5, **{key: 2.0})
+        DriveProfile("constant", omega=0.5, **{key: 0.0})
+
+
+# unequal end speeds, so the angle after the ramp has three nonzero terms
+_RAMP = DriveProfile("reversal", omega=2.0944, omega_end=-1.7,
+                     t_ramp_start=4.0, t_ramp_end=5.0)
+
+
+@pytest.mark.parametrize("profile", [DriveProfile("constant", omega=0.5),
+                                     _RAMP], ids=["constant", "reversal"])
+def test_drive_tables_equal_scalar_oracles(profile):
+    """The array forms equal the scalar oracles bit for bit at the ramp
+    ends, one ulp either side of each, and on the three RK4 time grids
+    k*Ts, k*Ts + Ts/2 and k*Ts + Ts across the whole ramp."""
+    Ts = 2e-5
+    ends = (0.0, _RAMP.t_ramp_start, _RAMP.t_ramp_end)
+    times = [x for e in ends for x in
+             (math.nextafter(e, -math.inf), e, math.nextafter(e, math.inf))]
+    ks = range(195_000, 255_001)
+    grids = ([k * Ts for k in ks], [k * Ts + 0.5 * Ts for k in ks],
+             [k * Ts + Ts for k in ks])
+    # sim.run builds its grids the same way, with numpy
+    k_arr = np.arange(ks.start, ks.stop)
+    assert grids[0] == (k_arr * Ts).tolist()
+    assert grids[1] == (k_arr * Ts + 0.5 * Ts).tolist()
+    assert grids[2] == (k_arr * Ts + Ts).tolist()
+    for ts in (times,) + grids:
+        arr = np.array(ts)
+        assert profile.omega_at(arr).tolist() == \
+            [drive_omega_at(profile, x) for x in ts]
+        assert profile.angle_integral(arr).tolist() == \
+            [drive_angle_integral(profile, x) for x in ts]
+
+
+def test_driven_run_reads_drive_tables_bit_for_bit(monkeypatch):
+    """A decimation-1 driven run over three blocks, the last one short, with
+    a short reversal ramp across a block edge: the recorded angle and speed,
+    and the mid- and end-step values handed to the plant step, equal
+    th0 + n_p*angle and omega of the scalar oracles at k*Ts, k*Ts + Ts/2
+    and k*Ts + Ts."""
+    Ts = 2e-5
+    edge = sim._BLOCK * Ts
+    d = DriveProfile("reversal", omega=2.0, omega_end=-1.5,
+                     t_ramp_start=edge - 4e-4, t_ramp_end=edge + 6e-4)
+    n = 2 * sim._BLOCK + 700
+    cfg = _cfg(mode="driven", drive=d, estimator="none", decimation=1,
+               duration=n * Ts, theta0=0.7)
+    assert cfg.Ts == Ts and cfg.n_steps == n
+    handed = []
+    rk4_step = sim.rk4_step
+
+    def recording(*args):
+        handed.append(args[-1])
+        return rk4_step(*args)
+
+    monkeypatch.setattr(sim, "rk4_step", recording)
+    tr = run(cfg, ["t", "theta", "omega"])
+
+    def prescribed(t):
+        return (0.7 + SIM_MOTOR.n_p * drive_angle_integral(d, t),
+                drive_omega_at(d, t))
+
+    assert tr.t.tolist() == [k * Ts for k in range(n + 1)]
+    assert list(zip(tr.theta.tolist(), tr.omega.tolist())) == \
+        [prescribed(k * Ts) for k in range(n + 1)]
+    assert handed == [prescribed(k * Ts + 0.5 * Ts) + prescribed(k * Ts + Ts)
+                      for k in range(n)]
+    # the ramp is resolved on the grid, on both sides of the block edge
+    assert len(set(tr.omega.tolist())) > 40
+
+
+@pytest.mark.parametrize("profile", [DriveProfile("constant", omega=2.0),
+                                     DriveProfile("reversal", omega=2.0,
+                                                  omega_end=-2.0,
+                                                  t_ramp_start=0.01,
+                                                  t_ramp_end=0.05)],
+                         ids=["constant", "reversal"])
+def test_drive_profile_calls_grow_with_blocks(profile, monkeypatch):
+    """A driven run of n steps evaluates the profile a fixed number of times
+    per block of sim._BLOCK steps, not per step."""
+    calls = []
+    for name in ("omega_at", "angle_integral"):
+        def counted(self, t, _f=getattr(DriveProfile, name)):
+            calls.append(len(t))
+            return _f(self, t)
+        monkeypatch.setattr(DriveProfile, name, counted)
+    Ts = 2e-5
+    per_block = set()
+    for n in (1023, 1024, 2047, 2048, 5000):
+        calls.clear()
+        run(_cfg(mode="driven", drive=profile, estimator="none",
+                 duration=n * Ts, decimation=50), ["t"])
+        blocks = -(-(n + 1) // sim._BLOCK)
+        per_block.add(len(calls) / blocks)
+        assert sum(calls) == len(calls) // blocks * (n + 1)
+    assert len(per_block) == 1 and per_block.pop() <= 9
 
 
 def test_scenario_validation():
