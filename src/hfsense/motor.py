@@ -1,12 +1,16 @@
 """Continuous-time IPMSM dynamics in the stationary (alpha-beta) frame.
 
 The machine is salient (L_d != L_q), so the inductance matrix depends on the
-electrical rotor angle.  All functions here are pure.  `rk4_step` is the one
-plant step: one RK4 step of the stator equation (with the mechanics, or
-under a prescribed drive), its four stages written inline on plain floats
-because the simulator calls it once per integration step.  Its oracles live
-in tests/oracles.py: the stator equation as one function, which `rk4_step`
-matches bit for bit when four calls of it are composed as RK4, and the
+electrical rotor angle.  All functions here are pure.  The plant is stepped
+by RK4 in one of two forms.  `rk4_step` is the closed-loop step: the stator
+equation and the mechanics, its four stages written inline on plain floats
+because the simulator calls it once per integration step.  Under a
+prescribed drive each stage is affine in the currents and in the held
+control voltage, so `driven_step_tables` composes the four stages on numpy
+arrays along the time axis, once per block of steps, into one affine map
+per step.  Their oracles live in tests/oracles.py: the stator equation as
+one function, which `rk4_step` matches bit for bit and the driven maps
+match within rounding when four calls of it are composed as RK4, and the
 matrix form of the inductance that function is checked against.
 """
 
@@ -15,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import cos, sin
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -89,15 +95,12 @@ def rk4_constants(params: MotorParams, h: float) -> tuple:
             params.J, params.f, n_p * params.Phi, h, 0.5 * h, h / 6.0)
 
 
-def rk4_step(kc, ia, ib, th, om, va, va_mid, va_end, vb, TL, drive=None):
+def rk4_step(kc, ia, ib, th, om, va, va_mid, va_end, vb, TL):
     """One classical RK4 step of the plant: (ia, ib, theta, omega) at t+h.
 
     `kc` comes from `rk4_constants`.  The alpha voltage is va at t, va_mid
     at t+h/2 (stages 2 and 3) and va_end at t+h; vb is held over the step.
-    With drive None the mechanics are integrated under the load torque TL.
-    Otherwise drive = (theta, omega) at t+h/2 followed by (theta, omega) at
-    t+h, prescribed, the mechanics rates are not formed and theta, omega
-    come back unchanged.
+    The mechanics are integrated under the load torque TL.
 
     Each stage is the stator equation
       di/dt = L(theta)^-1 [F(i, theta, omega) + v]   (adjugate inverse),
@@ -124,12 +127,9 @@ def rk4_step(kc, ia, ib, th, om, va, va_mid, va_end, vb, TL, drive=None):
     u2 = g * (-c2 * ia - s2 * ib) - R_s * ib - e * c + vb
     a1 = ((L0 - lc2) * u1 - ls2 * u2) / det_L
     b1 = (-ls2 * u1 + (L0 + lc2) * u2) / det_L
-    if drive is None:
-        o1 = (npPhi * (ib * c - ia * s) - f * om - TL) / J
-        thm = th + hh * w1
-        omm = om + hh * o1
-    else:
-        thm, omm, the, ome = drive
+    o1 = (npPhi * (ib * c - ia * s) - f * om - TL) / J
+    thm = th + hh * w1
+    omm = om + hh * o1
 
     # stage 2 at t+h/2
     ja = ia + hh * a1
@@ -147,10 +147,9 @@ def rk4_step(kc, ia, ib, th, om, va, va_mid, va_end, vb, TL, drive=None):
     u2 = g * (-c2 * ja - s2 * jb) - R_s * jb - e * c + vb
     a2 = ((L0 - lc2) * u1 - ls2 * u2) / det_L
     b2 = (-ls2 * u1 + (L0 + lc2) * u2) / det_L
-    if drive is None:
-        o2 = (npPhi * (jb * c - ja * s) - f * omm - TL) / J
-        thm = th + hh * w2
-        omm = om + hh * o2
+    o2 = (npPhi * (jb * c - ja * s) - f * omm - TL) / J
+    thm = th + hh * w2
+    omm = om + hh * o2
 
     # stage 3 at t+h/2
     ja = ia + hh * a2
@@ -168,10 +167,9 @@ def rk4_step(kc, ia, ib, th, om, va, va_mid, va_end, vb, TL, drive=None):
     u2 = g * (-c2 * ja - s2 * jb) - R_s * jb - e * c + vb
     a3 = ((L0 - lc2) * u1 - ls2 * u2) / det_L
     b3 = (-ls2 * u1 + (L0 + lc2) * u2) / det_L
-    if drive is None:
-        o3 = (npPhi * (jb * c - ja * s) - f * omm - TL) / J
-        the = th + h * w3
-        ome = om + h * o3
+    o3 = (npPhi * (jb * c - ja * s) - f * omm - TL) / J
+    the = th + h * w3
+    ome = om + h * o3
 
     # stage 4 at t+h
     ja = ia + h * a3
@@ -192,8 +190,69 @@ def rk4_step(kc, ia, ib, th, om, va, va_mid, va_end, vb, TL, drive=None):
 
     ia += h6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
     ib += h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-    if drive is None:
-        o4 = (npPhi * (jb * c - ja * s) - f * ome - TL) / J
-        th += h6 * (w1 + 2.0 * w2 + 2.0 * w3 + w4)
-        om += h6 * (o1 + 2.0 * o2 + 2.0 * o3 + o4)
+    o4 = (npPhi * (jb * c - ja * s) - f * ome - TL) / J
+    th += h6 * (w1 + 2.0 * w2 + 2.0 * w3 + w4)
+    om += h6 * (o1 + 2.0 * o2 + 2.0 * o3 + o4)
     return ia, ib, th, om
+
+
+def driven_step_tables(kc, th_t, om_t, th_m, om_m, th_e, om_e, p_t, p_m, p_e):
+    """RK4 steps of the currents under a prescribed drive, as affine maps.
+
+    The arguments are arrays over a block of steps: the prescribed theta and
+    omega at t, t+h/2 and t+h, and the alpha probe voltage at the same
+    times; `kc` comes from `rk4_constants`.  With theta and omega given,
+    each RK4 stage of the stator equation is affine in the currents and in
+    the control voltage (vca, vcb) held over the step, so the whole step is
+      ia+ = P[0]*ia + P[1]*ib + P[2]*vca + P[3]*vcb + P[4]
+      ib+ = P[5]*ia + P[6]*ib + P[7]*vca + P[8]*vcb + P[9]
+    with the probe and the back-EMF folded into the constant column.
+    Returns P, a (10, n) array whose column k is the map of step k.  It
+    composes the same four stages as `rk4_step`, so the maps agree with
+    the stage-by-stage step up to rounding, not bit for bit.
+    """
+    n_p, R_s, L0, L1, det_L, Phi = kc[:6]
+    h, hh, h6 = kc[9:]
+
+    def stage(th, om, p):
+        # the stator equation di/dt = L^-1 (G i + v + emf) at one grid: the
+        # rate matrix M = L^-1 G, and the derivative as a map of the columns
+        # (ia, ib, vca, vcb, 1) at i = (ia, ib): rows (M, L^-1, L^-1 emf),
+        # with the probe p in emf's alpha entry
+        c = np.cos(th)
+        s = np.sin(th)
+        c2 = c * c - s * s
+        s2 = 2.0 * s * c
+        w = n_p * om
+        g = 2.0 * w * L1
+        e = w * Phi
+        n11 = (L0 - L1 * c2) / det_L
+        n12 = -L1 * s2 / det_L
+        n22 = (L0 + L1 * c2) / det_L
+        ga = g * s2 - R_s
+        gb = -g * c2
+        gd = -g * s2 - R_s
+        m = (n11 * ga + n12 * gb, n11 * gb + n12 * gd,
+             n12 * ga + n22 * gb, n12 * gb + n22 * gd)
+        u1 = e * s + p
+        u2 = -e * c
+        rows = np.array([(m[0], m[1], n11, n12, n11 * u1 + n12 * u2),
+                         (m[2], m[3], n12, n22, n12 * u1 + n22 * u2)])
+        return m, rows
+
+    def rates(m, rows, c, k):
+        # derivative at the stage point i + c*k, k the previous stage's
+        # derivative: rows + c*M k
+        ka, kb = k
+        return np.array([rows[0] + (c * m[0]) * ka + (c * m[1]) * kb,
+                         rows[1] + (c * m[2]) * ka + (c * m[3]) * kb])
+
+    _, k1 = stage(th_t, om_t, p_t)
+    mid = stage(th_m, om_m, p_m)
+    k2 = rates(*mid, hh, k1)
+    k3 = rates(*mid, hh, k2)
+    k4 = rates(*stage(th_e, om_e, p_e), h, k3)
+    P = h6 * (k1 + 2.0 * (k2 + k3) + k4)
+    P[0, 0] += 1.0
+    P[1, 1] += 1.0
+    return P.reshape(10, -1)

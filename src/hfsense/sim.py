@@ -7,11 +7,14 @@ One step loop, `run`, serves both mechanics modes:
   (or from the true state in sensor mode, which isolates estimator error),
   and RK4 integrates currents, angle and speed;
 * driven - the angle and speed follow a prescribed profile, as on a dyno
-  bench; RK4 integrates the currents and reads the mechanics at t, t+Ts/2
-  and t+Ts from tables of the profile, built one block of steps at a time.
+  bench; the mechanics at t, t+Ts/2 and t+Ts come from tables of the
+  profile, built one block of steps at a time.
 
-Each step makes one call to `motor.rk4_step`, the one plant step; its
-oracle is in tests/oracles.py.
+A closed-loop step makes one call to `motor.rk4_step`.  A driven step is
+two multiply-add lines: the RK4 step of the currents is affine in them and
+in the held control voltage, and `motor.driven_step_tables` builds its ten
+coefficients per step along with the profile tables.  Both forms' oracle is
+in tests/oracles.py.
 
 Controller and estimators advance once per integration step (single cadence,
 no PWM).  The probe voltage is evaluated analytically at the RK4 substep
@@ -36,7 +39,7 @@ from .estimators import (
     ProposedEstimator,
     synthesize_injection_current,
 )
-from .motor import MotorParams, rk4_constants, rk4_step
+from .motor import MotorParams, driven_step_tables, rk4_constants, rk4_step
 from .signal_ops import TWO_PI, InjectionConfig, carrier_steps
 # not called here; it stays importable from this module, where
 # bench/run.py's tracer wraps it by name
@@ -158,6 +161,11 @@ class ScenarioConfig:
             raise ValueError("decimation must be >= 1")
         if self.noise_std < 0.0:
             raise ValueError("noise level must be >= 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0 (got {self.seed})")
+        if not self.divergence_limit > 0.0:
+            raise ValueError(f"divergence_limit must be positive "
+                             f"(got {self.divergence_limit:g})")
         if self.estimator == "none" and not self.sensor_mode \
                 and self.mode == "closed_loop":
             raise ValueError("closed loop without estimator requires sensor mode")
@@ -263,23 +271,33 @@ def _noise(cfg: ScenarioConfig, n: int):
     return memoryview(draw[:, 0]), memoryview(draw[:, 1])
 
 
-# steps per block of driven-mode drive tables: a whole-run table of a 10 s
-# run would hold 24 MB, and per-block numpy calls are negligible at this size
+# steps per block of driven-mode tables: whole-run tables of a 10 s run would
+# take about 300 MB with the step maps' temporaries, and per-block numpy
+# calls cost little at this size
 _BLOCK = 1024
 
 
-def _drive_block(drive: DriveProfile, th0, n_p, Ts, k0: int, k1: int):
-    """Prescribed angle and speed of steps k0 <= k < k1 as six memoryviews.
+def _drive_block(cfg: ScenarioConfig, kc, v_probe, v_probe_mid, k0: int,
+                 k1: int):
+    """Driven steps k0 <= k < k1 as twelve memoryviews: the prescribed angle
+    and speed at t = k*Ts, then the ten coefficients of each step's map.
 
-    They are (theta, omega) at t = k*Ts, at t + 0.5*Ts and at t + Ts, with
-    theta = th0 + n_p*angle, each element computed as the per-step
-    expression would be; indexed, the views give Python floats.
+    theta = theta0 + n_p*angle and omega are computed on the grids t,
+    t + 0.5*Ts and t + Ts, each element as the per-step expression would
+    be, and handed with the probe voltage at the same times to
+    `motor.driven_step_tables`; indexed, the views give Python floats.
     """
+    Ts = cfg.Ts
     t = np.arange(k0, k1) * Ts
-    tables = []
+    mech = []
     for tg in (t, t + 0.5 * Ts, t + Ts):
-        tables += (th0 + n_p * drive.angle_integral(tg), drive.omega_at(tg))
-    return [memoryview(x) for x in tables]
+        mech += (cfg.theta0 + cfg.motor.n_p * cfg.drive.angle_integral(tg),
+                 cfg.drive.omega_at(tg))
+    vp = np.array(v_probe)
+    j = np.arange(k0, k1) % len(vp)
+    maps = driven_step_tables(kc, *mech, vp[j], np.array(v_probe_mid)[j],
+                              vp[(j + 1) % len(vp)])
+    return [memoryview(x) for x in (*mech[:2], *maps)]
 
 
 def run(cfg: ScenarioConfig, columns=None) -> Trace:
@@ -289,7 +307,8 @@ def run(cfg: ScenarioConfig, columns=None) -> Trace:
     unknown name, a repeated one or an empty selection raises ValueError.
     Closed-loop mode integrates the mechanics under the constant load
     torque `load_torque`; driven mode reads them at t, t+Ts/2 and t+Ts
-    from tables of the drive profile, built per block of `_BLOCK` steps.
+    from tables of the drive profile, built per block of `_BLOCK` steps
+    with the affine maps that advance its currents.
     The controller regulates in the true frame in sensor mode and in
     driven mode (as on a dyno bench), else in the estimated frame;
     estimators only ever see the measured currents.
@@ -307,7 +326,15 @@ def run(cfg: ScenarioConfig, columns=None) -> Trace:
     pll_p = Pll(cfg.pll_kp, cfg.pll_ki, mp.n_p, cfg.theta0_est) if prop else None
     pll_c = Pll(cfg.pll_kp, cfg.pll_ki, mp.n_p, cfg.theta0_est) if conv else None
     ctrl = SensorlessController(mp, cfg.controller, Ts)
-    noise = _noise(cfg, n_steps)
+    n_rec = n_steps // cfg.decimation + 1
+    try:
+        noise = _noise(cfg, n_steps)
+        rec = {c: np.zeros(n_rec) for c in cols}
+    except MemoryError as exc:
+        # numpy refuses a size beyond the host at once
+        raise ValueError(f"scenario too large: duration = {cfg.duration:g} s "
+                         f"is {n_steps} steps, which cannot be allocated "
+                         f"({exc})") from None
     if noise is not None:
         noise_a, noise_b = noise
     driven = cfg.mode == "driven"
@@ -315,21 +342,16 @@ def run(cfg: ScenarioConfig, columns=None) -> Trace:
     drives_with_conv = cfg.estimator == "conventional"
 
     kc = rk4_constants(mp, Ts)
-    np_ = mp.n_p
     v_probe, v_probe_mid = _probe_tables(cfg)
     n_car = len(v_probe)
     lim = cfg.divergence_limit
     dec = cfg.decimation
 
     ia, ib = cfg.i_alpha0, cfg.i_beta0
-    th0 = th = cfg.theta0
+    th = cfg.theta0
     om = cfg.omega0
-    # driven mode prescribes the mechanics, so no load acts there
-    TL = 0.0 if driven else cfg.load_torque
-    drive = None
+    TL = cfg.load_torque  # closed loop only: driven mode prescribes th, om
 
-    n_rec = n_steps // dec + 1
-    rec = {c: np.zeros(n_rec) for c in cols}
     # memoryviews store each Python float without numpy's __setitem__
     writes = [(memoryview(rec[c]), TRACE_COLUMNS.index(c)) for c in rec]
     ri = 0
@@ -337,8 +359,8 @@ def run(cfg: ScenarioConfig, columns=None) -> Trace:
     for k0 in range(0, n_steps + 1, _BLOCK):
         k1 = min(k0 + _BLOCK, n_steps + 1)
         if driven:
-            th_t, om_t, th_m, om_m, th_e, om_e = _drive_block(
-                cfg.drive, th0, np_, Ts, k0, k1)
+            (th_t, om_t, p0, p1, p2, p3, p4, p5, p6, p7, p8,
+             p9) = _drive_block(cfg, kc, v_probe, v_probe_mid, k0, k1)
         for k in range(k0, k1):
             t = k * Ts
             if driven:
@@ -392,16 +414,20 @@ def run(cfg: ScenarioConfig, columns=None) -> Trace:
 
             # RK4 over [t, t+Ts]; control voltage held, probe continuous
             if driven:
-                drive = (th_m[kb], om_m[kb], th_e[kb], om_e[kb])
-            try:
-                ia, ib, th, om = rk4_step(
-                    kc, ia, ib, th, om, va, vca + v_probe_mid[k % n_car],
-                    vca + v_probe[(k + 1) % n_car], vcb, TL, drive)
-            except (ValueError, OverflowError) as exc:
-                # a non-finite state reached math.cos or overflowed a stage
-                raise SimulationDiverged(
-                    f"state not finite in the step from t={t:.6f}: {exc}"
-                ) from exc
+                ia, ib = (p0[kb] * ia + p1[kb] * ib + p2[kb] * vca
+                          + p3[kb] * vcb + p4[kb],
+                          p5[kb] * ia + p6[kb] * ib + p7[kb] * vca
+                          + p8[kb] * vcb + p9[kb])
+            else:
+                try:
+                    ia, ib, th, om = rk4_step(
+                        kc, ia, ib, th, om, va, vca + v_probe_mid[k % n_car],
+                        vca + v_probe[(k + 1) % n_car], vcb, TL)
+                except (ValueError, OverflowError) as exc:
+                    # a non-finite state reached math.cos or overflowed a stage
+                    raise SimulationDiverged(
+                        f"state not finite in the step from t={t:.6f}: {exc}"
+                    ) from exc
             if not (-lim < ia < lim and -lim < ib < lim) \
                     or not math.isfinite(th):
                 raise SimulationDiverged(

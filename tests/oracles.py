@@ -2,9 +2,11 @@
 
 `derivative_scalars` is the stator equation (with the mechanics) as one
 function on plain floats.  Four calls of it, composed as classical RK4,
-are the reference `hfsense.motor.rk4_step` must equal bit for bit.  The
-matrix form (`saliency_matrix`, `inductance_matrix`) is the independent
-check of `derivative_scalars` itself.
+are the reference `hfsense.motor.rk4_step` must equal bit for bit, and
+the reference the driven step maps of `hfsense.motor.driven_step_tables`
+must meet within `driven_step_bound`, their rounding bound.  The matrix
+form (`saliency_matrix`, `inductance_matrix`) is the independent check of
+`derivative_scalars` itself.
 
 `virtual_output_to_angle` is the angle recovery with its degenerate-radius
 check as one function: the reference for the centre, radius check and
@@ -88,7 +90,10 @@ def rk4_reference(params: MotorParams, h, ia, ib, th, om, va, va_mid, va_end,
     """One RK4 step as four `derivative_scalars` calls: the composition the
     simulator ran before its plant step was fused, operation for operation.
 
-    Arguments and result as for `hfsense.motor.rk4_step`.
+    Arguments and result as for `hfsense.motor.rk4_step`.  With drive =
+    (theta, omega) at t+h/2 followed by (theta, omega) at t+h, prescribed,
+    the mechanics are not integrated and theta, omega come back unchanged:
+    the reference of the maps from `hfsense.motor.driven_step_tables`.
     """
     m = params
     consts = (m.n_p, m.R_s, m.L0, m.L1, m.det_L, m.Phi, m.J, m.f)
@@ -116,6 +121,23 @@ def rk4_reference(params: MotorParams, h, ia, ib, th, om, va, va_mid, va_end,
         th += h6 * (t1 + 2.0 * t2 + 2.0 * t3 + t4)
         om += h6 * (o1 + 2.0 * o2 + 2.0 * o3 + o4)
     return ia, ib, th, om
+
+
+def driven_step_bound(motor, h, i, i_next, volts, omegas):
+    """Rounding bound on one driven step: 1e-14 of the largest current in
+    it or of the current change h*|v|/L its voltage drives, widened by the
+    growth 1 + h*rho of the RK4 stages, with rho the stator equation's
+    largest rate.  At the shipped scenarios h*rho is about 1e-3, so the
+    widening is nil.  It matters only on states that turn the rotor by
+    radians (electrical) within one step, where the stages grow several
+    times larger than the step's currents and the stage-by-stage oracle
+    rounds accordingly."""
+    L = min(motor.L_d, motor.L_q)
+    rho = (motor.R_s + 2.0 * motor.n_p * max(map(abs, omegas))
+           * abs(motor.L1)) / L
+    scale = max(*map(abs, i), *map(abs, i_next),
+                h * max(map(abs, volts)) / L)
+    return 1e-14 * scale * (1.0 + h * rho)
 
 
 def frame_rotate(theta: float, x1: float, x2: float,

@@ -129,6 +129,17 @@ def test_non_finite_or_non_positive_float_is_config_error(tmp_path, line, key):
     assert "\n" not in str(info.value)
 
 
+def _main_config_error(path, out, capsys):
+    """Run `hfsense run` on a scenario file; return its stderr after checking
+    that it is one config error line, exit 2, with no summary left."""
+    rc = main(["--config", str(path), "--out", str(out), "run"])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert not (out / "summary.json").exists()
+    return err
+
+
 @pytest.mark.parametrize("key", ["omega_end", "t_ramp_start", "t_ramp_end"])
 def test_ramp_key_on_constant_profile_is_config_error(tmp_path, capsys, key):
     drive = "[drive]\nprofile = constant\nomega = 0.5\n"
@@ -136,13 +147,45 @@ def test_ramp_key_on_constant_profile_is_config_error(tmp_path, capsys, key):
     p = _write(tmp_path, MINIMAL + drive + f"{key} = 1.0\n" + driven)
     with pytest.raises(ConfigError, match=rf"\[drive\] .*takes no {key}"):
         load_scenario(p)
-    rc = main(["--config", str(p), "--out", str(tmp_path / "o"), "run"])
-    assert rc == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert err.startswith("config error: ") and err.count("\n") == 1
-    assert not (tmp_path / "o" / "summary.json").exists()
+    _main_config_error(p, tmp_path / "o", capsys)
     # an explicit zero is the unset value
     load_scenario(_write(tmp_path, MINIMAL + drive + f"{key} = 0\n" + driven))
+
+
+@pytest.mark.parametrize("value", ["-1", "0"])
+def test_non_positive_divergence_limit_is_config_error(tmp_path, capsys,
+                                                        scenario_dir, value):
+    text = (scenario_dir / "lowspeed.scenario").read_text()
+    p = _write(tmp_path, text + f"divergence_limit = {value}\n")
+    err = _main_config_error(p, tmp_path / "o", capsys)
+    assert f"{p}: divergence_limit must be positive" in err
+
+
+def test_negative_seed_is_config_error(tmp_path, capsys):
+    # without noise the seed is never read, with noise numpy reads it
+    sim = "[simulation]\nduration = 0.01\nseed = -1\n"
+    for noise in ("", "noise_std = 0.01\n"):
+        p = _write(tmp_path, MINIMAL + sim + noise)
+        with pytest.raises(ConfigError, match=r"seed must be >= 0 \(got -1\)"):
+            load_scenario(p)
+        err = _main_config_error(p, tmp_path / "o", capsys)
+        assert f"{p}: seed" in err
+    # the --seed flag is checked by the same rule
+    p = _write(tmp_path, MINIMAL + "[simulation]\nduration = 0.01\n")
+    rc = main(["--config", str(p), "--seed", "-3", "--out",
+               str(tmp_path / "o"), "run"])
+    assert rc == EXIT_CONFIG
+    assert "seed must be >= 0 (got -3)" in capsys.readouterr().err
+
+
+def test_scenario_too_large_to_allocate_is_config_error(tmp_path, capsys,
+                                                        scenario_dir):
+    # 5e17 steps: numpy refuses the 355 PiB trace at once, where a size
+    # within reach would be allocated page by page
+    text = (scenario_dir / "lowspeed.scenario").read_text()
+    p = _write(tmp_path, text.replace("duration = 10.0", "duration = 1e13"))
+    err = _main_config_error(p, tmp_path / "o", capsys)
+    assert "scenario too large: duration = 1e+13 s" in err
 
 
 def test_invariant_violation_is_config_error(tmp_path):

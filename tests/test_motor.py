@@ -1,5 +1,5 @@
 """Machine-model tests: inductance algebra, derivative oracle, fused RK4
-step, virtual output."""
+step, driven step maps, virtual output."""
 
 import math
 import random
@@ -13,12 +13,14 @@ from hfsense.motor import (
     BENCH_MOTOR,
     SIM_MOTOR,
     MotorParams,
+    driven_step_tables,
     rk4_constants,
     rk4_step,
     virtual_output,
 )
 from oracles import (
     derivative_scalars,
+    driven_step_bound,
     inductance_matrix,
     rk4_reference,
     saliency_matrix,
@@ -112,26 +114,26 @@ def _random_step_args(rng):
             val(600.0), val(600.0), val(600.0), val(600.0), val(50.0))
 
 
-@pytest.mark.parametrize("motor", [SIM_MOTOR, BENCH_MOTOR, SALIENT_DQ],
-                         ids=["sim", "bench", "ld_gt_lq"])
-@pytest.mark.parametrize("driven", [False, True], ids=["mechanics", "drive"])
-def test_rk4_step_matches_derivative_oracle(motor, driven):
+_MOTORS = [SIM_MOTOR, BENCH_MOTOR, SALIENT_DQ]
+_MOTOR_IDS = ["sim", "bench", "ld_gt_lq"]
+
+
+# the ids name the mode: this step integrates the mechanics
+@pytest.mark.parametrize("motor", _MOTORS,
+                         ids=[f"mechanics-{i}" for i in _MOTOR_IDS])
+def test_rk4_step_matches_derivative_oracle(motor):
     """The fused plant step equals four `derivative_scalars` calls composed
     as RK4, with ==: on seeded random states, voltages and loads, and along
     a trajectory that feeds each step's result into the next."""
-    rng = random.Random(20260 + 2 * motor.n_p + driven)
+    rng = random.Random(20260 + 2 * motor.n_p)
     for h in (2e-5, 1e-4, 1.3e-3):
         kc = rk4_constants(motor, h)
         for _ in range(1500):
             ia, ib, th, om, va, vam, vae, vb, TL = _random_step_args(rng)
-            drive = None
-            if driven:
-                drive = (rng.uniform(-200.0, 200.0), om * rng.uniform(0.5, 2.0),
-                         rng.uniform(-200.0, 200.0), om * rng.uniform(0.5, 2.0))
-            got = rk4_step(kc, ia, ib, th, om, va, vam, vae, vb, TL, drive)
+            got = rk4_step(kc, ia, ib, th, om, va, vam, vae, vb, TL)
             want = rk4_reference(motor, h, ia, ib, th, om, va, vam, vae, vb,
-                                 TL, drive)
-            assert got == want, (h, ia, ib, th, om, va, vam, vae, vb, TL, drive)
+                                 TL)
+            assert got == want, (h, ia, ib, th, om, va, vam, vae, vb, TL)
     h = 2e-5
     kc = rk4_constants(motor, h)
     got = want = (0.3, -0.2, 1.0, 0.5)
@@ -140,12 +142,69 @@ def test_rk4_step_matches_derivative_oracle(motor, driven):
         va, vam, vae = (30.0 * math.sin(6283.185307179586 * x)
                         for x in (t, t + 0.5 * h, t + h))
         vb = 5.0 * math.cos(3.0 * t)
-        drive = None
-        if driven:
-            drive = (1.0 + 9.0 * (t + 0.5 * h), 1.5, 1.0 + 9.0 * (t + h), 1.5)
-        got = rk4_step(kc, *got, va, vam, vae, vb, 0.5, drive)
-        want = rk4_reference(motor, h, *want, va, vam, vae, vb, 0.5, drive)
+        got = rk4_step(kc, *got, va, vam, vae, vb, 0.5)
+        want = rk4_reference(motor, h, *want, va, vam, vae, vb, 0.5)
         assert got == want, k
+
+
+def _affine_step(P, k, ia, ib, vca, vcb):
+    """Step k of the maps from `driven_step_tables`, written as `sim.run`
+    applies them."""
+    p0, p1, p2, p3, p4, p5, p6, p7, p8, p9 = P[:, k].tolist()
+    return (p0 * ia + p1 * ib + p2 * vca + p3 * vcb + p4,
+            p5 * ia + p6 * ib + p7 * vca + p8 * vcb + p9)
+
+
+@pytest.mark.parametrize("motor", _MOTORS, ids=_MOTOR_IDS)
+def test_driven_step_tables_match_derivative_oracle(motor):
+    """Under a prescribed drive a step is the affine map from
+    `driven_step_tables` applied to the currents and the held control
+    voltage.  It agrees with four `derivative_scalars` calls composed as
+    RK4 (the probe added to the control voltage, as `sim.run` forms it)
+    within `driven_step_bound`: on seeded random states, voltages and
+    drives, and along a trajectory, one step at a time from the oracle's
+    state."""
+    rng = random.Random(20260 + 2 * motor.n_p + 1)
+    for h in (2e-5, 1e-4, 1.3e-3):
+        kc = rk4_constants(motor, h)
+        cases = []
+        for _ in range(1500):
+            ia, ib, th, om, p_t, p_m, p_e, vcb, _ = _random_step_args(rng)
+            vca = rng.choice((-1.0, 1.0)) * 600.0 * 10.0 ** rng.uniform(-6, 0)
+            drive = (rng.uniform(-200.0, 200.0), om * rng.uniform(0.5, 2.0),
+                     rng.uniform(-200.0, 200.0), om * rng.uniform(0.5, 2.0))
+            cases.append((ia, ib, vca, vcb, th, om, *drive, p_t, p_m, p_e))
+        cols = np.array(cases).T
+        P = driven_step_tables(kc, *cols[4:])
+        assert P.shape == (10, len(cases))
+        for k, (ia, ib, vca, vcb, th, om, thm, omm, the, ome, p_t, p_m,
+                p_e) in enumerate(cases):
+            volts = (vca + p_t, vca + p_m, vca + p_e, vcb)
+            got = _affine_step(P, k, ia, ib, vca, vcb)
+            want = rk4_reference(motor, h, ia, ib, th, om, *volts, 0.0,
+                                 (thm, omm, the, ome))[:2]
+            bound = driven_step_bound(motor, h, (ia, ib), want, volts,
+                                      (om, omm, ome))
+            assert max(abs(g - w) for g, w in zip(got, want)) <= bound, \
+                (h, ia, ib, vca, vcb, th, om, thm, omm, the, ome)
+    h = 2e-5
+    n = 3000
+    t = np.arange(n) * h
+    grids = (t, t + 0.5 * h, t + h)
+    probe = [30.0 * np.sin(6283.185307179586 * x) for x in grids]
+    mech = [a for x in grids for a in (1.0 + 9.0 * x, np.full(n, 1.5))]
+    P = driven_step_tables(rk4_constants(motor, h), *mech, *probe)
+    i = (0.3, -0.2)
+    for k in range(n):
+        vca, vcb = 4.0 * math.cos(5.0 * t[k]), 5.0 * math.cos(3.0 * t[k])
+        volts = (vca + probe[0][k], vca + probe[1][k], vca + probe[2][k], vcb)
+        drive = (mech[2][k], 1.5, mech[4][k], 1.5)
+        want = rk4_reference(motor, h, *i, mech[0][k], 1.5, *volts, 0.0,
+                             drive)[:2]
+        got = _affine_step(P, k, *i, vca, vcb)
+        bound = driven_step_bound(motor, h, i, want, volts, (1.5,))
+        assert max(abs(g - w) for g, w in zip(got, want)) <= bound, k
+        i = want
 
 
 def test_torque_sign_convention():

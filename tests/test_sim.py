@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from hfsense import sim
 from hfsense.cli import main
 from hfsense.config import load_scenario
-from hfsense.controller import ControllerConfig
+from hfsense.controller import ControllerConfig, SensorlessController
 from hfsense.estimators import ProposedEstimator, rmsd
 from hfsense.motor import SIM_MOTOR
 from hfsense.signal_ops import InjectionConfig
@@ -25,7 +25,12 @@ from hfsense.sim import (
 )
 
 from conftest import SCENARIO_DIR
-from oracles import drive_angle_integral, drive_omega_at
+from oracles import (
+    drive_angle_integral,
+    drive_omega_at,
+    driven_step_bound,
+    rk4_reference,
+)
 
 
 def _cfg(**kw):
@@ -170,12 +175,10 @@ def test_drive_tables_equal_scalar_oracles(profile):
             [drive_angle_integral(profile, x) for x in ts]
 
 
-def test_driven_run_reads_drive_tables_bit_for_bit(monkeypatch):
+def _ramp_across_block_edge_run(monkeypatch):
     """A decimation-1 driven run over three blocks, the last one short, with
-    a short reversal ramp across a block edge: the recorded angle and speed,
-    and the mid- and end-step values handed to the plant step, equal
-    th0 + n_p*angle and omega of the scalar oracles at k*Ts, k*Ts + Ts/2
-    and k*Ts + Ts."""
+    a short reversal ramp across a block edge; returns the profile, the
+    config, the trace and each call's arguments of the step-map builder."""
     Ts = 2e-5
     edge = sim._BLOCK * Ts
     d = DriveProfile("reversal", omega=2.0, omega_end=-1.5,
@@ -185,14 +188,23 @@ def test_driven_run_reads_drive_tables_bit_for_bit(monkeypatch):
                duration=n * Ts, theta0=0.7)
     assert cfg.Ts == Ts and cfg.n_steps == n
     handed = []
-    rk4_step = sim.rk4_step
+    build = sim.driven_step_tables
 
-    def recording(*args):
-        handed.append(args[-1])
-        return rk4_step(*args)
+    def recording(kc, *tables):
+        handed.append(tables)
+        return build(kc, *tables)
 
-    monkeypatch.setattr(sim, "rk4_step", recording)
-    tr = run(cfg, ["t", "theta", "omega"])
+    monkeypatch.setattr(sim, "driven_step_tables", recording)
+    return d, cfg, run(cfg), handed
+
+
+def test_driven_run_reads_drive_tables_bit_for_bit(monkeypatch):
+    """The recorded angle and speed, and the (theta, omega) arrays at
+    k*Ts, k*Ts + Ts/2 and k*Ts + Ts handed to the step-map builder, equal
+    th0 + n_p*angle and omega of the scalar oracles; the probe arrays
+    handed with them are the probe tables at the same times."""
+    d, cfg, tr, handed = _ramp_across_block_edge_run(monkeypatch)
+    Ts, n = cfg.Ts, cfg.n_steps
 
     def prescribed(t):
         return (0.7 + SIM_MOTOR.n_p * drive_angle_integral(d, t),
@@ -201,10 +213,51 @@ def test_driven_run_reads_drive_tables_bit_for_bit(monkeypatch):
     assert tr.t.tolist() == [k * Ts for k in range(n + 1)]
     assert list(zip(tr.theta.tolist(), tr.omega.tolist())) == \
         [prescribed(k * Ts) for k in range(n + 1)]
-    assert handed == [prescribed(k * Ts + 0.5 * Ts) + prescribed(k * Ts + Ts)
-                      for k in range(n)]
+    # one call per block, each covering its steps; the last step has no
+    # step after it but shares its block's tables
+    assert [len(x[0]) for x in handed] == [sim._BLOCK, sim._BLOCK, 701]
+    tables = [np.concatenate(x).tolist() for x in zip(*handed)]
+    for g, grid in enumerate((0.0, 0.5 * Ts, Ts)):
+        assert list(zip(tables[2 * g], tables[2 * g + 1])) == \
+            [prescribed(k * Ts + grid) for k in range(n + 1)]
+    at_step, at_mid = sim._probe_tables(cfg)
+    N = len(at_step)
+    assert tables[6:] == [[at_step[k % N] for k in range(n + 1)],
+                          [at_mid[k % N] for k in range(n + 1)],
+                          [at_step[(k + 1) % N] for k in range(n + 1)]]
     # the ramp is resolved on the grid, on both sides of the block edge
     assert len(set(tr.omega.tolist())) > 40
+
+
+def test_driven_run_steps_the_currents_as_the_oracle(monkeypatch):
+    """Each step of a driven run, from its recorded currents and the
+    control voltage the controller returned, agrees with four
+    `derivative_scalars` calls composed as RK4 at the prescribed angle and
+    speed, within the rounding bound of the step-map test."""
+    volts = []
+    lfv = SensorlessController.low_frequency_voltage
+
+    def recording(self, *args):
+        volts.append(lfv(self, *args))
+        return volts[-1]
+
+    monkeypatch.setattr(SensorlessController, "low_frequency_voltage",
+                        recording)
+    d, cfg, tr, handed = _ramp_across_block_edge_run(monkeypatch)
+    Ts, n = cfg.Ts, cfg.n_steps
+    th_t, om_t, th_m, om_m, th_e, om_e, p_t, p_m, p_e = \
+        (np.concatenate(x).tolist() for x in zip(*handed))
+    i = list(zip(tr.i_alpha.tolist(), tr.i_beta.tolist()))
+    assert len(volts) == n + 1 and max(map(abs, tr.i_alpha)) > 0.01
+    for k in range(n):
+        vca, vcb = volts[k]
+        assert tr.v_alpha[k] == vca + p_t[k] and tr.v_beta[k] == vcb
+        u = (vca + p_t[k], vca + p_m[k], vca + p_e[k], vcb)
+        want = rk4_reference(SIM_MOTOR, Ts, *i[k], th_t[k], om_t[k], *u,
+                             0.0, (th_m[k], om_m[k], th_e[k], om_e[k]))
+        bound = driven_step_bound(SIM_MOTOR, Ts, i[k], want[:2], u,
+                                  (om_t[k], om_m[k], om_e[k]))
+        assert max(abs(a - b) for a, b in zip(i[k + 1], want)) <= bound, k
 
 
 @pytest.mark.parametrize("profile", [DriveProfile("constant", omega=2.0),
