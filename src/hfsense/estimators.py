@@ -20,18 +20,22 @@ constant (state per unit of virtual output) and runs `ProposedEstimator`'s
 step, so the new pipeline has one kernel.
 
 All three estimators produce the angle modulo pi from the centred saliency
-locus through `_locus_angle`, which also resolves the branch by continuity
-with the previous estimate; each calls it once per sample.  Magnetic-polarity
-disambiguation is out of scope.
+locus, with the branch resolved by continuity with the previous estimate.
+Magnetic-polarity disambiguation is out of scope.
 
-Each estimator steps by the integer sample index k (the sample time is
-k*Ts): `step(k, i_alpha, i_beta)` looks up its per-phase constants at
-carrier phase k mod N, with N = epsilon/Ts samples per probe period.
+Each estimator's `step(k0, i_alpha, i_beta, out=None, dec=1)` is its one
+kernel.  It advances over a run of samples, sample j of the two sequences
+being sample k0 + j (time (k0 + j)*Ts), with its state in locals over the
+run, and looks up its per-phase constants at carrier phase k mod N, with
+N = epsilon/Ts samples per probe period.  Built with `pll_gains`, it runs
+the type-2 PLL inline on every valid sample; `Pll.step` is that loop's
+oracle.  The same kernel serves the estimator that closes the loop, one
+sample per call, and the ones that only observe, one block per call.
 
-The per-sample steps of both kernels (the new pipeline's and the LTI
-chain's) are fused: the delay/hold regressor, filters, centre and radius
-check run inline on float state, with the arithmetic and operation order of
-the standalone operators (`Regressor`, `HighPass2`, `LowPass1`, and
+The kernels are fused: the delay/hold regressor, filters, centre and
+radius check, angle recovery and PLL run inline on float state, with the
+arithmetic and operation order of the standalone operators (`Regressor`,
+`HighPass2`, `LowPass1`, `Pll`, and `locus_angle` and
 `virtual_output_to_angle` in tests/oracles.py), which stay the oracles the
 kernels are tested against bit for bit.
 """
@@ -56,23 +60,16 @@ from .signal_ops import (
 )
 
 
+# x + _RINT - _RINT rounds a float x to the nearest integer, ties to even,
+# as round(x) does, for |x| <= 2**51: the sum has no bits below its units
+# place.  The kernels round the branch count this way, as a float, which
+# saves round()'s call and int; a NaN stays NaN where round() raised.
+_RINT = 1.5 * 2.0 ** 52
+
+
 def wrap_mod_pi(err):
     """Wrap an angle difference into (-pi/2, pi/2] (mod-pi identification)."""
     return -((-np.asarray(err) + 0.5 * math.pi) % math.pi - 0.5 * math.pi)
-
-
-def _locus_angle(dx: float, dy: float, L1: float, prev_theta: float) -> float:
-    """Angle from a point (dx, dy) of the saliency locus, relative to its centre.
-
-    The centred locus is -L1*(cos 2theta, sin 2theta) up to a positive scale,
-    so the point is negated when L1 > 0 (L_d > L_q); 0.5*atan2 then gives
-    the angle modulo pi, and the branch nearest prev_theta (the raw angle
-    shifted by the nearest multiple of pi) is returned.
-    """
-    if L1 > 0.0:
-        dx, dy = -dx, -dy
-    raw = 0.5 * math.atan2(dy, dx)
-    return raw + math.pi * round((prev_theta - raw) / math.pi)
 
 
 def rmsd(t, theta_true, theta_hat, t1: float, t2: float) -> float:
@@ -82,6 +79,15 @@ def rmsd(t, theta_true, theta_hat, t1: float, t2: float) -> float:
     trapezoidal quadrature over the window.
     """
     t = np.asarray(t)
+    m = window_mask(t, t1, t2)
+    e = wrap_mod_pi(np.asarray(theta_hat)[m] - np.asarray(theta_true)[m])
+    return float(math.sqrt(np.trapezoid(e * e, t[m]) / (t[m][-1] - t[m][0])))
+
+
+def window_mask(t, t1: float, t2: float) -> np.ndarray:
+    """Mask of the samples of t in [t1, t2]; ValueError unless t2 > t1, the
+    window lies within the trace and it holds at least 2 samples."""
+    t = np.asarray(t)
     if t2 <= t1:
         raise ValueError("need t2 > t1")
     if t1 < t[0] - 1e-12 or t2 > t[-1] + 1e-12:
@@ -89,8 +95,7 @@ def rmsd(t, theta_true, theta_hat, t1: float, t2: float) -> float:
     m = (t >= t1) & (t <= t2)
     if np.count_nonzero(m) < 2:
         raise ValueError(f"window [{t1:g}, {t2:g}] holds fewer than 2 samples")
-    e = wrap_mod_pi(np.asarray(theta_hat)[m] - np.asarray(theta_true)[m])
-    return float(math.sqrt(np.trapezoid(e * e, t[m]) / (t[m][-1] - t[m][0])))
+    return m
 
 
 class ProposedEstimator:
@@ -109,19 +114,21 @@ class ProposedEstimator:
     def __init__(self, params: MotorParams, cfg: InjectionConfig, Ts: float,
                  gamma_alpha: float = 1e4, gamma_beta: float = 1e4,
                  ell: tuple[float, float, float] = (1.0, 0.0, 1.0),
-                 theta0: float = 0.0):
+                 theta0: float = 0.0,
+                 pll_gains: tuple[float, float] | None = None):
         if ell[0] == 0.0 or ell[2] == 0.0:
             raise ValueError("ell1 and ell3 must be nonzero")
-        if gamma_alpha <= 0.0 or gamma_beta <= 0.0:
-            raise ValueError("gamma must be positive")
+        if not (0.0 < gamma_alpha < math.inf and 0.0 < gamma_beta < math.inf):
+            raise ValueError("gamma must be positive and finite")
         self.cfg = cfg
         self.Ts = Ts
         # the kernel runs this regressor's step inline on its ring lists;
         # building it keeps its misaligned-delay check the one check
         reg = Regressor(cfg.epsilon, Ts)
-        # per phase j: ((a, c) of the alpha flow, (a, c) of the beta flow)
-        self._table = list(zip(self._phase_table(gamma_alpha),
-                               self._phase_table(gamma_beta)))
+        # per phase j: (a, c) of the alpha flow, then (a, c) of the beta flow
+        self._table = [(*ta, *tb) for ta, tb in
+                       zip(self._phase_table(gamma_alpha),
+                           self._phase_table(gamma_beta))]
         unit = self._state_per_output(params)
         # seed the demodulators at the assumed initial angle so the loop
         # does not open on a transient pointing nowhere
@@ -130,22 +137,26 @@ class ProposedEstimator:
         self.yv1 = y10
         self.yv2 = y20
         self.low_confidence = True
+        self.omega_hat = 0.0
+        pll_k, pll_s = _pll_parts(pll_gains, params, Ts, theta0)
         # constants of one step, unpacked at once in the kernel: the locus
-        # centre (L0/(Ld Lq), 0) and the radius within which a point carries
-        # no angle
+        # centre (L0/(Ld Lq), 0), the radius within which a point carries
+        # no angle, the phase table and the PLL's
         self._k = (len(self._table), reg.n, reg._m, reg._REBASE_EVERY,
                    *reg._u, *reg._inc, unit, *ell,
                    params.L0 / params.det_L,
-                   0.1 * abs(params.L1) / params.det_L, params.L1)
-        # regressor state, then the demodulator state (x_alpha, x_beta)
+                   0.1 * abs(params.L1) / params.det_L, params.L1,
+                   self._table, *pll_k)
+        # regressor state, the demodulator state (x_alpha, x_beta), then
+        # the PLL's
         self._s = (reg._i, reg._sa, reg._sb, reg._cold, reg._rebase_in,
-                   unit * y10, unit * y20)
+                   unit * y10, unit * y20, *pll_s)
 
     @property
     def x(self) -> tuple[float, float]:
         """Demodulator state (x_alpha, x_beta); yv is ell applied to x
         divided by `_state_per_output` (epsilon)."""
-        return self._s[5:]
+        return self._s[5:7]
 
     def _state_per_output(self, params: MotorParams) -> float:
         """Demodulator state per unit of virtual output: x/epsilon reads yv."""
@@ -165,57 +176,99 @@ class ProposedEstimator:
              for j in range(carrier_steps(self.cfg, self.Ts))]
         return [(1.0 - g * s * s, g * s) for s in S]
 
-    def step(self, k: int, i_alpha: float, i_beta: float):
-        """Advance to sample k; return (theta_hat, yv1, yv2) or None until warm."""
+    def step(self, k0: int, i_alpha, i_beta, out=None, dec: int = 1):
+        """Advance over a run of samples; sample j of i_alpha, i_beta is k0 + j.
+
+        The two sequences have equal lengths; an empty run changes nothing.
+        Returns what the run's last sample gives: (theta_hat, yv1, yv2), or
+        None while the regressor is still filling its window.  With `out` =
+        five writable sequences, it writes theta_hat, omega_hat, yv1, yv2
+        and the valid flag (0.0 or 1.0) of each sample k with k % dec == 0
+        at row k // dec.  The PLL, if any, steps on every valid sample.
+        """
         (N, n, m, rebase, ua, ub, inc_a, inc_b, unit, ell1, ell2, ell3,
-         centre, r_min, L1) = self._k
-        i, sa, sb, cold, rebase_in, xa, xb = self._s
-        # this sample's phase constants; read first, so that a k that is not
-        # an integer raises TypeError before any state changes
-        (aa, ca), (ab, cb) = self._table[k % N]
-        # delay minus hold: Regressor.step inline, in its operation order
-        if cold:
-            cold -= 1
-            if cold == m:  # first sample: no increment yet
-                ua[0] = i_alpha
-                ub[0] = i_beta
-                self._s = (1, sa, sb, cold, rebase_in, xa, xb)
-                return None
-        ja = 0.5 * (ua[i - 1] + i_alpha)  # trapezoid, Ts factored out
-        jb = 0.5 * (ub[i - 1] + i_beta)
-        sa = sa - inc_a[i] + ja
-        sb = sb - inc_b[i] + jb
-        inc_a[i] = ja
-        inc_b[i] = jb
-        da = ua[i - n]  # negative indices wrap: the input from d ago
-        db = ub[i - n]
-        ua[i] = i_alpha
-        ub[i] = i_beta
-        i += 1
-        if i == m:
-            i = 0
-        rebase_in -= 1
-        if not rebase_in:
-            rebase_in = rebase
-            sa = math.fsum(inc_a)
-            sb = math.fsum(inc_b)
-        if cold:
-            self._s = (i, sa, sb, cold, rebase_in, xa, xb)
-            return None
-        yfa = da - sa / m
-        yfb = db - sb / m
-        xa = aa * xa + ca * yfa
-        xb = ab * xb + cb * yfb
-        self._s = (i, sa, sb, cold, rebase_in, xa, xb)
-        y1 = self.yv1 = ell1 * (xa / unit) + ell2
-        y2 = self.yv2 = ell3 * (xb / unit)
-        dx = y1 - centre
-        if math.hypot(dx, y2) <= r_min:
-            self.low_confidence = True  # hold the previous angle
-        else:
-            self.theta_hat = _locus_angle(dx, y2, L1, self.theta_hat)
-            self.low_confidence = False
-        return self.theta_hat, y1, y2
+         centre, r_min, L1, table, pll, kp, ki, n_p, Ts) = self._k
+        i, sa, sb, cold, rebase_in, xa, xb, eta1, eta2 = self._s
+        theta, y1, y2 = self.theta_hat, self.yv1, self.yv2
+        low, om = self.low_confidence, self.omega_hat
+        if out is not None:
+            o_th, o_om, o_y1, o_y2, o_v = out
+        hypot, atan2, pi, rint = math.hypot, math.atan2, math.pi, _RINT
+        first = m + 1
+        k = k0
+        # an index loop: it starts faster than zip, for one-sample runs
+        j, n_run = 0, len(i_alpha)
+        while j < n_run:
+            ia = i_alpha[j]
+            ib = i_beta[j]
+            j += 1
+            # this sample's phase constants; read first, so that a k that is
+            # not an integer raises TypeError before any state changes
+            aa, ca, ab, cb = table[k % N]
+            if cold == first:  # first sample: no increment yet
+                cold = m
+                ua[0] = ia
+                ub[0] = ib
+                i = 1
+            else:
+                # delay minus hold: Regressor.step inline, in its operation
+                # order
+                ja = 0.5 * (ua[i - 1] + ia)  # trapezoid, Ts factored out
+                jb = 0.5 * (ub[i - 1] + ib)
+                sa = sa - inc_a[i] + ja
+                sb = sb - inc_b[i] + jb
+                inc_a[i] = ja
+                inc_b[i] = jb
+                da = ua[i - n]  # negative indices wrap: the input from d ago
+                db = ub[i - n]
+                ua[i] = ia
+                ub[i] = ib
+                i += 1
+                if i == m:
+                    i = 0
+                rebase_in -= 1
+                if not rebase_in:
+                    rebase_in = rebase
+                    sa = math.fsum(inc_a)
+                    sb = math.fsum(inc_b)
+                if cold:
+                    cold -= 1
+                if not cold:
+                    yfa = da - sa / m
+                    yfb = db - sb / m
+                    xa = aa * xa + ca * yfa
+                    xb = ab * xb + cb * yfb
+                    y1 = ell1 * (xa / unit) + ell2
+                    y2 = ell3 * (xb / unit)
+                    dx = y1 - centre
+                    # a point within r_min of the centre holds the angle
+                    low = hypot(dx, y2) <= r_min
+                    if not low:
+                        # the angle recovery, inline
+                        if L1 > 0.0:
+                            raw = 0.5 * atan2(-y2, -dx)
+                        else:
+                            raw = 0.5 * atan2(y2, dx)
+                        theta = raw + pi * ((theta - raw) / pi + rint - rint)
+                    if pll:
+                        # Pll.step inline, in its operation order
+                        e = theta - eta1
+                        wp = kp * e + ki * eta2
+                        eta1 += Ts * wp
+                        eta2 += Ts * e
+                        om = wp / n_p
+            if out is not None and not k % dec:
+                r = k // dec
+                o_th[r] = theta
+                o_om[r] = om
+                o_y1[r] = y1
+                o_y2[r] = y2
+                o_v[r] = 0.0 if cold else 1.0
+            k += 1
+        self._s = (i, sa, sb, cold, rebase_in, xa, xb, eta1, eta2)
+        self.theta_hat, self.yv1, self.yv2 = theta, y1, y2
+        self.low_confidence, self.omega_hat = low, om
+        return None if cold else (theta, y1, y2)
 
 
 @dataclass(frozen=True)
@@ -251,54 +304,99 @@ class ConventionalEstimator:
 
     The step keeps the operation order of `HighPass2.step` and
     `LowPass1.step`, so its output is bit-identical to their composition.
+    Every sample is valid; the PLL, if any, steps on each.
     """
 
     def __init__(self, params: MotorParams, cfg: InjectionConfig, Ts: float,
-                 chain: LtiChainConfig, theta0: float = 0.0):
+                 chain: LtiChainConfig, theta0: float = 0.0,
+                 pll_gains: tuple[float, float] | None = None):
         # demodulation carrier per phase j = k mod N
         self._demod = [math.sin(cfg.omega_h * j * Ts + cfg.phi)
                        for j in range(carrier_steps(cfg, Ts))]
         hpf = HighPass2(chain.lambda_h, Ts)
         lpf = LowPass1(chain.lambda_ell, Ts)
         scale = 2.0 * cfg.omega_h * params.det_L / cfg.V_h
+        pll_k, pll_s = _pll_parts(pll_gains, params, Ts, theta0)
         # constants of one step, unpacked at once in the kernel
-        self._k = (len(self._demod), hpf.b0, hpf.b1, hpf.b2, hpf.a1,
-                   hpf.a2, lpf.a1, lpf.b, scale, params.det_L, params.L0,
-                   params.L1)
+        self._k = (len(self._demod), self._demod, hpf.b0, hpf.b1, hpf.b2,
+                   hpf.a1, hpf.a2, lpf.a1, lpf.b, scale, params.det_L,
+                   params.L0, params.L1, *pll_k)
         # biquad state (z1, z2) and low-pass state (output, previous input)
-        # per axis; the low passes start at the output matching the assumed
-        # initial angle
+        # per axis, then the PLL's; the low passes start at the output
+        # matching the assumed initial angle
         y10, y20 = virtual_output(params, theta0)
         ya = y10 * params.det_L / scale
         yb = y20 * params.det_L / scale
-        self._s = (0.0, 0.0, 0.0, 0.0, ya, ya, yb, yb)
+        self._s = (0.0, 0.0, 0.0, 0.0, ya, ya, yb, yb, *pll_s)
         self.theta_hat = theta0
         self.yv1 = y10
         self.yv2 = y20
+        self.omega_hat = 0.0
 
-    def step(self, k: int, i_alpha: float, i_beta: float):
-        """Advance to sample k; return (theta_hat, yv1, yv2)."""
-        (N, b0, b1, b2, a1, a2, la, lb, scale, det_L, L0, L1) = self._k
-        za1, za2, zb1, zb2, ya, ua, yb, ub = self._s
-        # high pass, direct form II transposed
-        yha = b0 * i_alpha + za1
-        za1 = b1 * i_alpha - a1 * yha + za2
-        za2 = b2 * i_alpha - a2 * yha
-        yhb = b0 * i_beta + zb1
-        zb1 = b1 * i_beta - a1 * yhb + zb2
-        zb2 = b2 * i_beta - a2 * yhb
-        demod = self._demod[k % N]
-        # demodulate and low-pass
-        da = yha * demod
-        db = yhb * demod
-        ya = la * ya + lb * (da + ua)
-        yb = la * yb + lb * (db + ub)
-        self._s = (za1, za2, zb1, zb2, ya, da, yb, db)
-        Ya = scale * ya
-        Yb = scale * yb
-        y1 = self.yv1 = Ya / det_L
-        y2 = self.yv2 = Yb / det_L
-        theta = self.theta_hat = _locus_angle(Ya - L0, Yb, L1, self.theta_hat)
+    def step(self, k0: int, i_alpha, i_beta, out=None, dec: int = 1):
+        """Advance over a run of samples; sample j of i_alpha, i_beta is k0 + j.
+
+        Returns (theta_hat, yv1, yv2) of the run's last sample; `out` and
+        `dec` as for `ProposedEstimator.step`, with a valid flag of 1.0.
+        """
+        (N, demods, b0, b1, b2, a1, a2, la, lb, scale, det_L, L0, L1, pll, kp,
+         ki, n_p, Ts) = self._k
+        za1, za2, zb1, zb2, ya, ua, yb, ub, eta1, eta2 = self._s
+        theta, y1, y2, om = self.theta_hat, self.yv1, self.yv2, self.omega_hat
+        if out is not None:
+            o_th, o_om, o_y1, o_y2, o_v = out
+        atan2, pi, rint = math.atan2, math.pi, _RINT
+        k = k0
+        j, n_run = 0, len(i_alpha)
+        while j < n_run:
+            ia = i_alpha[j]
+            ib = i_beta[j]
+            j += 1
+            # read first, so that a k that is not an integer raises
+            # TypeError before any state changes
+            demod = demods[k % N]
+            # high pass, direct form II transposed
+            yha = b0 * ia + za1
+            za1 = b1 * ia - a1 * yha + za2
+            za2 = b2 * ia - a2 * yha
+            yhb = b0 * ib + zb1
+            zb1 = b1 * ib - a1 * yhb + zb2
+            zb2 = b2 * ib - a2 * yhb
+            # demodulate and low-pass
+            da = yha * demod
+            db = yhb * demod
+            ya = la * ya + lb * (da + ua)
+            yb = la * yb + lb * (db + ub)
+            ua = da
+            ub = db
+            Ya = scale * ya
+            Yb = scale * yb
+            y1 = Ya / det_L
+            y2 = Yb / det_L
+            # the angle recovery, inline
+            dx = Ya - L0
+            if L1 > 0.0:
+                raw = 0.5 * atan2(-Yb, -dx)
+            else:
+                raw = 0.5 * atan2(Yb, dx)
+            theta = raw + pi * ((theta - raw) / pi + rint - rint)
+            if pll:
+                # Pll.step inline, in its operation order
+                e = theta - eta1
+                wp = kp * e + ki * eta2
+                eta1 += Ts * wp
+                eta2 += Ts * e
+                om = wp / n_p
+            if out is not None and not k % dec:
+                r = k // dec
+                o_th[r] = theta
+                o_om[r] = om
+                o_y1[r] = y1
+                o_y2[r] = y2
+                o_v[r] = 1.0
+            k += 1
+        self._s = (za1, za2, zb1, zb2, ya, ua, yb, ub, eta1, eta2)
+        self.theta_hat, self.yv1, self.yv2, self.omega_hat = theta, y1, y2, om
         return theta, y1, y2
 
 
@@ -317,9 +415,10 @@ class BlockFormEstimator(ProposedEstimator):
 
     def __init__(self, params: MotorParams, cfg: InjectionConfig, Ts: float,
                  gamma_alpha: float = 1e4, gamma_beta: float = 1e4,
-                 theta0: float = 0.0):
+                 theta0: float = 0.0,
+                 pll_gains: tuple[float, float] | None = None):
         super().__init__(params, cfg, Ts, gamma_alpha, gamma_beta,
-                         theta0=theta0)
+                         theta0=theta0, pll_gains=pll_gains)
 
     def _state_per_output(self, params: MotorParams) -> float:
         """Low-pass state per unit of virtual output: yv = scale*(g*z)/det_L
@@ -350,15 +449,20 @@ class BlockFormEstimator(ProposedEstimator):
     # equivalence_deviation, misses every specialized lookup (-13% steps/s
     # on the estimator_replay benchmark).
     step = types.FunctionType(ProposedEstimator.step.__code__.replace(),
-                              globals(), "step")
+                              globals(), "step",
+                              ProposedEstimator.step.__defaults__)
 
 
 class Pll:
-    """Type-2 tracking loop turning the angle estimate into a speed estimate."""
+    """Type-2 tracking loop turning the angle estimate into a speed estimate.
+
+    Each estimator runs this step inline on its own angle; `step` stays the
+    oracle that the inline loop must match bit for bit.
+    """
 
     def __init__(self, K_p: float, K_i: float, n_p: int, theta0: float = 0.0):
-        if K_p <= 0.0 or K_i <= 0.0:
-            raise ValueError("PLL gains must be positive")
+        if not (0.0 < K_p < math.inf and 0.0 < K_i < math.inf):
+            raise ValueError("PLL gains must be positive and finite")
         self.K_p = K_p
         self.K_i = K_i
         self.n_p = n_p
@@ -373,6 +477,16 @@ class Pll:
         self.eta2 += Ts * e
         self.omega_hat = omega_hat_p / self.n_p
         return self.omega_hat
+
+
+def _pll_parts(pll_gains, params: MotorParams, Ts: float, theta0: float):
+    """Constants (runs, K_p, K_i, n_p, Ts) and initial state (eta1, eta2)
+    of an estimator's inline PLL, from a `Pll` built with gains (K_p, K_i).
+    Without gains the PLL does not run, and omega_hat stays 0."""
+    if pll_gains is None:
+        return (False, 0.0, 0.0, params.n_p, Ts), (0.0, 0.0)
+    pll = Pll(*pll_gains, params.n_p, theta0)
+    return (True, pll.K_p, pll.K_i, pll.n_p, Ts), (pll.eta1, pll.eta2)
 
 
 def fit_compensation(t, yv1, yv2, params: MotorParams, omega_e: float,

@@ -2,7 +2,9 @@
 
 Each function takes a ScenarioConfig (plus experiment knobs) and returns a
 plain dict of measured quantities, so the CLI, the test suite and interactive
-use all share one code path.
+use all share one code path.  The estimator replays (`equivalence_deviation`,
+`calibrate`) advance each estimator over whole blocks of samples per call,
+not one sample per call.
 """
 
 from __future__ import annotations
@@ -18,11 +20,19 @@ from .estimators import (
     fit_compensation,
     rmsd,
     synthesize_injection_current,
+    window_mask,
     wrap_mod_pi,
 )
 from .motor import MotorParams
-from .signal_ops import TWO_PI, InjectionConfig
-from .sim import ScenarioConfig, Trace, averaging_residual, check_window, run
+from .signal_ops import TWO_PI, InjectionConfig, carrier_steps
+from .sim import (
+    _BLOCK,
+    ScenarioConfig,
+    Trace,
+    averaging_residual,
+    check_window,
+    run,
+)
 
 
 def steady_angle_error(trace: Trace, prefix: str, t1: float, t2: float) -> float:
@@ -38,8 +48,7 @@ def steady_angle_ripple(trace: Trace, prefix: str, t1: float, t2: float) -> floa
     proportionally to the probe period, while the error's mean settles much
     faster than that bound).
     """
-    t = np.asarray(trace.t)
-    m = (t >= t1) & (t <= t2)
+    m = window_mask(trace.t, t1, t2)
     e = wrap_mod_pi(trace.data[f"{prefix}_theta_hat"][m] - trace.theta[m])
     return float(np.std(e))
 
@@ -194,29 +203,33 @@ def equivalence_deviation(params: MotorParams, inj: InjectionConfig,
                                        i_bar=(0.5, -0.2))
     est_a = ProposedEstimator(params, inj, Ts, gamma, gamma, theta0=theta0)
     est_b = BlockFormEstimator(params, inj, Ts, gamma, gamma, theta0=theta0)
-    step_a, step_b = est_a.step, est_b.step
-    worst_yv = 0.0
-    worst_theta = 0.0
-    # 1-D memoryviews of the columns yield Python floats without a copy;
-    # numpy scalars make every estimator step slower
-    ca, cb = memoryview(cur[:, 0]), memoryview(cur[:, 1])
-    for k, (ia, ib) in enumerate(zip(ca, cb)):
-        ra = step_a(k, ia, ib)
-        rb = step_b(k, ia, ib)
-        if ra is None or rb is None:
-            continue
-        th_a, y1_a, y2_a = ra
-        th_b, y1_b, y2_b = rb
-        # the comparisons max() makes, in its order (a NaN never replaces)
-        e = abs(y1_a - y1_b)
-        if e > worst_yv:
-            worst_yv = e
-        e = abs(y2_a - y2_b)
-        if e > worst_yv:
-            worst_yv = e
-        e = abs(th_a - th_b)
-        if e > worst_theta:
-            worst_theta = e
+    # blocks of whole carrier periods, so each starts at phase 0 and its
+    # rows are 0, 1, ...: the kernels read the sample index only as k mod N
+    N = carrier_steps(inj, Ts)
+    block = N * max(1, _BLOCK // N)
+    # per form: rows of theta_hat, yv1, yv2 and the valid flag, written
+    # through memoryviews; omega_hat (no PLL runs) goes to a list, which
+    # takes a float faster and is never read
+    rows = np.zeros((2, 4, block))
+    out_a, out_b = ([memoryview(th), [0.0] * block, memoryview(y1),
+                     memoryview(y2), memoryview(valid)]
+                    for th, y1, y2, valid in rows)
+    worst_yv = worst_theta = 0.0
+    for kb in range(0, n + 1, block):
+        ke = min(kb + block, n + 1)
+        # lists of Python floats: numpy scalars would slow every step, and a
+        # list indexes faster than a strided memoryview
+        ia, ib = cur[kb:ke].T.tolist()
+        est_a.step(0, ia, ib, out_a)
+        est_b.step(0, ia, ib, out_b)
+        a, b = rows[:, :, :ke - kb]
+        valid = (a[3] != 0.0) & (b[3] != 0.0)
+        dev = np.abs(a[:3] - b[:3])
+        # fmax, as the > of a running max, never takes a NaN
+        worst_yv = np.fmax.reduce(dev[1:], axis=None, initial=worst_yv,
+                                  where=valid)
+        worst_theta = np.fmax.reduce(dev[0], initial=worst_theta,
+                                     where=valid)
     # relative to the natural size of the yv signal; dividing by a positive
     # constant is monotonic, so the max may be taken first
     scale = abs(params.L1) / params.det_L
@@ -254,15 +267,10 @@ def calibrate(cfg: ScenarioConfig, phase_err: float = 0.0,
     def run_estimator(ell):
         est = ProposedEstimator(params, inj, Ts, cfg.gamma_alpha,
                                 cfg.gamma_beta, ell, theta0=cfg.theta0)
-        m = len(t)
-        th = np.empty(m)
-        y1 = np.empty(m)
-        y2 = np.empty(m)
-        for k, (ia, ib) in enumerate(zip(ca, cb)):
-            est.step(k, ia, ib)
-            th[k] = est.theta_hat
-            y1[k] = est.yv1
-            y2[k] = est.yv2
+        # theta_hat, yv1, yv2, and one row for omega_hat and the valid flag,
+        # which are not read
+        th, y1, y2, spare = np.empty((4, len(t)))
+        est.step(0, ca, cb, [memoryview(r) for r in (th, spare, y1, y2, spare)])
         return th, y1, y2
 
     t_settle = min(0.5, 0.25 * cfg.duration)

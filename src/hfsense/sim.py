@@ -16,11 +16,16 @@ in the held control voltage, and `motor.driven_step_tables` builds its ten
 coefficients per step along with the profile tables.  Both forms' oracle is
 in tests/oracles.py.
 
-Controller and estimators advance once per integration step (single cadence,
-no PWM).  The probe voltage is evaluated analytically at the RK4 substep
-times; holding it constant over a step would alias a fixed fraction of the
-ripple and mask the second-order averaging remainder.  Since Ts divides the
-probe period, those values are tabulated once per carrier phase k mod N.
+The controller and the estimator it reads advance once per integration
+step (single cadence, no PWM).  An estimator that only observes (the LTI
+chain when the new pipeline closes the loop, both estimators in driven and
+sensor mode) sees the same measured currents, buffered per block of
+`_BLOCK` steps, and advances once per block; each estimator writes its own
+trace columns.  The probe voltage is evaluated analytically at the RK4
+substep times; holding it constant over a step would alias a fixed fraction
+of the ripple and mask the second-order averaging remainder.  Since Ts
+divides the probe period, those values are tabulated once per carrier
+phase k mod N.
 """
 
 from __future__ import annotations
@@ -35,7 +40,6 @@ from .controller import ControllerConfig, SensorlessController
 from .estimators import (
     ConventionalEstimator,
     LtiChainConfig,
-    Pll,
     ProposedEstimator,
     synthesize_injection_current,
 )
@@ -45,17 +49,16 @@ from .signal_ops import TWO_PI, InjectionConfig, carrier_steps
 # bench/run.py's tracer wraps it by name
 from .signal_ops import probe_signal  # noqa: F401
 
-TRACE_COLUMNS = [
-    "t", "theta", "theta_wrapped", "omega",
-    "i_alpha", "i_beta", "v_alpha", "v_beta",
-    "prop_theta_hat", "prop_omega_hat", "prop_yv1", "prop_yv2", "prop_valid",
-    "conv_theta_hat", "conv_omega_hat", "conv_yv1", "conv_yv2", "conv_valid",
-]
+# the columns sim.run writes, then those each estimator writes after its
+# prefix, in the order of the `out` sequences of its step; an absent
+# estimator's columns stay 0
+_PLANT_COLUMNS = ["t", "theta", "theta_wrapped", "omega",
+                  "i_alpha", "i_beta", "v_alpha", "v_beta"]
+_ESTIMATE_COLUMNS = ("theta_hat", "omega_hat", "yv1", "yv2", "valid")
+TRACE_COLUMNS = _PLANT_COLUMNS + [f"{prefix}_{c}" for prefix in ("prop", "conv")
+                                  for c in _ESTIMATE_COLUMNS]
 
 ESTIMATOR_KINDS = ("proposed", "conventional", "both", "none")
-
-# trace values of an absent estimator: theta_hat, omega_hat, yv1, yv2, valid
-_NO_ESTIMATE = (0.0,) * 5
 
 
 class SimulationDiverged(RuntimeError):
@@ -172,8 +175,9 @@ class ScenarioConfig:
         if self.duration <= self.warmup:
             raise ValueError("duration must exceed the operator warm-up")
         for key in ("gamma_alpha", "gamma_beta", "pll_kp", "pll_ki"):
-            if getattr(self, key) <= 0.0:
-                raise ValueError(f"{key} must be positive")
+            if not 0.0 < getattr(self, key) < math.inf:
+                raise ValueError(f"{key} must be positive and finite "
+                                 f"(got {getattr(self, key):g})")
         if self.ell[0] == 0.0 or self.ell[2] == 0.0:
             raise ValueError("ell1 and ell3 must be nonzero")
         if self.omega_star < 0.0:
@@ -236,14 +240,31 @@ def check_window(cfg: ScenarioConfig, t1: float, t2: float):
 
 def _build_estimators(cfg: ScenarioConfig):
     prop = conv = None
+    gains = (cfg.pll_kp, cfg.pll_ki)
     if cfg.estimator in ("proposed", "both"):
         prop = ProposedEstimator(cfg.motor, cfg.injection, cfg.Ts,
                                  cfg.gamma_alpha, cfg.gamma_beta,
-                                 cfg.ell, cfg.theta0_est)
+                                 cfg.ell, cfg.theta0_est, gains)
     if cfg.estimator in ("conventional", "both"):
         conv = ConventionalEstimator(cfg.motor, cfg.injection, cfg.Ts,
-                                     cfg.chain, cfg.theta0_est)
+                                     cfg.chain, cfg.theta0_est, gains)
     return prop, conv
+
+
+class _Sink:
+    """Write target of an estimator column the trace does not record."""
+
+    def __setitem__(self, row, value):
+        pass
+
+
+def _estimate_out(rec: dict, prefix: str):
+    """The `out` sequences of one estimator's step: a memoryview of each of
+    its recorded columns, a sink for the others; None if none is recorded."""
+    names = [f"{prefix}_{c}" for c in _ESTIMATE_COLUMNS]
+    if not any(c in rec for c in names):
+        return None
+    return tuple(memoryview(rec[c]) if c in rec else _Sink() for c in names)
 
 
 def _probe_tables(cfg: ScenarioConfig):
@@ -311,7 +332,11 @@ def run(cfg: ScenarioConfig, columns=None) -> Trace:
     with the affine maps that advance its currents.
     The controller regulates in the true frame in sensor mode and in
     driven mode (as on a dyno bench), else in the estimated frame;
-    estimators only ever see the measured currents.
+    estimators only ever see the measured currents.  The estimator the
+    controller reads advances one sample per step; every other one only
+    observes, and advances once per block over the block's measured
+    currents, or not at all if none of its columns is recorded.  Each
+    estimator writes its own trace columns.
     """
     cols = list(columns) if columns is not None else list(TRACE_COLUMNS)
     for c in cols:
@@ -323,8 +348,6 @@ def run(cfg: ScenarioConfig, columns=None) -> Trace:
     Ts = cfg.Ts
     n_steps = cfg.n_steps
     prop, conv = _build_estimators(cfg)
-    pll_p = Pll(cfg.pll_kp, cfg.pll_ki, mp.n_p, cfg.theta0_est) if prop else None
-    pll_c = Pll(cfg.pll_kp, cfg.pll_ki, mp.n_p, cfg.theta0_est) if conv else None
     ctrl = SensorlessController(mp, cfg.controller, Ts)
     n_rec = n_steps // cfg.decimation + 1
     try:
@@ -338,8 +361,25 @@ def run(cfg: ScenarioConfig, columns=None) -> Trace:
     if noise is not None:
         noise_a, noise_b = noise
     driven = cfg.mode == "driven"
-    true_frame = driven or cfg.sensor_mode
-    drives_with_conv = cfg.estimator == "conventional"
+    # the estimator whose angle and speed the controller reads
+    if driven or cfg.sensor_mode:
+        closer = None
+    else:
+        closer = conv if cfg.estimator == "conventional" else prop
+    close_out = None
+    observers = []
+    for est, prefix in ((prop, "prop"), (conv, "conv")):
+        if est is not None:
+            out = _estimate_out(rec, prefix)
+            if est is closer:
+                close_out = out
+            elif out is not None:
+                observers.append((est.step, out))
+    close = closer.step if closer is not None else None
+    # measured currents of the block, for the observers
+    buffered = bool(observers)
+    buf_a = [0.0] * _BLOCK
+    buf_b = [0.0] * _BLOCK
 
     kc = rk4_constants(mp, Ts)
     v_probe, v_probe_mid = _probe_tables(cfg)
@@ -353,7 +393,8 @@ def run(cfg: ScenarioConfig, columns=None) -> Trace:
     TL = cfg.load_torque  # closed loop only: driven mode prescribes th, om
 
     # memoryviews store each Python float without numpy's __setitem__
-    writes = [(memoryview(rec[c]), TRACE_COLUMNS.index(c)) for c in rec]
+    writes = [(memoryview(rec[c]), j) for j, c in enumerate(_PLANT_COLUMNS)
+              if c in rec]
     ri = 0
 
     for k0 in range(0, n_steps + 1, _BLOCK):
@@ -362,9 +403,8 @@ def run(cfg: ScenarioConfig, columns=None) -> Trace:
             (th_t, om_t, p0, p1, p2, p3, p4, p5, p6, p7, p8,
              p9) = _drive_block(cfg, kc, v_probe, v_probe_mid, k0, k1)
         for k in range(k0, k1):
-            t = k * Ts
+            kb = k - k0
             if driven:
-                kb = k - k0
                 th = th_t[kb]
                 om = om_t[kb]
             if noise is None:
@@ -372,39 +412,21 @@ def run(cfg: ScenarioConfig, columns=None) -> Trace:
             else:
                 ia_m = ia + noise_a[k]
                 ib_m = ib + noise_b[k]
+            if buffered:
+                buf_a[kb] = ia_m
+                buf_b[kb] = ib_m
 
-            p_valid = False
-            if prop is not None:
-                p_valid = prop.step(k, ia_m, ib_m) is not None
-                if p_valid:
-                    pll_p.step(prop.theta_hat, Ts)
-            if conv is not None:
-                conv.step(k, ia_m, ib_m)
-                pll_c.step(conv.theta_hat, Ts)
-
-            if true_frame:
+            if close is None:
                 th_c, om_c = th, om
-            elif drives_with_conv:
-                th_c, om_c = conv.theta_hat, pll_c.omega_hat
-            elif p_valid:
-                th_c, om_c = prop.theta_hat, pll_p.omega_hat
+            elif close(k, (ia_m,), (ib_m,), close_out, dec) is None:
+                th_c = om_c = None  # not warm yet: the controller holds
             else:
-                th_c = om_c = None
+                th_c, om_c = closer.theta_hat, closer.omega_hat
             vca, vcb = ctrl.low_frequency_voltage(ia_m, ib_m, th_c, om_c)
             va = vca + v_probe[k % n_car]
 
             if k % dec == 0:
-                row = (t, th, th % TWO_PI, om, ia, ib, va, vcb)
-                if prop is None:
-                    row += _NO_ESTIMATE
-                else:
-                    row += (prop.theta_hat, pll_p.omega_hat, prop.yv1,
-                            prop.yv2, float(p_valid))
-                if conv is None:
-                    row += _NO_ESTIMATE
-                else:
-                    row += (conv.theta_hat, pll_c.omega_hat, conv.yv1,
-                            conv.yv2, 1.0)
+                row = (k * Ts, th, th % TWO_PI, om, ia, ib, va, vcb)
                 for arr, j in writes:
                     arr[ri] = row[j]
                 ri += 1
@@ -426,13 +448,17 @@ def run(cfg: ScenarioConfig, columns=None) -> Trace:
                 except (ValueError, OverflowError) as exc:
                     # a non-finite state reached math.cos or overflowed a stage
                     raise SimulationDiverged(
-                        f"state not finite in the step from t={t:.6f}: {exc}"
-                    ) from exc
+                        f"state not finite in the step from t={k * Ts:.6f}: "
+                        f"{exc}") from exc
             if not (-lim < ia < lim and -lim < ib < lim) \
                     or not math.isfinite(th):
                 raise SimulationDiverged(
-                    f"state out of bounds at t={t + Ts:.6f}: "
+                    f"state out of bounds at t={k * Ts + Ts:.6f}: "
                     f"i=({ia:.3g},{ib:.3g})")
+
+        n = k1 - k0
+        for step, out in observers:
+            step(k0, buf_a[:n], buf_b[:n], out, dec)
 
     return Trace(rec, cols)
 

@@ -8,9 +8,11 @@ must meet within `driven_step_bound`, their rounding bound.  The matrix
 form (`saliency_matrix`, `inductance_matrix`) is the independent check of
 `derivative_scalars` itself.
 
-`virtual_output_to_angle` is the angle recovery with its degenerate-radius
-check as one function: the reference for the centre, radius check and
-branch resolution inlined in `ProposedEstimator.step`.
+`locus_angle` is the angle recovery from a point of the centred saliency
+locus, with the branch resolved by continuity: the reference for the
+recovery both estimator kernels run inline.  `virtual_output_to_angle`
+adds the centre and the degenerate-radius check: the reference for those
+steps of `ProposedEstimator.step`.
 
 `frame_rotate` and `Pi` are the frame rotation and the PI loop that
 `SensorlessController.low_frequency_voltage` runs inline, operation for
@@ -27,9 +29,22 @@ import math
 
 import numpy as np
 
-from hfsense.estimators import _locus_angle
 from hfsense.motor import MotorParams
 from hfsense.signal_ops import gd_frequency_response
+
+
+def locus_angle(dx: float, dy: float, L1: float, prev_theta: float) -> float:
+    """Angle from a point (dx, dy) of the saliency locus, relative to its centre.
+
+    The centred locus is -L1*(cos 2theta, sin 2theta) up to a positive scale,
+    so the point is negated when L1 > 0 (L_d > L_q); 0.5*atan2 then gives
+    the angle modulo pi, and the branch nearest prev_theta (the raw angle
+    shifted by the nearest multiple of pi) is returned.
+    """
+    if L1 > 0.0:
+        dx, dy = -dx, -dy
+    raw = 0.5 * math.atan2(dy, dx)
+    return raw + math.pi * round((prev_theta - raw) / math.pi)
 
 
 class DegenerateSignalError(ValueError):
@@ -46,7 +61,7 @@ def virtual_output_to_angle(y1: float, y2: float, params: MotorParams,
     dx = y1 - params.L0 / params.det_L
     if math.hypot(dx, y2) <= min_radius:
         raise DegenerateSignalError("virtual output too close to the circle center")
-    return _locus_angle(dx, y2, params.L1, prev_theta)
+    return locus_angle(dx, y2, params.L1, prev_theta)
 
 
 def saliency_matrix(theta: float) -> np.ndarray:

@@ -204,9 +204,8 @@ def test_criterion_5_operator_properties():
     est = ProposedEstimator(SIM_MOTOR, inj, Ts)
     coef = (120.0, -45.0)
     n = int(round(0.2 / Ts))
-    for k in range(n + 1):
-        S = inj.epsilon * probe_signal(inj, k * Ts)
-        est.step(k, coef[0] * S, coef[1] * S)
+    S = [inj.epsilon * probe_signal(inj, k * Ts) for k in range(n + 1)]
+    est.step(0, [coef[0] * s for s in S], [coef[1] * s for s in S])
     rel = max(abs(est.yv1 - coef[0]) / abs(coef[0]),
               abs(est.yv2 - coef[1]) / abs(coef[1]))
     checks.append(("gradient-flow PE convergence", rel < 0.02,

@@ -375,6 +375,35 @@ def test_sweep_frequency_artifacts(driven_scenario, tmp_path):
     assert "slope" in _summary(out)
 
 
+def test_sweep_window_below_two_samples_is_config_error(tmp_path, capsys):
+    """A window between two records holds no error to take a spread of:
+    one config error line and exit 2, as rmsd rejects it, not numpy
+    warnings and a NaN that has no logarithm."""
+    p = tmp_path / "short.scenario"
+    p.write_text(DRIVEN.replace("duration = 2.0", "duration = 1.1"))
+    rc = main(["--config", str(p), "--out", str(tmp_path / "o"),
+               "sweep-frequency", "--t1", "1.00001", "--t2", "1.00002",
+               "--metric", "ripple", "--frequencies", "500,1000"])
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err == ("config error: window [1.00001, "
+                                       "1.00002] holds fewer than 2 "
+                                       "samples\n")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_gamma_scale_is_config_error(value, driven_scenario,
+                                                tmp_path, capsys):
+    """gamma = gamma_scale/epsilon: a non-finite scale is rejected with the
+    scenario, before any point is simulated."""
+    rc = main(["--config", str(driven_scenario), "--out", str(tmp_path),
+               "sweep-frequency", "--t1", "1", "--t2", "2",
+               "--gamma-scale", value])
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"config error: gamma_alpha must be positive and finite "
+        f"(got {value})\n")
+
+
 def test_residual_order_fast(fast_scenario, tmp_path):
     out = tmp_path / "out"
     p = tmp_path / "sensor.scenario"

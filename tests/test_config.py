@@ -2,6 +2,7 @@
 rejection of malformed input."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -127,6 +128,18 @@ def test_non_finite_or_non_positive_float_is_config_error(tmp_path, line, key):
     with pytest.raises(ConfigError, match=key) as info:
         load_scenario(p)
     assert "\n" not in str(info.value)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("key", ["gamma_alpha", "gamma_beta", "pll_kp",
+                                 "pll_ki"])
+def test_non_finite_gain_is_rejected_through_replace(key, value,
+                                                     scenario_dir):
+    """The API path: ScenarioConfig rejects a non-finite gain itself, as
+    the scenario parser rejects any non-finite number."""
+    cfg = load_scenario(scenario_dir / "lowspeed.scenario")
+    with pytest.raises(ValueError, match=f"{key} must be positive and finite"):
+        replace(cfg, **{key: value})
 
 
 def _main_config_error(path, out, capsys):

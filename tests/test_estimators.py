@@ -15,7 +15,7 @@ from hfsense.estimators import (
     LtiChainConfig,
     Pll,
     ProposedEstimator,
-    _locus_angle,
+    _RINT,
     fit_compensation,
     rmsd,
     synthesize_injection_current,
@@ -31,7 +31,7 @@ from hfsense.signal_ops import (
     carrier_steps,
     probe_signal,
 )
-from oracles import DegenerateSignalError, virtual_output_to_angle
+from oracles import DegenerateSignalError, locus_angle, virtual_output_to_angle
 
 angles = st.floats(-30.0, 30.0, allow_nan=False)
 
@@ -43,11 +43,22 @@ def test_locus_angle_branch_properties(phi, prev, L1):
     dx, dy = math.cos(phi), math.sin(phi)
     raw = 0.5 * math.atan2(dy, dx)
     sign = 1.0 if L1 < 0.0 else -1.0  # the point is negated for L_d > L_q
-    out = _locus_angle(sign * dx, sign * dy, L1, prev)
+    out = locus_angle(sign * dx, sign * dy, L1, prev)
     # same angle modulo pi, and on the branch nearest prev
     assert math.isclose((out - raw) / math.pi, round((out - raw) / math.pi),
                         abs_tol=1e-9)
     assert abs(out - prev) <= 0.5 * math.pi + 1e-9
+
+
+@given(x=st.floats(-2.0 ** 51, 2.0 ** 51)
+       | st.integers(-10 ** 6, 10 ** 6).map(lambda n: n + 0.5))
+def test_rint_rounds_as_round_does(x):
+    """The kernels' rounding of the branch count: to the nearest integer,
+    ties to even, as round() does, and with the sign of zero of
+    pi * round(x), so the angle comes out bit for bit."""
+    got = math.pi * (x + _RINT - _RINT)
+    want = math.pi * round(x)
+    assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
 
 
 @given(e=angles)
@@ -101,8 +112,7 @@ def _run_on_synthetic(est, sim_motor, inj, Ts, theta0, omega_e, duration):
     n = int(round(duration / Ts))
     t = np.arange(n + 1) * Ts
     cur = synthesize_injection_current(sim_motor, inj, theta0 + omega_e * t, t)
-    for k in range(n + 1):
-        est.step(k, cur[k, 0], cur[k, 1])
+    est.step(0, cur[:, 0].tolist(), cur[:, 1].tolist())
     return t
 
 
@@ -145,10 +155,9 @@ def test_all_estimators_track_with_ld_above_lq(sim_motor, inj, Ts):
     cur = synthesize_injection_current(motor, inj, theta, t)
     settled = t >= 0.25
     for name, est in ests.items():
-        th = np.empty(n + 1)
-        for k in range(n + 1):
-            est.step(k, cur[k, 0], cur[k, 1])
-            th[k] = est.theta_hat
+        th, spare = np.empty((2, n + 1))
+        est.step(0, cur[:, 0].tolist(), cur[:, 1].tolist(),
+                 (th, spare, spare, spare, spare))
         mean_err = float(np.mean(wrap_mod_pi(th[settled] - theta[settled])))
         assert abs(mean_err) < 0.25 * math.pi, (name, mean_err)
 
@@ -184,8 +193,8 @@ def test_proposed_warmup_returns_none(sim_motor, inj, Ts):
     est = ProposedEstimator(sim_motor, inj, Ts)
     n_warm = round(2.0 * inj.epsilon / Ts)
     for k in range(n_warm):
-        assert est.step(k, 0.0, 0.0) is None
-    assert est.step(n_warm, 0.0, 0.0) is not None
+        assert est.step(k, (0.0,), (0.0,)) is None
+    assert est.step(n_warm, (0.0,), (0.0,)) is not None
 
 
 def test_step_rejects_a_float_time(sim_motor, inj, Ts):
@@ -202,12 +211,12 @@ def test_step_rejects_a_float_time(sim_motor, inj, Ts):
                                                theta0=0.4)):
         est, fresh = make(), make()
         with pytest.raises(TypeError):
-            est.step(0.5 * Ts, 0.0, 0.0)
+            est.step(0.5 * Ts, (0.0,), (0.0,))
         for k in range(n):
-            ia, ib = float(cur[k, 0]), float(cur[k, 1])
+            ia, ib = (float(cur[k, 0]),), (float(cur[k, 1]),)
             assert est.step(k, ia, ib) == fresh.step(k, ia, ib)
         with pytest.raises(TypeError):
-            est.step(n * Ts, 0.0, 0.0)
+            est.step(n * Ts, (0.0,), (0.0,))
 
 
 def test_estimators_reject_ts_not_dividing_epsilon(sim_motor, inj):
@@ -242,8 +251,8 @@ def test_block_form_matches_operator_form(sim_motor, inj, Ts):
                                        i_bar=(0.3, -0.1))
     scale = abs(sim_motor.L1) / sim_motor.det_L
     for k in range(n + 1):
-        ra = a.step(k0 + k, cur[k, 0], cur[k, 1])
-        rb = b.step(k0 + k, cur[k, 0], cur[k, 1])
+        ra = a.step(k0 + k, (cur[k, 0],), (cur[k, 1],))
+        rb = b.step(k0 + k, (cur[k, 0],), (cur[k, 1],))
         if ra is None:
             continue
         assert abs(a.yv1 - b.yv1) / scale < 1e-10
@@ -257,7 +266,7 @@ SALIENCY = pytest.mark.parametrize(
 
 @SALIENCY
 def test_fused_conventional_step_matches_composed_operators(motor):
-    """Bit for bit against HighPass2 -> carrier -> LowPass1 -> _locus_angle
+    """Bit for bit against HighPass2 -> carrier -> LowPass1 -> locus_angle
     over 3000 seeded samples of ripple plus noise, from carrier phase 37."""
     inj = InjectionConfig(V_h=1.5, epsilon=1e-3, phi=0.3)
     Ts = inj.epsilon / 50.0
@@ -283,9 +292,9 @@ def test_fused_conventional_step_matches_composed_operators(motor):
         demod = math.sin(inj.omega_h * ((k0 + k) % N) * Ts + inj.phi)
         Ya = scale * lpf[0].step(hpf[0].step(ia) * demod)
         Yb = scale * lpf[1].step(hpf[1].step(ib) * demod)
-        theta = _locus_angle(Ya - motor.L0, Yb, motor.L1, theta)
+        theta = locus_angle(Ya - motor.L0, Yb, motor.L1, theta)
         want = (theta, Ya / motor.det_L, Yb / motor.det_L)
-        got = est.step(k0 + k, ia, ib)
+        got = est.step(k0 + k, (ia,), (ib,))
         if got != want:
             mismatches.append((k, got, want))
     assert not mismatches, mismatches[:3]
@@ -313,7 +322,7 @@ def test_fused_proposed_angle_matches_virtual_output_to_angle(motor, inj, Ts):
     held = valid = 0
     mismatches = []
     for k in range(n):
-        if est.step(k, float(cur[k, 0]), float(cur[k, 1])) is None:
+        if est.step(k, (float(cur[k, 0]),), (float(cur[k, 1]),)) is None:
             continue
         try:
             want = virtual_output_to_angle(est.yv1, est.yv2, motor, prev,
@@ -356,12 +365,12 @@ def test_locus_point_on_the_degenerate_radius_is_held(form, sim_motor, inj,
     for y2, held in ((r_min, True), (math.nextafter(r_min, math.inf), False)):
         est = form(sim_motor, inj, Ts, theta0=0.3)
         for k in range(n_warm):
-            assert est.step(k, 0.0, 0.0) is None
+            assert est.step(k, (0.0,), (0.0,)) is None
         unit = est._state_per_output(sim_motor)
-        (aa, _), (ab, _) = est._table[n_warm % carrier_steps(inj, Ts)]
+        aa, _, ab, _ = est._table[n_warm % carrier_steps(inj, Ts)]
         est._s = (*est._s[:5], _state_reading(aa, unit, centre),
-                  _state_reading(ab, unit, y2))
-        _, y1_got, y2_got = est.step(n_warm, 0.0, 0.0)
+                  _state_reading(ab, unit, y2), *est._s[7:])
+        _, y1_got, y2_got = est.step(n_warm, (0.0,), (0.0,))
         assert (y1_got, y2_got) == (centre, y2)
         assert est.low_confidence is held
         assert (est.theta_hat == 0.3) is held
@@ -382,7 +391,7 @@ def test_block_form_runs_its_own_copy_of_the_kernel():
 @SALIENCY
 def test_fused_new_pipeline_steps_match_regressor_oracle(motor):
     """Both new-pipeline kernels bit for bit against Regressor.step, then
-    the per-phase step and _locus_angle: seeded ripple plus noise from
+    the per-phase step and locus_angle: seeded ripple plus noise from
     carrier phase 37, unequal gains, past the regressor's periodic rebase."""
     inj = InjectionConfig(V_h=1.5, epsilon=1e-3, phi_p=0.4)
     Ts = inj.epsilon / 20.0
@@ -416,7 +425,8 @@ def test_fused_new_pipeline_steps_match_regressor_oracle(motor):
     cold, mismatches = [], []
     for k in range(n):
         ia, ib = float(cur[k, 0]), float(cur[k, 1])
-        got = (prop.step(k0 + k, ia, ib), block.step(k0 + k, ia, ib))
+        got = (prop.step(k0 + k, (ia,), (ib,)),
+               block.step(k0 + k, (ia,), (ib,)))
         yf = reg.step(ia, ib)
         if yf is None:
             cold.append(k)
@@ -427,11 +437,11 @@ def test_fused_new_pipeline_steps_match_regressor_oracle(motor):
             x = (aa * x[0] + ca * yf[0], ab * x[1] + cb * yf[1])
             y1 = ell[0] * (x[0] / d) + ell[1]
             y2 = ell[2] * (x[1] / d)
-            th_x = _locus_angle(y1 - centre, y2, motor.L1, th_x)
+            th_x = locus_angle(y1 - centre, y2, motor.L1, th_x)
             (aa, ca), (ab, cb) = tables[1][j]
             z = (aa * z[0] + ca * yf[0], ab * z[1] + cb * yf[1])
             w1, w2 = z[0] / unit_z, z[1] / unit_z
-            th_z = _locus_angle(w1 - centre, w2, motor.L1, th_z)
+            th_z = locus_angle(w1 - centre, w2, motor.L1, th_z)
             want = ((th_x, y1, y2), (th_z, w1, w2))
         # the ripple keeps the locus point off the degenerate radius
         if got != want or (want[0] is not None
@@ -465,19 +475,112 @@ def test_pll_tracks_ramp():
         Pll(0.0, 0.01, 6)
 
 
+# a PLL as sim.run gives each estimator
+GAINS = (5.0, 0.01)
+
+
+def _forms(motor, inj, Ts, gains=GAINS):
+    """A maker of each estimator, with off-default settings and a PLL of
+    the given gains."""
+    chain = LtiChainConfig(lambda_h=inj.omega_h, lambda_ell=80.0)
+    return {
+        "proposed": lambda: ProposedEstimator(
+            motor, inj, Ts, 1.2e4, 8e3, (1.05, 0.02, 0.95), theta0=0.7,
+            pll_gains=gains),
+        "block_form": lambda: BlockFormEstimator(
+            motor, inj, Ts, 1.2e4, 8e3, theta0=0.7, pll_gains=gains),
+        "conventional": lambda: ConventionalEstimator(
+            motor, inj, Ts, chain, theta0=0.7, pll_gains=gains),
+    }
+
+
+def _noisy_ripple(motor, inj, Ts, k0, n):
+    """n samples of ripple plus seeded noise from sample k0, as two lists."""
+    t = (k0 + np.arange(n)) * Ts
+    rng = np.random.default_rng(7)
+    cur = synthesize_injection_current(motor, inj, 0.7 + 25.0 * t, t,
+                                       i_bar=(0.5, -0.2)) \
+        + rng.normal(0.0, 1e-3, (n, 2))
+    return cur.T.tolist()
+
+
+def _state(est):
+    """All an estimator carries from one run to the next: its state tuples,
+    the ring lists inside its constants, and its outputs."""
+    return (est._s, est._k, est.theta_hat, est.yv1, est.yv2, est.omega_hat,
+            getattr(est, "low_confidence", None))
+
+
+@pytest.mark.parametrize("dec", [1, 3])
+@pytest.mark.parametrize("form", ["proposed", "block_form", "conventional"])
+def test_runs_of_any_length_give_equal_outputs_and_state(form, dec, inj, Ts):
+    """One input, from carrier phase 37, passed whole or split into runs of
+    1, 2, 7, 1023, 1024 or 1025 samples: the same rows, the same return
+    value of the last run and the same final state, with ==."""
+    make = _forms(SIM_MOTOR, inj, Ts)[form]
+    k0, n = 37, 3100
+    ia, ib = _noisy_ripple(SIM_MOTOR, inj, Ts, k0, n)
+    n_rows = (k0 + n - 1) // dec + 1
+    whole = make()
+    want = np.zeros((5, n_rows))
+    last_want = whole.step(k0, ia, ib, want, dec)
+    # valid from the first sample on (the LTI chain), or once the regressor
+    # holds its 2d window (the new pipeline)
+    first = k0 + (0 if form == "conventional"
+                  else round(2.0 * inj.epsilon / Ts))
+    k = np.arange(n_rows) * dec
+    assert np.array_equal(want[4][k >= k0], 1.0 * (k[k >= k0] >= first))
+    # row r holds sample r*dec
+    every = np.zeros((5, k0 + n))
+    make().step(k0, ia, ib, every)
+    assert np.array_equal(want[:, k >= k0], every[:, k[k >= k0]])
+    for size in (1, 2, 7, 1023, 1024, 1025):
+        est = make()
+        got = np.zeros((5, n_rows))
+        for j in range(0, n, size):
+            last = est.step(k0 + j, ia[j:j + size], ib[j:j + size], got, dec)
+        assert last == last_want, size
+        assert np.array_equal(got, want), size
+        assert _state(est) == _state(whole), size
+
+
+@pytest.mark.parametrize("form", ["proposed", "block_form", "conventional"])
+def test_inline_pll_equals_pll_step(form, inj, Ts):
+    """The PLL inside each kernel steps as `Pll.step` on the kernel's own
+    angle, on every valid sample: each sample's speed and the final state
+    are equal, with ==.  Without gains no PLL runs and the speed stays 0."""
+    make = _forms(SIM_MOTOR, inj, Ts)[form]
+    ia, ib = _noisy_ripple(SIM_MOTOR, inj, Ts, 11, 3000)
+    est = make()
+    out = np.zeros((5, 11 + len(ia)))  # rows 11, 12, ... are written
+    est.step(11, ia, ib, out)
+    th, om, _, _, valid = out[:, 11:]
+    pll = Pll(*GAINS, SIM_MOTOR.n_p, 0.7)
+    want = []
+    for theta, v in zip(th, valid):
+        if v:
+            pll.step(float(theta), Ts)
+        want.append(pll.omega_hat)
+    assert np.count_nonzero(valid) > 0.9 * len(ia)
+    assert om.tolist() == want
+    assert (est.omega_hat, est._s[-2:]) == (pll.omega_hat,
+                                            (pll.eta1, pll.eta2))
+
+    bare = _forms(SIM_MOTOR, inj, Ts, gains=None)[form]()
+    out = np.ones((5, 11 + len(ia)))
+    bare.step(11, ia, ib, out)
+    assert np.array_equal(out[0, 11:], th) and not out[1, 11:].any()
+    assert bare.omega_hat == 0.0
+
+
 def _calibration_trace(sim_motor, inj, omega_e, duration, **kw):
     Ts = inj.epsilon / 50.0
     n = int(round(duration / Ts))
     t = np.arange(n + 1) * Ts
     cur = synthesize_injection_current(sim_motor, inj, omega_e * t, t, **kw)
     est = ProposedEstimator(sim_motor, inj, Ts)
-    y1 = np.empty(n + 1)
-    y2 = np.empty(n + 1)
-    th = np.empty(n + 1)
-    for k in range(n + 1):
-        est.step(k, cur[k, 0], cur[k, 1])
-        y1[k], y2[k] = est.yv1, est.yv2
-        th[k] = est.theta_hat
+    th, om, y1, y2, valid = np.empty((5, n + 1))
+    est.step(0, cur[:, 0].tolist(), cur[:, 1].tolist(), (th, om, y1, y2, valid))
     return t, y1, y2, th
 
 

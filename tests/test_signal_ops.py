@@ -157,9 +157,9 @@ def test_gradient_flow_convergence(inj):
     Ts = inj.epsilon / 50.0
     est = ProposedEstimator(SIM_MOTOR, inj, Ts)
     n = int(round(0.2 / Ts))
-    for k in range(n + 1):
-        S = probe_signal(inj, k * Ts)
-        est.step(k, inj.epsilon * coef[0] * S, inj.epsilon * coef[1] * S)
+    S = [probe_signal(inj, k * Ts) for k in range(n + 1)]
+    est.step(0, [inj.epsilon * coef[0] * s for s in S],
+             [inj.epsilon * coef[1] * s for s in S])
     assert est.yv1 == pytest.approx(coef[0], rel=0.02)
     assert est.yv2 == pytest.approx(coef[1], rel=0.02)
 
@@ -199,7 +199,7 @@ def test_gradient_flow_phase_table_matches_sampled_step():
            for axis, (g, x) in enumerate(zip(gammas, x0))]
     xs = []
     for k, i in zip(ks, cur):
-        if est.step(k, *i) is not None:
+        if est.step(k, (i[0],), (i[1],)) is not None:
             xs.append(est.x)
             assert (est.yv1, est.yv2) == (est.x[0] / cfg.epsilon,
                                           est.x[1] / cfg.epsilon)

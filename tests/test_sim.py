@@ -11,7 +11,12 @@ from hfsense import sim
 from hfsense.cli import main
 from hfsense.config import load_scenario
 from hfsense.controller import ControllerConfig, SensorlessController
-from hfsense.estimators import ProposedEstimator, rmsd
+from hfsense.estimators import (
+    ConventionalEstimator,
+    Pll,
+    ProposedEstimator,
+    rmsd,
+)
 from hfsense.motor import SIM_MOTOR
 from hfsense.signal_ops import InjectionConfig
 from hfsense.sim import (
@@ -82,16 +87,83 @@ def test_divergence_inside_a_step_is_reported():
 
 
 def test_noisy_run_passes_python_floats(monkeypatch):
-    seen = set()
-    step = ProposedEstimator.step
+    """Both the estimator that closes the loop (one sample per call) and
+    the one that observes (one block per call) get Python floats."""
+    seen = {}
+    for cls in (ProposedEstimator, ConventionalEstimator):
+        def recording_step(self, k0, i_alpha, i_beta, *rest, _step=cls.step,
+                           _seen=seen.setdefault(cls.__name__, set())):
+            _seen.update(map(type, (*i_alpha, *i_beta)))
+            return _step(self, k0, i_alpha, i_beta, *rest)
 
-    def recording_step(self, t, i_alpha, i_beta):
-        seen.add(type(i_alpha))
-        return step(self, t, i_alpha, i_beta)
-
-    monkeypatch.setattr(ProposedEstimator, "step", recording_step)
+        monkeypatch.setattr(cls, "step", recording_step)
     run(_cfg(noise_std=1e-3, duration=0.01))
-    assert seen == {float}
+    assert seen == {"ProposedEstimator": {float},
+                    "ConventionalEstimator": {float}}
+
+
+@pytest.mark.parametrize("mode", ["closed_loop", "driven"])
+def test_estimator_columns_equal_a_standalone_replay(mode):
+    """Each estimator's columns equal, with ==, one call of a fresh
+    estimator over all of the run's measured currents: the observers' (the
+    LTI chain in closed loop, both in driven mode), which advance once per
+    block, and the loop-closer's, which advances one sample per call.  The
+    3001 steps cross two block boundaries, and the decimation does not
+    divide the block."""
+    kw = dict(estimator="both", duration=0.06, noise_std=1e-3, seed=4,
+              decimation=3, theta0=0.4, theta0_est=0.4)
+    if mode == "driven":
+        kw.update(mode="driven", drive=DriveProfile("constant", omega=2.0))
+    cfg = _cfg(**kw)
+    assert cfg.n_steps > 2 * sim._BLOCK
+    tr = run(cfg)
+    # the plant does not depend on the decimation: the currents of every step
+    cur = run(replace(cfg, decimation=1), ["i_alpha", "i_beta"])
+    noise_a, noise_b = sim._noise(cfg, cfg.n_steps)
+    ia = (cur.i_alpha + np.asarray(noise_a)).tolist()
+    ib = (cur.i_beta + np.asarray(noise_b)).tolist()
+    for est, prefix in zip(sim._build_estimators(cfg), ("prop", "conv")):
+        out = np.zeros((5, len(tr)))
+        est.step(0, ia, ib, out, cfg.decimation)
+        for col, c in zip(out, sim._ESTIMATE_COLUMNS):
+            assert np.array_equal(col, tr.data[f"{prefix}_{c}"]), (prefix, c)
+    assert tr.prop_valid[-1] == 1.0 and np.all(tr.conv_valid == 1.0)
+
+
+def test_observers_advance_once_per_block(monkeypatch):
+    """An observing estimator makes one call per block of steps, and none
+    when the trace records none of its columns; no Pll is stepped."""
+    calls = []
+    step = ConventionalEstimator.step
+
+    def counting_step(self, *args):
+        calls.append(len(args[1]))
+        return step(self, *args)
+
+    def no_pll(self, *args):
+        raise AssertionError("sim.run stepped a Pll")
+
+    monkeypatch.setattr(ConventionalEstimator, "step", counting_step)
+    monkeypatch.setattr(Pll, "step", no_pll)
+    cfg = _cfg(estimator="both", duration=0.06)
+    run(cfg)
+    n = cfg.n_steps + 1
+    assert calls == [sim._BLOCK, sim._BLOCK, n - 2 * sim._BLOCK]
+    calls.clear()
+    run(cfg, ["t", "prop_theta_hat"])
+    assert calls == []
+
+
+def test_column_subsets_record_the_same_values():
+    """A column subset, with some of an estimator's columns only or none,
+    records the values of the full trace."""
+    cfg = _cfg(estimator="both", duration=0.06, noise_std=1e-3, decimation=3)
+    full = run(cfg)
+    for cols in (["conv_omega_hat", "t"], ["prop_valid", "i_beta", "conv_yv2"],
+                 [c for c in TRACE_COLUMNS if not c.startswith("conv_")]):
+        sub = run(cfg, cols)
+        for c in cols:
+            assert np.array_equal(sub.data[c], full.data[c]), (cols, c)
 
 
 def test_run_rejects_unknown_column():
