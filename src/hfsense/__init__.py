@@ -13,7 +13,6 @@ from .controller import ControllerConfig, SensorlessController
 from .estimators import (
     ConventionalEstimator,
     BlockFormEstimator,
-    LtiChainConfig,
     Pll,
     ProposedEstimator,
     fit_compensation,
@@ -55,7 +54,7 @@ __all__ = [
     "ConfigError", "ControllerConfig", "ConventionalEstimator",
     "DriveProfile", "BlockFormEstimator",
     "HighPass2", "InjectionConfig", "LowPass1",
-    "LtiChainConfig", "MotorParams", "Pll",
+    "MotorParams", "Pll",
     "ProposedEstimator", "Regressor", "ScenarioConfig", "SensorlessController",
     "SimulationDiverged", "Trace", "averaging_residual", "bode_table",
     "fit_compensation", "gd_frequency_response",

@@ -272,7 +272,7 @@ def cmd_bode(cfg, args, outdir: Path):
         raise ConfigError("bode needs --points >= 2")
     omega = np.logspace(math.log10(args.omega_min), math.log10(args.omega_max),
                         args.points)
-    lam_h, lam_l = cfg.chain.lambda_h, cfg.chain.lambda_ell
+    lam_h, lam_l = cfg.corners
     for name, resp in [
         ("gd", gd_frequency_response(cfg.injection.epsilon, omega)),
         ("hpf", hpf_frequency_response(lam_h, omega)),

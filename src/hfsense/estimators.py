@@ -10,14 +10,17 @@ measured currents:
   update x+ = a_j*x + c_j*yf per axis with (a_j, c_j) tabulated per carrier
   phase (`ProposedEstimator._phase_table`).
 * `ConventionalEstimator` - LTI high-pass, demodulation by sin(omega_h t +
-  phi), LTI low-pass, then rescaling.
+  phi), LTI low-pass, then rescaling.  It takes its two corners (lambda_h,
+  lambda_ell) as given; `sim.ScenarioConfig.corners` is the one place that
+  resolves their defaults.
 
 `BlockFormEstimator` re-expresses the proposed pipeline in the conventional
 HPF/demod/LPF block layout (demod phase phi_p + 3*pi/2, LPF replaced by the
 scaled LTV flow); it exists to verify numerically that the two forms
 coincide.  It derives only its own per-phase table and its own read-out
-constant (state per unit of virtual output) and runs `ProposedEstimator`'s
-step, so the new pipeline has one kernel.
+constant (state per unit of virtual output); its `step` is
+`ProposedEstimator.step`, the same function, so the new pipeline has one
+kernel.
 
 All three estimators produce the angle modulo pi from the centred saliency
 locus, with the branch resolved by continuity with the previous estimate.
@@ -43,8 +46,6 @@ kernels are tested against bit for bit.
 from __future__ import annotations
 
 import math
-import types
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -271,34 +272,6 @@ class ProposedEstimator:
         return None if cold else (theta, y1, y2)
 
 
-@dataclass(frozen=True)
-class LtiChainConfig:
-    """Filter corners of the conventional chain.
-
-    Defaults follow lambda_h = omega_h and lambda_ell = max(sqrt(omega_h *
-    omega_star), 1); omega_star is the nominal (electrical-excitation) speed
-    scale of the application.
-    """
-
-    lambda_h: float
-    lambda_ell: float
-
-    @classmethod
-    def from_injection(cls, cfg: InjectionConfig, omega_star: float,
-                       lambda_h: float | None = None,
-                       lambda_ell: float | None = None) -> "LtiChainConfig":
-        lh = cfg.omega_h if lambda_h is None else lambda_h
-        ll = max(math.sqrt(cfg.omega_h * omega_star), 1.0) if lambda_ell is None \
-            else lambda_ell
-        return cls(lh, ll)
-
-    def __post_init__(self):
-        if self.lambda_h <= 0.0:
-            raise ValueError("lambda_h must be positive")
-        if self.lambda_ell < 1.0:
-            raise ValueError("lambda_ell must be >= 1")
-
-
 class ConventionalEstimator:
     """LTI high-pass / demodulate / low-pass chain (the textbook pipeline).
 
@@ -308,13 +281,13 @@ class ConventionalEstimator:
     """
 
     def __init__(self, params: MotorParams, cfg: InjectionConfig, Ts: float,
-                 chain: LtiChainConfig, theta0: float = 0.0,
+                 lambda_h: float, lambda_ell: float, theta0: float = 0.0,
                  pll_gains: tuple[float, float] | None = None):
         # demodulation carrier per phase j = k mod N
         self._demod = [math.sin(cfg.omega_h * j * Ts + cfg.phi)
                        for j in range(carrier_steps(cfg, Ts))]
-        hpf = HighPass2(chain.lambda_h, Ts)
-        lpf = LowPass1(chain.lambda_ell, Ts)
+        hpf = HighPass2(lambda_h, Ts)
+        lpf = LowPass1(lambda_ell, Ts)
         scale = 2.0 * cfg.omega_h * params.det_L / cfg.V_h
         pll_k, pll_s = _pll_parts(pll_gains, params, Ts, theta0)
         # constants of one step, unpacked at once in the kernel
@@ -410,15 +383,9 @@ class BlockFormEstimator(ProposedEstimator):
     derivation (not shared with ProposedEstimator, so the equivalence check
     still compares two derivations); the regressor, the per-phase update,
     the degenerate-radius hold and the angle recovery are
-    `ProposedEstimator.step`'s.
+    `ProposedEstimator.step`'s, and it is built by `ProposedEstimator`'s
+    constructor.
     """
-
-    def __init__(self, params: MotorParams, cfg: InjectionConfig, Ts: float,
-                 gamma_alpha: float = 1e4, gamma_beta: float = 1e4,
-                 theta0: float = 0.0,
-                 pll_gains: tuple[float, float] | None = None):
-        super().__init__(params, cfg, Ts, gamma_alpha, gamma_beta,
-                         theta0=theta0, pll_gains=pll_gains)
 
     def _state_per_output(self, params: MotorParams) -> float:
         """Low-pass state per unit of virtual output: yv = scale*(g*z)/det_L
@@ -443,14 +410,10 @@ class BlockFormEstimator(ProposedEstimator):
             table.append((1.0 - Ts * gamma * S * S, Ts * gamma * demod))
         return table
 
-    # The same kernel on its own copy of the code object: CPython 3.11
-    # specializes attribute access per code object, so one code object
-    # serving both classes, alternated every sample as in
-    # equivalence_deviation, misses every specialized lookup (-13% steps/s
-    # on the estimator_replay benchmark).
-    step = types.FunctionType(ProposedEstimator.step.__code__.replace(),
-                              globals(), "step",
-                              ProposedEstimator.step.__defaults__)
+    # the same function, held in this class's own dict: bench/run.py's
+    # tracer wraps and restores each class's `step` by name, and counts the
+    # two forms apart
+    step = ProposedEstimator.step
 
 
 class Pll:

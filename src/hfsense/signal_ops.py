@@ -142,8 +142,8 @@ class LowPass1:
     """First-order low pass lam/(lam + s), bilinear discretization."""
 
     def __init__(self, lam: float, Ts: float, y0: float = 0.0):
-        if lam <= 0.0:
-            raise ValueError("corner must be positive")
+        if not 0.0 < lam < math.inf:
+            raise ValueError(f"corner must be positive and finite (got {lam:g})")
         self.lam = lam
         a = lam * Ts
         self.b = a / (2.0 + a)
@@ -167,8 +167,8 @@ class HighPass2:
     """
 
     def __init__(self, lam: float, Ts: float):
-        if lam <= 0.0:
-            raise ValueError("corner must be positive")
+        if not 0.0 < lam < math.inf:
+            raise ValueError(f"corner must be positive and finite (got {lam:g})")
         self.lam = lam
         K = lam / math.tan(0.5 * lam * Ts)
         a0 = (lam + K) ** 2

@@ -1,6 +1,11 @@
 """Fixed-step simulation of the motor coupled to controller, probe injection
 and estimators.
 
+`ScenarioConfig` checks a run whole when it is built.  It owns the LTI
+chain's corners (`corners` resolves their defaults) and rejects a
+non-finite float field and a step size or step count that is not a usable
+number.
+
 One step loop, `run`, serves both mechanics modes:
 
 * closed loop - the sensorless FOC drives the machine from the estimates
@@ -39,9 +44,9 @@ import numpy as np
 from .controller import ControllerConfig, SensorlessController
 from .estimators import (
     ConventionalEstimator,
-    LtiChainConfig,
     ProposedEstimator,
     synthesize_injection_current,
+    window_mask,
 )
 from .motor import MotorParams, driven_step_tables, rk4_constants, rk4_step
 from .signal_ops import TWO_PI, InjectionConfig, carrier_steps
@@ -160,6 +165,24 @@ class ScenarioConfig:
             raise ValueError("driven mode needs a drive profile")
         if self.steps_per_period < 2:
             raise ValueError("steps_per_period must be >= 2")
+        finite = {key: getattr(self, key) for key in (
+            "load_torque", "theta0", "theta0_est", "omega0", "i_alpha0",
+            "i_beta0", "duration", "noise_std")}
+        finite.update(zip(("ell1", "ell2", "ell3"), self.ell))
+        for key, value in finite.items():
+            if not math.isfinite(value):
+                raise ValueError(f"{key} must be finite (got {value:g})")
+        try:
+            Ts = self.Ts
+        except OverflowError:
+            raise ValueError("steps_per_period is too large: "
+                             "epsilon/steps_per_period is not a float") from None
+        if Ts == 0.0:
+            raise ValueError(f"Ts = epsilon/steps_per_period underflows to 0 "
+                             f"(epsilon = {self.injection.epsilon:g})")
+        if not math.isfinite(self.duration / Ts):
+            raise ValueError(f"duration/Ts = {self.duration:g} s / {Ts:g} s "
+                             "is not a finite number of steps")
         if self.decimation < 1:
             raise ValueError("decimation must be >= 1")
         if self.noise_std < 0.0:
@@ -180,20 +203,32 @@ class ScenarioConfig:
                                  f"(got {getattr(self, key):g})")
         if self.ell[0] == 0.0 or self.ell[2] == 0.0:
             raise ValueError("ell1 and ell3 must be nonzero")
-        if self.omega_star < 0.0:
-            raise ValueError("omega_star must be >= 0")
-        chain = self.chain  # rejects invalid corners
+        if not 0.0 <= self.omega_star < math.inf:
+            raise ValueError(f"omega_star must be >= 0 and finite "
+                             f"(got {self.omega_star:g})")
+        lambda_h, lambda_ell = self.corners
+        if not 0.0 < lambda_h < math.inf:
+            raise ValueError(f"lambda_h must be positive and finite "
+                             f"(got {lambda_h:g})")
+        if not 1.0 <= lambda_ell < math.inf:
+            raise ValueError(f"lambda_ell must be >= 1 and finite "
+                             f"(got {lambda_ell:g})")
         if self.estimator in ("conventional", "both") \
-                and chain.lambda_h * self.Ts >= math.pi:
-            raise ValueError(f"lambda_h = {chain.lambda_h:g} rad/s is not below "
-                             f"the Nyquist rate pi/Ts = {math.pi / self.Ts:g} "
+                and lambda_h * Ts >= math.pi:
+            raise ValueError(f"lambda_h = {lambda_h:g} rad/s is not below "
+                             f"the Nyquist rate pi/Ts = {math.pi / Ts:g} "
                              "rad/s")
 
     @cached_property
-    def chain(self) -> LtiChainConfig:
-        """Corners of the LTI chain, defaults resolved."""
-        return LtiChainConfig.from_injection(self.injection, self.omega_star,
-                                             self.lambda_h, self.lambda_ell)
+    def corners(self) -> tuple[float, float]:
+        """(lambda_h, lambda_ell) of the LTI chain, defaults resolved:
+        omega_h and max(sqrt(omega_h*omega_star), 1), omega_star being the
+        application's nominal (electrical-excitation) speed scale."""
+        omega_h = self.injection.omega_h
+        lambda_h = omega_h if self.lambda_h is None else self.lambda_h
+        lambda_ell = (max(math.sqrt(omega_h * self.omega_star), 1.0)
+                      if self.lambda_ell is None else self.lambda_ell)
+        return lambda_h, lambda_ell
 
     @property
     def Ts(self) -> float:
@@ -247,7 +282,7 @@ def _build_estimators(cfg: ScenarioConfig):
                                  cfg.ell, cfg.theta0_est, gains)
     if cfg.estimator in ("conventional", "both"):
         conv = ConventionalEstimator(cfg.motor, cfg.injection, cfg.Ts,
-                                     cfg.chain, cfg.theta0_est, gains)
+                                     *cfg.corners, cfg.theta0_est, gains)
     return prop, conv
 
 
@@ -471,18 +506,21 @@ def averaging_residual(cfg: ScenarioConfig, t1: float, t2: float):
     model of `synthesize_injection_current` (the plant's probe, without the
     estimator-side phase phi_p).  Returns (t, r) restricted to the window
     plus the max norm; r is O(epsilon^2) when the averaging identity holds.
+    The window takes the samples that `estimators.window_mask` takes, as
+    `rmsd` does, and is checked on the k*Ts grid before either run.
     """
     check_window(cfg, t1, t2)
     base = replace(cfg, estimator="none", decimation=1)
     if base.mode == "closed_loop" and not base.sensor_mode:
         raise ValueError("paired runs need sensor mode (identical control law)")
+    # the trace's time column is k*Ts: the window is checked before any run
+    m = window_mask(np.arange(base.n_steps + 1) * base.Ts, t1, t2)
     cols = ["t", "theta", "i_alpha", "i_beta"]
     tr_on = run(replace(base, injection_enabled=True), cols)
     tr_off = run(replace(base, injection_enabled=False), cols)
     t = tr_on.t
     if not np.array_equal(t, tr_off.t):
         raise ValueError("paired runs disagree on cadence")
-    m = (t >= t1) & (t <= t2)
     tw = t[m]
     ripple = synthesize_injection_current(cfg.motor, cfg.injection,
                                           tr_on.theta[m], tw)

@@ -5,9 +5,14 @@ import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from hfsense.cli import EXIT_CONFIG, main
 from hfsense.config import ConfigError, load_scenario, parse_kv_file
+from hfsense.motor import SIM_MOTOR
+from hfsense.signal_ops import InjectionConfig
+from hfsense.sim import ScenarioConfig
 
 
 def _write(tmp_path, text):
@@ -132,14 +137,97 @@ def test_non_finite_or_non_positive_float_is_config_error(tmp_path, line, key):
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 @pytest.mark.parametrize("key", ["gamma_alpha", "gamma_beta", "pll_kp",
-                                 "pll_ki"])
+                                 "pll_ki", "load_torque", "ell1", "ell2",
+                                 "ell3", "theta0", "theta0_est", "omega0",
+                                 "i_alpha0", "i_beta0", "duration",
+                                 "noise_std"])
 def test_non_finite_gain_is_rejected_through_replace(key, value,
                                                      scenario_dir):
-    """The API path: ScenarioConfig rejects a non-finite gain itself, as
-    the scenario parser rejects any non-finite number."""
+    """The API path: ScenarioConfig rejects a non-finite gain or other
+    float field itself, as the scenario parser rejects any non-finite
+    number."""
     cfg = load_scenario(scenario_dir / "lowspeed.scenario")
-    with pytest.raises(ValueError, match=f"{key} must be positive and finite"):
-        replace(cfg, **{key: value})
+    if key.startswith("ell"):
+        ell = list(cfg.ell)
+        ell[int(key[-1]) - 1] = value
+        change = {"ell": tuple(ell)}
+    else:
+        change = {key: value}
+    with pytest.raises(ValueError,
+                       match=f"{key} must be (positive and )?finite"):
+        replace(cfg, **change)
+
+
+def test_corners_resolve_defaults_and_reject_bad_values():
+    """ScenarioConfig.corners is the one place that resolves the LTI
+    corners: lambda_h = omega_h, lambda_ell = max(sqrt(omega_h *
+    omega_star), 1)."""
+    cfg = ScenarioConfig(SIM_MOTOR, InjectionConfig(V_h=1.0, epsilon=1e-3))
+    omega_h = cfg.injection.omega_h
+    lambda_h, lambda_ell = cfg.corners
+    assert lambda_h == pytest.approx(omega_h)
+    assert lambda_ell == pytest.approx(math.sqrt(omega_h * 0.5))
+    # the corner never drops below 1 rad/s
+    assert replace(cfg, omega_star=0.0).corners == (omega_h, 1.0)
+    for key, value in [("lambda_h", -1.0), ("lambda_ell", 0.5),
+                       ("lambda_h", math.nan), ("lambda_ell", math.nan),
+                       ("omega_star", math.inf)]:
+        with pytest.raises(ValueError, match=key):
+            replace(cfg, **{key: value})
+
+
+@pytest.mark.parametrize("lines,message", [
+    # Ts = epsilon/steps_per_period underflows to 0
+    ("[injection]\nepsilon = 5e-324\n", "underflows to 0"),
+    # epsilon/steps_per_period overflows the int-to-float conversion
+    ("[simulation]\nsteps_per_period = 1" + "0" * 330 + "\n",
+     "steps_per_period is too large"),
+    # duration/Ts overflows to inf
+    ("[injection]\nepsilon = 1e-300\n[simulation]\nduration = 1e300\n",
+     "not a finite number of steps"),
+], ids=["Ts-underflow", "steps_per_period-overflow", "n_steps-overflow"])
+def test_unusable_step_size_or_count_is_config_error(tmp_path, capsys, lines,
+                                                     message):
+    p = _write(tmp_path, MINIMAL + lines)
+    err = _main_config_error(p, tmp_path / "o", capsys)
+    assert message in err
+
+
+# values at and beyond the edges of a float and of an int
+_EXTREMES = ["5e-324", "1e-300", "1e300", "nan", "inf", "-inf", "0", "-1",
+             "-1e-3", "1e-3", "2", "3", "50", "10.0",
+             "1" + "0" * 330, "9" * 300, "-" + "9" * 200]
+# the keys that set the step size, the step count, the warm-up and the
+# corners
+_STEP_KEYS = [("injection", "epsilon"), ("injection", "V_h"),
+              ("simulation", "steps_per_period"), ("simulation", "duration"),
+              ("simulation", "decimation"), ("estimator", "kind"),
+              ("estimator", "lambda_h"), ("estimator", "lambda_ell"),
+              ("estimator", "omega_star")]
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(values=st.dictionaries(
+    st.sampled_from(_STEP_KEYS),
+    st.sampled_from(_EXTREMES)
+    | st.integers(-10 ** 400, 10 ** 400).map(str)
+    | st.sampled_from(["proposed", "conventional", "none"])))
+@example(values={("injection", "epsilon"): "5e-324"})
+@example(values={("simulation", "steps_per_period"): "1" + "0" * 330})
+@example(values={("injection", "epsilon"): "1e-300",
+                 ("simulation", "duration"): "1e300"})
+def test_loaded_scenario_has_a_usable_step(tmp_path, values):
+    """Any scenario text either is a config error or gives a step size,
+    step count and warm-up that are finite positive numbers."""
+    text = MINIMAL + "".join(f"[{section}]\n{key} = {value}\n"
+                             for (section, key), value in values.items())
+    try:
+        cfg = load_scenario(_write(tmp_path, text))
+    except ConfigError:
+        return
+    for value in (cfg.Ts, cfg.n_steps, cfg.warmup):
+        assert 0.0 < value < math.inf
 
 
 def _main_config_error(path, out, capsys):

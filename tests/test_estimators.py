@@ -12,7 +12,6 @@ from hypothesis import given, strategies as st
 from hfsense.estimators import (
     ConventionalEstimator,
     BlockFormEstimator,
-    LtiChainConfig,
     Pll,
     ProposedEstimator,
     _RINT,
@@ -34,6 +33,12 @@ from hfsense.signal_ops import (
 from oracles import DegenerateSignalError, locus_angle, virtual_output_to_angle
 
 angles = st.floats(-30.0, 30.0, allow_nan=False)
+
+
+def _corners(inj):
+    """The LTI corners ScenarioConfig resolves by default at omega_star =
+    0.5: lambda_h = omega_h, lambda_ell = sqrt(omega_h * 0.5)."""
+    return inj.omega_h, math.sqrt(inj.omega_h * 0.5)
 
 
 @given(phi=st.floats(-math.pi, math.pi), prev=angles,
@@ -128,8 +133,8 @@ def test_proposed_estimator_tracks_synthetic(sim_motor, inj, Ts):
 
 def test_conventional_estimator_tracks_synthetic(sim_motor, inj, Ts):
     omega_e = 3.0
-    chain = LtiChainConfig.from_injection(inj, omega_star=0.5)
-    est = ConventionalEstimator(sim_motor, inj, Ts, chain, theta0=0.4)
+    est = ConventionalEstimator(sim_motor, inj, Ts, *_corners(inj),
+                                theta0=0.4)
     t = _run_on_synthetic(est, sim_motor, inj, Ts, 0.4, omega_e, 0.5)
     final_err = float(wrap_mod_pi(est.theta_hat - (0.4 + omega_e * t[-1])))
     # steady lag ~ atan(2*omega_e/lambda_ell)/2 ~ 0.053 rad
@@ -146,8 +151,7 @@ def test_all_estimators_track_with_ld_above_lq(sim_motor, inj, Ts):
         "proposed": ProposedEstimator(motor, inj, Ts, theta0=theta0),
         "block_form": BlockFormEstimator(motor, inj, Ts, theta0=theta0),
         "conventional": ConventionalEstimator(
-            motor, inj, Ts, LtiChainConfig.from_injection(inj, 0.5),
-            theta0=theta0),
+            motor, inj, Ts, *_corners(inj), theta0=theta0),
     }
     n = int(round(0.5 / Ts))
     t = np.arange(n + 1) * Ts
@@ -185,7 +189,7 @@ def test_estimator_seeding(sim_motor, inj, Ts):
     assert est.theta_hat == 0.9
     assert (est.yv1, est.yv2) == pytest.approx(virtual_output(sim_motor, 0.9))
     conv = ConventionalEstimator(
-        sim_motor, inj, Ts, LtiChainConfig.from_injection(inj, 0.5), theta0=0.9)
+        sim_motor, inj, Ts, *_corners(inj), theta0=0.9)
     assert (conv.yv1, conv.yv2) == pytest.approx(virtual_output(sim_motor, 0.9))
 
 
@@ -201,14 +205,13 @@ def test_step_rejects_a_float_time(sim_motor, inj, Ts):
     """Each kernel steps by the integer sample index; a float, such as a
     time in seconds, raises TypeError at the first sample and after warm-up,
     and leaves the estimator as it was."""
-    chain = LtiChainConfig.from_injection(inj, omega_star=0.5)
     n = int(round(0.01 / Ts))
     t = np.arange(n) * Ts
     cur = synthesize_injection_current(sim_motor, inj, 0.4 + 3.0 * t, t)
     for make in (lambda: ProposedEstimator(sim_motor, inj, Ts, theta0=0.4),
                  lambda: BlockFormEstimator(sim_motor, inj, Ts, theta0=0.4),
-                 lambda: ConventionalEstimator(sim_motor, inj, Ts, chain,
-                                               theta0=0.4)):
+                 lambda: ConventionalEstimator(sim_motor, inj, Ts,
+                                               *_corners(inj), theta0=0.4)):
         est, fresh = make(), make()
         with pytest.raises(TypeError):
             est.step(0.5 * Ts, (0.0,), (0.0,))
@@ -221,9 +224,8 @@ def test_step_rejects_a_float_time(sim_motor, inj, Ts):
 
 def test_estimators_reject_ts_not_dividing_epsilon(sim_motor, inj):
     Ts = inj.epsilon / 50.5
-    chain = LtiChainConfig.from_injection(inj, omega_star=0.5)
     with pytest.raises(ValueError):
-        ConventionalEstimator(sim_motor, inj, Ts, chain)
+        ConventionalEstimator(sim_motor, inj, Ts, *_corners(inj))
     with pytest.raises(ValueError):
         ProposedEstimator(sim_motor, inj, Ts)
     with pytest.raises(ValueError):
@@ -270,19 +272,20 @@ def test_fused_conventional_step_matches_composed_operators(motor):
     over 3000 seeded samples of ripple plus noise, from carrier phase 37."""
     inj = InjectionConfig(V_h=1.5, epsilon=1e-3, phi=0.3)
     Ts = inj.epsilon / 50.0
-    chain = LtiChainConfig(lambda_h=inj.omega_h, lambda_ell=80.0)
+    lambda_h, lambda_ell = inj.omega_h, 80.0
     k0, n = 37, 3000
     t = (k0 + np.arange(n)) * Ts
     rng = np.random.default_rng(5)
     cur = synthesize_injection_current(motor, inj, 0.7 + 40.0 * t, t,
                                        i_bar=(0.5, -0.2)) \
         + rng.normal(0.0, 1e-3, (n, 2))
-    est = ConventionalEstimator(motor, inj, Ts, chain, theta0=0.7)
+    est = ConventionalEstimator(motor, inj, Ts, lambda_h, lambda_ell,
+                                theta0=0.7)
     # the same chain composed from the standalone operators
     scale = 2.0 * inj.omega_h * motor.det_L / inj.V_h
     y10, y20 = virtual_output(motor, 0.7)
-    hpf = [HighPass2(chain.lambda_h, Ts) for _ in range(2)]
-    lpf = [LowPass1(chain.lambda_ell, Ts, y0=y * motor.det_L / scale)
+    hpf = [HighPass2(lambda_h, Ts) for _ in range(2)]
+    lpf = [LowPass1(lambda_ell, Ts, y0=y * motor.det_L / scale)
            for y in (y10, y20)]
     N = carrier_steps(inj, Ts)
     theta = 0.7
@@ -376,18 +379,6 @@ def test_locus_point_on_the_degenerate_radius_is_held(form, sim_motor, inj,
         assert (est.theta_hat == 0.3) is held
 
 
-def test_block_form_runs_its_own_copy_of_the_kernel():
-    """BlockFormEstimator runs ProposedEstimator's step through its own code
-    object, with the same bytecode.  CPython 3.11 specializes attribute
-    access per code object: one code object shared by both classes, which
-    equivalence_deviation alternates every sample, misses every specialized
-    lookup, and the estimator_replay benchmark ran 13% fewer steps/s."""
-    own = BlockFormEstimator.__dict__["step"].__code__
-    shared = ProposedEstimator.step.__code__
-    assert own is not shared
-    assert own.co_code == shared.co_code
-
-
 @SALIENCY
 def test_fused_new_pipeline_steps_match_regressor_oracle(motor):
     """Both new-pipeline kernels bit for bit against Regressor.step, then
@@ -451,18 +442,6 @@ def test_fused_new_pipeline_steps_match_regressor_oracle(motor):
     assert not mismatches, mismatches[:3]
 
 
-def test_chain_config_defaults(inj):
-    chain = LtiChainConfig.from_injection(inj, omega_star=0.5)
-    assert chain.lambda_h == pytest.approx(inj.omega_h)
-    assert chain.lambda_ell == pytest.approx(math.sqrt(inj.omega_h * 0.5))
-    # the corner never drops below 1 rad/s
-    assert LtiChainConfig.from_injection(inj, 0.0).lambda_ell == 1.0
-    with pytest.raises(ValueError):
-        LtiChainConfig(lambda_h=-1.0, lambda_ell=10.0)
-    with pytest.raises(ValueError):
-        LtiChainConfig(lambda_h=10.0, lambda_ell=0.5)
-
-
 def test_pll_tracks_ramp():
     pll = Pll(5.0, 0.01, n_p=6)
     Ts = 1e-4
@@ -482,7 +461,6 @@ GAINS = (5.0, 0.01)
 def _forms(motor, inj, Ts, gains=GAINS):
     """A maker of each estimator, with off-default settings and a PLL of
     the given gains."""
-    chain = LtiChainConfig(lambda_h=inj.omega_h, lambda_ell=80.0)
     return {
         "proposed": lambda: ProposedEstimator(
             motor, inj, Ts, 1.2e4, 8e3, (1.05, 0.02, 0.95), theta0=0.7,
@@ -490,7 +468,7 @@ def _forms(motor, inj, Ts, gains=GAINS):
         "block_form": lambda: BlockFormEstimator(
             motor, inj, Ts, 1.2e4, 8e3, theta0=0.7, pll_gains=gains),
         "conventional": lambda: ConventionalEstimator(
-            motor, inj, Ts, chain, theta0=0.7, pll_gains=gains),
+            motor, inj, Ts, inj.omega_h, 80.0, theta0=0.7, pll_gains=gains),
     }
 
 

@@ -283,8 +283,9 @@ def test_lowpass_seeding(Ts):
     lp = LowPass1(50.0, Ts, y0=0.3)
     # constant input equal to the seed leaves the state unchanged
     assert lp.step(0.3) == pytest.approx(0.3, rel=1e-14)
-    with pytest.raises(ValueError):
-        LowPass1(0.0, Ts)
+    for lam in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="corner"):
+            LowPass1(lam, Ts)
 
 
 def _discrete_response(b, a, omega, Ts):
@@ -312,8 +313,9 @@ def test_highpass_corner_exact(Ts):
 
 
 def test_highpass_validation(Ts):
-    with pytest.raises(ValueError):
-        HighPass2(-1.0, Ts)
+    for lam in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="corner"):
+            HighPass2(lam, Ts)
 
 
 def test_gd_response_at_probe_frequency(inj):

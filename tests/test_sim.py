@@ -68,11 +68,17 @@ def test_rk4_order_on_exponential():
 
 
 def test_rk4_rejects_non_finite():
+    """A non-finite initial current is rejected when the scenario is built;
+    past that check (set on the frozen config directly), the step loop
+    still reports the non-finite state as a divergence."""
     for mode in ("closed_loop", "driven"):
+        kw = dict(mode=mode, drive=DriveProfile("constant", omega=2.0),
+                  estimator="none", sensor_mode=True, duration=0.01)
         for i0 in (math.nan, math.inf):
-            cfg = _cfg(mode=mode, drive=DriveProfile("constant", omega=2.0),
-                       estimator="none", sensor_mode=True, duration=0.01,
-                       i_alpha0=i0)
+            with pytest.raises(ValueError, match="i_alpha0 must be finite"):
+                _cfg(**kw, i_alpha0=i0)
+            cfg = _cfg(**kw)
+            object.__setattr__(cfg, "i_alpha0", i0)
             with pytest.raises(SimulationDiverged):
                 run(cfg)
 
@@ -457,7 +463,9 @@ def test_averaging_residual_requires_sensor_mode():
         averaging_residual(_cfg(duration=0.05), 0.01, 0.05)
 
 
-@pytest.mark.parametrize("t1,t2", [(0.04, 0.02), (0.01, 0.06)])
+# inverted, past the end, and between two samples (Ts = 2e-5 s)
+@pytest.mark.parametrize("t1,t2", [(0.04, 0.02), (0.01, 0.06),
+                                   (0.010001, 0.010009)])
 def test_averaging_residual_checks_window_before_running(t1, t2, monkeypatch):
     def no_run(cfg, columns=None):
         raise AssertionError("simulated before checking the window")
