@@ -18,22 +18,27 @@ measured currents:
 HPF/demod/LPF block layout (demod phase phi_p + 3*pi/2, LPF replaced by the
 scaled LTV flow); it exists to verify numerically that the two forms
 coincide.  It derives only its own per-phase table and its own read-out
-constant (state per unit of virtual output); its `step` is
-`ProposedEstimator.step`, the same function, so the new pipeline has one
+constant (state per unit of virtual output); its `step` and `kernel` are
+`ProposedEstimator`'s, the same functions, so the new pipeline has one
 kernel.
 
 All three estimators produce the angle modulo pi from the centred saliency
 locus, with the branch resolved by continuity with the previous estimate.
 Magnetic-polarity disambiguation is out of scope.
 
-Each estimator's `step(k0, i_alpha, i_beta, out=None, dec=1)` is its one
-kernel.  It advances over a run of samples, sample j of the two sequences
-being sample k0 + j (time (k0 + j)*Ts), with its state in locals over the
-run, and looks up its per-phase constants at carrier phase k mod N, with
-N = epsilon/Ts samples per probe period.  Built with `pll_gains`, it runs
-the type-2 PLL inline on every valid sample; `Pll.step` is that loop's
-oracle.  The same kernel serves the estimator that closes the loop, one
-sample per call, and the ones that only observe, one block per call.
+Each estimator's `kernel(samples, out=None, dec=1, per_sample=True)` is
+its one kernel: a generator with one loop body over (k, i_alpha, i_beta)
+samples, time k*Ts.  It takes the state into locals when it starts, keeps
+it there over the samples, and writes it back when the samples end or the
+generator is closed.  It looks up its per-phase constants at carrier phase
+k mod N, with N = epsilon/Ts samples per probe period.  Built with
+`pll_gains`, it runs the type-2 PLL inline on every valid sample;
+`Pll.step` is that loop's oracle.  The estimator that closes the loop runs
+one kernel generator for the whole run, fed one sample per step, and it
+yields each sample's estimate.  The block entry point `step(k0, i_alpha,
+i_beta, out=None, dec=1)` runs the kernel over a run of samples, sample j
+of the two sequences being sample k0 + j, without yielding; the estimators
+that only observe advance by it once per block.
 
 The kernels are fused: the delay/hold regressor, filters, centre and
 radius check, angle recovery and PLL run inline on float state, with the
@@ -180,12 +185,30 @@ class ProposedEstimator:
     def step(self, k0: int, i_alpha, i_beta, out=None, dec: int = 1):
         """Advance over a run of samples; sample j of i_alpha, i_beta is k0 + j.
 
-        The two sequences have equal lengths; an empty run changes nothing.
-        Returns what the run's last sample gives: (theta_hat, yv1, yv2), or
-        None while the regressor is still filling its window.  With `out` =
-        five writable sequences, it writes theta_hat, omega_hat, yv1, yv2
-        and the valid flag (0.0 or 1.0) of each sample k with k % dec == 0
-        at row k // dec.  The PLL, if any, steps on every valid sample.
+        Sequences of unequal lengths raise ValueError before any state
+        changes; an empty run changes nothing.  Returns what the run's last
+        sample gives: (theta_hat, yv1, yv2), or None while the regressor is
+        still filling its window.  `out` and `dec` as for `kernel`.
+        """
+        # a block run yields nothing: one next() runs it to the end
+        next(self.kernel(_run(k0, i_alpha, i_beta), out, dec, False), None)
+        cold = self._s[3]
+        return None if cold else (self.theta_hat, self.yv1, self.yv2)
+
+    def kernel(self, samples, out=None, dec: int = 1, per_sample: bool = True):
+        """The one kernel: a generator over the (k, i_alpha, i_beta) samples.
+
+        It takes the state into locals when it starts and writes it back,
+        with theta_hat, omega_hat, yv1, yv2 and low_confidence, when the
+        samples end or the generator is closed; until then the attributes
+        hold the state it started from, so one estimator runs one kernel
+        generator at a time.  With `per_sample` it
+        yields each sample's (theta_hat, omega_hat), or None while the
+        regressor is still filling its window; without it, it yields
+        nothing.  With `out` = five writable sequences, it writes
+        theta_hat, omega_hat, yv1, yv2 and the valid flag (0.0 or 1.0) of
+        each sample k with k % dec == 0 at row k // dec.  The PLL, if any,
+        steps on every valid sample.
         """
         (N, n, m, rebase, ua, ub, inc_a, inc_b, unit, ell1, ell2, ell3,
          centre, r_min, L1, table, pll, kp, ki, n_p, Ts) = self._k
@@ -196,86 +219,85 @@ class ProposedEstimator:
             o_th, o_om, o_y1, o_y2, o_v = out
         hypot, atan2, pi, rint = math.hypot, math.atan2, math.pi, _RINT
         first = m + 1
-        k = k0
-        # an index loop: it starts faster than zip, for one-sample runs
-        j, n_run = 0, len(i_alpha)
-        while j < n_run:
-            ia = i_alpha[j]
-            ib = i_beta[j]
-            j += 1
-            # this sample's phase constants; read first, so that a k that is
-            # not an integer raises TypeError before any state changes
-            aa, ca, ab, cb = table[k % N]
-            if cold == first:  # first sample: no increment yet
-                cold = m
-                ua[0] = ia
-                ub[0] = ib
-                i = 1
-            else:
-                # delay minus hold: Regressor.step inline, in its operation
-                # order
-                ja = 0.5 * (ua[i - 1] + ia)  # trapezoid, Ts factored out
-                jb = 0.5 * (ub[i - 1] + ib)
-                sa = sa - inc_a[i] + ja
-                sb = sb - inc_b[i] + jb
-                inc_a[i] = ja
-                inc_b[i] = jb
-                da = ua[i - n]  # negative indices wrap: the input from d ago
-                db = ub[i - n]
-                ua[i] = ia
-                ub[i] = ib
-                i += 1
-                if i == m:
-                    i = 0
-                rebase_in -= 1
-                if not rebase_in:
-                    rebase_in = rebase
-                    sa = math.fsum(inc_a)
-                    sb = math.fsum(inc_b)
-                if cold:
-                    cold -= 1
-                if not cold:
-                    yfa = da - sa / m
-                    yfb = db - sb / m
-                    xa = aa * xa + ca * yfa
-                    xb = ab * xb + cb * yfb
-                    y1 = ell1 * (xa / unit) + ell2
-                    y2 = ell3 * (xb / unit)
-                    dx = y1 - centre
-                    # a point within r_min of the centre holds the angle
-                    low = hypot(dx, y2) <= r_min
-                    if not low:
-                        # the angle recovery, inline
-                        if L1 > 0.0:
-                            raw = 0.5 * atan2(-y2, -dx)
-                        else:
-                            raw = 0.5 * atan2(y2, dx)
-                        theta = raw + pi * ((theta - raw) / pi + rint - rint)
-                    if pll:
-                        # Pll.step inline, in its operation order
-                        e = theta - eta1
-                        wp = kp * e + ki * eta2
-                        eta1 += Ts * wp
-                        eta2 += Ts * e
-                        om = wp / n_p
-            if out is not None and not k % dec:
-                r = k // dec
-                o_th[r] = theta
-                o_om[r] = om
-                o_y1[r] = y1
-                o_y2[r] = y2
-                o_v[r] = 0.0 if cold else 1.0
-            k += 1
-        self._s = (i, sa, sb, cold, rebase_in, xa, xb, eta1, eta2)
-        self.theta_hat, self.yv1, self.yv2 = theta, y1, y2
-        self.low_confidence, self.omega_hat = low, om
-        return None if cold else (theta, y1, y2)
+        try:
+            for k, ia, ib in samples:
+                # this sample's phase constants; read first, so that a k
+                # that is not an integer raises TypeError before this
+                # sample changes any state
+                aa, ca, ab, cb = table[k % N]
+                if cold == first:  # first sample: no increment yet
+                    cold = m
+                    ua[0] = ia
+                    ub[0] = ib
+                    i = 1
+                else:
+                    # delay minus hold: Regressor.step inline, in its
+                    # operation order
+                    ja = 0.5 * (ua[i - 1] + ia)  # trapezoid, Ts factored out
+                    jb = 0.5 * (ub[i - 1] + ib)
+                    sa = sa - inc_a[i] + ja
+                    sb = sb - inc_b[i] + jb
+                    inc_a[i] = ja
+                    inc_b[i] = jb
+                    # negative indices wrap: the input from d ago
+                    da = ua[i - n]
+                    db = ub[i - n]
+                    ua[i] = ia
+                    ub[i] = ib
+                    i += 1
+                    if i == m:
+                        i = 0
+                    rebase_in -= 1
+                    if not rebase_in:
+                        rebase_in = rebase
+                        sa = math.fsum(inc_a)
+                        sb = math.fsum(inc_b)
+                    if cold:
+                        cold -= 1
+                    if not cold:
+                        yfa = da - sa / m
+                        yfb = db - sb / m
+                        xa = aa * xa + ca * yfa
+                        xb = ab * xb + cb * yfb
+                        y1 = ell1 * (xa / unit) + ell2
+                        y2 = ell3 * (xb / unit)
+                        dx = y1 - centre
+                        # a point within r_min of the centre holds the angle
+                        low = hypot(dx, y2) <= r_min
+                        if not low:
+                            # the angle recovery, inline
+                            if L1 > 0.0:
+                                raw = 0.5 * atan2(-y2, -dx)
+                            else:
+                                raw = 0.5 * atan2(y2, dx)
+                            theta = raw + pi * ((theta - raw) / pi
+                                                + rint - rint)
+                        if pll:
+                            # Pll.step inline, in its operation order
+                            e = theta - eta1
+                            wp = kp * e + ki * eta2
+                            eta1 += Ts * wp
+                            eta2 += Ts * e
+                            om = wp / n_p
+                if out is not None and not k % dec:
+                    r = k // dec
+                    o_th[r] = theta
+                    o_om[r] = om
+                    o_y1[r] = y1
+                    o_y2[r] = y2
+                    o_v[r] = 0.0 if cold else 1.0
+                if per_sample:
+                    yield None if cold else (theta, om)
+        finally:
+            self._s = (i, sa, sb, cold, rebase_in, xa, xb, eta1, eta2)
+            self.theta_hat, self.yv1, self.yv2 = theta, y1, y2
+            self.low_confidence, self.omega_hat = low, om
 
 
 class ConventionalEstimator:
     """LTI high-pass / demodulate / low-pass chain (the textbook pipeline).
 
-    The step keeps the operation order of `HighPass2.step` and
+    The kernel keeps the operation order of `HighPass2.step` and
     `LowPass1.step`, so its output is bit-identical to their composition.
     Every sample is valid; the PLL, if any, steps on each.
     """
@@ -309,9 +331,17 @@ class ConventionalEstimator:
     def step(self, k0: int, i_alpha, i_beta, out=None, dec: int = 1):
         """Advance over a run of samples; sample j of i_alpha, i_beta is k0 + j.
 
-        Returns (theta_hat, yv1, yv2) of the run's last sample; `out` and
-        `dec` as for `ProposedEstimator.step`, with a valid flag of 1.0.
+        Returns (theta_hat, yv1, yv2) of the run's last sample; unequal
+        lengths, `out` and `dec` as for `ProposedEstimator.step`.
         """
+        # a block run yields nothing: one next() runs it to the end
+        next(self.kernel(_run(k0, i_alpha, i_beta), out, dec, False), None)
+        return self.theta_hat, self.yv1, self.yv2
+
+    def kernel(self, samples, out=None, dec: int = 1, per_sample: bool = True):
+        """The one kernel, as `ProposedEstimator.kernel`; every sample is
+        valid, so with `per_sample` it yields (theta_hat, omega_hat) each
+        time and writes a valid flag of 1.0."""
         (N, demods, b0, b1, b2, a1, a2, la, lb, scale, det_L, L0, L1, pll, kp,
          ki, n_p, Ts) = self._k
         za1, za2, zb1, zb2, ya, ua, yb, ub, eta1, eta2 = self._s
@@ -319,58 +349,56 @@ class ConventionalEstimator:
         if out is not None:
             o_th, o_om, o_y1, o_y2, o_v = out
         atan2, pi, rint = math.atan2, math.pi, _RINT
-        k = k0
-        j, n_run = 0, len(i_alpha)
-        while j < n_run:
-            ia = i_alpha[j]
-            ib = i_beta[j]
-            j += 1
-            # read first, so that a k that is not an integer raises
-            # TypeError before any state changes
-            demod = demods[k % N]
-            # high pass, direct form II transposed
-            yha = b0 * ia + za1
-            za1 = b1 * ia - a1 * yha + za2
-            za2 = b2 * ia - a2 * yha
-            yhb = b0 * ib + zb1
-            zb1 = b1 * ib - a1 * yhb + zb2
-            zb2 = b2 * ib - a2 * yhb
-            # demodulate and low-pass
-            da = yha * demod
-            db = yhb * demod
-            ya = la * ya + lb * (da + ua)
-            yb = la * yb + lb * (db + ub)
-            ua = da
-            ub = db
-            Ya = scale * ya
-            Yb = scale * yb
-            y1 = Ya / det_L
-            y2 = Yb / det_L
-            # the angle recovery, inline
-            dx = Ya - L0
-            if L1 > 0.0:
-                raw = 0.5 * atan2(-Yb, -dx)
-            else:
-                raw = 0.5 * atan2(Yb, dx)
-            theta = raw + pi * ((theta - raw) / pi + rint - rint)
-            if pll:
-                # Pll.step inline, in its operation order
-                e = theta - eta1
-                wp = kp * e + ki * eta2
-                eta1 += Ts * wp
-                eta2 += Ts * e
-                om = wp / n_p
-            if out is not None and not k % dec:
-                r = k // dec
-                o_th[r] = theta
-                o_om[r] = om
-                o_y1[r] = y1
-                o_y2[r] = y2
-                o_v[r] = 1.0
-            k += 1
-        self._s = (za1, za2, zb1, zb2, ya, ua, yb, ub, eta1, eta2)
-        self.theta_hat, self.yv1, self.yv2, self.omega_hat = theta, y1, y2, om
-        return theta, y1, y2
+        try:
+            for k, ia, ib in samples:
+                # read first, so that a k that is not an integer raises
+                # TypeError before this sample changes any state
+                demod = demods[k % N]
+                # high pass, direct form II transposed
+                yha = b0 * ia + za1
+                za1 = b1 * ia - a1 * yha + za2
+                za2 = b2 * ia - a2 * yha
+                yhb = b0 * ib + zb1
+                zb1 = b1 * ib - a1 * yhb + zb2
+                zb2 = b2 * ib - a2 * yhb
+                # demodulate and low-pass
+                da = yha * demod
+                db = yhb * demod
+                ya = la * ya + lb * (da + ua)
+                yb = la * yb + lb * (db + ub)
+                ua = da
+                ub = db
+                Ya = scale * ya
+                Yb = scale * yb
+                y1 = Ya / det_L
+                y2 = Yb / det_L
+                # the angle recovery, inline
+                dx = Ya - L0
+                if L1 > 0.0:
+                    raw = 0.5 * atan2(-Yb, -dx)
+                else:
+                    raw = 0.5 * atan2(Yb, dx)
+                theta = raw + pi * ((theta - raw) / pi + rint - rint)
+                if pll:
+                    # Pll.step inline, in its operation order
+                    e = theta - eta1
+                    wp = kp * e + ki * eta2
+                    eta1 += Ts * wp
+                    eta2 += Ts * e
+                    om = wp / n_p
+                if out is not None and not k % dec:
+                    r = k // dec
+                    o_th[r] = theta
+                    o_om[r] = om
+                    o_y1[r] = y1
+                    o_y2[r] = y2
+                    o_v[r] = 1.0
+                if per_sample:
+                    yield theta, om
+        finally:
+            self._s = (za1, za2, zb1, zb2, ya, ua, yb, ub, eta1, eta2)
+            self.theta_hat, self.yv1, self.yv2 = theta, y1, y2
+            self.omega_hat = om
 
 
 class BlockFormEstimator(ProposedEstimator):
@@ -383,7 +411,7 @@ class BlockFormEstimator(ProposedEstimator):
     derivation (not shared with ProposedEstimator, so the equivalence check
     still compares two derivations); the regressor, the per-phase update,
     the degenerate-radius hold and the angle recovery are
-    `ProposedEstimator.step`'s, and it is built by `ProposedEstimator`'s
+    `ProposedEstimator.kernel`'s, and it is built by `ProposedEstimator`'s
     constructor.
     """
 
@@ -440,6 +468,17 @@ class Pll:
         self.eta2 += Ts * e
         self.omega_hat = omega_hat_p / self.n_p
         return self.omega_hat
+
+
+def _run(k0: int, i_alpha, i_beta):
+    """The (k, i_alpha, i_beta) samples of a run from sample k0; ValueError
+    unless the two sequences have equal lengths, TypeError unless k0 is an
+    integer."""
+    n = len(i_alpha)
+    if len(i_beta) != n:
+        raise ValueError(f"a run of {n} i_alpha samples has {len(i_beta)} "
+                         "i_beta samples")
+    return zip(range(k0, k0 + n), i_alpha, i_beta)
 
 
 def _pll_parts(pll_gains, params: MotorParams, Ts: float, theta0: float):

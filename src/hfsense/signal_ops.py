@@ -10,8 +10,8 @@ rely on.  The regressor returns None until it has absorbed its full 2d hold
 window (not yet valid).
 
 The estimators run these operators' steps inline in fused kernels: the
-regressor in `ProposedEstimator.step`, the one kernel both forms of the new
-pipeline run, and the filters in `ConventionalEstimator.step` and the
+regressor in `ProposedEstimator.kernel`, the one kernel both forms of the
+new pipeline run, and the filters in `ConventionalEstimator.kernel` and the
 controller.  `Regressor`, `HighPass2` and `LowPass1` stay as the oracles
 those kernels must match bit for bit; the kernels also take their constants
 and initial state from instances of them.

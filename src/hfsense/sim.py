@@ -22,15 +22,17 @@ coefficients per step along with the profile tables.  Both forms' oracle is
 in tests/oracles.py.
 
 The controller and the estimator it reads advance once per integration
-step (single cadence, no PWM).  An estimator that only observes (the LTI
-chain when the new pipeline closes the loop, both estimators in driven and
-sensor mode) sees the same measured currents, buffered per block of
-`_BLOCK` steps, and advances once per block; each estimator writes its own
-trace columns.  The probe voltage is evaluated analytically at the RK4
-substep times; holding it constant over a step would alias a fixed fraction
-of the ripple and mask the second-order averaging remainder.  Since Ts
-divides the probe period, those values are tabulated once per carrier
-phase k mod N.
+step (single cadence, no PWM).  That estimator's kernel is one generator,
+open for the whole run: each step feeds it one measured sample and takes
+its estimate back, with no call that unpacks and writes back its state.
+An estimator that only observes (the LTI chain when the new pipeline
+closes the loop, both estimators in driven and sensor mode) sees the same
+measured currents, buffered per block of `_BLOCK` steps, and advances by
+one `step` call per block; each estimator writes its own trace columns.
+The probe voltage is evaluated analytically at the RK4 substep times;
+holding it constant over a step would alias a fixed fraction of the ripple
+and mask the second-order averaging remainder.  Since Ts divides the probe
+period, those values are tabulated once per carrier phase k mod N.
 """
 
 from __future__ import annotations
@@ -303,14 +305,22 @@ def _estimate_out(rec: dict, prefix: str):
 
 
 def _probe_tables(cfg: ScenarioConfig):
-    """Probe voltage per carrier phase j at t = j*Ts and at the half step."""
+    """Probe voltage per carrier phase j at t = j*Ts and at the half step.
+
+    Both lists are allocated before they are filled, so a number of
+    phases no host can hold fails at once, with MemoryError or
+    OverflowError, rather than after a long fill.
+    """
     inj = cfg.injection
     Vh = inj.V_h if cfg.injection_enabled else 0.0
     Ts = cfg.Ts
     n = carrier_steps(inj, Ts)
     wh = inj.omega_h
-    return ([Vh * math.sin(wh * j * Ts) for j in range(n)],
-            [Vh * math.sin(wh * (j + 0.5) * Ts) for j in range(n)])
+    at_step, at_mid = [0.0] * n, [0.0] * n
+    for j in range(n):
+        at_step[j] = Vh * math.sin(wh * j * Ts)
+        at_mid[j] = Vh * math.sin(wh * (j + 0.5) * Ts)
+    return at_step, at_mid
 
 
 def _noise(cfg: ScenarioConfig, n: int):
@@ -368,10 +378,15 @@ def run(cfg: ScenarioConfig, columns=None) -> Trace:
     The controller regulates in the true frame in sensor mode and in
     driven mode (as on a dyno bench), else in the estimated frame;
     estimators only ever see the measured currents.  The estimator the
-    controller reads advances one sample per step; every other one only
-    observes, and advances once per block over the block's measured
-    currents, or not at all if none of its columns is recorded.  Each
-    estimator writes its own trace columns.
+    controller reads runs one generator of its kernel for the whole run:
+    each step pushes the measured sample into its feed and takes the
+    estimate back, and the generator is closed when the run ends or
+    diverges, which writes the estimator's state back.  Every other
+    estimator only observes, and advances once per block over the block's
+    measured currents, or not at all if none of its columns is recorded.
+    Each estimator writes its own trace columns.  A scenario whose
+    per-phase tables or per-step arrays cannot be allocated raises
+    ValueError ("scenario too large") before any step.
     """
     cols = list(columns) if columns is not None else list(TRACE_COLUMNS)
     for c in cols:
@@ -382,17 +397,20 @@ def run(cfg: ScenarioConfig, columns=None) -> Trace:
     mp = cfg.motor
     Ts = cfg.Ts
     n_steps = cfg.n_steps
-    prop, conv = _build_estimators(cfg)
     ctrl = SensorlessController(mp, cfg.controller, Ts)
     n_rec = n_steps // cfg.decimation + 1
     try:
+        # tables of N = steps_per_period carrier phases, then arrays of
+        # n_steps; Python and numpy refuse a size beyond the host at once
+        v_probe, v_probe_mid = _probe_tables(cfg)
+        prop, conv = _build_estimators(cfg)
         noise = _noise(cfg, n_steps)
         rec = {c: np.zeros(n_rec) for c in cols}
-    except MemoryError as exc:
-        # numpy refuses a size beyond the host at once
+    except (MemoryError, OverflowError) as exc:
         raise ValueError(f"scenario too large: duration = {cfg.duration:g} s "
-                         f"is {n_steps} steps, which cannot be allocated "
-                         f"({exc})") from None
+                         f"is {n_steps} steps of {cfg.steps_per_period} per "
+                         "probe period, which cannot be allocated "
+                         f"({str(exc) or type(exc).__name__})") from None
     if noise is not None:
         noise_a, noise_b = noise
     driven = cfg.mode == "driven"
@@ -401,26 +419,28 @@ def run(cfg: ScenarioConfig, columns=None) -> Trace:
         closer = None
     else:
         closer = conv if cfg.estimator == "conventional" else prop
-    close_out = None
+    dec = cfg.decimation
+    closing = None
     observers = []
     for est, prefix in ((prop, "prop"), (conv, "conv")):
         if est is not None:
             out = _estimate_out(rec, prefix)
             if est is closer:
-                close_out = out
+                # one generator of the kernel for the whole run, fed one
+                # measured sample per step
+                feed = []
+                push = feed.append
+                closing = closer.kernel(iter(feed.pop, None), out, dec)
             elif out is not None:
                 observers.append((est.step, out))
-    close = closer.step if closer is not None else None
     # measured currents of the block, for the observers
     buffered = bool(observers)
     buf_a = [0.0] * _BLOCK
     buf_b = [0.0] * _BLOCK
 
     kc = rk4_constants(mp, Ts)
-    v_probe, v_probe_mid = _probe_tables(cfg)
     n_car = len(v_probe)
     lim = cfg.divergence_limit
-    dec = cfg.decimation
 
     ia, ib = cfg.i_alpha0, cfg.i_beta0
     th = cfg.theta0
@@ -432,69 +452,75 @@ def run(cfg: ScenarioConfig, columns=None) -> Trace:
               if c in rec]
     ri = 0
 
-    for k0 in range(0, n_steps + 1, _BLOCK):
-        k1 = min(k0 + _BLOCK, n_steps + 1)
-        if driven:
-            (th_t, om_t, p0, p1, p2, p3, p4, p5, p6, p7, p8,
-             p9) = _drive_block(cfg, kc, v_probe, v_probe_mid, k0, k1)
-        for k in range(k0, k1):
-            kb = k - k0
+    try:
+        for k0 in range(0, n_steps + 1, _BLOCK):
+            k1 = min(k0 + _BLOCK, n_steps + 1)
             if driven:
-                th = th_t[kb]
-                om = om_t[kb]
-            if noise is None:
-                ia_m, ib_m = ia, ib
-            else:
-                ia_m = ia + noise_a[k]
-                ib_m = ib + noise_b[k]
-            if buffered:
-                buf_a[kb] = ia_m
-                buf_b[kb] = ib_m
+                (th_t, om_t, p0, p1, p2, p3, p4, p5, p6, p7, p8,
+                 p9) = _drive_block(cfg, kc, v_probe, v_probe_mid, k0, k1)
+            for k in range(k0, k1):
+                kb = k - k0
+                if driven:
+                    th = th_t[kb]
+                    om = om_t[kb]
+                if noise is None:
+                    ia_m, ib_m = ia, ib
+                else:
+                    ia_m = ia + noise_a[k]
+                    ib_m = ib + noise_b[k]
+                if buffered:
+                    buf_a[kb] = ia_m
+                    buf_b[kb] = ib_m
 
-            if close is None:
-                th_c, om_c = th, om
-            elif close(k, (ia_m,), (ib_m,), close_out, dec) is None:
-                th_c = om_c = None  # not warm yet: the controller holds
-            else:
-                th_c, om_c = closer.theta_hat, closer.omega_hat
-            vca, vcb = ctrl.low_frequency_voltage(ia_m, ib_m, th_c, om_c)
-            va = vca + v_probe[k % n_car]
+                if closing is None:
+                    th_c, om_c = th, om
+                else:
+                    push((k, ia_m, ib_m))
+                    # None while not warm yet: the controller holds
+                    th_c, om_c = next(closing) or (None, None)
+                vca, vcb = ctrl.low_frequency_voltage(ia_m, ib_m, th_c, om_c)
+                va = vca + v_probe[k % n_car]
 
-            if k % dec == 0:
-                row = (k * Ts, th, th % TWO_PI, om, ia, ib, va, vcb)
-                for arr, j in writes:
-                    arr[ri] = row[j]
-                ri += 1
+                if k % dec == 0:
+                    row = (k * Ts, th, th % TWO_PI, om, ia, ib, va, vcb)
+                    for arr, j in writes:
+                        arr[ri] = row[j]
+                    ri += 1
 
-            if k == n_steps:
-                break
+                if k == n_steps:
+                    break
 
-            # RK4 over [t, t+Ts]; control voltage held, probe continuous
-            if driven:
-                ia, ib = (p0[kb] * ia + p1[kb] * ib + p2[kb] * vca
-                          + p3[kb] * vcb + p4[kb],
-                          p5[kb] * ia + p6[kb] * ib + p7[kb] * vca
-                          + p8[kb] * vcb + p9[kb])
-            else:
-                try:
-                    ia, ib, th, om = rk4_step(
-                        kc, ia, ib, th, om, va, vca + v_probe_mid[k % n_car],
-                        vca + v_probe[(k + 1) % n_car], vcb, TL)
-                except (ValueError, OverflowError) as exc:
-                    # a non-finite state reached math.cos or overflowed a stage
+                # RK4 over [t, t+Ts]; control voltage held, probe continuous
+                if driven:
+                    ia, ib = (p0[kb] * ia + p1[kb] * ib + p2[kb] * vca
+                              + p3[kb] * vcb + p4[kb],
+                              p5[kb] * ia + p6[kb] * ib + p7[kb] * vca
+                              + p8[kb] * vcb + p9[kb])
+                else:
+                    try:
+                        ia, ib, th, om = rk4_step(
+                            kc, ia, ib, th, om, va,
+                            vca + v_probe_mid[k % n_car],
+                            vca + v_probe[(k + 1) % n_car], vcb, TL)
+                    except (ValueError, OverflowError) as exc:
+                        # a non-finite state reached math.cos or overflowed
+                        # a stage
+                        raise SimulationDiverged(
+                            f"state not finite in the step from "
+                            f"t={k * Ts:.6f}: {exc}") from exc
+                if not (-lim < ia < lim and -lim < ib < lim) \
+                        or not math.isfinite(th):
                     raise SimulationDiverged(
-                        f"state not finite in the step from t={k * Ts:.6f}: "
-                        f"{exc}") from exc
-            if not (-lim < ia < lim and -lim < ib < lim) \
-                    or not math.isfinite(th):
-                raise SimulationDiverged(
-                    f"state out of bounds at t={k * Ts + Ts:.6f}: "
-                    f"i=({ia:.3g},{ib:.3g})")
+                        f"state out of bounds at t={k * Ts + Ts:.6f}: "
+                        f"i=({ia:.3g},{ib:.3g})")
 
-        n = k1 - k0
-        for step, out in observers:
-            step(k0, buf_a[:n], buf_b[:n], out, dec)
-
+            n = k1 - k0
+            for step, out in observers:
+                step(k0, buf_a[:n], buf_b[:n], out, dec)
+    finally:
+        # the closer writes its state back, also when the run diverges
+        if closing is not None:
+            closing.close()
     return Trace(rec, cols)
 
 

@@ -12,7 +12,7 @@ form (`saliency_matrix`, `inductance_matrix`) is the independent check of
 locus, with the branch resolved by continuity: the reference for the
 recovery both estimator kernels run inline.  `virtual_output_to_angle`
 adds the centre and the degenerate-radius check: the reference for those
-steps of `ProposedEstimator.step`.
+steps of `ProposedEstimator.kernel`.
 
 `frame_rotate` and `Pi` are the frame rotation and the PI loop that
 `SensorlessController.low_frequency_voltage` runs inline, operation for

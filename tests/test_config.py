@@ -289,6 +289,19 @@ def test_scenario_too_large_to_allocate_is_config_error(tmp_path, capsys,
     assert "scenario too large: duration = 1e+13 s" in err
 
 
+@pytest.mark.parametrize("kind", ["both", "conventional"])
+def test_carrier_tables_too_large_to_allocate_are_config_error(
+        tmp_path, capsys, scenario_dir, kind):
+    # 10**30 samples per probe period: the per-phase tables fail at once,
+    # more entries than a list index can count
+    text = (scenario_dir / "lowspeed.scenario").read_text()
+    text = text.replace("steps_per_period = 50",
+                        f"steps_per_period = {10 ** 30}")
+    p = _write(tmp_path, text.replace("kind = both", f"kind = {kind}"))
+    err = _main_config_error(p, tmp_path / "o", capsys)
+    assert f"steps of {10 ** 30} per probe period" in err
+
+
 def test_invariant_violation_is_config_error(tmp_path):
     p = _write(tmp_path, MINIMAL + "[estimator]\nkind = kalman\n")
     with pytest.raises(ConfigError):

@@ -2,6 +2,7 @@
 synthetic ripple currents, the fused steps against the standalone operators,
 PLL, compensation fitting."""
 
+import copy
 import math
 from dataclasses import replace
 
@@ -520,6 +521,94 @@ def test_runs_of_any_length_give_equal_outputs_and_state(form, dec, inj, Ts):
         assert last == last_want, size
         assert np.array_equal(got, want), size
         assert _state(est) == _state(whole), size
+
+
+@pytest.mark.parametrize("form", ["proposed", "block_form", "conventional"])
+def test_step_rejects_runs_of_unequal_length(form, inj, Ts):
+    """An i_beta shorter or longer than i_alpha raises ValueError before
+    any state changes, in the warm-up and after it."""
+    make = _forms(SIM_MOTOR, inj, Ts)[form]
+    ia, ib = _noisy_ripple(SIM_MOTOR, inj, Ts, 0, 300)
+    est = make()
+    k = 0
+    # fresh, in the 100-sample warm-up, after it
+    for k_next in (40, 200, 300):
+        before = copy.deepcopy(_state(est))
+        for n_a, n_b in ((60, 59), (59, 60), (1, 0), (0, 1)):
+            with pytest.raises(ValueError, match="i_beta"):
+                est.step(k, ia[k:k + n_a], ib[k:k + n_b])
+            assert _state(est) == before
+        est.step(k, ia[k:k_next], ib[k:k_next])
+        k = k_next
+
+
+def _resident(est, k0, ia, ib, out, dec, stop=None):
+    """Drive est's kernel as sim.run drives the loop-closer's, pushing one
+    sample at a time into a feed; close it after `stop` samples (all by
+    default).  Returns the yields."""
+    feed = []
+    kernel = est.kernel(iter(feed.pop, None), out, dec)
+    yields = []
+    for k, a, b in list(zip(range(k0, k0 + len(ia)), ia, ib))[:stop]:
+        feed.append((k, a, b))
+        yields.append(next(kernel))
+    kernel.close()
+    return yields
+
+
+@pytest.mark.parametrize("dec", [1, 3])
+@pytest.mark.parametrize("form", ["proposed", "block_form", "conventional"])
+def test_resident_kernel_equals_one_step(form, dec, inj, Ts):
+    """The kernel driven one sample per next(), as the loop-closer is,
+    equals one `step` over the same samples, with ==: the same rows and
+    final state, and each yield is the sample's (theta_hat, omega_hat), or
+    None before the first valid sample.  The run from carrier phase 37
+    crosses the warm-up, and 3 divides neither the 1024-step block nor the
+    run."""
+    make = _forms(SIM_MOTOR, inj, Ts)[form]
+    k0, n = 37, 1400
+    ia, ib = _noisy_ripple(SIM_MOTOR, inj, Ts, k0, n)
+    n_rows = (k0 + n - 1) // dec + 1
+    whole = make()
+    want = np.zeros((5, n_rows))
+    whole.step(k0, ia, ib, want, dec)
+    every = np.zeros((5, k0 + n))
+    make().step(k0, ia, ib, every)
+    th, om, _, _, valid = every[:, k0:].tolist()
+
+    est = make()
+    got = np.zeros((5, n_rows))
+    yields = _resident(est, k0, ia, ib, got, dec)
+    assert yields == [(t, w) if v else None
+                      for t, w, v in zip(th, om, valid)]
+    assert (None in yields) == (form != "conventional")
+    assert np.array_equal(got, want)
+    assert _state(est) == _state(whole)
+
+
+@pytest.mark.parametrize("form", ["proposed", "block_form", "conventional"])
+def test_resident_kernel_closed_mid_run_writes_its_state_back(form, inj, Ts):
+    """Closed after j samples, in the warm-up or after it, the kernel
+    leaves the estimator as one `step` over those j samples does, and a
+    `step` over the rest then ends as one `step` over the whole run.
+    Closed before its first sample, it changes nothing."""
+    make = _forms(SIM_MOTOR, inj, Ts)[form]
+    k0, n, dec = 37, 1400, 3
+    ia, ib = _noisy_ripple(SIM_MOTOR, inj, Ts, k0, n)
+    n_rows = (k0 + n - 1) // dec + 1
+    whole = make()
+    want = np.zeros((5, n_rows))
+    whole.step(k0, ia, ib, want, dec)
+    for j in (0, 60, 1025):
+        est, ref = make(), make()
+        got, ref_rows = np.zeros((2, 5, n_rows))
+        _resident(est, k0, ia, ib, got, dec, stop=j)
+        ref.step(k0, ia[:j], ib[:j], ref_rows, dec)
+        assert np.array_equal(got, ref_rows), j
+        assert _state(est) == _state(ref), j
+        est.step(k0 + j, ia[j:], ib[j:], got, dec)
+        assert np.array_equal(got, want), j
+        assert _state(est) == _state(whole), j
 
 
 @pytest.mark.parametrize("form", ["proposed", "block_form", "conventional"])

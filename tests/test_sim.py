@@ -20,6 +20,7 @@ from hfsense.estimators import (
 from hfsense.motor import SIM_MOTOR
 from hfsense.signal_ops import InjectionConfig
 from hfsense.sim import (
+    ESTIMATOR_KINDS,
     DriveProfile,
     ScenarioConfig,
     TRACE_COLUMNS,
@@ -93,19 +94,78 @@ def test_divergence_inside_a_step_is_reported():
 
 
 def test_noisy_run_passes_python_floats(monkeypatch):
-    """Both the estimator that closes the loop (one sample per call) and
-    the one that observes (one block per call) get Python floats."""
+    """Both the estimator that closes the loop (its resident kernel, fed
+    one sample per step) and the one that observes (one `step` per block,
+    which runs the same kernel) get Python floats: the hook sits on the
+    kernel's samples."""
     seen = {}
     for cls in (ProposedEstimator, ConventionalEstimator):
-        def recording_step(self, k0, i_alpha, i_beta, *rest, _step=cls.step,
-                           _seen=seen.setdefault(cls.__name__, set())):
-            _seen.update(map(type, (*i_alpha, *i_beta)))
-            return _step(self, k0, i_alpha, i_beta, *rest)
+        def recording_kernel(self, samples, *rest, _kernel=cls.kernel,
+                             _seen=seen.setdefault(cls.__name__, set())):
+            def recorded():
+                for sample in samples:
+                    _seen.update(map(type, sample[1:]))
+                    yield sample
+            return _kernel(self, recorded(), *rest)
 
-        monkeypatch.setattr(cls, "step", recording_step)
+        monkeypatch.setattr(cls, "kernel", recording_kernel)
     run(_cfg(noise_std=1e-3, duration=0.01))
     assert seen == {"ProposedEstimator": {float},
                     "ConventionalEstimator": {float}}
+
+
+@pytest.mark.parametrize("kind", ["proposed", "conventional"])
+def test_diverged_run_leaves_the_closer_written_back(monkeypatch, kind):
+    """A run that diverges in the step after sample K still closes the
+    loop-closer's kernel: the estimator then holds, with ==, what it holds
+    after a run that ends at sample K."""
+    built = []
+    build = sim._build_estimators
+
+    def capture(cfg):
+        built.append(build(cfg))
+        return built[-1]
+
+    monkeypatch.setattr(sim, "_build_estimators", capture)
+    cfg = _cfg(estimator=kind, duration=0.05, theta0=0.3, theta0_est=0.3)
+    K = 1500
+    fresh = build(cfg)
+    run(replace(cfg, duration=K * cfg.Ts))
+    calls = []
+    rk4_step = sim.rk4_step
+
+    def diverging(*args):
+        calls.append(None)
+        if len(calls) > K:
+            raise ValueError("forced")
+        return rk4_step(*args)
+
+    monkeypatch.setattr(sim, "rk4_step", diverging)
+    # `info` keeps the traceback alive, and with it run's frame and the
+    # open generator: only run's own close() writes the state back here
+    with pytest.raises(SimulationDiverged, match="forced") as info:
+        run(cfg)
+    j = 0 if kind == "proposed" else 1
+    ended, diverged, start = built[0][j], built[1][j], fresh[j]
+    assert diverged._s == ended._s != start._s
+    for name in ("theta_hat", "omega_hat", "yv1", "yv2", "low_confidence"):
+        assert getattr(diverged, name, None) == getattr(ended, name, None)
+
+
+@pytest.mark.parametrize("kind", ESTIMATOR_KINDS)
+@pytest.mark.parametrize("steps_per_period", [10 ** 17, 10 ** 30, 10 ** 300])
+def test_unallocatable_carrier_tables_are_a_config_error(kind,
+                                                         steps_per_period):
+    """N = epsilon/Ts per-phase entries that no host can hold (800 PB at
+    10**17; more than an index can count beyond) fail at once as
+    "scenario too large", for every estimator kind; the huge decimation
+    keeps the trace small, so the tables are what fails.  A size a host
+    could start to allocate is not tried."""
+    cfg = _cfg(estimator=kind, sensor_mode=kind == "none",
+               steps_per_period=steps_per_period, decimation=10 ** 40)
+    with pytest.raises(ValueError, match="scenario too large: duration = "
+                       rf"0.2 s is \d+ steps of {steps_per_period} per "):
+        run(cfg)
 
 
 @pytest.mark.parametrize("mode", ["closed_loop", "driven"])
