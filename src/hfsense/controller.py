@@ -38,6 +38,12 @@ class ControllerConfig:
     meas_lpf_cutoff: float = 100.0  # [rad/s]
 
     def __post_init__(self):
+        for key in ("speed_kp", "speed_ki", "current_kp", "current_ki",
+                    "omega_ref", "i_d_ref", "i_q_limit", "v_limit",
+                    "meas_lpf_cutoff"):
+            if not math.isfinite(getattr(self, key)):
+                raise ValueError(f"{key} must be finite "
+                                 f"(got {getattr(self, key):g})")
         for g in (self.speed_kp, self.speed_ki, self.current_kp, self.current_ki):
             if g < 0.0:
                 raise ValueError("gains must be non-negative")

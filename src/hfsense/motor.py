@@ -1,24 +1,29 @@
-"""Continuous-time IPMSM dynamics in the stationary (alpha-beta) frame.
+"""Continuous-time IPMSM dynamics, with the state in the stationary
+(alpha-beta) frame.
 
-The machine is salient (L_d != L_q), so the inductance matrix depends on the
-electrical rotor angle.  All functions here are pure.  The plant is stepped
-by RK4 in one of two forms.  `rk4_step` is the closed-loop step: the stator
-equation and the mechanics, its four stages written inline on plain floats
-because the simulator calls it once per integration step.  Under a
-prescribed drive each stage is affine in the currents and in the held
-control voltage, so `driven_step_tables` composes the four stages on numpy
-arrays along the time axis, once per block of steps, into one affine map
-per step.  Their oracles live in tests/oracles.py: the stator equation as
-one function, which `rk4_step` matches bit for bit and the driven maps
-match within rounding when four calls of it are composed as RK4, and the
-matrix form of the inductance that function is checked against.
+The machine is salient (L_d != L_q), so in the stationary frame the
+inductance matrix depends on the electrical rotor angle.  All functions
+here are pure.  The plant is stepped by RK4 in one of two forms.
+`rk4_step` is the closed-loop step: the stator equation and the mechanics,
+its four stages written inline on plain floats because the simulator calls
+it once per integration step.  Each stage evaluates the stator equation in
+the rotor frame at the stage's angle, where the inductance is diagonal.
+Under a prescribed drive each stage is affine in the currents and in the
+held control voltage, so `driven_step_tables` composes the four stages on
+numpy arrays along the time axis, once per block of steps, into one affine
+map per step; it keeps the stationary-frame form with the adjugate inverse
+of L(theta).  Their oracles live in tests/oracles.py: the rotor-frame
+stator equation as one function, which `rk4_step` matches bit for bit and
+the driven maps match within rounding when four calls of it are composed
+as RK4, and the matrix form of the inductance that function is checked
+against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import cos, sin
+from math import cos, isfinite, sin
 
 import numpy as np
 
@@ -39,6 +44,10 @@ class MotorParams:
     f: float = 1e-3  # viscous friction, not part of the datasheet set
 
     def __post_init__(self):
+        for key in ("R_s", "L_d", "L_q", "Phi", "J", "f"):
+            if not isfinite(getattr(self, key)):
+                raise ValueError(f"{key} must be finite "
+                                 f"(got {getattr(self, key):g})")
         if self.n_p < 1:
             raise ValueError("n_p must be >= 1")
         if self.L_d <= 0.0 or self.L_q <= 0.0:
@@ -91,8 +100,8 @@ def rk4_constants(params: MotorParams, h: float) -> tuple:
     float by float is the interpreter's fast path.
     """
     n_p = float(params.n_p)
-    return (n_p, params.R_s, params.L0, params.L1, params.det_L, params.Phi,
-            params.J, params.f, n_p * params.Phi, h, 0.5 * h, h / 6.0)
+    return (n_p, params.R_s, params.L_d, params.L_q, params.Phi, params.J,
+            params.f, n_p * params.Phi, h, 0.5 * h, h / 6.0)
 
 
 def rk4_step(kc, ia, ib, th, om, va, va_mid, va_end, vb, TL):
@@ -102,32 +111,32 @@ def rk4_step(kc, ia, ib, th, om, va, va_mid, va_end, vb, TL):
     at t+h/2 (stages 2 and 3) and va_end at t+h; vb is held over the step.
     The mechanics are integrated under the load torque TL.
 
-    Each stage is the stator equation
-      di/dt = L(theta)^-1 [F(i, theta, omega) + v]   (adjugate inverse),
-      F = (2 n_p omega L1 Q(theta) J - R_s I) i + n_p omega Phi (sin, -cos),
-    with dtheta/dt = n_p*omega and
-      J domega/dt = n_p Phi (ib cos - ia sin) - f omega - TL.
+    Each stage evaluates the stator equation in the rotor frame at the
+    stage's angle, where the inductance is diag(L_d, L_q): with (c, s) =
+    (cos, sin) theta and w = n_p omega, the stage currents and voltages are
+    rotated to (d, q), each axis's derivative is one division,
+      L_d di_d/dt = v_d - R_s i_d + w L_q i_q,
+      L_q di_q/dt = v_q - R_s i_q - w (L_d i_d + Phi),
+    and the result is rotated back with the frame's own rotation added,
+    di/dt = R(theta) di_dq/dt + w J i.  dtheta/dt = w, and
+      J domega/dt = n_p Phi i_q - f omega - TL.
     It shares only subexpressions whose sharing is exact, so the step
     equals, bit for bit, four calls of the one-function stator equation in
     tests/oracles.py composed as RK4.
     """
-    n_p, R_s, L0, L1, det_L, Phi, J, f, npPhi, h, hh, h6 = kc
+    n_p, R_s, L_d, L_q, Phi, J, f, npPhi, h, hh, h6 = kc
 
     # stage 1 at t
     c = cos(th)
     s = sin(th)
-    c2 = c * c - s * s
-    s2 = 2.0 * s * c
-    lc2 = L1 * c2
-    ls2 = L1 * s2
     w1 = n_p * om
-    g = 2.0 * w1 * L1
-    e = w1 * Phi
-    u1 = g * (s2 * ia - c2 * ib) - R_s * ia + e * s + va
-    u2 = g * (-c2 * ia - s2 * ib) - R_s * ib - e * c + vb
-    a1 = ((L0 - lc2) * u1 - ls2 * u2) / det_L
-    b1 = (-ls2 * u1 + (L0 + lc2) * u2) / det_L
-    o1 = (npPhi * (ib * c - ia * s) - f * om - TL) / J
+    i_d = c * ia + s * ib
+    i_q = c * ib - s * ia
+    dd = (c * va + s * vb - R_s * i_d + w1 * L_q * i_q) / L_d
+    dq = (c * vb - s * va - R_s * i_q - w1 * (L_d * i_d + Phi)) / L_q
+    a1 = c * dd - s * dq - w1 * ib
+    b1 = s * dd + c * dq + w1 * ia
+    o1 = (npPhi * i_q - f * om - TL) / J
     thm = th + hh * w1
     omm = om + hh * o1
 
@@ -136,18 +145,14 @@ def rk4_step(kc, ia, ib, th, om, va, va_mid, va_end, vb, TL):
     jb = ib + hh * b1
     c = cos(thm)
     s = sin(thm)
-    c2 = c * c - s * s
-    s2 = 2.0 * s * c
-    lc2 = L1 * c2
-    ls2 = L1 * s2
     w2 = n_p * omm
-    g = 2.0 * w2 * L1
-    e = w2 * Phi
-    u1 = g * (s2 * ja - c2 * jb) - R_s * ja + e * s + va_mid
-    u2 = g * (-c2 * ja - s2 * jb) - R_s * jb - e * c + vb
-    a2 = ((L0 - lc2) * u1 - ls2 * u2) / det_L
-    b2 = (-ls2 * u1 + (L0 + lc2) * u2) / det_L
-    o2 = (npPhi * (jb * c - ja * s) - f * omm - TL) / J
+    i_d = c * ja + s * jb
+    i_q = c * jb - s * ja
+    dd = (c * va_mid + s * vb - R_s * i_d + w2 * L_q * i_q) / L_d
+    dq = (c * vb - s * va_mid - R_s * i_q - w2 * (L_d * i_d + Phi)) / L_q
+    a2 = c * dd - s * dq - w2 * jb
+    b2 = s * dd + c * dq + w2 * ja
+    o2 = (npPhi * i_q - f * omm - TL) / J
     thm = th + hh * w2
     omm = om + hh * o2
 
@@ -156,18 +161,14 @@ def rk4_step(kc, ia, ib, th, om, va, va_mid, va_end, vb, TL):
     jb = ib + hh * b2
     c = cos(thm)
     s = sin(thm)
-    c2 = c * c - s * s
-    s2 = 2.0 * s * c
-    lc2 = L1 * c2
-    ls2 = L1 * s2
     w3 = n_p * omm
-    g = 2.0 * w3 * L1
-    e = w3 * Phi
-    u1 = g * (s2 * ja - c2 * jb) - R_s * ja + e * s + va_mid
-    u2 = g * (-c2 * ja - s2 * jb) - R_s * jb - e * c + vb
-    a3 = ((L0 - lc2) * u1 - ls2 * u2) / det_L
-    b3 = (-ls2 * u1 + (L0 + lc2) * u2) / det_L
-    o3 = (npPhi * (jb * c - ja * s) - f * omm - TL) / J
+    i_d = c * ja + s * jb
+    i_q = c * jb - s * ja
+    dd = (c * va_mid + s * vb - R_s * i_d + w3 * L_q * i_q) / L_d
+    dq = (c * vb - s * va_mid - R_s * i_q - w3 * (L_d * i_d + Phi)) / L_q
+    a3 = c * dd - s * dq - w3 * jb
+    b3 = s * dd + c * dq + w3 * ja
+    o3 = (npPhi * i_q - f * omm - TL) / J
     the = th + h * w3
     ome = om + h * o3
 
@@ -176,83 +177,120 @@ def rk4_step(kc, ia, ib, th, om, va, va_mid, va_end, vb, TL):
     jb = ib + h * b3
     c = cos(the)
     s = sin(the)
-    c2 = c * c - s * s
-    s2 = 2.0 * s * c
-    lc2 = L1 * c2
-    ls2 = L1 * s2
     w4 = n_p * ome
-    g = 2.0 * w4 * L1
-    e = w4 * Phi
-    u1 = g * (s2 * ja - c2 * jb) - R_s * ja + e * s + va_end
-    u2 = g * (-c2 * ja - s2 * jb) - R_s * jb - e * c + vb
-    a4 = ((L0 - lc2) * u1 - ls2 * u2) / det_L
-    b4 = (-ls2 * u1 + (L0 + lc2) * u2) / det_L
+    i_d = c * ja + s * jb
+    i_q = c * jb - s * ja
+    dd = (c * va_end + s * vb - R_s * i_d + w4 * L_q * i_q) / L_d
+    dq = (c * vb - s * va_end - R_s * i_q - w4 * (L_d * i_d + Phi)) / L_q
+    a4 = c * dd - s * dq - w4 * jb
+    b4 = s * dd + c * dq + w4 * ja
+    o4 = (npPhi * i_q - f * ome - TL) / J
 
     ia += h6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
     ib += h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-    o4 = (npPhi * (jb * c - ja * s) - f * ome - TL) / J
     th += h6 * (w1 + 2.0 * w2 + 2.0 * w3 + w4)
     om += h6 * (o1 + 2.0 * o2 + 2.0 * o3 + o4)
     return ia, ib, th, om
 
 
-def driven_step_tables(kc, th_t, om_t, th_m, om_m, th_e, om_e, p_t, p_m, p_e):
+def driven_step_tables(params: MotorParams, h: float, th_t, om_t, th_m, om_m,
+                       th_e, om_e, p_t, p_m, p_e):
     """RK4 steps of the currents under a prescribed drive, as affine maps.
 
-    The arguments are arrays over a block of steps: the prescribed theta and
-    omega at t, t+h/2 and t+h, and the alpha probe voltage at the same
-    times; `kc` comes from `rk4_constants`.  With theta and omega given,
-    each RK4 stage of the stator equation is affine in the currents and in
-    the control voltage (vca, vcb) held over the step, so the whole step is
+    The arguments after the step h are arrays over a block of steps: the
+    prescribed theta and omega at t, t+h/2 and t+h, and the alpha probe
+    voltage at the same times.  With theta and omega given, each RK4 stage
+    of the stator equation is affine in the currents and in the control
+    voltage (vca, vcb) held over the step, so the whole step is
       ia+ = P[0]*ia + P[1]*ib + P[2]*vca + P[3]*vcb + P[4]
       ib+ = P[5]*ia + P[6]*ib + P[7]*vca + P[8]*vcb + P[9]
     with the probe and the back-EMF folded into the constant column.
-    Returns P, a (10, n) array whose column k is the map of step k.  It
-    composes the same four stages as `rk4_step`, so the maps agree with
-    the stage-by-stage step up to rounding, not bit for bit.
+    Returns P, a (10, n) array whose column k is the map of step k.  The
+    stages are composed in the stationary frame, with the adjugate inverse
+    of L(theta); `rk4_step` evaluates the same equation in the rotor frame,
+    so the maps agree with the stage-by-stage step up to rounding, not bit
+    for bit.  Every stage is written into one preallocated buffer.
     """
-    n_p, R_s, L0, L1, det_L, Phi = kc[:6]
-    h, hh, h6 = kc[9:]
+    n_p = float(params.n_p)
+    R_s, L0, L1, det_L, Phi = (params.R_s, params.L0, params.L1,
+                               params.det_L, params.Phi)
+    hh = 0.5 * h
+    h6 = h / 6.0
+    n = len(th_t)
+    # K[j] is stage j's derivative as a map of the columns (ia, ib, vca,
+    # vcb, 1); R holds a stage's own rows (M, L^-1, L^-1 emf), with the
+    # rate matrix M = L^-1 G in R[:, :2]; cM is a multiple of M
+    K = np.empty((4, 2, 5, n))
+    R = np.empty((2, 5, n))
+    cM = np.empty((2, 2, n))
+    c, s, c2, s2, w, g, e, x, y = np.empty((9, n))
+    t5 = np.empty((5, n))
 
-    def stage(th, om, p):
-        # the stator equation di/dt = L^-1 (G i + v + emf) at one grid: the
-        # rate matrix M = L^-1 G, and the derivative as a map of the columns
-        # (ia, ib, vca, vcb, 1) at i = (ia, ib): rows (M, L^-1, L^-1 emf),
-        # with the probe p in emf's alpha entry
-        c = np.cos(th)
-        s = np.sin(th)
-        c2 = c * c - s * s
-        s2 = 2.0 * s * c
-        w = n_p * om
-        g = 2.0 * w * L1
-        e = w * Phi
-        n11 = (L0 - L1 * c2) / det_L
-        n12 = -L1 * s2 / det_L
-        n22 = (L0 + L1 * c2) / det_L
-        ga = g * s2 - R_s
-        gb = -g * c2
-        gd = -g * s2 - R_s
-        m = (n11 * ga + n12 * gb, n11 * gb + n12 * gd,
-             n12 * ga + n22 * gb, n12 * gb + n22 * gd)
-        u1 = e * s + p
-        u2 = -e * c
-        rows = np.array([(m[0], m[1], n11, n12, n11 * u1 + n12 * u2),
-                         (m[2], m[3], n12, n22, n12 * u1 + n22 * u2)])
-        return m, rows
+    def stage(th, om, p, rows):
+        # the stator equation di/dt = L^-1 (G i + v + emf) at one grid, with
+        # the probe p in emf's alpha entry, written into rows
+        n11, n12 = rows[0, 2:4]
+        n21, n22 = rows[1, 2:4]
+        np.cos(th, out=c)
+        np.sin(th, out=s)
+        np.multiply(c, c, out=c2)
+        np.subtract(c2, np.multiply(s, s, out=x), out=c2)
+        np.multiply(np.multiply(2.0, s, out=s2), c, out=s2)
+        np.multiply(n_p, om, out=w)
+        np.multiply(np.multiply(2.0, w, out=g), L1, out=g)
+        np.multiply(w, Phi, out=e)
+        np.divide(np.subtract(L0, np.multiply(L1, c2, out=n11), out=n11),
+                  det_L, out=n11)
+        np.divide(np.multiply(-L1, s2, out=n12), det_L, out=n12)
+        n21[:] = n12  # L^-1 is symmetric
+        np.divide(np.add(L0, np.multiply(L1, c2, out=n22), out=n22), det_L,
+                  out=n22)
+        # G = [[ga, gb], [gb, gd]]: ga = g*s2 - R_s, gb = -g*c2,
+        # gd = -g*s2 - R_s; M = L^-1 G
+        ga = np.subtract(np.multiply(g, s2, out=x), R_s, out=x)
+        gb = np.multiply(np.negative(g, out=y), c2, out=y)
+        np.add(np.multiply(n11, ga, out=rows[0, 0]),
+               np.multiply(n12, gb, out=t5[0]), out=rows[0, 0])
+        np.add(np.multiply(n12, ga, out=rows[1, 0]),
+               np.multiply(n22, gb, out=t5[0]), out=rows[1, 0])
+        gd = np.subtract(np.multiply(np.negative(g, out=g), s2, out=x), R_s,
+                         out=x)
+        np.add(np.multiply(n11, gb, out=rows[0, 1]),
+               np.multiply(n12, gd, out=t5[0]), out=rows[0, 1])
+        np.add(np.multiply(n12, gb, out=rows[1, 1]),
+               np.multiply(n22, gd, out=t5[0]), out=rows[1, 1])
+        # L^-1 emf: u1 = e*s + p, u2 = -e*c
+        u1 = np.add(np.multiply(e, s, out=x), p, out=x)
+        u2 = np.multiply(np.negative(e, out=e), c, out=y)
+        np.add(np.multiply(n11, u1, out=rows[0, 4]),
+               np.multiply(n12, u2, out=t5[0]), out=rows[0, 4])
+        np.add(np.multiply(n12, u1, out=rows[1, 4]),
+               np.multiply(n22, u2, out=t5[0]), out=rows[1, 4])
 
-    def rates(m, rows, c, k):
+    def rates(rows, k, out):
         # derivative at the stage point i + c*k, k the previous stage's
-        # derivative: rows + c*M k
+        # derivative and cM = c*M: rows + c*M k
         ka, kb = k
-        return np.array([rows[0] + (c * m[0]) * ka + (c * m[1]) * kb,
-                         rows[1] + (c * m[2]) * ka + (c * m[3]) * kb])
+        for r in (0, 1):
+            np.add(rows[r], np.multiply(cM[r, 0], ka, out=out[r]),
+                   out=out[r])
+            np.add(out[r], np.multiply(cM[r, 1], kb, out=t5), out=out[r])
 
-    _, k1 = stage(th_t, om_t, p_t)
-    mid = stage(th_m, om_m, p_m)
-    k2 = rates(*mid, hh, k1)
-    k3 = rates(*mid, hh, k2)
-    k4 = rates(*stage(th_e, om_e, p_e), h, k3)
-    P = h6 * (k1 + 2.0 * (k2 + k3) + k4)
-    P[0, 0] += 1.0
-    P[1, 1] += 1.0
-    return P.reshape(10, -1)
+    k1, k2, k3, k4 = K
+    stage(th_t, om_t, p_t, k1)
+    stage(th_m, om_m, p_m, R)
+    np.multiply(hh, R[:, :2], out=cM)
+    rates(R, k1, k2)
+    rates(R, k2, k3)
+    stage(th_e, om_e, p_e, R)
+    np.multiply(h, R[:, :2], out=cM)
+    rates(R, k3, k4)
+    # P = h6*(k1 + 2.0*(k2 + k3) + k4), plus the identity
+    np.add(k2, k3, out=k2)
+    np.multiply(2.0, k2, out=k2)
+    np.add(k1, k2, out=k1)
+    np.add(k1, k4, out=k1)
+    np.multiply(h6, k1, out=k1)
+    k1[0, 0] += 1.0
+    k1[1, 1] += 1.0
+    return k1.reshape(10, -1)

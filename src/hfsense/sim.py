@@ -93,6 +93,10 @@ class DriveProfile:
     def __post_init__(self):
         if self.kind not in ("constant", "reversal"):
             raise ValueError(f"unknown drive profile {self.kind!r}")
+        for key in ("omega", "omega_end", "t_ramp_start", "t_ramp_end"):
+            if not math.isfinite(getattr(self, key)):
+                raise ValueError(f"{key} must be finite "
+                                 f"(got {getattr(self, key):g})")
         if self.kind == "constant":
             for key in ("omega_end", "t_ramp_start", "t_ramp_end"):
                 if getattr(self, key) != 0.0:
@@ -343,7 +347,7 @@ def _noise(cfg: ScenarioConfig, n: int):
 _BLOCK = 1024
 
 
-def _drive_block(cfg: ScenarioConfig, kc, v_probe, v_probe_mid, k0: int,
+def _drive_block(cfg: ScenarioConfig, v_probe, v_probe_mid, k0: int,
                  k1: int):
     """Driven steps k0 <= k < k1 as twelve memoryviews: the prescribed angle
     and speed at t = k*Ts, then the ten coefficients of each step's map.
@@ -361,8 +365,8 @@ def _drive_block(cfg: ScenarioConfig, kc, v_probe, v_probe_mid, k0: int,
                  cfg.drive.omega_at(tg))
     vp = np.array(v_probe)
     j = np.arange(k0, k1) % len(vp)
-    maps = driven_step_tables(kc, *mech, vp[j], np.array(v_probe_mid)[j],
-                              vp[(j + 1) % len(vp)])
+    maps = driven_step_tables(cfg.motor, Ts, *mech, vp[j],
+                              np.array(v_probe_mid)[j], vp[(j + 1) % len(vp)])
     return [memoryview(x) for x in (*mech[:2], *maps)]
 
 
@@ -457,7 +461,7 @@ def run(cfg: ScenarioConfig, columns=None) -> Trace:
             k1 = min(k0 + _BLOCK, n_steps + 1)
             if driven:
                 (th_t, om_t, p0, p1, p2, p3, p4, p5, p6, p7, p8,
-                 p9) = _drive_block(cfg, kc, v_probe, v_probe_mid, k0, k1)
+                 p9) = _drive_block(cfg, v_probe, v_probe_mid, k0, k1)
             for k in range(k0, k1):
                 kb = k - k0
                 if driven:

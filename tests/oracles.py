@@ -1,11 +1,13 @@
 """Oracles of the fused plant and estimator steps, kept as tests only.
 
 `derivative_scalars` is the stator equation (with the mechanics) as one
-function on plain floats.  Four calls of it, composed as classical RK4,
-are the reference `hfsense.motor.rk4_step` must equal bit for bit, and
-the reference the driven step maps of `hfsense.motor.driven_step_tables`
-must meet within `driven_step_bound`, their rounding bound.  The matrix
-form (`saliency_matrix`, `inductance_matrix`) is the independent check of
+function on plain floats, evaluated in the rotor frame, where the
+inductance is diag(L_d, L_q).  Four calls of it, composed as classical
+RK4, are the reference `hfsense.motor.rk4_step` must equal bit for bit,
+and the reference the driven step maps of `hfsense.motor.driven_step_tables`
+(composed in the stationary frame) must meet within `driven_step_bound`,
+their rounding bound.  The matrix form in the stationary frame
+(`saliency_matrix`, `inductance_matrix`) is the independent check of
 `derivative_scalars` itself.
 
 `locus_angle` is the angle recovery from a point of the centred saliency
@@ -76,28 +78,30 @@ def inductance_matrix(params: MotorParams, theta: float) -> np.ndarray:
     return params.L0 * np.eye(2) + params.L1 * saliency_matrix(theta)
 
 
-def derivative_scalars(n_p, R_s, L0, L1, detL, Phi, J, f,
+def derivative_scalars(n_p, R_s, L_d, L_q, Phi, J, f,
                        ia, ib, th, om, va, vb, TL):
     """State derivative as plain floats: (dia, dib, dtheta, domega).
 
-    di/dt = L(theta)^-1 [F(i, theta, omega) + v] with the adjugate inverse;
-    dtheta/dt = n_p*omega; J*domega/dt = torque - f*omega - T_L.
+    The stator equation is evaluated in the rotor frame at theta, where the
+    inductance is diag(L_d, L_q): the currents and voltages are rotated to
+    (d, q), L_d di_d/dt = v_d - R_s i_d + w L_q i_q and L_q di_q/dt = v_q -
+    R_s i_q - w (L_d i_d + Phi) with w = n_p*omega, and the result is
+    rotated back with the frame's rotation w J i added.  dtheta/dt = w;
+    J*domega/dt = n_p Phi i_q - f*omega - T_L.
     """
     c = math.cos(th)
     s = math.sin(th)
-    c2 = c * c - s * s
-    s2 = 2.0 * s * c
-    w2 = 2.0 * n_p * om * L1
-    # F = (2 n_p w L1 Q(theta) J - R_s I) i + n_p w Phi (sin, -cos)
-    F1 = w2 * (s2 * ia - c2 * ib) - R_s * ia + n_p * om * Phi * s
-    F2 = w2 * (-c2 * ia - s2 * ib) - R_s * ib - n_p * om * Phi * c
-    u1 = F1 + va
-    u2 = F2 + vb
-    dia = ((L0 - L1 * c2) * u1 - L1 * s2 * u2) / detL
-    dib = (-L1 * s2 * u1 + (L0 + L1 * c2) * u2) / detL
-    dth = n_p * om
-    dom = (n_p * Phi * (ib * c - ia * s) - f * om - TL) / J
-    return dia, dib, dth, dom
+    w = n_p * om
+    i_d = c * ia + s * ib
+    i_q = c * ib - s * ia
+    v_d = c * va + s * vb
+    v_q = c * vb - s * va
+    dd = (v_d - R_s * i_d + w * L_q * i_q) / L_d
+    dq = (v_q - R_s * i_q - w * (L_d * i_d + Phi)) / L_q
+    dia = c * dd - s * dq - w * ib
+    dib = s * dd + c * dq + w * ia
+    dom = (n_p * Phi * i_q - f * om - TL) / J
+    return dia, dib, w, dom
 
 
 def rk4_reference(params: MotorParams, h, ia, ib, th, om, va, va_mid, va_end,
@@ -111,7 +115,7 @@ def rk4_reference(params: MotorParams, h, ia, ib, th, om, va, va_mid, va_end,
     the reference of the maps from `hfsense.motor.driven_step_tables`.
     """
     m = params
-    consts = (m.n_p, m.R_s, m.L0, m.L1, m.det_L, m.Phi, m.J, m.f)
+    consts = (m.n_p, m.R_s, m.L_d, m.L_q, m.Phi, m.J, m.f)
     hh = 0.5 * h   # 0.5 * h * x evaluates as (0.5 * h) * x
     h6 = h / 6.0
     driven = drive is not None

@@ -55,6 +55,17 @@ def test_controller_config_validation():
         ControllerConfig(speed_kp=-1.0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("key", ["speed_kp", "speed_ki", "current_kp",
+                                 "current_ki", "omega_ref", "i_d_ref",
+                                 "i_q_limit", "v_limit", "meas_lpf_cutoff"])
+def test_controller_config_rejects_non_finite(key, value):
+    """A NaN or infinite gain, reference or limit is rejected when the
+    config is built, naming the field."""
+    with pytest.raises(ValueError, match=f"{key} must be finite"):
+        ControllerConfig(**{key: value})
+
+
 def _controller(**kw):
     return SensorlessController(SIM_MOTOR, ControllerConfig(**kw), Ts=2e-5)
 

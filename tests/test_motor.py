@@ -47,14 +47,15 @@ def test_inductance_eigenvalues_are_axis_inductances(theta):
 
 
 def _deriv(m, ia, ib, th, om, va, vb, TL):
-    return derivative_scalars(m.n_p, m.R_s, m.L0, m.L1, m.det_L, m.Phi, m.J,
-                              m.f, ia, ib, th, om, va, vb, TL)
+    return derivative_scalars(m.n_p, m.R_s, m.L_d, m.L_q, m.Phi, m.J, m.f,
+                              ia, ib, th, om, va, vb, TL)
 
 
 @given(theta=angles, va=st.floats(-100.0, 100.0), vb=st.floats(-100.0, 100.0))
 def test_inverse_inductance(theta, va, vb):
     """At zero current and speed the stator equation is di/dt = L^-1 v, so
-    its adjugate inverse must match a numerical inverse of L(theta)."""
+    its rotor-frame inverse R diag(1/L_d, 1/L_q) R^T must match a numerical
+    inverse of L(theta)."""
     got = _deriv(BENCH_MOTOR, 0.0, 0.0, theta, 0.0, va, vb, 0.0)[:2]
     expect = np.linalg.inv(inductance_matrix(BENCH_MOTOR, theta)) @ [va, vb]
     scale = max(abs(va), abs(vb), 1.0) / BENCH_MOTOR.L_d
@@ -78,28 +79,6 @@ def test_virtual_output_is_inverse_inductance_column(theta):
     assert np.allclose(y, expect, atol=1e-12)
 
 
-def test_derivative_against_matrix_form():
-    """Scalar hot-loop derivative vs an independent matrix evaluation."""
-    m = SIM_MOTOR
-    ia, ib, th, om = 1.0, 0.0, math.pi / 6.0, 2.0
-    va, vb, TL = 3.0, -1.0, 0.2
-    i = np.array([ia, ib])
-    J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
-    # d/dt(L(theta) i + Phi (cos, sin)) = v - R i
-    dL = 2.0 * m.n_p * om * m.L1 * (J2 @ saliency_matrix(th))
-    emf = m.n_p * om * m.Phi * np.array([-math.sin(th), math.cos(th)])
-    di = np.linalg.solve(inductance_matrix(m, th),
-                         np.array([va, vb]) - m.R_s * i - dL @ i - emf)
-    torque = m.n_p * m.Phi * (ib * math.cos(th) - ia * math.sin(th))
-    dom = (torque - m.f * om - TL) / m.J
-    got = derivative_scalars(m.n_p, m.R_s, m.L0, m.L1, m.det_L, m.Phi, m.J,
-                             m.f, ia, ib, th, om, va, vb, TL)
-    assert got[0] == pytest.approx(di[0], rel=1e-12)
-    assert got[1] == pytest.approx(di[1], rel=1e-12)
-    assert got[2] == pytest.approx(m.n_p * om)
-    assert got[3] == pytest.approx(dom, rel=1e-12)
-
-
 # a machine with L_d > L_q: L1 > 0 flips the sign of every saliency term
 SALIENT_DQ = replace(SIM_MOTOR, L_d=SIM_MOTOR.L_q, L_q=SIM_MOTOR.L_d)
 
@@ -116,6 +95,50 @@ def _random_step_args(rng):
 
 _MOTORS = [SIM_MOTOR, BENCH_MOTOR, SALIENT_DQ]
 _MOTOR_IDS = ["sim", "bench", "ld_gt_lq"]
+
+
+def _matrix_form(m, ia, ib, th, om, va, vb, TL):
+    """di/dt and domega/dt from d/dt(L(theta) i + Phi (cos, sin)) = v - R i,
+    solved with the inductance matrix in the stationary frame."""
+    i = np.array([ia, ib])
+    J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
+    dL = 2.0 * m.n_p * om * m.L1 * (J2 @ saliency_matrix(th))
+    emf = m.n_p * om * m.Phi * np.array([-math.sin(th), math.cos(th)])
+    di = np.linalg.solve(inductance_matrix(m, th),
+                         np.array([va, vb]) - m.R_s * i - dL @ i - emf)
+    torque = m.n_p * m.Phi * (ib * math.cos(th) - ia * math.sin(th))
+    return di, (torque - m.f * om - TL) / m.J
+
+
+def test_derivative_against_matrix_form():
+    """Scalar rotor-frame derivative vs an independent matrix evaluation in
+    the stationary frame: at one point, then on the seeded states of the
+    RK4 test on every motor, within 1e-12 of the magnitude of the terms
+    each side sums (as in `test_inverse_inductance`)."""
+    m = SIM_MOTOR
+    ia, ib, th, om = 1.0, 0.0, math.pi / 6.0, 2.0
+    va, vb, TL = 3.0, -1.0, 0.2
+    di, dom = _matrix_form(m, ia, ib, th, om, va, vb, TL)
+    got = _deriv(m, ia, ib, th, om, va, vb, TL)
+    assert got[0] == pytest.approx(di[0], rel=1e-12)
+    assert got[1] == pytest.approx(di[1], rel=1e-12)
+    assert got[2] == pytest.approx(m.n_p * om)
+    assert got[3] == pytest.approx(dom, rel=1e-12)
+    for m in _MOTORS:
+        rng = random.Random(20260 + 2 * m.n_p)
+        L_min, L_max = sorted((m.L_d, m.L_q))
+        for _ in range(500):
+            ia, ib, th, om, va, _, _, vb, TL = _random_step_args(rng)
+            di, dom = _matrix_form(m, ia, ib, th, om, va, vb, TL)
+            got = _deriv(m, ia, ib, th, om, va, vb, TL)
+            i, w = max(abs(ia), abs(ib)), abs(m.n_p * om)
+            scale = (max(abs(va), abs(vb)) + m.R_s * i
+                     + w * (L_max * i + m.Phi)) / L_min + w * i
+            assert np.allclose(got[:2], di, rtol=0.0, atol=1e-12 * scale), \
+                (ia, ib, th, om, va, vb)
+            assert got[2] == m.n_p * om
+            scale = (m.n_p * m.Phi * i + m.f * abs(om) + abs(TL)) / m.J
+            assert abs(got[3] - dom) <= 1e-12 * scale, (ia, ib, th, om, TL)
 
 
 # the ids name the mode: this step integrates the mechanics
@@ -166,7 +189,6 @@ def test_driven_step_tables_match_derivative_oracle(motor):
     state."""
     rng = random.Random(20260 + 2 * motor.n_p + 1)
     for h in (2e-5, 1e-4, 1.3e-3):
-        kc = rk4_constants(motor, h)
         cases = []
         for _ in range(1500):
             ia, ib, th, om, p_t, p_m, p_e, vcb, _ = _random_step_args(rng)
@@ -175,7 +197,7 @@ def test_driven_step_tables_match_derivative_oracle(motor):
                      rng.uniform(-200.0, 200.0), om * rng.uniform(0.5, 2.0))
             cases.append((ia, ib, vca, vcb, th, om, *drive, p_t, p_m, p_e))
         cols = np.array(cases).T
-        P = driven_step_tables(kc, *cols[4:])
+        P = driven_step_tables(motor, h, *cols[4:])
         assert P.shape == (10, len(cases))
         for k, (ia, ib, vca, vcb, th, om, thm, omm, the, ome, p_t, p_m,
                 p_e) in enumerate(cases):
@@ -193,7 +215,7 @@ def test_driven_step_tables_match_derivative_oracle(motor):
     grids = (t, t + 0.5 * h, t + h)
     probe = [30.0 * np.sin(6283.185307179586 * x) for x in grids]
     mech = [a for x in grids for a in (1.0 + 9.0 * x, np.full(n, 1.5))]
-    P = driven_step_tables(rk4_constants(motor, h), *mech, *probe)
+    P = driven_step_tables(motor, h, *mech, *probe)
     i = (0.3, -0.2)
     for k in range(n):
         vca, vcb = 4.0 * math.cos(5.0 * t[k]), 5.0 * math.cos(3.0 * t[k])
@@ -223,6 +245,14 @@ def test_parameter_validation():
     with pytest.raises(ValueError):
         MotorParams(n_p=3, R_s=0.1, L_d=1e-3, L_q=2e-3, Phi=0.1, J=0.0)
 
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("key", ["R_s", "L_d", "L_q", "Phi", "J", "f"])
+def test_parameters_reject_non_finite(key, value):
+    """A NaN or infinite constant is rejected when the machine is built,
+    naming the field."""
+    with pytest.raises(ValueError, match=f"{key} must be finite"):
+        replace(SIM_MOTOR, **{key: value})
 
 
 def test_theta_wrapped():

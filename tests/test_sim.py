@@ -282,6 +282,18 @@ def test_drive_validation():
         DriveProfile("constant", omega=0.5, **{key: 0.0})
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("key", ["omega", "omega_end", "t_ramp_start",
+                                 "t_ramp_end"])
+def test_drive_profile_rejects_non_finite(key, value):
+    """A NaN or infinite speed or ramp time is rejected when the profile is
+    built, naming the field, for either kind."""
+    ramp = dict(omega=2.0, omega_end=-2.0, t_ramp_start=1.0, t_ramp_end=2.0)
+    for kind, kw in (("reversal", ramp), ("constant", {"omega": 0.5})):
+        with pytest.raises(ValueError, match=f"{key} must be finite"):
+            DriveProfile(kind, **{**kw, key: value})
+
+
 # unequal end speeds, so the angle after the ramp has three nonzero terms
 _RAMP = DriveProfile("reversal", omega=2.0944, omega_end=-1.7,
                      t_ramp_start=4.0, t_ramp_end=5.0)
@@ -328,9 +340,9 @@ def _ramp_across_block_edge_run(monkeypatch):
     handed = []
     build = sim.driven_step_tables
 
-    def recording(kc, *tables):
+    def recording(motor, h, *tables):
         handed.append(tables)
-        return build(kc, *tables)
+        return build(motor, h, *tables)
 
     monkeypatch.setattr(sim, "driven_step_tables", recording)
     return d, cfg, run(cfg), handed
