@@ -1,16 +1,17 @@
 """Reusable experiment procedures behind the CLI verbs.
 
 Each function takes a ScenarioConfig (plus experiment knobs) and returns a
-plain dict of measured quantities, so the CLI, the test suite and interactive
-use all share one code path.  The estimator replays (`equivalence_deviation`,
-`calibrate`) advance each estimator over whole blocks of samples per call,
-not one sample per call.
+plain dict of measured quantities.  `sweep` runs many configs and measures
+every estimator a run carries, so a driven estimator="both" point serves
+both pipelines.  The estimator replays (`equivalence_deviation`,
+`calibrate`) advance each estimator over whole blocks of samples per call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
@@ -91,79 +92,78 @@ def compare_rmsd(cfg: ScenarioConfig, t1: float = 5.0, t2: float = 10.0) -> dict
     """Run both estimators on one closed-loop trace and report their RMSDs."""
     check_window(cfg, t1, t2)
     cfg = replace(cfg, estimator="both")
-    trace = run(cfg)
-    out = {"t1": t1, "t2": t2}
-    if not cfg.injection_enabled:
-        # no probe, no saliency signal: nothing to claim
-        out["low_confidence"] = True
-        out["proposed"] = out["conventional"] = None
-        return out
-    out["low_confidence"] = bool(
-        np.any(trace.prop_valid[trace.t >= t1] == 0.0))
-    out["proposed"] = steady_angle_error(trace, "prop", t1, t2)
-    out["conventional"] = steady_angle_error(trace, "conv", t1, t2)
+    out = {"t1": t1, "t2": t2, "low_confidence": True,
+           "proposed": None, "conventional": None}
+    if cfg.injection_enabled:  # no probe, no saliency signal: no run, no claim
+        trace = run(cfg)
+        out.update(low_confidence=not np.all(trace.prop_valid[trace.t >= t1]),
+                   proposed=steady_angle_error(trace, "prop", t1, t2),
+                   conventional=steady_angle_error(trace, "conv", t1, t2))
     return out
 
 
-def _config_for_frequency(cfg: ScenarioConfig, f_hz: float,
-                          gamma_scale: float | None) -> ScenarioConfig:
-    eps = 1.0 / f_hz
-    inj = replace(cfg.injection, epsilon=eps)
-    kw = {"injection": inj}
-    if gamma_scale is not None:
-        kw["gamma_alpha"] = gamma_scale / eps
-        kw["gamma_beta"] = gamma_scale / eps
-    return replace(cfg, **kw)
-
-
-def _sweep_point(args):
-    cfg, f_hz, gamma_scale, prefix, t1, t2, metric = args
-    trace = run(_config_for_frequency(cfg, f_hz, gamma_scale))
+def _measure(cfg: ScenarioConfig, metric: str, t1: float, t2: float) -> dict:
+    trace = run(cfg)
     fn = steady_angle_ripple if metric == "ripple" else steady_angle_error
-    return fn(trace, prefix, t1, t2)
+    return {p: fn(trace, p, t1, t2) for p, kind in
+            (("prop", "proposed"), ("conv", "conventional"))
+            if cfg.estimator in (kind, "both")}
+
+
+def sweep(configs: list[ScenarioConfig], metric: str, t1: float, t2: float,
+          workers: int = 1) -> list[dict]:
+    """Per config, one run and the steady error ("rms") or ripple ("ripple")
+    over [t1, t2] of each estimator it carries, keyed "prop" and "conv";
+    every point is checked before any runs.
+    """
+    if metric not in ("rms", "ripple"):
+        raise ValueError(f"unknown sweep metric {metric!r}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    for cfg in configs:
+        check_window(cfg, t1, t2)
+        if cfg.estimator == "none":
+            raise ValueError("a sweep point runs no estimator to measure")
+    measure = partial(_measure, metric=metric, t1=t1, t2=t2)
+    # one process per point at most: the pool forks all its workers at start
+    workers = min(workers, len(configs))
+    if workers <= 1:
+        return [measure(cfg) for cfg in configs]
+    # imported here, so importing this module loads no multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(max_workers=workers) as ex:
+        return list(ex.map(measure, configs))
+
+
+def order_fit(epsilons, errors) -> float:
+    """Fitted exponent of error ~ epsilon^slope, on log-log axes."""
+    for x, e in zip(epsilons, errors):
+        if not e > 0.0:
+            raise ValueError(f"steady error {e} at epsilon {x:g} has no logarithm")
+    return float(np.polyfit(np.log(epsilons), np.log(errors), 1)[0])
 
 
 def frequency_sweep(cfg: ScenarioConfig, freqs_hz, t1: float, t2: float,
                     gamma_scale: float | None = None,
                     workers: int = 1, metric: str = "rms") -> dict:
-    """Steady angle error vs probe frequency, with the log-log order fit.
+    """Steady angle error vs probe frequency f, with the log-log order fit.
 
-    The error of each run is measured against epsilon = 1/f; the returned
-    slope is the fitted exponent of error ~ epsilon^slope.  When gamma_scale
-    is given the adaptation gain is scaled as gamma = gamma_scale/epsilon,
-    matching the gain condition of the accuracy analysis.
+    One `sweep` point per f, at epsilon = 1/f, measures the scenario's
+    estimator (the new pipeline for "both").  A gamma_scale sets
+    gamma = gamma_scale/epsilon, the gain condition of the accuracy analysis.
     """
-    if metric not in ("rms", "ripple"):
-        raise ValueError(f"unknown sweep metric {metric!r}")
-    if not all(0.0 < f < math.inf for f in freqs_hz):
-        raise ValueError("frequencies must be positive and finite")
-    if len(set(freqs_hz)) < 2:
-        raise ValueError("the order fit needs at least 2 distinct frequencies")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    check_window(cfg, t1, t2)
+    if len(set(freqs_hz)) < 2 or not all(0.0 < f < math.inf for f in freqs_hz):
+        raise ValueError("the order fit needs at least 2 distinct positive, "
+                         "finite frequencies")
+    eps = [1.0 / f for f in freqs_hz]
+    gains = [{} if gamma_scale is None else dict.fromkeys(
+        ("gamma_alpha", "gamma_beta"), gamma_scale / e) for e in eps]
+    configs = [replace(cfg, injection=replace(cfg.injection, epsilon=e), **g)
+               for e, g in zip(eps, gains)]
     prefix = "conv" if cfg.estimator == "conventional" else "prop"
-    jobs = [(cfg, f, gamma_scale, prefix, t1, t2, metric) for f in freqs_hz]
-    if workers > 1:
-        # imported here, so importing this module loads no multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        # one process per sweep point at most: the pool forks all of its
-        # workers when it starts
-        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as ex:
-            errors = list(ex.map(_sweep_point, jobs))
-    else:
-        errors = [_sweep_point(j) for j in jobs]
-    for f, e in zip(freqs_hz, errors):
-        if not e > 0.0:
-            raise ValueError(f"steady error {e} at {f} Hz has no logarithm")
-    eps = np.array([1.0 / f for f in freqs_hz])
-    slope = float(np.polyfit(np.log(eps), np.log(errors), 1)[0])
-    return {
-        "freqs_hz": list(freqs_hz),
-        "epsilons": eps.tolist(),
-        "errors": [float(e) for e in errors],
-        "slope": slope,
-    }
+    errors = [m[prefix] for m in sweep(configs, metric, t1, t2, workers)]
+    return {"freqs_hz": list(freqs_hz), "epsilons": eps, "errors": errors,
+            "slope": order_fit(eps, errors)}
 
 
 def residual_order(cfg: ScenarioConfig, t1: float, t2: float) -> dict:

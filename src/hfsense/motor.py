@@ -48,8 +48,8 @@ class MotorParams:
             if not isfinite(getattr(self, key)):
                 raise ValueError(f"{key} must be finite "
                                  f"(got {getattr(self, key):g})")
-        if self.n_p < 1:
-            raise ValueError("n_p must be >= 1")
+        if not (isinstance(self.n_p, int) and self.n_p >= 1):
+            raise ValueError(f"n_p must be an integer >= 1 (got {self.n_p!r})")
         if self.L_d <= 0.0 or self.L_q <= 0.0:
             raise ValueError("inductances must be positive")
         if self.L_d == self.L_q:

@@ -390,6 +390,20 @@ def test_sweep_window_below_two_samples_is_config_error(tmp_path, capsys):
                                        "samples\n")
 
 
+def test_sweep_without_estimator_is_config_error(tmp_path, capsys):
+    """A run of estimator kind none carries no angle: the sweep used to fit
+    the all-zero prop_theta_hat column, print a steady error and pass."""
+    p = tmp_path / "none.scenario"
+    p.write_text(DRIVEN + "\n[estimator]\nkind = none\n")
+    out = tmp_path / "o"
+    rc = main(["--config", str(p), "--out", str(out), "sweep-frequency",
+               "--t1", "1", "--t2", "2", "--frequencies", "500,1000"])
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err == ("config error: a sweep point runs no "
+                                       "estimator to measure\n")
+    assert not (out / "summary.json").exists()
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_non_finite_gamma_scale_is_config_error(value, driven_scenario,
                                                 tmp_path, capsys):

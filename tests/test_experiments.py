@@ -12,7 +12,6 @@ from hfsense import experiments
 from hfsense.config import load_scenario
 from hfsense.estimators import wrap_mod_pi
 from hfsense.experiments import (
-    _config_for_frequency,
     calibrate,
     compare_rmsd,
     equivalence_deviation,
@@ -21,6 +20,7 @@ from hfsense.experiments import (
     steady_angle_error,
     steady_angle_ripple,
     steady_lag_limits,
+    sweep,
 )
 from hfsense.motor import SIM_MOTOR
 from hfsense.signal_ops import InjectionConfig, lpf_frequency_response
@@ -43,6 +43,10 @@ def _cfg(**kw):
                 duration=0.2, decimation=5)
     base.update(kw)
     return ScenarioConfig(**base)
+
+
+def _no_run(cfg):
+    raise AssertionError("simulated where no run was due")
 
 
 def _synthetic_trace(bias=0.02, ripple=0.01):
@@ -89,7 +93,10 @@ def test_steady_lag_limits_rejects_broken_assumptions(kw):
         steady_lag_limits(_cfg(**kw))
 
 
-def test_compare_rmsd_no_injection():
+def test_compare_rmsd_no_injection(monkeypatch):
+    """Without the probe there is no saliency signal to claim an RMSD
+    from, so nothing is simulated."""
+    monkeypatch.setattr(experiments, "run", _no_run)
     res = compare_rmsd(_cfg(injection_enabled=False, sensor_mode=True),
                        0.1, 0.2)
     assert res["low_confidence"]
@@ -137,20 +144,39 @@ def test_residual_order_ignores_estimator_phase():
     assert residual_order(shifted, 0.1, 0.2) == residual_order(cfg, 0.1, 0.2)
 
 
-def test_config_for_frequency_scaling():
+def _fake_run(record):
+    """A stand-in for sim.run: records each config and returns a trace whose
+    new-pipeline angle trails by epsilon, so the steady error is epsilon."""
+    def fake(cfg):
+        record.append(cfg)
+        return _synthetic_trace(bias=cfg.injection.epsilon, ripple=0.0)
+    return fake
+
+
+def test_config_for_frequency_scaling(monkeypatch):
+    """Each frequency's point runs at epsilon = 1/f, with
+    gamma = gamma_scale/epsilon when a scale is given."""
     cfg = _cfg()
-    out = _config_for_frequency(cfg, 2000.0, gamma_scale=10.0)
-    assert out.injection.epsilon == pytest.approx(5e-4)
-    assert out.gamma_alpha == pytest.approx(2e4)
-    assert out.gamma_beta == pytest.approx(2e4)
+    ran = []
+    monkeypatch.setattr(experiments, "run", _fake_run(ran))
+    frequency_sweep(cfg, [2000.0, 1000.0], 0.1, 0.2, gamma_scale=10.0)
+    assert [c.injection.epsilon for c in ran] == pytest.approx([5e-4, 1e-3])
+    assert [c.gamma_alpha for c in ran] == pytest.approx([2e4, 1e4])
+    assert [c.gamma_beta for c in ran] == pytest.approx([2e4, 1e4])
     # without gamma_scale the gains are untouched
-    same = _config_for_frequency(cfg, 2000.0, gamma_scale=None)
-    assert same.gamma_alpha == cfg.gamma_alpha
+    ran.clear()
+    frequency_sweep(cfg, [2000.0, 1000.0], 0.1, 0.2)
+    assert [c.injection.epsilon for c in ran] == pytest.approx([5e-4, 1e-3])
+    assert all(c.gamma_alpha == cfg.gamma_alpha for c in ran)
+    assert all(c.gamma_beta == cfg.gamma_beta for c in ran)
 
 
-def test_frequency_sweep_rejects_bad_metric():
+def test_frequency_sweep_rejects_bad_metric(monkeypatch):
     with pytest.raises(ValueError):
         frequency_sweep(_cfg(), [500.0], 0.1, 0.2, metric="median")
+    monkeypatch.setattr(experiments, "run", _no_run)
+    with pytest.raises(ValueError, match="unknown sweep metric"):
+        frequency_sweep(_cfg(), [500.0, 1000.0], 0.1, 0.2, metric="median")
 
 
 def test_frequency_sweep_rejects_degenerate_fits(monkeypatch):
@@ -158,10 +184,12 @@ def test_frequency_sweep_rejects_degenerate_fits(monkeypatch):
         with pytest.raises(ValueError):
             frequency_sweep(_cfg(), freqs, 0.1, 0.2)
     # a zero steady error has no logarithm for the order fit
-    monkeypatch.setattr(experiments, "_sweep_point", lambda job: 0.0)
+    monkeypatch.setattr(experiments, "run",
+                        lambda cfg: _synthetic_trace(bias=0.0, ripple=0.0))
     with pytest.raises(ValueError, match="no logarithm"):
         frequency_sweep(_cfg(), [500.0, 1000.0], 0.1, 0.2)
     # a reversed window is rejected before any sweep point runs
+    monkeypatch.setattr(experiments, "run", _no_run)
     with pytest.raises(ValueError, match="window"):
         frequency_sweep(_cfg(), [500.0, 1000.0], 0.2, 0.1)
 
@@ -184,18 +212,52 @@ def test_frequency_sweep_caps_pool_at_sweep_points(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, jobs):
-            return map(fn, jobs)
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(experiments, "_sweep_point", lambda job: 1.0 / job[1])
+    ran = []
+    monkeypatch.setattr(experiments, "run", _fake_run(ran))
     res = frequency_sweep(_cfg(), [500.0, 1000.0], 0.1, 0.2, workers=10**6)
     assert requested == [2]
+    assert len(ran) == 2
     assert res["slope"] == pytest.approx(1.0)
+    # one point runs in this process: no pool for it
+    assert len(sweep([_cfg()], "rms", 0.1, 0.2, workers=4)) == 1
+    assert requested == [2]
+    monkeypatch.setattr(experiments, "run", _no_run)
     for workers in (0, -3):
         with pytest.raises(ValueError, match="workers"):
             frequency_sweep(_cfg(), [500.0, 1000.0], 0.1, 0.2, workers=workers)
+        with pytest.raises(ValueError, match="workers"):
+            sweep([_cfg()], "rms", 0.1, 0.2, workers=workers)
     assert requested == [2]
+
+
+def test_sweep_rejects_point_without_estimator(monkeypatch):
+    """A run of estimator kind none carries no angle to measure: the sweep
+    is rejected before any point runs, not fitted on a column of zeros."""
+    monkeypatch.setattr(experiments, "run", _no_run)
+    still = _cfg(mode="driven", drive=DriveProfile("constant", omega=0.5),
+                 estimator="none")
+    with pytest.raises(ValueError, match="no estimator"):
+        sweep([_cfg(), still], "rms", 0.1, 0.2)
+    with pytest.raises(ValueError, match="no estimator"):
+        frequency_sweep(still, [500.0, 1000.0], 0.1, 0.2)
+
+
+@pytest.mark.parametrize("metric", ["rms", "ripple"])
+def test_sweep_measures_every_estimator_a_run_carries(metric):
+    """Driven estimators do not feed back, so one estimator="both" point
+    gives each pipeline the value of its own single-estimator run."""
+    base = _cfg(mode="driven", drive=DriveProfile("constant", omega=0.5),
+                duration=0.3, theta0=0.3)
+    both, prop, conv = sweep([replace(base, estimator=k) for k in
+                              ("both", "proposed", "conventional")],
+                             metric, 0.15, 0.3)
+    assert set(prop) == {"prop"} and set(conv) == {"conv"}
+    assert both == {"prop": prop["prop"], "conv": conv["conv"]}
+    assert both["prop"] != both["conv"]
 
 
 def test_frequency_sweep_shape():

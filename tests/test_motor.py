@@ -236,8 +236,10 @@ def test_torque_sign_convention():
 
 
 def test_parameter_validation():
-    with pytest.raises(ValueError):
-        MotorParams(n_p=0, R_s=0.1, L_d=1e-3, L_q=2e-3, Phi=0.1, J=0.01)
+    # a pole-pair count is an integer >= 1
+    for n_p in (0, 2.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="n_p must be an integer >= 1"):
+            MotorParams(n_p=n_p, R_s=0.1, L_d=1e-3, L_q=2e-3, Phi=0.1, J=0.01)
     with pytest.raises(ValueError):
         MotorParams(n_p=3, R_s=0.1, L_d=2e-3, L_q=2e-3, Phi=0.1, J=0.01)
     with pytest.raises(ValueError):
