@@ -32,7 +32,14 @@ one `step` call per block; each estimator writes its own trace columns.
 The probe voltage is evaluated analytically at the RK4 substep times;
 holding it constant over a step would alias a fixed fraction of the ripple
 and mask the second-order averaging remainder.  Since Ts divides the probe
-period, those values are tabulated once per carrier phase k mod N.
+period, those values are tabulated once per carrier phase k mod N, which
+the loop counts instead of computing.
+
+A recorded step is six stores, one per state column (theta, omega, the
+currents and the voltages), each through a memoryview of its column
+array; a state column the trace leaves out is stored into one spare row.
+`t` and `theta_wrapped` are filled after the loop, from the step index
+and the stored theta, with the values of k*Ts and Python's theta % (2*pi).
 """
 
 from __future__ import annotations
@@ -61,6 +68,9 @@ from .signal_ops import probe_signal  # noqa: F401
 # estimator's columns stay 0
 _PLANT_COLUMNS = ["t", "theta", "theta_wrapped", "omega",
                   "i_alpha", "i_beta", "v_alpha", "v_beta"]
+# the plant columns the step loop stores; t and theta_wrapped are derived
+# from the step index and theta after it
+_STATE_COLUMNS = ("theta", "omega", "i_alpha", "i_beta", "v_alpha", "v_beta")
 _ESTIMATE_COLUMNS = ("theta_hat", "omega_hat", "yv1", "yv2", "valid")
 TRACE_COLUMNS = _PLANT_COLUMNS + [f"{prefix}_{c}" for prefix in ("prop", "conv")
                                   for c in _ESTIMATE_COLUMNS]
@@ -388,9 +398,12 @@ def run(cfg: ScenarioConfig, columns=None) -> Trace:
     diverges, which writes the estimator's state back.  Every other
     estimator only observes, and advances once per block over the block's
     measured currents, or not at all if none of its columns is recorded.
-    Each estimator writes its own trace columns.  A scenario whose
-    per-phase tables or per-step arrays cannot be allocated raises
-    ValueError ("scenario too large") before any step.
+    Each estimator writes its own trace columns.  A recorded step stores
+    the six state columns (theta, omega, i_alpha, i_beta, v_alpha, v_beta),
+    a column left out of the trace into a shared spare row; `t` and
+    `theta_wrapped` are derived from the step index and theta once the loop
+    ends.  A scenario whose per-phase tables or per-step arrays cannot be
+    allocated raises ValueError ("scenario too large") before any step.
     """
     cols = list(columns) if columns is not None else list(TRACE_COLUMNS)
     for c in cols:
@@ -410,6 +423,15 @@ def run(cfg: ScenarioConfig, columns=None) -> Trace:
         prop, conv = _build_estimators(cfg)
         noise = _noise(cfg, n_steps)
         rec = {c: np.zeros(n_rec) for c in cols}
+        # the state columns the loop stores: theta also when only
+        # theta_wrapped is recorded, and every column the trace leaves out
+        # into one shared spare row
+        state = [rec.get(c) for c in _STATE_COLUMNS]
+        if state[0] is None and "theta_wrapped" in rec:
+            state[0] = np.zeros(n_rec)
+        if any(a is None for a in state):
+            spare = np.zeros(n_rec)
+            state = [spare if a is None else a for a in state]
     except (MemoryError, OverflowError) as exc:
         raise ValueError(f"scenario too large: duration = {cfg.duration:g} s "
                          f"is {n_steps} steps of {cfg.steps_per_period} per "
@@ -444,6 +466,8 @@ def run(cfg: ScenarioConfig, columns=None) -> Trace:
 
     kc = rk4_constants(mp, Ts)
     n_car = len(v_probe)
+    # the probe at the end of the step from carrier phase j
+    v_probe_end = v_probe[1:] + v_probe[:1]
     lim = cfg.divergence_limit
 
     ia, ib = cfg.i_alpha0, cfg.i_beta0
@@ -452,9 +476,9 @@ def run(cfg: ScenarioConfig, columns=None) -> Trace:
     TL = cfg.load_torque  # closed loop only: driven mode prescribes th, om
 
     # memoryviews store each Python float without numpy's __setitem__
-    writes = [(memoryview(rec[c]), j) for j, c in enumerate(_PLANT_COLUMNS)
-              if c in rec]
+    r_th, r_om, r_ia, r_ib, r_va, r_vb = map(memoryview, state)
     ri = 0
+    j = 0  # carrier phase k mod n_car
 
     try:
         for k0 in range(0, n_steps + 1, _BLOCK):
@@ -483,12 +507,15 @@ def run(cfg: ScenarioConfig, columns=None) -> Trace:
                     # None while not warm yet: the controller holds
                     th_c, om_c = next(closing) or (None, None)
                 vca, vcb = ctrl.low_frequency_voltage(ia_m, ib_m, th_c, om_c)
-                va = vca + v_probe[k % n_car]
+                va = vca + v_probe[j]
 
                 if k % dec == 0:
-                    row = (k * Ts, th, th % TWO_PI, om, ia, ib, va, vcb)
-                    for arr, j in writes:
-                        arr[ri] = row[j]
+                    r_th[ri] = th
+                    r_om[ri] = om
+                    r_ia[ri] = ia
+                    r_ib[ri] = ib
+                    r_va[ri] = va
+                    r_vb[ri] = vcb
                     ri += 1
 
                 if k == n_steps:
@@ -503,9 +530,8 @@ def run(cfg: ScenarioConfig, columns=None) -> Trace:
                 else:
                     try:
                         ia, ib, th, om = rk4_step(
-                            kc, ia, ib, th, om, va,
-                            vca + v_probe_mid[k % n_car],
-                            vca + v_probe[(k + 1) % n_car], vcb, TL)
+                            kc, ia, ib, th, om, va, vca + v_probe_mid[j],
+                            vca + v_probe_end[j], vcb, TL)
                     except (ValueError, OverflowError) as exc:
                         # a non-finite state reached math.cos or overflowed
                         # a stage
@@ -517,6 +543,9 @@ def run(cfg: ScenarioConfig, columns=None) -> Trace:
                     raise SimulationDiverged(
                         f"state out of bounds at t={k * Ts + Ts:.6f}: "
                         f"i=({ia:.3g},{ib:.3g})")
+                j += 1
+                if j == n_car:
+                    j = 0
 
             n = k1 - k0
             for step, out in observers:
@@ -525,6 +554,10 @@ def run(cfg: ScenarioConfig, columns=None) -> Trace:
         # the closer writes its state back, also when the run diverges
         if closing is not None:
             closing.close()
+    if "t" in rec:
+        rec["t"][:] = np.arange(0, n_steps + 1, dec) * Ts
+    if "theta_wrapped" in rec:
+        np.remainder(state[0], TWO_PI, out=rec["theta_wrapped"])
     return Trace(rec, cols)
 
 
@@ -537,7 +570,9 @@ def averaging_residual(cfg: ScenarioConfig, t1: float, t2: float):
     estimator-side phase phi_p).  Returns (t, r) restricted to the window
     plus the max norm; r is O(epsilon^2) when the averaging identity holds.
     The window takes the samples that `estimators.window_mask` takes, as
-    `rmsd` does, and is checked on the k*Ts grid before either run.
+    `rmsd` does, and is checked on the k*Ts grid before either run.  The
+    probe-off run records no angle: the ripple model reads the probe-on
+    run's.
     """
     check_window(cfg, t1, t2)
     base = replace(cfg, estimator="none", decimation=1)
@@ -545,9 +580,10 @@ def averaging_residual(cfg: ScenarioConfig, t1: float, t2: float):
         raise ValueError("paired runs need sensor mode (identical control law)")
     # the trace's time column is k*Ts: the window is checked before any run
     m = window_mask(np.arange(base.n_steps + 1) * base.Ts, t1, t2)
-    cols = ["t", "theta", "i_alpha", "i_beta"]
-    tr_on = run(replace(base, injection_enabled=True), cols)
-    tr_off = run(replace(base, injection_enabled=False), cols)
+    tr_on = run(replace(base, injection_enabled=True),
+                ["t", "theta", "i_alpha", "i_beta"])
+    tr_off = run(replace(base, injection_enabled=False),
+                 ["t", "i_alpha", "i_beta"])
     t = tr_on.t
     if not np.array_equal(t, tr_off.t):
         raise ValueError("paired runs disagree on cadence")

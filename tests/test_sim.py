@@ -18,7 +18,7 @@ from hfsense.estimators import (
     rmsd,
 )
 from hfsense.motor import SIM_MOTOR
-from hfsense.signal_ops import InjectionConfig
+from hfsense.signal_ops import TWO_PI, InjectionConfig
 from hfsense.sim import (
     ESTIMATOR_KINDS,
     DriveProfile,
@@ -220,16 +220,54 @@ def test_observers_advance_once_per_block(monkeypatch):
     assert calls == []
 
 
-def test_column_subsets_record_the_same_values():
-    """A column subset, with some of an estimator's columns only or none,
-    records the values of the full trace."""
-    cfg = _cfg(estimator="both", duration=0.06, noise_std=1e-3, decimation=3)
+def _assert_column_subsets_match(cfg):
     full = run(cfg)
     for cols in (["conv_omega_hat", "t"], ["prop_valid", "i_beta", "conv_yv2"],
-                 [c for c in TRACE_COLUMNS if not c.startswith("conv_")]):
+                 [c for c in TRACE_COLUMNS if not c.startswith("conv_")],
+                 # theta_wrapped without theta
+                 ["theta_wrapped", "omega", "v_beta"],
+                 # five state columns stored into the spare row
+                 ["i_alpha", "conv_yv1"]):
         sub = run(cfg, cols)
         for c in cols:
             assert np.array_equal(sub.data[c], full.data[c]), (cols, c)
+
+
+def test_column_subsets_record_the_same_values():
+    """A column subset, with some of an estimator's columns only or none,
+    records the values of the full trace."""
+    _assert_column_subsets_match(_cfg(estimator="both", duration=0.06,
+                                      noise_std=1e-3, decimation=3))
+
+
+def test_driven_column_subsets_record_the_same_values():
+    """The same in driven mode, where the observers write every estimator
+    column."""
+    _assert_column_subsets_match(_cfg(
+        estimator="both", duration=0.06, noise_std=1e-3, decimation=3,
+        mode="driven", drive=DriveProfile("constant", omega=2.0)))
+
+
+@pytest.mark.parametrize("mode", ["closed_loop", "driven"])
+def test_time_and_wrapped_angle_are_derived_per_row(mode):
+    """t and theta_wrapped, filled after the step loop, equal row by row
+    k*Ts and Python's th % TWO_PI of the recorded theta, signed zeros
+    included.  The angle runs negative, the 3001 steps cross two block
+    boundaries and the decimation does not divide the block."""
+    kw = dict(estimator="both", duration=0.06, decimation=3, theta0=-0.05,
+              theta0_est=-0.05)
+    if mode == "driven":
+        kw.update(mode="driven", drive=DriveProfile("constant", omega=-2.0))
+    cfg = _cfg(**kw)
+    assert cfg.n_steps > 2 * sim._BLOCK
+    tr = run(cfg)
+    assert min(tr.theta) < 0.0
+    ks = range(0, cfg.n_steps + 1, cfg.decimation)
+    assert len(tr) == len(ks)
+    assert tr.t.tolist() == [k * cfg.Ts for k in ks]
+    want = [th % TWO_PI for th in tr.theta.tolist()]
+    assert [(w, math.copysign(1.0, w)) for w in tr.theta_wrapped.tolist()] \
+        == [(w, math.copysign(1.0, w)) for w in want]
 
 
 def test_run_rejects_unknown_column():
