@@ -27,10 +27,7 @@ from .motor import (
     virtual_output,
 )
 from .signal_ops import (
-    HighPass2,
     InjectionConfig,
-    LowPass1,
-    Regressor,
     bode_table,
     gd_frequency_response,
     hpf_frequency_response,
@@ -53,9 +50,8 @@ __all__ = [
     "BENCH_MOTOR", "SIM_MOTOR",
     "ConfigError", "ControllerConfig", "ConventionalEstimator",
     "DriveProfile", "BlockFormEstimator",
-    "HighPass2", "InjectionConfig", "LowPass1",
-    "MotorParams", "Pll",
-    "ProposedEstimator", "Regressor", "ScenarioConfig", "SensorlessController",
+    "InjectionConfig", "MotorParams", "Pll",
+    "ProposedEstimator", "ScenarioConfig", "SensorlessController",
     "SimulationDiverged", "Trace", "averaging_residual", "bode_table",
     "fit_compensation", "gd_frequency_response",
     "hpf_frequency_response", "load_scenario",

@@ -8,9 +8,10 @@ outputs the low-frequency voltage only; the simulator adds the probe.
 
 `SensorlessController.low_frequency_voltage` is a fused kernel on plain
 floats: one cos/sin pair for both rotations, the measurement low passes and
-PI loops inline.  `LowPass1` and, in tests/oracles.py, `frame_rotate` and
-`Pi` keep the reference arithmetic; they are the oracle the kernel is
-tested against bit for bit.
+PI loops inline.  The low passes take their coefficients from
+`signal_ops.lowpass_coefficients`.  `LowPass1`, `frame_rotate` and `Pi` in
+tests/oracles.py keep the reference arithmetic; they are the oracle the
+kernel is tested against bit for bit.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 from .motor import MotorParams
-from .signal_ops import LowPass1
+from .signal_ops import lowpass_coefficients
 
 
 @dataclass(frozen=True)
@@ -55,16 +56,16 @@ class ControllerConfig:
 class SensorlessController:
     """One control step per sample: rotate, filter, regulate, rotate back.
 
-    The step keeps the operation order of `LowPass1.step` and of
-    `frame_rotate` and `Pi.step` (tests/oracles.py), so its output is
-    bit-identical to their composition.
+    The step keeps the operation order of `LowPass1.step`, `frame_rotate`
+    and `Pi.step` (tests/oracles.py), so its output is bit-identical to
+    their composition.
     """
 
     def __init__(self, params: MotorParams, cfg: ControllerConfig, Ts: float):
-        lpf = LowPass1(cfg.meas_lpf_cutoff, Ts)  # coefficients only
+        a1, b = lowpass_coefficients(cfg.meas_lpf_cutoff, Ts)
         # constants of one step, unpacked at once in the kernel
         self._k = (Ts, cfg.omega_ref, cfg.i_d_ref, params.n_p, params.L0,
-                   params.Phi, lpf.a1, lpf.b,
+                   params.Phi, a1, b,
                    cfg.speed_kp, cfg.speed_ki, cfg.i_q_limit,
                    cfg.current_kp, cfg.current_ki, cfg.v_limit)
         # low-pass state (output, previous input) per axis; PI integrators

@@ -41,11 +41,14 @@ of the two sequences being sample k0 + j, without yielding; the estimators
 that only observe advance by it once per block.
 
 The kernels are fused: the delay/hold regressor, filters, centre and
-radius check, angle recovery and PLL run inline on float state, with the
-arithmetic and operation order of the standalone operators (`Regressor`,
-`HighPass2`, `LowPass1`, `Pll`, and `locus_angle` and
-`virtual_output_to_angle` in tests/oracles.py), which stay the oracles the
-kernels are tested against bit for bit.
+radius check, angle recovery and PLL run inline on float state.  Each
+constructor builds its kernel's constants and initial state itself: the
+filter coefficients from `signal_ops`, the regressor's ring lists from the
+carrier period N = epsilon/Ts (delay N samples, hold window 2N), the PLL's
+from a `Pll`.  The kernels keep the arithmetic and operation order of the
+standalone operators, `Pll` here and `Regressor`, `HighPass2`, `LowPass1`,
+`locus_angle` and `virtual_output_to_angle` in tests/oracles.py, which are
+the oracles the kernels are tested against bit for bit.
 """
 
 from __future__ import annotations
@@ -57,11 +60,10 @@ import numpy as np
 from .motor import MotorParams, virtual_output
 from .signal_ops import (
     TWO_PI,
-    HighPass2,
     InjectionConfig,
-    LowPass1,
-    Regressor,
     carrier_steps,
+    highpass_coefficients,
+    lowpass_coefficients,
     probe_signal,
 )
 
@@ -104,6 +106,11 @@ def window_mask(t, t1: float, t2: float) -> np.ndarray:
     return m
 
 
+# steps between exact rebuilds (math.fsum) of the regressor's running sums,
+# which bounds their floating-point drift on long runs
+_REBASE_EVERY = 1 << 16
+
+
 class ProposedEstimator:
     """Delay/hold regressor plus per-axis gradient flows (the new pipeline).
 
@@ -128,9 +135,10 @@ class ProposedEstimator:
             raise ValueError("gamma must be positive and finite")
         self.cfg = cfg
         self.Ts = Ts
-        # the kernel runs this regressor's step inline on its ring lists;
-        # building it keeps its misaligned-delay check the one check
-        reg = Regressor(cfg.epsilon, Ts)
+        # the regressor's delay is one probe period, N samples, and its
+        # hold window m = 2N
+        N = carrier_steps(cfg, Ts)
+        m = 2 * N
         # per phase j: (a, c) of the alpha flow, then (a, c) of the beta flow
         self._table = [(*ta, *tb) for ta, tb in
                        zip(self._phase_table(gamma_alpha),
@@ -145,17 +153,19 @@ class ProposedEstimator:
         self.low_confidence = True
         self.omega_hat = 0.0
         pll_k, pll_s = _pll_parts(pll_gains, params, Ts, theta0)
-        # constants of one step, unpacked at once in the kernel: the locus
-        # centre (L0/(Ld Lq), 0), the radius within which a point carries
-        # no angle, the phase table and the PLL's
-        self._k = (len(self._table), reg.n, reg._m, reg._REBASE_EVERY,
-                   *reg._u, *reg._inc, unit, *ell,
-                   params.L0 / params.det_L,
+        # constants of one step, unpacked at once in the kernel: the
+        # regressor's ring lists of the last m inputs and increments per
+        # axis (unwritten slots hold zeros: subtracting them changes no
+        # sum), the locus centre (L0/(Ld Lq), 0), the radius within which a
+        # point carries no angle, the phase table and the PLL's
+        self._k = (N, m, _REBASE_EVERY, [0.0] * m, [0.0] * m, [0.0] * m,
+                   [0.0] * m, unit, *ell, params.L0 / params.det_L,
                    0.1 * abs(params.L1) / params.det_L, params.L1,
                    self._table, *pll_k)
-        # regressor state, the demodulator state (x_alpha, x_beta), then
-        # the PLL's
-        self._s = (reg._i, reg._sa, reg._sb, reg._cold, reg._rebase_in,
+        # regressor state (ring index, running sums of the increments,
+        # samples until the first output, steps until the sums' rebuild),
+        # the demodulator state (x_alpha, x_beta), then the PLL's
+        self._s = (0, 0.0, 0.0, m + 1, _REBASE_EVERY,
                    unit * y10, unit * y20, *pll_s)
 
     @property
@@ -210,7 +220,7 @@ class ProposedEstimator:
         each sample k with k % dec == 0 at row k // dec.  The PLL, if any,
         steps on every valid sample.
         """
-        (N, n, m, rebase, ua, ub, inc_a, inc_b, unit, ell1, ell2, ell3,
+        (N, m, rebase, ua, ub, inc_a, inc_b, unit, ell1, ell2, ell3,
          centre, r_min, L1, table, pll, kp, ki, n_p, Ts) = self._k
         i, sa, sb, cold, rebase_in, xa, xb, eta1, eta2 = self._s
         theta, y1, y2 = self.theta_hat, self.yv1, self.yv2
@@ -231,17 +241,17 @@ class ProposedEstimator:
                     ub[0] = ib
                     i = 1
                 else:
-                    # delay minus hold: Regressor.step inline, in its
-                    # operation order
+                    # delay minus hold: the regressor oracle's step
+                    # inline, in its operation order
                     ja = 0.5 * (ua[i - 1] + ia)  # trapezoid, Ts factored out
                     jb = 0.5 * (ub[i - 1] + ib)
                     sa = sa - inc_a[i] + ja
                     sb = sb - inc_b[i] + jb
                     inc_a[i] = ja
                     inc_b[i] = jb
-                    # negative indices wrap: the input from d ago
-                    da = ua[i - n]
-                    db = ub[i - n]
+                    # negative indices wrap: the input from N samples ago
+                    da = ua[i - N]
+                    db = ub[i - N]
                     ua[i] = ia
                     ub[i] = ib
                     i += 1
@@ -297,9 +307,11 @@ class ProposedEstimator:
 class ConventionalEstimator:
     """LTI high-pass / demodulate / low-pass chain (the textbook pipeline).
 
-    The kernel keeps the operation order of `HighPass2.step` and
-    `LowPass1.step`, so its output is bit-identical to their composition.
-    Every sample is valid; the PLL, if any, steps on each.
+    Its filters take their coefficients from `highpass_coefficients` and
+    `lowpass_coefficients`, and the kernel keeps the operation order of the
+    filter oracles' steps (`HighPass2`, `LowPass1` in tests/oracles.py), so
+    its output is bit-identical to their composition.  Every sample is
+    valid; the PLL, if any, steps on each.
     """
 
     def __init__(self, params: MotorParams, cfg: InjectionConfig, Ts: float,
@@ -308,14 +320,13 @@ class ConventionalEstimator:
         # demodulation carrier per phase j = k mod N
         self._demod = [math.sin(cfg.omega_h * j * Ts + cfg.phi)
                        for j in range(carrier_steps(cfg, Ts))]
-        hpf = HighPass2(lambda_h, Ts)
-        lpf = LowPass1(lambda_ell, Ts)
+        b0, b1, b2, a1, a2 = highpass_coefficients(lambda_h, Ts)
+        la, lb = lowpass_coefficients(lambda_ell, Ts)
         scale = 2.0 * cfg.omega_h * params.det_L / cfg.V_h
         pll_k, pll_s = _pll_parts(pll_gains, params, Ts, theta0)
         # constants of one step, unpacked at once in the kernel
-        self._k = (len(self._demod), self._demod, hpf.b0, hpf.b1, hpf.b2,
-                   hpf.a1, hpf.a2, lpf.a1, lpf.b, scale, params.det_L,
-                   params.L0, params.L1, *pll_k)
+        self._k = (len(self._demod), self._demod, b0, b1, b2, a1, a2, la,
+                   lb, scale, params.det_L, params.L0, params.L1, *pll_k)
         # biquad state (z1, z2) and low-pass state (output, previous input)
         # per axis, then the PLL's; the low passes start at the output
         # matching the assumed initial angle

@@ -16,6 +16,14 @@ recovery both estimator kernels run inline.  `virtual_output_to_angle`
 adds the centre and the degenerate-radius check: the reference for those
 steps of `ProposedEstimator.kernel`.
 
+`Regressor`, `HighPass2` and `LowPass1` are the signal operators as
+standalone steps: the delay/hold regressor that `ProposedEstimator.kernel`
+runs inline, and the LTI filters that `ConventionalEstimator.kernel` and
+the controller run inline, each operation for operation.  The filters take
+their coefficients from `hfsense.signal_ops`, so each corner formula has
+one home; the regressor keeps its own delay check and rebuild period, so
+the kernel test pins the library's period.
+
 `frame_rotate` and `Pi` are the frame rotation and the PI loop that
 `SensorlessController.low_frequency_voltage` runs inline, operation for
 operation.  `unwrapped_phase_at` unwraps the phase of G_d from omega -> 0; the
@@ -32,7 +40,11 @@ import math
 import numpy as np
 
 from hfsense.motor import MotorParams
-from hfsense.signal_ops import gd_frequency_response
+from hfsense.signal_ops import (
+    gd_frequency_response,
+    highpass_coefficients,
+    lowpass_coefficients,
+)
 
 
 def locus_angle(dx: float, dy: float, L1: float, prev_theta: float) -> float:
@@ -157,6 +169,104 @@ def driven_step_bound(motor, h, i, i_next, volts, omegas):
     scale = max(*map(abs, i), *map(abs, i_next),
                 h * max(map(abs, volts)) / L)
     return 1e-14 * scale * (1.0 + h * rho)
+
+
+class Regressor:
+    """Delay minus weighted hold on both current axes: the high pass G_d.
+
+    yf(t) = u(t - d) - (chi(t) - chi(t - 2d))/(2d), with chi the trapezoidal
+    integral of the input u = (i_alpha, i_beta).  Both axes share one ring
+    index over the last 2d/Ts samples: the delayed input sits d/Ts slots
+    back, and the hold keeps a running sum of per-step increments (difference
+    form: subtract the increment leaving the window, then add the new one) so
+    the accumulator cannot grow on long runs; a periodic exact rebuild bounds
+    floating-point drift.  The first output comes at sample 2d/Ts.  The
+    delay must be an integer multiple of Ts.
+    """
+
+    _REBASE_EVERY = 1 << 16
+
+    def __init__(self, d: float, Ts: float):
+        n = round(d / Ts)
+        if n < 1 or abs(n * Ts - d) > 1e-9 * d:
+            raise ValueError(f"delay={d} is not an integer multiple of Ts={Ts}")
+        self.n = n
+        self._m = m = 2 * n  # hold window in samples
+        self._u = ([0.0] * m, [0.0] * m)
+        # unwritten slots hold zeros: subtracting them changes no sum
+        self._inc = ([0.0] * m, [0.0] * m)
+        self._sa = self._sb = 0.0
+        self._i = 0
+        self._cold = m + 1  # samples until the first output
+        self._rebase_in = self._REBASE_EVERY
+
+    def step(self, i_alpha: float, i_beta: float):
+        """Absorb one sample per axis; once warm, return (yf_alpha, yf_beta)."""
+        i = self._i
+        ua, ub = self._u
+        m = self._m
+        if self._cold:
+            self._cold -= 1
+            if self._cold == m:  # first sample: no increment yet
+                ua[0] = i_alpha
+                ub[0] = i_beta
+                self._i = 1
+                return None
+        ja = 0.5 * (ua[i - 1] + i_alpha)  # trapezoid, Ts factored out
+        jb = 0.5 * (ub[i - 1] + i_beta)
+        ca, cb = self._inc
+        sa = self._sa - ca[i] + ja
+        sb = self._sb - cb[i] + jb
+        ca[i] = ja
+        cb[i] = jb
+        n = self.n
+        da = ua[i - n]  # negative indices wrap: the input from d ago
+        db = ub[i - n]
+        ua[i] = i_alpha
+        ub[i] = i_beta
+        i += 1
+        self._i = 0 if i == m else i
+        self._rebase_in -= 1
+        if not self._rebase_in:
+            self._rebase_in = self._REBASE_EVERY
+            sa = math.fsum(ca)
+            sb = math.fsum(cb)
+        self._sa = sa
+        self._sb = sb
+        if self._cold:
+            return None
+        return da - sa / m, db - sb / m
+
+
+class LowPass1:
+    """First-order low pass lam/(lam + s), bilinear discretization."""
+
+    def __init__(self, lam: float, Ts: float, y0: float = 0.0):
+        self.a1, self.b = lowpass_coefficients(lam, Ts)
+        self._y = y0
+        self._u = y0
+
+    def step(self, u: float) -> float:
+        self._y = self.a1 * self._y + self.b * (u + self._u)
+        self._u = u
+        return self._y
+
+
+class HighPass2:
+    """Second-order high pass 2s^2/(lam + s)^2 as a prewarped biquad."""
+
+    def __init__(self, lam: float, Ts: float):
+        self.b0, self.b1, self.b2, self.a1, self.a2 = \
+            highpass_coefficients(lam, Ts)
+        self._z1 = 0.0
+        self._z2 = 0.0
+
+    def step(self, u: float) -> float:
+        # direct form II transposed
+        y = self.b0 * u + self._z1
+        self._z1 = self.b1 * u - self.a1 * y + self._z2
+        self._z2 = self.b2 * u - self.a2 * y
+        return y
 
 
 def frame_rotate(theta: float, x1: float, x2: float,

@@ -29,10 +29,7 @@ from hfsense.experiments import (
 from hfsense.motor import SIM_MOTOR, virtual_output
 from hfsense.signal_ops import (
     TWO_PI,
-    HighPass2,
     InjectionConfig,
-    LowPass1,
-    Regressor,
     gd_frequency_response,
     hpf_frequency_response,
     lpf_frequency_response,
@@ -41,7 +38,7 @@ from hfsense.signal_ops import (
 from hfsense.sim import DriveProfile, run
 
 from conftest import SCENARIO_DIR
-from oracles import unwrapped_phase_at
+from oracles import HighPass2, LowPass1, Regressor, unwrapped_phase_at
 
 SWEEP_FREQS = [500.0, 1000.0, 2000.0]
 

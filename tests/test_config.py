@@ -217,6 +217,12 @@ _STEP_KEYS = [("injection", "epsilon"), ("injection", "V_h"),
 @example(values={("simulation", "steps_per_period"): "1" + "0" * 330})
 @example(values={("injection", "epsilon"): "1e-300",
                  ("simulation", "duration"): "1e300"})
+# high-pass corners whose prewarp tan(lambda_h*Ts/2), or whose biquad
+# denominator (lambda_h + K)**2 at the default lambda_h = omega_h, underflows
+# to 0
+@example(values={("estimator", "lambda_h"): "5e-324"})
+@example(values={("injection", "epsilon"): "1e300",
+                 ("simulation", "duration"): "1e301"})
 def test_loaded_scenario_has_a_usable_step(tmp_path, values):
     """Any scenario text either is a config error or gives a step size,
     step count and warm-up that are finite positive numbers."""

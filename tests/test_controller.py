@@ -10,9 +10,9 @@ from hypothesis import given, strategies as st
 
 from hfsense.controller import ControllerConfig, SensorlessController
 from hfsense.motor import SIM_MOTOR
-from hfsense.signal_ops import InjectionConfig, LowPass1
+from hfsense.signal_ops import InjectionConfig
 from hfsense.sim import DriveProfile, ScenarioConfig, run
-from oracles import Pi, frame_rotate
+from oracles import LowPass1, Pi, frame_rotate
 
 finite = st.floats(-1e3, 1e3, allow_nan=False)
 

@@ -24,14 +24,18 @@ from hfsense.estimators import (
 from hfsense.motor import SIM_MOTOR, virtual_output
 from hfsense.signal_ops import (
     TWO_PI,
-    HighPass2,
     InjectionConfig,
-    LowPass1,
-    Regressor,
     carrier_steps,
     probe_signal,
 )
-from oracles import DegenerateSignalError, locus_angle, virtual_output_to_angle
+from oracles import (
+    DegenerateSignalError,
+    HighPass2,
+    LowPass1,
+    Regressor,
+    locus_angle,
+    virtual_output_to_angle,
+)
 
 angles = st.floats(-30.0, 30.0, allow_nan=False)
 
@@ -231,6 +235,16 @@ def test_estimators_reject_ts_not_dividing_epsilon(sim_motor, inj):
         ProposedEstimator(sim_motor, inj, Ts)
     with pytest.raises(ValueError):
         BlockFormEstimator(sim_motor, inj, Ts)
+
+
+@pytest.mark.parametrize("lam_Ts", [math.pi, 4.0])
+def test_conventional_rejects_corner_at_or_above_nyquist(sim_motor, inj, Ts,
+                                                         lam_Ts):
+    """The high pass's prewarp tan(lambda_h*Ts/2) holds only below the
+    Nyquist rate pi/Ts: at or above it the estimator is not built, where it
+    used to return a meaningless angle or NaN."""
+    with pytest.raises(ValueError, match="Nyquist"):
+        ConventionalEstimator(sim_motor, inj, Ts, lam_Ts / Ts, 56.0)
 
 
 def test_ell_validation(sim_motor, inj, Ts):

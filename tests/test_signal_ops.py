@@ -14,19 +14,18 @@ from hfsense.estimators import ProposedEstimator
 from hfsense.motor import SIM_MOTOR, virtual_output
 from hfsense.signal_ops import (
     TWO_PI,
-    HighPass2,
     InjectionConfig,
-    LowPass1,
-    Regressor,
     bode_table,
     carrier_steps,
     gd_frequency_response,
+    highpass_coefficients,
     hpf_frequency_response,
+    lowpass_coefficients,
     lpf_frequency_response,
     probe_signal,
 )
 from hfsense.sim import ScenarioConfig, _probe_tables
-from oracles import unwrapped_phase_at
+from oracles import HighPass2, LowPass1, Regressor, unwrapped_phase_at
 
 finite = st.floats(-1e6, 1e6, allow_nan=False)
 
@@ -285,7 +284,7 @@ def test_lowpass_seeding(Ts):
     assert lp.step(0.3) == pytest.approx(0.3, rel=1e-14)
     for lam in (0.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="corner"):
-            LowPass1(lam, Ts)
+            lowpass_coefficients(lam, Ts)
 
 
 def _discrete_response(b, a, omega, Ts):
@@ -306,16 +305,18 @@ def test_highpass_dc_rejection(Ts):
 def test_highpass_corner_exact(Ts):
     """Prewarping pins the discrete response at the corner: unit gain, +90 deg."""
     lam = TWO_PI * 1000.0
-    hp = HighPass2(lam, Ts)
-    H = _discrete_response((hp.b0, hp.b1, hp.b2), (hp.a1, hp.a2), lam, Ts)
+    b0, b1, b2, a1, a2 = highpass_coefficients(lam, Ts)
+    H = _discrete_response((b0, b1, b2), (a1, a2), lam, Ts)
     assert abs(abs(H) - 1.0) < 1e-9
     assert abs(cmath.phase(H) - 0.5 * math.pi) < 1e-9
 
 
 def test_highpass_validation(Ts):
-    for lam in (-1.0, math.nan, math.inf):
+    # at or above the Nyquist rate pi/Ts the prewarp is void, and a
+    # prewarp angle lam*Ts/2 that underflows to 0 has no tangent to divide by
+    for lam in (-1.0, math.nan, math.inf, math.pi / Ts, 4.0 / Ts, 5e-324):
         with pytest.raises(ValueError, match="corner"):
-            HighPass2(lam, Ts)
+            highpass_coefficients(lam, Ts)
 
 
 def test_gd_response_at_probe_frequency(inj):

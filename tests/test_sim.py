@@ -586,6 +586,22 @@ def test_averaging_residual_checks_window_before_running(t1, t2, monkeypatch):
         averaging_residual(cfg, t1, t2)
 
 
+def test_averaging_residual_records_only_what_it_reads(monkeypatch):
+    """The probe-on run records the time, angle and currents the ripple
+    model and the residual read; the probe-off run only its currents."""
+    asked = []
+
+    def recording_run(cfg, columns=None):
+        asked.append((cfg.injection_enabled, list(columns)))
+        return run(cfg, columns)
+
+    monkeypatch.setattr(sim, "run", recording_run)
+    cfg = _cfg(estimator="none", sensor_mode=True, duration=0.02)
+    averaging_residual(cfg, 0.01, 0.02)
+    assert asked == [(True, ["t", "theta", "i_alpha", "i_beta"]),
+                     (False, ["i_alpha", "i_beta"])]
+
+
 def test_averaging_residual_is_small():
     cfg = _cfg(estimator="none", sensor_mode=True, duration=0.3)
     t, r, norm = averaging_residual(cfg, 0.1, 0.3)
