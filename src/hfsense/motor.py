@@ -1,22 +1,24 @@
-"""Continuous-time IPMSM dynamics, with the state in the stationary
-(alpha-beta) frame.
+"""Continuous-time IPMSM dynamics.
 
-The machine is salient (L_d != L_q), so in the stationary frame the
-inductance matrix depends on the electrical rotor angle.  All functions
-here are pure.  The plant is stepped by RK4 in one of two forms.
-`rk4_step` is the closed-loop step: the stator equation and the mechanics,
-its four stages written inline on plain floats because the simulator calls
-it once per integration step.  Each stage evaluates the stator equation in
-the rotor frame at the stage's angle, where the inductance is diagonal.
-Under a prescribed drive each stage is affine in the currents and in the
-held control voltage, so `driven_step_tables` composes the four stages on
-numpy arrays along the time axis, once per block of steps, into one affine
-map per step; it keeps the stationary-frame form with the adjugate inverse
-of L(theta).  Their oracles live in tests/oracles.py: the rotor-frame
-stator equation as one function, which `rk4_step` matches bit for bit and
-the driven maps match within rounding when four calls of it are composed
-as RK4, and the matrix form of the inductance that function is checked
-against.
+The machine is salient (L_d != L_q), so in the stationary (alpha-beta)
+frame the inductance matrix depends on the electrical rotor angle, while
+in the rotor (d-q) frame it is diag(L_d, L_q).  All functions here are
+pure.  The plant is stepped by RK4 in one of two forms.  `rk4_step` is the
+closed-loop step: the stator equation and the mechanics, its four stages
+written inline on plain floats because the simulator calls it once per
+integration step.  Its state is the rotor-frame currents (i_d, i_q) with
+theta, omega and the cos and sin of theta, so a stage rotates only the
+voltage; one rotation per step gives the stationary-frame currents the
+rest of the loop reads.  Under a prescribed drive each stage is affine in
+the currents and in the held control voltage, so `driven_step_tables`
+composes the four stages on numpy arrays along the time axis, once per
+block of steps, into one affine map per step; it keeps the stationary-frame
+state, with the adjugate inverse of L(theta).  Their oracles live in
+tests/oracles.py: the rotor-frame stator equation as one function, which
+`rk4_step` matches bit for bit when four calls of it are composed as RK4 on
+the (d, q) state; its stationary-frame wrapper, which the driven maps
+match within rounding when four calls of it are composed as RK4; and the
+matrix form of the inductance that wrapper is checked against.
 """
 
 from __future__ import annotations
@@ -104,93 +106,79 @@ def rk4_constants(params: MotorParams, h: float) -> tuple:
             params.f, n_p * params.Phi, h, 0.5 * h, h / 6.0)
 
 
-def rk4_step(kc, ia, ib, th, om, va, va_mid, va_end, vb, TL):
-    """One classical RK4 step of the plant: (ia, ib, theta, omega) at t+h.
+def rk4_step(kc, i_d, i_q, th, om, c, s, va, va_mid, va_end, vb, TL):
+    """One classical RK4 step of the plant in the rotor frame.
 
-    `kc` comes from `rk4_constants`.  The alpha voltage is va at t, va_mid
-    at t+h/2 (stages 2 and 3) and va_end at t+h; vb is held over the step.
-    The mechanics are integrated under the load torque TL.
+    The state is (i_d, i_q, theta, omega), with (c, s) = (cos, sin) theta
+    carried along; returns (ia, ib, i_d, i_q, theta, omega, c, s) at t+h,
+    the stationary-frame currents first.  `kc` comes from `rk4_constants`.
+    The alpha voltage is va at t, va_mid at t+h/2 (stages 2 and 3) and
+    va_end at t+h; vb is held over the step.  The mechanics are integrated
+    under the load torque TL.
 
-    Each stage evaluates the stator equation in the rotor frame at the
-    stage's angle, where the inductance is diag(L_d, L_q): with (c, s) =
-    (cos, sin) theta and w = n_p omega, the stage currents and voltages are
-    rotated to (d, q), each axis's derivative is one division,
+    The inductance is diag(L_d, L_q) in the rotor frame, so each stage
+    rotates only the voltage to its angle and takes one division per axis:
+    with w = n_p omega,
       L_d di_d/dt = v_d - R_s i_d + w L_q i_q,
       L_q di_q/dt = v_q - R_s i_q - w (L_d i_d + Phi),
-    and the result is rotated back with the frame's own rotation added,
-    di/dt = R(theta) di_dq/dt + w J i.  dtheta/dt = w, and
-      J domega/dt = n_p Phi i_q - f omega - TL.
-    It shares only subexpressions whose sharing is exact, so the step
-    equals, bit for bit, four calls of the one-function stator equation in
-    tests/oracles.py composed as RK4.
+    dtheta/dt = w and J domega/dt = n_p Phi i_q - f omega - TL.  The stage
+    points are formed in (d, q).  One rotation at the end gives (ia, ib);
+    its cos and sin are the next step's stage-1 values.  The step shares
+    only subexpressions whose sharing is exact, so it equals, bit for bit,
+    four calls of the rotor-frame stator equation in tests/oracles.py
+    composed as RK4 on the (d, q) state, plus the end rotation.
     """
     n_p, R_s, L_d, L_q, Phi, J, f, npPhi, h, hh, h6 = kc
 
     # stage 1 at t
-    c = cos(th)
-    s = sin(th)
     w1 = n_p * om
-    i_d = c * ia + s * ib
-    i_q = c * ib - s * ia
-    dd = (c * va + s * vb - R_s * i_d + w1 * L_q * i_q) / L_d
-    dq = (c * vb - s * va - R_s * i_q - w1 * (L_d * i_d + Phi)) / L_q
-    a1 = c * dd - s * dq - w1 * ib
-    b1 = s * dd + c * dq + w1 * ia
+    dd1 = (c * va + s * vb - R_s * i_d + w1 * L_q * i_q) / L_d
+    dq1 = (c * vb - s * va - R_s * i_q - w1 * (L_d * i_d + Phi)) / L_q
     o1 = (npPhi * i_q - f * om - TL) / J
-    thm = th + hh * w1
-    omm = om + hh * o1
 
     # stage 2 at t+h/2
-    ja = ia + hh * a1
-    jb = ib + hh * b1
+    jd = i_d + hh * dd1
+    jq = i_q + hh * dq1
+    thm = th + hh * w1
+    omm = om + hh * o1
     c = cos(thm)
     s = sin(thm)
     w2 = n_p * omm
-    i_d = c * ja + s * jb
-    i_q = c * jb - s * ja
-    dd = (c * va_mid + s * vb - R_s * i_d + w2 * L_q * i_q) / L_d
-    dq = (c * vb - s * va_mid - R_s * i_q - w2 * (L_d * i_d + Phi)) / L_q
-    a2 = c * dd - s * dq - w2 * jb
-    b2 = s * dd + c * dq + w2 * ja
-    o2 = (npPhi * i_q - f * omm - TL) / J
-    thm = th + hh * w2
-    omm = om + hh * o2
+    dd2 = (c * va_mid + s * vb - R_s * jd + w2 * L_q * jq) / L_d
+    dq2 = (c * vb - s * va_mid - R_s * jq - w2 * (L_d * jd + Phi)) / L_q
+    o2 = (npPhi * jq - f * omm - TL) / J
 
     # stage 3 at t+h/2
-    ja = ia + hh * a2
-    jb = ib + hh * b2
+    jd = i_d + hh * dd2
+    jq = i_q + hh * dq2
+    thm = th + hh * w2
+    omm = om + hh * o2
     c = cos(thm)
     s = sin(thm)
     w3 = n_p * omm
-    i_d = c * ja + s * jb
-    i_q = c * jb - s * ja
-    dd = (c * va_mid + s * vb - R_s * i_d + w3 * L_q * i_q) / L_d
-    dq = (c * vb - s * va_mid - R_s * i_q - w3 * (L_d * i_d + Phi)) / L_q
-    a3 = c * dd - s * dq - w3 * jb
-    b3 = s * dd + c * dq + w3 * ja
-    o3 = (npPhi * i_q - f * omm - TL) / J
-    the = th + h * w3
-    ome = om + h * o3
+    dd3 = (c * va_mid + s * vb - R_s * jd + w3 * L_q * jq) / L_d
+    dq3 = (c * vb - s * va_mid - R_s * jq - w3 * (L_d * jd + Phi)) / L_q
+    o3 = (npPhi * jq - f * omm - TL) / J
 
     # stage 4 at t+h
-    ja = ia + h * a3
-    jb = ib + h * b3
-    c = cos(the)
-    s = sin(the)
-    w4 = n_p * ome
-    i_d = c * ja + s * jb
-    i_q = c * jb - s * ja
-    dd = (c * va_end + s * vb - R_s * i_d + w4 * L_q * i_q) / L_d
-    dq = (c * vb - s * va_end - R_s * i_q - w4 * (L_d * i_d + Phi)) / L_q
-    a4 = c * dd - s * dq - w4 * jb
-    b4 = s * dd + c * dq + w4 * ja
-    o4 = (npPhi * i_q - f * ome - TL) / J
+    jd = i_d + h * dd3
+    jq = i_q + h * dq3
+    thm = th + h * w3
+    omm = om + h * o3
+    c = cos(thm)
+    s = sin(thm)
+    w4 = n_p * omm
+    dd4 = (c * va_end + s * vb - R_s * jd + w4 * L_q * jq) / L_d
+    dq4 = (c * vb - s * va_end - R_s * jq - w4 * (L_d * jd + Phi)) / L_q
+    o4 = (npPhi * jq - f * omm - TL) / J
 
-    ia += h6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-    ib += h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+    i_d += h6 * (dd1 + 2.0 * dd2 + 2.0 * dd3 + dd4)
+    i_q += h6 * (dq1 + 2.0 * dq2 + 2.0 * dq3 + dq4)
     th += h6 * (w1 + 2.0 * w2 + 2.0 * w3 + w4)
     om += h6 * (o1 + 2.0 * o2 + 2.0 * o3 + o4)
-    return ia, ib, th, om
+    c = cos(th)
+    s = sin(th)
+    return c * i_d - s * i_q, s * i_d + c * i_q, i_d, i_q, th, om, c, s
 
 
 def driven_step_tables(params: MotorParams, h: float, th_t, om_t, th_m, om_m,
@@ -207,9 +195,9 @@ def driven_step_tables(params: MotorParams, h: float, th_t, om_t, th_m, om_m,
     with the probe and the back-EMF folded into the constant column.
     Returns P, a (10, n) array whose column k is the map of step k.  The
     stages are composed in the stationary frame, with the adjugate inverse
-    of L(theta); `rk4_step` evaluates the same equation in the rotor frame,
-    so the maps agree with the stage-by-stage step up to rounding, not bit
-    for bit.  Every stage is written into one preallocated buffer.
+    of L(theta), so the maps agree with the stage-by-stage stationary-frame
+    step up to rounding, not bit for bit.  Every stage is written into one
+    preallocated buffer.
     """
     n_p = float(params.n_p)
     R_s, L0, L1, det_L, Phi = (params.R_s, params.L0, params.L1,

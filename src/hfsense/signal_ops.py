@@ -74,10 +74,14 @@ def carrier_steps(cfg: InjectionConfig, Ts: float) -> int:
 
 def lowpass_coefficients(lam: float, Ts: float) -> tuple[float, float]:
     """(a1, b) of the first-order low pass lam/(lam + s), bilinear:
-    y+ = a1*y + b*(u + u_prev)."""
+    y+ = a1*y + b*(u + u_prev).  A corner and Ts whose product overflows
+    raise ValueError."""
     if not 0.0 < lam < math.inf:
         raise ValueError(f"corner must be positive and finite (got {lam:g})")
     a = lam * Ts
+    if a == math.inf:
+        raise ValueError(f"corner {lam:g} rad/s at Ts = {Ts:g} s overflows "
+                         "the low-pass coefficients")
     return (2.0 - a) / (2.0 + a), a / (2.0 + a)
 
 
@@ -91,8 +95,8 @@ def highpass_coefficients(lam: float, Ts: float) -> tuple[float, ...]:
     at z = 1 gives exact DC rejection regardless of warping.  The prewarp
     tan(lam*Ts/2) holds only below the Nyquist rate: lam*Ts >= pi raises
     ValueError, and so does a corner and Ts whose prewarp or denominator
-    underflows to 0.  A Ts below about 1e-154 overflows the coefficients
-    (OverflowError).
+    underflows to 0, or whose coefficients overflow (a Ts below about
+    1e-154).
     """
     if not 0.0 < lam < math.inf:
         raise ValueError(f"corner must be positive and finite (got {lam:g})")
@@ -103,11 +107,18 @@ def highpass_coefficients(lam: float, Ts: float) -> tuple[float, ...]:
         K = lam / math.tan(0.5 * lam * Ts)
         a0 = (lam + K) ** 2
         b0 = 2.0 * K * K / a0
+        coefficients = (b0, -2.0 * b0, b0, 2.0 * (lam - K) * (lam + K) / a0,
+                        (lam - K) ** 2 / a0)
     except ZeroDivisionError:
         raise ValueError(f"corner {lam:g} rad/s at Ts = {Ts:g} s underflows "
                          "the biquad coefficients") from None
-    return (b0, -2.0 * b0, b0, 2.0 * (lam - K) * (lam + K) / a0,
-            (lam - K) ** 2 / a0)
+    except OverflowError:
+        pass
+    else:
+        if all(map(math.isfinite, coefficients)):
+            return coefficients
+    raise ValueError(f"corner {lam:g} rad/s at Ts = {Ts:g} s overflows the "
+                     "biquad coefficients")
 
 
 def gd_frequency_response(d: float, omega) -> complex | np.ndarray:

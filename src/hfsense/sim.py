@@ -3,23 +3,30 @@ and estimators.
 
 `ScenarioConfig` checks a run whole when it is built.  It owns the LTI
 chain's corners (`corners` resolves their defaults) and rejects a
-non-finite float field and a step size or step count that is not a usable
-number.
+non-finite float field, a step size or step count that is not a usable
+number, and a filter corner whose coefficients at that step size are not
+(the controller's measurement low pass, and the LTI chain's pair when it
+runs).
 
 One step loop, `run`, serves both mechanics modes:
 
 * closed loop - the sensorless FOC drives the machine from the estimates
   (or from the true state in sensor mode, which isolates estimator error),
-  and RK4 integrates currents, angle and speed;
+  and RK4 integrates currents, angle and speed, the currents in the rotor
+  frame;
 * driven - the angle and speed follow a prescribed profile, as on a dyno
   bench; the mechanics at t, t+Ts/2 and t+Ts come from tables of the
   profile, built one block of steps at a time.
 
-A closed-loop step makes one call to `motor.rk4_step`.  A driven step is
-two multiply-add lines: the RK4 step of the currents is affine in them and
-in the held control voltage, and `motor.driven_step_tables` builds its ten
-coefficients per step along with the profile tables.  Both forms' oracle is
-in tests/oracles.py.
+A closed-loop step makes one call to `motor.rk4_step`.  The loop carries
+the plant's (i_d, i_q) and the cos and sin of theta from one call to the
+next, converting the initial (i_alpha, i_beta) once before it; each call
+also returns the (i_alpha, i_beta) that the measurement, the estimators,
+the divergence check and the trace read.  A driven step is two multiply-add
+lines: the RK4 step of the currents is affine in them and in the held
+control voltage, and `motor.driven_step_tables` builds its ten coefficients
+per step along with the profile tables.  Both forms' oracle is in
+tests/oracles.py.
 
 The controller and the estimator it reads advance once per integration
 step (single cadence, no PWM).  That estimator's kernel is one generator,
@@ -45,6 +52,7 @@ and the stored theta, with the values of k*Ts and Python's theta % (2*pi).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -63,6 +71,7 @@ from .signal_ops import (
     InjectionConfig,
     carrier_steps,
     highpass_coefficients,
+    lowpass_coefficients,
 )
 # not called here; it stays importable from this module, where
 # bench/run.py's tracer wraps it by name
@@ -234,16 +243,21 @@ class ScenarioConfig:
         if not 1.0 <= lambda_ell < math.inf:
             raise ValueError(f"lambda_ell must be >= 1 and finite "
                              f"(got {lambda_ell:g})")
-        if self.estimator in ("conventional", "both"):
-            # the high pass's own checks, the Nyquist rate among them
+        # the filters' own checks at Ts: the Nyquist rate, and coefficients
+        # that underflow or overflow.  A probe period of more samples than
+        # a list can index is left to `run`, which reports the scenario as
+        # too large before it builds a filter.
+        filters = [("meas_lpf_cutoff", lowpass_coefficients,
+                    self.controller.meas_lpf_cutoff)]
+        if self.estimator in ("conventional", "both") \
+                and self.steps_per_period <= sys.maxsize:
+            filters += [("lambda_h", highpass_coefficients, lambda_h),
+                        ("lambda_ell", lowpass_coefficients, lambda_ell)]
+        for key, coefficients, lam in filters:
             try:
-                highpass_coefficients(lambda_h, Ts)
+                coefficients(lam, Ts)
             except ValueError as exc:
-                raise ValueError(f"lambda_h: {exc}") from None
-            except OverflowError:
-                # a Ts below about 1e-154: `run` reports the scenario as
-                # too large, when it builds the estimators
-                pass
+                raise ValueError(f"{key}: {exc}") from None
 
     @cached_property
     def corners(self) -> tuple[float, float]:
@@ -484,6 +498,12 @@ def run(cfg: ScenarioConfig, columns=None) -> Trace:
     th = cfg.theta0
     om = cfg.omega0
     TL = cfg.load_torque  # closed loop only: driven mode prescribes th, om
+    # closed loop only: the plant's rotor-frame currents, and the cos and
+    # sin of theta that the next step starts from
+    c = math.cos(th)
+    s = math.sin(th)
+    i_d = c * ia + s * ib
+    i_q = c * ib - s * ia
 
     # memoryviews store each Python float without numpy's __setitem__
     r_th, r_om, r_ia, r_ib, r_va, r_vb = map(memoryview, state)
@@ -539,17 +559,20 @@ def run(cfg: ScenarioConfig, columns=None) -> Trace:
                               + p8[kb] * vcb + p9[kb])
                 else:
                     try:
-                        ia, ib, th, om = rk4_step(
-                            kc, ia, ib, th, om, va, vca + v_probe_mid[j],
-                            vca + v_probe_end[j], vcb, TL)
+                        ia, ib, i_d, i_q, th, om, c, s = rk4_step(
+                            kc, i_d, i_q, th, om, c, s, va,
+                            vca + v_probe_mid[j], vca + v_probe_end[j], vcb,
+                            TL)
                     except (ValueError, OverflowError) as exc:
                         # a non-finite state reached math.cos or overflowed
                         # a stage
                         raise SimulationDiverged(
                             f"state not finite in the step from "
                             f"t={k * Ts:.6f}: {exc}") from exc
-                if not (-lim < ia < lim and -lim < ib < lim) \
-                        or not math.isfinite(th):
+                # a non-finite theta makes the currents NaN: through the end
+                # rotation in closed loop (an infinite one raises in
+                # math.cos), through the step maps in driven mode
+                if not (-lim < ia < lim and -lim < ib < lim):
                     raise SimulationDiverged(
                         f"state out of bounds at t={k * Ts + Ts:.6f}: "
                         f"i=({ia:.3g},{ib:.3g})")

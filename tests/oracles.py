@@ -1,14 +1,16 @@
 """Oracles of the fused plant and estimator steps, kept as tests only.
 
-`derivative_scalars` is the stator equation (with the mechanics) as one
-function on plain floats, evaluated in the rotor frame, where the
-inductance is diag(L_d, L_q).  Four calls of it, composed as classical
-RK4, are the reference `hfsense.motor.rk4_step` must equal bit for bit,
-and the reference the driven step maps of `hfsense.motor.driven_step_tables`
-(composed in the stationary frame) must meet within `driven_step_bound`,
-their rounding bound.  The matrix form in the stationary frame
-(`saliency_matrix`, `inductance_matrix`) is the independent check of
-`derivative_scalars` itself.
+`rotor_derivative` is the stator equation (with the mechanics) as one
+function on plain floats, in the rotor frame, where the inductance is
+diag(L_d, L_q).  Four calls of it, composed as classical RK4 on the
+(d, q) state and followed by the rotation of the new currents, are
+`rk4_rotor_reference`, which `hfsense.motor.rk4_step` must equal bit for
+bit.  `derivative_scalars` wraps it in the stationary frame; four calls of
+that are `rk4_reference`, the reference the driven step maps of
+`hfsense.motor.driven_step_tables` must meet within `driven_step_bound`,
+their rounding bound, and the frame cross-check of `rk4_step`.  The matrix
+form in the stationary frame (`saliency_matrix`, `inductance_matrix`) is
+the independent check of `derivative_scalars` itself.
 
 `locus_angle` is the angle recovery from a point of the centred saliency
 locus, with the branch resolved by continuity: the reference for the
@@ -90,38 +92,87 @@ def inductance_matrix(params: MotorParams, theta: float) -> np.ndarray:
     return params.L0 * np.eye(2) + params.L1 * saliency_matrix(theta)
 
 
-def derivative_scalars(n_p, R_s, L_d, L_q, Phi, J, f,
-                       ia, ib, th, om, va, vb, TL):
-    """State derivative as plain floats: (dia, dib, dtheta, domega).
+def rotor_derivative(n_p, R_s, L_d, L_q, Phi, J, f,
+                     i_d, i_q, th, om, va, vb, TL):
+    """The stator equation in the rotor frame at theta, with the mechanics:
+    (di_d, di_q, dtheta, domega) as plain floats.
 
-    The stator equation is evaluated in the rotor frame at theta, where the
-    inductance is diag(L_d, L_q): the currents and voltages are rotated to
-    (d, q), L_d di_d/dt = v_d - R_s i_d + w L_q i_q and L_q di_q/dt = v_q -
-    R_s i_q - w (L_d i_d + Phi) with w = n_p*omega, and the result is
-    rotated back with the frame's rotation w J i added.  dtheta/dt = w;
+    The inductance there is diag(L_d, L_q): the voltages are rotated to
+    (d, q), and with w = n_p*omega, L_d di_d/dt = v_d - R_s i_d + w L_q i_q
+    and L_q di_q/dt = v_q - R_s i_q - w (L_d i_d + Phi).  dtheta/dt = w;
     J*domega/dt = n_p Phi i_q - f*omega - T_L.
     """
     c = math.cos(th)
     s = math.sin(th)
     w = n_p * om
-    i_d = c * ia + s * ib
-    i_q = c * ib - s * ia
     v_d = c * va + s * vb
     v_q = c * vb - s * va
     dd = (v_d - R_s * i_d + w * L_q * i_q) / L_d
     dq = (v_q - R_s * i_q - w * (L_d * i_d + Phi)) / L_q
+    dom = (n_p * Phi * i_q - f * om - TL) / J
+    return dd, dq, w, dom
+
+
+def derivative_scalars(n_p, R_s, L_d, L_q, Phi, J, f,
+                       ia, ib, th, om, va, vb, TL):
+    """State derivative in the stationary frame as plain floats: (dia, dib,
+    dtheta, domega).
+
+    The currents are rotated to (d, q) at theta, `rotor_derivative` gives
+    their rotor-frame derivative, and it is rotated back with the frame's
+    rotation w J i added.
+    """
+    c = math.cos(th)
+    s = math.sin(th)
+    i_d = c * ia + s * ib
+    i_q = c * ib - s * ia
+    dd, dq, w, dom = rotor_derivative(n_p, R_s, L_d, L_q, Phi, J, f,
+                                      i_d, i_q, th, om, va, vb, TL)
     dia = c * dd - s * dq - w * ib
     dib = s * dd + c * dq + w * ia
-    dom = (n_p * Phi * i_q - f * om - TL) / J
     return dia, dib, w, dom
+
+
+def rk4_rotor_reference(params: MotorParams, h, i_d, i_q, th, om, va, va_mid,
+                        va_end, vb, TL):
+    """One RK4 step of the (d, q) state as four `rotor_derivative` calls,
+    then the rotation of the new currents to the stationary frame: the
+    reference of `hfsense.motor.rk4_step`.
+
+    Arguments as for `rk4_step`, without the constants and the carried
+    cos and sin; returns (ia, ib, i_d, i_q, theta, omega).
+    """
+    m = params
+    consts = (m.n_p, m.R_s, m.L_d, m.L_q, m.Phi, m.J, m.f)
+    hh = 0.5 * h
+    h6 = h / 6.0
+    d1, q1, t1, o1 = rotor_derivative(*consts, i_d, i_q, th, om, va, vb, TL)
+    d2, q2, t2, o2 = rotor_derivative(*consts, i_d + hh * d1, i_q + hh * q1,
+                                      th + hh * t1, om + hh * o1, va_mid, vb,
+                                      TL)
+    d3, q3, t3, o3 = rotor_derivative(*consts, i_d + hh * d2, i_q + hh * q2,
+                                      th + hh * t2, om + hh * o2, va_mid, vb,
+                                      TL)
+    d4, q4, t4, o4 = rotor_derivative(*consts, i_d + h * d3, i_q + h * q3,
+                                      th + h * t3, om + h * o3, va_end, vb,
+                                      TL)
+    i_d += h6 * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
+    i_q += h6 * (q1 + 2.0 * q2 + 2.0 * q3 + q4)
+    th += h6 * (t1 + 2.0 * t2 + 2.0 * t3 + t4)
+    om += h6 * (o1 + 2.0 * o2 + 2.0 * o3 + o4)
+    c = math.cos(th)
+    s = math.sin(th)
+    return c * i_d - s * i_q, s * i_d + c * i_q, i_d, i_q, th, om
 
 
 def rk4_reference(params: MotorParams, h, ia, ib, th, om, va, va_mid, va_end,
                   vb, TL, drive=None):
-    """One RK4 step as four `derivative_scalars` calls: the composition the
-    simulator ran before its plant step was fused, operation for operation.
+    """One RK4 step of the stationary-frame state (ia, ib, theta, omega) as
+    four `derivative_scalars` calls; returns that state at t+h.
 
-    Arguments and result as for `hfsense.motor.rk4_step`.  With drive =
+    The voltages and the load are as for `hfsense.motor.rk4_step`.  The
+    step integrates the same equation as `rk4_step` in the other frame:
+    the frame cross-check of that step.  With drive =
     (theta, omega) at t+h/2 followed by (theta, omega) at t+h, prescribed,
     the mechanics are not integrated and theta, omega come back unchanged:
     the reference of the maps from `hfsense.motor.driven_step_tables`.

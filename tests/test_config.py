@@ -308,6 +308,34 @@ def test_carrier_tables_too_large_to_allocate_are_config_error(
     assert f"steps of {10 ** 30} per probe period" in err
 
 
+def test_filter_coefficient_overflow_is_config_error(tmp_path, capsys,
+                                                    scenario_dir):
+    """A corner whose coefficients overflow at Ts is one config error line
+    naming the corner's key, not a run that diverges or an allocation
+    failure: the controller's low pass at Ts = 5e299 s, and the LTI chain's
+    high pass at Ts = 2e-162 s (50000 steps, all of them allocatable)."""
+    text = (scenario_dir / "lowspeed.scenario").read_text()
+    lowpass = (text.replace("epsilon = 1e-3", "epsilon = 1e300")
+               .replace("steps_per_period = 50", "steps_per_period = 2")
+               .replace("duration = 10.0", "duration = 3e300")
+               .replace("kind = both", "kind = proposed")
+               .replace("[controller]\n", "[controller]\n"
+                        "meas_lpf_cutoff = 1e10\n"))
+    err = _main_config_error(_write(tmp_path, lowpass), tmp_path / "o",
+                             capsys)
+    assert "meas_lpf_cutoff: corner 1e+10 rad/s at Ts = 5e+299 s " \
+        "overflows the low-pass coefficients" in err
+    highpass = (text.replace("epsilon = 1e-3", "epsilon = 1e-160")
+                .replace("duration = 10.0", "duration = 1e-157")
+                .replace("kind = both", "kind = conventional")
+                .replace("[controller]\n", "[controller]\n"
+                         "sensor_mode = true\n"))
+    err = _main_config_error(_write(tmp_path, highpass), tmp_path / "o",
+                             capsys)
+    assert "lambda_h: corner 6.28319e+160 rad/s at Ts = 2e-162 s " \
+        "overflows the biquad coefficients" in err
+
+
 def test_invariant_violation_is_config_error(tmp_path):
     p = _write(tmp_path, MINIMAL + "[estimator]\nkind = kalman\n")
     with pytest.raises(ConfigError):

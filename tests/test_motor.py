@@ -1,5 +1,5 @@
 """Machine-model tests: inductance algebra, derivative oracle, fused RK4
-step, driven step maps, virtual output."""
+step and its frame cross-check, driven step maps, virtual output."""
 
 import math
 import random
@@ -21,8 +21,10 @@ from hfsense.motor import (
 from oracles import (
     derivative_scalars,
     driven_step_bound,
+    frame_rotate,
     inductance_matrix,
     rk4_reference,
+    rk4_rotor_reference,
     saliency_matrix,
 )
 
@@ -141,33 +143,128 @@ def test_derivative_against_matrix_form():
             assert abs(got[3] - dom) <= 1e-12 * scale, (ia, ib, th, om, TL)
 
 
+def _probe_trajectory(h, n):
+    """Voltages of the test trajectory's n steps: a 30 V, 1 kHz alpha probe
+    at t, t+h/2 and t+h, and a slow beta voltage held over the step."""
+    for k in range(n):
+        t = k * h
+        yield (*(30.0 * math.sin(6283.185307179586 * x)
+                 for x in (t, t + 0.5 * h, t + h)), 5.0 * math.cos(3.0 * t))
+
+
+def _to_rotor(ia, ib, th):
+    """The (d, q) state of a stationary-frame state, with cos and sin of
+    theta, as `sim.run` converts its initial currents."""
+    return (*frame_rotate(th, ia, ib), th, math.cos(th), math.sin(th))
+
+
 # the ids name the mode: this step integrates the mechanics
 @pytest.mark.parametrize("motor", _MOTORS,
                          ids=[f"mechanics-{i}" for i in _MOTOR_IDS])
 def test_rk4_step_matches_derivative_oracle(motor):
-    """The fused plant step equals four `derivative_scalars` calls composed
-    as RK4, with ==: on seeded random states, voltages and loads, and along
-    a trajectory that feeds each step's result into the next."""
+    """The fused plant step equals four `rotor_derivative` calls composed as
+    RK4 on the (d, q) state, plus the end rotation, with ==: on seeded
+    random states (converted to (d, q)), voltages and loads, and along a
+    trajectory that feeds each step's result into the next.  The carried
+    cos and sin are those of the new angle."""
     rng = random.Random(20260 + 2 * motor.n_p)
     for h in (2e-5, 1e-4, 1.3e-3):
         kc = rk4_constants(motor, h)
         for _ in range(1500):
             ia, ib, th, om, va, vam, vae, vb, TL = _random_step_args(rng)
-            got = rk4_step(kc, ia, ib, th, om, va, vam, vae, vb, TL)
-            want = rk4_reference(motor, h, ia, ib, th, om, va, vam, vae, vb,
-                                 TL)
-            assert got == want, (h, ia, ib, th, om, va, vam, vae, vb, TL)
+            i_d, i_q, th, c, s = _to_rotor(ia, ib, th)
+            got = rk4_step(kc, i_d, i_q, th, om, c, s, va, vam, vae, vb, TL)
+            want = rk4_rotor_reference(motor, h, i_d, i_q, th, om, va, vam,
+                                       vae, vb, TL)
+            assert got == (*want, math.cos(want[4]), math.sin(want[4])), \
+                (h, ia, ib, th, om, va, vam, vae, vb, TL)
     h = 2e-5
     kc = rk4_constants(motor, h)
-    got = want = (0.3, -0.2, 1.0, 0.5)
-    for k in range(3000):
-        t = k * h
-        va, vam, vae = (30.0 * math.sin(6283.185307179586 * x)
-                        for x in (t, t + 0.5 * h, t + h))
-        vb = 5.0 * math.cos(3.0 * t)
-        got = rk4_step(kc, *got, va, vam, vae, vb, 0.5)
-        want = rk4_reference(motor, h, *want, va, vam, vae, vb, 0.5)
-        assert got == want, k
+    i_d, i_q, th, c, s = _to_rotor(0.3, -0.2, 1.0)
+    got = (i_d, i_q, th, 0.5, c, s)
+    want = (i_d, i_q, th, 0.5)
+    for k, (va, vam, vae, vb) in enumerate(_probe_trajectory(h, 3000)):
+        step = rk4_step(kc, *got, va, vam, vae, vb, 0.5)
+        ref = rk4_rotor_reference(motor, h, *want, va, vam, vae, vb, 0.5)
+        assert step[:6] == ref, k
+        got, want = step[2:], ref[2:]
+
+
+def _frame_terms(a, D, n):
+    """sum over k = 1..n of binom(n, k) B_k D[n - k]: the terms of the n-th
+    derivative of R(theta(t)) x (Leibniz) that the frame's rotation brings
+    in.  D[j] bounds the j-th derivative of x, a[m] that of theta, and
+    B_k, the complete Bell polynomial of a[1..k] (Faa di Bruno), bounds the
+    k-th derivative of R(theta(t)), since every derivative of R(theta) in
+    theta is a rotation."""
+    B = [1.0]
+    for m in range(n):
+        B.append(sum(math.comb(m, k) * B[m - k] * a[k + 1]
+                     for k in range(m + 1)))
+    return sum(math.comb(n, k) * B[k] * D[n - k] for k in range(1, n + 1))
+
+
+@pytest.mark.parametrize("motor", _MOTORS, ids=_MOTOR_IDS)
+def test_rk4_step_agrees_with_the_stationary_frame_step(motor):
+    """The rotor-frame step and the stationary-frame `rk4_reference` are
+    RK4 on the same equation in two frames, so they agree up to the part of
+    RK4's local error that the frame changes, plus rounding.  Checked along
+    the trajectory of `test_rk4_step_matches_derivative_oracle` at h =
+    2e-5, one step at a time from the rotor-frame step's own state.
+
+    The bound per step.  RK4 commutes with a constant rotation, so the
+    frames differ only through R(theta(t)) turning.  An RK4 local error is
+    of the scale h^5/5! times a fifth derivative of the state, and by
+    Leibniz the fifth derivative of R(theta) x gains the terms
+    sum_{k>=1} binom(5, k) |d^k R/dt^k| |x^(5-k)| from the rotation
+    (`_frame_terms`).  Bounds used over the step, with i the largest
+    current, w = n_p max|omega| and L_min <= L_max the axis inductances:
+      |x| <= i,  |x'| <= D1 = (|v| + R_s i + w (L_max i + Phi)) / L_min,
+      |x^(j)| <= Omega^(j-1) D1, Omega = max(probe frequency, (R_s +
+      w L_max)/L_min) + w;
+      theta' = w,  theta'' = n_p omega' <= n_p (n_p Phi i + f|omega| +
+      |T_L|)/J,  theta^(m) = n_p omega^(m-1) <= n_p (n_p Phi/J
+      |x^(m-2)| + f/J |omega^(m-2)|).
+    omega' is n_p Phi/J times i_q plus terms of omega, and theta' is n_p
+    omega, so their frame terms are those of the fourth and of the third
+    derivative, times n_p Phi/J and n_p^2 Phi/J.  The rounding floor is
+    `driven_step_bound` on the currents and 1e-14 of |theta| and |omega|.
+    """
+    h = 2e-5
+    Omega_p = 6283.185307179586
+    TL = 0.5
+    kc = rk4_constants(motor, h)
+    L_min, L_max = sorted((motor.L_d, motor.L_q))
+    mech = motor.n_p * motor.Phi / motor.J
+    fJ = motor.f / motor.J
+    i_d, i_q, th, c, s = _to_rotor(0.3, -0.2, 1.0)
+    state = (0.3, -0.2, i_d, i_q, th, 0.5, c, s)
+    for k, volts in enumerate(_probe_trajectory(h, 3000)):
+        ia, ib, i_d, i_q, th, om, c, s = state
+        want = rk4_reference(motor, h, ia, ib, th, om, *volts, TL)
+        state = rk4_step(kc, i_d, i_q, th, om, c, s, *volts, TL)
+        got = state[:2] + state[4:6]
+        i = max(abs(ia), abs(ib), *map(abs, got[:2]))
+        om_max = max(abs(om), abs(got[3]))
+        w = motor.n_p * om_max
+        D1 = (max(map(abs, volts)) + motor.R_s * i
+              + w * (L_max * i + motor.Phi)) / L_min
+        Omega = max(Omega_p, (motor.R_s + w * L_max) / L_min) + w
+        D = [i] + [D1 * Omega ** j for j in range(4)]
+        W = [om_max, (mech * i + fJ * om_max + abs(TL) / motor.J)]
+        for j in range(2, 5):
+            W.append(mech * D[j - 1] + fJ * W[j - 1])
+        a = [None] + [motor.n_p * x for x in W]
+        scale = h ** 5 / 120.0
+        bound_i = (scale * _frame_terms(a, D, 5)
+                   + driven_step_bound(motor, h, (ia, ib), got[:2], volts,
+                                       (om, got[3])))
+        bound_th = scale * motor.n_p * mech * _frame_terms(a, D, 3) \
+            + 1e-14 * max(abs(th), abs(got[2]))
+        bound_om = scale * mech * _frame_terms(a, D, 4) + 1e-14 * om_max
+        assert max(abs(got[0] - want[0]), abs(got[1] - want[1])) <= bound_i, k
+        assert abs(got[2] - want[2]) <= bound_th, k
+        assert abs(got[3] - want[3]) <= bound_om, k
 
 
 def _affine_step(P, k, ia, ib, vca, vcb):

@@ -285,6 +285,10 @@ def test_lowpass_seeding(Ts):
     for lam in (0.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="corner"):
             lowpass_coefficients(lam, Ts)
+    # lam*Ts overflows to inf, where the coefficients would be NaN
+    with pytest.raises(ValueError, match="corner 1e.300 rad/s at Ts = "
+                       "2e.298 s overflows the low-pass coefficients"):
+        lowpass_coefficients(1e300, 2e298)
 
 
 def _discrete_response(b, a, omega, Ts):
@@ -317,6 +321,13 @@ def test_highpass_validation(Ts):
     for lam in (-1.0, math.nan, math.inf, math.pi / Ts, 4.0 / Ts, 5e-324):
         with pytest.raises(ValueError, match="corner"):
             highpass_coefficients(lam, Ts)
+    # below about Ts = 1e-154 the prewarped K = lam/tan(lam*Ts/2) ~ 2/Ts
+    # squares past the float range (OverflowError), or just short of it
+    # while 2*K*K does not (inf coefficients, at 1.8e-154)
+    for tiny in (1.8e-154, 2e-162, 1e-303):
+        with pytest.raises(ValueError, match=f"at Ts = {tiny:g} s overflows "
+                           "the biquad coefficients"):
+            highpass_coefficients(TWO_PI * 1000.0, tiny)
 
 
 def test_gd_response_at_probe_frequency(inj):

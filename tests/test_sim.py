@@ -35,7 +35,9 @@ from oracles import (
     drive_angle_integral,
     drive_omega_at,
     driven_step_bound,
+    frame_rotate,
     rk4_reference,
+    rk4_rotor_reference,
 )
 
 
@@ -446,6 +448,46 @@ def test_driven_run_steps_the_currents_as_the_oracle(monkeypatch):
         bound = driven_step_bound(SIM_MOTOR, Ts, i[k], want[:2], u,
                                   (om_t[k], om_m[k], om_e[k]))
         assert max(abs(a - b) for a, b in zip(i[k + 1], want)) <= bound, k
+
+
+def test_closed_loop_run_steps_the_state_as_the_oracle(monkeypatch):
+    """Each step of a closed-loop run, from the recorded control voltage
+    and the probe tables, equals four `rotor_derivative` calls composed as
+    RK4 on the (d, q) state plus the end rotation, with ==: theta, omega,
+    i_alpha and i_beta row by row.  The oracle converts the configured
+    initial currents to (d, q) once and carries its own (d, q) state, so
+    this pins how `sim.run` converts them and carries that state and the
+    cos and sin of theta between steps."""
+    volts = []
+    lfv = SensorlessController.low_frequency_voltage
+
+    def recording(self, *args):
+        volts.append(lfv(self, *args))
+        return volts[-1]
+
+    monkeypatch.setattr(SensorlessController, "low_frequency_voltage",
+                        recording)
+    cfg = _cfg(sensor_mode=True, estimator="none", decimation=1,
+               duration=0.05, theta0=2.3, omega0=0.4, i_alpha0=0.7,
+               i_beta0=-1.1, load_torque=0.5)
+    tr = run(cfg)
+    Ts, n = cfg.Ts, cfg.n_steps
+    at_step, at_mid = sim._probe_tables(cfg)
+    N = len(at_step)
+    assert len(volts) == n + 1 and max(map(abs, tr.i_alpha)) > 0.5
+    th, om = cfg.theta0, cfg.omega0
+    i_d, i_q = frame_rotate(th, cfg.i_alpha0, cfg.i_beta0)
+    rows = [(th, om, cfg.i_alpha0, cfg.i_beta0)]
+    for k in range(n):
+        vca, vcb = volts[k]
+        va = vca + at_step[k % N]
+        assert tr.v_alpha[k] == va and tr.v_beta[k] == vcb, k
+        ia, ib, i_d, i_q, th, om = rk4_rotor_reference(
+            SIM_MOTOR, Ts, i_d, i_q, th, om, va, vca + at_mid[k % N],
+            vca + at_step[(k + 1) % N], vcb, cfg.load_torque)
+        rows.append((th, om, ia, ib))
+    assert list(zip(tr.theta.tolist(), tr.omega.tolist(),
+                    tr.i_alpha.tolist(), tr.i_beta.tolist())) == rows
 
 
 @pytest.mark.parametrize("profile", [DriveProfile("constant", omega=2.0),
