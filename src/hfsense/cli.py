@@ -270,17 +270,22 @@ def cmd_bode(cfg, args, outdir: Path):
         raise ConfigError("bode needs 0 < --omega-min < --omega-max")
     if args.points < 2:
         raise ConfigError("bode needs --points >= 2")
-    omega = np.logspace(math.log10(args.omega_min), math.log10(args.omega_max),
-                        args.points)
     lam_h, lam_l = cfg.corners
-    for name, resp in [
-        ("gd", gd_frequency_response(cfg.injection.epsilon, omega)),
-        ("hpf", hpf_frequency_response(lam_h, omega)),
-        ("lpf", lpf_frequency_response(lam_l, omega)),
-    ]:
+    try:
+        omega = np.logspace(math.log10(args.omega_min),
+                            math.log10(args.omega_max), args.points)
+        tables = {name: bode_table(resp, omega) for name, resp in [
+            ("gd", gd_frequency_response(cfg.injection.epsilon, omega)),
+            ("hpf", hpf_frequency_response(lam_h, omega)),
+            ("lpf", lpf_frequency_response(lam_l, omega)),
+        ]}
+    except MemoryError:
+        raise ConfigError(f"bode --points {args.points}: the frequency grid "
+                          "cannot be allocated") from None
+    for name, table in tables.items():
         path = outdir / f"bode_{name}.csv"
         _write_csv(path, ("omega_rad_s", "mag_db", "phase_deg_unwrapped"),
-                   bode_table(resp, omega))
+                   table)
         print(f"wrote {path}")
     return True, {"lambda_h": lam_h, "lambda_ell": lam_l}
 
@@ -303,9 +308,13 @@ def cmd_equivalence(cfg, args, outdir: Path):
     if cfg.gamma_alpha != cfg.gamma_beta:
         raise ConfigError(f"equivalence needs gamma_alpha == gamma_beta, got "
                           f"{cfg.gamma_alpha:g} and {cfg.gamma_beta:g}")
-    res = experiments.equivalence_deviation(
-        cfg.motor, cfg.injection, cfg.steps_per_period, args.duration,
-        gamma=cfg.gamma_alpha)
+    try:
+        res = experiments.equivalence_deviation(
+            cfg.motor, cfg.injection, cfg.steps_per_period, args.duration,
+            gamma=cfg.gamma_alpha)
+    except MemoryError:
+        raise ConfigError(f"equivalence --duration {args.duration:g} s: its "
+                          "samples cannot be allocated") from None
     passed = bool(res["max_rel_yv_deviation"] <= args.tolerance)
     print(f"max relative deviation {res['max_rel_yv_deviation']:.3e} "
           f"(tolerance {args.tolerance:.1e}): {'pass' if passed else 'FAIL'}")

@@ -31,7 +31,7 @@ its one kernel: a generator with one loop body over (k, i_alpha, i_beta)
 samples, time k*Ts.  It takes the state into locals when it starts, keeps
 it there over the samples, and writes it back when the samples end or the
 generator is closed.  It looks up its per-phase constants at carrier phase
-k mod N, with N = epsilon/Ts samples per probe period.  Built with
+k mod N, N being the samples per probe period it is built with.  Built with
 `pll_gains`, it runs the type-2 PLL inline on every valid sample;
 `Pll.step` is that loop's oracle.  The estimator that closes the loop runs
 one kernel generator for the whole run, fed one sample per step, and it
@@ -42,9 +42,9 @@ that only observe advance by it once per block.
 
 The kernels are fused: the delay/hold regressor, filters, centre and
 radius check, angle recovery and PLL run inline on float state.  Each
-constructor builds its kernel's constants and initial state itself: the
-filter coefficients from `signal_ops`, the regressor's ring lists from the
-carrier period N = epsilon/Ts (delay N samples, hold window 2N), the PLL's
+constructor builds its kernel's constants and initial state itself from
+N: Ts = epsilon/N from `signal_ops.sample_period`, the filter coefficients,
+the regressor's ring lists (delay N samples, hold window 2N), the PLL's
 from a `Pll`.  The kernels keep the arithmetic and operation order of the
 standalone operators, `Pll` here and `Regressor`, `HighPass2`, `LowPass1`,
 `locus_angle` and `virtual_output_to_angle` in tests/oracles.py, which are
@@ -61,10 +61,10 @@ from .motor import MotorParams, virtual_output
 from .signal_ops import (
     TWO_PI,
     InjectionConfig,
-    carrier_steps,
     highpass_coefficients,
     lowpass_coefficients,
     probe_signal,
+    sample_period,
 )
 
 
@@ -97,7 +97,7 @@ def window_mask(t, t1: float, t2: float) -> np.ndarray:
     window lies within the trace and it holds at least 2 samples."""
     t = np.asarray(t)
     if t2 <= t1:
-        raise ValueError("need t2 > t1")
+        raise ValueError(f"window [{t1:g}, {t2:g}] needs t2 > t1")
     if t1 < t[0] - 1e-12 or t2 > t[-1] + 1e-12:
         raise ValueError("window outside the trace")
     m = (t >= t1) & (t <= t2)
@@ -124,7 +124,7 @@ class ProposedEstimator:
     estimate before the angle recovery; (1, 0, 1) is the identity.
     """
 
-    def __init__(self, params: MotorParams, cfg: InjectionConfig, Ts: float,
+    def __init__(self, params: MotorParams, cfg: InjectionConfig, N: int,
                  gamma_alpha: float = 1e4, gamma_beta: float = 1e4,
                  ell: tuple[float, float, float] = (1.0, 0.0, 1.0),
                  theta0: float = 0.0,
@@ -134,10 +134,10 @@ class ProposedEstimator:
         if not (0.0 < gamma_alpha < math.inf and 0.0 < gamma_beta < math.inf):
             raise ValueError("gamma must be positive and finite")
         self.cfg = cfg
-        self.Ts = Ts
+        self.Ts = Ts = sample_period(cfg, N)
+        self.N = N
         # the regressor's delay is one probe period, N samples, and its
         # hold window m = 2N
-        N = carrier_steps(cfg, Ts)
         m = 2 * N
         # per phase j: (a, c) of the alpha flow, then (a, c) of the beta flow
         self._table = [(*ta, *tb) for ta, tb in
@@ -188,8 +188,7 @@ class ProposedEstimator:
         are tabulated once.
         """
         g = self.Ts * gamma
-        S = [probe_signal(self.cfg, j * self.Ts)
-             for j in range(carrier_steps(self.cfg, self.Ts))]
+        S = [probe_signal(self.cfg, j * self.Ts) for j in range(self.N)]
         return [(1.0 - g * s * s, g * s) for s in S]
 
     def step(self, k0: int, i_alpha, i_beta, out=None, dec: int = 1):
@@ -314,19 +313,19 @@ class ConventionalEstimator:
     valid; the PLL, if any, steps on each.
     """
 
-    def __init__(self, params: MotorParams, cfg: InjectionConfig, Ts: float,
+    def __init__(self, params: MotorParams, cfg: InjectionConfig, N: int,
                  lambda_h: float, lambda_ell: float, theta0: float = 0.0,
                  pll_gains: tuple[float, float] | None = None):
+        Ts = sample_period(cfg, N)
         # demodulation carrier per phase j = k mod N
-        self._demod = [math.sin(cfg.omega_h * j * Ts + cfg.phi)
-                       for j in range(carrier_steps(cfg, Ts))]
+        demod = [math.sin(cfg.omega_h * j * Ts + cfg.phi) for j in range(N)]
         b0, b1, b2, a1, a2 = highpass_coefficients(lambda_h, Ts)
         la, lb = lowpass_coefficients(lambda_ell, Ts)
         scale = 2.0 * cfg.omega_h * params.det_L / cfg.V_h
         pll_k, pll_s = _pll_parts(pll_gains, params, Ts, theta0)
         # constants of one step, unpacked at once in the kernel
-        self._k = (len(self._demod), self._demod, b0, b1, b2, a1, a2, la,
-                   lb, scale, params.det_L, params.L0, params.L1, *pll_k)
+        self._k = (N, demod, b0, b1, b2, a1, a2, la, lb, scale,
+                   params.det_L, params.L0, params.L1, *pll_k)
         # biquad state (z1, z2) and low-pass state (output, previous input)
         # per axis, then the PLL's; the low passes start at the output
         # matching the assumed initial angle
@@ -443,7 +442,7 @@ class BlockFormEstimator(ProposedEstimator):
         """
         cfg, Ts = self.cfg, self.Ts
         table = []
-        for j in range(carrier_steps(cfg, Ts)):
+        for j in range(self.N):
             S = probe_signal(cfg, j * Ts)
             demod = math.sin(cfg.omega_h * j * Ts + cfg.phi_p + 1.5 * math.pi)
             table.append((1.0 - Ts * gamma * S * S, Ts * gamma * demod))

@@ -25,13 +25,13 @@ from .estimators import (
     wrap_mod_pi,
 )
 from .motor import MotorParams
-from .signal_ops import TWO_PI, InjectionConfig, carrier_steps
+from .signal_ops import TWO_PI, InjectionConfig, sample_period
 from .sim import (
     _BLOCK,
     ScenarioConfig,
     Trace,
     averaging_residual,
-    check_window,
+    record_times,
     run,
 )
 
@@ -90,7 +90,7 @@ def steady_lag_limits(cfg: ScenarioConfig) -> dict:
 
 def compare_rmsd(cfg: ScenarioConfig, t1: float = 5.0, t2: float = 10.0) -> dict:
     """Run both estimators on one closed-loop trace and report their RMSDs."""
-    check_window(cfg, t1, t2)
+    window_mask(record_times(cfg), t1, t2)
     cfg = replace(cfg, estimator="both")
     out = {"t1": t1, "t2": t2, "low_confidence": True,
            "proposed": None, "conventional": None}
@@ -121,7 +121,7 @@ def sweep(configs: list[ScenarioConfig], metric: str, t1: float, t2: float,
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     for cfg in configs:
-        check_window(cfg, t1, t2)
+        window_mask(record_times(cfg), t1, t2)
         if cfg.estimator == "none":
             raise ValueError("a sweep point runs no estimator to measure")
     measure = partial(_measure, metric=metric, t1=t1, t2=t2)
@@ -197,16 +197,16 @@ def equivalence_deviation(params: MotorParams, inj: InjectionConfig,
     if not 2.0 * inj.epsilon < duration < math.inf:
         raise ValueError(f"duration {duration} s must be finite and exceed "
                          f"the {2.0 * inj.epsilon} s operator warm-up")
-    Ts = inj.epsilon / steps_per_period
+    N = steps_per_period
+    Ts = sample_period(inj, N)
     n = int(round(duration / Ts))
     t = np.arange(n + 1) * Ts
     cur = synthesize_injection_current(params, inj, theta0 + omega_e * t, t,
                                        i_bar=(0.5, -0.2))
-    est_a = ProposedEstimator(params, inj, Ts, gamma, gamma, theta0=theta0)
-    est_b = BlockFormEstimator(params, inj, Ts, gamma, gamma, theta0=theta0)
+    est_a = ProposedEstimator(params, inj, N, gamma, gamma, theta0=theta0)
+    est_b = BlockFormEstimator(params, inj, N, gamma, gamma, theta0=theta0)
     # blocks of whole carrier periods, so each starts at phase 0 and its
     # rows are 0, 1, ...: the kernels read the sample index only as k mod N
-    N = carrier_steps(inj, Ts)
     block = N * max(1, _BLOCK // N)
     # per form: rows of theta_hat, yv1, yv2 and the valid flag, written
     # through memoryviews; omega_hat (no PLL runs) goes to a list, which
@@ -254,10 +254,9 @@ def calibrate(cfg: ScenarioConfig, phase_err: float = 0.0,
                          f"got {ripple_scale}")
     if cfg.drive is None or cfg.drive.kind != "constant" or cfg.drive.omega == 0.0:
         raise ValueError("calibration needs a constant nonzero drive speed")
-    params, inj, Ts = cfg.motor, cfg.injection, cfg.Ts
+    params, inj, N = cfg.motor, cfg.injection, cfg.steps_per_period
     omega_e = params.n_p * cfg.drive.omega
-    n = cfg.n_steps
-    t = np.arange(n + 1) * Ts
+    t = record_times(replace(cfg, decimation=1))
     theta_true = cfg.theta0 + omega_e * t
     cur = synthesize_injection_current(params, inj, theta_true, t,
                                        phase_err=phase_err,
@@ -266,7 +265,7 @@ def calibrate(cfg: ScenarioConfig, phase_err: float = 0.0,
     ca, cb = memoryview(cur[:, 0]), memoryview(cur[:, 1])
 
     def run_estimator(ell):
-        est = ProposedEstimator(params, inj, Ts, cfg.gamma_alpha,
+        est = ProposedEstimator(params, inj, N, cfg.gamma_alpha,
                                 cfg.gamma_beta, ell, theta0=cfg.theta0)
         # theta_hat, yv1, yv2, and one row for omega_hat and the valid flag,
         # which are not read

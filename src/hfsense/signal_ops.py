@@ -1,15 +1,15 @@
-"""Discrete-time signal operators as constants: the probe, the carrier
-phase count and the coefficients of the LTI HPF/LPF pair, plus
+"""Discrete-time signal operators as constants: the probe, the sample
+period and the coefficients of the LTI HPF/LPF pair, plus
 frequency-response utilities.
 
 Every operator runs inline in a fused kernel at a fixed sample period Ts:
 the delay/hold regressor and the gradient LTV demodulator in
 `ProposedEstimator.kernel` (the one kernel both forms of the new pipeline
 run), the filters in `ConventionalEstimator.kernel` and in the controller.
-This module gives those kernels what they are built from.  `carrier_steps`
-is the probe period in samples, N = epsilon/Ts, and rejects a Ts that does
-not divide epsilon; sample alignment keeps the regressor's delay of N
-samples exact, which the equivalence checks rely on.
+This module gives those kernels what they are built from.  `sample_period`
+is the one place that turns N, the samples per probe period, into
+Ts = epsilon/N, so Ts divides epsilon and the regressor's delay of N
+samples is exact, which the equivalence checks rely on.
 `highpass_coefficients` and `lowpass_coefficients` are the filters'
 corners discretized, each with its checks.  The operators' standalone
 step oracles, which the kernels must match bit for bit, are in
@@ -40,10 +40,10 @@ class InjectionConfig:
     phi_p: float = 0.0
 
     def __post_init__(self):
-        if self.V_h <= 0.0:
-            raise ValueError("V_h must be positive")
-        if self.epsilon <= 0.0:
-            raise ValueError("epsilon must be positive")
+        for key in ("V_h", "epsilon"):
+            if not 0.0 < getattr(self, key) < math.inf:
+                raise ValueError(f"{key} must be positive and finite "
+                                 f"(got {getattr(self, key):g})")
         if not (0.0 <= self.phi < TWO_PI and 0.0 <= self.phi_p < TWO_PI):
             raise ValueError("phases must lie in [0, 2*pi)")
 
@@ -57,19 +57,18 @@ def probe_signal(cfg: InjectionConfig, t: float) -> float:
     return -(cfg.V_h / TWO_PI) * math.cos(cfg.omega_h * t + cfg.phi_p)
 
 
-def carrier_steps(cfg: InjectionConfig, Ts: float) -> int:
-    """Samples per probe period, N = epsilon/Ts; Ts must divide epsilon.
+def sample_period(cfg: InjectionConfig, N: int) -> float:
+    """Sample period Ts = epsilon/N of a run with N samples per probe period.
 
     Every carrier quantity sampled at t = k*Ts (or half a step later) then
     repeats with period N in k, so the kernels tabulate it once per phase
     j = k mod N instead of evaluating sin/cos per sample.  The regressor's
     delay is one probe period, N samples, and its hold window 2N.
     """
-    n = round(cfg.epsilon / Ts)
-    if n < 1 or abs(n * Ts - cfg.epsilon) > 1e-9 * cfg.epsilon:
-        raise ValueError(f"epsilon={cfg.epsilon} is not an integer multiple "
-                         f"of Ts={Ts}")
-    return n
+    if not (isinstance(N, int) and N >= 1):
+        raise ValueError(f"steps per probe period must be an integer >= 1 "
+                         f"(got {N!r})")
+    return cfg.epsilon / N
 
 
 def lowpass_coefficients(lam: float, Ts: float) -> tuple[float, float]:

@@ -38,15 +38,15 @@ measured currents, buffered per block of `_BLOCK` steps, and advances by
 one `step` call per block; each estimator writes its own trace columns.
 The probe voltage is evaluated analytically at the RK4 substep times;
 holding it constant over a step would alias a fixed fraction of the ripple
-and mask the second-order averaging remainder.  Since Ts divides the probe
-period, those values are tabulated once per carrier phase k mod N, which
-the loop counts instead of computing.
+and mask the second-order averaging remainder.  Since Ts = epsilon/N, the
+probe at the start, middle and end of a step is tabulated once per carrier
+phase k mod N, which the loop counts instead of computing.
 
 A recorded step is six stores, one per state column (theta, omega, the
 currents and the voltages), each through a memoryview of its column
 array; a state column the trace leaves out is stored into one spare row.
-`t` and `theta_wrapped` are filled after the loop, from the step index
-and the stored theta, with the values of k*Ts and Python's theta % (2*pi).
+`t` and `theta_wrapped` are filled after the loop, from `record_times` and
+the stored theta, with the values of k*Ts and Python's theta % (2*pi).
 """
 
 from __future__ import annotations
@@ -69,9 +69,9 @@ from .motor import MotorParams, driven_step_tables, rk4_constants, rk4_step
 from .signal_ops import (
     TWO_PI,
     InjectionConfig,
-    carrier_steps,
     highpass_coefficients,
     lowpass_coefficients,
+    sample_period,
 )
 # not called here; it stays importable from this module, where
 # bench/run.py's tracer wraps it by name
@@ -193,6 +193,12 @@ class ScenarioConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == "driven" and self.drive is None:
             raise ValueError("driven mode needs a drive profile")
+        for key in ("steps_per_period", "decimation", "seed"):
+            if not isinstance(getattr(self, key), int):
+                raise ValueError(f"{key} must be an integer "
+                                 f"(got {getattr(self, key)!r})")
+        if len(self.ell) != 3:
+            raise ValueError(f"ell must have three gains (got {self.ell!r})")
         if self.steps_per_period < 2:
             raise ValueError("steps_per_period must be >= 2")
         finite = {key: getattr(self, key) for key in (
@@ -272,7 +278,7 @@ class ScenarioConfig:
 
     @property
     def Ts(self) -> float:
-        return self.injection.epsilon / self.steps_per_period
+        return sample_period(self.injection, self.steps_per_period)
 
     @property
     def warmup(self) -> float:
@@ -306,22 +312,31 @@ class Trace:
         return len(self.data[self.columns[0]])
 
 
-def check_window(cfg: ScenarioConfig, t1: float, t2: float):
-    """Reject a window [t1, t2] that is empty or leaves [0, duration]."""
-    if not 0.0 <= t1 < t2 <= cfg.duration:
-        raise ValueError(f"window [{t1:g}, {t2:g}] s must satisfy "
-                         f"0 <= t1 < t2 <= duration = {cfg.duration:g} s")
+def _too_large(cfg: ScenarioConfig, exc: Exception) -> ValueError:
+    return ValueError(f"scenario too large: duration = {cfg.duration:g} s "
+                      f"is {cfg.n_steps} steps of {cfg.steps_per_period} per "
+                      "probe period, which cannot be allocated "
+                      f"({str(exc) or type(exc).__name__})")
+
+
+def record_times(cfg: ScenarioConfig) -> np.ndarray:
+    """The `t` column of `run`: k*Ts at every `decimation`-th step k."""
+    try:
+        return np.arange(0, cfg.n_steps + 1, cfg.decimation) * cfg.Ts
+    except (MemoryError, OverflowError) as exc:
+        raise _too_large(cfg, exc) from None
 
 
 def _build_estimators(cfg: ScenarioConfig):
     prop = conv = None
     gains = (cfg.pll_kp, cfg.pll_ki)
+    N = cfg.steps_per_period
     if cfg.estimator in ("proposed", "both"):
-        prop = ProposedEstimator(cfg.motor, cfg.injection, cfg.Ts,
+        prop = ProposedEstimator(cfg.motor, cfg.injection, N,
                                  cfg.gamma_alpha, cfg.gamma_beta,
                                  cfg.ell, cfg.theta0_est, gains)
     if cfg.estimator in ("conventional", "both"):
-        conv = ConventionalEstimator(cfg.motor, cfg.injection, cfg.Ts,
+        conv = ConventionalEstimator(cfg.motor, cfg.injection, N,
                                      *cfg.corners, cfg.theta0_est, gains)
     return prop, conv
 
@@ -343,22 +358,22 @@ def _estimate_out(rec: dict, prefix: str):
 
 
 def _probe_tables(cfg: ScenarioConfig):
-    """Probe voltage per carrier phase j at t = j*Ts and at the half step.
+    """Probe voltage per carrier phase j at j*Ts, the half step and (j+1)*Ts.
 
-    Both lists are allocated before they are filled, so a number of
-    phases no host can hold fails at once, with MemoryError or
+    The first two lists are allocated before they are filled, so a number
+    of phases no host can hold fails at once, with MemoryError or
     OverflowError, rather than after a long fill.
     """
     inj = cfg.injection
     Vh = inj.V_h if cfg.injection_enabled else 0.0
     Ts = cfg.Ts
-    n = carrier_steps(inj, Ts)
+    n = cfg.steps_per_period
     wh = inj.omega_h
     at_step, at_mid = [0.0] * n, [0.0] * n
     for j in range(n):
         at_step[j] = Vh * math.sin(wh * j * Ts)
         at_mid[j] = Vh * math.sin(wh * (j + 0.5) * Ts)
-    return at_step, at_mid
+    return at_step, at_mid, at_step[1:] + at_step[:1]
 
 
 def _noise(cfg: ScenarioConfig, n: int):
@@ -381,14 +396,13 @@ def _noise(cfg: ScenarioConfig, n: int):
 _BLOCK = 1024
 
 
-def _drive_block(cfg: ScenarioConfig, v_probe, v_probe_mid, k0: int,
-                 k1: int):
+def _drive_block(cfg: ScenarioConfig, probe, k0: int, k1: int):
     """Driven steps k0 <= k < k1 as twelve memoryviews: the prescribed angle
     and speed at t = k*Ts, then the ten coefficients of each step's map.
 
     theta = theta0 + n_p*angle and omega are computed on the grids t,
     t + 0.5*Ts and t + Ts, each element as the per-step expression would
-    be, and handed with the probe voltage at the same times to
+    be, and handed with the `probe` arrays at the steps' phases to
     `motor.driven_step_tables`; indexed, the views give Python floats.
     """
     Ts = cfg.Ts
@@ -397,10 +411,8 @@ def _drive_block(cfg: ScenarioConfig, v_probe, v_probe_mid, k0: int,
     for tg in (t, t + 0.5 * Ts, t + Ts):
         mech += (cfg.theta0 + cfg.motor.n_p * cfg.drive.angle_integral(tg),
                  cfg.drive.omega_at(tg))
-    vp = np.array(v_probe)
-    j = np.arange(k0, k1) % len(vp)
-    maps = driven_step_tables(cfg.motor, Ts, *mech, vp[j],
-                              np.array(v_probe_mid)[j], vp[(j + 1) % len(vp)])
+    j = np.arange(k0, k1) % cfg.steps_per_period
+    maps = driven_step_tables(cfg.motor, Ts, *mech, *(p[j] for p in probe))
     return [memoryview(x) for x in (*mech[:2], *maps)]
 
 
@@ -425,7 +437,7 @@ def run(cfg: ScenarioConfig, columns=None) -> Trace:
     Each estimator writes its own trace columns.  A recorded step stores
     the six state columns (theta, omega, i_alpha, i_beta, v_alpha, v_beta),
     a column left out of the trace into a shared spare row; `t` and
-    `theta_wrapped` are derived from the step index and theta once the loop
+    `theta_wrapped` are filled from `record_times` and theta once the loop
     ends.  A scenario whose per-phase tables or per-step arrays cannot be
     allocated raises ValueError ("scenario too large") before any step.
     """
@@ -440,10 +452,13 @@ def run(cfg: ScenarioConfig, columns=None) -> Trace:
     n_steps = cfg.n_steps
     ctrl = SensorlessController(mp, cfg.controller, Ts)
     n_rec = n_steps // cfg.decimation + 1
+    driven = cfg.mode == "driven"
     try:
         # tables of N = steps_per_period carrier phases, then arrays of
         # n_steps; Python and numpy refuse a size beyond the host at once
-        v_probe, v_probe_mid = _probe_tables(cfg)
+        v_probe, v_probe_mid, v_probe_end = tables = _probe_tables(cfg)
+        # numpy copies, which each driven block indexes at its steps' phases
+        probe = [np.array(v) for v in tables] if driven else None
         prop, conv = _build_estimators(cfg)
         noise = _noise(cfg, n_steps)
         rec = {c: np.zeros(n_rec) for c in cols}
@@ -457,13 +472,9 @@ def run(cfg: ScenarioConfig, columns=None) -> Trace:
             spare = np.zeros(n_rec)
             state = [spare if a is None else a for a in state]
     except (MemoryError, OverflowError) as exc:
-        raise ValueError(f"scenario too large: duration = {cfg.duration:g} s "
-                         f"is {n_steps} steps of {cfg.steps_per_period} per "
-                         "probe period, which cannot be allocated "
-                         f"({str(exc) or type(exc).__name__})") from None
+        raise _too_large(cfg, exc) from None
     if noise is not None:
         noise_a, noise_b = noise
-    driven = cfg.mode == "driven"
     # the estimator whose angle and speed the controller reads
     if driven or cfg.sensor_mode:
         closer = None
@@ -489,9 +500,7 @@ def run(cfg: ScenarioConfig, columns=None) -> Trace:
     buf_b = [0.0] * _BLOCK
 
     kc = rk4_constants(mp, Ts)
-    n_car = len(v_probe)
-    # the probe at the end of the step from carrier phase j
-    v_probe_end = v_probe[1:] + v_probe[:1]
+    n_car = cfg.steps_per_period
     lim = cfg.divergence_limit
 
     ia, ib = cfg.i_alpha0, cfg.i_beta0
@@ -515,7 +524,7 @@ def run(cfg: ScenarioConfig, columns=None) -> Trace:
             k1 = min(k0 + _BLOCK, n_steps + 1)
             if driven:
                 (th_t, om_t, p0, p1, p2, p3, p4, p5, p6, p7, p8,
-                 p9) = _drive_block(cfg, v_probe, v_probe_mid, k0, k1)
+                 p9) = _drive_block(cfg, probe, k0, k1)
             for k in range(k0, k1):
                 kb = k - k0
                 if driven:
@@ -588,7 +597,7 @@ def run(cfg: ScenarioConfig, columns=None) -> Trace:
         if closing is not None:
             closing.close()
     if "t" in rec:
-        rec["t"][:] = np.arange(0, n_steps + 1, dec) * Ts
+        rec["t"][:] = record_times(cfg)
     if "theta_wrapped" in rec:
         np.remainder(state[0], TWO_PI, out=rec["theta_wrapped"])
     return Trace(rec, cols)
@@ -603,17 +612,15 @@ def averaging_residual(cfg: ScenarioConfig, t1: float, t2: float):
     estimator-side phase phi_p).  Returns (t, r) restricted to the window
     plus the max norm; r is O(epsilon^2) when the averaging identity holds.
     The window takes the samples that `estimators.window_mask` takes, as
-    `rmsd` does, and is checked on the k*Ts grid before either run.  The
-    probe-off run records only the currents: the ripple model reads the
+    `rmsd` does, and is checked on the runs' record grid before either run.
+    The probe-off run records only the currents: the ripple model reads the
     probe-on run's angle, and both runs share n_steps and Ts, so their
     rows fall at the same times.
     """
-    check_window(cfg, t1, t2)
     base = replace(cfg, estimator="none", decimation=1)
     if base.mode == "closed_loop" and not base.sensor_mode:
         raise ValueError("paired runs need sensor mode (identical control law)")
-    # the trace's time column is k*Ts: the window is checked before any run
-    m = window_mask(np.arange(base.n_steps + 1) * base.Ts, t1, t2)
+    m = window_mask(record_times(base), t1, t2)
     tr_on = run(replace(base, injection_enabled=True),
                 ["t", "theta", "i_alpha", "i_beta"])
     tr_off = run(replace(base, injection_enabled=False),

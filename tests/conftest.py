@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from hfsense.motor import SIM_MOTOR, BENCH_MOTOR
-from hfsense.signal_ops import InjectionConfig
+from hfsense.signal_ops import InjectionConfig, sample_period
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -33,8 +33,14 @@ def scenario_dir():
 
 
 @pytest.fixture
-def Ts(inj):
-    return inj.epsilon / 50.0
+def N():
+    """Samples per probe period of the default sampling."""
+    return 50
+
+
+@pytest.fixture
+def Ts(inj, N):
+    return sample_period(inj, N)
 
 
 def approx_mod_pi(a: float, b: float, tol: float) -> bool:

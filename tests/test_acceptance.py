@@ -204,7 +204,7 @@ def test_criterion_5_operator_properties():
 
     # the proposed estimator's gradient flows under persistent excitation
     # converge to the ripple coefficients within 2%
-    est = ProposedEstimator(SIM_MOTOR, inj, Ts)
+    est = ProposedEstimator(SIM_MOTOR, inj, 50)
     coef = (120.0, -45.0)
     n = int(round(0.2 / Ts))
     S = [inj.epsilon * probe_signal(inj, k * Ts) for k in range(n + 1)]

@@ -390,6 +390,42 @@ def test_sweep_window_below_two_samples_is_config_error(tmp_path, capsys):
                                        "samples\n")
 
 
+# sizes no host holds, which numpy refuses at once: 8e17 bytes of grid,
+# and 5e16 samples of the replay
+@pytest.mark.parametrize("argv,flag", [
+    (["bode", "--points", str(10 ** 17)], "--points"),
+    (["equivalence", "--duration", "1e12"], "--duration")])
+def test_unallocatable_flag_value_is_one_config_error(argv, flag,
+                                                      fast_scenario,
+                                                      tmp_path, capsys):
+    out = tmp_path / "o"
+    rc = main(["--config", str(fast_scenario), "--out", str(out)] + argv)
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert f" {flag} " in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("verb", [["calibrate"],
+                                  ["residual-order", "--t1", "0.1",
+                                   "--t2", "0.2"]])
+def test_unallocatable_replay_grid_is_one_config_error(verb, tmp_path,
+                                                       capsys):
+    """The record grid of 5e16 steps, which the calibration replay and the
+    residual's window check build before any run, is reported as `run`
+    reports it."""
+    p = tmp_path / "long.scenario"
+    p.write_text(DRIVEN.replace("duration = 2.0", "duration = 1e12"))
+    out = tmp_path / "o"
+    rc = main(["--config", str(p), "--out", str(out)] + verb)
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: scenario too large: duration = "
+                          "1e+12 s") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_sweep_without_estimator_is_config_error(tmp_path, capsys):
     """A run of estimator kind none carries no angle: the sweep used to fit
     the all-zero prop_theta_hat column, print a steady error and pass."""

@@ -158,6 +158,22 @@ def test_non_finite_gain_is_rejected_through_replace(key, value,
         replace(cfg, **change)
 
 
+@pytest.mark.parametrize("key,value", [
+    ("decimation", 2.5), ("decimation", 2.0), ("steps_per_period", 50.5),
+    ("seed", 1.5), ("ell", (1.0, 0.0))])
+def test_integer_and_shape_fields_are_rejected_through_replace(key, value,
+                                                               scenario_dir):
+    """The API path: an integer field given a float, or ell without three
+    gains, is rejected at construction with the field's name, where `run`
+    used to fail late with a TypeError or the wrong error (the seed only
+    with noise on, where numpy reads it).  Scenario files reject these
+    through int()."""
+    cfg = replace(load_scenario(scenario_dir / "lowspeed.scenario"),
+                  noise_std=1e-3)
+    with pytest.raises(ValueError, match=key):
+        replace(cfg, **{key: value})
+
+
 def test_corners_resolve_defaults_and_reject_bad_values():
     """ScenarioConfig.corners is the one place that resolves the LTI
     corners: lambda_h = omega_h, lambda_ell = max(sqrt(omega_h *

@@ -25,8 +25,8 @@ from hfsense.motor import SIM_MOTOR, virtual_output
 from hfsense.signal_ops import (
     TWO_PI,
     InjectionConfig,
-    carrier_steps,
     probe_signal,
+    sample_period,
 )
 from oracles import (
     DegenerateSignalError,
@@ -126,9 +126,9 @@ def _run_on_synthetic(est, sim_motor, inj, Ts, theta0, omega_e, duration):
     return t
 
 
-def test_proposed_estimator_tracks_synthetic(sim_motor, inj, Ts):
+def test_proposed_estimator_tracks_synthetic(sim_motor, inj, Ts, N):
     omega_e = 3.0
-    est = ProposedEstimator(sim_motor, inj, Ts, theta0=0.4)
+    est = ProposedEstimator(sim_motor, inj, N, theta0=0.4)
     t = _run_on_synthetic(est, sim_motor, inj, Ts, 0.4, omega_e, 0.5)
     final_err = float(wrap_mod_pi(est.theta_hat - (0.4 + omega_e * t[-1])))
     # steady lag ~ omega_e/(gamma*<S^2>) ~ 0.024 rad at these gains
@@ -136,9 +136,9 @@ def test_proposed_estimator_tracks_synthetic(sim_motor, inj, Ts):
     assert not est.low_confidence
 
 
-def test_conventional_estimator_tracks_synthetic(sim_motor, inj, Ts):
+def test_conventional_estimator_tracks_synthetic(sim_motor, inj, Ts, N):
     omega_e = 3.0
-    est = ConventionalEstimator(sim_motor, inj, Ts, *_corners(inj),
+    est = ConventionalEstimator(sim_motor, inj, N, *_corners(inj),
                                 theta0=0.4)
     t = _run_on_synthetic(est, sim_motor, inj, Ts, 0.4, omega_e, 0.5)
     final_err = float(wrap_mod_pi(est.theta_hat - (0.4 + omega_e * t[-1])))
@@ -146,17 +146,17 @@ def test_conventional_estimator_tracks_synthetic(sim_motor, inj, Ts):
     assert abs(final_err) < 0.12
 
 
-def test_all_estimators_track_with_ld_above_lq(sim_motor, inj, Ts):
+def test_all_estimators_track_with_ld_above_lq(sim_motor, inj, Ts, N):
     """Swapped inductances (L1 > 0) flip the saliency locus; each estimator
     still recovers the angle modulo pi, not a quarter turn off."""
     motor = replace(sim_motor, L_d=sim_motor.L_q, L_q=sim_motor.L_d)
     assert motor.L1 > 0.0
     omega_e, theta0 = 3.0, 0.4
     ests = {
-        "proposed": ProposedEstimator(motor, inj, Ts, theta0=theta0),
-        "block_form": BlockFormEstimator(motor, inj, Ts, theta0=theta0),
+        "proposed": ProposedEstimator(motor, inj, N, theta0=theta0),
+        "block_form": BlockFormEstimator(motor, inj, N, theta0=theta0),
         "conventional": ConventionalEstimator(
-            motor, inj, Ts, *_corners(inj), theta0=theta0),
+            motor, inj, N, *_corners(inj), theta0=theta0),
     }
     n = int(round(0.5 / Ts))
     t = np.arange(n + 1) * Ts
@@ -189,33 +189,33 @@ def test_synthesized_current_follows_virtual_output(sim_motor, inj, Ts):
         synthesize_injection_current(sim_motor, inj, theta[:-1], t)
 
 
-def test_estimator_seeding(sim_motor, inj, Ts):
-    est = ProposedEstimator(sim_motor, inj, Ts, theta0=0.9)
+def test_estimator_seeding(sim_motor, inj, Ts, N):
+    est = ProposedEstimator(sim_motor, inj, N, theta0=0.9)
     assert est.theta_hat == 0.9
     assert (est.yv1, est.yv2) == pytest.approx(virtual_output(sim_motor, 0.9))
     conv = ConventionalEstimator(
-        sim_motor, inj, Ts, *_corners(inj), theta0=0.9)
+        sim_motor, inj, N, *_corners(inj), theta0=0.9)
     assert (conv.yv1, conv.yv2) == pytest.approx(virtual_output(sim_motor, 0.9))
 
 
-def test_proposed_warmup_returns_none(sim_motor, inj, Ts):
-    est = ProposedEstimator(sim_motor, inj, Ts)
+def test_proposed_warmup_returns_none(sim_motor, inj, Ts, N):
+    est = ProposedEstimator(sim_motor, inj, N)
     n_warm = round(2.0 * inj.epsilon / Ts)
     for k in range(n_warm):
         assert est.step(k, (0.0,), (0.0,)) is None
     assert est.step(n_warm, (0.0,), (0.0,)) is not None
 
 
-def test_step_rejects_a_float_time(sim_motor, inj, Ts):
+def test_step_rejects_a_float_time(sim_motor, inj, Ts, N):
     """Each kernel steps by the integer sample index; a float, such as a
     time in seconds, raises TypeError at the first sample and after warm-up,
     and leaves the estimator as it was."""
     n = int(round(0.01 / Ts))
     t = np.arange(n) * Ts
     cur = synthesize_injection_current(sim_motor, inj, 0.4 + 3.0 * t, t)
-    for make in (lambda: ProposedEstimator(sim_motor, inj, Ts, theta0=0.4),
-                 lambda: BlockFormEstimator(sim_motor, inj, Ts, theta0=0.4),
-                 lambda: ConventionalEstimator(sim_motor, inj, Ts,
+    for make in (lambda: ProposedEstimator(sim_motor, inj, N, theta0=0.4),
+                 lambda: BlockFormEstimator(sim_motor, inj, N, theta0=0.4),
+                 lambda: ConventionalEstimator(sim_motor, inj, N,
                                                *_corners(inj), theta0=0.4)):
         est, fresh = make(), make()
         with pytest.raises(TypeError):
@@ -228,41 +228,44 @@ def test_step_rejects_a_float_time(sim_motor, inj, Ts):
 
 
 def test_estimators_reject_ts_not_dividing_epsilon(sim_motor, inj):
-    Ts = inj.epsilon / 50.5
-    with pytest.raises(ValueError):
-        ConventionalEstimator(sim_motor, inj, Ts, *_corners(inj))
-    with pytest.raises(ValueError):
-        ProposedEstimator(sim_motor, inj, Ts)
-    with pytest.raises(ValueError):
-        BlockFormEstimator(sim_motor, inj, Ts)
+    """Each estimator is built from N samples per probe period and takes
+    Ts = epsilon/N, so a Ts that does not divide epsilon cannot be asked
+    for: N must be an integer >= 1 (epsilon/50.5 was the misaligned Ts)."""
+    for N in (0, 2.5, 2e-5, 50.5):
+        with pytest.raises(ValueError, match="steps per probe period"):
+            ConventionalEstimator(sim_motor, inj, N, *_corners(inj))
+        with pytest.raises(ValueError, match="steps per probe period"):
+            ProposedEstimator(sim_motor, inj, N)
+        with pytest.raises(ValueError, match="steps per probe period"):
+            BlockFormEstimator(sim_motor, inj, N)
 
 
 @pytest.mark.parametrize("lam_Ts", [math.pi, 4.0])
-def test_conventional_rejects_corner_at_or_above_nyquist(sim_motor, inj, Ts,
+def test_conventional_rejects_corner_at_or_above_nyquist(sim_motor, inj, Ts, N,
                                                          lam_Ts):
     """The high pass's prewarp tan(lambda_h*Ts/2) holds only below the
     Nyquist rate pi/Ts: at or above it the estimator is not built, where it
     used to return a meaningless angle or NaN."""
     with pytest.raises(ValueError, match="Nyquist"):
-        ConventionalEstimator(sim_motor, inj, Ts, lam_Ts / Ts, 56.0)
+        ConventionalEstimator(sim_motor, inj, N, lam_Ts / Ts, 56.0)
 
 
-def test_ell_validation(sim_motor, inj, Ts):
+def test_ell_validation(sim_motor, inj, Ts, N):
     with pytest.raises(ValueError):
-        ProposedEstimator(sim_motor, inj, Ts, ell=(0.0, 0.0, 1.0))
+        ProposedEstimator(sim_motor, inj, N, ell=(0.0, 0.0, 1.0))
     for gammas in ((0.0, 1e4), (1e4, -1.0)):
         with pytest.raises(ValueError, match="gamma"):
-            ProposedEstimator(sim_motor, inj, Ts, *gammas)
+            ProposedEstimator(sim_motor, inj, N, *gammas)
 
 
-def test_block_form_matches_operator_form(sim_motor, inj, Ts):
+def test_block_form_matches_operator_form(sim_motor, inj, Ts, N):
     """Short cross-check of the two implementations of the same pipeline
     (the acceptance suite runs the long version), from carrier phase 23."""
     omega_e = 3.0
-    a = ProposedEstimator(sim_motor, inj, Ts, theta0=0.2)
-    b = BlockFormEstimator(sim_motor, inj, Ts, theta0=0.2)
+    a = ProposedEstimator(sim_motor, inj, N, theta0=0.2)
+    b = BlockFormEstimator(sim_motor, inj, N, theta0=0.2)
     k0, n = 23, int(round(0.2 / Ts))
-    assert k0 % carrier_steps(inj, Ts) != 0
+    assert k0 % N != 0
     t = (k0 + np.arange(n + 1)) * Ts
     cur = synthesize_injection_current(sim_motor, inj, 0.2 + omega_e * t, t,
                                        i_bar=(0.3, -0.1))
@@ -286,7 +289,8 @@ def test_fused_conventional_step_matches_composed_operators(motor):
     """Bit for bit against HighPass2 -> carrier -> LowPass1 -> locus_angle
     over 3000 seeded samples of ripple plus noise, from carrier phase 37."""
     inj = InjectionConfig(V_h=1.5, epsilon=1e-3, phi=0.3)
-    Ts = inj.epsilon / 50.0
+    N = 50
+    Ts = sample_period(inj, N)
     lambda_h, lambda_ell = inj.omega_h, 80.0
     k0, n = 37, 3000
     t = (k0 + np.arange(n)) * Ts
@@ -294,7 +298,7 @@ def test_fused_conventional_step_matches_composed_operators(motor):
     cur = synthesize_injection_current(motor, inj, 0.7 + 40.0 * t, t,
                                        i_bar=(0.5, -0.2)) \
         + rng.normal(0.0, 1e-3, (n, 2))
-    est = ConventionalEstimator(motor, inj, Ts, lambda_h, lambda_ell,
+    est = ConventionalEstimator(motor, inj, N, lambda_h, lambda_ell,
                                 theta0=0.7)
     # the same chain composed from the standalone operators
     scale = 2.0 * inj.omega_h * motor.det_L / inj.V_h
@@ -302,7 +306,6 @@ def test_fused_conventional_step_matches_composed_operators(motor):
     hpf = [HighPass2(lambda_h, Ts) for _ in range(2)]
     lpf = [LowPass1(lambda_ell, Ts, y0=y * motor.det_L / scale)
            for y in (y10, y20)]
-    N = carrier_steps(inj, Ts)
     theta = 0.7
     mismatches = []
     for k in range(n):
@@ -319,7 +322,8 @@ def test_fused_conventional_step_matches_composed_operators(motor):
 
 
 @SALIENCY
-def test_fused_proposed_angle_matches_virtual_output_to_angle(motor, inj, Ts):
+def test_fused_proposed_angle_matches_virtual_output_to_angle(motor, inj, Ts,
+                                                              N):
     """Bit for bit against virtual_output_to_angle on the estimator's own
     virtual output, over 4000 samples whose locus point passes through the
     degenerate radius, where the previous angle is held."""
@@ -335,7 +339,7 @@ def test_fused_proposed_angle_matches_virtual_output_to_angle(motor, inj, Ts):
     cur = inj.epsilon * S[:, None] * np.column_stack(
         [centre + rho * np.cos(phi), rho * np.sin(phi)]) \
         + rng.normal(0.0, 1e-5, (n, 2))
-    est = ProposedEstimator(motor, inj, Ts, theta0=0.2)
+    est = ProposedEstimator(motor, inj, N, theta0=0.2)
     prev = est.theta_hat
     held = valid = 0
     mismatches = []
@@ -371,7 +375,7 @@ def _state_reading(a: float, unit: float, target: float) -> float:
 
 @pytest.mark.parametrize("form", [ProposedEstimator, BlockFormEstimator])
 def test_locus_point_on_the_degenerate_radius_is_held(form, sim_motor, inj,
-                                                      Ts):
+                                                      Ts, N):
     """A locus point exactly on the radius carries no angle, so the previous
     angle is held (the check is <=, not <); one ulp outside it the sample
     is valid.  Zero current makes the regressor output exactly 0, so the
@@ -381,11 +385,11 @@ def test_locus_point_on_the_degenerate_radius_is_held(form, sim_motor, inj,
     r_min = 0.1 * abs(sim_motor.L1) / sim_motor.det_L
     n_warm = round(2.0 * inj.epsilon / Ts)
     for y2, held in ((r_min, True), (math.nextafter(r_min, math.inf), False)):
-        est = form(sim_motor, inj, Ts, theta0=0.3)
+        est = form(sim_motor, inj, N, theta0=0.3)
         for k in range(n_warm):
             assert est.step(k, (0.0,), (0.0,)) is None
         unit = est._state_per_output(sim_motor)
-        aa, _, ab, _ = est._table[n_warm % carrier_steps(inj, Ts)]
+        aa, _, ab, _ = est._table[n_warm % N]
         est._s = (*est._s[:5], _state_reading(aa, unit, centre),
                   _state_reading(ab, unit, y2), *est._s[7:])
         _, y1_got, y2_got = est.step(n_warm, (0.0,), (0.0,))
@@ -400,8 +404,8 @@ def test_fused_new_pipeline_steps_match_regressor_oracle(motor):
     the per-phase step and locus_angle: seeded ripple plus noise from
     carrier phase 37, unequal gains, past the regressor's periodic rebase."""
     inj = InjectionConfig(V_h=1.5, epsilon=1e-3, phi_p=0.4)
-    Ts = inj.epsilon / 20.0
-    N = carrier_steps(inj, Ts)
+    N = 20
+    Ts = sample_period(inj, N)
     gammas = (1.2e4, 8e3)
     ell = (1.05, 0.02, 0.95)
     k0, n = 37, Regressor._REBASE_EVERY + 300
@@ -410,8 +414,8 @@ def test_fused_new_pipeline_steps_match_regressor_oracle(motor):
     cur = synthesize_injection_current(motor, inj, 0.7 + 25.0 * t, t,
                                        i_bar=(0.5, -0.2)) \
         + rng.normal(0.0, 1e-3, (n, 2))
-    prop = ProposedEstimator(motor, inj, Ts, *gammas, ell, theta0=0.7)
-    block = BlockFormEstimator(motor, inj, Ts, *gammas, theta0=0.7)
+    prop = ProposedEstimator(motor, inj, N, *gammas, ell, theta0=0.7)
+    block = BlockFormEstimator(motor, inj, N, *gammas, theta0=0.7)
     reg = Regressor(inj.epsilon, Ts)
     # per-phase steps of each form; states seeded as the constructors do
     tables = [list(zip(*(est._phase_table(gm) for gm in gammas)))
@@ -473,17 +477,17 @@ def test_pll_tracks_ramp():
 GAINS = (5.0, 0.01)
 
 
-def _forms(motor, inj, Ts, gains=GAINS):
+def _forms(motor, inj, N, gains=GAINS):
     """A maker of each estimator, with off-default settings and a PLL of
     the given gains."""
     return {
         "proposed": lambda: ProposedEstimator(
-            motor, inj, Ts, 1.2e4, 8e3, (1.05, 0.02, 0.95), theta0=0.7,
+            motor, inj, N, 1.2e4, 8e3, (1.05, 0.02, 0.95), theta0=0.7,
             pll_gains=gains),
         "block_form": lambda: BlockFormEstimator(
-            motor, inj, Ts, 1.2e4, 8e3, theta0=0.7, pll_gains=gains),
+            motor, inj, N, 1.2e4, 8e3, theta0=0.7, pll_gains=gains),
         "conventional": lambda: ConventionalEstimator(
-            motor, inj, Ts, inj.omega_h, 80.0, theta0=0.7, pll_gains=gains),
+            motor, inj, N, inj.omega_h, 80.0, theta0=0.7, pll_gains=gains),
     }
 
 
@@ -506,11 +510,12 @@ def _state(est):
 
 @pytest.mark.parametrize("dec", [1, 3])
 @pytest.mark.parametrize("form", ["proposed", "block_form", "conventional"])
-def test_runs_of_any_length_give_equal_outputs_and_state(form, dec, inj, Ts):
+def test_runs_of_any_length_give_equal_outputs_and_state(form, dec, inj, Ts,
+                                                         N):
     """One input, from carrier phase 37, passed whole or split into runs of
     1, 2, 7, 1023, 1024 or 1025 samples: the same rows, the same return
     value of the last run and the same final state, with ==."""
-    make = _forms(SIM_MOTOR, inj, Ts)[form]
+    make = _forms(SIM_MOTOR, inj, N)[form]
     k0, n = 37, 3100
     ia, ib = _noisy_ripple(SIM_MOTOR, inj, Ts, k0, n)
     n_rows = (k0 + n - 1) // dec + 1
@@ -538,10 +543,10 @@ def test_runs_of_any_length_give_equal_outputs_and_state(form, dec, inj, Ts):
 
 
 @pytest.mark.parametrize("form", ["proposed", "block_form", "conventional"])
-def test_step_rejects_runs_of_unequal_length(form, inj, Ts):
+def test_step_rejects_runs_of_unequal_length(form, inj, Ts, N):
     """An i_beta shorter or longer than i_alpha raises ValueError before
     any state changes, in the warm-up and after it."""
-    make = _forms(SIM_MOTOR, inj, Ts)[form]
+    make = _forms(SIM_MOTOR, inj, N)[form]
     ia, ib = _noisy_ripple(SIM_MOTOR, inj, Ts, 0, 300)
     est = make()
     k = 0
@@ -572,14 +577,14 @@ def _resident(est, k0, ia, ib, out, dec, stop=None):
 
 @pytest.mark.parametrize("dec", [1, 3])
 @pytest.mark.parametrize("form", ["proposed", "block_form", "conventional"])
-def test_resident_kernel_equals_one_step(form, dec, inj, Ts):
+def test_resident_kernel_equals_one_step(form, dec, inj, Ts, N):
     """The kernel driven one sample per next(), as the loop-closer is,
     equals one `step` over the same samples, with ==: the same rows and
     final state, and each yield is the sample's (theta_hat, omega_hat), or
     None before the first valid sample.  The run from carrier phase 37
     crosses the warm-up, and 3 divides neither the 1024-step block nor the
     run."""
-    make = _forms(SIM_MOTOR, inj, Ts)[form]
+    make = _forms(SIM_MOTOR, inj, N)[form]
     k0, n = 37, 1400
     ia, ib = _noisy_ripple(SIM_MOTOR, inj, Ts, k0, n)
     n_rows = (k0 + n - 1) // dec + 1
@@ -601,12 +606,13 @@ def test_resident_kernel_equals_one_step(form, dec, inj, Ts):
 
 
 @pytest.mark.parametrize("form", ["proposed", "block_form", "conventional"])
-def test_resident_kernel_closed_mid_run_writes_its_state_back(form, inj, Ts):
+def test_resident_kernel_closed_mid_run_writes_its_state_back(form, inj, Ts,
+                                                              N):
     """Closed after j samples, in the warm-up or after it, the kernel
     leaves the estimator as one `step` over those j samples does, and a
     `step` over the rest then ends as one `step` over the whole run.
     Closed before its first sample, it changes nothing."""
-    make = _forms(SIM_MOTOR, inj, Ts)[form]
+    make = _forms(SIM_MOTOR, inj, N)[form]
     k0, n, dec = 37, 1400, 3
     ia, ib = _noisy_ripple(SIM_MOTOR, inj, Ts, k0, n)
     n_rows = (k0 + n - 1) // dec + 1
@@ -626,11 +632,11 @@ def test_resident_kernel_closed_mid_run_writes_its_state_back(form, inj, Ts):
 
 
 @pytest.mark.parametrize("form", ["proposed", "block_form", "conventional"])
-def test_inline_pll_equals_pll_step(form, inj, Ts):
+def test_inline_pll_equals_pll_step(form, inj, Ts, N):
     """The PLL inside each kernel steps as `Pll.step` on the kernel's own
     angle, on every valid sample: each sample's speed and the final state
     are equal, with ==.  Without gains no PLL runs and the speed stays 0."""
-    make = _forms(SIM_MOTOR, inj, Ts)[form]
+    make = _forms(SIM_MOTOR, inj, N)[form]
     ia, ib = _noisy_ripple(SIM_MOTOR, inj, Ts, 11, 3000)
     est = make()
     out = np.zeros((5, 11 + len(ia)))  # rows 11, 12, ... are written
@@ -647,7 +653,7 @@ def test_inline_pll_equals_pll_step(form, inj, Ts):
     assert (est.omega_hat, est._s[-2:]) == (pll.omega_hat,
                                             (pll.eta1, pll.eta2))
 
-    bare = _forms(SIM_MOTOR, inj, Ts, gains=None)[form]()
+    bare = _forms(SIM_MOTOR, inj, N, gains=None)[form]()
     out = np.ones((5, 11 + len(ia)))
     bare.step(11, ia, ib, out)
     assert np.array_equal(out[0, 11:], th) and not out[1, 11:].any()
@@ -655,11 +661,12 @@ def test_inline_pll_equals_pll_step(form, inj, Ts):
 
 
 def _calibration_trace(sim_motor, inj, omega_e, duration, **kw):
-    Ts = inj.epsilon / 50.0
+    N = 50
+    Ts = sample_period(inj, N)
     n = int(round(duration / Ts))
     t = np.arange(n + 1) * Ts
     cur = synthesize_injection_current(sim_motor, inj, omega_e * t, t, **kw)
-    est = ProposedEstimator(sim_motor, inj, Ts)
+    est = ProposedEstimator(sim_motor, inj, N)
     th, om, y1, y2, valid = np.empty((5, n + 1))
     est.step(0, cur[:, 0].tolist(), cur[:, 1].tolist(), (th, om, y1, y2, valid))
     return t, y1, y2, th

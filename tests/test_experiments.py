@@ -110,8 +110,9 @@ def test_compare_rmsd_short_window():
     assert 0.0 <= res["conventional"] < 1.0
 
 
+# inverted, empty, outside the trace, and between two records 1e-4 s apart
 @pytest.mark.parametrize("t1,t2", [(0.2, 0.1), (0.1, 0.1), (-0.1, 0.2),
-                                   (0.1, 0.6)])
+                                   (0.1, 0.6), (0.10001, 0.10005)])
 def test_compare_rmsd_checks_window_before_running(t1, t2, monkeypatch):
     def no_run(cfg):
         raise AssertionError("simulated before checking the window")
@@ -188,10 +189,15 @@ def test_frequency_sweep_rejects_degenerate_fits(monkeypatch):
                         lambda cfg: _synthetic_trace(bias=0.0, ripple=0.0))
     with pytest.raises(ValueError, match="no logarithm"):
         frequency_sweep(_cfg(), [500.0, 1000.0], 0.1, 0.2)
-    # a reversed window is rejected before any sweep point runs
+    # a reversed window, and one between two records of each point
+    # (every 2e-4 s at 500 Hz, 1e-4 s at 1 kHz), are rejected before any
+    # sweep point runs
     monkeypatch.setattr(experiments, "run", _no_run)
     with pytest.raises(ValueError, match="window"):
         frequency_sweep(_cfg(), [500.0, 1000.0], 0.2, 0.1)
+    with pytest.raises(ValueError, match="window .* fewer than 2 samples"):
+        frequency_sweep(_cfg(), [500.0, 1000.0], 0.10001, 0.10005,
+                        metric="ripple")
 
 
 def test_frequency_sweep_caps_pool_at_sweep_points(monkeypatch):

@@ -16,13 +16,13 @@ from hfsense.signal_ops import (
     TWO_PI,
     InjectionConfig,
     bode_table,
-    carrier_steps,
     gd_frequency_response,
     highpass_coefficients,
     hpf_frequency_response,
     lowpass_coefficients,
     lpf_frequency_response,
     probe_signal,
+    sample_period,
 )
 from hfsense.sim import ScenarioConfig, _probe_tables
 from oracles import HighPass2, LowPass1, Regressor, unwrapped_phase_at
@@ -41,19 +41,29 @@ def test_injection_config_basics():
         InjectionConfig(phi=7.0)
 
 
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+@pytest.mark.parametrize("key", ["V_h", "epsilon"])
+def test_injection_config_rejects_non_finite(key, value):
+    """An infinite amplitude or period used to build and end `run` in a
+    ZeroDivisionError, a NaN amplitude in SimulationDiverged."""
+    with pytest.raises(ValueError, match=f"{key} must be positive and finite"):
+        InjectionConfig(**{key: value})
+
+
 def test_probe_and_injection_values(inj):
     # S(0) = -V_h/(2 pi); the simulator injects V_h sin(omega_h t) per
-    # carrier phase, at the step (j*Ts) and at the half step
+    # carrier phase, at the step (j*Ts), at the half step and at the step's
+    # end, (j + 1)*Ts
     assert probe_signal(inj, 0.0) == pytest.approx(-1.0 / TWO_PI)
     cfg = ScenarioConfig(motor=SIM_MOTOR, injection=inj, steps_per_period=50)
-    at_step, at_mid = _probe_tables(cfg)
-    assert len(at_step) == len(at_mid) == 50
+    at_step, at_mid, at_end = _probe_tables(cfg)
+    assert len(at_step) == len(at_mid) == len(at_end) == 50
     assert at_step[0] == 0.0
     assert at_mid[12] == pytest.approx(1.0)  # 12.5 Ts: quarter period
     assert at_step[25] == pytest.approx(0.0, abs=1e-12)
     assert at_step[10] == pytest.approx(math.sin(0.4 * math.pi))
     off = _probe_tables(replace(cfg, injection_enabled=False))
-    assert off == ([0.0] * 50, [0.0] * 50)
+    assert off == ([0.0] * 50, [0.0] * 50, [0.0] * 50)
 
 
 def test_delay_line_exact(Ts):
@@ -153,8 +163,8 @@ def test_gradient_flow_convergence(inj):
     estimator converges to the coefficient of S in its input ripple
     epsilon*c*S(t) within 2%."""
     coef = (120.0, -45.0)
-    Ts = inj.epsilon / 50.0
-    est = ProposedEstimator(SIM_MOTOR, inj, Ts)
+    Ts = sample_period(inj, 50)
+    est = ProposedEstimator(SIM_MOTOR, inj, 50)
     n = int(round(0.2 / Ts))
     S = [probe_signal(inj, k * Ts) for k in range(n + 1)]
     est.step(0, [inj.epsilon * coef[0] * s for s in S],
@@ -178,12 +188,11 @@ def test_gradient_flow_phase_table_matches_sampled_step():
     """The proposed estimator's tabulated step equals the per-sample rule on
     both axes (unequal gains) for any starting phase."""
     cfg = InjectionConfig(V_h=1.5, epsilon=1e-3, phi_p=0.7)
-    Ts = cfg.epsilon / 50
-    n = carrier_steps(cfg, Ts)
-    assert n == 50
+    n = 50
+    Ts = sample_period(cfg, n)
     gammas = (2e4, 7e3)
     theta0 = 0.3
-    est = ProposedEstimator(SIM_MOTOR, cfg, Ts, *gammas, theta0=theta0)
+    est = ProposedEstimator(SIM_MOTOR, cfg, n, *gammas, theta0=theta0)
     reg = Regressor(cfg.epsilon, Ts)
     ks = range(37, 37 + 6 * n)
     cur = [(2e-3 * probe_signal(cfg, k * Ts) + 1e-4 * math.sin(0.3 * k),
@@ -209,8 +218,13 @@ def test_gradient_flow_phase_table_matches_sampled_step():
 
 
 def test_carrier_kernels_reject_misaligned_ts(inj):
-    with pytest.raises(ValueError):
-        carrier_steps(inj, inj.epsilon / 50.5)
+    """Ts is built from N samples per probe period, so it divides epsilon;
+    an N that is not an integer >= 1 (epsilon/50.5 was the misaligned Ts)
+    is rejected."""
+    assert sample_period(inj, 50) == inj.epsilon / 50
+    for N in (0, 2.5, 2e-5, 50.5):
+        with pytest.raises(ValueError, match="steps per probe period"):
+            sample_period(inj, N)
 
 
 class _DequeDelay:

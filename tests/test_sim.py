@@ -410,11 +410,12 @@ def test_driven_run_reads_drive_tables_bit_for_bit(monkeypatch):
     for g, grid in enumerate((0.0, 0.5 * Ts, Ts)):
         assert list(zip(tables[2 * g], tables[2 * g + 1])) == \
             [prescribed(k * Ts + grid) for k in range(n + 1)]
-    at_step, at_mid = sim._probe_tables(cfg)
-    N = len(at_step)
-    assert tables[6:] == [[at_step[k % N] for k in range(n + 1)],
-                          [at_mid[k % N] for k in range(n + 1)],
-                          [at_step[(k + 1) % N] for k in range(n + 1)]]
+    probe = sim._probe_tables(cfg)
+    N = cfg.steps_per_period
+    assert tables[6:] == [[p[k % N] for k in range(n + 1)] for p in probe]
+    # the end table is the start table shifted by one phase
+    at_step, _, at_end = probe
+    assert at_end == [at_step[(j + 1) % N] for j in range(N)]
     # the ramp is resolved on the grid, on both sides of the block edge
     assert len(set(tr.omega.tolist())) > 40
 
@@ -472,7 +473,7 @@ def test_closed_loop_run_steps_the_state_as_the_oracle(monkeypatch):
                i_beta0=-1.1, load_torque=0.5)
     tr = run(cfg)
     Ts, n = cfg.Ts, cfg.n_steps
-    at_step, at_mid = sim._probe_tables(cfg)
+    at_step, at_mid, _ = sim._probe_tables(cfg)
     N = len(at_step)
     assert len(volts) == n + 1 and max(map(abs, tr.i_alpha)) > 0.5
     th, om = cfg.theta0, cfg.omega0
