@@ -2,7 +2,8 @@
 
 Deliberately dependency-free and strict: unknown sections or keys are
 rejected (with the offending line number), as are invariant violations, so a
-typo in a scenario file cannot silently fall back to a default.
+typo in a scenario file cannot silently fall back to a default.  A `[drive]`
+section, and nothing else, makes the run driven.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ _SCHEMA = {
                    "current_ki": _F, "omega_ref": _F, "i_d_ref": _F,
                    "i_q_limit": _F, "v_limit": _F, "meas_lpf_cutoff": _F,
                    "sensor_mode": _bool},
-    "simulation": {"mode": str, "steps_per_period": int, "duration": _F,
+    "simulation": {"steps_per_period": int, "duration": _F,
                    "decimation": int, "noise_std": _F, "seed": int,
                    "theta0": _F, "omega0": _F, "i_alpha0": _F, "i_beta0": _F,
                    "divergence_limit": _F, "load_torque": _F},

@@ -168,12 +168,6 @@ class ProposedEstimator:
         self._s = (0, 0.0, 0.0, m + 1, _REBASE_EVERY,
                    unit * y10, unit * y20, *pll_s)
 
-    @property
-    def x(self) -> tuple[float, float]:
-        """Demodulator state (x_alpha, x_beta); yv is ell applied to x
-        divided by `_state_per_output` (epsilon)."""
-        return self._s[5:7]
-
     def _state_per_output(self, params: MotorParams) -> float:
         """Demodulator state per unit of virtual output: x/epsilon reads yv."""
         return self.cfg.epsilon

@@ -70,7 +70,7 @@ def steady_lag_limits(cfg: ScenarioConfig) -> dict:
     gains on both axes and identity compensation gains; raises ValueError
     where the scenario breaks these.
     """
-    if cfg.mode != "closed_loop":
+    if cfg.drive is not None:
         raise ValueError("steady lag limits need a closed-loop scenario")
     if not cfg.injection_enabled:
         raise ValueError("steady lag limits need the probe enabled")
@@ -105,9 +105,7 @@ def compare_rmsd(cfg: ScenarioConfig, t1: float = 5.0, t2: float = 10.0) -> dict
 def _measure(cfg: ScenarioConfig, metric: str, t1: float, t2: float) -> dict:
     trace = run(cfg)
     fn = steady_angle_ripple if metric == "ripple" else steady_angle_error
-    return {p: fn(trace, p, t1, t2) for p, kind in
-            (("prop", "proposed"), ("conv", "conventional"))
-            if cfg.estimator in (kind, "both")}
+    return {p: fn(trace, p, t1, t2) for p in cfg.pipelines}
 
 
 def sweep(configs: list[ScenarioConfig], metric: str, t1: float, t2: float,
@@ -122,7 +120,7 @@ def sweep(configs: list[ScenarioConfig], metric: str, t1: float, t2: float,
         raise ValueError(f"workers must be >= 1, got {workers}")
     for cfg in configs:
         window_mask(record_times(cfg), t1, t2)
-        if cfg.estimator == "none":
+        if not cfg.pipelines:
             raise ValueError("a sweep point runs no estimator to measure")
     measure = partial(_measure, metric=metric, t1=t1, t2=t2)
     # one process per point at most: the pool forks all its workers at start
@@ -148,8 +146,8 @@ def frequency_sweep(cfg: ScenarioConfig, freqs_hz, t1: float, t2: float,
                     workers: int = 1, metric: str = "rms") -> dict:
     """Steady angle error vs probe frequency f, with the log-log order fit.
 
-    One `sweep` point per f, at epsilon = 1/f, measures the scenario's
-    estimator (the new pipeline for "both").  A gamma_scale sets
+    One `sweep` point per f, at epsilon = 1/f, measures the first of the
+    scenario's pipelines (the new one for "both").  A gamma_scale sets
     gamma = gamma_scale/epsilon, the gain condition of the accuracy analysis.
     """
     if len(set(freqs_hz)) < 2 or not all(0.0 < f < math.inf for f in freqs_hz):
@@ -160,8 +158,8 @@ def frequency_sweep(cfg: ScenarioConfig, freqs_hz, t1: float, t2: float,
         ("gamma_alpha", "gamma_beta"), gamma_scale / e) for e in eps]
     configs = [replace(cfg, injection=replace(cfg.injection, epsilon=e), **g)
                for e, g in zip(eps, gains)]
-    prefix = "conv" if cfg.estimator == "conventional" else "prop"
-    errors = [m[prefix] for m in sweep(configs, metric, t1, t2, workers)]
+    errors = [m[cfg.pipelines[0]]
+              for m in sweep(configs, metric, t1, t2, workers)]
     return {"freqs_hz": list(freqs_hz), "epsilons": eps, "errors": errors,
             "slope": order_fit(eps, errors)}
 

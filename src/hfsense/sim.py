@@ -8,13 +8,14 @@ number, and a filter corner whose coefficients at that step size are not
 (the controller's measurement low pass, and the LTI chain's pair when it
 runs).
 
-One step loop, `run`, serves both mechanics modes:
+One step loop, `run`, serves both mechanics modes; a run is driven
+exactly when its scenario has a drive profile:
 
 * closed loop - the sensorless FOC drives the machine from the estimates
   (or from the true state in sensor mode, which isolates estimator error),
   and RK4 integrates currents, angle and speed, the currents in the rotor
   frame;
-* driven - the angle and speed follow a prescribed profile, as on a dyno
+* driven - the angle and speed follow the prescribed profile, as on a dyno
   bench; the mechanics at t, t+Ts/2 and t+Ts come from tables of the
   profile, built one block of steps at a time.
 
@@ -28,14 +29,15 @@ control voltage, and `motor.driven_step_tables` builds its ten coefficients
 per step along with the profile tables.  Both forms' oracle is in
 tests/oracles.py.
 
-The controller and the estimator it reads advance once per integration
-step (single cadence, no PWM).  That estimator's kernel is one generator,
-open for the whole run: each step feeds it one measured sample and takes
-its estimate back, with no call that unpacks and writes back its state.
-An estimator that only observes (the LTI chain when the new pipeline
-closes the loop, both estimators in driven and sensor mode) sees the same
-measured currents, buffered per block of `_BLOCK` steps, and advances by
-one `step` call per block; each estimator writes its own trace columns.
+The controller and the estimator it reads, the first of the run's
+`pipelines`, advance once per integration step (single cadence, no PWM).
+That estimator's kernel is one generator, open for
+the whole run: each step feeds it one measured sample and takes its
+estimate back, with no call that unpacks and writes back its state.  An
+estimator that only observes (the LTI chain when the new pipeline closes
+the loop, both estimators in a driven run and in sensor mode) sees the
+same measured currents, buffered per block of `_BLOCK` steps, and advances
+by one `step` call per block; each estimator writes its own trace columns.
 The probe voltage is evaluated analytically at the RK4 substep times;
 holding it constant over a step would alias a fixed fraction of the ripple
 and mask the second-order averaging remainder.  Since Ts = epsilon/N, the
@@ -44,7 +46,7 @@ phase k mod N, which the loop counts instead of computing.
 
 A recorded step is six stores, one per state column (theta, omega, the
 currents and the voltages), each through a memoryview of its column
-array; a state column the trace leaves out is stored into one spare row.
+array; every column the trace leaves out is stored into one spare row.
 `t` and `theta_wrapped` are filled after the loop, from `record_times` and
 the stored theta, with the values of k*Ts and Python's theta % (2*pi).
 """
@@ -77,6 +79,11 @@ from .signal_ops import (
 # bench/run.py's tracer wraps it by name
 from .signal_ops import probe_signal  # noqa: F401
 
+# each estimator kind's pipelines, by trace prefix; the first closes the loop
+_PIPELINES = {"proposed": ("prop",), "conventional": ("conv",),
+              "both": ("prop", "conv"), "none": ()}
+ESTIMATOR_KINDS = tuple(_PIPELINES)
+
 # the columns sim.run writes, then those each estimator writes after its
 # prefix, in the order of the `out` sequences of its step; an absent
 # estimator's columns stay 0
@@ -86,10 +93,9 @@ _PLANT_COLUMNS = ["t", "theta", "theta_wrapped", "omega",
 # from the step index and theta after it
 _STATE_COLUMNS = ("theta", "omega", "i_alpha", "i_beta", "v_alpha", "v_beta")
 _ESTIMATE_COLUMNS = ("theta_hat", "omega_hat", "yv1", "yv2", "valid")
-TRACE_COLUMNS = _PLANT_COLUMNS + [f"{prefix}_{c}" for prefix in ("prop", "conv")
-                                  for c in _ESTIMATE_COLUMNS]
-
-ESTIMATOR_KINDS = ("proposed", "conventional", "both", "none")
+TRACE_COLUMNS = _PLANT_COLUMNS + [
+    f"{prefix}_{c}" for prefix in dict.fromkeys(sum(_PIPELINES.values(), ()))
+    for c in _ESTIMATE_COLUMNS]
 
 
 class SimulationDiverged(RuntimeError):
@@ -155,14 +161,14 @@ class DriveProfile:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Complete description of one run; a value object, safe to share."""
+    """Complete description of one run, driven exactly when it has a drive
+    profile; a value object, safe to share."""
 
     motor: MotorParams
     injection: InjectionConfig = InjectionConfig()
     controller: ControllerConfig = ControllerConfig()
-    load_torque: float = 0.0         # [N m], closed-loop mode only
-    drive: DriveProfile | None = None
-    mode: str = "closed_loop"        # closed_loop | driven
+    load_torque: float = 0.0         # [N m], closed loop (no drive) only
+    drive: DriveProfile | None = None  # prescribed speed: the run is driven
     estimator: str = "both"
     gamma_alpha: float = 1e4
     gamma_beta: float = 1e4
@@ -189,10 +195,6 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.estimator not in ESTIMATOR_KINDS:
             raise ValueError(f"unknown estimator kind {self.estimator!r}")
-        if self.mode not in ("closed_loop", "driven"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode == "driven" and self.drive is None:
-            raise ValueError("driven mode needs a drive profile")
         for key in ("steps_per_period", "decimation", "seed"):
             if not isinstance(getattr(self, key), int):
                 raise ValueError(f"{key} must be an integer "
@@ -228,8 +230,7 @@ class ScenarioConfig:
         if not self.divergence_limit > 0.0:
             raise ValueError(f"divergence_limit must be positive "
                              f"(got {self.divergence_limit:g})")
-        if self.estimator == "none" and not self.sensor_mode \
-                and self.mode == "closed_loop":
+        if not self.pipelines and not self.sensor_mode and self.drive is None:
             raise ValueError("closed loop without estimator requires sensor mode")
         if self.duration <= self.warmup:
             raise ValueError("duration must exceed the operator warm-up")
@@ -255,8 +256,7 @@ class ScenarioConfig:
         # too large before it builds a filter.
         filters = [("meas_lpf_cutoff", lowpass_coefficients,
                     self.controller.meas_lpf_cutoff)]
-        if self.estimator in ("conventional", "both") \
-                and self.steps_per_period <= sys.maxsize:
+        if "conv" in self.pipelines and self.steps_per_period <= sys.maxsize:
             filters += [("lambda_h", highpass_coefficients, lambda_h),
                         ("lambda_ell", lowpass_coefficients, lambda_ell)]
         for key, coefficients, lam in filters:
@@ -275,6 +275,11 @@ class ScenarioConfig:
         lambda_ell = (max(math.sqrt(omega_h * self.omega_star), 1.0)
                       if self.lambda_ell is None else self.lambda_ell)
         return lambda_h, lambda_ell
+
+    @property
+    def pipelines(self) -> tuple[str, ...]:
+        """The trace prefixes of the run's estimators, from `_PIPELINES`."""
+        return _PIPELINES[self.estimator]
 
     @property
     def Ts(self) -> float:
@@ -327,34 +332,27 @@ def record_times(cfg: ScenarioConfig) -> np.ndarray:
         raise _too_large(cfg, exc) from None
 
 
-def _build_estimators(cfg: ScenarioConfig):
-    prop = conv = None
+def _build_estimators(cfg: ScenarioConfig) -> dict:
+    """The estimators of the run's pipelines, by trace prefix."""
     gains = (cfg.pll_kp, cfg.pll_ki)
     N = cfg.steps_per_period
-    if cfg.estimator in ("proposed", "both"):
-        prop = ProposedEstimator(cfg.motor, cfg.injection, N,
-                                 cfg.gamma_alpha, cfg.gamma_beta,
-                                 cfg.ell, cfg.theta0_est, gains)
-    if cfg.estimator in ("conventional", "both"):
-        conv = ConventionalEstimator(cfg.motor, cfg.injection, N,
-                                     *cfg.corners, cfg.theta0_est, gains)
-    return prop, conv
+    build = {"prop": lambda: ProposedEstimator(
+                 cfg.motor, cfg.injection, N, cfg.gamma_alpha, cfg.gamma_beta,
+                 cfg.ell, cfg.theta0_est, gains),
+             "conv": lambda: ConventionalEstimator(
+                 cfg.motor, cfg.injection, N, *cfg.corners, cfg.theta0_est,
+                 gains)}
+    return {prefix: build[prefix]() for prefix in cfg.pipelines}
 
 
-class _Sink:
-    """Write target of an estimator column the trace does not record."""
-
-    def __setitem__(self, row, value):
-        pass
-
-
-def _estimate_out(rec: dict, prefix: str):
+def _estimate_out(rec: dict, prefix: str, spare: np.ndarray):
     """The `out` sequences of one estimator's step: a memoryview of each of
-    its recorded columns, a sink for the others; None if none is recorded."""
+    its columns, of the spare row for a column the trace leaves out; None
+    if none is recorded."""
     names = [f"{prefix}_{c}" for c in _ESTIMATE_COLUMNS]
     if not any(c in rec for c in names):
         return None
-    return tuple(memoryview(rec[c]) if c in rec else _Sink() for c in names)
+    return tuple(memoryview(rec.get(c, spare)) for c in names)
 
 
 def _probe_tables(cfg: ScenarioConfig):
@@ -421,24 +419,24 @@ def run(cfg: ScenarioConfig, columns=None) -> Trace:
 
     `columns` selects trace columns (default: all of TRACE_COLUMNS); an
     unknown name, a repeated one or an empty selection raises ValueError.
-    Closed-loop mode integrates the mechanics under the constant load
-    torque `load_torque`; driven mode reads them at t, t+Ts/2 and t+Ts
-    from tables of the drive profile, built per block of `_BLOCK` steps
-    with the affine maps that advance its currents.
-    The controller regulates in the true frame in sensor mode and in
-    driven mode (as on a dyno bench), else in the estimated frame;
-    estimators only ever see the measured currents.  The estimator the
-    controller reads runs one generator of its kernel for the whole run:
-    each step pushes the measured sample into its feed and takes the
-    estimate back, and the generator is closed when the run ends or
-    diverges, which writes the estimator's state back.  Every other
+    Without a drive profile the closed loop integrates the mechanics under
+    the constant load torque `load_torque`; a driven run reads them at t,
+    t+Ts/2 and t+Ts from tables of the drive profile, built per block of
+    `_BLOCK` steps with the affine maps that advance its currents.
+    The controller regulates in the true frame in sensor mode and in a
+    driven run (as on a dyno bench), else in the frame of the first of
+    `cfg.pipelines`; estimators only ever see the measured currents.  The
+    estimator the controller reads runs one generator of its kernel for
+    the whole run: each step pushes the measured sample into its feed and
+    takes the estimate back, and the generator is closed when the run ends
+    or diverges, which writes the estimator's state back.  Every other
     estimator only observes, and advances once per block over the block's
     measured currents, or not at all if none of its columns is recorded.
     Each estimator writes its own trace columns.  A recorded step stores
-    the six state columns (theta, omega, i_alpha, i_beta, v_alpha, v_beta),
-    a column left out of the trace into a shared spare row; `t` and
-    `theta_wrapped` are filled from `record_times` and theta once the loop
-    ends.  A scenario whose per-phase tables or per-step arrays cannot be
+    the six state columns (theta, omega, i_alpha, i_beta, v_alpha, v_beta);
+    every column left out of the trace goes to one shared spare row.  `t`
+    and `theta_wrapped` are filled from `record_times` and theta once the
+    loop ends.  A scenario whose per-phase tables or per-step arrays cannot be
     allocated raises ValueError ("scenario too large") before any step.
     """
     cols = list(columns) if columns is not None else list(TRACE_COLUMNS)
@@ -452,48 +450,42 @@ def run(cfg: ScenarioConfig, columns=None) -> Trace:
     n_steps = cfg.n_steps
     ctrl = SensorlessController(mp, cfg.controller, Ts)
     n_rec = n_steps // cfg.decimation + 1
-    driven = cfg.mode == "driven"
+    driven = cfg.drive is not None
     try:
         # tables of N = steps_per_period carrier phases, then arrays of
         # n_steps; Python and numpy refuse a size beyond the host at once
         v_probe, v_probe_mid, v_probe_end = tables = _probe_tables(cfg)
         # numpy copies, which each driven block indexes at its steps' phases
         probe = [np.array(v) for v in tables] if driven else None
-        prop, conv = _build_estimators(cfg)
+        estimators = _build_estimators(cfg)
         noise = _noise(cfg, n_steps)
         rec = {c: np.zeros(n_rec) for c in cols}
+        # the write target of every column the trace leaves out
+        spare = np.zeros(n_rec)
         # the state columns the loop stores: theta also when only
-        # theta_wrapped is recorded, and every column the trace leaves out
-        # into one shared spare row
-        state = [rec.get(c) for c in _STATE_COLUMNS]
-        if state[0] is None and "theta_wrapped" in rec:
+        # theta_wrapped is recorded
+        state = [rec.get(c, spare) for c in _STATE_COLUMNS]
+        if "theta" not in rec and "theta_wrapped" in rec:
             state[0] = np.zeros(n_rec)
-        if any(a is None for a in state):
-            spare = np.zeros(n_rec)
-            state = [spare if a is None else a for a in state]
     except (MemoryError, OverflowError) as exc:
         raise _too_large(cfg, exc) from None
     if noise is not None:
         noise_a, noise_b = noise
-    # the estimator whose angle and speed the controller reads
-    if driven or cfg.sensor_mode:
-        closer = None
-    else:
-        closer = conv if cfg.estimator == "conventional" else prop
+    # the prefix of the estimator whose angle and speed the controller reads
+    closer = None if driven or cfg.sensor_mode else cfg.pipelines[0]
     dec = cfg.decimation
     closing = None
     observers = []
-    for est, prefix in ((prop, "prop"), (conv, "conv")):
-        if est is not None:
-            out = _estimate_out(rec, prefix)
-            if est is closer:
-                # one generator of the kernel for the whole run, fed one
-                # measured sample per step
-                feed = []
-                push = feed.append
-                closing = closer.kernel(iter(feed.pop, None), out, dec)
-            elif out is not None:
-                observers.append((est.step, out))
+    for prefix, est in estimators.items():
+        out = _estimate_out(rec, prefix, spare)
+        if prefix == closer:
+            # one generator of the kernel for the whole run, fed one
+            # measured sample per step
+            feed = []
+            push = feed.append
+            closing = est.kernel(iter(feed.pop, None), out, dec)
+        elif out is not None:
+            observers.append((est.step, out))
     # measured currents of the block, for the observers
     buffered = bool(observers)
     buf_a = [0.0] * _BLOCK
@@ -506,7 +498,7 @@ def run(cfg: ScenarioConfig, columns=None) -> Trace:
     ia, ib = cfg.i_alpha0, cfg.i_beta0
     th = cfg.theta0
     om = cfg.omega0
-    TL = cfg.load_torque  # closed loop only: driven mode prescribes th, om
+    TL = cfg.load_torque  # closed loop only: a drive prescribes th, om
     # closed loop only: the plant's rotor-frame currents, and the cos and
     # sin of theta that the next step starts from
     c = math.cos(th)
@@ -617,9 +609,9 @@ def averaging_residual(cfg: ScenarioConfig, t1: float, t2: float):
     probe-on run's angle, and both runs share n_steps and Ts, so their
     rows fall at the same times.
     """
-    base = replace(cfg, estimator="none", decimation=1)
-    if base.mode == "closed_loop" and not base.sensor_mode:
+    if cfg.drive is None and not cfg.sensor_mode:
         raise ValueError("paired runs need sensor mode (identical control law)")
+    base = replace(cfg, estimator="none", decimation=1)
     m = window_mask(record_times(base), t1, t2)
     tr_on = run(replace(base, injection_enabled=True),
                 ["t", "theta", "i_alpha", "i_beta"])

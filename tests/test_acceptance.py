@@ -120,7 +120,7 @@ def test_criterion_3_accuracy_orders(lowspeed_cfg):
     standstill sweep therefore measures the steady ripple (std-dev of the
     windowed error) rather than the total RMS.
     """
-    base = replace(lowspeed_cfg, mode="driven", estimator="both",
+    base = replace(lowspeed_cfg, estimator="both",
                    drive=DriveProfile(kind="constant", omega=0.5),
                    duration=3.0, theta0=0.3)
     # gamma = 10/epsilon for the new pipeline; the LTI chain reads no gamma,
@@ -131,7 +131,7 @@ def test_criterion_3_accuracy_orders(lowspeed_cfg):
                     for e in eps], "rms", 1.5, 3.0, workers=3)
     prop, conv = (order_fit(eps, [m[p] for m in driven])
                   for p in ("prop", "conv"))
-    still = replace(lowspeed_cfg, mode="driven", estimator="conventional",
+    still = replace(lowspeed_cfg, estimator="conventional",
                     drive=DriveProfile(kind="constant", omega=0.0),
                     lambda_ell=1.0, theta0=0.7, duration=20.0)
     conv0 = frequency_sweep(still, SWEEP_FREQS, 14.0, 20.0, workers=3,

@@ -37,7 +37,6 @@ J = 0.01
 [simulation]
 duration = 2.0
 decimation = 5
-mode = driven
 
 [drive]
 profile = constant
@@ -214,7 +213,8 @@ _BAD_VERB_ARGUMENTS = [
     # one trace record (every 1e-4 s) inside the window: no RMSD to take
     (FAST, ["compare-rmsd", "--t1", "0.10005", "--t2", "0.10015"] + BANDS),
     # closed loop outside sensor mode: the paired runs differ in control law
-    (FAST, ["residual-order", "--t1", "0.1", "--t2", "0.3"]),
+    (FAST, ["residual-order", "--t1", "0.1", "--t2", "0.3"],
+     "paired runs need sensor mode"),
     (SENSOR, ["residual-order", "--t1", "0.3", "--t2", "0.1"]),
     # no drive profile to calibrate against
     (FAST, ["calibrate"]),
@@ -234,12 +234,13 @@ _BAD_VERB_ARGUMENTS = [
 ]
 
 
-# ids as pytest numbered the cases when argv was the only parameter
+# ids as pytest numbered the cases when argv was the only parameter; a
+# case's third element, where given, is text its error line must contain
 @pytest.mark.parametrize(
-    "scenario,argv", _BAD_VERB_ARGUMENTS,
+    "scenario,argv,message", [(*case, "")[:3] for case in _BAD_VERB_ARGUMENTS],
     ids=[f"argv{i}" for i in range(len(_BAD_VERB_ARGUMENTS))])
-def test_bad_verb_arguments_are_config_errors(scenario, argv, tmp_path,
-                                              capsys):
+def test_bad_verb_arguments_are_config_errors(scenario, argv, message,
+                                              tmp_path, capsys):
     p = tmp_path / "case.scenario"
     p.write_text(scenario)
     out = tmp_path / "out"
@@ -247,6 +248,7 @@ def test_bad_verb_arguments_are_config_errors(scenario, argv, tmp_path,
     assert rc == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
+    assert message in err
     assert not (out / "summary.json").exists()
 
 
@@ -336,6 +338,18 @@ def test_run_writes_trace_and_summary(fast_scenario, tmp_path):
     s = _summary(out)
     assert s["command"] == "run" and s["passed"]
     assert s["t_end"] == pytest.approx(0.3)
+
+
+def test_drive_section_alone_makes_the_run_driven(tmp_path):
+    """A [drive] section is all that makes a run driven: the shaft turns at
+    the profile's speed from the first record on."""
+    p = tmp_path / "driven.scenario"
+    p.write_text(DRIVEN.replace("duration = 2.0", "duration = 0.05"))
+    out = tmp_path / "out"
+    assert main(["--config", str(p), "--out", str(out), "run"]) == EXIT_PASS
+    omega = _trace(out)[:, TRACE_COLUMNS.index("omega")]
+    assert len(omega) > 1 and np.all(omega == 2.0)
+    assert _summary(out)["omega_end"] == 2.0
 
 
 def test_compare_rmsd_exit_codes(fast_scenario, tmp_path):

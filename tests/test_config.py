@@ -47,7 +47,7 @@ def test_load_lowspeed_scenario(scenario_dir):
 
 def test_load_reversal_scenario(scenario_dir):
     cfg = load_scenario(scenario_dir / "reversal.scenario")
-    assert cfg.mode == "driven"
+    assert cfg.drive is not None
     assert cfg.drive.kind == "reversal"
     assert cfg.drive.omega == pytest.approx(-cfg.drive.omega_end)
     assert cfg.motor.n_p == 3
@@ -61,7 +61,6 @@ def test_all_shipped_scenarios_parse(scenario_dir):
 def test_minimal_defaults(tmp_path):
     cfg = load_scenario(_write(tmp_path, MINIMAL))
     assert cfg.injection.V_h == 1.0
-    assert cfg.mode == "closed_loop"
     assert cfg.lambda_ell is None
     assert cfg.drive is None
 
@@ -266,13 +265,27 @@ def _main_config_error(path, out, capsys):
 @pytest.mark.parametrize("key", ["omega_end", "t_ramp_start", "t_ramp_end"])
 def test_ramp_key_on_constant_profile_is_config_error(tmp_path, capsys, key):
     drive = "[drive]\nprofile = constant\nomega = 0.5\n"
-    driven = "[simulation]\nmode = driven\nduration = 0.01\n"
+    driven = "[simulation]\nduration = 0.01\n"
     p = _write(tmp_path, MINIMAL + drive + f"{key} = 1.0\n" + driven)
     with pytest.raises(ConfigError, match=rf"\[drive\] .*takes no {key}"):
         load_scenario(p)
     _main_config_error(p, tmp_path / "o", capsys)
     # an explicit zero is the unset value
     load_scenario(_write(tmp_path, MINIMAL + drive + f"{key} = 0\n" + driven))
+
+
+@pytest.mark.parametrize("name,mode", [("lowspeed", "driven"),
+                                       ("driven_lowspeed", "closed_loop")])
+def test_mode_key_is_config_error(tmp_path, capsys, scenario_dir, name, mode):
+    """A [drive] section alone makes a run driven; a mode key, which could
+    contradict it, is rejected by name."""
+    text = (scenario_dir / f"{name}.scenario").read_text()
+    p = _write(tmp_path, text.replace("[simulation]\n",
+                                      f"[simulation]\nmode = {mode}\n"))
+    with pytest.raises(ConfigError, match="unknown key 'mode'"):
+        load_scenario(p)
+    err = _main_config_error(p, tmp_path / "o", capsys)
+    assert "unknown key 'mode' in section [simulation]" in err
 
 
 @pytest.mark.parametrize("value", ["-1", "0"])

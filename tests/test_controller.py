@@ -177,7 +177,7 @@ def _applied_voltage(injection_enabled):
     output is exactly zero (all gains zero, rotor held at rest)."""
     zero = ControllerConfig(speed_kp=0.0, speed_ki=0.0, current_kp=0.0,
                             current_ki=0.0, omega_ref=0.0)
-    cfg = ScenarioConfig(motor=SIM_MOTOR, controller=zero, mode="driven",
+    cfg = ScenarioConfig(motor=SIM_MOTOR, controller=zero,
                          drive=DriveProfile("constant", omega=0.0),
                          injection=InjectionConfig(V_h=1.0, epsilon=1e-3),
                          injection_enabled=injection_enabled,

@@ -83,7 +83,7 @@ def test_steady_lag_limits_lowspeed_point():
 
 
 @pytest.mark.parametrize("kw", [
-    dict(mode="driven", drive=DriveProfile(kind="constant", omega=0.5)),
+    dict(drive=DriveProfile(kind="constant", omega=0.5)),
     dict(injection_enabled=False, sensor_mode=True),
     dict(gamma_beta=2e4),
     dict(ell=(1.1, 0.0, 1.0)),
@@ -139,7 +139,7 @@ def test_proposed_accuracy_at_coarse_sampling(steps_per_period):
 def test_residual_order_ignores_estimator_phase():
     """phi_p only shifts the estimator's reference; the plant never sees it,
     so the averaging remainder must not depend on it."""
-    cfg = _cfg(mode="driven", drive=DriveProfile(kind="constant", omega=0.5),
+    cfg = _cfg(drive=DriveProfile(kind="constant", omega=0.5),
                estimator="none", duration=0.2)
     shifted = replace(cfg, injection=replace(cfg.injection, phi_p=0.7))
     assert residual_order(shifted, 0.1, 0.2) == residual_order(cfg, 0.1, 0.2)
@@ -244,7 +244,7 @@ def test_sweep_rejects_point_without_estimator(monkeypatch):
     """A run of estimator kind none carries no angle to measure: the sweep
     is rejected before any point runs, not fitted on a column of zeros."""
     monkeypatch.setattr(experiments, "run", _no_run)
-    still = _cfg(mode="driven", drive=DriveProfile("constant", omega=0.5),
+    still = _cfg(drive=DriveProfile("constant", omega=0.5),
                  estimator="none")
     with pytest.raises(ValueError, match="no estimator"):
         sweep([_cfg(), still], "rms", 0.1, 0.2)
@@ -256,7 +256,7 @@ def test_sweep_rejects_point_without_estimator(monkeypatch):
 def test_sweep_measures_every_estimator_a_run_carries(metric):
     """Driven estimators do not feed back, so one estimator="both" point
     gives each pipeline the value of its own single-estimator run."""
-    base = _cfg(mode="driven", drive=DriveProfile("constant", omega=0.5),
+    base = _cfg(drive=DriveProfile("constant", omega=0.5),
                 duration=0.3, theta0=0.3)
     both, prop, conv = sweep([replace(base, estimator=k) for k in
                               ("both", "proposed", "conventional")],
@@ -267,7 +267,7 @@ def test_sweep_measures_every_estimator_a_run_carries(metric):
 
 
 def test_frequency_sweep_shape():
-    cfg = _cfg(mode="driven", estimator="proposed", duration=0.3,
+    cfg = _cfg(estimator="proposed", duration=0.3,
                drive=DriveProfile("constant", omega=0.5), theta0=0.3)
     res = frequency_sweep(cfg, [500.0, 1000.0], 0.15, 0.3)
     assert len(res["errors"]) == 2
@@ -294,7 +294,7 @@ def test_calibrate_requires_constant_drive():
     with pytest.raises(ValueError):
         calibrate(_cfg())
     with pytest.raises(ValueError):
-        calibrate(_cfg(mode="driven", drive=DriveProfile("constant", omega=0.0)))
+        calibrate(_cfg(drive=DriveProfile("constant", omega=0.0)))
 
 
 @pytest.mark.parametrize("kw,match", [
@@ -307,7 +307,7 @@ def test_calibrate_requires_constant_drive():
 ])
 def test_calibrate_rejects_bad_distortion(kw, match):
     """Each bad value is named before any estimator runs."""
-    cfg = _cfg(mode="driven", drive=DriveProfile("constant", omega=2.0))
+    cfg = _cfg(drive=DriveProfile("constant", omega=2.0))
     with pytest.raises(ValueError, match=match):
         calibrate(cfg, **kw)
 
@@ -315,7 +315,7 @@ def test_calibrate_rejects_bad_distortion(kw, match):
 def test_calibrate_phase_error_recovery():
     """A demodulation phase shift drifts the raw estimate; the fitted gains
     restore the accuracy to within 2x of the undistorted run."""
-    cfg = _cfg(mode="driven", drive=DriveProfile("constant", omega=2.0),
+    cfg = _cfg(drive=DriveProfile("constant", omega=2.0),
                duration=2.0)
     clean = calibrate(cfg)
     shifted = calibrate(cfg, phase_err=0.2)

@@ -361,7 +361,7 @@ def test_theta_wrapped():
     from hfsense.sim import DriveProfile, ScenarioConfig, run
 
     cfg = ScenarioConfig(motor=SIM_MOTOR, injection=InjectionConfig(V_h=1.0, epsilon=1e-3),
-                         mode="driven", drive=DriveProfile("constant", omega=0.0),
+                         drive=DriveProfile("constant", omega=0.0),
                          estimator="none", theta0=7.0, duration=0.01,
                          decimation=5)
     tr = run(cfg)

@@ -57,7 +57,7 @@ def test_rk4_order_on_exponential():
                             current_ki=0.0, omega_ref=0.0)
     errs = []
     for n in (10, 20, 40):
-        cfg = _cfg(mode="driven", drive=DriveProfile("constant", omega=0.0),
+        cfg = _cfg(drive=DriveProfile("constant", omega=0.0),
                    estimator="none", controller=zero, injection_enabled=False,
                    injection=InjectionConfig(V_h=1.0, epsilon=1e-2),
                    steps_per_period=n, i_alpha0=1.0, decimation=1)
@@ -74,9 +74,8 @@ def test_rk4_rejects_non_finite():
     """A non-finite initial current is rejected when the scenario is built;
     past that check (set on the frozen config directly), the step loop
     still reports the non-finite state as a divergence."""
-    for mode in ("closed_loop", "driven"):
-        kw = dict(mode=mode, drive=DriveProfile("constant", omega=2.0),
-                  estimator="none", sensor_mode=True, duration=0.01)
+    for drive in ({}, {"drive": DriveProfile("constant", omega=2.0)}):
+        kw = dict(estimator="none", sensor_mode=True, duration=0.01, **drive)
         for i0 in (math.nan, math.inf):
             with pytest.raises(ValueError, match="i_alpha0 must be finite"):
                 _cfg(**kw, i_alpha0=i0)
@@ -116,11 +115,12 @@ def test_noisy_run_passes_python_floats(monkeypatch):
                     "ConventionalEstimator": {float}}
 
 
-@pytest.mark.parametrize("kind", ["proposed", "conventional"])
+@pytest.mark.parametrize("kind", ["proposed", "conventional", "both"])
 def test_diverged_run_leaves_the_closer_written_back(monkeypatch, kind):
     """A run that diverges in the step after sample K still closes the
     loop-closer's kernel: the estimator then holds, with ==, what it holds
-    after a run that ends at sample K."""
+    after a run that ends at sample K.  The closer is the first of the
+    kind's pipelines, the new one for "both"."""
     built = []
     build = sim._build_estimators
 
@@ -147,8 +147,8 @@ def test_diverged_run_leaves_the_closer_written_back(monkeypatch, kind):
     # open generator: only run's own close() writes the state back here
     with pytest.raises(SimulationDiverged, match="forced") as info:
         run(cfg)
-    j = 0 if kind == "proposed" else 1
-    ended, diverged, start = built[0][j], built[1][j], fresh[j]
+    closer = cfg.pipelines[0]
+    ended, diverged, start = (b[closer] for b in (built[0], built[1], fresh))
     assert diverged._s == ended._s != start._s
     for name in ("theta_hat", "omega_hat", "yv1", "yv2", "low_confidence"):
         assert getattr(diverged, name, None) == getattr(ended, name, None)
@@ -181,7 +181,7 @@ def test_estimator_columns_equal_a_standalone_replay(mode):
     kw = dict(estimator="both", duration=0.06, noise_std=1e-3, seed=4,
               decimation=3, theta0=0.4, theta0_est=0.4)
     if mode == "driven":
-        kw.update(mode="driven", drive=DriveProfile("constant", omega=2.0))
+        kw.update(drive=DriveProfile("constant", omega=2.0))
     cfg = _cfg(**kw)
     assert cfg.n_steps > 2 * sim._BLOCK
     tr = run(cfg)
@@ -190,7 +190,7 @@ def test_estimator_columns_equal_a_standalone_replay(mode):
     noise_a, noise_b = sim._noise(cfg, cfg.n_steps)
     ia = (cur.i_alpha + np.asarray(noise_a)).tolist()
     ib = (cur.i_beta + np.asarray(noise_b)).tolist()
-    for est, prefix in zip(sim._build_estimators(cfg), ("prop", "conv")):
+    for prefix, est in sim._build_estimators(cfg).items():
         out = np.zeros((5, len(tr)))
         est.step(0, ia, ib, out, cfg.decimation)
         for col, c in zip(out, sim._ESTIMATE_COLUMNS):
@@ -247,7 +247,7 @@ def test_driven_column_subsets_record_the_same_values():
     column."""
     _assert_column_subsets_match(_cfg(
         estimator="both", duration=0.06, noise_std=1e-3, decimation=3,
-        mode="driven", drive=DriveProfile("constant", omega=2.0)))
+        drive=DriveProfile("constant", omega=2.0)))
 
 
 @pytest.mark.parametrize("mode", ["closed_loop", "driven"])
@@ -259,7 +259,7 @@ def test_time_and_wrapped_angle_are_derived_per_row(mode):
     kw = dict(estimator="both", duration=0.06, decimation=3, theta0=-0.05,
               theta0_est=-0.05)
     if mode == "driven":
-        kw.update(mode="driven", drive=DriveProfile("constant", omega=-2.0))
+        kw.update(drive=DriveProfile("constant", omega=-2.0))
     cfg = _cfg(**kw)
     assert cfg.n_steps > 2 * sim._BLOCK
     tr = run(cfg)
@@ -374,7 +374,7 @@ def _ramp_across_block_edge_run(monkeypatch):
     d = DriveProfile("reversal", omega=2.0, omega_end=-1.5,
                      t_ramp_start=edge - 4e-4, t_ramp_end=edge + 6e-4)
     n = 2 * sim._BLOCK + 700
-    cfg = _cfg(mode="driven", drive=d, estimator="none", decimation=1,
+    cfg = _cfg(drive=d, estimator="none", decimation=1,
                duration=n * Ts, theta0=0.7)
     assert cfg.Ts == Ts and cfg.n_steps == n
     handed = []
@@ -510,7 +510,7 @@ def test_drive_profile_calls_grow_with_blocks(profile, monkeypatch):
     per_block = set()
     for n in (1023, 1024, 2047, 2048, 5000):
         calls.clear()
-        run(_cfg(mode="driven", drive=profile, estimator="none",
+        run(_cfg(drive=profile, estimator="none",
                  duration=n * Ts, decimation=50), ["t"])
         blocks = -(-(n + 1) // sim._BLOCK)
         per_block.add(len(calls) / blocks)
@@ -521,10 +521,6 @@ def test_drive_profile_calls_grow_with_blocks(profile, monkeypatch):
 def test_scenario_validation():
     with pytest.raises(ValueError):
         _cfg(estimator="kalman")
-    with pytest.raises(ValueError):
-        _cfg(mode="hil")
-    with pytest.raises(ValueError):
-        _cfg(mode="driven")  # no drive profile
     with pytest.raises(ValueError):
         _cfg(steps_per_period=1)
     with pytest.raises(ValueError):
@@ -581,7 +577,7 @@ def test_sensor_mode_isolates_estimator():
 
 
 def test_driven_speed_follows_profile():
-    cfg = _cfg(mode="driven", estimator="proposed", duration=0.3,
+    cfg = _cfg(estimator="proposed", duration=0.3,
                drive=DriveProfile("constant", omega=2.0), theta0=0.7)
     tr = run(cfg)
     expect = 0.7 + SIM_MOTOR.n_p * 2.0 * tr.t
@@ -612,7 +608,9 @@ def test_divergence_detection():
 
 
 def test_averaging_residual_requires_sensor_mode():
-    with pytest.raises(ValueError):
+    # checked before the runs drop the estimator, which a closed loop
+    # outside sensor mode cannot do
+    with pytest.raises(ValueError, match="paired runs need sensor mode"):
         averaging_residual(_cfg(duration=0.05), 0.01, 0.05)
 
 
