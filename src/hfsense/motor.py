@@ -3,22 +3,24 @@
 The machine is salient (L_d != L_q), so in the stationary (alpha-beta)
 frame the inductance matrix depends on the electrical rotor angle, while
 in the rotor (d-q) frame it is diag(L_d, L_q).  All functions here are
-pure.  The plant is stepped by RK4 in one of two forms.  `rk4_step` is the
-closed-loop step: the stator equation and the mechanics, its four stages
-written inline on plain floats because the simulator calls it once per
-integration step.  Its state is the rotor-frame currents (i_d, i_q) with
-theta, omega and the cos and sin of theta, so a stage rotates only the
-voltage; one rotation per step gives the stationary-frame currents the
-rest of the loop reads.  Under a prescribed drive each stage is affine in
-the currents and in the held control voltage, so `driven_step_tables`
-composes the four stages on numpy arrays along the time axis, once per
-block of steps, into one affine map per step; it keeps the stationary-frame
-state, with the adjugate inverse of L(theta).  Their oracles live in
-tests/oracles.py: the rotor-frame stator equation as one function, which
-`rk4_step` matches bit for bit when four calls of it are composed as RK4 on
-the (d, q) state; its stationary-frame wrapper, which the driven maps
-match within rounding when four calls of it are composed as RK4; and the
-matrix form of the inductance that wrapper is checked against.
+pure.  The plant is stepped by RK4 in the rotor frame, in one of two
+forms that share one stage: the voltage rotated to (d, q) at the stage's
+angle, and one division per axis.  `rk4_step` is the closed-loop step: the
+stator equation and the mechanics, its four stages written inline on
+plain floats because the simulator calls it once per integration step.
+Its state is the rotor-frame currents (i_d, i_q) with theta, omega and the
+cos and sin of theta, so one rotation per step gives the stationary-frame
+currents the rest of the loop reads.  Under a prescribed drive each stage
+is affine in the currents and in the held control voltage, so
+`driven_step_tables` composes the four stages on numpy arrays along the
+time axis, once per block of steps, into one affine map per step, with the
+rotations from and back to the stationary frame folded in.  Their oracle
+lives in tests/oracles.py: the rotor-frame stator equation as one
+function.  `rk4_step` equals four calls of it composed as RK4 on the
+(d, q) state, bit for bit; the driven maps match the same composition at
+the prescribed angles within rounding.  Its stationary-frame wrapper, and
+the matrix form of the inductance that wrapper is checked against,
+cross-check the frame.
 """
 
 from __future__ import annotations
@@ -194,91 +196,43 @@ def driven_step_tables(params: MotorParams, h: float, th_t, om_t, th_m, om_m,
       ib+ = P[5]*ia + P[6]*ib + P[7]*vca + P[8]*vcb + P[9]
     with the probe and the back-EMF folded into the constant column.
     Returns P, a (10, n) array whose column k is the map of step k.  The
-    stages are composed in the stationary frame, with the adjugate inverse
-    of L(theta), so the maps agree with the stage-by-stage stationary-frame
-    step up to rounding, not bit for bit.  Every stage is written into one
-    preallocated buffer.
+    stages are `rk4_step`'s, in the rotor frame, composed on the (d, q)
+    state; the map then takes (ia, ib) to (d, q) at theta(t) and the new
+    (d, q) back at theta(t+h).  It agrees with that composition taken stage
+    by stage up to rounding, not bit for bit.
     """
     n_p = float(params.n_p)
-    R_s, L0, L1, det_L, Phi = (params.R_s, params.L0, params.L1,
-                               params.det_L, params.Phi)
+    R_s, L_d, L_q, Phi = params.R_s, params.L_d, params.L_q, params.Phi
     hh = 0.5 * h
     h6 = h / 6.0
-    n = len(th_t)
-    # K[j] is stage j's derivative as a map of the columns (ia, ib, vca,
-    # vcb, 1); R holds a stage's own rows (M, L^-1, L^-1 emf), with the
-    # rate matrix M = L^-1 G in R[:, :2]; cM is a multiple of M
-    K = np.empty((4, 2, 5, n))
-    R = np.empty((2, 5, n))
-    cM = np.empty((2, 2, n))
-    c, s, c2, s2, w, g, e, x, y = np.empty((9, n))
-    t5 = np.empty((5, n))
+    drop = np.full(len(th_t), -R_s)  # the resistive column of each axis
+    L = np.array([L_d, L_q])[:, None, None]
+    c_t, c_m, c_e = np.cos(th_t), np.cos(th_m), np.cos(th_e)
+    s_t, s_m, s_e = np.sin(th_t), np.sin(th_m), np.sin(th_e)
 
-    def stage(th, om, p, rows):
-        # the stator equation di/dt = L^-1 (G i + v + emf) at one grid, with
-        # the probe p in emf's alpha entry, written into rows
-        n11, n12 = rows[0, 2:4]
-        n21, n22 = rows[1, 2:4]
-        np.cos(th, out=c)
-        np.sin(th, out=s)
-        np.multiply(c, c, out=c2)
-        np.subtract(c2, np.multiply(s, s, out=x), out=c2)
-        np.multiply(np.multiply(2.0, s, out=s2), c, out=s2)
-        np.multiply(n_p, om, out=w)
-        np.multiply(np.multiply(2.0, w, out=g), L1, out=g)
-        np.multiply(w, Phi, out=e)
-        np.divide(np.subtract(L0, np.multiply(L1, c2, out=n11), out=n11),
-                  det_L, out=n11)
-        np.divide(np.multiply(-L1, s2, out=n12), det_L, out=n12)
-        n21[:] = n12  # L^-1 is symmetric
-        np.divide(np.add(L0, np.multiply(L1, c2, out=n22), out=n22), det_L,
-                  out=n22)
-        # G = [[ga, gb], [gb, gd]]: ga = g*s2 - R_s, gb = -g*c2,
-        # gd = -g*s2 - R_s; M = L^-1 G
-        ga = np.subtract(np.multiply(g, s2, out=x), R_s, out=x)
-        gb = np.multiply(np.negative(g, out=y), c2, out=y)
-        np.add(np.multiply(n11, ga, out=rows[0, 0]),
-               np.multiply(n12, gb, out=t5[0]), out=rows[0, 0])
-        np.add(np.multiply(n12, ga, out=rows[1, 0]),
-               np.multiply(n22, gb, out=t5[0]), out=rows[1, 0])
-        gd = np.subtract(np.multiply(np.negative(g, out=g), s2, out=x), R_s,
-                         out=x)
-        np.add(np.multiply(n11, gb, out=rows[0, 1]),
-               np.multiply(n12, gd, out=t5[0]), out=rows[0, 1])
-        np.add(np.multiply(n12, gb, out=rows[1, 1]),
-               np.multiply(n22, gd, out=t5[0]), out=rows[1, 1])
-        # L^-1 emf: u1 = e*s + p, u2 = -e*c
-        u1 = np.add(np.multiply(e, s, out=x), p, out=x)
-        u2 = np.multiply(np.negative(e, out=e), c, out=y)
-        np.add(np.multiply(n11, u1, out=rows[0, 4]),
-               np.multiply(n12, u2, out=t5[0]), out=rows[0, 4])
-        np.add(np.multiply(n12, u1, out=rows[1, 4]),
-               np.multiply(n22, u2, out=t5[0]), out=rows[1, 4])
+    def stage(c, s, om, p):
+        # the stage derivative as a d row and a q row over the columns
+        # (i_d, i_q, vca, vcb, 1): the voltage rotated to (d, q), one
+        # division per axis
+        w = n_p * om
+        return np.stack([drop, w * L_q, c, s, c * p, -w * L_d, drop, -s, c,
+                         -(s * p + w * Phi)]).reshape(2, 5, -1) / L
 
-    def rates(rows, k, out):
-        # derivative at the stage point i + c*k, k the previous stage's
-        # derivative and cM = c*M: rows + c*M k
-        ka, kb = k
-        for r in (0, 1):
-            np.add(rows[r], np.multiply(cM[r, 0], ka, out=out[r]),
-                   out=out[r])
-            np.add(out[r], np.multiply(cM[r, 1], kb, out=t5), out=out[r])
+    def rates(rows, k, a):
+        # the derivative at the stage point x + a*k, k the previous stage's
+        # derivative: rows + a*M k, with the rate matrix M = rows[:, :2]
+        return rows + a * (rows[:, 0:1] * k[0] + rows[:, 1:2] * k[1])
 
-    k1, k2, k3, k4 = K
-    stage(th_t, om_t, p_t, k1)
-    stage(th_m, om_m, p_m, R)
-    np.multiply(hh, R[:, :2], out=cM)
-    rates(R, k1, k2)
-    rates(R, k2, k3)
-    stage(th_e, om_e, p_e, R)
-    np.multiply(h, R[:, :2], out=cM)
-    rates(R, k3, k4)
-    # P = h6*(k1 + 2.0*(k2 + k3) + k4), plus the identity
-    np.add(k2, k3, out=k2)
-    np.multiply(2.0, k2, out=k2)
-    np.add(k1, k2, out=k1)
-    np.add(k1, k4, out=k1)
-    np.multiply(h6, k1, out=k1)
-    k1[0, 0] += 1.0
-    k1[1, 1] += 1.0
-    return k1.reshape(10, -1)
+    k1 = stage(c_t, s_t, om_t, p_t)
+    rows = stage(c_m, s_m, om_m, p_m)
+    k2 = rates(rows, k1, hh)
+    k3 = rates(rows, k2, hh)
+    k4 = rates(stage(c_e, s_e, om_e, p_e), k3, h)
+    P = h6 * (k1 + 2.0 * (k2 + k3) + k4)
+    P[0, 0] += 1.0
+    P[1, 1] += 1.0
+    # (i_d, i_q) = R(-theta_t) (ia, ib) in the current columns, and
+    # (ia+, ib+) = R(theta_e) (i_d+, i_q+) in the rows
+    P[:, 0], P[:, 1] = (P[:, 0] * c_t - P[:, 1] * s_t,
+                        P[:, 0] * s_t + P[:, 1] * c_t)
+    return np.concatenate([c_e * P[0] - s_e * P[1], s_e * P[0] + c_e * P[1]])

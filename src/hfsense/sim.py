@@ -24,10 +24,11 @@ the plant's (i_d, i_q) and the cos and sin of theta from one call to the
 next, converting the initial (i_alpha, i_beta) once before it; each call
 also returns the (i_alpha, i_beta) that the measurement, the estimators,
 the divergence check and the trace read.  A driven step is two multiply-add
-lines: the RK4 step of the currents is affine in them and in the held
-control voltage, and `motor.driven_step_tables` builds its ten coefficients
-per step along with the profile tables.  Both forms' oracle is in
-tests/oracles.py.
+lines on (i_alpha, i_beta): the rotor-frame RK4 step of the currents is
+affine in them and in the held control voltage, and
+`motor.driven_step_tables` builds its ten coefficients per step, the frame
+rotations folded in, along with the profile tables.  Both forms integrate
+the same rotor-frame stage, and their oracle is in tests/oracles.py.
 
 The controller and the estimator it reads, the first of the run's
 `pipelines`, advance once per integration step (single cadence, no PWM).
@@ -402,15 +403,19 @@ def _drive_block(cfg: ScenarioConfig, probe, k0: int, k1: int):
     t + 0.5*Ts and t + Ts, each element as the per-step expression would
     be, and handed with the `probe` arrays at the steps' phases to
     `motor.driven_step_tables`; indexed, the views give Python floats.
+    A drive that overflows floats gives inf or NaN here without a warning;
+    the loop's bound check reports it as SimulationDiverged, in one line.
     """
     Ts = cfg.Ts
     t = np.arange(k0, k1) * Ts
     mech = []
-    for tg in (t, t + 0.5 * Ts, t + Ts):
-        mech += (cfg.theta0 + cfg.motor.n_p * cfg.drive.angle_integral(tg),
-                 cfg.drive.omega_at(tg))
-    j = np.arange(k0, k1) % cfg.steps_per_period
-    maps = driven_step_tables(cfg.motor, Ts, *mech, *(p[j] for p in probe))
+    with np.errstate(all="ignore"):
+        for tg in (t, t + 0.5 * Ts, t + Ts):
+            mech += (cfg.theta0 + cfg.motor.n_p * cfg.drive.angle_integral(tg),
+                     cfg.drive.omega_at(tg))
+        j = np.arange(k0, k1) % cfg.steps_per_period
+        maps = driven_step_tables(cfg.motor, Ts, *mech,
+                                  *(p[j] for p in probe))
     return [memoryview(x) for x in (*mech[:2], *maps)]
 
 
@@ -572,7 +577,8 @@ def run(cfg: ScenarioConfig, columns=None) -> Trace:
                             f"t={k * Ts:.6f}: {exc}") from exc
                 # a non-finite theta makes the currents NaN: through the end
                 # rotation in closed loop (an infinite one raises in
-                # math.cos), through the step maps in driven mode
+                # math.cos), through the step maps' frame rotations in
+                # driven mode, where an overflowing drive also lands
                 if not (-lim < ia < lim and -lim < ib < lim):
                     raise SimulationDiverged(
                         f"state out of bounds at t={k * Ts + Ts:.6f}: "

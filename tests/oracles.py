@@ -4,13 +4,14 @@
 function on plain floats, in the rotor frame, where the inductance is
 diag(L_d, L_q).  Four calls of it, composed as classical RK4 on the
 (d, q) state and followed by the rotation of the new currents, are
-`rk4_rotor_reference`, which `hfsense.motor.rk4_step` must equal bit for
-bit.  `derivative_scalars` wraps it in the stationary frame; four calls of
-that are `rk4_reference`, the reference the driven step maps of
-`hfsense.motor.driven_step_tables` must meet within `driven_step_bound`,
-their rounding bound, and the frame cross-check of `rk4_step`.  The matrix
-form in the stationary frame (`saliency_matrix`, `inductance_matrix`) is
-the independent check of `derivative_scalars` itself.
+`rk4_rotor_reference`: `hfsense.motor.rk4_step` must equal it bit for bit,
+and under a prescribed drive the step maps of
+`hfsense.motor.driven_step_tables` must meet it within
+`driven_step_bound`, their rounding bound.  `derivative_scalars` wraps
+`rotor_derivative` in the stationary frame; four calls of that are
+`rk4_reference`, the frame cross-check of `rk4_step`.  The matrix form in
+the stationary frame (`saliency_matrix`, `inductance_matrix`) is the
+independent check of `derivative_scalars` itself.
 
 `locus_angle` is the angle recovery from a point of the centred saliency
 locus, with the branch resolved by continuity: the reference for the
@@ -134,74 +135,77 @@ def derivative_scalars(n_p, R_s, L_d, L_q, Phi, J, f,
 
 
 def rk4_rotor_reference(params: MotorParams, h, i_d, i_q, th, om, va, va_mid,
-                        va_end, vb, TL):
+                        va_end, vb, TL, drive=None):
     """One RK4 step of the (d, q) state as four `rotor_derivative` calls,
     then the rotation of the new currents to the stationary frame: the
     reference of `hfsense.motor.rk4_step`.
 
     Arguments as for `rk4_step`, without the constants and the carried
-    cos and sin; returns (ia, ib, i_d, i_q, theta, omega).
+    cos and sin; returns (ia, ib, i_d, i_q, theta, omega).  With drive =
+    (theta, omega) at t+h/2 followed by (theta, omega) at t+h, prescribed,
+    the mechanics are not integrated: the stages take the prescribed angle
+    and speed, and the returned ones are those at t+h.  That is the
+    reference of the maps from `hfsense.motor.driven_step_tables`.
     """
     m = params
     consts = (m.n_p, m.R_s, m.L_d, m.L_q, m.Phi, m.J, m.f)
     hh = 0.5 * h
     h6 = h / 6.0
+    driven = drive is not None
+    if driven:
+        thm, omm, the, ome = drive
     d1, q1, t1, o1 = rotor_derivative(*consts, i_d, i_q, th, om, va, vb, TL)
+    if not driven:
+        thm, omm = th + hh * t1, om + hh * o1
     d2, q2, t2, o2 = rotor_derivative(*consts, i_d + hh * d1, i_q + hh * q1,
-                                      th + hh * t1, om + hh * o1, va_mid, vb,
-                                      TL)
+                                      thm, omm, va_mid, vb, TL)
+    if not driven:
+        thm, omm = th + hh * t2, om + hh * o2
     d3, q3, t3, o3 = rotor_derivative(*consts, i_d + hh * d2, i_q + hh * q2,
-                                      th + hh * t2, om + hh * o2, va_mid, vb,
-                                      TL)
+                                      thm, omm, va_mid, vb, TL)
+    if not driven:
+        the, ome = th + h * t3, om + h * o3
     d4, q4, t4, o4 = rotor_derivative(*consts, i_d + h * d3, i_q + h * q3,
-                                      th + h * t3, om + h * o3, va_end, vb,
-                                      TL)
+                                      the, ome, va_end, vb, TL)
     i_d += h6 * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
     i_q += h6 * (q1 + 2.0 * q2 + 2.0 * q3 + q4)
-    th += h6 * (t1 + 2.0 * t2 + 2.0 * t3 + t4)
-    om += h6 * (o1 + 2.0 * o2 + 2.0 * o3 + o4)
+    if driven:
+        th, om = the, ome
+    else:
+        th += h6 * (t1 + 2.0 * t2 + 2.0 * t3 + t4)
+        om += h6 * (o1 + 2.0 * o2 + 2.0 * o3 + o4)
     c = math.cos(th)
     s = math.sin(th)
     return c * i_d - s * i_q, s * i_d + c * i_q, i_d, i_q, th, om
 
 
 def rk4_reference(params: MotorParams, h, ia, ib, th, om, va, va_mid, va_end,
-                  vb, TL, drive=None):
+                  vb, TL):
     """One RK4 step of the stationary-frame state (ia, ib, theta, omega) as
     four `derivative_scalars` calls; returns that state at t+h.
 
     The voltages and the load are as for `hfsense.motor.rk4_step`.  The
     step integrates the same equation as `rk4_step` in the other frame:
-    the frame cross-check of that step.  With drive =
-    (theta, omega) at t+h/2 followed by (theta, omega) at t+h, prescribed,
-    the mechanics are not integrated and theta, omega come back unchanged:
-    the reference of the maps from `hfsense.motor.driven_step_tables`.
+    the frame cross-check of that step.
     """
     m = params
     consts = (m.n_p, m.R_s, m.L_d, m.L_q, m.Phi, m.J, m.f)
     hh = 0.5 * h   # 0.5 * h * x evaluates as (0.5 * h) * x
     h6 = h / 6.0
-    driven = drive is not None
-    if driven:
-        thm, omm, the, ome = drive
     a1, b1, t1, o1 = derivative_scalars(*consts, ia, ib, th, om, va, vb, TL)
-    if not driven:
-        thm, omm = th + hh * t1, om + hh * o1
     a2, b2, t2, o2 = derivative_scalars(*consts, ia + hh * a1, ib + hh * b1,
-                                        thm, omm, va_mid, vb, TL)
-    if not driven:
-        thm, omm = th + hh * t2, om + hh * o2
+                                        th + hh * t1, om + hh * o1, va_mid,
+                                        vb, TL)
     a3, b3, t3, o3 = derivative_scalars(*consts, ia + hh * a2, ib + hh * b2,
-                                        thm, omm, va_mid, vb, TL)
-    if not driven:
-        the, ome = th + h * t3, om + h * o3
+                                        th + hh * t2, om + hh * o2, va_mid,
+                                        vb, TL)
     a4, b4, t4, o4 = derivative_scalars(*consts, ia + h * a3, ib + h * b3,
-                                        the, ome, va_end, vb, TL)
+                                        th + h * t3, om + h * o3, va_end,
+                                        vb, TL)
     ia += h6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
     ib += h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-    if not driven:
-        th += h6 * (t1 + 2.0 * t2 + 2.0 * t3 + t4)
-        om += h6 * (o1 + 2.0 * o2 + 2.0 * o3 + o4)
+    th += h6 * (t1 + 2.0 * t2 + 2.0 * t3 + t4)
+    om += h6 * (o1 + 2.0 * o2 + 2.0 * o3 + o4)
     return ia, ib, th, om
 
 

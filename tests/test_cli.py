@@ -2,6 +2,7 @@
 
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -308,6 +309,30 @@ def test_divergence_inside_a_step_is_one_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("simulation aborted: ") and err.count("\n") == 1
     assert "t=" in err
+
+
+@pytest.mark.parametrize("drive", [
+    "profile = constant\nomega = 1e306\n",
+    "profile = reversal\nomega = 2.0\nomega_end = -2.0\n"
+    "t_ramp_start = -1e308\nt_ramp_end = 1e308\n"],
+    ids=["fast_drive", "long_ramp"])
+def test_drive_overflow_is_one_line(drive, tmp_path, capsys):
+    """A drive whose tables or step maps overflow ends in the one
+    "simulation aborted" line, with no numpy warning before it, and leaves
+    a failed summary that states the reason."""
+    p = tmp_path / "overflow.scenario"
+    p.write_text(DRIVEN.replace("duration = 2.0", "duration = 0.05")
+                 .replace("profile = constant\nomega = 2.0\n", drive))
+    out = tmp_path / "o"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["--config", str(p), "--out", str(out), "run"]) \
+            == EXIT_FAIL
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert err.startswith("simulation aborted: ") and err.count("\n") == 1
+    s = _summary(out)
+    assert s["passed"] is False and "reason" in s
 
 
 def test_diverged_run_leaves_failed_summary(tmp_path, capsys):

@@ -279,11 +279,12 @@ def _affine_step(P, k, ia, ib, vca, vcb):
 def test_driven_step_tables_match_derivative_oracle(motor):
     """Under a prescribed drive a step is the affine map from
     `driven_step_tables` applied to the currents and the held control
-    voltage.  It agrees with four `derivative_scalars` calls composed as
-    RK4 (the probe added to the control voltage, as `sim.run` forms it)
-    within `driven_step_bound`: on seeded random states, voltages and
-    drives, and along a trajectory, one step at a time from the oracle's
-    state."""
+    voltage.  It agrees with four `rotor_derivative` calls composed as RK4
+    on the (d, q) state at the prescribed angles, plus the end rotation
+    (the probe added to the control voltage, as `sim.run` forms it),
+    within `driven_step_bound`: on seeded random states (converted to
+    (d, q)), voltages and drives, and along a trajectory, one step at a
+    time from the oracle's state."""
     rng = random.Random(20260 + 2 * motor.n_p + 1)
     for h in (2e-5, 1e-4, 1.3e-3):
         cases = []
@@ -300,8 +301,9 @@ def test_driven_step_tables_match_derivative_oracle(motor):
                 p_e) in enumerate(cases):
             volts = (vca + p_t, vca + p_m, vca + p_e, vcb)
             got = _affine_step(P, k, ia, ib, vca, vcb)
-            want = rk4_reference(motor, h, ia, ib, th, om, *volts, 0.0,
-                                 (thm, omm, the, ome))[:2]
+            want = rk4_rotor_reference(motor, h, *frame_rotate(th, ia, ib),
+                                       th, om, *volts, 0.0,
+                                       (thm, omm, the, ome))[:2]
             bound = driven_step_bound(motor, h, (ia, ib), want, volts,
                                       (om, omm, ome))
             assert max(abs(g - w) for g, w in zip(got, want)) <= bound, \
@@ -318,8 +320,8 @@ def test_driven_step_tables_match_derivative_oracle(motor):
         vca, vcb = 4.0 * math.cos(5.0 * t[k]), 5.0 * math.cos(3.0 * t[k])
         volts = (vca + probe[0][k], vca + probe[1][k], vca + probe[2][k], vcb)
         drive = (mech[2][k], 1.5, mech[4][k], 1.5)
-        want = rk4_reference(motor, h, *i, mech[0][k], 1.5, *volts, 0.0,
-                             drive)[:2]
+        want = rk4_rotor_reference(motor, h, *frame_rotate(mech[0][k], *i),
+                                   mech[0][k], 1.5, *volts, 0.0, drive)[:2]
         got = _affine_step(P, k, *i, vca, vcb)
         bound = driven_step_bound(motor, h, i, want, volts, (1.5,))
         assert max(abs(g - w) for g, w in zip(got, want)) <= bound, k

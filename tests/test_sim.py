@@ -36,7 +36,6 @@ from oracles import (
     drive_omega_at,
     driven_step_bound,
     frame_rotate,
-    rk4_reference,
     rk4_rotor_reference,
 )
 
@@ -423,8 +422,9 @@ def test_driven_run_reads_drive_tables_bit_for_bit(monkeypatch):
 def test_driven_run_steps_the_currents_as_the_oracle(monkeypatch):
     """Each step of a driven run, from its recorded currents and the
     control voltage the controller returned, agrees with four
-    `derivative_scalars` calls composed as RK4 at the prescribed angle and
-    speed, within the rounding bound of the step-map test."""
+    `rotor_derivative` calls composed as RK4 on the (d, q) state at the
+    prescribed angle and speed, plus the end rotation, within the rounding
+    bound of the step-map test."""
     volts = []
     lfv = SensorlessController.low_frequency_voltage
 
@@ -444,8 +444,9 @@ def test_driven_run_steps_the_currents_as_the_oracle(monkeypatch):
         vca, vcb = volts[k]
         assert tr.v_alpha[k] == vca + p_t[k] and tr.v_beta[k] == vcb
         u = (vca + p_t[k], vca + p_m[k], vca + p_e[k], vcb)
-        want = rk4_reference(SIM_MOTOR, Ts, *i[k], th_t[k], om_t[k], *u,
-                             0.0, (th_m[k], om_m[k], th_e[k], om_e[k]))
+        want = rk4_rotor_reference(
+            SIM_MOTOR, Ts, *frame_rotate(th_t[k], *i[k]), th_t[k], om_t[k],
+            *u, 0.0, (th_m[k], om_m[k], th_e[k], om_e[k]))[:2]
         bound = driven_step_bound(SIM_MOTOR, Ts, i[k], want[:2], u,
                                   (om_t[k], om_m[k], om_e[k]))
         assert max(abs(a - b) for a, b in zip(i[k + 1], want)) <= bound, k
