@@ -1,15 +1,16 @@
 """Command-line front end.
 
-Verbs: run, compare-rmsd, sweep-frequency, residual-order, bode, calibrate,
-equivalence.  Every verb reads a scenario file (--config) and may write CSV
-artifacts into --out.  `main` alone turns a verb's outcome into output:
+Verbs: run, compare-rmsd (a one-point `experiments.sweep`), sweep-frequency,
+residual-order, bode, calibrate, equivalence.  Every verb reads a scenario
+file (--config) and may write CSV artifacts into --out.  `main` alone turns
+a verb's outcome into output:
 
 * the verb finishes: summary.json holds {"command", "passed", ...} and the
   exit code is 0 on pass, 1 on a failed acceptance band;
 * the simulation diverges: one stderr line, summary.json with
   "passed": false and the "reason", exit 1;
-* the input is rejected (scenario, flag, environment variable or an
-  unwritable --out): one "config error:" line, no summary.json, exit 2.
+* the input is rejected (scenario, flag, environment variable, sweep point
+  or an unwritable --out): one "config error:" line, no summary.json, exit 2.
 
 Environment variables HFSENSE_CONFIG / HFSENSE_OUT / HFSENSE_WORKERS /
 HFSENSE_SEED provide defaults for the matching flags.
@@ -40,6 +41,9 @@ from .sim import SimulationDiverged, run
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_CONFIG = 2
+
+# compare-rmsd's output names (keys, --band-* flags), by trace prefix
+_PIPELINE_NAMES = {"prop": "proposed", "conv": "conventional"}
 
 
 # flags whose value is a band lo:hi, which starts with "-" when lo < 0
@@ -209,7 +213,8 @@ def _rmsd_bands(args, cfg) -> dict:
              "conventional": args.band_conventional}
     if None in bands.values():
         try:
-            limits = experiments.steady_lag_limits(cfg)
+            limits = {_PIPELINE_NAMES[p]: lim for p, lim in
+                      experiments.steady_lag_limits(cfg).items()}
         except ValueError as exc:
             raise ConfigError(f"no default RMSD band: {exc}; pass "
                               "--band-proposed and --band-conventional")
@@ -225,12 +230,11 @@ def _rmsd_bands(args, cfg) -> dict:
 
 def cmd_compare_rmsd(cfg, args, outdir: Path):
     bands = _rmsd_bands(args, cfg)
-    res = experiments.compare_rmsd(cfg, args.t1, args.t2)
-    payload = {**res, **{f"band_{k}": list(v) for k, v in bands.items()}}
-    if res["proposed"] is None or res.get("low_confidence"):
-        print("low-confidence window (probe off or estimator not settled); "
-              "no RMSD claimed")
-        return False, payload
+    [by_prefix] = experiments.sweep([replace(cfg, estimator="both")], "rms",
+                                    args.t1, args.t2)
+    res = {_PIPELINE_NAMES[p]: r for p, r in by_prefix.items()}
+    payload = {"t1": args.t1, "t2": args.t2, **res,
+               **{f"band_{k}": list(v) for k, v in bands.items()}}
     ok = {k: _in_band(res[k], band) for k, band in bands.items()}
     ok_order = res["proposed"] < res["conventional"]
     print(f"{'estimator':<14}{'rmsd [rad]':>12}{'band':>20}{'ok':>7}")

@@ -1,10 +1,11 @@
 """Reusable experiment procedures behind the CLI verbs.
 
 Each function takes a ScenarioConfig (plus experiment knobs) and returns a
-plain dict of measured quantities.  `sweep` runs many configs and measures
-every estimator a run carries, so a driven estimator="both" point serves
-both pipelines.  The estimator replays (`equivalence_deviation`,
-`calibrate`) advance each estimator over whole blocks of samples per call.
+plain dict of measured quantities, per pipeline keyed by trace prefix.
+`sweep`, the one run-and-measure path, runs many configs and measures every
+estimator a run carries, so one estimator="both" point serves both
+pipelines.  The estimator replays (`equivalence_deviation`, `calibrate`)
+advance each estimator over whole blocks of samples per call.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ def steady_angle_ripple(trace: Trace, prefix: str, t1: float, t2: float) -> floa
 
 
 def steady_lag_limits(cfg: ScenarioConfig) -> dict:
-    """Steady angle lag of each demodulator at the closed-loop reference speed.
+    """Steady angle lag per trace prefix at the closed-loop reference speed.
 
     In the averaged model the virtual output turns at 2*omega_e, with
     omega_e = n_p*omega_ref, and each demodulator passes it through a
@@ -82,24 +83,8 @@ def steady_lag_limits(cfg: ScenarioConfig) -> dict:
     two_omega_e = 2.0 * abs(cfg.motor.n_p * cfg.controller.omega_ref)
     mean_s2 = 0.5 * (inj.V_h / TWO_PI) ** 2
     _, lambda_ell = cfg.corners
-    return {
-        "proposed": 0.5 * math.atan(two_omega_e / (cfg.gamma_alpha * mean_s2)),
-        "conventional": 0.5 * math.atan(two_omega_e / lambda_ell),
-    }
-
-
-def compare_rmsd(cfg: ScenarioConfig, t1: float = 5.0, t2: float = 10.0) -> dict:
-    """Run both estimators on one closed-loop trace and report their RMSDs."""
-    window_mask(record_times(cfg), t1, t2)
-    cfg = replace(cfg, estimator="both")
-    out = {"t1": t1, "t2": t2, "low_confidence": True,
-           "proposed": None, "conventional": None}
-    if cfg.injection_enabled:  # no probe, no saliency signal: no run, no claim
-        trace = run(cfg)
-        out.update(low_confidence=not np.all(trace.prop_valid[trace.t >= t1]),
-                   proposed=steady_angle_error(trace, "prop", t1, t2),
-                   conventional=steady_angle_error(trace, "conv", t1, t2))
-    return out
+    return {"prop": 0.5 * math.atan(two_omega_e / (cfg.gamma_alpha * mean_s2)),
+            "conv": 0.5 * math.atan(two_omega_e / lambda_ell)}
 
 
 def _measure(cfg: ScenarioConfig, metric: str, t1: float, t2: float) -> dict:
@@ -111,8 +96,9 @@ def _measure(cfg: ScenarioConfig, metric: str, t1: float, t2: float) -> dict:
 def sweep(configs: list[ScenarioConfig], metric: str, t1: float, t2: float,
           workers: int = 1) -> list[dict]:
     """Per config, one run and the steady error ("rms") or ripple ("ripple")
-    over [t1, t2] of each estimator it carries, keyed "prop" and "conv";
-    every point is checked before any runs.
+    over [t1, t2] of each estimator it carries, keyed "prop" and "conv".
+    Every point is checked before any runs: it carries an estimator and the
+    probe, and the window lies on its record grid after the warm-up.
     """
     if metric not in ("rms", "ripple"):
         raise ValueError(f"unknown sweep metric {metric!r}")
@@ -122,6 +108,11 @@ def sweep(configs: list[ScenarioConfig], metric: str, t1: float, t2: float,
         window_mask(record_times(cfg), t1, t2)
         if not cfg.pipelines:
             raise ValueError("a sweep point runs no estimator to measure")
+        if not cfg.injection_enabled:
+            raise ValueError("a probe-off sweep point has no saliency signal")
+        if t1 < cfg.warmup:
+            raise ValueError(f"window [{t1:g}, {t2:g}] starts inside the "
+                             f"{cfg.warmup:g} s estimator warm-up")
     measure = partial(_measure, metric=metric, t1=t1, t2=t2)
     # one process per point at most: the pool forks all its workers at start
     workers = min(workers, len(configs))
@@ -254,6 +245,11 @@ def calibrate(cfg: ScenarioConfig, phase_err: float = 0.0,
         raise ValueError("calibration needs a constant nonzero drive speed")
     params, inj, N = cfg.motor, cfg.injection, cfg.steps_per_period
     omega_e = params.n_p * cfg.drive.omega
+    # averaging separates the locus, at 2*omega_e, from the carrier
+    if not 2.0 * abs(omega_e) < inj.omega_h:
+        raise ValueError(f"calibration needs the locus frequency "
+                         f"2*n_p*|omega| = {2.0 * abs(omega_e):g} rad/s below "
+                         f"omega_h = {inj.omega_h:g} rad/s")
     t = record_times(replace(cfg, decimation=1))
     theta_true = cfg.theta0 + omega_e * t
     cur = synthesize_injection_current(params, inj, theta_true, t,
@@ -275,11 +271,6 @@ def calibrate(cfg: ScenarioConfig, phase_err: float = 0.0,
     th_raw, y1, y2 = run_estimator((1.0, 0.0, 1.0))
     ell = fit_compensation(t, y1, y2, params, omega_e, t_start=t_settle)
     th_fit, _, _ = run_estimator(ell)
-    m = t >= t_settle
-
-    def err(th_hat):
-        e = wrap_mod_pi(th_hat[m] - theta_true[m])
-        return float(np.sqrt(np.mean(e * e)))
-
     return {"ell1": ell[0], "ell2": ell[1], "ell3": ell[2],
-            "rmsd_raw": err(th_raw), "rmsd_compensated": err(th_fit)}
+            "rmsd_raw": rmsd(t, theta_true, th_raw, t_settle, t[-1]),
+            "rmsd_compensated": rmsd(t, theta_true, th_fit, t_settle, t[-1])}

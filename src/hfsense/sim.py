@@ -4,9 +4,9 @@ and estimators.
 `ScenarioConfig` checks a run whole when it is built.  It owns the LTI
 chain's corners (`corners` resolves their defaults) and rejects a
 non-finite float field, a step size or step count that is not a usable
-number, and a filter corner whose coefficients at that step size are not
-(the controller's measurement low pass, and the LTI chain's pair when it
-runs).
+number, a drive whose electrical angle is not, and a filter corner whose
+coefficients at that step size are not (the controller's measurement low
+pass, and the LTI chain's pair when it runs).
 
 One step loop, `run`, serves both mechanics modes; a run is driven
 exactly when its scenario has a drive profile:
@@ -135,6 +135,17 @@ class DriveProfile:
                                      f"(got {getattr(self, key):g})")
         elif self.t_ramp_end <= self.t_ramp_start:
             raise ValueError("reversal needs t_ramp_end > t_ramp_start")
+        else:
+            # angle_integral's terms at t_ramp_end, where the ramp ends
+            span = self.t_ramp_end - self.t_ramp_start
+            start = self.omega * self.t_ramp_start
+            end = start + 0.5 * (self.omega + self.omega_end) * span
+            if not all(map(math.isfinite, (span, start, end))):
+                raise ValueError(
+                    f"reversal from t_ramp_start = {self.t_ramp_start:g} to "
+                    f"t_ramp_end = {self.t_ramp_end:g} at omega = "
+                    f"{self.omega:g}, omega_end = {self.omega_end:g}: the "
+                    "ramp's length or angle is not a finite number")
 
     def omega_at(self, t) -> np.ndarray:
         """Speed at each of the times t (mechanical rad/s)."""
@@ -235,6 +246,17 @@ class ScenarioConfig:
             raise ValueError("closed loop without estimator requires sensor mode")
         if self.duration <= self.warmup:
             raise ValueError("duration must exceed the operator warm-up")
+        if self.drive is not None:
+            # the prescribed electrical angle at the run's ends and the ramp's
+            d = self.drive
+            ends = np.clip([0.0, d.t_ramp_start, d.t_ramp_end, self.duration],
+                           0.0, self.duration)
+            with np.errstate(all="ignore"):
+                theta = self.theta0 + self.motor.n_p * d.angle_integral(ends)
+            if not np.isfinite(theta).all():
+                raise ValueError("the drive's electrical angle theta0 + n_p * "
+                                 "angle(omega, omega_end, t_ramp_start, "
+                                 "t_ramp_end) is not finite within duration")
         for key in ("gamma_alpha", "gamma_beta", "pll_kp", "pll_ki"):
             if not 0.0 < getattr(self, key) < math.inf:
                 raise ValueError(f"{key} must be positive and finite "

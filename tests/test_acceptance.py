@@ -77,7 +77,7 @@ def test_criterion_1_closed_loop_rmsd(lowspeed_cfg, lowspeed_run):
     ok_bands = True
     for name, prefix in (("proposed", "prop"), ("conventional", "conv")):
         r = steady_angle_error(trace, prefix, 5.0, 10.0)
-        floor = limits[name]
+        floor = limits[prefix]
         ok = floor <= r <= 2.0 * floor
         mean_err = float(np.mean(wrap_mod_pi(
             trace.data[f"{prefix}_theta_hat"][window] - trace.theta[window])))

@@ -232,6 +232,18 @@ _BAD_VERB_ARGUMENTS = [
     # replaced by gamma_alpha without a word
     (FAST + "\n[estimator]\ngamma_alpha = 1.25e4\ngamma_beta = 2.5e4\n",
      ["equivalence", "--duration", "0.01"]),
+    # probe off: no saliency signal to measure; with both bands given,
+    # compare-rmsd used to run and exit 1
+    (FAST + "\n[injection]\nenabled = false\n",
+     ["compare-rmsd", "--t1", "0.1", "--t2", "0.3"] + BANDS, "probe-off"),
+    (DRIVEN + "\n[injection]\nenabled = false\n",
+     ["sweep-frequency", "--t1", "1", "--t2", "2"], "probe-off"),
+    # windows from t = 0 measure the estimators' warm-up (2*epsilon)
+    (FAST, ["compare-rmsd", "--t1", "0", "--t2", "0.3"] + BANDS, "warm-up"),
+    (DRIVEN, ["sweep-frequency", "--t1", "0", "--t2", "1"], "warm-up"),
+    # a locus at 2*n_p*|omega| above omega_h: calibrate used to fit it
+    (DRIVEN.replace("omega = 2.0", "omega = 1e306"), ["calibrate"],
+     "locus frequency"),
 ]
 
 
@@ -311,28 +323,41 @@ def test_divergence_inside_a_step_is_one_line(tmp_path, capsys):
     assert "t=" in err
 
 
-@pytest.mark.parametrize("drive", [
-    "profile = constant\nomega = 1e306\n",
-    "profile = reversal\nomega = 2.0\nomega_end = -2.0\n"
-    "t_ramp_start = -1e308\nt_ramp_end = 1e308\n"],
-    ids=["fast_drive", "long_ramp"])
-def test_drive_overflow_is_one_line(drive, tmp_path, capsys):
-    """A drive whose tables or step maps overflow ends in the one
-    "simulation aborted" line, with no numpy warning before it, and leaves
-    a failed summary that states the reason."""
+_RAMP_FROM = ("profile = reversal\nomega = 2.0\nomega_end = -2.0\n"
+              "t_ramp_start = -1e308\n")
+
+
+@pytest.mark.parametrize("drive,rc", [
+    ("profile = constant\nomega = 1e306\n", EXIT_FAIL),
+    (_RAMP_FROM + "t_ramp_end = 1e308\n", EXIT_CONFIG),
+    (_RAMP_FROM + "t_ramp_end = 0\n", EXIT_CONFIG)],
+    ids=["fast_drive", "long_ramp", "far_ramp_start"])
+def test_drive_overflow_is_one_line(drive, rc, tmp_path, capsys):
+    """A drive whose step maps overflow ends in the one "simulation
+    aborted" line, with no numpy warning before it, and leaves a failed
+    summary that states the reason.  A ramp whose length or angle is not a
+    finite number is rejected with the scenario: one config error line
+    that names the ramp's keys (the first ramp here used to abort with NaN
+    currents, the second to fail in the controller's cos as "math domain
+    error")."""
     p = tmp_path / "overflow.scenario"
     p.write_text(DRIVEN.replace("duration = 2.0", "duration = 0.05")
                  .replace("profile = constant\nomega = 2.0\n", drive))
     out = tmp_path / "o"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert main(["--config", str(p), "--out", str(out), "run"]) \
-            == EXIT_FAIL
+        assert main(["--config", str(p), "--out", str(out), "run"]) == rc
     assert [str(w.message) for w in caught] == []
     err = capsys.readouterr().err
-    assert err.startswith("simulation aborted: ") and err.count("\n") == 1
-    s = _summary(out)
-    assert s["passed"] is False and "reason" in s
+    assert err.count("\n") == 1
+    if rc == EXIT_FAIL:
+        assert err.startswith("simulation aborted: ")
+        s = _summary(out)
+        assert s["passed"] is False and "reason" in s
+    else:
+        assert err.startswith("config error: ")
+        assert "t_ramp_start" in err and "t_ramp_end" in err
+        assert not (out / "summary.json").exists()
 
 
 def test_diverged_run_leaves_failed_summary(tmp_path, capsys):

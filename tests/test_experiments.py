@@ -13,7 +13,6 @@ from hfsense.config import load_scenario
 from hfsense.estimators import wrap_mod_pi
 from hfsense.experiments import (
     calibrate,
-    compare_rmsd,
     equivalence_deviation,
     frequency_sweep,
     residual_order,
@@ -71,15 +70,15 @@ def test_steady_lag_limits_lowspeed_point():
     # omega_e = 6 * 0.5 = 3 rad/s; gamma*<S^2> = 1e4/(8*pi^2) = 126.65 /s;
     # lambda_ell = sqrt(2*pi*1000 * 0.5) = 56.05 rad/s
     lim = steady_lag_limits(_cfg())
-    assert lim["proposed"] == pytest.approx(0.02367, rel=1e-3)
-    assert lim["conventional"] == pytest.approx(0.05332, rel=1e-3)
+    assert lim["prop"] == pytest.approx(0.02367, rel=1e-3)
+    assert lim["conv"] == pytest.approx(0.05332, rel=1e-3)
     # the conventional floor is half the LTI low pass's phase at 2*omega_e
     lam = math.sqrt(2.0 * math.pi * 1000.0 * 0.5)
-    assert lim["conventional"] == pytest.approx(
+    assert lim["conv"] == pytest.approx(
         -0.5 * np.angle(lpf_frequency_response(lam, 6.0)), rel=1e-12)
     faster = steady_lag_limits(_cfg(gamma_alpha=2e4, gamma_beta=2e4))
-    assert faster["proposed"] < lim["proposed"]
-    assert faster["conventional"] == lim["conventional"]
+    assert faster["prop"] < lim["prop"]
+    assert faster["conv"] == lim["conv"]
 
 
 @pytest.mark.parametrize("kw", [
@@ -93,33 +92,55 @@ def test_steady_lag_limits_rejects_broken_assumptions(kw):
         steady_lag_limits(_cfg(**kw))
 
 
+# compare-rmsd measures one sweep point: the scenario with both estimators
 def test_compare_rmsd_no_injection(monkeypatch):
     """Without the probe there is no saliency signal to claim an RMSD
-    from, so nothing is simulated."""
+    from: the point is rejected and nothing is simulated."""
     monkeypatch.setattr(experiments, "run", _no_run)
-    res = compare_rmsd(_cfg(injection_enabled=False, sensor_mode=True),
-                       0.1, 0.2)
-    assert res["low_confidence"]
-    assert res["proposed"] is None and res["conventional"] is None
+    with pytest.raises(ValueError, match="probe-off"):
+        sweep([_cfg(injection_enabled=False, sensor_mode=True)], "rms",
+              0.1, 0.2)
 
 
 def test_compare_rmsd_short_window():
-    res = compare_rmsd(_cfg(duration=0.5), 0.2, 0.5)
-    assert not res["low_confidence"]
-    assert 0.0 <= res["proposed"] < 1.0
-    assert 0.0 <= res["conventional"] < 1.0
+    [res] = sweep([_cfg(duration=0.5)], "rms", 0.2, 0.5)
+    assert set(res) == {"prop", "conv"}
+    assert all(0.0 <= r < 1.0 for r in res.values())
 
 
 # inverted, empty, outside the trace, and between two records 1e-4 s apart
 @pytest.mark.parametrize("t1,t2", [(0.2, 0.1), (0.1, 0.1), (-0.1, 0.2),
                                    (0.1, 0.6), (0.10001, 0.10005)])
 def test_compare_rmsd_checks_window_before_running(t1, t2, monkeypatch):
-    def no_run(cfg):
-        raise AssertionError("simulated before checking the window")
-
-    monkeypatch.setattr(experiments, "run", no_run)
+    monkeypatch.setattr(experiments, "run", _no_run)
     with pytest.raises(ValueError, match="window"):
-        compare_rmsd(_cfg(duration=0.5), t1, t2)
+        sweep([_cfg(duration=0.5)], "rms", t1, t2)
+
+
+# epsilon = 1e-3: the estimators' first valid sample lands at 2e-3 s
+@pytest.mark.parametrize("point,t1,match", [
+    (dict(injection_enabled=False, sensor_mode=True), 0.1, "probe-off"),
+    ({}, 0.0, r"window \[0, 0.2\] starts inside the 0.002 s"),
+    ({}, 0.0019, "warm-up"),
+], ids=["probe_off", "from_zero", "before_warmup"])
+def test_sweep_rejects_unmeasurable_point_before_running(point, t1, match,
+                                                         monkeypatch):
+    """A probe-off run carries no saliency signal to measure, and a window
+    that starts before 2*epsilon measures the estimators' warm-up: either
+    point is rejected before any point runs."""
+    monkeypatch.setattr(experiments, "run", _no_run)
+    with pytest.raises(ValueError, match=match):
+        sweep([_cfg(), _cfg(**point)], "rms", t1, 0.2)
+    with pytest.raises(ValueError, match=match):
+        frequency_sweep(_cfg(**point), [1000.0, 2000.0], t1, 0.2)
+
+
+def test_sweep_window_may_start_at_warmup():
+    """From 2*epsilon on every estimate is valid, so the window may start
+    there."""
+    cfg = _cfg(duration=0.01)
+    [res] = sweep([cfg], "rms", cfg.warmup, 0.01)
+    assert set(res) == {"prop", "conv"}
 
 
 @pytest.mark.parametrize("steps_per_period", [5, 10])
@@ -129,11 +150,10 @@ def test_proposed_accuracy_at_coarse_sampling(steps_per_period):
     [L, 2L] steady-lag band and beats the LTI chain."""
     cfg = replace(load_scenario(SCENARIO_DIR / "lowspeed.scenario"),
                   steps_per_period=steps_per_period, duration=3.0)
-    floor = steady_lag_limits(cfg)["proposed"]
-    res = compare_rmsd(cfg, 2.0, 3.0)
-    assert not res["low_confidence"]
-    assert floor <= res["proposed"] <= 2.0 * floor, res
-    assert res["proposed"] < res["conventional"], res
+    floor = steady_lag_limits(cfg)["prop"]
+    [res] = sweep([replace(cfg, estimator="both")], "rms", 2.0, 3.0)
+    assert floor <= res["prop"] <= 2.0 * floor, res
+    assert res["prop"] < res["conv"], res
 
 
 def test_residual_order_ignores_estimator_phase():
@@ -295,6 +315,10 @@ def test_calibrate_requires_constant_drive():
         calibrate(_cfg())
     with pytest.raises(ValueError):
         calibrate(_cfg(drive=DriveProfile("constant", omega=0.0)))
+    # the locus at 2*n_p*|omega| = 1.2e307 rad/s, far above omega_h: the
+    # replay used to fit such a drive and pass
+    with pytest.raises(ValueError, match="locus frequency"):
+        calibrate(_cfg(drive=DriveProfile("constant", omega=1e306)))
 
 
 @pytest.mark.parametrize("kw,match", [

@@ -314,6 +314,11 @@ def test_drive_validation():
         DriveProfile("spline")
     with pytest.raises(ValueError):
         DriveProfile("reversal", t_ramp_start=2.0, t_ramp_end=1.0)
+    # a ramp whose length, or whose angle omega * t_ramp_start, overflows
+    for t0, t1 in ((-1e308, 1e308), (-1e308, 0.0)):
+        with pytest.raises(ValueError, match="t_ramp_start .* t_ramp_end"):
+            DriveProfile("reversal", omega=2.0944, omega_end=-2.0944,
+                         t_ramp_start=t0, t_ramp_end=t1)
     # a constant profile takes no ramp; zero is the unset value
     for key in ("omega_end", "t_ramp_start", "t_ramp_end"):
         with pytest.raises(ValueError, match=f"takes no {key}"):
@@ -331,6 +336,20 @@ def test_drive_profile_rejects_non_finite(key, value):
     for kind, kw in (("reversal", ramp), ("constant", {"omega": 0.5})):
         with pytest.raises(ValueError, match=f"{key} must be finite"):
             DriveProfile(kind, **{**kw, key: value})
+
+
+@pytest.mark.parametrize("drive,duration", [
+    # a finite shaft angle of -1e308 that n_p = 6 takes beyond the floats
+    (DriveProfile("reversal", omega=1.0, omega_end=-1.0,
+                  t_ramp_start=-1e308, t_ramp_end=0.0), 0.2),
+    (DriveProfile("constant", omega=1e306), 1e3),
+], ids=["far_ramp_start", "long_fast_run"])
+def test_drive_electrical_angle_must_be_finite(drive, duration):
+    """An electrical angle theta0 + n_p*angle that overflows used to reach
+    the controller's cos as a bare "math domain error"; it is rejected
+    with the scenario, naming the drive's keys."""
+    with pytest.raises(ValueError, match="electrical angle .* t_ramp_end"):
+        _cfg(drive=drive, duration=duration)
 
 
 # unequal end speeds, so the angle after the ramp has three nonzero terms
@@ -510,9 +529,11 @@ def test_drive_profile_calls_grow_with_blocks(profile, monkeypatch):
     Ts = 2e-5
     per_block = set()
     for n in (1023, 1024, 2047, 2048, 5000):
+        # built first: the scenario's own check evaluates the profile once
+        cfg = _cfg(drive=profile, estimator="none", duration=n * Ts,
+                   decimation=50)
         calls.clear()
-        run(_cfg(drive=profile, estimator="none",
-                 duration=n * Ts, decimation=50), ["t"])
+        run(cfg, ["t"])
         blocks = -(-(n + 1) // sim._BLOCK)
         per_block.add(len(calls) / blocks)
         assert sum(calls) == len(calls) // blocks * (n + 1)
