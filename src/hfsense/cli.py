@@ -13,7 +13,8 @@ a verb's outcome into output:
   or an unwritable --out): one "config error:" line, no summary.json, exit 2.
 
 Environment variables HFSENSE_CONFIG / HFSENSE_OUT / HFSENSE_WORKERS /
-HFSENSE_SEED provide defaults for the matching flags.
+HFSENSE_SEED provide defaults for the matching flags; an empty one counts as
+unset.
 """
 
 from __future__ import annotations
@@ -90,7 +91,8 @@ def _floats_arg(spec: str) -> list[float]:
 
 
 def _env_default(name: str, fallback=None):
-    return os.environ.get(f"HFSENSE_{name}", fallback)
+    """HFSENSE_<name>, or fallback when it is unset or empty."""
+    return os.environ.get(f"HFSENSE_{name}") or fallback
 
 
 def _env_int(name: str, fallback: int | None = None) -> int | None:
@@ -274,7 +276,7 @@ def cmd_bode(cfg, args, outdir: Path):
         raise ConfigError("bode needs 0 < --omega-min < --omega-max")
     if args.points < 2:
         raise ConfigError("bode needs --points >= 2")
-    lam_h, lam_l = cfg.corners
+    lam_h, lam_l = cfg.injection.omega_h, cfg.corner
     try:
         omega = np.logspace(math.log10(args.omega_min),
                             math.log10(args.omega_max), args.points)

@@ -45,9 +45,9 @@ _SCHEMA = {
     "injection": {"V_h": _F, "epsilon": _F, "phi": _F, "phi_p": _F,
                   "enabled": _bool},
     "estimator": {"kind": str, "gamma_alpha": _F, "gamma_beta": _F,
-                  "ell1": _F, "ell2": _F, "ell3": _F, "lambda_h": _F,
-                  "lambda_ell": _F, "omega_star": _F, "pll_kp": _F,
-                  "pll_ki": _F, "theta0_est": _F},
+                  "ell1": _F, "ell2": _F, "ell3": _F, "lambda_ell": _F,
+                  "omega_star": _F, "pll_kp": _F, "pll_ki": _F,
+                  "theta0_est": _F},
     "controller": {"speed_kp": _F, "speed_ki": _F, "current_kp": _F,
                    "current_ki": _F, "omega_ref": _F, "i_d_ref": _F,
                    "i_q_limit": _F, "v_limit": _F, "meas_lpf_cutoff": _F,

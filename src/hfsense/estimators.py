@@ -9,10 +9,10 @@ measured currents:
   state and input, so a sample costs one inline regressor step plus one
   update x+ = a_j*x + c_j*yf per axis with (a_j, c_j) tabulated per carrier
   phase (`ProposedEstimator._phase_table`).
-* `ConventionalEstimator` - LTI high-pass, demodulation by sin(omega_h t +
-  phi), LTI low-pass, then rescaling.  It takes its two corners (lambda_h,
-  lambda_ell) as given; `sim.ScenarioConfig.corners` is the one place that
-  resolves their defaults.
+* `ConventionalEstimator` - LTI high-pass at omega_h, demodulation by
+  sin(omega_h t + phi), LTI low-pass, then rescaling.  Its one corner is
+  the low pass's lambda_ell, taken as given; `sim.ScenarioConfig.corner` is
+  the one place that resolves its default.
 
 `BlockFormEstimator` re-expresses the proposed pipeline in the conventional
 HPF/demod/LPF block layout (demod phase phi_p + 3*pi/2, LPF replaced by the
@@ -300,20 +300,21 @@ class ProposedEstimator:
 class ConventionalEstimator:
     """LTI high-pass / demodulate / low-pass chain (the textbook pipeline).
 
-    Its filters take their coefficients from `highpass_coefficients` and
-    `lowpass_coefficients`, and the kernel keeps the operation order of the
-    filter oracles' steps (`HighPass2`, `LowPass1` in tests/oracles.py), so
-    its output is bit-identical to their composition.  Every sample is
-    valid; the PLL, if any, steps on each.
+    The high pass sits at omega_h, with the unit gain and +90 deg there that
+    the read-out scale and demodulation phase assume; lambda_ell is the one
+    corner.  The kernel keeps the operation order of the filter oracles'
+    steps (`HighPass2`, `LowPass1` in tests/oracles.py), so its output is
+    bit-identical to their composition.  Every sample is valid; the PLL, if
+    any, steps on each.
     """
 
     def __init__(self, params: MotorParams, cfg: InjectionConfig, N: int,
-                 lambda_h: float, lambda_ell: float, theta0: float = 0.0,
+                 lambda_ell: float, theta0: float = 0.0,
                  pll_gains: tuple[float, float] | None = None):
         Ts = sample_period(cfg, N)
         # demodulation carrier per phase j = k mod N
         demod = [math.sin(cfg.omega_h * j * Ts + cfg.phi) for j in range(N)]
-        b0, b1, b2, a1, a2 = highpass_coefficients(lambda_h, Ts)
+        b0, b1, b2, a1, a2 = highpass_coefficients(cfg.omega_h, Ts)
         la, lb = lowpass_coefficients(lambda_ell, Ts)
         scale = 2.0 * cfg.omega_h * params.det_L / cfg.V_h
         pll_k, pll_s = _pll_parts(pll_gains, params, Ts, theta0)

@@ -82,9 +82,8 @@ def steady_lag_limits(cfg: ScenarioConfig) -> dict:
     inj = cfg.injection
     two_omega_e = 2.0 * abs(cfg.motor.n_p * cfg.controller.omega_ref)
     mean_s2 = 0.5 * (inj.V_h / TWO_PI) ** 2
-    _, lambda_ell = cfg.corners
     return {"prop": 0.5 * math.atan(two_omega_e / (cfg.gamma_alpha * mean_s2)),
-            "conv": 0.5 * math.atan(two_omega_e / lambda_ell)}
+            "conv": 0.5 * math.atan(two_omega_e / cfg.corner)}
 
 
 def _measure(cfg: ScenarioConfig, metric: str, t1: float, t2: float) -> dict:

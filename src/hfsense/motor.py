@@ -25,9 +25,10 @@ cross-check the frame.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import cached_property
-from math import cos, isfinite, sin
+from math import cos, inf, isfinite, sin
 
 import numpy as np
 
@@ -54,8 +55,17 @@ class MotorParams:
                                  f"(got {getattr(self, key):g})")
         if not (isinstance(self.n_p, int) and self.n_p >= 1):
             raise ValueError(f"n_p must be an integer >= 1 (got {self.n_p!r})")
+        # the plant and the drive compute with float(n_p)
+        if self.n_p > sys.float_info.max or float(self.n_p) != self.n_p:
+            raise ValueError(f"n_p must be an integer that a float holds "
+                             f"exactly (got {self.n_p})")
         if self.L_d <= 0.0 or self.L_q <= 0.0:
             raise ValueError("inductances must be positive")
+        # det_L = L_d * L_q divides the virtual output and the read-outs
+        if not 0.0 < self.L_d * self.L_q < inf:
+            raise ValueError(f"L_d * L_q = {self.L_d * self.L_q:g} is not a "
+                             f"positive finite number (L_d = {self.L_d:g}, "
+                             f"L_q = {self.L_q:g})")
         if self.L_d == self.L_q:
             raise ValueError("saliency required: L_d must differ from L_q")
         if self.R_s < 0.0:

@@ -89,13 +89,14 @@ def highpass_coefficients(lam: float, Ts: float) -> tuple[float, ...]:
     as a biquad, run in direct form II transposed.
 
     Bilinear with the corner prewarped, so the discrete gain and phase at
-    omega = lam match the continuous filter exactly (unit gain, +90 deg at
-    the corner is what the demodulation step depends on).  The double zero
-    at z = 1 gives exact DC rejection regardless of warping.  The prewarp
+    omega = lam match the continuous filter exactly.  The LTI chain builds
+    it at lam = omega_h, where that unit gain and +90 deg are what its
+    read-out scale and demodulation phase assume.  The double zero at z = 1
+    gives exact DC rejection regardless of warping.  The prewarp
     tan(lam*Ts/2) holds only below the Nyquist rate: lam*Ts >= pi raises
-    ValueError, and so does a corner and Ts whose prewarp or denominator
-    underflows to 0, or whose coefficients overflow (a Ts below about
-    1e-154).
+    ValueError (at omega_h, a probe period of N <= 2 samples), and so does
+    a corner and Ts whose prewarp or denominator underflows to 0, or whose
+    coefficients overflow (a Ts below about 1e-154).
     """
     if not 0.0 < lam < math.inf:
         raise ValueError(f"corner must be positive and finite (got {lam:g})")
@@ -140,8 +141,10 @@ def gd_frequency_response(d: float, omega) -> complex | np.ndarray:
 
 
 def hpf_frequency_response(lam: float, omega) -> complex | np.ndarray:
+    """2s^2/(lam + s)^2 at s = j*omega, evaluated as 2*(s/(lam + s))^2,
+    which stays finite where s*s would overflow (omega above ~1e154)."""
     s = 1j * np.asarray(omega, dtype=float)
-    return 2.0 * s * s / (lam + s) ** 2
+    return 2.0 * (s / (lam + s)) ** 2
 
 
 def lpf_frequency_response(lam: float, omega) -> complex | np.ndarray:

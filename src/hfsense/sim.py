@@ -2,11 +2,11 @@
 and estimators.
 
 `ScenarioConfig` checks a run whole when it is built.  It owns the LTI
-chain's corners (`corners` resolves their defaults) and rejects a
-non-finite float field, a step size or step count that is not a usable
-number, a drive whose electrical angle is not, and a filter corner whose
-coefficients at that step size are not (the controller's measurement low
-pass, and the LTI chain's pair when it runs).
+chain's one corner, lambda_ell (`corner` resolves its default; the high
+pass sits at omega_h), and rejects a non-finite float field, a step size or
+step count that is not a usable number, a drive whose electrical angle is
+not, and a filter whose coefficients at that step size are not (the
+controller's measurement low pass, and the LTI chain's pair when it runs).
 
 One step loop, `run`, serves both mechanics modes; a run is driven
 exactly when its scenario has a drive profile:
@@ -107,9 +107,11 @@ class SimulationDiverged(RuntimeError):
 class DriveProfile:
     """Prescribed mechanical speed for driven-speed runs.
 
-    constant: omega(t) = omega; reversal: omega until t_ramp_start, linear
-    ramp to omega_end by t_ramp_end, then omega_end.  Angle comes from the
-    exact integral of the profile.  A constant profile takes no ramp keys.
+    constant: omega(t) = omega; reversal: omega until t_ramp_start >= 0,
+    linear ramp to omega_end by t_ramp_end, then omega_end.  Angle comes
+    from the exact integral of the profile from t = 0, so a ramp under way
+    at t = 0 starts at t_ramp_start = 0 with omega its speed there.  A
+    constant profile takes no ramp keys.
     Both methods take an array of times and work elementwise, so `run`
     tabulates a block of steps per call; their scalar forms are the `==`
     oracles in tests/oracles.py.
@@ -133,19 +135,22 @@ class DriveProfile:
                 if getattr(self, key) != 0.0:
                     raise ValueError(f"a constant profile takes no {key} "
                                      f"(got {getattr(self, key):g})")
-        elif self.t_ramp_end <= self.t_ramp_start:
-            raise ValueError("reversal needs t_ramp_end > t_ramp_start")
+        elif not 0.0 <= self.t_ramp_start < self.t_ramp_end:
+            raise ValueError(f"reversal needs 0 <= t_ramp_start < t_ramp_end "
+                             f"(got t_ramp_start = {self.t_ramp_start:g}, "
+                             f"t_ramp_end = {self.t_ramp_end:g})")
         else:
-            # angle_integral's terms at t_ramp_end, where the ramp ends
-            span = self.t_ramp_end - self.t_ramp_start
+            # angle_integral's terms at t_ramp_end, where the ramp ends; the
+            # ramp's length, between two finite times >= 0, is finite
             start = self.omega * self.t_ramp_start
-            end = start + 0.5 * (self.omega + self.omega_end) * span
-            if not all(map(math.isfinite, (span, start, end))):
+            end = start + 0.5 * (self.omega + self.omega_end) * (
+                self.t_ramp_end - self.t_ramp_start)
+            if not (math.isfinite(start) and math.isfinite(end)):
                 raise ValueError(
                     f"reversal from t_ramp_start = {self.t_ramp_start:g} to "
                     f"t_ramp_end = {self.t_ramp_end:g} at omega = "
                     f"{self.omega:g}, omega_end = {self.omega_end:g}: the "
-                    "ramp's length or angle is not a finite number")
+                    "ramp's angle is not a finite number")
 
     def omega_at(self, t) -> np.ndarray:
         """Speed at each of the times t (mechanical rad/s)."""
@@ -185,7 +190,6 @@ class ScenarioConfig:
     gamma_alpha: float = 1e4
     gamma_beta: float = 1e4
     ell: tuple[float, float, float] = (1.0, 0.0, 1.0)
-    lambda_h: float | None = None    # default omega_h
     lambda_ell: float | None = None  # default max(sqrt(omega_h*omega_star), 1)
     omega_star: float = 0.5
     pll_kp: float = 5.0
@@ -266,22 +270,19 @@ class ScenarioConfig:
         if not 0.0 <= self.omega_star < math.inf:
             raise ValueError(f"omega_star must be >= 0 and finite "
                              f"(got {self.omega_star:g})")
-        lambda_h, lambda_ell = self.corners
-        if not 0.0 < lambda_h < math.inf:
-            raise ValueError(f"lambda_h must be positive and finite "
-                             f"(got {lambda_h:g})")
-        if not 1.0 <= lambda_ell < math.inf:
+        if not 1.0 <= self.corner < math.inf:
             raise ValueError(f"lambda_ell must be >= 1 and finite "
-                             f"(got {lambda_ell:g})")
-        # the filters' own checks at Ts: the Nyquist rate, and coefficients
-        # that underflow or overflow.  A probe period of more samples than
-        # a list can index is left to `run`, which reports the scenario as
-        # too large before it builds a filter.
+                             f"(got {self.corner:g})")
+        # the filters' own checks at Ts: the Nyquist rate (omega_h*Ts =
+        # 2*pi/steps_per_period), and coefficients that underflow or overflow.
+        # A probe period of more samples than a list can index is left to
+        # `run`, which reports it as too large before it builds a filter.
         filters = [("meas_lpf_cutoff", lowpass_coefficients,
                     self.controller.meas_lpf_cutoff)]
         if "conv" in self.pipelines and self.steps_per_period <= sys.maxsize:
-            filters += [("lambda_h", highpass_coefficients, lambda_h),
-                        ("lambda_ell", lowpass_coefficients, lambda_ell)]
+            filters += [("epsilon, steps_per_period: LTI high pass at omega_h",
+                         highpass_coefficients, self.injection.omega_h),
+                        ("lambda_ell", lowpass_coefficients, self.corner)]
         for key, coefficients, lam in filters:
             try:
                 coefficients(lam, Ts)
@@ -289,15 +290,11 @@ class ScenarioConfig:
                 raise ValueError(f"{key}: {exc}") from None
 
     @cached_property
-    def corners(self) -> tuple[float, float]:
-        """(lambda_h, lambda_ell) of the LTI chain, defaults resolved:
-        omega_h and max(sqrt(omega_h*omega_star), 1), omega_star being the
-        application's nominal (electrical-excitation) speed scale."""
-        omega_h = self.injection.omega_h
-        lambda_h = omega_h if self.lambda_h is None else self.lambda_h
-        lambda_ell = (max(math.sqrt(omega_h * self.omega_star), 1.0)
-                      if self.lambda_ell is None else self.lambda_ell)
-        return lambda_h, lambda_ell
+    def corner(self) -> float:
+        """lambda_ell, default max(sqrt(omega_h*omega_star), 1), omega_star
+        being the nominal (electrical-excitation) speed scale."""
+        return (max(math.sqrt(self.injection.omega_h * self.omega_star), 1.0)
+                if self.lambda_ell is None else self.lambda_ell)
 
     @property
     def pipelines(self) -> tuple[str, ...]:
@@ -363,7 +360,7 @@ def _build_estimators(cfg: ScenarioConfig) -> dict:
                  cfg.motor, cfg.injection, N, cfg.gamma_alpha, cfg.gamma_beta,
                  cfg.ell, cfg.theta0_est, gains),
              "conv": lambda: ConventionalEstimator(
-                 cfg.motor, cfg.injection, N, *cfg.corners, cfg.theta0_est,
+                 cfg.motor, cfg.injection, N, cfg.corner, cfg.theta0_est,
                  gains)}
     return {prefix: build[prefix]() for prefix in cfg.pipelines}
 

@@ -87,6 +87,22 @@ def test_parser_env_overrides(monkeypatch):
     assert args.seed == 7
 
 
+def test_empty_env_counts_as_unset(monkeypatch, fast_scenario, tmp_path):
+    """An empty HFSENSE_OUT, like an empty HFSENSE_CONFIG, HFSENSE_WORKERS
+    or HFSENSE_SEED, leaves the flag's default: outputs go to ./out, not
+    into the working directory itself."""
+    for name in ("CONFIG", "OUT", "WORKERS", "SEED"):
+        monkeypatch.setenv(f"HFSENSE_{name}", "")
+    args = build_parser().parse_args(["run"])
+    assert (args.config, args.out, args.workers, args.seed) == (
+        None, "out", 1, None)
+    monkeypatch.chdir(tmp_path)
+    assert main(["--config", str(fast_scenario), "bode", "--points",
+                 "8"]) == EXIT_PASS
+    assert (tmp_path / "out" / "summary.json").exists()
+    assert not (tmp_path / "summary.json").exists()
+
+
 @pytest.mark.parametrize("name", ["WORKERS", "SEED"])
 def test_non_integer_env_is_config_error(name, fast_scenario, tmp_path,
                                          monkeypatch, capsys):
@@ -299,17 +315,19 @@ def test_invalid_scenario_value_is_one_line(tmp_path, capsys):
 @pytest.mark.parametrize("kind,rc", [("both", EXIT_CONFIG),
                                      ("proposed", EXIT_PASS)])
 def test_lti_corner_above_nyquist(tmp_path, capsys, kind, rc):
-    """lambda_h*Ts >= pi breaks the LTI high pass's prewarp; that is a config
-    error only where the LTI chain is built."""
+    """The LTI high pass sits at omega_h, and at N = 2 steps per probe period
+    omega_h*Ts = pi breaks its prewarp; that is a config error only where
+    the LTI chain is built, and it names the keys that set omega_h*Ts."""
     p = tmp_path / "nyquist.scenario"
-    p.write_text(FAST.replace("duration = 0.3", "duration = 0.05")
+    p.write_text(FAST.replace("duration = 0.3",
+                              "duration = 0.05\nsteps_per_period = 2")
                  + "\n[controller]\nsensor_mode = true\n"
-                 f"\n[estimator]\nkind = {kind}\nlambda_h = 200000\n")
+                 f"\n[estimator]\nkind = {kind}\n")
     assert main(["--config", str(p), "--out", str(tmp_path / "o"), "run"]) == rc
     if rc == EXIT_CONFIG:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
-        assert "lambda_h" in err
+        assert "epsilon, steps_per_period" in err and "Nyquist" in err
 
 
 def test_divergence_inside_a_step_is_one_line(tmp_path, capsys):
@@ -323,23 +341,22 @@ def test_divergence_inside_a_step_is_one_line(tmp_path, capsys):
     assert "t=" in err
 
 
-_RAMP_FROM = ("profile = reversal\nomega = 2.0\nomega_end = -2.0\n"
-              "t_ramp_start = -1e308\n")
+_REVERSAL = "profile = reversal\nomega = 2.0\n"
 
 
 @pytest.mark.parametrize("drive,rc", [
     ("profile = constant\nomega = 1e306\n", EXIT_FAIL),
-    (_RAMP_FROM + "t_ramp_end = 1e308\n", EXIT_CONFIG),
-    (_RAMP_FROM + "t_ramp_end = 0\n", EXIT_CONFIG)],
+    (_REVERSAL + "omega_end = 4.0\nt_ramp_start = 0\nt_ramp_end = 1e308\n",
+     EXIT_CONFIG),
+    (_REVERSAL + "omega_end = -2.0\nt_ramp_start = 1e308\n"
+     "t_ramp_end = 1.5e308\n", EXIT_CONFIG)],
     ids=["fast_drive", "long_ramp", "far_ramp_start"])
 def test_drive_overflow_is_one_line(drive, rc, tmp_path, capsys):
     """A drive whose step maps overflow ends in the one "simulation
     aborted" line, with no numpy warning before it, and leaves a failed
-    summary that states the reason.  A ramp whose length or angle is not a
-    finite number is rejected with the scenario: one config error line
-    that names the ramp's keys (the first ramp here used to abort with NaN
-    currents, the second to fail in the controller's cos as "math domain
-    error")."""
+    summary that states the reason.  A ramp whose angle is not a finite
+    number is rejected with the scenario: one config error line that names
+    the ramp's keys."""
     p = tmp_path / "overflow.scenario"
     p.write_text(DRIVEN.replace("duration = 2.0", "duration = 0.05")
                  .replace("profile = constant\nomega = 2.0\n", drive))

@@ -1,15 +1,17 @@
 """Scenario-file parser tests: happy paths on the shipped files, strict
 rejection of malformed input."""
 
+import json
 import math
+import shutil
 from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from hfsense.cli import EXIT_CONFIG, main
-from hfsense.config import ConfigError, load_scenario, parse_kv_file
+from hfsense.cli import EXIT_CONFIG, EXIT_FAIL, EXIT_PASS, main
+from hfsense.config import _SCHEMA, ConfigError, load_scenario, parse_kv_file
 from hfsense.motor import SIM_MOTOR
 from hfsense.signal_ops import InjectionConfig
 from hfsense.sim import ScenarioConfig
@@ -120,7 +122,6 @@ def test_key_outside_section(tmp_path):
     ("[estimator]\npll_ki = -0.01", "pll_ki"),
     ("[estimator]\nell1 = 0", "ell1"),
     ("[estimator]\nell3 = 0", "ell3"),
-    ("[estimator]\nlambda_h = -1", "lambda_h"),
     ("[estimator]\nlambda_ell = 0.5", "lambda_ell"),
     ("[estimator]\nomega_star = -1", "omega_star"),
     ("[controller]\nmeas_lpf_cutoff = 0", "meas_lpf_cutoff"),
@@ -173,22 +174,33 @@ def test_integer_and_shape_fields_are_rejected_through_replace(key, value,
         replace(cfg, **{key: value})
 
 
-def test_corners_resolve_defaults_and_reject_bad_values():
-    """ScenarioConfig.corners is the one place that resolves the LTI
-    corners: lambda_h = omega_h, lambda_ell = max(sqrt(omega_h *
-    omega_star), 1)."""
+def test_corner_resolves_default_and_rejects_bad_values():
+    """ScenarioConfig.corner is the one place that resolves the LTI chain's
+    one corner, lambda_ell = max(sqrt(omega_h * omega_star), 1); the
+    chain's high pass sits at omega_h and has no setting."""
     cfg = ScenarioConfig(SIM_MOTOR, InjectionConfig(V_h=1.0, epsilon=1e-3))
     omega_h = cfg.injection.omega_h
-    lambda_h, lambda_ell = cfg.corners
-    assert lambda_h == pytest.approx(omega_h)
-    assert lambda_ell == pytest.approx(math.sqrt(omega_h * 0.5))
+    assert cfg.corner == pytest.approx(math.sqrt(omega_h * 0.5))
     # the corner never drops below 1 rad/s
-    assert replace(cfg, omega_star=0.0).corners == (omega_h, 1.0)
-    for key, value in [("lambda_h", -1.0), ("lambda_ell", 0.5),
-                       ("lambda_h", math.nan), ("lambda_ell", math.nan),
+    assert replace(cfg, omega_star=0.0).corner == 1.0
+    assert replace(cfg, lambda_ell=80.0).corner == 80.0
+    for key, value in [("lambda_ell", 0.5), ("lambda_ell", math.nan),
                        ("omega_star", math.inf)]:
         with pytest.raises(ValueError, match=key):
             replace(cfg, **{key: value})
+    with pytest.raises(TypeError, match="lambda_h"):
+        replace(cfg, lambda_h=omega_h)
+
+
+def test_lambda_h_is_an_unknown_key(tmp_path, capsys, scenario_dir):
+    """The LTI chain's high pass sits at omega_h, the one corner at which
+    its read-out scale and demodulation phase hold, so it has no key: a
+    scenario that sets lambda_h is one config error line naming it."""
+    text = (scenario_dir / "lowspeed.scenario").read_text()
+    p = _write(tmp_path, text.replace("[estimator]\n",
+                                      "[estimator]\nlambda_h = 3000\n"))
+    err = _main_config_error(p, tmp_path / "o", capsys)
+    assert "unknown key 'lambda_h' in section [estimator]" in err
 
 
 @pytest.mark.parametrize("lines,message", [
@@ -213,12 +225,11 @@ _EXTREMES = ["5e-324", "1e-300", "1e300", "nan", "inf", "-inf", "0", "-1",
              "-1e-3", "1e-3", "2", "3", "50", "10.0",
              "1" + "0" * 330, "9" * 300, "-" + "9" * 200]
 # the keys that set the step size, the step count, the warm-up and the
-# corners
+# LTI chain's filters
 _STEP_KEYS = [("injection", "epsilon"), ("injection", "V_h"),
               ("simulation", "steps_per_period"), ("simulation", "duration"),
               ("simulation", "decimation"), ("estimator", "kind"),
-              ("estimator", "lambda_h"), ("estimator", "lambda_ell"),
-              ("estimator", "omega_star")]
+              ("estimator", "lambda_ell"), ("estimator", "omega_star")]
 
 
 @settings(max_examples=300, deadline=None,
@@ -232,10 +243,6 @@ _STEP_KEYS = [("injection", "epsilon"), ("injection", "V_h"),
 @example(values={("simulation", "steps_per_period"): "1" + "0" * 330})
 @example(values={("injection", "epsilon"): "1e-300",
                  ("simulation", "duration"): "1e300"})
-# high-pass corners whose prewarp tan(lambda_h*Ts/2), or whose biquad
-# denominator (lambda_h + K)**2 at the default lambda_h = omega_h, underflows
-# to 0
-@example(values={("estimator", "lambda_h"): "5e-324"})
 @example(values={("injection", "epsilon"): "1e300",
                  ("simulation", "duration"): "1e301"})
 def test_loaded_scenario_has_a_usable_step(tmp_path, values):
@@ -249,6 +256,64 @@ def test_loaded_scenario_has_a_usable_step(tmp_path, values):
         return
     for value in (cfg.Ts, cfg.n_steps, cfg.warmup):
         assert 0.0 < value < math.inf
+
+
+# every other scenario key
+_OTHER_KEYS = [(section, key) for section, keys in _SCHEMA.items()
+               for key in keys if (section, key) not in _STEP_KEYS]
+# a few ms of each mode: 200 steps, the first 100 the operators' warm-up
+_FUZZ_BASE = {"motor": dict(line.split(" = ") for line in MINIMAL.split("\n")
+                            if " = " in line),
+              "simulation": {"duration": "0.004", "decimation": "10"}}
+_FUZZ_DRIVE = {"profile": "reversal", "omega": "2.0", "omega_end": "-2.0",
+               "t_ramp_start": "0.001", "t_ramp_end": "0.003"}
+_HUGE_N_P = {("motor", "n_p"): "1" + "0" * 330}
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(driven=st.booleans(), values=st.dictionaries(
+    st.sampled_from(_OTHER_KEYS), st.sampled_from(_EXTREMES), max_size=3))
+# an n_p that no float holds, and an L_d * L_q that underflows to 0, which
+# motor.virtual_output divides by
+@example(driven=False, values=_HUGE_N_P)
+@example(driven=True, values=_HUGE_N_P)
+@example(driven=False, values={("motor", "L_d"): "5e-324"})
+@example(driven=True, values={("motor", "L_q"): "5e-324"})
+def test_other_scenario_keys_end_in_a_documented_outcome(tmp_path, capsys,
+                                                         driven, values):
+    """`hfsense run` on a few ms of a closed-loop or driven scenario, with
+    any of the other keys at the edges of a float and of an int, passes;
+    or aborts with one line and a failed summary; or is one config error
+    line with no summary.  Any other exception fails.  The [drive] keys are
+    set in driven form only: a [drive] section makes the run driven."""
+    sections = {name: dict(keys) for name, keys in _FUZZ_BASE.items()}
+    if driven:
+        sections["drive"] = dict(_FUZZ_DRIVE)
+    for (section, key), value in values.items():
+        if driven or section != "drive":
+            sections.setdefault(section, {})[key] = value
+    path = tmp_path / "fuzz.scenario"
+    path.write_text("".join(
+        f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+        for name, keys in sections.items()))
+    out = tmp_path / "o"
+    shutil.rmtree(out, ignore_errors=True)
+    capsys.readouterr()
+    rc = main(["--config", str(path), "--out", str(out), "run"])
+    err = capsys.readouterr().err
+    if rc == EXIT_CONFIG:
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert not (out / "summary.json").exists()
+        return
+    with open(out / "summary.json") as fh:
+        summary = json.load(fh)
+    if rc == EXIT_PASS:
+        assert summary["passed"] is True and err == ""
+    else:
+        assert rc == EXIT_FAIL, rc
+        assert err.startswith("simulation aborted: ") and err.count("\n") == 1
+        assert summary["passed"] is False and "reason" in summary
 
 
 def _main_config_error(path, out, capsys):
@@ -339,10 +404,11 @@ def test_carrier_tables_too_large_to_allocate_are_config_error(
 
 def test_filter_coefficient_overflow_is_config_error(tmp_path, capsys,
                                                     scenario_dir):
-    """A corner whose coefficients overflow at Ts is one config error line
-    naming the corner's key, not a run that diverges or an allocation
+    """A filter whose coefficients overflow at Ts is one config error line
+    naming the keys that set it, not a run that diverges or an allocation
     failure: the controller's low pass at Ts = 5e299 s, and the LTI chain's
-    high pass at Ts = 2e-162 s (50000 steps, all of them allocatable)."""
+    high pass, at omega_h, at Ts = 2e-162 s (50000 steps, all of them
+    allocatable)."""
     text = (scenario_dir / "lowspeed.scenario").read_text()
     lowpass = (text.replace("epsilon = 1e-3", "epsilon = 1e300")
                .replace("steps_per_period = 50", "steps_per_period = 2")
@@ -361,8 +427,9 @@ def test_filter_coefficient_overflow_is_config_error(tmp_path, capsys,
                          "sensor_mode = true\n"))
     err = _main_config_error(_write(tmp_path, highpass), tmp_path / "o",
                              capsys)
-    assert "lambda_h: corner 6.28319e+160 rad/s at Ts = 2e-162 s " \
-        "overflows the biquad coefficients" in err
+    assert "epsilon, steps_per_period: LTI high pass at omega_h: corner " \
+        "6.28319e+160 rad/s at Ts = 2e-162 s overflows the biquad " \
+        "coefficients" in err
 
 
 def test_invariant_violation_is_config_error(tmp_path):

@@ -40,10 +40,10 @@ from oracles import (
 angles = st.floats(-30.0, 30.0, allow_nan=False)
 
 
-def _corners(inj):
-    """The LTI corners ScenarioConfig resolves by default at omega_star =
-    0.5: lambda_h = omega_h, lambda_ell = sqrt(omega_h * 0.5)."""
-    return inj.omega_h, math.sqrt(inj.omega_h * 0.5)
+def _lambda_ell(inj):
+    """The LTI chain's corner ScenarioConfig resolves by default at
+    omega_star = 0.5: lambda_ell = sqrt(omega_h * 0.5)."""
+    return math.sqrt(inj.omega_h * 0.5)
 
 
 @given(phi=st.floats(-math.pi, math.pi), prev=angles,
@@ -138,7 +138,7 @@ def test_proposed_estimator_tracks_synthetic(sim_motor, inj, Ts, N):
 
 def test_conventional_estimator_tracks_synthetic(sim_motor, inj, Ts, N):
     omega_e = 3.0
-    est = ConventionalEstimator(sim_motor, inj, N, *_corners(inj),
+    est = ConventionalEstimator(sim_motor, inj, N, _lambda_ell(inj),
                                 theta0=0.4)
     t = _run_on_synthetic(est, sim_motor, inj, Ts, 0.4, omega_e, 0.5)
     final_err = float(wrap_mod_pi(est.theta_hat - (0.4 + omega_e * t[-1])))
@@ -156,7 +156,7 @@ def test_all_estimators_track_with_ld_above_lq(sim_motor, inj, Ts, N):
         "proposed": ProposedEstimator(motor, inj, N, theta0=theta0),
         "block_form": BlockFormEstimator(motor, inj, N, theta0=theta0),
         "conventional": ConventionalEstimator(
-            motor, inj, N, *_corners(inj), theta0=theta0),
+            motor, inj, N, _lambda_ell(inj), theta0=theta0),
     }
     n = int(round(0.5 / Ts))
     t = np.arange(n + 1) * Ts
@@ -194,7 +194,7 @@ def test_estimator_seeding(sim_motor, inj, Ts, N):
     assert est.theta_hat == 0.9
     assert (est.yv1, est.yv2) == pytest.approx(virtual_output(sim_motor, 0.9))
     conv = ConventionalEstimator(
-        sim_motor, inj, N, *_corners(inj), theta0=0.9)
+        sim_motor, inj, N, _lambda_ell(inj), theta0=0.9)
     assert (conv.yv1, conv.yv2) == pytest.approx(virtual_output(sim_motor, 0.9))
 
 
@@ -216,7 +216,7 @@ def test_step_rejects_a_float_time(sim_motor, inj, Ts, N):
     for make in (lambda: ProposedEstimator(sim_motor, inj, N, theta0=0.4),
                  lambda: BlockFormEstimator(sim_motor, inj, N, theta0=0.4),
                  lambda: ConventionalEstimator(sim_motor, inj, N,
-                                               *_corners(inj), theta0=0.4)):
+                                               _lambda_ell(inj), theta0=0.4)):
         est, fresh = make(), make()
         with pytest.raises(TypeError):
             est.step(0.5 * Ts, (0.0,), (0.0,))
@@ -233,21 +233,22 @@ def test_estimators_reject_ts_not_dividing_epsilon(sim_motor, inj):
     for: N must be an integer >= 1 (epsilon/50.5 was the misaligned Ts)."""
     for N in (0, 2.5, 2e-5, 50.5):
         with pytest.raises(ValueError, match="steps per probe period"):
-            ConventionalEstimator(sim_motor, inj, N, *_corners(inj))
+            ConventionalEstimator(sim_motor, inj, N, _lambda_ell(inj))
         with pytest.raises(ValueError, match="steps per probe period"):
             ProposedEstimator(sim_motor, inj, N)
         with pytest.raises(ValueError, match="steps per probe period"):
             BlockFormEstimator(sim_motor, inj, N)
 
 
-@pytest.mark.parametrize("lam_Ts", [math.pi, 4.0])
-def test_conventional_rejects_corner_at_or_above_nyquist(sim_motor, inj, Ts, N,
-                                                         lam_Ts):
-    """The high pass's prewarp tan(lambda_h*Ts/2) holds only below the
-    Nyquist rate pi/Ts: at or above it the estimator is not built, where it
-    used to return a meaningless angle or NaN."""
+@pytest.mark.parametrize("N", [2, 1])
+def test_conventional_rejects_high_pass_at_or_above_nyquist(sim_motor, inj,
+                                                            N):
+    """The high pass sits at omega_h, and its prewarp tan(omega_h*Ts/2)
+    holds only below the Nyquist rate pi/Ts: with omega_h*Ts = 2*pi/N at or
+    above pi (N <= 2) the estimator is not built, where it would return a
+    meaningless angle or NaN."""
     with pytest.raises(ValueError, match="Nyquist"):
-        ConventionalEstimator(sim_motor, inj, N, lam_Ts / Ts, 56.0)
+        ConventionalEstimator(sim_motor, inj, N, 56.0)
 
 
 def test_ell_validation(sim_motor, inj, Ts, N):
@@ -291,19 +292,18 @@ def test_fused_conventional_step_matches_composed_operators(motor):
     inj = InjectionConfig(V_h=1.5, epsilon=1e-3, phi=0.3)
     N = 50
     Ts = sample_period(inj, N)
-    lambda_h, lambda_ell = inj.omega_h, 80.0
+    lambda_ell = 80.0
     k0, n = 37, 3000
     t = (k0 + np.arange(n)) * Ts
     rng = np.random.default_rng(5)
     cur = synthesize_injection_current(motor, inj, 0.7 + 40.0 * t, t,
                                        i_bar=(0.5, -0.2)) \
         + rng.normal(0.0, 1e-3, (n, 2))
-    est = ConventionalEstimator(motor, inj, N, lambda_h, lambda_ell,
-                                theta0=0.7)
+    est = ConventionalEstimator(motor, inj, N, lambda_ell, theta0=0.7)
     # the same chain composed from the standalone operators
     scale = 2.0 * inj.omega_h * motor.det_L / inj.V_h
     y10, y20 = virtual_output(motor, 0.7)
-    hpf = [HighPass2(lambda_h, Ts) for _ in range(2)]
+    hpf = [HighPass2(inj.omega_h, Ts) for _ in range(2)]
     lpf = [LowPass1(lambda_ell, Ts, y0=y * motor.det_L / scale)
            for y in (y10, y20)]
     theta = 0.7
@@ -487,7 +487,7 @@ def _forms(motor, inj, N, gains=GAINS):
         "block_form": lambda: BlockFormEstimator(
             motor, inj, N, 1.2e4, 8e3, theta0=0.7, pll_gains=gains),
         "conventional": lambda: ConventionalEstimator(
-            motor, inj, N, inj.omega_h, 80.0, theta0=0.7, pll_gains=gains),
+            motor, inj, N, 80.0, theta0=0.7, pll_gains=gains),
     }
 
 

@@ -370,6 +370,17 @@ def test_lti_responses_at_corner():
     assert abs(hpf_frequency_response(lam, 0.0)) == 0.0
 
 
+def test_hpf_response_stays_finite_at_high_frequency():
+    """2s^2/(lam + s)^2 tends to 2 as omega grows, and stays finite, with no
+    RuntimeWarning, above about 1e154 rad/s, where s*s overflows; `bode`
+    writes it to bode_hpf.csv."""
+    omega = np.logspace(0.0, 300.0, 5)
+    h = hpf_frequency_response(TWO_PI * 1000.0, omega)
+    assert np.isfinite(h).all()
+    assert h[-1] == pytest.approx(2.0, rel=1e-15)
+    assert np.isfinite(bode_table(h, omega)).all()
+
+
 def test_bode_table_layout():
     omega = np.logspace(0, 4, 50)
     tab = bode_table(lpf_frequency_response(10.0, omega), omega)

@@ -312,12 +312,22 @@ def test_drive_reversal_angle_is_exact_integral(t):
 def test_drive_validation():
     with pytest.raises(ValueError):
         DriveProfile("spline")
-    with pytest.raises(ValueError):
-        DriveProfile("reversal", t_ramp_start=2.0, t_ramp_end=1.0)
-    # a ramp whose length, or whose angle omega * t_ramp_start, overflows
-    for t0, t1 in ((-1e308, 1e308), (-1e308, 0.0)):
-        with pytest.raises(ValueError, match="t_ramp_start .* t_ramp_end"):
+    # a ramp that ends before it starts, or starts before t = 0, where
+    # angle_integral would take the speed to be omega on [0, t_ramp_start]
+    # (from t = -1 to 1 at n_p = 3, theta = -3 rad at t = 0, not theta0)
+    for t0, t1 in ((2.0, 1.0), (1.0, 1.0), (-1.0, 1.0), (-1e308, 1e308),
+                   (-1e308, 0.0)):
+        with pytest.raises(ValueError, match=r"reversal needs 0 <= "
+                           r"t_ramp_start < t_ramp_end \(got t_ramp_start"):
             DriveProfile("reversal", omega=2.0944, omega_end=-2.0944,
+                         t_ramp_start=t0, t_ramp_end=t1)
+    # a ramp whose angle omega * t_ramp_start, or its angle at t_ramp_end,
+    # overflows
+    for t0, t1, omega_end in ((1e308, 1.5e308, -2.0944),
+                              (0.0, 1e308, 4.0)):
+        with pytest.raises(ValueError, match="t_ramp_start .* t_ramp_end "
+                           ".* angle is not a finite number"):
+            DriveProfile("reversal", omega=2.0944, omega_end=omega_end,
                          t_ramp_start=t0, t_ramp_end=t1)
     # a constant profile takes no ramp; zero is the unset value
     for key in ("omega_end", "t_ramp_start", "t_ramp_end"):
@@ -339,9 +349,10 @@ def test_drive_profile_rejects_non_finite(key, value):
 
 
 @pytest.mark.parametrize("drive,duration", [
-    # a finite shaft angle of -1e308 that n_p = 6 takes beyond the floats
-    (DriveProfile("reversal", omega=1.0, omega_end=-1.0,
-                  t_ramp_start=-1e308, t_ramp_end=0.0), 0.2),
+    # a ramp that starts after the run ends, at a speed whose finite shaft
+    # angle of 1e308 by the end of the run n_p = 6 takes beyond the floats
+    (DriveProfile("reversal", omega=1e306, omega_end=-1e306,
+                  t_ramp_start=150.0, t_ramp_end=200.0), 100.0),
     (DriveProfile("constant", omega=1e306), 1e3),
 ], ids=["far_ramp_start", "long_fast_run"])
 def test_drive_electrical_angle_must_be_finite(drive, duration):
