@@ -20,7 +20,7 @@ scaled LTV flow); it exists to verify numerically that the two forms
 coincide.  It derives only its own per-phase table and its own read-out
 constant (state per unit of virtual output); its `step` and `kernel` are
 `ProposedEstimator`'s, the same functions, so the new pipeline has one
-kernel.
+kernel and one block path.
 
 All three estimators produce the angle modulo pi from the centred saliency
 locus, with the branch resolved by continuity with the previous estimate.
@@ -36,9 +36,17 @@ k mod N, N being the samples per probe period it is built with.  Built with
 `Pll.step` is that loop's oracle.  The estimator that closes the loop runs
 one kernel generator for the whole run, fed one sample per step, and it
 yields each sample's estimate.  The block entry point `step(k0, i_alpha,
-i_beta, out=None, dec=1)` runs the kernel over a run of samples, sample j
-of the two sequences being sample k0 + j, without yielding; the estimators
-that only observe advance by it once per block.
+i_beta, out=None, dec=1)` runs a run of samples, sample j of the two
+sequences being sample k0 + j, without yielding; the estimators that only
+observe advance by it once per block.  The LTI chain's `step` runs its
+kernel.  The new pipeline's `step` runs the warm-up samples on its kernel;
+if at least m = 2N samples (the hold window) follow and the run reads as
+float64 arrays, it takes their regressor outputs from array operations,
+since the delay/hold regressor has finite memory (an FIR operator), and
+one loop then does the rest of the kernel's per-sample work on them, with
+the kernel's floats.  A shorter run steps on the kernel.  The biquad and
+the low passes of the LTI chain feed back on their own output (IIR), so
+they have no such form.
 
 The kernels are fused: the delay/hold regressor, filters, centre and
 radius check, angle recovery and PLL run inline on float state.  Each
@@ -109,6 +117,8 @@ def window_mask(t, t1: float, t2: float) -> np.ndarray:
 # steps between exact rebuilds (math.fsum) of the regressor's running sums,
 # which bounds their floating-point drift on long runs
 _REBASE_EVERY = 1 << 16
+# samples per array pass of a block run's regressor (`ProposedEstimator.step`)
+_PIECE = 1 << 14
 
 
 class ProposedEstimator:
@@ -192,11 +202,149 @@ class ProposedEstimator:
         changes; an empty run changes nothing.  Returns what the run's last
         sample gives: (theta_hat, yv1, yv2), or None while the regressor is
         still filling its window.  `out` and `dec` as for `kernel`.
+
+        A run shorter than m = 2N samples steps on the kernel, its input as
+        given.  A longer one whose sequences read as float64 arrays steps
+        its warm-up samples on the kernel, as Python floats, and if at
+        least m samples follow, those take their regressor outputs from
+        arrays (`_warm_block`, over pieces of at least m samples), with the
+        kernel's floats.
         """
+        samples = _run(k0, i_alpha, i_beta)
+        n, m = len(i_alpha), self._k[1]
+        if n >= m:
+            ia, ib = np.asarray(i_alpha), np.asarray(i_beta)
+            if ia.dtype == ib.dtype == np.float64 and ia.ndim == ib.ndim == 1:
+                # the kernel's samples: the warm-up, or the whole run
+                cold = self._s[3]
+                a = cold if n - cold >= m else n
+                if a:
+                    self._kernel_run(k0, ia[:a].tolist(), ib[:a].tolist(),
+                                     out, dec)
+                # pieces bound the arrays' memory on long runs; the last
+                # takes a remainder shorter than m
+                piece = max(m, _PIECE)
+                while a < n:
+                    b = a + piece if n - a - piece >= m else n
+                    self._warm_block(k0 + a, ia[a:b], ib[a:b], out, dec)
+                    a = b
+                samples = ()  # every sample has stepped
         # a block run yields nothing: one next() runs it to the end
-        next(self.kernel(_run(k0, i_alpha, i_beta), out, dec, False), None)
+        next(self.kernel(samples, out, dec, False), None)
         cold = self._s[3]
         return None if cold else (self.theta_hat, self.yv1, self.yv2)
+
+    def _kernel_run(self, k0: int, i_alpha, i_beta, out, dec: int):
+        """The kernel over a run of samples, without yielding."""
+        next(self.kernel(_run(k0, i_alpha, i_beta), out, dec, False), None)
+
+    def _warm_block(self, k0: int, ia: np.ndarray, ib: np.ndarray, out,
+                    dec: int):
+        """A warm run of n >= m samples: the regressor from arrays, then
+        one loop over the demodulators, read-out, hold, angle and PLL.
+
+        The delay/hold regressor has finite memory, so its outputs over the
+        run are array operations on the last m inputs and increments
+        (the rings, in time order) and the run's, with the kernel's floats:
+        each running sum is the kernel's (s - leaving) + entering, taken by
+        one add.accumulate per stretch between rebases, and a rebase takes
+        math.fsum of the window, as the kernel does.  If such a sum raises
+        (an infinite or overflowing window), the run steps on the kernel,
+        which raises at that sample.  The loop keeps the kernel's operation
+        order and math.hypot and math.atan2 (numpy's differ in the last
+        bit), and writes back the rings, index, sums and rebase counter in
+        the kernel's format, also when it stops early.
+        """
+        (N, m, rebase, ua, ub, inc_a, inc_b, unit, ell1, ell2, ell3,
+         centre, r_min, L1, table, pll, kp, ki, n_p, Ts) = self._k
+        i, sa, sb, _, rebase_in, xa, xb, eta1, eta2 = self._s
+        n = len(ia)
+        with np.errstate(all="ignore"):
+            # inputs and increments of the last m samples, then the run's
+            u = np.empty((2, m + n))
+            u[0, :m] = ua[i:] + ua[:i]
+            u[1, :m] = ub[i:] + ub[:i]
+            u[0, m:] = ia
+            u[1, m:] = ib
+            inc = np.empty((2, m + n))
+            inc[0, :m] = inc_a[i:] + inc_a[:i]
+            inc[1, :m] = inc_b[i:] + inc_b[:i]
+            inc[:, m:] = 0.5 * (u[:, m - 1:-1] + u[:, m:])
+            # the sum after sample j; sample j's increment leaves the window
+            # at sample j + m
+            s = np.empty((2, n))
+            seed, a, left = (sa, sb), 0, rebase_in
+            while a < n:
+                b = min(n, a + left)
+                z = np.empty((2, 2 * (b - a) + 1))
+                z[:, 0] = seed
+                np.negative(inc[:, a:b], out=z[:, 1::2])
+                z[:, 2::2] = inc[:, m + a:m + b]
+                s[:, a:b] = np.add.accumulate(z, axis=1)[:, 2::2]
+                if b - a == left:  # sample b - 1 rebuilds the sums
+                    try:
+                        s[:, b - 1] = [math.fsum(w.tolist())
+                                       for w in inc[:, b:b + m]]
+                    except (ValueError, OverflowError):
+                        self._kernel_run(k0, ia.tolist(), ib.tolist(), out,
+                                         dec)
+                        return
+                seed, a, left = s[:, b - 1], b, rebase
+            yf = u[:, m - N:m - N + n] - s / m
+            tab = np.array(table)[(np.arange(n) + k0 % N) % N].T
+            # per sample: a_j, then c_j*yf, of each axis
+            a_al, a_be = tab[0].tolist(), tab[2].tolist()
+            p_al = (tab[1] * yf[0]).tolist()
+            p_be = (tab[3] * yf[1]).tolist()
+        theta, y1, y2 = self.theta_hat, self.yv1, self.yv2
+        low, om = self.low_confidence, self.omega_hat
+        if out is not None:
+            o_th, o_om, o_y1, o_y2, o_v = out
+        hypot, atan2, pi, rint = math.hypot, math.atan2, math.pi, _RINT
+        k = k0 - 1
+        try:
+            for k, aa, pa, ab, pb in zip(range(k0, k0 + n), a_al, p_al, a_be,
+                                         p_be):
+                # the kernel's warm sample, after its regressor step
+                xa = aa * xa + pa
+                xb = ab * xb + pb
+                y1 = ell1 * (xa / unit) + ell2
+                y2 = ell3 * (xb / unit)
+                dx = y1 - centre
+                low = hypot(dx, y2) <= r_min
+                if not low:
+                    if L1 > 0.0:
+                        raw = 0.5 * atan2(-y2, -dx)
+                    else:
+                        raw = 0.5 * atan2(y2, dx)
+                    theta = raw + pi * ((theta - raw) / pi + rint - rint)
+                if pll:
+                    e = theta - eta1
+                    wp = kp * e + ki * eta2
+                    eta1 += Ts * wp
+                    eta2 += Ts * e
+                    om = wp / n_p
+                if out is not None and not k % dec:
+                    r = k // dec
+                    o_th[r] = theta
+                    o_om[r] = om
+                    o_y1[r] = y1
+                    o_y2[r] = y2
+                    o_v[r] = 1.0
+        finally:
+            # the samples whose regressor step the kernel would have taken
+            c = k - k0 + 1
+            j = (i + c) % m
+            for ring, row in ((ua, u[0]), (ub, u[1]), (inc_a, inc[0]),
+                              (inc_b, inc[1])):
+                w = row[c:c + m].tolist()
+                ring[:] = w[m - j:] + w[:m - j]
+            if c:
+                sa, sb = s[:, c - 1].tolist()
+            self._s = (j, sa, sb, 0, (rebase_in - c - 1) % rebase + 1,
+                       xa, xb, eta1, eta2)
+            self.theta_hat, self.yv1, self.yv2 = theta, y1, y2
+            self.low_confidence, self.omega_hat = low, om
 
     def kernel(self, samples, out=None, dec: int = 1, per_sample: bool = True):
         """The one kernel: a generator over the (k, i_alpha, i_beta) samples.
@@ -503,7 +651,9 @@ def fit_compensation(t, yv1, yv2, params: MotorParams, omega_e: float,
     Matches the mean and amplitude of the measured components to the exact
     virtual output: ell1/ell3 correct the amplitudes, ell2 the mean of the
     first component (the second is zero-mean).  Needs at least two electrical
-    revolutions past t_start so the extremes are observed.
+    revolutions past t_start so the extremes are observed.  ValueError
+    unless both amplitudes and all three gains are finite, with ell1 and
+    ell3 nonzero.
     """
     t = np.asarray(t)
     m = t >= t_start
@@ -514,13 +664,21 @@ def fit_compensation(t, yv1, yv2, params: MotorParams, omega_e: float,
     y2 = np.asarray(yv2)[m]
     amp_target = abs(params.L1) / params.det_L
     mean_target = params.L0 / params.det_L
-    a1 = 0.5 * (y1.max() - y1.min())
-    a2 = 0.5 * (y2.max() - y2.min())
-    if a1 <= 0.0 or a2 <= 0.0:
-        raise ValueError("flat virtual-output trace")
-    ell1 = amp_target / a1
-    ell3 = amp_target / a2
-    ell2 = mean_target - ell1 * 0.5 * (y1.max() + y1.min())
+    # an overflow or a tiny amplitude ends in the check below, not a warning
+    with np.errstate(all="ignore"):
+        a1 = 0.5 * (y1.max() - y1.min())
+        a2 = 0.5 * (y2.max() - y2.min())
+        if a1 <= 0.0 or a2 <= 0.0:
+            raise ValueError("flat virtual-output trace")
+        ell1 = amp_target / a1
+        ell3 = amp_target / a2
+        ell2 = mean_target - ell1 * 0.5 * (y1.max() + y1.min())
+    if not (np.isfinite([a1, a2, ell1, ell2, ell3]).all()
+            and ell1 != 0.0 and ell3 != 0.0):
+        raise ValueError(f"virtual-output amplitudes {a1:.3g}, {a2:.3g} give "
+                         f"compensation gains ({ell1:.3g}, {ell2:.3g}, "
+                         f"{ell3:.3g}); they must be finite, with ell1 and "
+                         "ell3 nonzero")
     return ell1, ell2, ell3
 
 

@@ -5,7 +5,10 @@ plain dict of measured quantities, per pipeline keyed by trace prefix.
 `sweep`, the one run-and-measure path, runs many configs and measures every
 estimator a run carries, so one estimator="both" point serves both
 pipelines.  The estimator replays (`equivalence_deviation`, `calibrate`)
-advance each estimator over whole blocks of samples per call.
+advance each estimator over whole blocks of samples per call, passing numpy
+slices of the synthesized current: past its warm-up, each block of at least
+2N samples (the regressor's hold window) takes the new pipeline's regressor
+from array operations.
 """
 
 from __future__ import annotations
@@ -194,8 +197,10 @@ def equivalence_deviation(params: MotorParams, inj: InjectionConfig,
     est_a = ProposedEstimator(params, inj, N, gamma, gamma, theta0=theta0)
     est_b = BlockFormEstimator(params, inj, N, gamma, gamma, theta0=theta0)
     # blocks of whole carrier periods, so each starts at phase 0 and its
-    # rows are 0, 1, ...: the kernels read the sample index only as k mod N
-    block = N * max(1, _BLOCK // N)
+    # rows are 0, 1, ...: the kernels read the sample index only as k mod N;
+    # at least two periods, the regressor's hold window, so that a block
+    # past the warm-up takes the regressor from arrays
+    block = N * max(2, _BLOCK // N)
     # per form: rows of theta_hat, yv1, yv2 and the valid flag, written
     # through memoryviews; omega_hat (no PLL runs) goes to a list, which
     # takes a float faster and is never read
@@ -206,9 +211,7 @@ def equivalence_deviation(params: MotorParams, inj: InjectionConfig,
     worst_yv = worst_theta = 0.0
     for kb in range(0, n + 1, block):
         ke = min(kb + block, n + 1)
-        # lists of Python floats: numpy scalars would slow every step, and a
-        # list indexes faster than a strided memoryview
-        ia, ib = cur[kb:ke].T.tolist()
+        ia, ib = cur[kb:ke].T
         est_a.step(0, ia, ib, out_a)
         est_b.step(0, ia, ib, out_b)
         a, b = rows[:, :, :ke - kb]
@@ -254,8 +257,7 @@ def calibrate(cfg: ScenarioConfig, phase_err: float = 0.0,
     cur = synthesize_injection_current(params, inj, theta_true, t,
                                        phase_err=phase_err,
                                        ripple_scale=ripple_scale)
-    # column views: Python floats, no copy
-    ca, cb = memoryview(cur[:, 0]), memoryview(cur[:, 1])
+    ca, cb = cur.T
 
     def run_estimator(ell):
         est = ProposedEstimator(params, inj, N, cfg.gamma_alpha,

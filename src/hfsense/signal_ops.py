@@ -6,6 +6,9 @@ Every operator runs inline in a fused kernel at a fixed sample period Ts:
 the delay/hold regressor and the gradient LTV demodulator in
 `ProposedEstimator.kernel` (the one kernel both forms of the new pipeline
 run), the filters in `ConventionalEstimator.kernel` and in the controller.
+Block runs of `ProposedEstimator.step` take the regressor, which has finite
+memory, from array operations past the first 2N samples (its hold window);
+the filters feed back on their own output, so they step sample by sample.
 This module gives those kernels what they are built from.  `sample_period`
 is the one place that turns N, the samples per probe period, into
 Ts = epsilon/N, so Ts divides epsilon and the regressor's delay of N

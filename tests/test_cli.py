@@ -260,6 +260,10 @@ _BAD_VERB_ARGUMENTS = [
     # a locus at 2*n_p*|omega| above omega_h: calibrate used to fit it
     (DRIVEN.replace("omega = 2.0", "omega = 1e306"), ["calibrate"],
      "locus frequency"),
+    # a ripple whose fitted gains are not finite: calibrate used to pass
+    # with ell3 = inf, or print numpy warnings and then name ell1, ell3
+    (DRIVEN, ["calibrate", "--ripple-scale", "1e-310"], "compensation gains"),
+    (DRIVEN, ["calibrate", "--ripple-scale", "1e308"], "compensation gains"),
 ]
 
 

@@ -4,6 +4,7 @@ PLL, compensation fitting."""
 
 import copy
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -542,6 +543,44 @@ def test_runs_of_any_length_give_equal_outputs_and_state(form, dec, inj, Ts,
         assert _state(est) == _state(whole), size
 
 
+@pytest.mark.parametrize("kind", ["list", "array", "memoryview"])
+@pytest.mark.parametrize("form", ["proposed", "block_form"])
+def test_block_runs_across_the_rebase_equal_the_resident_kernel(form, kind,
+                                                                inj, Ts, N):
+    """A run of the new pipeline from carrier phase 37, one rebase of the
+    regressor's sums long plus 300 samples, passed whole, in runs of 1024
+    or 1025 samples, or split at the rebase sample (it opens the second run
+    or ends the first), each as lists, numpy arrays or strided memoryview
+    columns: the same rows and final state, with ==, as the resident
+    kernel fed one sample at a time.  Runs of at least 2N warm samples
+    take the regressor from arrays, the rest step on the kernel."""
+    make = _forms(SIM_MOTOR, inj, N)[form]
+    k0, n, dec = 37, Regressor._REBASE_EVERY + 300, 3
+    ia, ib = _noisy_ripple(SIM_MOTOR, inj, Ts, k0, n)
+    n_rows = (k0 + n - 1) // dec + 1
+    resident = make()
+    want = np.zeros((5, n_rows))
+    _resident(resident, k0, ia, ib, want, dec)
+    cols = np.array([ia, ib]).T  # C order: each column is strided
+    ia, ib = {"list": (ia, ib), "array": tuple(cols.T),
+              "memoryview": (memoryview(cols[:, 0]),
+                             memoryview(cols[:, 1]))}[kind]
+    # the first sample opens the window; the rebase comes after that many
+    # more
+    rebase = 1 + Regressor._REBASE_EVERY
+    for ends in ([n], range(1024, n + 1024, 1024), range(1025, n + 1025, 1025),
+                 [rebase - 1, n], [rebase, n]):
+        est = make()
+        got = np.zeros((5, n_rows))
+        j = 0
+        for e in ends:
+            est.step(k0 + j, ia[j:e], ib[j:e], got, dec)
+            j = min(e, n)
+        assert j == n
+        assert np.array_equal(got, want), list(ends)[:2]
+        assert _state(est) == _state(resident), list(ends)[:2]
+
+
 @pytest.mark.parametrize("form", ["proposed", "block_form", "conventional"])
 def test_step_rejects_runs_of_unequal_length(form, inj, Ts, N):
     """An i_beta shorter or longer than i_alpha raises ValueError before
@@ -694,4 +733,20 @@ def test_fit_compensation_needs_two_revolutions(sim_motor, inj):
     t = np.linspace(0.0, 0.1, 100)
     with pytest.raises(ValueError):
         fit_compensation(t, np.sin(t), np.cos(t), sim_motor, omega_e=12.0)
+
+
+@pytest.mark.parametrize("amp", [1e-310, 1e308, math.nan])
+def test_fit_compensation_rejects_gains_that_are_not_finite(sim_motor, amp):
+    """A virtual-output amplitude whose gain overflows (ell3 = inf), one
+    whose range overflows (ell1 = 0) or a NaN raises ValueError naming the
+    gains, with no numpy warning."""
+    omega_e = 12.0
+    t = np.linspace(0.0, 2.0, 2001)
+    y1 = sim_motor.L0 / sim_motor.det_L + np.cos(2.0 * omega_e * t)
+    y2 = amp * np.sin(2.0 * omega_e * t)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a, b in ((y1, y2), (y2, y1)):
+            with pytest.raises(ValueError, match="compensation gains"):
+                fit_compensation(t, a, b, sim_motor, omega_e)
 
