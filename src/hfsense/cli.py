@@ -299,8 +299,8 @@ def cmd_bode(cfg, args, outdir: Path):
 def cmd_calibrate(cfg, args, outdir: Path):
     res = experiments.calibrate(cfg, phase_err=args.phase_err,
                                 ripple_scale=args.ripple_scale)
-    print(f"ell1={res['ell1']:.5f}  ell2={res['ell2']:.5f}  "
-          f"ell3={res['ell3']:.5f}")
+    print(f"ell1={res['ell1']:.6g}  ell2={res['ell2']:.6g}  "
+          f"ell3={res['ell3']:.6g}")
     print(f"angle RMS before {res['rmsd_raw']:.5f} rad, "
           f"after {res['rmsd_compensated']:.5f} rad")
     return True, res

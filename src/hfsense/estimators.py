@@ -38,15 +38,14 @@ one kernel generator for the whole run, fed one sample per step, and it
 yields each sample's estimate.  The block entry point `step(k0, i_alpha,
 i_beta, out=None, dec=1)` runs a run of samples, sample j of the two
 sequences being sample k0 + j, without yielding; the estimators that only
-observe advance by it once per block.  The LTI chain's `step` runs its
-kernel.  The new pipeline's `step` runs the warm-up samples on its kernel;
-if at least m = 2N samples (the hold window) follow and the run reads as
-float64 arrays, it takes their regressor outputs from array operations,
-since the delay/hold regressor has finite memory (an FIR operator), and
-one loop then does the rest of the kernel's per-sample work on them, with
-the kernel's floats.  A shorter run steps on the kernel.  The biquad and
-the low passes of the LTI chain feed back on their own output (IIR), so
-they have no such form.
+observe advance by it once per block.  A numpy run reaches a kernel as
+Python floats.  The LTI chain's `step` runs its kernel.  The new pipeline's
+`step` runs the warm-up samples on its kernel; if at least m = 2N samples
+(the hold window) follow and the run reads as float64 arrays, they run as
+array operations with the kernel's floats, all but the demodulator
+recurrences and the PLL (`ProposedEstimator._warm_block`).  A shorter run
+steps on the kernel.  The biquad and the low passes of the LTI chain feed
+back on their own output (IIR), so they have no such form.
 
 The kernels are fused: the delay/hold regressor, filters, centre and
 radius check, angle recovery and PLL run inline on float state.  Each
@@ -81,6 +80,8 @@ from .signal_ops import (
 # place.  The kernels round the branch count this way, as a float, which
 # saves round()'s call and int; a NaN stays NaN where round() raised.
 _RINT = 1.5 * 2.0 ** 52
+# `type(x) is _ndarray`: the cheapest test for a numpy run (`_run`)
+_ndarray = np.ndarray
 
 
 def wrap_mod_pi(err):
@@ -153,6 +154,9 @@ class ProposedEstimator:
         self._table = [(*ta, *tb) for ta, tb in
                        zip(self._phase_table(gamma_alpha),
                            self._phase_table(gamma_beta))]
+        # the same, as rows a_alpha, c_alpha, a_beta, c_beta over j, for
+        # block runs
+        self._tab = np.array(self._table).T.copy()
         unit = self._state_per_output(params)
         # seed the demodulators at the assumed initial angle so the loop
         # does not open on a transient pointing nowhere
@@ -203,34 +207,37 @@ class ProposedEstimator:
         sample gives: (theta_hat, yv1, yv2), or None while the regressor is
         still filling its window.  `out` and `dec` as for `kernel`.
 
-        A run shorter than m = 2N samples steps on the kernel, its input as
-        given.  A longer one whose sequences read as float64 arrays steps
-        its warm-up samples on the kernel, as Python floats, and if at
-        least m samples follow, those take their regressor outputs from
-        arrays (`_warm_block`, over pieces of at least m samples), with the
-        kernel's floats.
+        A run shorter than m = 2N samples steps on the kernel, a numpy run
+        as Python floats.  A longer one whose sequences read as float64
+        arrays steps its warm-up samples on the kernel, and if at least m
+        samples follow, those run as arrays (`_warm_block`, over pieces of
+        at least m samples), all but the demodulator recurrences and the
+        PLL, with the kernel's floats; a piece whose result the arrays
+        cannot vouch for steps on the kernel.
         """
-        samples = _run(k0, i_alpha, i_beta)
         n, m = len(i_alpha), self._k[1]
-        if n >= m:
+        if n >= m and len(i_beta) == n:
             ia, ib = np.asarray(i_alpha), np.asarray(i_beta)
             if ia.dtype == ib.dtype == np.float64 and ia.ndim == ib.ndim == 1:
                 # the kernel's samples: the warm-up, or the whole run
                 cold = self._s[3]
                 a = cold if n - cold >= m else n
                 if a:
-                    self._kernel_run(k0, ia[:a].tolist(), ib[:a].tolist(),
-                                     out, dec)
+                    self._kernel_run(k0, ia[:a], ib[:a], out, dec)
                 # pieces bound the arrays' memory on long runs; the last
                 # takes a remainder shorter than m
                 piece = max(m, _PIECE)
                 while a < n:
                     b = a + piece if n - a - piece >= m else n
-                    self._warm_block(k0 + a, ia[a:b], ib[a:b], out, dec)
+                    if not self._warm_block(k0 + a, ia[a:b], ib[a:b], out,
+                                            dec):
+                        # the piece steps on the kernel, from its state
+                        # unchanged
+                        self._kernel_run(k0 + a, ia[a:b], ib[a:b], out, dec)
                     a = b
-                samples = ()  # every sample has stepped
+                i_alpha = i_beta = ()  # every sample has stepped
         # a block run yields nothing: one next() runs it to the end
-        next(self.kernel(samples, out, dec, False), None)
+        next(self.kernel(_run(k0, i_alpha, i_beta), out, dec, False), None)
         cold = self._s[3]
         return None if cold else (self.theta_hat, self.yv1, self.yv2)
 
@@ -239,26 +246,39 @@ class ProposedEstimator:
         next(self.kernel(_run(k0, i_alpha, i_beta), out, dec, False), None)
 
     def _warm_block(self, k0: int, ia: np.ndarray, ib: np.ndarray, out,
-                    dec: int):
-        """A warm run of n >= m samples: the regressor from arrays, then
-        one loop over the demodulators, read-out, hold, angle and PLL.
+                    dec: int) -> bool:
+        """A warm run of n >= m samples as array operations, all but the
+        demodulator recurrences and the PLL, with the kernel's floats; or
+        False, with nothing changed, where the kernel must step it.
 
-        The delay/hold regressor has finite memory, so its outputs over the
-        run are array operations on the last m inputs and increments
-        (the rings, in time order) and the run's, with the kernel's floats:
-        each running sum is the kernel's (s - leaving) + entering, taken by
-        one add.accumulate per stretch between rebases, and a rebase takes
-        math.fsum of the window, as the kernel does.  If such a sum raises
-        (an infinite or overflowing window), the run steps on the kernel,
-        which raises at that sample.  The loop keeps the kernel's operation
-        order and math.hypot and math.atan2 (numpy's differ in the last
-        bit), and writes back the rings, index, sums and rebase counter in
-        the kernel's format, also when it stops early.
+        The delay/hold regressor has finite memory, so its outputs are
+        array operations on the last m inputs and increments (the rings,
+        in time order) and the run's: each running sum is the kernel's
+        (s - leaving) + entering, one add.accumulate per stretch between
+        rebases, and a rebase takes math.fsum of the window.  Each axis's
+        demodulator is a recurrence, one Python loop.  The rest is static
+        maps in the kernel's operation order, which numpy rounds as Python
+        floats do, but for math.hypot near r_min and math.atan2, whose last
+        bits numpy's do not match.  The branch counts are guessed by
+        unwrapping, then checked against the kernel's own rounding, which
+        makes the angles the kernel's.
+
+        False where the arrays cannot vouch for the kernel's result: a
+        rebase sum that raises (the kernel raises at that sample), a branch
+        count off its guess (a NaN, a step on a pi/2 edge), or `out` rows
+        that are not lists, float64 arrays or memoryviews, or lie outside
+        them.
         """
         (N, m, rebase, ua, ub, inc_a, inc_b, unit, ell1, ell2, ell3,
-         centre, r_min, L1, table, pll, kp, ki, n_p, Ts) = self._k
+         centre, r_min, L1, _, pll, kp, ki, n_p, Ts) = self._k
         i, sa, sb, _, rebase_in, xa, xb, eta1, eta2 = self._s
         n = len(ia)
+        # rows r0, r0 + 1, ... hold samples j0, j0 + dec, ... of the run
+        j0 = -k0 % dec
+        r0 = (k0 + j0) // dec
+        rows = _row_targets(out, r0, r0 + len(range(j0, n, dec)))
+        if rows is None:
+            return False
         with np.errstate(all="ignore"):
             # inputs and increments of the last m samples, then the run's
             u = np.empty((2, m + n))
@@ -278,7 +298,10 @@ class ProposedEstimator:
                 b = min(n, a + left)
                 z = np.empty((2, 2 * (b - a) + 1))
                 z[:, 0] = seed
-                np.negative(inc[:, a:b], out=z[:, 1::2])
+                # not np.negative(x, out=z[:, 1::2]): numpy 2.4.6 reads the
+                # wrong element of x's second row when x is (2, 1) with its
+                # rows 8 floats apart (N = 2, a run of m samples)
+                z[:, 1::2] = -inc[:, a:b]
                 z[:, 2::2] = inc[:, m + a:m + b]
                 s[:, a:b] = np.add.accumulate(z, axis=1)[:, 2::2]
                 if b - a == left:  # sample b - 1 rebuilds the sums
@@ -286,65 +309,76 @@ class ProposedEstimator:
                         s[:, b - 1] = [math.fsum(w.tolist())
                                        for w in inc[:, b:b + m]]
                     except (ValueError, OverflowError):
-                        self._kernel_run(k0, ia.tolist(), ib.tolist(), out,
-                                         dec)
-                        return
+                        return False
                 seed, a, left = s[:, b - 1], b, rebase
             yf = u[:, m - N:m - N + n] - s / m
-            tab = np.array(table)[(np.arange(n) + k0 % N) % N].T
-            # per sample: a_j, then c_j*yf, of each axis
-            a_al, a_be = tab[0].tolist(), tab[2].tolist()
-            p_al = (tab[1] * yf[0]).tolist()
-            p_be = (tab[3] * yf[1]).tolist()
-        theta, y1, y2 = self.theta_hat, self.yv1, self.yv2
-        low, om = self.low_confidence, self.omega_hat
-        if out is not None:
-            o_th, o_om, o_y1, o_y2, o_v = out
-        hypot, atan2, pi, rint = math.hypot, math.atan2, math.pi, _RINT
-        k = k0 - 1
-        try:
-            for k, aa, pa, ab, pb in zip(range(k0, k0 + n), a_al, p_al, a_be,
-                                         p_be):
-                # the kernel's warm sample, after its regressor step
-                xa = aa * xa + pa
-                xb = ab * xb + pb
-                y1 = ell1 * (xa / unit) + ell2
-                y2 = ell3 * (xb / unit)
-                dx = y1 - centre
-                low = hypot(dx, y2) <= r_min
-                if not low:
-                    if L1 > 0.0:
-                        raw = 0.5 * atan2(-y2, -dx)
-                    else:
-                        raw = 0.5 * atan2(y2, dx)
-                    theta = raw + pi * ((theta - raw) / pi + rint - rint)
-                if pll:
-                    e = theta - eta1
+            # the phase table repeated over the run from phase k0 mod N: a_j
+            # of each axis as a list, c_j*yf of each as an array
+            ph, reps = k0 % N, (k0 % N + n) // N + 1
+            a_al, a_be = ((a * reps)[ph:ph + n]
+                          for a in self._tab[::2].tolist())
+            p_al, p_be = np.tile(self._tab[1::2], reps)[:, ph:ph + n] * yf
+            x_al = _recurrence(xa, a_al, p_al)
+            x_be = _recurrence(xb, a_be, p_be)
+            y1 = ell1 * (x_al / unit) + ell2
+            y2 = ell3 * (x_be / unit)
+            dx = y1 - centre
+            # a point within r_min of the centre holds the angle; np.hypot
+            # and math.hypot may part by an ulp or two, so math.hypot
+            # decides the points within 8 ulps of r_min
+            h = np.hypot(dx, y2)
+            low = h <= r_min
+            near = np.flatnonzero(abs(h - r_min) <= 8.0 * math.ulp(r_min))
+            low[near] = [math.hypot(dx[q], y2[q]) <= r_min for q in near]
+            v = np.flatnonzero(~low)
+            if L1 > 0.0:
+                ys, xs = -y2[v], -dx[v]
+            else:
+                ys, xs = y2[v], dx[v]
+            raw = 0.5 * np.fromiter(map(math.atan2, ys.tolist(), xs.tolist()),
+                                    np.float64, len(v))
+            # the branch count of each valid sample: the kernel's of the
+            # first, then a guess by unwrapping; the kernel's rounding of
+            # each from the previous angle must give the guess back
+            pi, rint, th0 = math.pi, _RINT, self.theta_hat
+            cnt = np.empty(len(v))
+            cnt[:1] = (th0 - raw[:1]) / pi + rint - rint
+            cnt[1:] = np.rint((raw[:-1] - raw[1:]) / pi)
+            np.cumsum(cnt, out=cnt)
+            th = np.concatenate(([th0], raw + pi * cnt))
+            if not np.array_equal((th[:-1] - raw) / pi + rint - rint, cnt):
+                return False
+            # a held sample keeps the last valid sample's angle
+            theta = th[np.cumsum(~low)]
+            if not pll:
+                om = np.full(n, self.omega_hat)
+            else:
+                # Pll.step inline, in its operation order
+                wps = []
+                keep = wps.append
+                for t in theta.tolist():
+                    e = t - eta1
                     wp = kp * e + ki * eta2
                     eta1 += Ts * wp
                     eta2 += Ts * e
-                    om = wp / n_p
-                if out is not None and not k % dec:
-                    r = k // dec
-                    o_th[r] = theta
-                    o_om[r] = om
-                    o_y1[r] = y1
-                    o_y2[r] = y2
-                    o_v[r] = 1.0
-        finally:
-            # the samples whose regressor step the kernel would have taken
-            c = k - k0 + 1
-            j = (i + c) % m
-            for ring, row in ((ua, u[0]), (ub, u[1]), (inc_a, inc[0]),
-                              (inc_b, inc[1])):
-                w = row[c:c + m].tolist()
-                ring[:] = w[m - j:] + w[:m - j]
-            if c:
-                sa, sb = s[:, c - 1].tolist()
-            self._s = (j, sa, sb, 0, (rebase_in - c - 1) % rebase + 1,
-                       xa, xb, eta1, eta2)
-            self.theta_hat, self.yv1, self.yv2 = theta, y1, y2
-            self.low_confidence, self.omega_hat = low, om
+                    keep(wp)
+                om = np.array(wps) / n_p
+        for o, col in zip(rows, (theta, om, y1, y2, np.ones(n))):
+            col = col[j0::dec]
+            o[r0:r0 + len(col)] = col.tolist() if type(o) is list else col
+        # the rings of the last m samples, from ring index j on
+        j = (i + n) % m
+        for ring, row in ((ua, u[0]), (ub, u[1]), (inc_a, inc[0]),
+                          (inc_b, inc[1])):
+            w = row[n:].tolist()
+            ring[:] = w[m - j:] + w[:m - j]
+        sa, sb = s[:, -1].tolist()
+        self._s = (j, sa, sb, 0, (rebase_in - n - 1) % rebase + 1,
+                   x_al[-1].item(), x_be[-1].item(), eta1, eta2)
+        self.theta_hat, self.omega_hat = theta[-1].item(), om[-1].item()
+        self.yv1, self.yv2 = y1[-1].item(), y2[-1].item()
+        self.low_confidence = bool(low[-1])
+        return True
 
     def kernel(self, samples, out=None, dec: int = 1, per_sample: bool = True):
         """The one kernel: a generator over the (k, i_alpha, i_beta) samples.
@@ -626,12 +660,45 @@ class Pll:
 def _run(k0: int, i_alpha, i_beta):
     """The (k, i_alpha, i_beta) samples of a run from sample k0; ValueError
     unless the two sequences have equal lengths, TypeError unless k0 is an
-    integer."""
+    integer.  A numpy array gives its samples as Python floats, so the
+    kernel's state stays float."""
     n = len(i_alpha)
     if len(i_beta) != n:
         raise ValueError(f"a run of {n} i_alpha samples has {len(i_beta)} "
                          "i_beta samples")
+    if type(i_alpha) is _ndarray:
+        i_alpha = i_alpha.tolist()
+    if type(i_beta) is _ndarray:
+        i_beta = i_beta.tolist()
     return zip(range(k0, k0 + n), i_alpha, i_beta)
+
+
+def _recurrence(x: float, a: list, p: np.ndarray) -> np.ndarray:
+    """x_j = a_j*x_(j-1) + p_j over a run, from x, one Python float step
+    per sample: the kernel's demodulator update, p_j being c_j*yf_j."""
+    return np.fromiter([(x := aj * x + pj) for aj, pj in zip(a, p.tolist())],
+                       np.float64, len(a))
+
+
+def _row_targets(out, r0: int, r1: int):
+    """The five `out` sequences as targets of the slice [r0:r1]: a list
+    as it is, a float64 memoryview or array as an array; None unless each
+    is one of these and holds rows r0 to r1 - 1 (the kernel then writes, or
+    raises, row by row).  No `out` gives no targets."""
+    if out is None:
+        return ()
+    rows = []
+    for o in out:
+        if type(o) is not list:
+            if not isinstance(o, (memoryview, np.ndarray)):
+                return None
+            o = np.asarray(o)
+            if o.dtype != np.float64 or o.ndim != 1 or not o.flags.writeable:
+                return None
+        if not 0 <= r0 <= r1 <= len(o):
+            return None
+        rows.append(o)
+    return rows if len(rows) == 5 else None
 
 
 def _pll_parts(pll_gains, params: MotorParams, Ts: float, theta0: float):

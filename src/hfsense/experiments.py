@@ -7,8 +7,8 @@ estimator a run carries, so one estimator="both" point serves both
 pipelines.  The estimator replays (`equivalence_deviation`, `calibrate`)
 advance each estimator over whole blocks of samples per call, passing numpy
 slices of the synthesized current: past its warm-up, each block of at least
-2N samples (the regressor's hold window) takes the new pipeline's regressor
-from array operations.
+2N samples (the regressor's hold window) runs the new pipeline as array
+operations, all but its demodulator recurrences.
 """
 
 from __future__ import annotations
@@ -31,13 +31,15 @@ from .estimators import (
 from .motor import MotorParams
 from .signal_ops import TWO_PI, InjectionConfig, sample_period
 from .sim import (
-    _BLOCK,
     ScenarioConfig,
     Trace,
     averaging_residual,
     record_times,
     run,
 )
+
+# samples per block of an estimator replay (`equivalence_deviation`)
+_REPLAY_BLOCK = 4096
 
 
 def steady_angle_error(trace: Trace, prefix: str, t1: float, t2: float) -> float:
@@ -199,15 +201,12 @@ def equivalence_deviation(params: MotorParams, inj: InjectionConfig,
     # blocks of whole carrier periods, so each starts at phase 0 and its
     # rows are 0, 1, ...: the kernels read the sample index only as k mod N;
     # at least two periods, the regressor's hold window, so that a block
-    # past the warm-up takes the regressor from arrays
-    block = N * max(2, _BLOCK // N)
-    # per form: rows of theta_hat, yv1, yv2 and the valid flag, written
-    # through memoryviews; omega_hat (no PLL runs) goes to a list, which
-    # takes a float faster and is never read
-    rows = np.zeros((2, 4, block))
-    out_a, out_b = ([memoryview(th), [0.0] * block, memoryview(y1),
-                     memoryview(y2), memoryview(valid)]
-                    for th, y1, y2, valid in rows)
+    # past the warm-up runs as arrays, and about _REPLAY_BLOCK samples, over
+    # which the arrays' fixed costs spread
+    block = N * max(2, _REPLAY_BLOCK // N)
+    # per form: rows of theta_hat, omega_hat (no PLL runs, never read),
+    # yv1, yv2 and the valid flag
+    rows = out_a, out_b = np.zeros((2, 5, block))
     worst_yv = worst_theta = 0.0
     for kb in range(0, n + 1, block):
         ke = min(kb + block, n + 1)
@@ -215,10 +214,10 @@ def equivalence_deviation(params: MotorParams, inj: InjectionConfig,
         est_a.step(0, ia, ib, out_a)
         est_b.step(0, ia, ib, out_b)
         a, b = rows[:, :, :ke - kb]
-        valid = (a[3] != 0.0) & (b[3] != 0.0)
-        dev = np.abs(a[:3] - b[:3])
+        valid = (a[4] != 0.0) & (b[4] != 0.0)
+        dev = np.abs(a[:4] - b[:4])
         # fmax, as the > of a running max, never takes a NaN
-        worst_yv = np.fmax.reduce(dev[1:], axis=None, initial=worst_yv,
+        worst_yv = np.fmax.reduce(dev[2:], axis=None, initial=worst_yv,
                                   where=valid)
         worst_theta = np.fmax.reduce(dev[0], initial=worst_theta,
                                      where=valid)

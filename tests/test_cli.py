@@ -577,6 +577,28 @@ def test_calibrate_command(driven_scenario, tmp_path):
     assert s["ell1"] == pytest.approx(1.0, abs=0.05)
 
 
+@pytest.mark.parametrize("scale", ["1e300", "1e-300"])
+def test_calibrate_prints_extreme_gains_readably(scale, driven_scenario,
+                                                 tmp_path, capsys):
+    """Gains near 1e-300 or 1e300 print in six significant digits: not as
+    0.00000, nor as hundreds of digits."""
+    out = tmp_path / "out"
+    rc = main(["--config", str(driven_scenario), "--out", str(out),
+               "calibrate", "--ripple-scale", scale])
+    assert rc == EXIT_PASS
+    line = capsys.readouterr().out.splitlines()[0]
+    gains = dict(item.split("=") for item in line.split())
+    assert list(gains) == ["ell1", "ell2", "ell3"]
+    s = _summary(out)
+    for name, text in gains.items():
+        assert len(text) <= 12, line
+        assert float(text) == pytest.approx(s[name], rel=1e-5, abs=0.0)
+    # the case is extreme: :.5f printed one gain as 0.00000 or in hundreds
+    # of digits
+    assert any(f"{s[name]:.5f}" == "0.00000" or len(f"{s[name]:.5f}") > 100
+               for name in gains)
+
+
 def test_seed_override(fast_scenario, tmp_path):
     p = tmp_path / "noisy.scenario"
     p.write_text(FAST + "noise_std = 1e-3\n")

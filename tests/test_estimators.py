@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from hfsense import estimators
 from hfsense.estimators import (
     ConventionalEstimator,
     BlockFormEstimator,
@@ -579,6 +580,206 @@ def test_block_runs_across_the_rebase_equal_the_resident_kernel(form, kind,
         assert j == n
         assert np.array_equal(got, want), list(ends)[:2]
         assert _state(est) == _state(resident), list(ends)[:2]
+
+
+@pytest.mark.parametrize("form", ["proposed", "block_form", "conventional"])
+def test_numpy_runs_leave_python_floats(form, inj, Ts, N):
+    """Runs passed as numpy arrays, of 1, 2N - 1, 2N and 3N + 7 samples
+    (inside the warm-up, across its end, past it), leave the state as the
+    same runs passed as lists do: equal, and of the same types, with
+    theta_hat, omega_hat, yv1 and yv2 Python floats, never numpy
+    scalars."""
+    make = _forms(SIM_MOTOR, inj, N)[form]
+    sizes = (1, 2 * N - 1, 2 * N, 3 * N + 7)
+    ia, ib = _noisy_ripple(SIM_MOTOR, inj, Ts, 37, sum(sizes))
+    est, ref = make(), make()
+    k = 37
+    for n in sizes:
+        a, b = ia[k - 37:k - 37 + n], ib[k - 37:k - 37 + n]
+        est.step(k, np.array(a), np.array(b))
+        ref.step(k, a, b)
+        k += n
+        assert _state(est) == _state(ref), n
+        kinds = [type(x) for x in (*est._s, est.theta_hat, est.omega_hat,
+                                   est.yv1, est.yv2)]
+        assert kinds == [type(x) for x in (*ref._s, ref.theta_hat,
+                                           ref.omega_hat, ref.yv1, ref.yv2)]
+        assert set(kinds) <= {int, float} and kinds[-4:] == [float] * 4, n
+        # the new pipeline's regressor rings
+        rings = est._k[3:7] if form != "conventional" else ()
+        assert all(type(x) is float for r in rings for x in r), n
+
+
+@pytest.mark.parametrize("form", ["proposed", "block_form"])
+def test_short_block_runs_across_frequent_rebases_equal_the_resident_kernel(
+        form, inj, monkeypatch):
+    """N = 2 and a rebase every 7 samples, fed in runs of m = 4 samples as
+    numpy arrays: many runs hold a one-sample stretch between rebases,
+    whose sums numpy 2.4's np.negative(..., out=...) got wrong for these
+    shapes.  Rows and state equal the resident kernel's, with ==."""
+    monkeypatch.setattr(estimators, "_REBASE_EVERY", 7)
+    N = 2
+    make = _forms(SIM_MOTOR, inj, N)[form]
+    k0, n = 43, 833
+    ia, ib = _noisy_ripple(SIM_MOTOR, inj, sample_period(inj, N), k0, n)
+    resident, est = make(), make()
+    want, got = np.zeros((2, 5, k0 + n))
+    _resident(resident, k0, ia, ib, want, 1)
+    ia, ib = np.array(ia), np.array(ib)
+    for j in range(0, n, 2 * N):
+        est.step(k0 + j, ia[j:j + 2 * N], ib[j:j + 2 * N], got)
+    assert np.array_equal(got, want)
+    assert _state(est) == _state(resident)
+
+
+def _same(a, b) -> bool:
+    """a == b, nested through tuples, lists and arrays, a NaN equal to a
+    NaN."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.array_equal(a, b, equal_nan=True)
+    if isinstance(a, (tuple, list)):
+        return (type(a) is type(b) and len(a) == len(b)
+                and all(_same(x, y) for x, y in zip(a, b)))
+    return a == b or (a != a and b != b)
+
+
+def _spy_blocks(monkeypatch):
+    """What each `_warm_block` call returns: True when the piece ran as
+    arrays, False when it stepped on the kernel."""
+    calls = []
+    warm_block = ProposedEstimator._warm_block
+
+    def spy(*args):
+        calls.append(warm_block(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(ProposedEstimator, "_warm_block", spy)
+    return calls
+
+
+def _block_equals_resident(est, k0, ia, ib):
+    """Rows and state of one numpy `step` over the run against a copy of
+    est whose resident kernel takes the same samples, with == (NaNs equal
+    NaNs)."""
+    twin = copy.deepcopy(est)
+    n_rows = k0 + len(ia)
+    want, got = np.zeros((2, 5, n_rows))
+    _resident(twin, k0, ia, ib, want, 1)
+    est.step(k0, np.array(ia), np.array(ib), got)
+    assert _same(got, want)
+    assert _same(_state(est), _state(twin))
+    return got
+
+
+def _zero_fed(form, motor, inj, N, y1, y2, theta0=0.3):
+    """A warm estimator fed zero current, its angle set to theta0 and its
+    demodulator state so that its next sample reads (yv1, yv2) == (y1, y2)
+    bit for bit, and that sample's index.  The regressor output is then
+    exactly 0, so that sample's update is only the decay by its a_j (see
+    `test_locus_point_on_the_degenerate_radius_is_held`)."""
+    est = form(motor, inj, N, theta0=theta0)
+    k = 2 * N + 1  # the hold window fills, then one warm sample
+    est.step(0, [0.0] * k, [0.0] * k)
+    assert est._s[3] == 0
+    unit = est._state_per_output(motor)
+    aa, _, ab, _ = est._table[k % N]
+    est._s = (*est._s[:5], _state_reading(aa, unit, y1),
+              _state_reading(ab, unit, y2), *est._s[7:])
+    est.theta_hat = theta0
+    return est, k
+
+
+def _hypot_splits(centre: float, r_min: float) -> list[tuple[float, float]]:
+    """Locus points (y1, y2) near the radius that np.hypot and math.hypot
+    put on opposite sides of it, at most one each way; none where the two
+    agree on all the points tried."""
+    found = {}
+    # |cos(phi)| <= 0.88, so r_min**2 - dx**2 stays positive
+    for i in range(2000):
+        phi = 0.5 + i * 1e-3
+        y1 = centre + r_min * math.cos(phi)
+        dx = y1 - centre
+        y2 = math.sqrt(r_min * r_min - dx * dx)
+        for _ in range(3):
+            inside = math.hypot(dx, y2) <= r_min
+            if inside != (np.hypot(dx, y2) <= r_min):
+                found.setdefault(inside, (y1, y2))
+            y2 = math.nextafter(y2, math.inf)
+        if len(found) == 2:
+            break
+    return list(found.values())
+
+
+@pytest.mark.parametrize("form", [ProposedEstimator, BlockFormEstimator])
+def test_block_run_holds_on_the_degenerate_radius(form, sim_motor, inj, N,
+                                                  monkeypatch):
+    """`test_locus_point_on_the_degenerate_radius_is_held` through a block
+    run of 2N + 7 warm samples: its first sample, on the radius, is held,
+    one ulp outside it is valid, and the rows and state equal the resident
+    kernel's.  The array path decides the hold with np.hypot and, near
+    r_min, with math.hypot; points that the two put on opposite sides of
+    the radius follow math.hypot, as the kernel does."""
+    centre = sim_motor.L0 / sim_motor.det_L
+    r_min = 0.1 * abs(sim_motor.L1) / sim_motor.det_L
+    cases = [(centre, r_min, True),
+             (centre, math.nextafter(r_min, math.inf), False)]
+    cases += [(y1, y2, math.hypot(y1 - centre, y2) <= r_min)
+              for y1, y2 in _hypot_splits(centre, r_min)]
+    calls = _spy_blocks(monkeypatch)
+    zeros = [0.0] * (2 * N + 7)
+    for y1, y2, held in cases:
+        est, k0 = _zero_fed(form, sim_motor, inj, N, y1, y2)
+        got = _block_equals_resident(est, k0, zeros, zeros)
+        assert (got[2, k0], got[3, k0]) == (y1, y2)
+        assert (got[0, k0] == 0.3) == held, (y1, y2)
+    assert calls == [True] * len(cases)
+
+
+def test_block_run_with_a_nan_steps_on_the_kernel(inj, Ts, N, monkeypatch):
+    """A NaN current mid-block makes the angle NaN from there on, which no
+    branch count matches: the piece steps on the kernel from its state
+    unchanged, and so do the pieces after it.  Rows and state equal the
+    resident kernel's, NaNs equal."""
+    est = _forms(SIM_MOTOR, inj, N)["proposed"]()
+    ia, ib = _noisy_ripple(SIM_MOTOR, inj, Ts, 37, 1000)
+    est.step(37, ia[:400], ib[:400])
+    calls = _spy_blocks(monkeypatch)
+    ia[700] = math.nan
+    got = _block_equals_resident(est, 437, ia[400:800], ib[400:800])
+    assert math.isnan(est.theta_hat) and math.isnan(got[0, 800 - 1])
+    assert not np.isnan(got[0, 437:700]).any()
+    _block_equals_resident(est, 837, ia[800:], ib[800:])
+    assert calls == [False, False]
+
+
+@pytest.mark.parametrize("turn", [1.0, -1.0])
+def test_block_run_across_a_quarter_turn_steps_on_the_kernel(
+        turn, sim_motor, inj, N, monkeypatch):
+    """A locus angle that jumps by pi/2 from one sample to the next: the
+    raw angle steps from pi/4 to -pi/4 (or back), half a branch, so the
+    branch count's rounding falls on a tie.  From an odd count the kernel
+    rounds it to even, off the unwrapped guess: the piece steps on the
+    kernel, and rows and state equal the resident kernel's.  From an even
+    count the guess holds and the piece runs as arrays.
+
+    The estimator is fed zero current with yv2 = +-1e30, so the raw angle
+    is +-pi/4 exactly; a delayed input left in the regressor's ring flips
+    yv2's sign at the run's second sample."""
+    calls = _spy_blocks(monkeypatch)
+    zeros = [0.0] * (2 * N + 7)
+    for count, falls_back in ((1, True), (2, False)):
+        theta0 = turn * math.pi / 4 + count * math.pi
+        est, k0 = _zero_fed(ProposedEstimator, sim_motor, inj, N,
+                            sim_motor.L0 / sim_motor.det_L, turn * 1e30,
+                            theta0)
+        # the input that sample k0 + 1 takes as its delayed one
+        ub, i = est._k[4], est._s[0]
+        aa, _, ab, cb = est._table[(k0 + 1) % N]
+        x = ab * est._s[6]
+        ub[(i + 1 - N) % len(ub)] = -(x + ab * x) / cb
+        got = _block_equals_resident(est, k0, zeros, zeros)
+        assert got[0, k0] == theta0 and est.yv2 * turn < -1e29
+        assert calls.pop() is not falls_back
 
 
 @pytest.mark.parametrize("form", ["proposed", "block_form", "conventional"])
