@@ -7,8 +7,8 @@ a verb's outcome into output:
 
 * the verb finishes: summary.json holds {"command", "passed", ...} and the
   exit code is 0 on pass, 1 on a failed acceptance band;
-* the simulation diverges: one stderr line, summary.json with
-  "passed": false and the "reason", exit 1;
+* the simulation, or the estimator replay of `equivalence`, diverges: one
+  stderr line, summary.json with "passed": false and the "reason", exit 1;
 * the input is rejected (scenario, flag, environment variable, sweep point
   or an unwritable --out): one "config error:" line, no summary.json, exit 2.
 

@@ -229,10 +229,13 @@ class ProposedEstimator:
                 piece = max(m, _PIECE)
                 while a < n:
                     b = a + piece if n - a - piece >= m else n
-                    if not self._warm_block(k0 + a, ia[a:b], ib[a:b], out,
-                                            dec):
-                        # the piece steps on the kernel, from its state
-                        # unchanged
+                    # a piece steps on the kernel, from its state unchanged,
+                    # where the arrays cannot vouch for it; a NaN angle stays
+                    # NaN, which no branch count matches, so once the angle
+                    # is NaN no arrays are built
+                    if (self.theta_hat != self.theta_hat
+                            or not self._warm_block(k0 + a, ia[a:b], ib[a:b],
+                                                    out, dec)):
                         self._kernel_run(k0 + a, ia[a:b], ib[a:b], out, dec)
                     a = b
                 i_alpha = i_beta = ()  # every sample has stepped

@@ -32,6 +32,7 @@ from .motor import MotorParams
 from .signal_ops import TWO_PI, InjectionConfig, sample_period
 from .sim import (
     ScenarioConfig,
+    SimulationDiverged,
     Trace,
     averaging_residual,
     record_times,
@@ -214,8 +215,14 @@ def equivalence_deviation(params: MotorParams, inj: InjectionConfig,
         est_a.step(0, ia, ib, out_a)
         est_b.step(0, ia, ib, out_b)
         a, b = rows[:, :, :ke - kb]
+        with np.errstate(all="ignore"):
+            dev = np.abs(a[:4] - b[:4])
+        # an estimate that overflowed has no deviation to take (inf - inf)
+        if not dev.max() < math.inf:
+            k = kb + int(np.argmin(np.isfinite(dev).all(axis=0)))
+            raise SimulationDiverged(f"replayed estimate not finite at "
+                                     f"t={k * Ts:.6f}")
         valid = (a[4] != 0.0) & (b[4] != 0.0)
-        dev = np.abs(a[:4] - b[:4])
         # fmax, as the > of a running max, never takes a NaN
         worst_yv = np.fmax.reduce(dev[2:], axis=None, initial=worst_yv,
                                   where=valid)

@@ -47,3 +47,9 @@ def approx_mod_pi(a: float, b: float, tol: float) -> bool:
     """True when a == b modulo pi within tol."""
     d = (a - b + 0.5 * math.pi) % math.pi - 0.5 * math.pi
     return abs(d) <= tol
+
+
+def pytest_addoption(parser):
+    parser.addoption("--installed-cli", action="store_true",
+                     help="run the CLI outcome table (tests/cli_cases.py) "
+                          "through the hfsense on PATH, in a subprocess")

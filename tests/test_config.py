@@ -1,7 +1,6 @@
 """Scenario-file parser tests: happy paths on the shipped files, strict
 rejection of malformed input."""
 
-import json
 import math
 import shutil
 from dataclasses import replace
@@ -10,7 +9,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from hfsense.cli import EXIT_CONFIG, EXIT_FAIL, EXIT_PASS, main
+from cli_cases import EXTREMES, main_outcome
+from hfsense.cli import EXIT_CONFIG, main
 from hfsense.config import _SCHEMA, ConfigError, load_scenario, parse_kv_file
 from hfsense.motor import SIM_MOTOR
 from hfsense.signal_ops import InjectionConfig
@@ -192,17 +192,6 @@ def test_corner_resolves_default_and_rejects_bad_values():
         replace(cfg, lambda_h=omega_h)
 
 
-def test_lambda_h_is_an_unknown_key(tmp_path, capsys, scenario_dir):
-    """The LTI chain's high pass sits at omega_h, the one corner at which
-    its read-out scale and demodulation phase hold, so it has no key: a
-    scenario that sets lambda_h is one config error line naming it."""
-    text = (scenario_dir / "lowspeed.scenario").read_text()
-    p = _write(tmp_path, text.replace("[estimator]\n",
-                                      "[estimator]\nlambda_h = 3000\n"))
-    err = _main_config_error(p, tmp_path / "o", capsys)
-    assert "unknown key 'lambda_h' in section [estimator]" in err
-
-
 @pytest.mark.parametrize("lines,message", [
     # Ts = epsilon/steps_per_period underflows to 0
     ("[injection]\nepsilon = 5e-324\n", "underflows to 0"),
@@ -216,14 +205,10 @@ def test_lambda_h_is_an_unknown_key(tmp_path, capsys, scenario_dir):
 def test_unusable_step_size_or_count_is_config_error(tmp_path, capsys, lines,
                                                      message):
     p = _write(tmp_path, MINIMAL + lines)
-    err = _main_config_error(p, tmp_path / "o", capsys)
+    err = _main_config_error(p, capsys)
     assert message in err
 
 
-# values at and beyond the edges of a float and of an int
-_EXTREMES = ["5e-324", "1e-300", "1e300", "nan", "inf", "-inf", "0", "-1",
-             "-1e-3", "1e-3", "2", "3", "50", "10.0",
-             "1" + "0" * 330, "9" * 300, "-" + "9" * 200]
 # the keys that set the step size, the step count, the warm-up and the
 # LTI chain's filters
 _STEP_KEYS = [("injection", "epsilon"), ("injection", "V_h"),
@@ -236,7 +221,7 @@ _STEP_KEYS = [("injection", "epsilon"), ("injection", "V_h"),
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(values=st.dictionaries(
     st.sampled_from(_STEP_KEYS),
-    st.sampled_from(_EXTREMES)
+    st.sampled_from(EXTREMES)
     | st.integers(-10 ** 400, 10 ** 400).map(str)
     | st.sampled_from(["proposed", "conventional", "none"])))
 @example(values={("injection", "epsilon"): "5e-324"})
@@ -273,7 +258,7 @@ _HUGE_N_P = {("motor", "n_p"): "1" + "0" * 330}
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(driven=st.booleans(), values=st.dictionaries(
-    st.sampled_from(_OTHER_KEYS), st.sampled_from(_EXTREMES), max_size=3))
+    st.sampled_from(_OTHER_KEYS), st.sampled_from(EXTREMES), max_size=3))
 # an n_p that no float holds, and an L_d * L_q that underflows to 0, which
 # motor.virtual_output divides by
 @example(driven=False, values=_HUGE_N_P)
@@ -299,31 +284,17 @@ def test_other_scenario_keys_end_in_a_documented_outcome(tmp_path, capsys,
         for name, keys in sections.items()))
     out = tmp_path / "o"
     shutil.rmtree(out, ignore_errors=True)
-    capsys.readouterr()
-    rc = main(["--config", str(path), "--out", str(out), "run"])
-    err = capsys.readouterr().err
-    if rc == EXIT_CONFIG:
-        assert err.startswith("config error: ") and err.count("\n") == 1
-        assert not (out / "summary.json").exists()
-        return
-    with open(out / "summary.json") as fh:
-        summary = json.load(fh)
-    if rc == EXIT_PASS:
-        assert summary["passed"] is True and err == ""
-    else:
-        assert rc == EXIT_FAIL, rc
-        assert err.startswith("simulation aborted: ") and err.count("\n") == 1
-        assert summary["passed"] is False and "reason" in summary
+    main_outcome(["--config", str(path), "--out", str(out), "run"], out,
+                 capsys)
 
 
-def _main_config_error(path, out, capsys):
-    """Run `hfsense run` on a scenario file; return its stderr after checking
-    that it is one config error line, exit 2, with no summary left."""
-    rc = main(["--config", str(path), "--out", str(out), "run"])
-    assert rc == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert err.startswith("config error: ") and err.count("\n") == 1
-    assert not (out / "summary.json").exists()
+def _main_config_error(path, capsys):
+    """`hfsense run` on a scenario file, in process: its stderr, after
+    checking that the outcome is a config error."""
+    out = path.parent / "o"
+    outcome, err = main_outcome(["--config", str(path), "--out", str(out),
+                                 "run"], out, capsys)
+    assert outcome == "config"
     return err
 
 
@@ -334,7 +305,7 @@ def test_ramp_key_on_constant_profile_is_config_error(tmp_path, capsys, key):
     p = _write(tmp_path, MINIMAL + drive + f"{key} = 1.0\n" + driven)
     with pytest.raises(ConfigError, match=rf"\[drive\] .*takes no {key}"):
         load_scenario(p)
-    _main_config_error(p, tmp_path / "o", capsys)
+    _main_config_error(p, capsys)
     # an explicit zero is the unset value
     load_scenario(_write(tmp_path, MINIMAL + drive + f"{key} = 0\n" + driven))
 
@@ -349,17 +320,8 @@ def test_mode_key_is_config_error(tmp_path, capsys, scenario_dir, name, mode):
                                       f"[simulation]\nmode = {mode}\n"))
     with pytest.raises(ConfigError, match="unknown key 'mode'"):
         load_scenario(p)
-    err = _main_config_error(p, tmp_path / "o", capsys)
+    err = _main_config_error(p, capsys)
     assert "unknown key 'mode' in section [simulation]" in err
-
-
-@pytest.mark.parametrize("value", ["-1", "0"])
-def test_non_positive_divergence_limit_is_config_error(tmp_path, capsys,
-                                                        scenario_dir, value):
-    text = (scenario_dir / "lowspeed.scenario").read_text()
-    p = _write(tmp_path, text + f"divergence_limit = {value}\n")
-    err = _main_config_error(p, tmp_path / "o", capsys)
-    assert f"{p}: divergence_limit must be positive" in err
 
 
 def test_negative_seed_is_config_error(tmp_path, capsys):
@@ -369,7 +331,7 @@ def test_negative_seed_is_config_error(tmp_path, capsys):
         p = _write(tmp_path, MINIMAL + sim + noise)
         with pytest.raises(ConfigError, match=r"seed must be >= 0 \(got -1\)"):
             load_scenario(p)
-        err = _main_config_error(p, tmp_path / "o", capsys)
+        err = _main_config_error(p, capsys)
         assert f"{p}: seed" in err
     # the --seed flag is checked by the same rule
     p = _write(tmp_path, MINIMAL + "[simulation]\nduration = 0.01\n")
@@ -385,7 +347,7 @@ def test_scenario_too_large_to_allocate_is_config_error(tmp_path, capsys,
     # within reach would be allocated page by page
     text = (scenario_dir / "lowspeed.scenario").read_text()
     p = _write(tmp_path, text.replace("duration = 10.0", "duration = 1e13"))
-    err = _main_config_error(p, tmp_path / "o", capsys)
+    err = _main_config_error(p, capsys)
     assert "scenario too large: duration = 1e+13 s" in err
 
 
@@ -398,7 +360,7 @@ def test_carrier_tables_too_large_to_allocate_are_config_error(
     text = text.replace("steps_per_period = 50",
                         f"steps_per_period = {10 ** 30}")
     p = _write(tmp_path, text.replace("kind = both", f"kind = {kind}"))
-    err = _main_config_error(p, tmp_path / "o", capsys)
+    err = _main_config_error(p, capsys)
     assert f"steps of {10 ** 30} per probe period" in err
 
 
@@ -416,8 +378,7 @@ def test_filter_coefficient_overflow_is_config_error(tmp_path, capsys,
                .replace("kind = both", "kind = proposed")
                .replace("[controller]\n", "[controller]\n"
                         "meas_lpf_cutoff = 1e10\n"))
-    err = _main_config_error(_write(tmp_path, lowpass), tmp_path / "o",
-                             capsys)
+    err = _main_config_error(_write(tmp_path, lowpass), capsys)
     assert "meas_lpf_cutoff: corner 1e+10 rad/s at Ts = 5e+299 s " \
         "overflows the low-pass coefficients" in err
     highpass = (text.replace("epsilon = 1e-3", "epsilon = 1e-160")
@@ -425,8 +386,7 @@ def test_filter_coefficient_overflow_is_config_error(tmp_path, capsys,
                 .replace("kind = both", "kind = conventional")
                 .replace("[controller]\n", "[controller]\n"
                          "sensor_mode = true\n"))
-    err = _main_config_error(_write(tmp_path, highpass), tmp_path / "o",
-                             capsys)
+    err = _main_config_error(_write(tmp_path, highpass), capsys)
     assert "epsilon, steps_per_period: LTI high pass at omega_h: corner " \
         "6.28319e+160 rad/s at Ts = 2e-162 s overflows the biquad " \
         "coefficients" in err

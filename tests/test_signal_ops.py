@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+import warnings
 from collections import deque
 from dataclasses import replace
 
@@ -359,6 +360,19 @@ def test_gd_response_limits(inj):
     assert arr.shape == (2,)
     with pytest.raises(ValueError):
         gd_frequency_response(0.0, 1.0)
+
+
+def test_gd_response_near_dc():
+    """Far below the probe frequency G_d(j omega) = x^2/6 - j x^3/6 +
+    O(x^4), x = d*omega, where the closed form cancels to rounding noise
+    (it read 2e-11j for 1.7e-13 at x = 1e-6); an x whose square
+    underflows gives 0, not a 0/0 with numpy warnings."""
+    for x in (1e-4, 1e-6, 1e-100):
+        g = gd_frequency_response(1e-3, x / 1e-3)
+        assert g == pytest.approx(x * x / 6 - 1j * x ** 3 / 6, rel=1e-7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert gd_frequency_response(1e-3, 5e-324) == 0.0
 
 
 def test_lti_responses_at_corner():
