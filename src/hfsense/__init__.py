@@ -13,19 +13,13 @@ from .controller import ControllerConfig, SensorlessController
 from .estimators import (
     ConventionalEstimator,
     BlockFormEstimator,
-    Pll,
     ProposedEstimator,
     fit_compensation,
     rmsd,
     synthesize_injection_current,
     wrap_mod_pi,
 )
-from .motor import (
-    BENCH_MOTOR,
-    SIM_MOTOR,
-    MotorParams,
-    virtual_output,
-)
+from .motor import MotorParams, virtual_output
 from .signal_ops import (
     InjectionConfig,
     bode_table,
@@ -47,10 +41,9 @@ from .config import ConfigError, load_scenario
 __version__ = "0.1.0"
 
 __all__ = [
-    "BENCH_MOTOR", "SIM_MOTOR",
     "ConfigError", "ControllerConfig", "ConventionalEstimator",
     "DriveProfile", "BlockFormEstimator",
-    "InjectionConfig", "MotorParams", "Pll",
+    "InjectionConfig", "MotorParams",
     "ProposedEstimator", "ScenarioConfig", "SensorlessController",
     "SimulationDiverged", "Trace", "averaging_residual", "bode_table",
     "fit_compensation", "gd_frequency_response",

@@ -280,10 +280,10 @@ def cmd_bode(cfg, args, outdir: Path):
     try:
         omega = np.logspace(math.log10(args.omega_min),
                             math.log10(args.omega_max), args.points)
-        tables = {name: bode_table(resp, omega) for name, resp in [
-            ("gd", gd_frequency_response(cfg.injection.epsilon, omega)),
-            ("hpf", hpf_frequency_response(lam_h, omega)),
-            ("lpf", lpf_frequency_response(lam_l, omega)),
+        tables = {name: bode_table(log_resp, omega) for name, log_resp in [
+            ("gd", gd_frequency_response(cfg.injection.epsilon, omega, True)),
+            ("hpf", hpf_frequency_response(lam_h, omega, True)),
+            ("lpf", lpf_frequency_response(lam_l, omega, True)),
         ]}
     except MemoryError:
         raise ConfigError(f"bode --points {args.points}: the frequency grid "

@@ -8,7 +8,9 @@ measured currents:
   demodulator takes one sampled gradient step per sample, linear in its
   state and input, so a sample costs one inline regressor step plus one
   update x+ = a_j*x + c_j*yf per axis with (a_j, c_j) tabulated per carrier
-  phase (`ProposedEstimator._phase_table`).
+  phase (`gradient_table`).  A gain is accepted only where the update
+  contracts over a probe period (`check_contraction`, which both forms
+  and `sim.ScenarioConfig` run on their tables).
 * `ConventionalEstimator` - LTI high-pass at omega_h, demodulation by
   sin(omega_h t + phi), LTI low-pass, then rescaling.  Its one corner is
   the low pass's lambda_ell, taken as given; `sim.ScenarioConfig.corner` is
@@ -52,10 +54,11 @@ radius check, angle recovery and PLL run inline on float state.  Each
 constructor builds its kernel's constants and initial state itself from
 N: Ts = epsilon/N from `signal_ops.sample_period`, the filter coefficients,
 the regressor's ring lists (delay N samples, hold window 2N), the PLL's
-from a `Pll`.  The kernels keep the arithmetic and operation order of the
-standalone operators, `Pll` here and `Regressor`, `HighPass2`, `LowPass1`,
-`locus_angle` and `virtual_output_to_angle` in tests/oracles.py, which are
-the oracles the kernels are tested against bit for bit.
+gains and start from `_pll_parts`.  The kernels keep the arithmetic and
+operation order of the standalone operators, which are the oracles the
+kernels are tested against bit for bit: `Pll`, which no estimator builds,
+here, and `Regressor`, `HighPass2`, `LowPass1`, `locus_angle` and
+`virtual_output_to_angle` in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -130,7 +133,9 @@ class ProposedEstimator:
     gradient step of the scalar LTV flow dx/dt = -gamma*S^2(t)*x +
     gamma*S(t)*yf and reads x/epsilon; under persistent excitation of S the
     state contracts exponentially toward the coefficient of S in yf.
-    Per-axis adaptation gains may differ.
+    Per-axis adaptation gains may differ; each must make the sampled flow
+    contract over a probe period (`check_contraction`, on the phase
+    table), or the constructor raises ValueError naming it.
     Compensation gains (ell1, ell2, ell3) rescale the raw virtual-output
     estimate before the angle recovery; (1, 0, 1) is the identity.
     """
@@ -150,10 +155,12 @@ class ProposedEstimator:
         # the regressor's delay is one probe period, N samples, and its
         # hold window m = 2N
         m = 2 * N
+        tables = self._phase_table(gamma_alpha), self._phase_table(gamma_beta)
+        for key, gamma, table in zip(("gamma_alpha", "gamma_beta"),
+                                     (gamma_alpha, gamma_beta), tables):
+            check_contraction(key, gamma, table)
         # per phase j: (a, c) of the alpha flow, then (a, c) of the beta flow
-        self._table = [(*ta, *tb) for ta, tb in
-                       zip(self._phase_table(gamma_alpha),
-                           self._phase_table(gamma_beta))]
+        self._table = [(*ta, *tb) for ta, tb in zip(*tables)]
         # the same, as rows a_alpha, c_alpha, a_beta, c_beta over j, for
         # block runs
         self._tab = np.array(self._table).T.copy()
@@ -187,17 +194,8 @@ class ProposedEstimator:
         return self.cfg.epsilon
 
     def _phase_table(self, gamma: float) -> list[tuple[float, float]]:
-        """(a, c) per phase j with x+ = a*x + c*yf.
-
-        The sampled gradient step x+ = x + Ts*gamma*S_j*(yf - S_j*x), with
-        S_j = S(j*Ts) the probe reference at the sample.  With Ts dividing
-        epsilon it depends on the sample index k only through the carrier
-        phase j = k mod N, so a = 1 - Ts*gamma*S_j^2 and c = Ts*gamma*S_j
-        are tabulated once.
-        """
-        g = self.Ts * gamma
-        S = [probe_signal(self.cfg, j * self.Ts) for j in range(self.N)]
-        return [(1.0 - g * s * s, g * s) for s in S]
+        """(a, c) per phase j with x+ = a*x + c*yf: `gradient_table`."""
+        return gradient_table(self.cfg, self.N, gamma)
 
     def step(self, k0: int, i_alpha, i_beta, out=None, dec: int = 1):
         """Advance over a run of samples; sample j of i_alpha, i_beta is k0 + j.
@@ -634,6 +632,9 @@ class BlockFormEstimator(ProposedEstimator):
     step = ProposedEstimator.step
 
 
+# the oracle of the estimators' inline PLL, which builds its constants
+# with `_pll_parts`; it stays in this module because bench/run.py's tracer
+# wraps `Pll.step` here by name
 class Pll:
     """Type-2 tracking loop turning the angle estimate into a speed estimate.
 
@@ -658,6 +659,44 @@ class Pll:
         self.eta2 += Ts * e
         self.omega_hat = omega_hat_p / self.n_p
         return self.omega_hat
+
+
+def gradient_table(cfg: InjectionConfig, N: int,
+                   gamma: float) -> list[tuple[float, float]]:
+    """(a, c) per phase j of the new pipeline's demodulator, x+ = a*x + c*yf.
+
+    The sampled gradient step x+ = x + Ts*gamma*S_j*(yf - S_j*x), with
+    S_j = S(j*Ts) the probe reference at the sample and Ts = epsilon/N.
+    With Ts dividing epsilon it depends on the sample index k only through
+    the carrier phase j = k mod N, so a = 1 - Ts*gamma*S_j^2 and
+    c = Ts*gamma*S_j are tabulated once.
+    """
+    Ts = sample_period(cfg, N)
+    g = Ts * gamma
+    S = [probe_signal(cfg, j * Ts) for j in range(N)]
+    return [(1.0 - g * s * s, g * s) for s in S]
+
+
+def check_contraction(key: str, gamma: float, table) -> None:
+    """ValueError unless a demodulator's sampled flow contracts at the
+    adaptation gain `gamma`, named `key`.
+
+    Over one probe period the update x+ = a_j*x + c_j*yf, (a_j, c_j) the
+    rows of `table`, multiplies the state by the product of the a_j; it
+    contracts if and only if that product has a magnitude below 1, taken as
+    sum log|a_j| < 0, which neither underflows nor overflows.  A zero a_j
+    contracts.
+    """
+    total = 0.0
+    for a, _ in table:
+        if a == 0.0:
+            return
+        total += math.log(abs(a))
+    if not total < 0.0:
+        raise ValueError(f"{key} = {gamma:g} does not contract the "
+                         "demodulator's sampled flow: the sum of "
+                         "log|1 - Ts*gamma*S_j^2| over a probe period is "
+                         f"{total:.3g} >= 0")
 
 
 def _run(k0: int, i_alpha, i_beta):
@@ -706,12 +745,15 @@ def _row_targets(out, r0: int, r1: int):
 
 def _pll_parts(pll_gains, params: MotorParams, Ts: float, theta0: float):
     """Constants (runs, K_p, K_i, n_p, Ts) and initial state (eta1, eta2)
-    of an estimator's inline PLL, from a `Pll` built with gains (K_p, K_i).
-    Without gains the PLL does not run, and omega_hat stays 0."""
+    of an estimator's inline PLL with gains (K_p, K_i), which must be
+    positive and finite; the loop starts at the angle theta0.  Without
+    gains the PLL does not run, and omega_hat stays 0."""
     if pll_gains is None:
         return (False, 0.0, 0.0, params.n_p, Ts), (0.0, 0.0)
-    pll = Pll(*pll_gains, params.n_p, theta0)
-    return (True, pll.K_p, pll.K_i, pll.n_p, Ts), (pll.eta1, pll.eta2)
+    K_p, K_i = pll_gains
+    if not (0.0 < K_p < math.inf and 0.0 < K_i < math.inf):
+        raise ValueError("PLL gains must be positive and finite")
+    return (True, K_p, K_i, params.n_p, Ts), (theta0, 0.0)
 
 
 def fit_compensation(t, yv1, yv2, params: MotorParams, omega_e: float,

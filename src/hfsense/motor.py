@@ -21,6 +21,10 @@ function.  `rk4_step` equals four calls of it composed as RK4 on the
 the prescribed angles within rounding.  Its stationary-frame wrapper, and
 the matrix form of the inductance that wrapper is checked against,
 cross-check the frame.
+
+The module defines no machine: the `[motor]` sections of the shipped
+scenario files are the one definition of the simulated and the bench
+machines.
 """
 
 from __future__ import annotations
@@ -86,15 +90,6 @@ class MotorParams:
     def det_L(self) -> float:
         # L0^2 - L1^2 == L_d * L_q identically
         return self.L_d * self.L_q
-
-
-# Parameters of the simulated machine (six pole pairs, 0.43 ohm stator).
-SIM_MOTOR = MotorParams(n_p=6, R_s=0.43, L_d=5.74e-3, L_q=8.68e-3,
-                        Phi=0.11, J=0.01)
-
-# Parameters of the bench machine (three pole pairs).
-BENCH_MOTOR = MotorParams(n_p=3, R_s=0.47, L_d=3.38e-3, L_q=5.07e-3,
-                          Phi=0.39, J=0.01)
 
 
 def virtual_output(params: MotorParams, theta: float) -> tuple[float, float]:

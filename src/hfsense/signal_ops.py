@@ -133,43 +133,69 @@ _GD_SERIES = [(-1) ** j * (j + 1 - 2 ** j) / math.factorial(j + 1)
 _GD_SERIES_RADIUS = 0.2
 
 
-def gd_frequency_response(d: float, omega) -> complex | np.ndarray:
+def gd_frequency_response(d: float, omega,
+                          log: bool = False) -> complex | np.ndarray:
     """G_d(j*omega) for the delay-minus-hold high pass.
 
     G_d(s) = exp(-d s) + (exp(-2 d s) - 1)/(2 d s), taken from its Taylor
     series about s = 0 below |d s| = 0.2, where the closed form cancels:
     so G_d(0) is the limit 0, and a d*omega that underflows gives 0, not a
-    0/0.
+    0/0.  With `log`, ln G_d(j*omega) = ln|G_d| + j*arg G_d instead, for
+    omega > 0: below |d s| = 0.2 the series' factor x^2, x = d*omega, is
+    taken out of the logarithm as 2*(ln omega + ln d), so the magnitude
+    stays finite where G_d underflows, and the phase tends to 0.
     """
     if d <= 0.0:
         raise ValueError("d must be positive")
     om = np.asarray(omega, dtype=float)
     scalar = om.ndim == 0
-    x = np.atleast_1d(om) * d
+    om = np.atleast_1d(om)
+    x = om * d
     out = np.empty(x.shape, dtype=complex)
     near = np.abs(x) < _GD_SERIES_RADIUS
     # (d s)^2 = -x^2, real, so an x^2 that underflows leaves the phase at 0
     xn, sf = x[near], 1j * x[~near]
-    out[near] = -(xn * xn) * np.polyval(_GD_SERIES, 1j * xn)
+    series = -np.polyval(_GD_SERIES, 1j * xn)
     out[~near] = np.exp(-sf) + (np.exp(-2.0 * sf) - 1.0) / (2.0 * sf)
+    if log:
+        out[near] = 2.0 * (np.log(np.abs(om[near])) + math.log(d)) \
+            + np.log(series)
+        out[~near] = np.log(out[~near])
+    else:
+        out[near] = (xn * xn) * series
     return out[0] if scalar else out
 
 
-def hpf_frequency_response(lam: float, omega) -> complex | np.ndarray:
+def hpf_frequency_response(lam: float, omega,
+                           log: bool = False) -> complex | np.ndarray:
     """2s^2/(lam + s)^2 at s = j*omega, evaluated as 2*(s/(lam + s))^2,
-    which stays finite where s*s would overflow (omega above ~1e154)."""
-    s = 1j * np.asarray(omega, dtype=float)
+    which stays finite where s*s would overflow (omega above ~1e154).
+    With `log`, ln 2 + 2*(ln omega - ln|lam + j*omega|) + j*(pi -
+    2*atan2(omega, lam)) instead, for omega > 0, which stays finite where
+    the response underflows (omega below ~1e-150), its phase tending to
+    180 deg."""
+    om = np.asarray(omega, dtype=float)
+    if log:
+        return (math.log(2.0) + 2.0 * (np.log(om) - np.log(np.hypot(lam, om)))
+                + 1j * (math.pi - 2.0 * np.arctan2(om, lam)))
+    s = 1j * om
     return 2.0 * (s / (lam + s)) ** 2
 
 
-def lpf_frequency_response(lam: float, omega) -> complex | np.ndarray:
-    s = 1j * np.asarray(omega, dtype=float)
-    return lam / (lam + s)
+def lpf_frequency_response(lam: float, omega,
+                           log: bool = False) -> complex | np.ndarray:
+    """lam/(lam + s) at s = j*omega; with `log`, its logarithm
+    ln lam - ln|lam + j*omega| - j*atan2(omega, lam)."""
+    om = np.asarray(omega, dtype=float)
+    if log:
+        return (math.log(lam) - np.log(np.hypot(lam, om))
+                - 1j * np.arctan2(om, lam))
+    return lam / (lam + 1j * om)
 
 
-def bode_table(response: np.ndarray, omega: np.ndarray) -> np.ndarray:
-    """Columns (omega_rad_s, mag_db, phase_deg_unwrapped) for a response grid."""
-    with np.errstate(divide="ignore"):
-        mag = 20.0 * np.log10(np.abs(response))
-    phase = np.degrees(np.unwrap(np.angle(response)))
+def bode_table(log_response: np.ndarray, omega: np.ndarray) -> np.ndarray:
+    """Columns (omega_rad_s, mag_db, phase_deg_unwrapped) for a response
+    grid given as its natural logarithm (`log` of the responses above)."""
+    mag = (20.0 / math.log(10.0)) * log_response.real
+    phase = np.degrees(np.unwrap(log_response.imag))
     return np.column_stack([omega, mag, phase])

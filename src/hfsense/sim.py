@@ -5,8 +5,10 @@ and estimators.
 chain's one corner, lambda_ell (`corner` resolves its default; the high
 pass sits at omega_h), and rejects a non-finite float field, a step size or
 step count that is not a usable number, a drive whose electrical angle is
-not, and a filter whose coefficients at that step size are not (the
-controller's measurement low pass, and the LTI chain's pair when it runs).
+not, a filter whose coefficients at that step size are not (the
+controller's measurement low pass, and the LTI chain's pair when it runs),
+and, when the new pipeline runs, an adaptation gain whose sampled flow does
+not contract (`estimators.check_contraction`).
 
 One step loop, `run`, serves both mechanics modes; a run is driven
 exactly when its scenario has a drive profile:
@@ -50,6 +52,8 @@ currents and the voltages), each through a memoryview of its column
 array; every column the trace leaves out is stored into one spare row.
 `t` and `theta_wrapped` are filled after the loop, from `record_times` and
 the stored theta, with the values of k*Ts and Python's theta % (2*pi).
+The recorded estimates are checked once, after the loop: one that is not
+finite ends the run in `SimulationDiverged`.
 """
 
 from __future__ import annotations
@@ -65,6 +69,8 @@ from .controller import ControllerConfig, SensorlessController
 from .estimators import (
     ConventionalEstimator,
     ProposedEstimator,
+    check_contraction,
+    gradient_table,
     synthesize_injection_current,
     window_mask,
 )
@@ -97,6 +103,15 @@ _ESTIMATE_COLUMNS = ("theta_hat", "omega_hat", "yv1", "yv2", "valid")
 TRACE_COLUMNS = _PLANT_COLUMNS + [
     f"{prefix}_{c}" for prefix in dict.fromkeys(sum(_PIPELINES.values(), ()))
     for c in _ESTIMATE_COLUMNS]
+
+
+# the nominal (electrical-excitation) speed scale of lambda_ell's default,
+# max(sqrt(omega_h*_SPEED_SCALE), 1) [rad/s]
+_SPEED_SCALE = 0.5
+# the longest probe period, in samples, whose demodulator tables
+# ScenarioConfig builds to check the gains; `run` checks a longer one when
+# it builds the estimator
+_CHECKED_PHASES = 1 << 12
 
 
 class SimulationDiverged(RuntimeError):
@@ -190,8 +205,7 @@ class ScenarioConfig:
     gamma_alpha: float = 1e4
     gamma_beta: float = 1e4
     ell: tuple[float, float, float] = (1.0, 0.0, 1.0)
-    lambda_ell: float | None = None  # default max(sqrt(omega_h*omega_star), 1)
-    omega_star: float = 0.5
+    lambda_ell: float | None = None  # default: see `corner`
     pll_kp: float = 5.0
     pll_ki: float = 0.01
     theta0_est: float = 0.0
@@ -267,9 +281,6 @@ class ScenarioConfig:
                                  f"(got {getattr(self, key):g})")
         if self.ell[0] == 0.0 or self.ell[2] == 0.0:
             raise ValueError("ell1 and ell3 must be nonzero")
-        if not 0.0 <= self.omega_star < math.inf:
-            raise ValueError(f"omega_star must be >= 0 and finite "
-                             f"(got {self.omega_star:g})")
         if not 1.0 <= self.corner < math.inf:
             raise ValueError(f"lambda_ell must be >= 1 and finite "
                              f"(got {self.corner:g})")
@@ -288,12 +299,18 @@ class ScenarioConfig:
                 coefficients(lam, Ts)
             except ValueError as exc:
                 raise ValueError(f"{key}: {exc}") from None
+        # the new pipeline's check of its demodulator gains, on its tables
+        N = self.steps_per_period
+        if "prop" in self.pipelines and N <= _CHECKED_PHASES:
+            for key in ("gamma_alpha", "gamma_beta"):
+                gamma = getattr(self, key)
+                check_contraction(key, gamma,
+                                  gradient_table(self.injection, N, gamma))
 
     @cached_property
     def corner(self) -> float:
-        """lambda_ell, default max(sqrt(omega_h*omega_star), 1), omega_star
-        being the nominal (electrical-excitation) speed scale."""
-        return (max(math.sqrt(self.injection.omega_h * self.omega_star), 1.0)
+        """lambda_ell, default max(sqrt(omega_h*_SPEED_SCALE), 1)."""
+        return (max(math.sqrt(self.injection.omega_h * _SPEED_SCALE), 1.0)
                 if self.lambda_ell is None else self.lambda_ell)
 
     @property
@@ -438,6 +455,21 @@ def _drive_block(cfg: ScenarioConfig, probe, k0: int, k1: int):
     return [memoryview(x) for x in (*mech[:2], *maps)]
 
 
+def _check_estimates(rec: dict, prefixes, dec: int, Ts: float):
+    """SimulationDiverged at the first record, every dec steps of Ts, of a
+    recorded theta_hat, omega_hat, yv1 or yv2 of the estimators by trace
+    prefix that is not finite, naming its column and time."""
+    bad = []
+    for name in (f"{p}_{c}" for p in prefixes for c in _ESTIMATE_COLUMNS[:4]):
+        col = rec.get(name)
+        if col is not None and not np.isfinite(col).all():
+            bad.append((int(np.argmin(np.isfinite(col))), name))
+    if bad:
+        r, name = min(bad, key=lambda b: b[0])
+        raise SimulationDiverged(f"recorded estimate {name} not finite at "
+                                 f"t={r * dec * Ts:.6f}")
+
+
 def run(cfg: ScenarioConfig, columns=None) -> Trace:
     """Simulate one scenario; one record per `decimation` steps.
 
@@ -462,6 +494,10 @@ def run(cfg: ScenarioConfig, columns=None) -> Trace:
     and `theta_wrapped` are filled from `record_times` and theta once the
     loop ends.  A scenario whose per-phase tables or per-step arrays cannot be
     allocated raises ValueError ("scenario too large") before any step.
+    A recorded theta_hat, omega_hat, yv1 or yv2 that is not finite raises
+    SimulationDiverged once the loop ends, naming the column and the time
+    of its first such record; the loop's own bound check, on the currents,
+    stops a closed loop that such an estimate drives off.
     """
     cols = list(columns) if columns is not None else list(TRACE_COLUMNS)
     for c in cols:
@@ -613,6 +649,7 @@ def run(cfg: ScenarioConfig, columns=None) -> Trace:
         # the closer writes its state back, also when the run diverges
         if closing is not None:
             closing.close()
+    _check_estimates(rec, estimators, dec, Ts)
     if "t" in rec:
         rec["t"][:] = record_times(cfg)
     if "theta_wrapped" in rec:

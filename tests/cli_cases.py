@@ -372,8 +372,8 @@ CASES = [
     Case("test_invalid_config_is_config_error", None, "run",
          scenario="[motor]\nn_p = 6\n", err="missing required key"),
     Case("test_invalid_scenario_value_is_one_line", None, "run",
-         scenario=FAST + "\n[estimator]\nomega_star = -1\n",
-         err="omega_star"),
+         scenario=FAST + "\n[estimator]\nlambda_ell = -1\n",
+         err="lambda_ell"),
     # the LTI high pass sits at omega_h; at N = 2 steps per probe period
     # omega_h*Ts = pi breaks its prewarp, a config error only where the LTI
     # chain is built, naming the keys that set omega_h*Ts
@@ -410,19 +410,22 @@ CASES = [
     ], scenario=DRIVEN.replace("duration = 2.0", "duration = 0.05")),
     # -- faults that fuzzing the verbs' flags found ------------------------
     # G_d at a d*omega that underflows was a 0/0: numpy warnings and a NaN
-    # row; G_d and the high pass are -inf dB there, the low pass finite
+    # row; then G_d and the high pass were -inf dB there, the high pass at
+    # a phase of 0 deg, not 180; every table is finite
     Case("test_flag_fuzz_case", "bode-omega-min-5e-324",
          "bode --omega-min 5e-324 --points 5", scenario=FAST, outcome="pass",
-         artifacts=("bode_lpf.csv",)),
-    # an unstable gradient flow (gamma 1e4 at a 0.05 s probe, N = 4) whose
-    # replayed estimates overflow: inf - inf, warnings and a NaN deviation
+         artifacts=_BODE),
+    # an unstable gradient flow (gamma 1e4 at a 0.05 s probe, N = 4), whose
+    # replayed estimates overflowed (inf - inf, warnings and a NaN
+    # deviation), then ended in an abort at t = 22.975; its sampled flow
+    # does not contract, which makes its gain a config error
     Case("test_flag_fuzz_case", "equivalence-overflow",
          "equivalence --duration 50",
          scenario=FAST + "\n[injection]\nepsilon = 0.05\n",
          edits=[("decimation = 5", "decimation = 5\nsteps_per_period = 4")],
-         outcome="abort",
-         err="simulation aborted: replayed estimate not finite at "
-             "t=22.975000\n"),
+         err="config error: case.scenario: gamma_alpha = 10000 does not "
+             "contract the demodulator's sampled flow: the sum of "
+             "log|1 - Ts*gamma*S_j^2| over a probe period is 1.55 >= 0\n"),
     # -- the shipped scenarios, each run briefly where it runs -----------
     *[Case("test_shipped_scenario_case", f"bode-{name}", "bode",
            scenario=shipped(name), outcome="pass", artifacts=_BODE)
@@ -469,13 +472,19 @@ CASES = [
         # a mode key, which a [drive] section would contradict
         ("mode", "run", {
             "edits": [("[simulation]", "[simulation]\nmode = driven")],
-            "err": "config error: case.scenario:31: unknown key 'mode' in "
+            "err": "config error: case.scenario:30: unknown key 'mode' in "
                    "section [simulation]\n"}),
         # the LTI chain's high pass sits at omega_h, the one corner at which
         # its read-out scale and demodulation phase hold: lambda_h is no key
         ("lambda_h", "run", {
             "edits": [("[estimator]", "[estimator]\nlambda_h = 3000")],
             "err": "config error: case.scenario:18: unknown key 'lambda_h' "
+                   "in section [estimator]\n"}),
+        # lambda_ell is the one setting of the LTI chain's low-pass corner,
+        # whose default max(sqrt(0.5*omega_h), 1) has no key of its own
+        ("omega_star", "run", {
+            "edits": [("[estimator]", "[estimator]\nomega_star = 0.5")],
+            "err": "config error: case.scenario:18: unknown key 'omega_star' "
                    "in section [estimator]\n"}),
         # a pole-pair count that a float does not hold
         ("n_p", "run", {"edits": [("n_p = 6", "n_p = 1" + "0" * 330)],
@@ -503,6 +512,21 @@ CASES = [
             "artifacts": _TRACE}),
         # the compensation fit, through the new pipeline's constructor
         ("calibrate", "calibrate", {"outcome": "pass"}),
+        # an estimate that overflows: the run used to pass with 241 of its
+        # 251 prop_yv1 records not finite
+        ("ell1-overflow", "run", {
+            "edits": [("duration = 10.0", "duration = 0.05"),
+                      ("[estimator]", "[estimator]\nell1 = 1e308")],
+            "outcome": "abort",
+            "err": "simulation aborted: recorded estimate prop_yv1 not "
+                   "finite at t=0.002000\n"}),
+        # a gain whose sampled flow cannot contract: the run used to pass
+        # with prop_yv1 and prop_yv2 not finite from record 25 on
+        ("gamma-1e9", "run", {
+            "edits": [("duration = 10.0", "duration = 0.05"),
+                      ("gamma_alpha = 1e4", "gamma_alpha = 1e9")],
+            "err": "config error: case.scenario: gamma_alpha = 1e+09 does "
+                   "not contract the demodulator's sampled flow"}),
     ], scenario=shipped("driven_lowspeed")),
     *_rows("test_shipped_scenario_case", [
         # a driven speed ramp

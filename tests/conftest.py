@@ -5,10 +5,15 @@ from pathlib import Path
 
 import pytest
 
-from hfsense.motor import SIM_MOTOR, BENCH_MOTOR
+from hfsense.config import load_scenario
 from hfsense.signal_ops import InjectionConfig, sample_period
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+
+# the two machines, as the shipped scenarios define them: the simulated
+# one (six pole pairs) and the bench one (three pole pairs)
+SIM_MOTOR = load_scenario(SCENARIO_DIR / "lowspeed.scenario").motor
+BENCH_MOTOR = load_scenario(SCENARIO_DIR / "reversal.scenario").motor
 
 
 @pytest.fixture(scope="session")

@@ -26,7 +26,7 @@ from hfsense.experiments import (
     steady_lag_limits,
     sweep,
 )
-from hfsense.motor import SIM_MOTOR, virtual_output
+from hfsense.motor import virtual_output
 from hfsense.signal_ops import (
     TWO_PI,
     InjectionConfig,
@@ -37,7 +37,7 @@ from hfsense.signal_ops import (
 )
 from hfsense.sim import DriveProfile, run
 
-from conftest import SCENARIO_DIR
+from conftest import SCENARIO_DIR, SIM_MOTOR
 from oracles import HighPass2, LowPass1, Regressor, unwrapped_phase_at
 
 SWEEP_FREQS = [500.0, 1000.0, 2000.0]

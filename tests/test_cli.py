@@ -300,16 +300,35 @@ _FUZZ_TIMES = {"equivalence": {"duration": 0.5, "epsilon": 0.05,
                                "gamma": 200}}
 _FUZZ_MODES = ["[controller]\nsensor_mode = true\n",
                "[drive]\nprofile = constant\nomega = 1000\n"]
+# values that fit the 4 ms fuzz scenario, so that the windowed verbs get
+# past their window and band checks: window ends after its 0.2 ms warm-up,
+# probe frequencies whose warm-up (2/f) ends by the earliest t1, and bands
+_FITTING = {"--t1": ["0.001", "0.002"], "--t2": ["0.003", "0.004"],
+            "--frequencies": ["2000", "5000", "10000"],
+            "--band-proposed": ["0", "3"], "--band-conventional": ["0", "3"],
+            "--slope-band": ["-9", "9"], "--ratio-band": ["0", "9"]}
 
 
 def _flag_words(draw, flags, required):
     """Each of the flags, or not where it is not required, as
-    --flag=value with values drawn from EXTREMES."""
+    --flag=value with values drawn from EXTREMES; in half the examples,
+    each flag of _FITTING instead, with its values: a band in order, and
+    at least the two frequencies an order fit needs."""
+    fit = draw(st.booleans())
     words = []
     for flag, join in flags.items():
         n = {None: 1, ":": 2, ",": draw(st.integers(1, 3))}[join]
-        values = st.lists(st.sampled_from(EXTREMES), min_size=n, max_size=n)
-        values = draw(values if flag in required else st.none() | values)
+        if fit and flag in _FITTING:
+            n = max(n, 2) if join == "," else n
+            values = draw(st.lists(st.sampled_from(_FITTING[flag]),
+                                   min_size=n, max_size=n, unique=True))
+            if join == ":":
+                values.sort(key=float)
+        else:
+            values = st.lists(st.sampled_from(EXTREMES), min_size=n,
+                              max_size=n)
+            values = draw(values if flag in required
+                          else st.none() | values)
         if values is not None:
             words.append(f"{flag}={(join or '').join(values)}")
     return words

@@ -10,9 +10,9 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from cli_cases import EXTREMES, main_outcome
+from conftest import SIM_MOTOR
 from hfsense.cli import EXIT_CONFIG, main
 from hfsense.config import _SCHEMA, ConfigError, load_scenario, parse_kv_file
-from hfsense.motor import SIM_MOTOR
 from hfsense.signal_ops import InjectionConfig
 from hfsense.sim import ScenarioConfig
 
@@ -80,6 +80,8 @@ def test_unknown_key_reports_line(tmp_path):
         ("[simulation]\nsteps_per_period = 10\nTs = 2e-5\n",
          r":10: unknown key 'Ts'"),
         ("[load]\nkind = constant\n", r":8: unknown section \[load\]"),
+        # lambda_ell is the one way to set the LTI chain's corner
+        ("[estimator]\nomega_star = 0.5\n", r":9: unknown key 'omega_star'"),
     ]:
         p = _write(tmp_path, MINIMAL + text)
         with pytest.raises(ConfigError, match=message):
@@ -123,7 +125,6 @@ def test_key_outside_section(tmp_path):
     ("[estimator]\nell1 = 0", "ell1"),
     ("[estimator]\nell3 = 0", "ell3"),
     ("[estimator]\nlambda_ell = 0.5", "lambda_ell"),
-    ("[estimator]\nomega_star = -1", "omega_star"),
     ("[controller]\nmeas_lpf_cutoff = 0", "meas_lpf_cutoff"),
     ("[controller]\nv_limit = -5", "v_limit"),
     ("[controller]\ni_q_limit = 0", "i_q_limit"),
@@ -176,20 +177,23 @@ def test_integer_and_shape_fields_are_rejected_through_replace(key, value,
 
 def test_corner_resolves_default_and_rejects_bad_values():
     """ScenarioConfig.corner is the one place that resolves the LTI chain's
-    one corner, lambda_ell = max(sqrt(omega_h * omega_star), 1); the
-    chain's high pass sits at omega_h and has no setting."""
+    one corner, lambda_ell = max(sqrt(omega_h * 0.5), 1); the chain's high
+    pass sits at omega_h and has no setting, and lambda_ell is the corner's
+    one setting."""
     cfg = ScenarioConfig(SIM_MOTOR, InjectionConfig(V_h=1.0, epsilon=1e-3))
     omega_h = cfg.injection.omega_h
     assert cfg.corner == pytest.approx(math.sqrt(omega_h * 0.5))
-    # the corner never drops below 1 rad/s
-    assert replace(cfg, omega_star=0.0).corner == 1.0
+    # the corner never drops below 1 rad/s: here sqrt(omega_h * 0.5) = 0.56
+    slow = replace(cfg, estimator="conventional", duration=100.0,
+                   injection=InjectionConfig(V_h=1.0, epsilon=10.0))
+    assert slow.corner == 1.0
     assert replace(cfg, lambda_ell=80.0).corner == 80.0
-    for key, value in [("lambda_ell", 0.5), ("lambda_ell", math.nan),
-                       ("omega_star", math.inf)]:
+    for key, value in [("lambda_ell", 0.5), ("lambda_ell", math.nan)]:
         with pytest.raises(ValueError, match=key):
             replace(cfg, **{key: value})
-    with pytest.raises(TypeError, match="lambda_h"):
-        replace(cfg, lambda_h=omega_h)
+    for key in ("lambda_h", "omega_star"):
+        with pytest.raises(TypeError, match=key):
+            replace(cfg, **{key: 0.5})
 
 
 @pytest.mark.parametrize("lines,message", [
@@ -214,7 +218,7 @@ def test_unusable_step_size_or_count_is_config_error(tmp_path, capsys, lines,
 _STEP_KEYS = [("injection", "epsilon"), ("injection", "V_h"),
               ("simulation", "steps_per_period"), ("simulation", "duration"),
               ("simulation", "decimation"), ("estimator", "kind"),
-              ("estimator", "lambda_ell"), ("estimator", "omega_star")]
+              ("estimator", "lambda_ell")]
 
 
 @settings(max_examples=300, deadline=None,

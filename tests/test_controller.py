@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hfsense.controller import ControllerConfig, SensorlessController
-from hfsense.motor import SIM_MOTOR
 from hfsense.signal_ops import InjectionConfig
 from hfsense.sim import DriveProfile, ScenarioConfig, run
+from conftest import SIM_MOTOR
 from oracles import LowPass1, Pi, frame_rotate
 
 finite = st.floats(-1e3, 1e3, allow_nan=False)

@@ -12,24 +12,27 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hfsense import estimators
+from hfsense.config import load_scenario
 from hfsense.estimators import (
     ConventionalEstimator,
     BlockFormEstimator,
     Pll,
     ProposedEstimator,
     _RINT,
+    check_contraction,
     fit_compensation,
     rmsd,
     synthesize_injection_current,
     wrap_mod_pi,
 )
-from hfsense.motor import SIM_MOTOR, virtual_output
+from hfsense.motor import virtual_output
 from hfsense.signal_ops import (
     TWO_PI,
     InjectionConfig,
     probe_signal,
     sample_period,
 )
+from conftest import SIM_MOTOR
 from oracles import (
     DegenerateSignalError,
     HighPass2,
@@ -43,8 +46,8 @@ angles = st.floats(-30.0, 30.0, allow_nan=False)
 
 
 def _lambda_ell(inj):
-    """The LTI chain's corner ScenarioConfig resolves by default at
-    omega_star = 0.5: lambda_ell = sqrt(omega_h * 0.5)."""
+    """The LTI chain's corner that ScenarioConfig resolves by default:
+    lambda_ell = sqrt(omega_h * 0.5)."""
     return math.sqrt(inj.omega_h * 0.5)
 
 
@@ -261,6 +264,54 @@ def test_ell_validation(sim_motor, inj, Ts, N):
             ProposedEstimator(sim_motor, inj, N, *gammas)
 
 
+def _log_gain(table):
+    """sum log|a_j| of a demodulator's per-phase table, from the table."""
+    return sum(math.log(abs(a)) for a, _ in table)
+
+
+def test_gain_whose_flow_cannot_contract_is_rejected(sim_motor, inj, N,
+                                                     scenario_dir):
+    """A gain is rejected where the update's product of a_j over a probe
+    period has a magnitude of at least 1, on either axis and in either
+    form, and through ScenarioConfig under its own key.  The boundary is
+    found by bisecting the table's sum log|a_j| between 4e6 (-32.1 on the
+    lowspeed table) and 1e7 (+11.7)."""
+    est = ProposedEstimator(sim_motor, inj, N)
+    lo, hi = 4e6, 1e7
+    assert _log_gain(est._phase_table(lo)) < 0.0 <= _log_gain(
+        est._phase_table(hi))
+    while math.nextafter(lo, hi) != hi:
+        mid = 0.5 * (lo + hi)
+        if _log_gain(est._phase_table(mid)) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    cfg = load_scenario(scenario_dir / "lowspeed.scenario")
+    for form in (ProposedEstimator, BlockFormEstimator):
+        form(sim_motor, inj, N, lo, lo)
+        for key, gammas in (("gamma_alpha", (hi, lo)),
+                            ("gamma_beta", (lo, hi))):
+            with pytest.raises(ValueError, match=f"^{key} = .* does not "
+                               "contract the demodulator's sampled flow"):
+                form(sim_motor, inj, N, *gammas)
+    replace(cfg, gamma_alpha=lo, gamma_beta=lo)
+    for key in ("gamma_alpha", "gamma_beta"):
+        with pytest.raises(ValueError, match=f"^{key} = "):
+            replace(cfg, **{key: hi})
+    # a scenario that runs the LTI chain alone leaves the gains unchecked
+    replace(cfg, estimator="conventional", gamma_alpha=hi)
+
+
+def test_zero_decay_factor_contracts():
+    """A zero a_j resets the state once per period: it contracts, however
+    large the other factors."""
+    check_contraction("gamma_alpha", 1.0, [(0.0, 1.0), (-1e300, 1.0)])
+    with pytest.raises(ValueError, match=r"is 691 >= 0"):
+        check_contraction("gamma_alpha", 1.0, [(1.0, 1.0), (-1e300, 1.0)])
+    with pytest.raises(ValueError, match=r"is nan >= 0"):
+        check_contraction("gamma_beta", 1.0, [(math.nan, 1.0)])
+
+
 def test_block_form_matches_operator_form(sim_motor, inj, Ts, N):
     """Short cross-check of the two implementations of the same pipeline
     (the acceptance suite runs the long version), from carrier phase 23."""
@@ -473,6 +524,25 @@ def test_pll_tracks_ramp():
     assert pll.omega_hat == pytest.approx(omega_e / 6.0, rel=0.02)
     with pytest.raises(ValueError):
         Pll(0.0, 0.01, 6)
+
+
+def test_inline_pll_checks_its_gains_without_the_oracle(sim_motor, inj, N,
+                                                         monkeypatch):
+    """Each estimator takes its PLL's constants from `_pll_parts`, which
+    checks the gains itself: no estimator builds a `Pll`."""
+    def no_pll(*args, **kwargs):
+        raise AssertionError("an estimator built a Pll")
+
+    monkeypatch.setattr(estimators, "Pll", no_pll)
+    forms = [lambda g: ProposedEstimator(sim_motor, inj, N, pll_gains=g),
+             lambda g: ConventionalEstimator(sim_motor, inj, N, 30.0,
+                                             pll_gains=g)]
+    for make in forms:
+        make(GAINS)
+        for gains in ((0.0, 0.01), (5.0, math.inf), (math.nan, 0.01)):
+            with pytest.raises(ValueError, match="^PLL gains must be "
+                               "positive and finite$"):
+                make(gains)
 
 
 # a PLL as sim.run gives each estimator

@@ -21,11 +21,10 @@ from hfsense.experiments import (
     steady_lag_limits,
     sweep,
 )
-from hfsense.motor import SIM_MOTOR
 from hfsense.signal_ops import InjectionConfig, lpf_frequency_response
 from hfsense.sim import DriveProfile, ScenarioConfig, Trace, TRACE_COLUMNS
 
-from conftest import SCENARIO_DIR
+from conftest import SCENARIO_DIR, SIM_MOTOR
 
 
 def test_import_leaves_process_pool_out():
@@ -308,6 +307,20 @@ def test_equivalence_follows_estimator_phase():
     inj = InjectionConfig(V_h=1.0, epsilon=1e-3, phi_p=0.7)
     res = equivalence_deviation(SIM_MOTOR, inj, duration=0.1)
     assert res["max_rel_yv_deviation"] <= 1e-9
+
+
+def test_replays_reject_a_gain_whose_flow_cannot_contract():
+    """equivalence and calibrate build the new pipeline, which rejects a
+    gain whose sampled flow cannot contract (sum log|a_j| = +11.7 at 1e7
+    on this table), also where the scenario runs the LTI chain alone and
+    so left the gains unchecked."""
+    inj = InjectionConfig(V_h=1.0, epsilon=1e-3)
+    with pytest.raises(ValueError, match="^gamma_alpha = 1e\\+07 does not"):
+        equivalence_deviation(SIM_MOTOR, inj, duration=0.01, gamma=1e7)
+    cfg = _cfg(drive=DriveProfile("constant", omega=0.5), duration=0.5,
+               estimator="conventional", gamma_beta=1e7)
+    with pytest.raises(ValueError, match="^gamma_beta = 1e\\+07 does not"):
+        calibrate(cfg)
 
 
 def test_calibrate_requires_constant_drive():

@@ -10,14 +10,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hfsense.motor import (
-    BENCH_MOTOR,
-    SIM_MOTOR,
     MotorParams,
     driven_step_tables,
     rk4_constants,
     rk4_step,
     virtual_output,
 )
+from conftest import BENCH_MOTOR, SIM_MOTOR
 from oracles import (
     derivative_scalars,
     driven_step_bound,

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hfsense.estimators import ProposedEstimator
-from hfsense.motor import SIM_MOTOR, virtual_output
+from hfsense.motor import virtual_output
 from hfsense.signal_ops import (
     TWO_PI,
     InjectionConfig,
@@ -26,6 +26,7 @@ from hfsense.signal_ops import (
     sample_period,
 )
 from hfsense.sim import ScenarioConfig, _probe_tables
+from conftest import SIM_MOTOR
 from oracles import HighPass2, LowPass1, Regressor, unwrapped_phase_at
 
 finite = st.floats(-1e6, 1e6, allow_nan=False)
@@ -392,12 +393,42 @@ def test_hpf_response_stays_finite_at_high_frequency():
     h = hpf_frequency_response(TWO_PI * 1000.0, omega)
     assert np.isfinite(h).all()
     assert h[-1] == pytest.approx(2.0, rel=1e-15)
-    assert np.isfinite(bode_table(h, omega)).all()
+    assert np.isfinite(bode_table(hpf_frequency_response(
+        TWO_PI * 1000.0, omega, log=True), omega)).all()
+
+
+def test_bode_tables_finite_with_low_frequency_limits():
+    """From 5e-324 to 1e300 rad/s each table is finite, where G_d and the
+    high pass underflow at the low end: there the high pass sits at 180
+    deg and G_d rises at 40 dB/decade with phase 0; the high pass tends
+    to 2 (6.02 dB, 0 deg) and the low pass to -90 deg at the high end."""
+    omega = np.logspace(math.log10(5e-324), 300.0, 9)
+    d, lam = 1e-3, TWO_PI * 1000.0
+    gd, hpf, lpf = (bode_table(r, omega) for r in (
+        gd_frequency_response(d, omega, log=True),
+        hpf_frequency_response(lam, omega, log=True),
+        lpf_frequency_response(30.0, omega, log=True)))
+    for tab in (gd, hpf, lpf):
+        assert np.isfinite(tab).all()
+    low = omega < 1e-100
+    assert np.all(hpf[low, 2] == pytest.approx(180.0, abs=1e-12))
+    slope = np.diff(gd[low, 1]) / np.diff(np.log10(omega[low]))
+    assert slope == pytest.approx(40.0, rel=1e-9)
+    assert np.all(np.abs(gd[low, 2]) < 1e-12)
+    assert hpf[-1, 1] == pytest.approx(20.0 * math.log10(2.0), rel=1e-12)
+    assert hpf[-1, 2] == 0.0 and lpf[-1, 2] == -90.0
+    # the same values as the responses themselves where these are normal
+    mid = (omega > 1e-100) & (omega < 1e100)
+    for log_r, r in [(gd_frequency_response(d, omega[mid], log=True),
+                      gd_frequency_response(d, omega[mid])),
+                     (hpf_frequency_response(lam, omega[mid], log=True),
+                      hpf_frequency_response(lam, omega[mid]))]:
+        assert np.exp(log_r) == pytest.approx(r, rel=1e-12)
 
 
 def test_bode_table_layout():
     omega = np.logspace(0, 4, 50)
-    tab = bode_table(lpf_frequency_response(10.0, omega), omega)
+    tab = bode_table(lpf_frequency_response(10.0, omega, log=True), omega)
     assert tab.shape == (50, 3)
     assert tab[0, 1] == pytest.approx(0.0, abs=0.1)   # DC ~ 0 dB
     assert np.all(np.diff(tab[:, 2]) <= 1e-9)         # phase falls monotonically

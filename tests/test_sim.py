@@ -17,7 +17,6 @@ from hfsense.estimators import (
     ProposedEstimator,
     rmsd,
 )
-from hfsense.motor import SIM_MOTOR
 from hfsense.signal_ops import TWO_PI, InjectionConfig
 from hfsense.sim import (
     ESTIMATOR_KINDS,
@@ -30,7 +29,7 @@ from hfsense.sim import (
     run,
 )
 
-from conftest import SCENARIO_DIR
+from conftest import SCENARIO_DIR, SIM_MOTOR
 from oracles import (
     drive_angle_integral,
     drive_omega_at,
@@ -91,6 +90,22 @@ def test_divergence_inside_a_step_is_reported():
     with pytest.raises(SimulationDiverged,
                        match=r"from t=\d+\.\d{6}: math domain error"):
         run(cfg)
+
+
+@pytest.mark.parametrize("drive", [None, DriveProfile("constant", omega=0.5)],
+                         ids=["closed_loop", "driven"])
+def test_non_finite_recorded_estimate_is_reported(drive):
+    """An estimate that overflows (ell1 = 1e308 scales yv1 past the float
+    range) aborts the run once it ends, naming the first recorded column
+    and time at which it is not finite; its angle, the atan2 of an
+    infinity, stays finite.  The check reads the recorded columns only."""
+    cfg = _cfg(drive=drive, duration=0.05, ell=(1e308, 0.0, 1.0))
+    with pytest.raises(SimulationDiverged,
+                       match=r"^recorded estimate prop_yv1 not finite at "
+                             r"t=0\.002000$"):
+        run(cfg)
+    tr = run(cfg, ["t", "prop_theta_hat", "prop_yv2", "conv_yv1"])
+    assert np.isfinite(tr.prop_theta_hat).all()
 
 
 def test_noisy_run_passes_python_floats(monkeypatch):
