@@ -125,6 +125,8 @@ def test_key_outside_section(tmp_path):
     ("[estimator]\nell1 = 0", "ell1"),
     ("[estimator]\nell3 = 0", "ell3"),
     ("[estimator]\nlambda_ell = 0.5", "lambda_ell"),
+    # omega_star is no longer a key: rejected as unknown, with its name
+    ("[estimator]\nomega_star = -1", "omega_star"),
     ("[controller]\nmeas_lpf_cutoff = 0", "meas_lpf_cutoff"),
     ("[controller]\nv_limit = -5", "v_limit"),
     ("[controller]\ni_q_limit = 0", "i_q_limit"),
