@@ -45,9 +45,10 @@ Python floats.  The LTI chain's `step` runs its kernel.  The new pipeline's
 `step` runs the warm-up samples on its kernel; if at least m = 2N samples
 (the hold window) follow and the run reads as float64 arrays, they run as
 array operations with the kernel's floats, all but the demodulator
-recurrences and the PLL (`ProposedEstimator._warm_block`).  A shorter run
-steps on the kernel.  The biquad and the low passes of the LTI chain feed
-back on their own output (IIR), so they have no such form.
+recurrences and the PLL (`ProposedEstimator._warm_block`), in pieces
+that end at a rebase of the regressor's sums or after `_PIECE` samples.
+A shorter run steps on the kernel.  The biquad and the low passes of the
+LTI chain feed back on their own output (IIR), so they have no such form.
 
 The kernels are fused: the delay/hold regressor, filters, centre and
 radius check, angle recovery and PLL run inline on float state.  Each
@@ -121,7 +122,7 @@ def window_mask(t, t1: float, t2: float) -> np.ndarray:
 # steps between exact rebuilds (math.fsum) of the regressor's running sums,
 # which bounds their floating-point drift on long runs
 _REBASE_EVERY = 1 << 16
-# samples per array pass of a block run's regressor (`ProposedEstimator.step`)
+# the most samples in one array pass of a block run (`ProposedEstimator.step`)
 _PIECE = 1 << 14
 
 
@@ -208,10 +209,11 @@ class ProposedEstimator:
         A run shorter than m = 2N samples steps on the kernel, a numpy run
         as Python floats.  A longer one whose sequences read as float64
         arrays steps its warm-up samples on the kernel, and if at least m
-        samples follow, those run as arrays (`_warm_block`, over pieces of
-        at least m samples), all but the demodulator recurrences and the
-        PLL, with the kernel's floats; a piece whose result the arrays
-        cannot vouch for steps on the kernel.
+        samples follow, those run as arrays (`_warm_block`, in pieces that
+        end at a rebase of the regressor's sums or after `_PIECE` samples),
+        all but the demodulator recurrences and the PLL, with the kernel's
+        floats; a piece whose result the arrays cannot vouch for steps on
+        the kernel.
         """
         n, m = len(i_alpha), self._k[1]
         if n >= m and len(i_beta) == n:
@@ -222,11 +224,11 @@ class ProposedEstimator:
                 a = cold if n - cold >= m else n
                 if a:
                     self._kernel_run(k0, ia[:a], ib[:a], out, dec)
-                # pieces bound the arrays' memory on long runs; the last
-                # takes a remainder shorter than m
-                piece = max(m, _PIECE)
+                # a piece ends at the run's end, after _PIECE samples (which
+                # bounds the arrays' memory) or at the regressor's next
+                # rebase, whichever comes first
                 while a < n:
-                    b = a + piece if n - a - piece >= m else n
+                    b = min(n, a + _PIECE, a + self._s[4])
                     # a piece steps on the kernel, from its state unchanged,
                     # where the arrays cannot vouch for it; a NaN angle stays
                     # NaN, which no branch count matches, so once the angle
@@ -248,15 +250,17 @@ class ProposedEstimator:
 
     def _warm_block(self, k0: int, ia: np.ndarray, ib: np.ndarray, out,
                     dec: int) -> bool:
-        """A warm run of n >= m samples as array operations, all but the
+        """A warm piece of samples as array operations, all but the
         demodulator recurrences and the PLL, with the kernel's floats; or
-        False, with nothing changed, where the kernel must step it.
+        False, with nothing changed, where the kernel must step it.  The
+        regressor's sums rebase at most at the piece's last sample, as
+        `step` cuts its pieces.
 
         The delay/hold regressor has finite memory, so its outputs are
         array operations on the last m inputs and increments (the rings,
-        in time order) and the run's: each running sum is the kernel's
-        (s - leaving) + entering, one add.accumulate per stretch between
-        rebases, and a rebase takes math.fsum of the window.  Each axis's
+        in time order) and the piece's: each running sum is the kernel's
+        (s - leaving) + entering, one add.accumulate, and a rebase at the
+        last sample takes math.fsum of the window.  Each axis's
         demodulator is a recurrence, one Python loop.  The rest is static
         maps in the kernel's operation order, which numpy rounds as Python
         floats do, but for math.hypot near r_min and math.atan2, whose last
@@ -293,25 +297,19 @@ class ProposedEstimator:
             inc[:, m:] = 0.5 * (u[:, m - 1:-1] + u[:, m:])
             # the sum after sample j; sample j's increment leaves the window
             # at sample j + m
-            s = np.empty((2, n))
-            seed, a, left = (sa, sb), 0, rebase_in
-            while a < n:
-                b = min(n, a + left)
-                z = np.empty((2, 2 * (b - a) + 1))
-                z[:, 0] = seed
-                # not np.negative(x, out=z[:, 1::2]): numpy 2.4.6 reads the
-                # wrong element of x's second row when x is (2, 1) with its
-                # rows 8 floats apart (N = 2, a run of m samples)
-                z[:, 1::2] = -inc[:, a:b]
-                z[:, 2::2] = inc[:, m + a:m + b]
-                s[:, a:b] = np.add.accumulate(z, axis=1)[:, 2::2]
-                if b - a == left:  # sample b - 1 rebuilds the sums
-                    try:
-                        s[:, b - 1] = [math.fsum(w.tolist())
-                                       for w in inc[:, b:b + m]]
-                    except (ValueError, OverflowError):
-                        return False
-                seed, a, left = s[:, b - 1], b, rebase
+            z = np.empty((2, 2 * n + 1))
+            z[:, 0] = sa, sb
+            # not np.negative(x, out=z[:, 1::2]): numpy 2.4.6 reads the
+            # wrong element of x's second row when x is (2, 1) with its
+            # rows 8 floats apart
+            z[:, 1::2] = -inc[:, :n]
+            z[:, 2::2] = inc[:, m:]
+            s = np.add.accumulate(z, axis=1)[:, 2::2]
+            if n == rebase_in:  # the last sample rebuilds the sums
+                try:
+                    s[:, -1] = [math.fsum(w.tolist()) for w in inc[:, n:]]
+                except (ValueError, OverflowError):
+                    return False
             yf = u[:, m - N:m - N + n] - s / m
             # the phase table repeated over the run from phase k0 mod N: a_j
             # of each axis as a list, c_j*yf of each as an array
@@ -374,7 +372,7 @@ class ProposedEstimator:
             w = row[n:].tolist()
             ring[:] = w[m - j:] + w[:m - j]
         sa, sb = s[:, -1].tolist()
-        self._s = (j, sa, sb, 0, (rebase_in - n - 1) % rebase + 1,
+        self._s = (j, sa, sb, 0, rebase_in - n or rebase,
                    x_al[-1].item(), x_be[-1].item(), eta1, eta2)
         self.theta_hat, self.omega_hat = theta[-1].item(), om[-1].item()
         self.yv1, self.yv2 = y1[-1].item(), y2[-1].item()

@@ -702,6 +702,44 @@ def test_short_block_runs_across_frequent_rebases_equal_the_resident_kernel(
     assert _state(est) == _state(resident)
 
 
+@pytest.mark.parametrize("form", ["proposed", "block_form"])
+def test_block_run_pieces_end_at_a_rebase_or_after_piece_samples(
+        form, inj, Ts, N, monkeypatch):
+    """One numpy run with a rebase of the regressor's sums every 333
+    samples and pieces of at most 128: each `_warm_block` call takes at
+    most _PIECE samples and no more than are left to the next rebase, so
+    the sums rebase at most at its last sample.  Some pieces end at a
+    rebase, some after _PIECE samples, and together they take every warm
+    sample as arrays.  Rows and state equal the resident kernel's, with
+    ==."""
+    monkeypatch.setattr(estimators, "_REBASE_EVERY", 333)
+    monkeypatch.setattr(estimators, "_PIECE", 128)
+    pieces = []  # (samples, samples left to the next rebase, as arrays)
+    warm_block = ProposedEstimator._warm_block
+
+    def spy(est, k0, ia, ib, out, dec):
+        left = est._s[4]
+        pieces.append((len(ia), left, warm_block(est, k0, ia, ib, out, dec)))
+        return pieces[-1][2]
+
+    monkeypatch.setattr(ProposedEstimator, "_warm_block", spy)
+    make = _forms(SIM_MOTOR, inj, N)[form]
+    k0, n = 37, 3100
+    ia, ib = _noisy_ripple(SIM_MOTOR, inj, Ts, k0, n)
+    resident, est = make(), make()
+    want, got = np.zeros((2, 5, k0 + n))
+    _resident(resident, k0, ia, ib, want, 1)
+    est.step(k0, np.array(ia), np.array(ib), got)
+    assert np.array_equal(got, want)
+    assert _state(est) == _state(resident)
+    assert all(size <= 128 and size <= left for size, left, _ in pieces)
+    assert any(size == left for size, left, _ in pieces)
+    assert any(size == 128 < left for size, left, _ in pieces)
+    # the warm-up, 2N + 1 samples, steps on the kernel
+    assert sum(size for size, _, _ in pieces) == n - (2 * N + 1)
+    assert all(arrays for _, _, arrays in pieces)
+
+
 def _same(a, b) -> bool:
     """a == b, nested through tuples, lists and arrays, a NaN equal to a
     NaN."""
