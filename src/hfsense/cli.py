@@ -37,14 +37,14 @@ from .signal_ops import (
     hpf_frequency_response,
     lpf_frequency_response,
 )
-from .sim import SimulationDiverged, run
+from .sim import _PIPELINES, SimulationDiverged, run
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_CONFIG = 2
 
 # compare-rmsd's output names (keys, --band-* flags), by trace prefix
-_PIPELINE_NAMES = {"prop": "proposed", "conv": "conventional"}
+_PIPELINE_NAMES = {ps[0]: k for k, ps in _PIPELINES.items() if len(ps) == 1}
 
 
 # flags whose value is a band lo:hi, which starts with "-" when lo < 0
@@ -139,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma-scale", type=float, default=None,
                    help="if set, gamma = gamma_scale/epsilon per point")
     p.add_argument("--slope-band", type=_band, default=(0.7, 1.3))
-    p.add_argument("--metric", choices=("rms", "ripple"), default="rms",
+    p.add_argument("--metric", choices=experiments.METRICS, default="rms",
                    help="rms: total steady error; ripple: oscillating part "
                         "only (use at standstill, where the error mean "
                         "converges faster than the carrier-leakage bound)")

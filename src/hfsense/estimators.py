@@ -55,11 +55,12 @@ radius check, angle recovery and PLL run inline on float state.  Each
 constructor builds its kernel's constants and initial state itself from
 N: Ts = epsilon/N from `signal_ops.sample_period`, the filter coefficients,
 the regressor's ring lists (delay N samples, hold window 2N), the PLL's
-gains and start from `_pll_parts`.  The kernels keep the arithmetic and
-operation order of the standalone operators, which are the oracles the
-kernels are tested against bit for bit: `Pll`, which no estimator builds,
-here, and `Regressor`, `HighPass2`, `LowPass1`, `locus_angle` and
-`virtual_output_to_angle` in tests/oracles.py.
+gains and start from `_pll_parts`, and its read-out constant, which must
+be a positive finite float (`_read_out`).  The kernels keep the
+arithmetic and operation order of the standalone operators, which are the
+oracles the kernels are tested against bit for bit: `Pll`, which no
+estimator builds, here, and `Regressor`, `HighPass2`, `LowPass1`,
+`locus_angle` and `virtual_output_to_angle` in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -165,7 +166,7 @@ class ProposedEstimator:
         # the same, as rows a_alpha, c_alpha, a_beta, c_beta over j, for
         # block runs
         self._tab = np.array(self._table).T.copy()
-        unit = self._state_per_output(params)
+        unit = _read_out(lambda: self._state_per_output(params))
         # seed the demodulators at the assumed initial angle so the loop
         # does not open on a transient pointing nowhere
         y10, y20 = virtual_output(params, theta0)
@@ -497,7 +498,7 @@ class ConventionalEstimator:
         demod = [math.sin(cfg.omega_h * j * Ts + cfg.phi) for j in range(N)]
         b0, b1, b2, a1, a2 = highpass_coefficients(cfg.omega_h, Ts)
         la, lb = lowpass_coefficients(lambda_ell, Ts)
-        scale = 2.0 * cfg.omega_h * params.det_L / cfg.V_h
+        scale = _read_out(lambda: 2.0 * cfg.omega_h * params.det_L / cfg.V_h)
         pll_k, pll_s = _pll_parts(pll_gains, params, Ts, theta0)
         # constants of one step, unpacked at once in the kernel
         self._k = (N, demod, b0, b1, b2, a1, a2, la, lb, scale,
@@ -741,6 +742,21 @@ def _row_targets(out, r0: int, r1: int):
     return rows if len(rows) == 5 else None
 
 
+def _read_out(derive) -> float:
+    """derive(), an estimator's read-out constant; ValueError, naming
+    the keys it derives from, unless it is a positive finite float (an
+    overflow or a division by 0 on the way gives none)."""
+    try:
+        value = derive()
+    except ArithmeticError:
+        value = math.nan
+    if not 0.0 < value < math.inf:
+        raise ValueError("V_h, L_d/L_q and epsilon put an estimator's "
+                         "read-out constant out of a float's range: it must "
+                         "be positive and finite")
+    return value
+
+
 def _pll_parts(pll_gains, params: MotorParams, Ts: float, theta0: float):
     """Constants (runs, K_p, K_i, n_p, Ts) and initial state (eta1, eta2)
     of an estimator's inline PLL with gains (K_p, K_i), which must be
@@ -808,8 +824,13 @@ def synthesize_injection_current(params: MotorParams, cfg: InjectionConfig,
     if theta.shape != t.shape:
         raise ValueError(f"theta has {theta.size} angles for {t.size} samples")
     d = params.det_L
-    y1 = (params.L0 - params.L1 * np.cos(2.0 * theta)) / d
-    y2 = (-params.L1 * np.sin(2.0 * theta)) / d
-    S = (-ripple_scale * cfg.V_h / TWO_PI) * np.cos(cfg.omega_h * t + phase_err)
     eps = cfg.epsilon
-    return np.column_stack([i_bar[0] + eps * y1 * S, i_bar[1] + eps * y2 * S])
+    # an overflow gives currents that are not finite, which the replays
+    # report, not a warning
+    with np.errstate(all="ignore"):
+        y1 = (params.L0 - params.L1 * np.cos(2.0 * theta)) / d
+        y2 = (-params.L1 * np.sin(2.0 * theta)) / d
+        S = ((-ripple_scale * cfg.V_h / TWO_PI)
+             * np.cos(cfg.omega_h * t + phase_err))
+        return np.column_stack([i_bar[0] + eps * y1 * S,
+                                i_bar[1] + eps * y2 * S])

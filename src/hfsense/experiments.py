@@ -61,6 +61,10 @@ def steady_angle_ripple(trace: Trace, prefix: str, t1: float, t2: float) -> floa
     return float(np.std(e))
 
 
+# the sweep's measures of an estimator's steady angle, by metric name
+METRICS = {"rms": steady_angle_error, "ripple": steady_angle_ripple}
+
+
 def steady_lag_limits(cfg: ScenarioConfig) -> dict:
     """Steady angle lag per trace prefix at the closed-loop reference speed.
 
@@ -92,20 +96,19 @@ def steady_lag_limits(cfg: ScenarioConfig) -> dict:
             "conv": 0.5 * math.atan(two_omega_e / cfg.corner)}
 
 
-def _measure(cfg: ScenarioConfig, metric: str, t1: float, t2: float) -> dict:
+def _measure(cfg: ScenarioConfig, fn, t1: float, t2: float) -> dict:
     trace = run(cfg)
-    fn = steady_angle_ripple if metric == "ripple" else steady_angle_error
     return {p: fn(trace, p, t1, t2) for p in cfg.pipelines}
 
 
 def sweep(configs: list[ScenarioConfig], metric: str, t1: float, t2: float,
           workers: int = 1) -> list[dict]:
-    """Per config, one run and the steady error ("rms") or ripple ("ripple")
+    """Per config, one run and the METRICS measure named `metric`
     over [t1, t2] of each estimator it carries, keyed "prop" and "conv".
     Every point is checked before any runs: it carries an estimator and the
     probe, and the window lies on its record grid after the warm-up.
     """
-    if metric not in ("rms", "ripple"):
+    if metric not in METRICS:
         raise ValueError(f"unknown sweep metric {metric!r}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -118,7 +121,7 @@ def sweep(configs: list[ScenarioConfig], metric: str, t1: float, t2: float,
         if t1 < cfg.warmup:
             raise ValueError(f"window [{t1:g}, {t2:g}] starts inside the "
                              f"{cfg.warmup:g} s estimator warm-up")
-    measure = partial(_measure, metric=metric, t1=t1, t2=t2)
+    measure = partial(_measure, fn=METRICS[metric], t1=t1, t2=t2)
     # one process per point at most: the pool forks all its workers at start
     workers = min(workers, len(configs))
     if workers <= 1:

@@ -5,7 +5,8 @@ and estimators.
 chain's one corner, lambda_ell (`corner` resolves its default; the high
 pass sits at omega_h), and rejects a non-finite float field, a step size or
 step count that is not a usable number, a drive whose electrical angle is
-not, a filter whose coefficients at that step size are not (the
+not or that comes with a load torque or start speed it would override, a
+filter whose coefficients at that step size are not (the
 controller's measurement low pass, and the LTI chain's pair when it runs),
 and, when the new pipeline runs, an adaptation gain whose sampled flow does
 not contract (`estimators.check_contraction`).
@@ -265,6 +266,12 @@ class ScenarioConfig:
         if self.duration <= self.warmup:
             raise ValueError("duration must exceed the operator warm-up")
         if self.drive is not None:
+            # a drive prescribes the speed, which no load or start speed moves
+            for key in ("load_torque", "omega0"):
+                if getattr(self, key) != 0.0:
+                    raise ValueError(f"{key} = {getattr(self, key):g} has no "
+                                     "effect on a driven run, whose drive "
+                                     "prescribes the speed")
             # the prescribed electrical angle at the run's ends and the ramp's
             d = self.drive
             ends = np.clip([0.0, d.t_ramp_start, d.t_ramp_end, self.duration],

@@ -215,6 +215,16 @@ _UNREAD = "--config unread.scenario --out o"
 _REVERSAL = ("profile = constant", "profile = reversal")
 _TRACE = ("trace.csv",)
 _BODE = ("bode_gd.csv", "bode_hpf.csv", "bode_lpf.csv")
+_READ_OUT = ("config error: V_h, L_d/L_q and epsilon put an estimator's "
+             "read-out constant out of a float's range")
+# a shipped motor with L_d*L_q = 1.8e-323, a subnormal
+_TINY_L = [("L_d = 5.74e-3", "L_d = 3e-162"),
+           ("L_q = 8.68e-3", "L_q = 6e-162")]
+# and a probe whose synthesized ripple overflows, at a gain that contracts
+_HUGE_RIPPLE = [*_TINY_L, ("V_h = 1.0", "V_h = 6.283e155"),
+                ("gamma_alpha = 1e4", "gamma_alpha = 5e-307"),
+                ("gamma_beta = 1e4", "gamma_beta = 5e-307"),
+                ("steps_per_period = 50", "steps_per_period = 4")]
 
 
 def _rows(test, rows, **common):
@@ -494,6 +504,17 @@ CASES = [
         # the high pass's response stays finite far above omega_h
         ("bode-omega-max-1e300", "bode --omega-max 1e300 --points 5",
          {"outcome": "pass", "artifacts": _BODE}),
+        # the block form's state per output, 0.5*(V_h/2pi)^2 in its
+        # divisor, overflows
+        ("read-out-block-form", "equivalence --duration 0.01", {
+            "edits": [("V_h = 1.0", "V_h = 1.5e155"),
+                      ("gamma_alpha = 1e4", "gamma_alpha = 8e-305"),
+                      ("gamma_beta = 1e4", "gamma_beta = 8e-305")],
+            "err": _READ_OUT}),
+        # the synthesized ripple overflows, with no numpy warning, before
+        # the read-out check above
+        ("read-out-synthesis", "equivalence --duration 0.01",
+         {"edits": _HUGE_RIPPLE, "err": _READ_OUT}),
     ], scenario=shipped("lowspeed")),
     *_rows("test_shipped_scenario_case", [
         # a ramp key on a constant drive profile
@@ -527,6 +548,26 @@ CASES = [
                       ("gamma_alpha = 1e4", "gamma_alpha = 1e9")],
             "err": "config error: case.scenario: gamma_alpha = 1e+09 does "
                    "not contract the demodulator's sampled flow"}),
+        # the LTI chain's read-out scale 2*omega_h*L_d*L_q/V_h underflows to
+        # 0, which its constructor divides by
+        ("read-out-lti", "run", {
+            "edits": [*_TINY_L, ("kind = both", "kind = conventional"),
+                      ("V_h = 1.0", "V_h = 1e10"),
+                      ("duration = 10.0", "duration = 0.05")],
+            "err": _READ_OUT}),
+        # a drive prescribes the speed, so a load torque or a start speed
+        # would be ignored
+        *[(f"{key}-under-drive", "run", {
+            "edits": [("[simulation]", f"[simulation]\n{key} = 0.5")],
+            "err": f"config error: case.scenario: {key} = 0.5 has no effect "
+                   "on a driven run, whose drive prescribes the speed\n"})
+          for key in ("load_torque", "omega0")],
+        # the synthesized ripple overflows: the fit's config error, with no
+        # numpy warning
+        ("synthesis-overflow", "calibrate", {
+            "edits": _HUGE_RIPPLE,
+            "err": "config error: virtual-output amplitudes nan, nan give "
+                   "compensation gains (nan, nan, nan)"}),
     ], scenario=shipped("driven_lowspeed")),
     *_rows("test_shipped_scenario_case", [
         # a driven speed ramp

@@ -120,9 +120,10 @@ def test_criterion_3_accuracy_orders(lowspeed_cfg):
     standstill sweep therefore measures the steady ripple (std-dev of the
     windowed error) rather than the total RMS.
     """
+    # a drive prescribes the speed: the scenario's load torque is dropped
     base = replace(lowspeed_cfg, estimator="both",
                    drive=DriveProfile(kind="constant", omega=0.5),
-                   duration=3.0, theta0=0.3)
+                   load_torque=0.0, duration=3.0, theta0=0.3)
     # gamma = 10/epsilon for the new pipeline; the LTI chain reads no gamma,
     # and driven estimators do not feed back, so one run serves both
     eps = [1.0 / f for f in SWEEP_FREQS]
@@ -133,7 +134,8 @@ def test_criterion_3_accuracy_orders(lowspeed_cfg):
                   for p in ("prop", "conv"))
     still = replace(lowspeed_cfg, estimator="conventional",
                     drive=DriveProfile(kind="constant", omega=0.0),
-                    lambda_ell=1.0, theta0=0.7, duration=20.0)
+                    load_torque=0.0, lambda_ell=1.0, theta0=0.7,
+                    duration=20.0)
     conv0 = frequency_sweep(still, SWEEP_FREQS, 14.0, 20.0, workers=3,
                             metric="ripple")
     ok_p = 0.7 <= prop <= 1.3

@@ -259,22 +259,44 @@ _FUZZ_BASE = {"motor": dict(line.split(" = ") for line in MINIMAL.split("\n")
 _FUZZ_DRIVE = {"profile": "reversal", "omega": "2.0", "omega_end": "-2.0",
                "t_ramp_start": "0.001", "t_ramp_end": "0.003"}
 _HUGE_N_P = {("motor", "n_p"): "1" + "0" * 330}
+# the inputs of the estimators' read-out constants and of the synthesized
+# ripple, two at once: a gamma_alpha sets gamma_beta too, as `equivalence`
+# needs
+_GAMMAS = ("estimator", "gamma_alpha"), ("estimator", "gamma_beta")
+_READ_OUTS = st.dictionaries(
+    st.sampled_from([("motor", "L_d"), ("motor", "L_q"), ("injection", "V_h"),
+                     ("injection", "epsilon"), _GAMMAS[0]]),
+    st.sampled_from(EXTREMES), min_size=2, max_size=2).map(
+        lambda v: {**v, _GAMMAS[1]: v[_GAMMAS[0]]} if _GAMMAS[0] in v else v)
+_RUN = "run"
+# 500 samples of the replay at the shipped probe
+_EQUIVALENCE = "equivalence --duration 0.01"
 
 
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(driven=st.booleans(), values=st.dictionaries(
-    st.sampled_from(_OTHER_KEYS), st.sampled_from(EXTREMES), max_size=3))
+@given(driven=st.booleans(), verb=st.sampled_from([_RUN, _EQUIVALENCE]),
+       values=st.dictionaries(st.sampled_from(_OTHER_KEYS),
+                              st.sampled_from(EXTREMES), max_size=3)
+       | _READ_OUTS)
 # an n_p that no float holds, and an L_d * L_q that underflows to 0, which
 # motor.virtual_output divides by
-@example(driven=False, values=_HUGE_N_P)
-@example(driven=True, values=_HUGE_N_P)
-@example(driven=False, values={("motor", "L_d"): "5e-324"})
-@example(driven=True, values={("motor", "L_q"): "5e-324"})
+@example(driven=False, verb=_RUN, values=_HUGE_N_P)
+@example(driven=True, verb=_RUN, values=_HUGE_N_P)
+@example(driven=False, verb=_RUN, values={("motor", "L_d"): "5e-324"})
+@example(driven=True, verb=_RUN, values={("motor", "L_q"): "5e-324"})
+# an LTI read-out scale that underflows to 0, which its constructor divides
+# by; a block-form read-out whose (V_h/2pi)^2 overflows
+@example(driven=True, verb=_RUN, values={("motor", "L_d"): "1e-300",
+                                         ("injection", "V_h"): "1e300"})
+@example(driven=False, verb=_EQUIVALENCE,
+         values={("injection", "V_h"): "1e300", **dict.fromkeys(_GAMMAS,
+                                                                "1e-300")})
 def test_other_scenario_keys_end_in_a_documented_outcome(tmp_path, capsys,
-                                                         driven, values):
-    """`hfsense run` on a few ms of a closed-loop or driven scenario, with
-    any of the other keys at the edges of a float and of an int, passes;
+                                                         driven, verb, values):
+    """`hfsense run`, or a short `hfsense equivalence`, on a few ms of a
+    closed-loop or driven scenario, with any of the other keys at the edges
+    of a float and of an int, or two of the read-out inputs at once, passes;
     or aborts with one line and a failed summary; or is one config error
     line with no summary.  Any other exception fails.  The [drive] keys are
     set in driven form only: a [drive] section makes the run driven."""
@@ -290,8 +312,8 @@ def test_other_scenario_keys_end_in_a_documented_outcome(tmp_path, capsys,
         for name, keys in sections.items()))
     out = tmp_path / "o"
     shutil.rmtree(out, ignore_errors=True)
-    main_outcome(["--config", str(path), "--out", str(out), "run"], out,
-                 capsys)
+    main_outcome(["--config", str(path), "--out", str(out), *verb.split()],
+                 out, capsys)
 
 
 def _main_config_error(path, capsys):

@@ -194,6 +194,34 @@ def test_synthesized_current_follows_virtual_output(sim_motor, inj, Ts):
         synthesize_injection_current(sim_motor, inj, theta[:-1], t)
 
 
+def test_synthesized_current_that_overflows_warns_nothing(sim_motor, Ts):
+    """A ripple beyond a float's range is built without a numpy warning;
+    the replays report the currents that are not finite."""
+    tiny = replace(sim_motor, L_d=3e-162, L_q=6e-162)
+    t = np.arange(20) * Ts
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cur = synthesize_injection_current(
+            tiny, InjectionConfig(V_h=1e300), 0.3 + t, t)
+    assert not np.isfinite(cur).all()
+
+
+def test_read_out_constant_out_of_a_float_range_is_rejected(sim_motor, N):
+    """The LTI chain's scale 2*omega_h*L_d*L_q/V_h underflowing to 0, and
+    the block form's state per output, whose (V_h/2pi)^2 overflows, are
+    each a ValueError naming the keys, not an arithmetic error."""
+    tiny = replace(sim_motor, L_d=3e-162, L_q=6e-162)
+    builds = [
+        lambda: ConventionalEstimator(tiny, InjectionConfig(V_h=1e10), N,
+                                      80.0),
+        lambda: BlockFormEstimator(sim_motor, InjectionConfig(V_h=1.5e155),
+                                   N, 8e-305, 8e-305),
+    ]
+    for build in builds:
+        with pytest.raises(ValueError, match="V_h, L_d/L_q and epsilon"):
+            build()
+
+
 def test_estimator_seeding(sim_motor, inj, Ts, N):
     est = ProposedEstimator(sim_motor, inj, N, theta0=0.9)
     assert est.theta_hat == 0.9

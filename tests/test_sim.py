@@ -351,6 +351,18 @@ def test_drive_validation():
         DriveProfile("constant", omega=0.5, **{key: 0.0})
 
 
+@pytest.mark.parametrize("key", ["load_torque", "omega0"])
+def test_drive_rejects_the_load_and_start_speed_it_overrides(key):
+    """A driven step reads neither the load torque nor the start speed:
+    set to anything but 0 under a drive, each is rejected by name."""
+    drive = DriveProfile("constant", omega=2.0)
+    with pytest.raises(ValueError, match=f"^{key} = -0.5 has no effect on a "
+                                         "driven run"):
+        _cfg(drive=drive, **{key: -0.5})
+    _cfg(drive=drive, **{key: 0.0})
+    _cfg(**{key: -0.5})
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("key", ["omega", "omega_end", "t_ramp_start",
                                  "t_ramp_end"])
