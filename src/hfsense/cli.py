@@ -142,7 +142,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metric", choices=experiments.METRICS, default="rms",
                    help="rms: total steady error; ripple: oscillating part "
                         "only (use at standstill, where the error mean "
-                        "converges faster than the carrier-leakage bound)")
+                        "converges faster than the carrier-leakage bound); "
+                        "polarity: largest error modulo 2*pi over the valid "
+                        "samples (above pi/2 the polarity is lost)")
 
     p = sub.add_parser("residual-order",
                        help="averaging-remainder norm at epsilon and epsilon/2")

@@ -9,7 +9,8 @@ outputs the low-frequency voltage only; the simulator adds the probe.
 `SensorlessController.low_frequency_voltage` is a fused kernel on plain
 floats: one cos/sin pair for both rotations, the measurement low passes and
 PI loops inline.  The low passes take their coefficients from
-`signal_ops.lowpass_coefficients`.  `LowPass1`, `frame_rotate` and `Pi` in
+`signal_ops.lowpass_coefficients`; a cutoff they reject at Ts raises
+ValueError naming `meas_lpf_cutoff`.  `LowPass1`, `frame_rotate` and `Pi` in
 tests/oracles.py keep the reference arithmetic; they are the oracle the
 kernel is tested against bit for bit.
 """
@@ -20,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 from .motor import MotorParams
-from .signal_ops import lowpass_coefficients
+from .signal_ops import keyed_coefficients, lowpass_coefficients
 
 
 @dataclass(frozen=True)
@@ -62,7 +63,8 @@ class SensorlessController:
     """
 
     def __init__(self, params: MotorParams, cfg: ControllerConfig, Ts: float):
-        a1, b = lowpass_coefficients(cfg.meas_lpf_cutoff, Ts)
+        a1, b = keyed_coefficients("meas_lpf_cutoff", lowpass_coefficients,
+                                   cfg.meas_lpf_cutoff, Ts)
         # constants of one step, unpacked at once in the kernel
         self._k = (Ts, cfg.omega_ref, cfg.i_d_ref, params.n_p, params.L0,
                    params.Phi, a1, b,

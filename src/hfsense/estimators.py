@@ -8,13 +8,18 @@ measured currents:
   demodulator takes one sampled gradient step per sample, linear in its
   state and input, so a sample costs one inline regressor step plus one
   update x+ = a_j*x + c_j*yf per axis with (a_j, c_j) tabulated per carrier
-  phase (`gradient_table`).  A gain is accepted only where the update
+  phase (`_phase_table`).  A gain is accepted only where the update
   contracts over a probe period (`check_contraction`, which both forms
-  and `sim.ScenarioConfig` run on their tables).
+  run on their tables when they are built).
 * `ConventionalEstimator` - LTI high-pass at omega_h, demodulation by
   sin(omega_h t + phi), LTI low-pass, then rescaling.  Its one corner is
   the low pass's lambda_ell, taken as given; `sim.ScenarioConfig.corner` is
-  the one place that resolves its default.
+  the one place that resolves its default.  A filter whose coefficients
+  fail their checks at Ts raises ValueError naming the keys that set it.
+
+`sim.ScenarioConfig` builds the estimators of its run, so each of these
+checks has one definition, here, and still rejects a scenario before it
+runs.
 
 `BlockFormEstimator` re-expresses the proposed pipeline in the conventional
 HPF/demod/LPF block layout (demod phase phi_p + 3*pi/2, LPF replaced by the
@@ -74,6 +79,7 @@ from .signal_ops import (
     TWO_PI,
     InjectionConfig,
     highpass_coefficients,
+    keyed_coefficients,
     lowpass_coefficients,
     probe_signal,
     sample_period,
@@ -196,8 +202,18 @@ class ProposedEstimator:
         return self.cfg.epsilon
 
     def _phase_table(self, gamma: float) -> list[tuple[float, float]]:
-        """(a, c) per phase j with x+ = a*x + c*yf: `gradient_table`."""
-        return gradient_table(self.cfg, self.N, gamma)
+        """(a, c) per phase j with x+ = a*x + c*yf.
+
+        The sampled gradient step x+ = x + Ts*gamma*S_j*(yf - S_j*x), with
+        S_j = S(j*Ts) the probe reference at the sample and Ts = epsilon/N.
+        With Ts dividing epsilon it depends on the sample index k only
+        through the carrier phase j = k mod N, so a = 1 - Ts*gamma*S_j^2
+        and c = Ts*gamma*S_j are tabulated once.
+        """
+        cfg, Ts = self.cfg, self.Ts
+        g = Ts * gamma
+        S = [probe_signal(cfg, j * Ts) for j in range(self.N)]
+        return [(1.0 - g * s * s, g * s) for s in S]
 
     def step(self, k0: int, i_alpha, i_beta, out=None, dec: int = 1):
         """Advance over a run of samples; sample j of i_alpha, i_beta is k0 + j.
@@ -496,8 +512,11 @@ class ConventionalEstimator:
         Ts = sample_period(cfg, N)
         # demodulation carrier per phase j = k mod N
         demod = [math.sin(cfg.omega_h * j * Ts + cfg.phi) for j in range(N)]
-        b0, b1, b2, a1, a2 = highpass_coefficients(cfg.omega_h, Ts)
-        la, lb = lowpass_coefficients(lambda_ell, Ts)
+        b0, b1, b2, a1, a2 = keyed_coefficients(
+            "epsilon, steps_per_period: LTI high pass at omega_h",
+            highpass_coefficients, cfg.omega_h, Ts)
+        la, lb = keyed_coefficients("lambda_ell", lowpass_coefficients,
+                                    lambda_ell, Ts)
         scale = _read_out(lambda: 2.0 * cfg.omega_h * params.det_L / cfg.V_h)
         pll_k, pll_s = _pll_parts(pll_gains, params, Ts, theta0)
         # constants of one step, unpacked at once in the kernel
@@ -658,22 +677,6 @@ class Pll:
         self.eta2 += Ts * e
         self.omega_hat = omega_hat_p / self.n_p
         return self.omega_hat
-
-
-def gradient_table(cfg: InjectionConfig, N: int,
-                   gamma: float) -> list[tuple[float, float]]:
-    """(a, c) per phase j of the new pipeline's demodulator, x+ = a*x + c*yf.
-
-    The sampled gradient step x+ = x + Ts*gamma*S_j*(yf - S_j*x), with
-    S_j = S(j*Ts) the probe reference at the sample and Ts = epsilon/N.
-    With Ts dividing epsilon it depends on the sample index k only through
-    the carrier phase j = k mod N, so a = 1 - Ts*gamma*S_j^2 and
-    c = Ts*gamma*S_j are tabulated once.
-    """
-    Ts = sample_period(cfg, N)
-    g = Ts * gamma
-    S = [probe_signal(cfg, j * Ts) for j in range(N)]
-    return [(1.0 - g * s * s, g * s) for s in S]
 
 
 def check_contraction(key: str, gamma: float, table) -> None:

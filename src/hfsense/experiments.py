@@ -61,8 +61,25 @@ def steady_angle_ripple(trace: Trace, prefix: str, t1: float, t2: float) -> floa
     return float(np.std(e))
 
 
-# the sweep's measures of an estimator's steady angle, by metric name
-METRICS = {"rms": steady_angle_error, "ripple": steady_angle_ripple}
+def largest_angle_error(trace: Trace, prefix: str, t1: float,
+                        t2: float) -> float:
+    """Largest |theta_hat - theta|, the error wrapped to (-pi, pi], over
+    the valid samples in [t1, t2]; ValueError if the window holds none.
+
+    Modulo 2*pi, not pi: above pi/2 the estimate has lost the magnetic
+    polarity, which the mod-pi measures above cannot see.
+    """
+    m = window_mask(trace.t, t1, t2) & (trace.data[f"{prefix}_valid"] == 1.0)
+    if not m.any():
+        raise ValueError(f"window [{t1:g}, {t2:g}] holds no valid {prefix} "
+                         "sample")
+    e = trace.data[f"{prefix}_theta_hat"][m] - trace.theta[m]
+    return float(np.max(np.abs((e + math.pi) % TWO_PI - math.pi)))
+
+
+# the sweep's measures of an estimator's angle, by metric name
+METRICS = {"rms": steady_angle_error, "ripple": steady_angle_ripple,
+           "polarity": largest_angle_error}
 
 
 def steady_lag_limits(cfg: ScenarioConfig) -> dict:

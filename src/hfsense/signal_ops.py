@@ -14,7 +14,8 @@ is the one place that turns N, the samples per probe period, into
 Ts = epsilon/N, so Ts divides epsilon and the regressor's delay of N
 samples is exact, which the equivalence checks rely on.
 `highpass_coefficients` and `lowpass_coefficients` are the filters'
-corners discretized, each with its checks.  The operators' standalone
+corners discretized, each with its checks; `keyed_coefficients` names the
+settings behind a corner that fails them.  The operators' standalone
 step oracles, which the kernels must match bit for bit, are in
 tests/oracles.py.
 """
@@ -122,6 +123,16 @@ def highpass_coefficients(lam: float, Ts: float) -> tuple[float, ...]:
             return coefficients
     raise ValueError(f"corner {lam:g} rad/s at Ts = {Ts:g} s overflows the "
                      "biquad coefficients")
+
+
+def keyed_coefficients(key: str, coefficients, lam: float,
+                       Ts: float) -> tuple[float, ...]:
+    """coefficients(lam, Ts) of a part's filter, whose ValueError names
+    `key`, the settings that put its corner at lam and its step at Ts."""
+    try:
+        return coefficients(lam, Ts)
+    except ValueError as exc:
+        raise ValueError(f"{key}: {exc}") from None
 
 
 # G_d(s) = sum over j >= 2 of (-1)^j (j + 1 - 2^j)/(j + 1)! (d s)^j, whose

@@ -3,13 +3,17 @@ and estimators.
 
 `ScenarioConfig` checks a run whole when it is built.  It owns the LTI
 chain's one corner, lambda_ell (`corner` resolves its default; the high
-pass sits at omega_h), and rejects a non-finite float field, a step size or
-step count that is not a usable number, a drive whose electrical angle is
-not or that comes with a load torque or start speed it would override, a
-filter whose coefficients at that step size are not (the
-controller's measurement low pass, and the LTI chain's pair when it runs),
-and, when the new pipeline runs, an adaptation gain whose sampled flow does
-not contract (`estimators.check_contraction`).
+pass sits at omega_h), and rejects a non-finite float field, an initial
+angle too large for a float to resolve, a steps_per_period outside
+[2, 4096], a step size or step count that is not a usable number, and a
+drive whose electrical angle is not or that comes with a load torque or
+start speed it would override.  It then builds what `run` builds from it,
+the controller and the estimators of its pipelines, whose own checks name
+the keys: a filter whose coefficients at that step size are not usable
+(the controller's measurement low pass, the LTI chain's pair), an
+adaptation gain whose sampled flow does not contract
+(`estimators.check_contraction`) and a read-out constant out of a float's
+range.
 
 One step loop, `run`, serves both mechanics modes; a run is driven
 exactly when its scenario has a drive profile:
@@ -60,7 +64,6 @@ finite ends the run in `SimulationDiverged`.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -70,19 +73,11 @@ from .controller import ControllerConfig, SensorlessController
 from .estimators import (
     ConventionalEstimator,
     ProposedEstimator,
-    check_contraction,
-    gradient_table,
     synthesize_injection_current,
     window_mask,
 )
 from .motor import MotorParams, driven_step_tables, rk4_constants, rk4_step
-from .signal_ops import (
-    TWO_PI,
-    InjectionConfig,
-    highpass_coefficients,
-    lowpass_coefficients,
-    sample_period,
-)
+from .signal_ops import TWO_PI, InjectionConfig, sample_period
 # not called here; it stays importable from this module, where
 # bench/run.py's tracer wraps it by name
 from .signal_ops import probe_signal  # noqa: F401
@@ -109,10 +104,12 @@ TRACE_COLUMNS = _PLANT_COLUMNS + [
 # the nominal (electrical-excitation) speed scale of lambda_ell's default,
 # max(sqrt(omega_h*_SPEED_SCALE), 1) [rad/s]
 _SPEED_SCALE = 0.5
-# the longest probe period, in samples, whose demodulator tables
-# ScenarioConfig builds to check the gains; `run` checks a longer one when
-# it builds the estimator
-_CHECKED_PHASES = 1 << 12
+# the most samples per probe period: the per-phase tables of a run, which
+# ScenarioConfig builds whole, stay small
+_MAX_PHASES = 1 << 12
+# the largest initial angle, in magnitude [rad]: below it a float resolves
+# an angle to 2**-31 rad or finer
+_MAX_ANGLE = 2.0 ** 22
 
 
 class SimulationDiverged(RuntimeError):
@@ -232,8 +229,8 @@ class ScenarioConfig:
                                  f"(got {getattr(self, key)!r})")
         if len(self.ell) != 3:
             raise ValueError(f"ell must have three gains (got {self.ell!r})")
-        if self.steps_per_period < 2:
-            raise ValueError("steps_per_period must be >= 2")
+        if not 2 <= self.steps_per_period <= _MAX_PHASES:
+            raise ValueError(f"steps_per_period must lie in [2, {_MAX_PHASES}]")
         finite = {key: getattr(self, key) for key in (
             "load_torque", "theta0", "theta0_est", "omega0", "i_alpha0",
             "i_beta0", "duration", "noise_std")}
@@ -241,11 +238,12 @@ class ScenarioConfig:
         for key, value in finite.items():
             if not math.isfinite(value):
                 raise ValueError(f"{key} must be finite (got {value:g})")
-        try:
-            Ts = self.Ts
-        except OverflowError:
-            raise ValueError("steps_per_period is too large: "
-                             "epsilon/steps_per_period is not a float") from None
+        for key in ("theta0", "theta0_est"):
+            if not abs(getattr(self, key)) < _MAX_ANGLE:
+                raise ValueError(f"|{key}| must be below 2**22 rad, within "
+                                 "which a float resolves the angle "
+                                 f"(got {getattr(self, key):g})")
+        Ts = self.Ts
         if Ts == 0.0:
             raise ValueError(f"Ts = epsilon/steps_per_period underflows to 0 "
                              f"(epsilon = {self.injection.epsilon:g})")
@@ -291,28 +289,11 @@ class ScenarioConfig:
         if not 1.0 <= self.corner < math.inf:
             raise ValueError(f"lambda_ell must be >= 1 and finite "
                              f"(got {self.corner:g})")
-        # the filters' own checks at Ts: the Nyquist rate (omega_h*Ts =
-        # 2*pi/steps_per_period), and coefficients that underflow or overflow.
-        # A probe period of more samples than a list can index is left to
-        # `run`, which reports it as too large before it builds a filter.
-        filters = [("meas_lpf_cutoff", lowpass_coefficients,
-                    self.controller.meas_lpf_cutoff)]
-        if "conv" in self.pipelines and self.steps_per_period <= sys.maxsize:
-            filters += [("epsilon, steps_per_period: LTI high pass at omega_h",
-                         highpass_coefficients, self.injection.omega_h),
-                        ("lambda_ell", lowpass_coefficients, self.corner)]
-        for key, coefficients, lam in filters:
-            try:
-                coefficients(lam, Ts)
-            except ValueError as exc:
-                raise ValueError(f"{key}: {exc}") from None
-        # the new pipeline's check of its demodulator gains, on its tables
-        N = self.steps_per_period
-        if "prop" in self.pipelines and N <= _CHECKED_PHASES:
-            for key in ("gamma_alpha", "gamma_beta"):
-                gamma = getattr(self, key)
-                check_contraction(key, gamma,
-                                  gradient_table(self.injection, N, gamma))
+        # the parts `run` builds, each with its own checks at Ts, naming the
+        # keys: the filters' coefficients, the demodulator gains'
+        # contraction and the read-out constants
+        SensorlessController(self.motor, self.controller, Ts)
+        _build_estimators(self)
 
     @cached_property
     def corner(self) -> float:
@@ -400,21 +381,14 @@ def _estimate_out(rec: dict, prefix: str, spare: np.ndarray):
 
 
 def _probe_tables(cfg: ScenarioConfig):
-    """Probe voltage per carrier phase j at j*Ts, the half step and (j+1)*Ts.
-
-    The first two lists are allocated before they are filled, so a number
-    of phases no host can hold fails at once, with MemoryError or
-    OverflowError, rather than after a long fill.
-    """
+    """Probe voltage per carrier phase j at j*Ts, the half step and (j+1)*Ts."""
     inj = cfg.injection
     Vh = inj.V_h if cfg.injection_enabled else 0.0
     Ts = cfg.Ts
-    n = cfg.steps_per_period
     wh = inj.omega_h
-    at_step, at_mid = [0.0] * n, [0.0] * n
-    for j in range(n):
-        at_step[j] = Vh * math.sin(wh * j * Ts)
-        at_mid[j] = Vh * math.sin(wh * (j + 0.5) * Ts)
+    phases = range(cfg.steps_per_period)
+    at_step = [Vh * math.sin(wh * j * Ts) for j in phases]
+    at_mid = [Vh * math.sin(wh * (j + 0.5) * Ts) for j in phases]
     return at_step, at_mid, at_step[1:] + at_step[:1]
 
 
@@ -499,8 +473,8 @@ def run(cfg: ScenarioConfig, columns=None) -> Trace:
     the six state columns (theta, omega, i_alpha, i_beta, v_alpha, v_beta);
     every column left out of the trace goes to one shared spare row.  `t`
     and `theta_wrapped` are filled from `record_times` and theta once the
-    loop ends.  A scenario whose per-phase tables or per-step arrays cannot be
-    allocated raises ValueError ("scenario too large") before any step.
+    loop ends.  A scenario whose per-step arrays cannot be allocated raises
+    ValueError ("scenario too large") before any step.
     A recorded theta_hat, omega_hat, yv1 or yv2 that is not finite raises
     SimulationDiverged once the loop ends, naming the column and the time
     of its first such record; the loop's own bound check, on the currents,
@@ -518,13 +492,12 @@ def run(cfg: ScenarioConfig, columns=None) -> Trace:
     ctrl = SensorlessController(mp, cfg.controller, Ts)
     n_rec = n_steps // cfg.decimation + 1
     driven = cfg.drive is not None
+    v_probe, v_probe_mid, v_probe_end = tables = _probe_tables(cfg)
+    # numpy copies, which each driven block indexes at its steps' phases
+    probe = [np.array(v) for v in tables] if driven else None
+    estimators = _build_estimators(cfg)
     try:
-        # tables of N = steps_per_period carrier phases, then arrays of
-        # n_steps; Python and numpy refuse a size beyond the host at once
-        v_probe, v_probe_mid, v_probe_end = tables = _probe_tables(cfg)
-        # numpy copies, which each driven block indexes at its steps' phases
-        probe = [np.array(v) for v in tables] if driven else None
-        estimators = _build_estimators(cfg)
+        # arrays of n_steps; numpy refuses a size beyond the host at once
         noise = _noise(cfg, n_steps)
         rec = {c: np.zeros(n_rec) for c in cols}
         # the write target of every column the trace leaves out

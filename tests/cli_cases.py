@@ -217,6 +217,8 @@ _TRACE = ("trace.csv",)
 _BODE = ("bode_gd.csv", "bode_hpf.csv", "bode_lpf.csv")
 _READ_OUT = ("config error: V_h, L_d/L_q and epsilon put an estimator's "
              "read-out constant out of a float's range")
+# the same, rejected with the scenario file that it names
+_READ_OUT_LOADED = _READ_OUT.replace("error: ", "error: case.scenario: ")
 # a shipped motor with L_d*L_q = 1.8e-323, a subnormal
 _TINY_L = [("L_d = 5.74e-3", "L_d = 3e-162"),
            ("L_q = 8.68e-3", "L_q = 6e-162")]
@@ -225,6 +227,9 @@ _HUGE_RIPPLE = [*_TINY_L, ("V_h = 1.0", "V_h = 6.283e155"),
                 ("gamma_alpha = 1e4", "gamma_alpha = 5e-307"),
                 ("gamma_beta = 1e4", "gamma_beta = 5e-307"),
                 ("steps_per_period = 50", "steps_per_period = 4")]
+# and a probe at which the LTI chain's read-out scale underflows to 0
+_TINY_LTI_SCALE = [*_TINY_L, ("kind = both", "kind = conventional"),
+                   ("V_h = 1.0", "V_h = 1e10")]
 
 
 def _rows(test, rows, **common):
@@ -366,6 +371,12 @@ CASES = [
          "sweep-frequency --t1 1 --t2 2 --frequencies 500,1000",
          scenario=DRIVEN + "\n[estimator]\nkind = none\n",
          err="config error: a sweep point runs no estimator to measure\n"),
+    # the largest error modulo 2*pi, as the order fit's errors: their
+    # slope over two probe frequencies falls outside the default band
+    Case("test_sweep_metric_polarity", None,
+         "sweep-frequency --t1 1 --t2 2 --frequencies 500,1000 "
+         "--metric polarity", scenario=DRIVEN, outcome="fail",
+         artifacts=("sweep.csv",)),
     # gamma = gamma_scale/epsilon: rejected before any point is simulated
     *_rows("test_non_finite_gamma_scale_is_config_error", [
         (value, f"sweep-frequency --t1 1 --t2 2 --gamma-scale {value}",
@@ -463,12 +474,22 @@ CASES = [
             "edits": [("epsilon = 1e-3", "epsilon = 5e-324")],
             "err": "config error: case.scenario: Ts = epsilon/"
                    "steps_per_period underflows to 0"}),
-        # per-phase tables too large to allocate
-        ("carrier-tables", "run", {
-            "edits": [("steps_per_period = 50",
-                       f"steps_per_period = {10 ** 30}")],
-            "err": f"steps of {10 ** 30} per probe period, which cannot be "
-                   "allocated"}),
+        # per-phase tables too large to allocate, and the first probe
+        # period longer than the bound on steps_per_period
+        *[(name, "run", {
+            "edits": [("steps_per_period = 50", f"steps_per_period = {n}")],
+            "err": "config error: case.scenario: steps_per_period must lie "
+                   "in [2, 4096]\n"})
+          for name, n in (("carrier-tables", 10 ** 30), ("steps-4097", 4097))],
+        # an initial angle at which a float's spacing is 0.125 rad: the run
+        # used to pass, with an angle error of 0 that measured nothing
+        *[(f"{key}-1e15", "run", {
+            "edits": [(section, f"{section}\n{key} = 1e15")],
+            "err": f"config error: case.scenario: |{key}| must be below "
+                   "2**22 rad, within which a float resolves the angle "
+                   "(got 1e+15)\n"})
+          for key, section in (("theta0", "[simulation]"),
+                               ("theta0_est", "[estimator]"))],
         # each pipeline closing the loop through its resident kernel: the
         # LTI chain, then the new pipeline with the LTI chain observing
         ("conventional", "run", {"edits": [
@@ -514,7 +535,8 @@ CASES = [
         # the synthesized ripple overflows, with no numpy warning, before
         # the read-out check above
         ("read-out-synthesis", "equivalence --duration 0.01",
-         {"edits": _HUGE_RIPPLE, "err": _READ_OUT}),
+         {"edits": [*_HUGE_RIPPLE, ("kind = both", "kind = proposed")],
+          "err": _READ_OUT}),
     ], scenario=shipped("lowspeed")),
     *_rows("test_shipped_scenario_case", [
         # a ramp key on a constant drive profile
@@ -549,12 +571,12 @@ CASES = [
             "err": "config error: case.scenario: gamma_alpha = 1e+09 does "
                    "not contract the demodulator's sampled flow"}),
         # the LTI chain's read-out scale 2*omega_h*L_d*L_q/V_h underflows to
-        # 0, which its constructor divides by
-        ("read-out-lti", "run", {
-            "edits": [*_TINY_L, ("kind = both", "kind = conventional"),
-                      ("V_h = 1.0", "V_h = 1e10"),
-                      ("duration = 10.0", "duration = 0.05")],
-            "err": _READ_OUT}),
+        # 0, which its constructor divides by: rejected with the scenario,
+        # whatever the verb (bode used to pass)
+        *[(f"read-out-lti{suffix}", verb, {
+            "edits": [*_TINY_LTI_SCALE, ("duration = 10.0", "duration = 0.05")],
+            "err": _READ_OUT_LOADED})
+          for suffix, verb in (("", "run"), ("-bode", "bode"))],
         # a drive prescribes the speed, so a load torque or a start speed
         # would be ignored
         *[(f"{key}-under-drive", "run", {
@@ -565,7 +587,7 @@ CASES = [
         # the synthesized ripple overflows: the fit's config error, with no
         # numpy warning
         ("synthesis-overflow", "calibrate", {
-            "edits": _HUGE_RIPPLE,
+            "edits": [*_HUGE_RIPPLE, ("kind = both", "kind = proposed")],
             "err": "config error: virtual-output amplitudes nan, nan give "
                    "compensation gains (nan, nan, nan)"}),
     ], scenario=shipped("driven_lowspeed")),

@@ -201,9 +201,10 @@ def test_corner_resolves_default_and_rejects_bad_values():
 @pytest.mark.parametrize("lines,message", [
     # Ts = epsilon/steps_per_period underflows to 0
     ("[injection]\nepsilon = 5e-324\n", "underflows to 0"),
-    # epsilon/steps_per_period overflows the int-to-float conversion
+    # a steps_per_period beyond the bound, here one whose epsilon/N would
+    # overflow the int-to-float conversion
     ("[simulation]\nsteps_per_period = 1" + "0" * 330 + "\n",
-     "steps_per_period is too large"),
+     "steps_per_period must lie in [2, 4096]"),
     # duration/Ts overflows to inf
     ("[injection]\nepsilon = 1e-300\n[simulation]\nduration = 1e300\n",
      "not a finite number of steps"),
@@ -382,14 +383,14 @@ def test_scenario_too_large_to_allocate_is_config_error(tmp_path, capsys,
 @pytest.mark.parametrize("kind", ["both", "conventional"])
 def test_carrier_tables_too_large_to_allocate_are_config_error(
         tmp_path, capsys, scenario_dir, kind):
-    # 10**30 samples per probe period: the per-phase tables fail at once,
-    # more entries than a list index can count
+    # 10**30 samples per probe period, more entries than a list index can
+    # count: rejected by the bound on steps_per_period before any table
     text = (scenario_dir / "lowspeed.scenario").read_text()
     text = text.replace("steps_per_period = 50",
                         f"steps_per_period = {10 ** 30}")
     p = _write(tmp_path, text.replace("kind = both", f"kind = {kind}"))
     err = _main_config_error(p, capsys)
-    assert f"steps of {10 ** 30} per probe period" in err
+    assert f"{p}: steps_per_period must lie in [2, 4096]\n" in err
 
 
 def test_filter_coefficient_overflow_is_config_error(tmp_path, capsys,

@@ -13,6 +13,7 @@ from hypothesis import given, strategies as st
 
 from hfsense import estimators
 from hfsense.config import load_scenario
+from hfsense.controller import ControllerConfig, SensorlessController
 from hfsense.estimators import (
     ConventionalEstimator,
     BlockFormEstimator,
@@ -32,6 +33,7 @@ from hfsense.signal_ops import (
     probe_signal,
     sample_period,
 )
+from hfsense.sim import ScenarioConfig
 from conftest import SIM_MOTOR
 from oracles import (
     DegenerateSignalError,
@@ -328,6 +330,60 @@ def test_gain_whose_flow_cannot_contract_is_rejected(sim_motor, inj, N,
             replace(cfg, **{key: hi})
     # a scenario that runs the LTI chain alone leaves the gains unchecked
     replace(cfg, estimator="conventional", gamma_alpha=hi)
+
+
+# each part's rejection of its filters or its gains at Ts, as the part
+# raises it: (part, settings, message naming the keys); a ScenarioConfig
+# with those settings, which builds the part, gives the same message
+_PART_MESSAGES = [
+    ("controller", dict(injection=InjectionConfig(epsilon=1e300),
+                        steps_per_period=2, duration=3e300,
+                        controller=ControllerConfig(meas_lpf_cutoff=1e10)),
+     "meas_lpf_cutoff: corner 1e+10 rad/s at Ts = 5e+299 s overflows the "
+     "low-pass coefficients"),
+    ("conv", dict(injection=InjectionConfig(epsilon=1e-160),
+                  duration=1e-157),
+     "epsilon, steps_per_period: LTI high pass at omega_h: corner "
+     "6.28319e+160 rad/s at Ts = 2e-162 s overflows the biquad "
+     "coefficients"),
+    ("conv", dict(steps_per_period=2, duration=0.05),
+     "epsilon, steps_per_period: LTI high pass at omega_h: corner 6283.19 "
+     "rad/s is not below the Nyquist rate pi/Ts = 6283.19 rad/s"),
+    ("conv", dict(injection=InjectionConfig(epsilon=1e3), duration=1e4,
+                  lambda_ell=1e308),
+     "lambda_ell: corner 1e+308 rad/s at Ts = 20 s overflows the low-pass "
+     "coefficients"),
+    ("prop", dict(duration=0.05, gamma_beta=1e9),
+     "gamma_beta = 1e+09 does not contract the demodulator's sampled flow: "
+     "the sum of log|1 - Ts*gamma*S_j^2| over a probe period is 242 >= 0"),
+]
+
+
+@pytest.mark.parametrize("part,settings,message", _PART_MESSAGES,
+                         ids=["meas_lpf_cutoff", "hpf-overflow", "hpf-nyquist",
+                              "lambda_ell", "gamma_beta"])
+def test_parts_name_the_keys_of_their_checks(part, settings, message):
+    """The controller and each estimator reject a filter, or a gain, that
+    fails its check at Ts themselves, naming the scenario keys that set it;
+    a ScenarioConfig rejects it with the same message, by building them."""
+    kind = {"conv": "conventional"}.get(part, "proposed")
+    kw = dict(estimator=kind, sensor_mode=True, **settings)
+    cfg = dict(motor=SIM_MOTOR, **kw)
+    with pytest.raises(ValueError) as from_config:
+        ScenarioConfig(**cfg)
+    assert str(from_config.value) == message
+    inj = kw.get("injection", InjectionConfig())
+    N = kw.get("steps_per_period", 50)
+    build = {
+        "controller": lambda: SensorlessController(
+            SIM_MOTOR, kw["controller"], sample_period(inj, N)),
+        "conv": lambda: ConventionalEstimator(
+            SIM_MOTOR, inj, N, kw.get("lambda_ell", _lambda_ell(inj))),
+        "prop": lambda: ProposedEstimator(SIM_MOTOR, inj, N, 1e4,
+                                          kw["gamma_beta"])}[part]
+    with pytest.raises(ValueError) as from_part:
+        build()
+    assert str(from_part.value) == message
 
 
 def test_zero_decay_factor_contracts():

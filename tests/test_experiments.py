@@ -65,6 +65,31 @@ def test_steady_error_and_ripple_split():
     assert rip == pytest.approx(0.01 / math.sqrt(2.0), rel=0.05)
 
 
+def test_polarity_metric_is_the_largest_error_modulo_two_pi():
+    """The largest |theta_hat - theta| wrapped to (-pi, pi], over the
+    window's valid samples only: a half-turn error gives pi (which the
+    mod-pi measures read as 0), a constant 0.1 gives 0.1, and a window
+    without a valid sample has no value."""
+    measure = experiments.METRICS["polarity"]
+    tr = _synthetic_trace(bias=0.1, ripple=0.0)
+    t, valid = tr.t, tr.data["prop_valid"]
+    valid[t >= 0.1] = 1.0
+    # invalid samples, however far off, are not read
+    tr.data["prop_theta_hat"][t < 0.1] += 2.0
+    assert measure(tr, "prop", 0.0, 1.0) == pytest.approx(0.1, abs=1e-12)
+    tr.data["prop_theta_hat"][t >= 0.5] += math.pi
+    assert measure(tr, "prop", 0.0, 1.0) == pytest.approx(math.pi - 0.1,
+                                                          abs=1e-12)
+    flipped = _synthetic_trace(bias=math.pi, ripple=0.0)
+    flipped.data["prop_valid"][:] = 1.0
+    assert measure(flipped, "prop", 0.2, 1.0) == pytest.approx(math.pi,
+                                                               abs=1e-12)
+    assert steady_angle_error(flipped, "prop", 0.2, 1.0) < 1e-12
+    with pytest.raises(ValueError, match=r"window \[0, 0.05\] holds no "
+                       "valid prop sample"):
+        measure(tr, "prop", 0.0, 0.05)
+
+
 def test_steady_lag_limits_lowspeed_point():
     # omega_e = 6 * 0.5 = 3 rad/s; gamma*<S^2> = 1e4/(8*pi^2) = 126.65 /s;
     # lambda_ell = sqrt(2*pi*1000 * 0.5) = 56.05 rad/s
@@ -271,7 +296,7 @@ def test_sweep_rejects_point_without_estimator(monkeypatch):
         frequency_sweep(still, [500.0, 1000.0], 0.1, 0.2)
 
 
-@pytest.mark.parametrize("metric", ["rms", "ripple"])
+@pytest.mark.parametrize("metric", list(experiments.METRICS))
 def test_sweep_measures_every_estimator_a_run_carries(metric):
     """Driven estimators do not feed back, so one estimator="both" point
     gives each pipeline the value of its own single-estimator run."""

@@ -1,6 +1,7 @@
 """Simulation tests: integrator accuracy, profiles, traces, determinism."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -134,7 +135,8 @@ def test_diverged_run_leaves_the_closer_written_back(monkeypatch, kind):
     """A run that diverges in the step after sample K still closes the
     loop-closer's kernel: the estimator then holds, with ==, what it holds
     after a run that ends at sample K.  The closer is the first of the
-    kind's pipelines, the new one for "both"."""
+    kind's pipelines, the new one for "both".  Only the estimators that
+    `run` builds are captured: building a ScenarioConfig builds them too."""
     built = []
     build = sim._build_estimators
 
@@ -142,11 +144,12 @@ def test_diverged_run_leaves_the_closer_written_back(monkeypatch, kind):
         built.append(build(cfg))
         return built[-1]
 
-    monkeypatch.setattr(sim, "_build_estimators", capture)
     cfg = _cfg(estimator=kind, duration=0.05, theta0=0.3, theta0_est=0.3)
     K = 1500
+    short = replace(cfg, duration=K * cfg.Ts)
     fresh = build(cfg)
-    run(replace(cfg, duration=K * cfg.Ts))
+    monkeypatch.setattr(sim, "_build_estimators", capture)
+    run(short)
     calls = []
     rk4_step = sim.rk4_step
 
@@ -169,19 +172,44 @@ def test_diverged_run_leaves_the_closer_written_back(monkeypatch, kind):
 
 
 @pytest.mark.parametrize("kind", ESTIMATOR_KINDS)
-@pytest.mark.parametrize("steps_per_period", [10 ** 17, 10 ** 30, 10 ** 300])
+@pytest.mark.parametrize("steps_per_period",
+                         [4097, 10 ** 17, 10 ** 30, 10 ** 300])
 def test_unallocatable_carrier_tables_are_a_config_error(kind,
                                                          steps_per_period):
-    """N = epsilon/Ts per-phase entries that no host can hold (800 PB at
-    10**17; more than an index can count beyond) fail at once as
-    "scenario too large", for every estimator kind; the huge decimation
-    keeps the trace small, so the tables are what fails.  A size a host
-    could start to allocate is not tried."""
-    cfg = _cfg(estimator=kind, sensor_mode=kind == "none",
-               steps_per_period=steps_per_period, decimation=10 ** 40)
-    with pytest.raises(ValueError, match="scenario too large: duration = "
-                       rf"0.2 s is \d+ steps of {steps_per_period} per "):
-        run(cfg)
+    """A probe period of more than 4096 samples, up to per-phase tables that
+    no host can hold (800 PB at 10**17; more than an index can count
+    beyond), is rejected when the config is built, for every estimator
+    kind, before any table is allocated."""
+    with pytest.raises(ValueError, match=r"^steps_per_period must lie in "
+                       r"\[2, 4096\]$"):
+        _cfg(estimator=kind, sensor_mode=kind == "none",
+             steps_per_period=steps_per_period, decimation=10 ** 40)
+
+
+def test_steps_per_period_bound_is_4096(tmp_path):
+    """4096 samples per probe period is the largest N, accepted through
+    `replace` and through a scenario file, with the tables of all its
+    phases; 4097 is rejected both ways, naming the key."""
+    cfg = _cfg(estimator="both", duration=0.01)
+    assert len(sim._probe_tables(replace(cfg, steps_per_period=4096))[0]) \
+        == 4096
+    with pytest.raises(ValueError, match=r"^steps_per_period must lie in "
+                       r"\[2, 4096\]$"):
+        replace(cfg, steps_per_period=4097)
+    text = (SCENARIO_DIR / "lowspeed.scenario").read_text().replace(
+        "duration = 10.0", "duration = 0.01")
+
+    def scenario(n):
+        path = tmp_path / f"n{n}.scenario"
+        path.write_text(text.replace("steps_per_period = 50",
+                                     f"steps_per_period = {n}"))
+        return path
+
+    assert load_scenario(scenario(4096)).steps_per_period == 4096
+    path = scenario(4097)
+    with pytest.raises(ValueError, match="^" + re.escape(
+            f"{path}: steps_per_period must lie in [2, 4096]") + "$"):
+        load_scenario(path)
 
 
 @pytest.mark.parametrize("mode", ["closed_loop", "driven"])
