@@ -253,10 +253,11 @@ def cmd_sweep_frequency(cfg, args, outdir: Path):
     res = experiments.frequency_sweep(
         cfg, args.frequencies, args.t1, args.t2,
         gamma_scale=args.gamma_scale, workers=args.workers, metric=args.metric)
-    _write_csv(outdir / "sweep.csv", ("freq_hz", "epsilon", "rms_error_rad"),
+    _write_csv(outdir / "sweep.csv",
+               ("freq_hz", "epsilon", f"{args.metric}_error_rad"),
                np.column_stack([res["freqs_hz"], res["epsilons"], res["errors"]]))
     for f, e in zip(res["freqs_hz"], res["errors"]):
-        print(f"f={f:8.1f} Hz   steady error {e:.6f} rad")
+        print(f"f={f:8.1f} Hz   steady {args.metric} error {e:.6f} rad")
     passed = _in_band(res["slope"], args.slope_band)
     print(f"fitted order {res['slope']:.3f}, band {args.slope_band}: "
           f"{'pass' if passed else 'FAIL'}")

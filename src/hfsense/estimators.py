@@ -45,15 +45,21 @@ one kernel generator for the whole run, fed one sample per step, and it
 yields each sample's estimate.  The block entry point `step(k0, i_alpha,
 i_beta, out=None, dec=1)` runs a run of samples, sample j of the two
 sequences being sample k0 + j, without yielding; the estimators that only
-observe advance by it once per block.  A numpy run reaches a kernel as
-Python floats.  The LTI chain's `step` runs its kernel.  The new pipeline's
-`step` runs the warm-up samples on its kernel; if at least m = 2N samples
-(the hold window) follow and the run reads as float64 arrays, they run as
-array operations with the kernel's floats, all but the demodulator
-recurrences and the PLL (`ProposedEstimator._warm_block`), in pieces
-that end at a rebase of the regressor's sums or after `_PIECE` samples.
-A shorter run steps on the kernel.  The biquad and the low passes of the
-LTI chain feed back on their own output (IIR), so they have no such form.
+observe advance by it once per block.  An estimator reports through its
+`out` rows, the loop-closer's yields and the theta_hat, omega_hat, yv1 and
+yv2 that each kernel writes back; the new pipeline's `step` also returns
+its run's last (theta_hat, yv1, yv2), or None while its regressor fills
+its window, and the LTI chain's returns None.  A numpy run reaches a
+kernel as Python floats.  The LTI chain's `step` runs its kernel.  The new
+pipeline's `step` runs the warm-up samples on its kernel;
+if at least m = 2N samples (the hold window) follow, the run reads as
+float64 arrays and each `out` row is a float64 numpy array or memoryview,
+they run as array operations with the kernel's floats, all but the
+demodulator recurrences and the PLL (`ProposedEstimator._warm_block`), in
+pieces that end at a rebase of the regressor's sums or after `_PIECE`
+samples.  A shorter run, or one with `out` rows of another kind (lists),
+steps on the kernel.  The biquad and the low passes of the LTI chain feed
+back on their own output (IIR), so they have no such form.
 
 The kernels are fused: the delay/hold regressor, filters, centre and
 radius check, angle recovery and PLL run inline on float state.  Each
@@ -155,8 +161,6 @@ class ProposedEstimator:
                  pll_gains: tuple[float, float] | None = None):
         if ell[0] == 0.0 or ell[2] == 0.0:
             raise ValueError("ell1 and ell3 must be nonzero")
-        if not (0.0 < gamma_alpha < math.inf and 0.0 < gamma_beta < math.inf):
-            raise ValueError("gamma must be positive and finite")
         self.cfg = cfg
         self.Ts = Ts = sample_period(cfg, N)
         self.N = N
@@ -179,7 +183,6 @@ class ProposedEstimator:
         self.theta_hat = theta0
         self.yv1 = y10
         self.yv2 = y20
-        self.low_confidence = True
         self.omega_hat = 0.0
         pll_k, pll_s = _pll_parts(pll_gains, params, Ts, theta0)
         # constants of one step, unpacked at once in the kernel: the
@@ -229,7 +232,8 @@ class ProposedEstimator:
         samples follow, those run as arrays (`_warm_block`, in pieces that
         end at a rebase of the regressor's sums or after `_PIECE` samples),
         all but the demodulator recurrences and the PLL, with the kernel's
-        floats; a piece whose result the arrays cannot vouch for steps on
+        floats; a piece whose result the arrays cannot vouch for, or whose
+        `out` rows are not float64 numpy arrays or memoryviews, steps on
         the kernel.
         """
         n, m = len(i_alpha), self._k[1]
@@ -240,7 +244,7 @@ class ProposedEstimator:
                 cold = self._s[3]
                 a = cold if n - cold >= m else n
                 if a:
-                    self._kernel_run(k0, ia[:a], ib[:a], out, dec)
+                    _drain(self, k0, ia[:a], ib[:a], out, dec)
                 # a piece ends at the run's end, after _PIECE samples (which
                 # bounds the arrays' memory) or at the regressor's next
                 # rebase, whichever comes first
@@ -253,17 +257,11 @@ class ProposedEstimator:
                     if (self.theta_hat != self.theta_hat
                             or not self._warm_block(k0 + a, ia[a:b], ib[a:b],
                                                     out, dec)):
-                        self._kernel_run(k0 + a, ia[a:b], ib[a:b], out, dec)
+                        _drain(self, k0 + a, ia[a:b], ib[a:b], out, dec)
                     a = b
                 i_alpha = i_beta = ()  # every sample has stepped
-        # a block run yields nothing: one next() runs it to the end
-        next(self.kernel(_run(k0, i_alpha, i_beta), out, dec, False), None)
-        cold = self._s[3]
-        return None if cold else (self.theta_hat, self.yv1, self.yv2)
-
-    def _kernel_run(self, k0: int, i_alpha, i_beta, out, dec: int):
-        """The kernel over a run of samples, without yielding."""
-        next(self.kernel(_run(k0, i_alpha, i_beta), out, dec, False), None)
+        _drain(self, k0, i_alpha, i_beta, out, dec)
+        return None if self._s[3] else (self.theta_hat, self.yv1, self.yv2)
 
     def _warm_block(self, k0: int, ia: np.ndarray, ib: np.ndarray, out,
                     dec: int) -> bool:
@@ -288,8 +286,7 @@ class ProposedEstimator:
         False where the arrays cannot vouch for the kernel's result: a
         rebase sum that raises (the kernel raises at that sample), a branch
         count off its guess (a NaN, a step on a pi/2 edge), or `out` rows
-        that are not lists, float64 arrays or memoryviews, or lie outside
-        them.
+        that are not float64 arrays or memoryviews, or lie outside them.
         """
         (N, m, rebase, ua, ub, inc_a, inc_b, unit, ell1, ell2, ell3,
          centre, r_min, L1, _, pll, kp, ki, n_p, Ts) = self._k
@@ -298,7 +295,8 @@ class ProposedEstimator:
         # rows r0, r0 + 1, ... hold samples j0, j0 + dec, ... of the run
         j0 = -k0 % dec
         r0 = (k0 + j0) // dec
-        rows = _row_targets(out, r0, r0 + len(range(j0, n, dec)))
+        r1 = r0 + len(range(j0, n, dec))
+        rows = _row_targets(out, r0, r1)
         if rows is None:
             return False
         with np.errstate(all="ignore"):
@@ -380,8 +378,7 @@ class ProposedEstimator:
                     keep(wp)
                 om = np.array(wps) / n_p
         for o, col in zip(rows, (theta, om, y1, y2, np.ones(n))):
-            col = col[j0::dec]
-            o[r0:r0 + len(col)] = col.tolist() if type(o) is list else col
+            o[r0:r1] = col[j0::dec]
         # the rings of the last m samples, from ring index j on
         j = (i + n) % m
         for ring, row in ((ua, u[0]), (ub, u[1]), (inc_a, inc[0]),
@@ -393,29 +390,26 @@ class ProposedEstimator:
                    x_al[-1].item(), x_be[-1].item(), eta1, eta2)
         self.theta_hat, self.omega_hat = theta[-1].item(), om[-1].item()
         self.yv1, self.yv2 = y1[-1].item(), y2[-1].item()
-        self.low_confidence = bool(low[-1])
         return True
 
     def kernel(self, samples, out=None, dec: int = 1, per_sample: bool = True):
         """The one kernel: a generator over the (k, i_alpha, i_beta) samples.
 
         It takes the state into locals when it starts and writes it back,
-        with theta_hat, omega_hat, yv1, yv2 and low_confidence, when the
-        samples end or the generator is closed; until then the attributes
-        hold the state it started from, so one estimator runs one kernel
-        generator at a time.  With `per_sample` it
-        yields each sample's (theta_hat, omega_hat), or None while the
-        regressor is still filling its window; without it, it yields
-        nothing.  With `out` = five writable sequences, it writes
-        theta_hat, omega_hat, yv1, yv2 and the valid flag (0.0 or 1.0) of
-        each sample k with k % dec == 0 at row k // dec.  The PLL, if any,
-        steps on every valid sample.
+        with theta_hat, omega_hat, yv1 and yv2, when the samples end or the
+        generator is closed; until then the attributes hold the state it
+        started from, so one estimator runs one kernel generator at a time.
+        With `per_sample` it yields each sample's (theta_hat, omega_hat),
+        or None while the regressor is still filling its window; without
+        it, it yields nothing.  With `out` = five writable sequences, it
+        writes theta_hat, omega_hat, yv1, yv2 and the valid flag (0.0 or
+        1.0) of each sample k with k % dec == 0 at row k // dec.  The PLL,
+        if any, steps on every valid sample.
         """
         (N, m, rebase, ua, ub, inc_a, inc_b, unit, ell1, ell2, ell3,
          centre, r_min, L1, table, pll, kp, ki, n_p, Ts) = self._k
         i, sa, sb, cold, rebase_in, xa, xb, eta1, eta2 = self._s
-        theta, y1, y2 = self.theta_hat, self.yv1, self.yv2
-        low, om = self.low_confidence, self.omega_hat
+        theta, y1, y2, om = self.theta_hat, self.yv1, self.yv2, self.omega_hat
         if out is not None:
             o_th, o_om, o_y1, o_y2, o_v = out
         hypot, atan2, pi, rint = math.hypot, math.atan2, math.pi, _RINT
@@ -464,8 +458,7 @@ class ProposedEstimator:
                         y2 = ell3 * (xb / unit)
                         dx = y1 - centre
                         # a point within r_min of the centre holds the angle
-                        low = hypot(dx, y2) <= r_min
-                        if not low:
+                        if not hypot(dx, y2) <= r_min:
                             # the angle recovery, inline
                             if L1 > 0.0:
                                 raw = 0.5 * atan2(-y2, -dx)
@@ -492,7 +485,7 @@ class ProposedEstimator:
         finally:
             self._s = (i, sa, sb, cold, rebase_in, xa, xb, eta1, eta2)
             self.theta_hat, self.yv1, self.yv2 = theta, y1, y2
-            self.low_confidence, self.omega_hat = low, om
+            self.omega_hat = om
 
 
 class ConventionalEstimator:
@@ -537,12 +530,10 @@ class ConventionalEstimator:
     def step(self, k0: int, i_alpha, i_beta, out=None, dec: int = 1):
         """Advance over a run of samples; sample j of i_alpha, i_beta is k0 + j.
 
-        Returns (theta_hat, yv1, yv2) of the run's last sample; unequal
-        lengths, `out` and `dec` as for `ProposedEstimator.step`.
+        Returns None; unequal lengths, `out` and `dec` as for
+        `ProposedEstimator.step`.
         """
-        # a block run yields nothing: one next() runs it to the end
-        next(self.kernel(_run(k0, i_alpha, i_beta), out, dec, False), None)
-        return self.theta_hat, self.yv1, self.yv2
+        _drain(self, k0, i_alpha, i_beta, out, dec)
 
     def kernel(self, samples, out=None, dec: int = 1, per_sample: bool = True):
         """The one kernel, as `ProposedEstimator.kernel`; every sample is
@@ -717,6 +708,13 @@ def _run(k0: int, i_alpha, i_beta):
     return zip(range(k0, k0 + n), i_alpha, i_beta)
 
 
+def _drain(est, k0: int, i_alpha, i_beta, out, dec: int) -> None:
+    """est's kernel over a run of samples from sample k0, without
+    yielding: a block run yields nothing, so one next() runs it to the
+    end."""
+    next(est.kernel(_run(k0, i_alpha, i_beta), out, dec, False), None)
+
+
 def _recurrence(x: float, a: list, p: np.ndarray) -> np.ndarray:
     """x_j = a_j*x_(j-1) + p_j over a run, from x, one Python float step
     per sample: the kernel's demodulator update, p_j being c_j*yf_j."""
@@ -725,21 +723,19 @@ def _recurrence(x: float, a: list, p: np.ndarray) -> np.ndarray:
 
 
 def _row_targets(out, r0: int, r1: int):
-    """The five `out` sequences as targets of the slice [r0:r1]: a list
-    as it is, a float64 memoryview or array as an array; None unless each
-    is one of these and holds rows r0 to r1 - 1 (the kernel then writes, or
-    raises, row by row).  No `out` gives no targets."""
+    """The five `out` sequences as arrays to take the slice [r0:r1]; None
+    unless each is a writable one-dimensional float64 memoryview or array
+    that holds rows r0 to r1 - 1 (the kernel then writes, or raises, row by
+    row).  No `out` gives no targets."""
     if out is None:
         return ()
     rows = []
     for o in out:
-        if type(o) is not list:
-            if not isinstance(o, (memoryview, np.ndarray)):
-                return None
-            o = np.asarray(o)
-            if o.dtype != np.float64 or o.ndim != 1 or not o.flags.writeable:
-                return None
-        if not 0 <= r0 <= r1 <= len(o):
+        if not isinstance(o, (memoryview, np.ndarray)):
+            return None
+        o = np.asarray(o)
+        if (o.dtype != np.float64 or o.ndim != 1 or not o.flags.writeable
+                or not 0 <= r0 <= r1 <= len(o)):
             return None
         rows.append(o)
     return rows if len(rows) == 5 else None

@@ -77,7 +77,8 @@ class MotorParams:
         if self.J <= 0.0:
             raise ValueError("J must be positive")
 
-    # computed once per instance: the estimators read them every sample
+    # computed once per instance; read where the estimators and the
+    # controller are built, and by virtual_output
     @cached_property
     def L0(self) -> float:
         return 0.5 * (self.L_d + self.L_q)

@@ -187,15 +187,23 @@ def test_compare_rmsd_default_bands(fast_scenario, driven_scenario, tmp_path):
                  "compare-rmsd"]) == EXIT_CONFIG
 
 
-def test_sweep_frequency_artifacts(driven_scenario, tmp_path):
-    out = tmp_path / "out"
-    rc = main(["--config", str(driven_scenario), "--out", str(out),
-               "sweep-frequency", "--frequencies", "500,1000",
-               "--t1", "1.0", "--t2", "2.0", "--slope-band=-5:5"])
-    assert rc == EXIT_PASS
-    arr = np.loadtxt(out / "sweep.csv", delimiter=",", skiprows=1)
-    assert arr.shape == (2, 3)
-    assert "slope" in _summary(out)
+def test_sweep_frequency_artifacts(driven_scenario, tmp_path, capsys):
+    """sweep.csv's third column and each printed point name the --metric
+    that was measured."""
+    for metric in ("rms", "ripple", "polarity"):
+        out = tmp_path / metric
+        rc = main(["--config", str(driven_scenario), "--out", str(out),
+                   "sweep-frequency", "--frequencies", "500,1000",
+                   "--t1", "1.0", "--t2", "2.0", "--slope-band=-5:5",
+                   "--metric", metric])
+        assert rc == EXIT_PASS, metric
+        arr = np.loadtxt(out / "sweep.csv", delimiter=",", skiprows=1)
+        assert arr.shape == (2, 3)
+        assert "slope" in _summary(out)
+        header = (out / "sweep.csv").read_text().split("\n")[0]
+        assert header == f"freq_hz,epsilon,{metric}_error_rad"
+        lines = capsys.readouterr().out.splitlines()
+        assert sum(f"steady {metric} error" in line for line in lines) == 2
 
 
 def test_residual_order_fast(fast_scenario, tmp_path):

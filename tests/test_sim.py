@@ -167,8 +167,8 @@ def test_diverged_run_leaves_the_closer_written_back(monkeypatch, kind):
     closer = cfg.pipelines[0]
     ended, diverged, start = (b[closer] for b in (built[0], built[1], fresh))
     assert diverged._s == ended._s != start._s
-    for name in ("theta_hat", "omega_hat", "yv1", "yv2", "low_confidence"):
-        assert getattr(diverged, name, None) == getattr(ended, name, None)
+    for name in ("theta_hat", "omega_hat", "yv1", "yv2"):
+        assert getattr(diverged, name) == getattr(ended, name)
 
 
 @pytest.mark.parametrize("kind", ESTIMATOR_KINDS)
